@@ -70,7 +70,7 @@ def _percentile(samples, quantile):
     return ranked[int(quantile * (len(ranked) - 1))]
 
 
-def test_repeat_read_cache(benchmark, tmp_path, results_dir):
+def test_repeat_read_cache(benchmark, tmp_path):
     """Cold (decode) vs warm (cached) repeat-read latency distributions."""
     path = os.path.join(str(tmp_path), "store")
     generator = OmimGenerator(
@@ -123,18 +123,14 @@ def test_repeat_read_cache(benchmark, tmp_path, results_dir):
     benchmark.extra_info["p50_speedup"] = round(cold_p50 / warm_p50, 2)
     benchmark.extra_info["p99_speedup"] = round(cold_p99 / warm_p99, 2)
     benchmark.extra_info["hit_ratio"] = round(hits / (hits + misses), 4)
-    publish(
-        results_dir,
-        "retrieval_repeat_read.txt",
-        "\n".join(
-            [
-                f"cold p50 {cold_p50 * 1e3:.2f} ms, p99 {cold_p99 * 1e3:.2f} ms",
-                f"warm p50 {warm_p50 * 1e3:.2f} ms, p99 {warm_p99 * 1e3:.2f} ms",
-                f"speedup p50 {cold_p50 / warm_p50:.1f}x, "
-                f"p99 {cold_p99 / warm_p99:.1f}x",
-                f"warm hit ratio {hits}/{hits + misses}",
-            ]
-        ),
+    # Printed, not published: the timings belong to the box.
+    print(
+        "\n"
+        f"cold p50 {cold_p50 * 1e3:.2f} ms, p99 {cold_p99 * 1e3:.2f} ms\n"
+        f"warm p50 {warm_p50 * 1e3:.2f} ms, p99 {warm_p99 * 1e3:.2f} ms\n"
+        f"speedup p50 {cold_p50 / warm_p50:.1f}x, "
+        f"p99 {cold_p99 / warm_p99:.1f}x\n"
+        f"warm hit ratio {hits}/{hits + misses}"
     )
     # The timed region for the committed baseline: one warm read.
     benchmark.pedantic(timed_warm_read_factory(path), rounds=5, iterations=1)

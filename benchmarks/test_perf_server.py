@@ -17,8 +17,8 @@ commit it overlaps, never fall further behind) and that every answer
 is internally consistent (record count matches its pinned version).
 
 ``p50/p99`` land in ``extra_info`` (kept by ``summarize_bench.py``,
-committed as ``BENCH_server.json``); the rendered table is published
-to ``results/PERF_server.txt``.
+committed as ``BENCH_server.json``); the rendered table is printed
+(timings belong to the box, not to the repository).
 """
 
 import os
@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-from conftest import publish
 
 from repro.client import connect
 from repro.data.omim import OMIM_KEY_TEXT
@@ -167,7 +166,7 @@ def test_reads_under_write_load(benchmark, served_store):
     benchmark.extra_info.update(RESULTS, readers=READERS, cpu_cores=CORES)
 
 
-def test_server_summary(results_dir):
+def test_server_summary():
     assert RESULTS, "drill did not run"
     stale_pct = 100.0 * RESULTS["stale_reads"] / RESULTS["reads"]
     lines = [
@@ -185,4 +184,4 @@ def test_server_summary(results_dir):
         "(every answer matched its pinned version's record count; a pin",
         " trails the newest publish by at most the commit it overlaps)",
     ]
-    publish(results_dir, "PERF_server.txt", "\n".join(lines))
+    print("\n" + "\n".join(lines))

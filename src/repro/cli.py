@@ -235,8 +235,9 @@ def cmd_get(args: argparse.Namespace) -> int:
         else:
             naive = backend.scan_probe_count(args.version)
             print(
-                f"probed {probes.total()} timestamp-tree nodes "
-                f"({probes.tree_probes} tree, {probes.fallback_scans} fallback); "
+                f"probed {probes.total()} nodes "
+                f"({probes.tree_probes} tree, {probes.fallback_scans} fallback, "
+                f"{probes.short_scans} short-list scan); "
                 f"a full scan checks {naive}",
                 file=sys.stderr,
             )

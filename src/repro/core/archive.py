@@ -11,7 +11,8 @@ archive can be easily represented as yet another XML document".
 Read-path caches.  The archive carries a **mutation counter** that
 every ``add_version`` bumps; two caches key off it:
 
-* **timestamp trees** (Sec. 7.1) — one binary tree per internal node,
+* **timestamp trees** (Sec. 7.1) — one binary tree per internal node
+  wide enough for a tree to beat a scan (see :mod:`repro.core.tstree`),
   built lazily the first time a retrieval touches the node and *patched
   in place* (leaf timestamps recomputed, unions refreshed only along
   changed paths) when the counter moves, instead of being rebuilt;
@@ -49,6 +50,7 @@ from .fingerprint import Fingerprinter
 from .merge import MergeOptions, MergeStats, nested_merge
 from .nodes import Alternative, ArchiveNode, Weave, WeaveSegment
 from .tstree import (
+    TREE_MIN_CHILDREN,
     ProbeCount,
     TimestampTreeNode,
     build_timestamp_tree,
@@ -315,15 +317,28 @@ class Archive:
         effective: VersionSet,
         probes: Optional[ProbeCount] = None,
     ) -> list[int]:
-        """Tree-guided: indexes of ``node``'s children alive at
-        ``version``, probing the cached timestamp tree instead of every
-        child (with the paper's ``2k`` fallback-to-scan threshold)."""
+        """Indexes of ``node``'s children alive at ``version``.
+
+        Child lists of :data:`~repro.core.tstree.TREE_MIN_CHILDREN` or
+        more probe the cached timestamp tree instead of every child
+        (with the paper's ``2k`` fallback-to-scan threshold); shorter
+        lists, where a tree cannot probe fewer nodes than a scan, are
+        scanned and never get a tree."""
+        children = node.children
+        if len(children) < TREE_MIN_CHILDREN:
+            if probes is not None:
+                probes.short_scans += len(children)
+            return [
+                index
+                for index, child in enumerate(children)
+                if version in child.effective_timestamp(effective)
+            ]
         return search_timestamp_tree(
-            self.timestamp_tree(node, effective), version, len(node.children), probes
+            self.timestamp_tree(node, effective), version, len(children), probes
         )
 
     def warm_timestamp_trees(self) -> int:
-        """Build (or patch) the timestamp tree of every internal node
+        """Build (or patch) every timestamp tree retrieval would use
         now instead of lazily; returns the total tree-node count — the
         structure's space cost."""
         total = 0
@@ -332,7 +347,8 @@ class Archive:
         while stack:
             node, inherited = stack.pop()
             effective = node.effective_timestamp(inherited)
-            total += tree_size(self.timestamp_tree(node, effective))
+            if len(node.children) >= TREE_MIN_CHILDREN:
+                total += tree_size(self.timestamp_tree(node, effective))
             for child in node.children:
                 stack.append((child, effective))
         return total

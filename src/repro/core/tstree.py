@@ -7,6 +7,15 @@ children that actually contain ``i`` while probing at most
 the search falls back to scanning all leaves, exactly the threshold
 rule of the paper.
 
+A tree is only worth its ``2k - 1`` nodes where a search can probe
+fewer than ``k`` of them, so child lists shorter than
+:data:`TREE_MIN_CHILDREN` never get one:
+:meth:`repro.core.archive.Archive.relevant_children` scans them
+directly (``k`` probes, counted as ``ProbeCount.short_scans``) and
+builds, patches and searches trees only for wider lists.  The rule
+depends on the child count alone, so every retrieval of a node does —
+and counts — the same work.
+
 This module holds the tree structure plus the build/patch/search
 primitives; :class:`repro.core.archive.Archive` owns a lazily-built
 cache of these trees keyed by its mutation counter, and
@@ -29,6 +38,17 @@ from typing import Optional
 from .nodes import ArchiveNode
 from .versionset import VersionSet
 
+#: Child lists shorter than this are scanned, never given a tree.  The
+#: paper bounds a search by ``2α - 1 + 2α·log(k/α)`` probes; its
+#: smallest non-empty case, ``α = 1``, descends ``⌈log2 k⌉`` levels
+#: probing both nodes of each: ``1 + 2·⌈log2 k⌉``, and every further
+#: survivor adds to it.  That bound drops below a scan's ``k`` first at
+#: ``k = 8`` (7 < 8; at ``k = 7`` it is 7, at ``k = 4`` 5 > 4).  Below
+#: it a tree can win only by luck of its shape or on an empty answer
+#: (``α = 0``: one probe), and then by fewer than eight membership
+#: tests — never what building and patching ``2k - 1`` unions costs.
+TREE_MIN_CHILDREN = 8
+
 
 @dataclass
 class TimestampTreeNode:
@@ -46,17 +66,26 @@ class TimestampTreeNode:
 
 @dataclass
 class ProbeCount:
-    """Probe accounting for the retrieval cost analysis."""
+    """Probe accounting for the retrieval cost analysis.
+
+    ``tree_probes`` counts timestamp-tree nodes examined,
+    ``fallback_scans`` leaves scanned because a search (or a
+    ``guided=False`` reference retrieval) gave up on the tree, and
+    ``short_scans`` children of lists too short to have a tree
+    (:data:`TREE_MIN_CHILDREN`) — by design, not a budget spill.
+    """
 
     tree_probes: int = 0
     fallback_scans: int = 0
+    short_scans: int = 0
 
     def total(self) -> int:
-        return self.tree_probes + self.fallback_scans
+        return self.tree_probes + self.fallback_scans + self.short_scans
 
     def merge(self, other: "ProbeCount") -> None:
         self.tree_probes += other.tree_probes
         self.fallback_scans += other.fallback_scans
+        self.short_scans += other.short_scans
 
 
 def build_timestamp_tree(

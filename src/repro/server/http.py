@@ -68,6 +68,15 @@ class XarchdServer(ThreadingHTTPServer):
 class XarchdHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "xarchd/1.0"
+    # A response leaves in as few segments as its size allows: written
+    # piecemeal (the inherited ``wbufsize = 0``), the second small
+    # segment waits behind Nagle for the client's delayed ACK — ~40 ms
+    # on every request that follows another on a keep-alive connection.
+    # Whatever writes a response also flushes it, inside its route's
+    # handler, so a client that went away surfaces as the
+    # BrokenPipeError the route ignores.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -90,6 +99,7 @@ class XarchdHandler(BaseHTTPRequestHandler):
             self.send_header(key, str(value))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_error_body(self, error: BaseException, archive: Optional[str]) -> None:
         payload = error_body(error, archive=archive)
@@ -133,11 +143,10 @@ class XarchdHandler(BaseHTTPRequestHandler):
             json.dumps({"done": done_record}).encode("utf-8") + b"\n"
         )
         self.wfile.write(b"0\r\n\r\n")
+        self.wfile.flush()
 
     def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
+        self.wfile.write(b"%x\r\n%b\r\n" % (len(data), data))
 
     def _query_param(self, query: dict, key: str) -> Optional[str]:
         values = query.get(key)

@@ -838,18 +838,19 @@ class PersistentIngestor:
     def history(self, path: str) -> ElementHistory:
         """Route a history query through the owning part's key index.
 
-        The index's binary searches locate the owning part (and reject
-        the others) in ``O(l log d)``; the part's archive — already
-        cached by the index — then supplies the full
-        :class:`ElementHistory` including the ``changes`` content runs,
-        matching :meth:`ChunkedArchiver.history`.
+        The record step's key label hashes to the owning part, the only
+        one adopted; its index's binary searches settle membership in
+        ``O(l log d)`` and the part's archive — already cached by the
+        index — supplies the full :class:`ElementHistory` including the
+        ``changes`` content runs, matching
+        :meth:`ChunkedArchiver.history`.
         """
         def attempt(index: int):
             if not self._adopt_part(index):
                 return None
             return self._key_indexes[index].element_history(path)
 
-        return route_to_owning_chunk(self.backend.part_count, attempt, path)
+        return route_to_owning_chunk(self.backend, attempt, path)
 
     def drop_caches(self) -> None:
         """Release the per-part index/archive caches.

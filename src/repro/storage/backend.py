@@ -368,6 +368,8 @@ class PartitionedBackend(Protocol):
 
     def part_presence(self, index: int) -> Optional[VersionSet]: ...
 
+    def chunk_index_for_label(self, label) -> int: ...
+
     def ingest_batch(
         self,
         documents: Iterable[Optional[Element]],

@@ -22,12 +22,25 @@ import hashlib
 import os
 from typing import Callable, Iterable, Optional
 
-from ..core.archive import Archive, ArchiveOptions, ArchiveStats, ElementHistory
+from ..core.archive import (
+    Archive,
+    ArchiveError,
+    ArchiveOptions,
+    ArchiveStats,
+    ElementHistory,
+    _parse_history_path,
+    missing_element_error,
+)
 from ..core.merge import MergeStats
 from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
-from ..keys.annotate import annotate_keys
+from ..keys.annotate import (
+    KeyLabel,
+    KeyViolationError,
+    annotate_keys,
+    compute_key_value,
+)
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .backend import (
@@ -89,25 +102,26 @@ def restore_key_order(document: Optional[Element], spec: KeySpec) -> Optional[El
     byte-identical to the other backends.  Documents whose top level is
     not fully keyed are returned untouched.
 
-    Cost: the key annotation stops descending at frontier paths, so
-    the extra walk is proportional to the keyed nodes above the
-    frontier (the records being sorted), not to the full document.
+    Cost: one key-value evaluation per top-level record — the labels
+    being sorted and nothing beneath them.
     """
     if document is None or not document.children:
         return document
-    try:
-        annotated = annotate_keys(document, spec)
-    except ValueError:
-        return document  # unannotatable reconstruction: keep chunk order
+    if spec.key_for((document.tag,)) is None:
+        return document
     tokens = []
     for child in document.children:
         if not isinstance(child, Element):
             return document
-        label = annotated.label(child)
-        if label is None:
+        key = spec.key_for((document.tag, child.tag))
+        if key is None:
             return document
-        tokens.append(label.sort_token())
-    order = sorted(range(len(tokens)), key=lambda i: tokens[i])
+        try:
+            value = compute_key_value(child, key)
+        except KeyViolationError:
+            return document  # unlabelable record: keep chunk order
+        tokens.append(KeyLabel(tag=child.tag, key=value).sort_token())
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
     document.children[:] = [document.children[i] for i in order]
     return document
 
@@ -124,25 +138,48 @@ def _chunk_presence_of(archive: Archive) -> VersionSet:
     return presence
 
 
-def route_to_owning_chunk(chunk_count: int, attempt, path: str):
-    """Probe chunks until one answers a keyed-path query.
+def route_to_owning_chunk(backend, attempt, path: str) -> ElementHistory:
+    """Answer a keyed-path history from the chunk(s) that can hold it.
 
-    ``attempt(index)`` returns ``None`` for chunks with no stored data
-    and raises when the element is not in that chunk (every chunk
-    shares the global version numbering, so the first answer is *the*
-    answer).  Re-raises the last miss when no chunk answers.
+    ``attempt(index)`` returns the chunk's history of ``path``, ``None``
+    for a chunk with no stored data, and raises
+    :class:`~repro.core.archive.ArchiveError` when the element is not
+    in that chunk.
+
+    The path's second step names a top-level record, whose key label
+    hashes to exactly one chunk: that chunk alone is asked, so damage
+    to it propagates and damage elsewhere is never seen.  A path that
+    stops above the record level has no owner — the shell it names
+    lives as long as *any* chunk holds records, so the answer is the
+    union of the chunk-local existences.
     """
-    last_error: Optional[Exception] = None
-    for index in range(chunk_count):
+    steps = _parse_history_path(path)
+    if len(steps) >= 2:
+        label = KeyLabel(tag=steps[1][0], key=steps[1][1])
+        owned = attempt(backend.chunk_index_for_label(label))
+        if owned is None:
+            raise missing_element_error(label, path)
+        return owned
+    found: Optional[ElementHistory] = None
+    miss: Optional[ArchiveError] = None
+    for index in range(backend.part_count):
         try:
-            result = attempt(index)
-        except Exception as error:  # not in this chunk
-            last_error = error
+            part = attempt(index)
+        except IntegrityError:
+            raise  # an ArchiveError too, but damage is never a miss
+        except ArchiveError as error:  # the shell never reached this chunk
+            miss = error
             continue
-        if result is not None:
-            return result
-    if last_error is not None:
-        raise last_error
+        if part is None:
+            continue
+        if found is None:
+            found = part
+        else:
+            found.existence = found.existence.union(part.existence)
+    if found is not None:
+        return found
+    if miss is not None:
+        raise miss
     raise ChunkedArchiverError(f"No element at {path!r} in any chunk")
 
 
@@ -710,7 +747,8 @@ class ChunkedArchiver(StorageBackend):
         """Route a history query to the owning chunk.
 
         The first step of the path identifies the root; the second the
-        record, whose key value decides the chunk.
+        record, whose key value decides the chunk — the only one read.
+        A path above the record level is answered by every chunk.
         """
 
         def attempt(index: int):
@@ -719,7 +757,7 @@ class ChunkedArchiver(StorageBackend):
                 return None
             return self._load_chunk(index).history(path)
 
-        return route_to_owning_chunk(self.chunk_count, attempt, path)
+        return route_to_owning_chunk(self, attempt, path)
 
     def diff(self, from_version: int, to_version: int) -> ChangeReport:
         """Element-level changes, merged across chunks.

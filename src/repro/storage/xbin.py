@@ -119,55 +119,22 @@ def _write_intervals(out: bytearray, timestamp: VersionSet) -> None:
         _write_varint(out, end - start)
 
 
-class _Reader:
-    """A bounds-checked cursor over the decompressed record body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def varint(self) -> int:
-        result = 0
-        shift = 0
-        data = self.data
-        pos = self.pos
-        while True:
-            if pos >= len(data):
-                raise _Corrupt("truncated varint")
-            byte = data[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self.pos = pos
-                return result
-            shift += 7
-            if shift > 63:
-                raise _Corrupt("varint overflow")
-
-    def string(self) -> str:
-        length = self.varint()
-        end = self.pos + length
-        if end > len(self.data):
-            raise _Corrupt("truncated string")
-        raw = self.data[self.pos : end]
-        self.pos = end
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise _Corrupt(f"invalid UTF-8 in record: {error}")
-
-    def intervals(self) -> VersionSet:
-        count = self.varint()
-        pairs = []
-        for _ in range(count):
-            start = self.varint()
-            pairs.append((start, start + self.varint()))
-        return VersionSet.from_intervals(pairs)
-
-    def done(self) -> bool:
-        return self.pos >= len(self.data)
+def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """Bounds-checked varint at ``pos``: ``(value, position after it)``."""
+    result = 0
+    shift = 0
+    size = len(data)
+    while True:
+        if pos >= size:
+            raise _Corrupt("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise _Corrupt("varint overflow")
 
 
 # -- name interning -----------------------------------------------------------
@@ -199,17 +166,6 @@ class _Names:
         return out
 
 
-def _read_names(reader: _Reader) -> list[str]:
-    count = reader.varint()
-    return [reader.string() for _ in range(count)]
-
-
-def _name_at(names: list[str], index: int) -> str:
-    if index >= len(names):
-        raise _Corrupt(f"name id {index} beyond the interned table")
-    return names[index]
-
-
 # -- the archive-node records -------------------------------------------------
 
 
@@ -230,23 +186,6 @@ def _write_content(out: bytearray, names: _Names, item) -> None:
     _write_varint(out, len(item.children))
     for child in item.children:
         _write_content(out, names, child)
-
-
-def _read_content(reader: _Reader, names: list[str]):
-    kind = reader.varint()
-    if kind == _CONTENT_TEXT:
-        text = reader.string()
-        if not text:
-            raise _Corrupt("empty text record")
-        return Text(text)
-    if kind != _CONTENT_ELEMENT:
-        raise _Corrupt(f"unknown content record type {kind}")
-    element = Element(_name_at(names, reader.varint()))
-    for _ in range(reader.varint()):
-        element.set_attribute(_name_at(names, reader.varint()), reader.string())
-    for _ in range(reader.varint()):
-        element.append(_read_content(reader, names))
-    return element
 
 
 def _write_node(out: bytearray, names: _Names, node: ArchiveNode) -> None:
@@ -292,54 +231,116 @@ def _write_node(out: bytearray, names: _Names, node: ArchiveNode) -> None:
         _write_node(out, names, child)
 
 
-def _read_node(reader: _Reader, names: list[str]) -> ArchiveNode:
-    tag = _name_at(names, reader.varint())
-    flags = reader.varint()
-    key = tuple(
-        (_name_at(names, reader.varint()), reader.string())
-        for _ in range(reader.varint())
-    )
-    attributes = tuple(
-        (_name_at(names, reader.varint()), reader.string())
-        for _ in range(reader.varint())
-    )
-    timestamp: Optional[VersionSet] = None
-    if flags & _NODE_HAS_TIMESTAMP:
-        timestamp = reader.intervals()
-    weave: Optional[Weave] = None
-    if flags & _NODE_HAS_WEAVE:
-        segments = []
-        for _ in range(reader.varint()):
-            segment_timestamp = reader.intervals()
-            lines = [reader.string() for _ in range(reader.varint())]
-            segments.append(
-                WeaveSegment(timestamp=segment_timestamp, lines=lines)
+def _read_tree(data: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
+    """Decode an archive-mode body: ``(root timestamp, top-level nodes)``.
+
+    The hot loop of every cold read, so the cursor, the body and the
+    name table live in one closure's variables and a varint's common
+    single-byte form is read inline.  Reading past the end is an
+    ``IndexError`` from the body itself (or a failed length check where
+    a slice would silently shorten); the caller types it with every
+    other malformation.
+    """
+    size = len(data)
+    pos = 0
+
+    def varint() -> int:
+        nonlocal pos
+        value = data[pos]
+        pos += 1
+        if value & 0x80:
+            value, pos = _read_varint(data, pos - 1)
+        return value
+
+    def string() -> str:
+        nonlocal pos
+        length = varint()
+        end = pos + length
+        if end > size:
+            raise _Corrupt("truncated string")
+        text = data[pos:end].decode("utf-8")
+        pos = end
+        return text
+
+    def name() -> str:
+        index = varint()
+        if index >= name_count:
+            raise _Corrupt(f"name id {index} beyond the interned table")
+        return names[index]
+
+    def intervals() -> VersionSet:
+        pairs = []
+        for _ in range(varint()):
+            start = varint()
+            pairs.append((start, start + varint()))
+        return VersionSet.from_intervals(pairs)
+
+    def content():
+        kind = varint()
+        if kind == _CONTENT_TEXT:
+            text = string()
+            if not text:
+                raise _Corrupt("empty text record")
+            return Text(text)
+        if kind != _CONTENT_ELEMENT:
+            raise _Corrupt(f"unknown content record type {kind}")
+        element = Element(name())
+        for _ in range(varint()):
+            element.set_attribute(name(), string())
+        for _ in range(varint()):
+            element.append(content())
+        return element
+
+    def named_values() -> tuple:
+        # Key components or attributes; most nodes have none of one.
+        count = varint()
+        return tuple([(name(), string()) for _ in range(count)]) if count else ()
+
+    def node() -> ArchiveNode:
+        tag = name()
+        flags = varint()
+        key = named_values()
+        attributes = named_values()
+        timestamp = intervals() if flags & _NODE_HAS_TIMESTAMP else None
+        weave = None
+        if flags & _NODE_HAS_WEAVE:
+            weave = Weave(
+                segments=[
+                    WeaveSegment(
+                        timestamp=intervals(),
+                        lines=[string() for _ in range(varint())],
+                    )
+                    for _ in range(varint())
+                ]
             )
-        weave = Weave(segments=segments)
-    alternatives: Optional[list[Alternative]] = None
-    if flags & _NODE_HAS_ALTERNATIVES:
-        alternatives = []
-        for _ in range(reader.varint()):
-            alt_flags = reader.varint()
-            alt_timestamp = (
-                reader.intervals() if alt_flags & _ALT_HAS_TIMESTAMP else None
-            )
-            content = [
-                _read_content(reader, names) for _ in range(reader.varint())
+        alternatives = None
+        if flags & _NODE_HAS_ALTERNATIVES:
+            alternatives = [
+                Alternative(
+                    timestamp=(
+                        intervals() if varint() & _ALT_HAS_TIMESTAMP else None
+                    ),
+                    content=[content() for _ in range(varint())],
+                )
+                for _ in range(varint())
             ]
-            alternatives.append(
-                Alternative(timestamp=alt_timestamp, content=content)
-            )
-    node = ArchiveNode(
-        label=KeyLabel(tag=tag, key=key),
-        timestamp=timestamp,
-        attributes=attributes,
-        alternatives=alternatives,
-        weave=weave,
-    )
-    for _ in range(reader.varint()):
-        node.children.append(_read_node(reader, names))
-    return node
+        count = varint()
+        return ArchiveNode(
+            label=KeyLabel(tag=tag, key=key),
+            timestamp=timestamp,
+            attributes=attributes,
+            children=[node() for _ in range(count)] if count else [],
+            alternatives=alternatives,
+            weave=weave,
+        )
+
+    names = [string() for _ in range(varint())]
+    name_count = len(names)
+    root_timestamp = intervals()
+    children = [node() for _ in range(varint())]
+    if pos != size:
+        raise _Corrupt(f"{size - pos} unread byte(s) after the node tree")
+    return root_timestamp, children
 
 
 # -- the container ------------------------------------------------------------
@@ -360,24 +361,21 @@ def _unpack(data: bytes) -> tuple[int, bytes]:
     """Validate the container; return ``(flags, decompressed body)``."""
     if not data.startswith(XBIN_MAGIC):
         raise _codec_error("Not an xbin container (bad magic)")
-    reader = _Reader(data)
-    reader.pos = len(XBIN_MAGIC)
     try:
-        crc = reader.varint()
-        if reader.done():
+        crc, pos = _read_varint(data, len(XBIN_MAGIC))
+        if pos >= len(data):
             raise _Corrupt("truncated header")
-        flags = reader.data[reader.pos]
-        reader.pos += 1
-        length = reader.varint()
-        end = reader.pos + length
+        flags = data[pos]
+        length, pos = _read_varint(data, pos + 1)
+        end = pos + length
         if end > len(data):
             raise _Corrupt(
                 f"body declares {length} bytes but only "
-                f"{len(data) - reader.pos} are present"
+                f"{len(data) - pos} are present"
             )
         if end != len(data):
             raise _Corrupt(f"{len(data) - end} trailing byte(s) after the body")
-        compressed = data[reader.pos : end]
+        compressed = data[pos:end]
         if zlib.crc32(bytes([flags]) + compressed) != crc:
             raise _Corrupt("crc mismatch (flipped bits)")
         try:
@@ -412,22 +410,17 @@ def encode_archive(archive: Archive) -> bytes:
 
 
 def _decode_tree(body: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
-    reader = _Reader(body)
     try:
-        names = _read_names(reader)
-        root_timestamp = reader.intervals()
-        children = [_read_node(reader, names) for _ in range(reader.varint())]
-        if not reader.done():
-            raise _Corrupt(
-                f"{len(body) - reader.pos} unread byte(s) after the node tree"
-            )
+        return _read_tree(body)
     except _Corrupt as error:
         raise _codec_error(f"Corrupt xbin container: {error}")
+    except IndexError:
+        raise _codec_error("Corrupt xbin container: truncated record")
     except (ValueError, OverflowError, RecursionError) as error:
-        # Model invariants (non-empty text, valid version ranges, sane
-        # nesting) reject a crafted or damaged body as a typed error.
+        # Model invariants (valid UTF-8, non-empty names, valid version
+        # ranges, sane nesting) reject a crafted or damaged body as a
+        # typed error.
         raise _codec_error(f"Corrupt xbin container: {error}")
-    return root_timestamp, children
 
 
 def decode_archive(
@@ -462,9 +455,12 @@ def decode_archive(
 
 
 def _sort_children(node: ArchiveNode, token) -> None:
-    node.children.sort(key=lambda child: token(child.label))
-    for child in node.children:
-        _sort_children(child, token)
+    children = node.children
+    if len(children) > 1:
+        children.sort(key=lambda child: token(child.label))
+    for child in children:
+        if child.children:
+            _sort_children(child, token)
 
 
 def decode_document_text(data: bytes) -> str:

@@ -12,6 +12,7 @@ from repro.indexes import (
     search_timestamp_tree,
 )
 from repro.core.nodes import ArchiveNode
+from repro.core.tstree import TREE_MIN_CHILDREN
 from repro.keys.annotate import KeyLabel
 
 
@@ -117,9 +118,25 @@ class TestTimestampTreeIndex:
         naive = index.naive_probe_count(1)
         assert probes.total() < naive
 
-    def test_tree_node_count_positive(self):
-        index = TimestampTreeIndex(company_archive())
-        assert index.tree_node_count() > 0
+    def test_tree_node_count_covers_wide_lists_only(self):
+        """The space cost counts the trees retrieval uses: one per child
+        list of TREE_MIN_CHILDREN or more, none for shorter lists."""
+        # Every child list of the company archive is short.
+        assert TimestampTreeIndex(company_archive()).tree_node_count() == 0
+        archive = Archive(omim_key_spec())
+        archive.add_version(
+            OmimGenerator(seed=2, initial_records=9).generate_versions(1)[0]
+        )
+        widths, stack = [], [archive.root]
+        while stack:
+            node = stack.pop()
+            widths.append(len(node.children))
+            stack.extend(node.children)
+        assert 9 in widths and min(w for w in widths if w) < TREE_MIN_CHILDREN
+        # A tree over k leaves has 2k - 1 nodes.
+        assert TimestampTreeIndex(archive).tree_node_count() == sum(
+            2 * w - 1 for w in widths if w >= TREE_MIN_CHILDREN
+        )
 
 
 class TestKeyIndex:

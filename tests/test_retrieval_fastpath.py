@@ -23,6 +23,7 @@ from repro.core import (
     archive_diff,
     documents_equivalent,
 )
+from repro.core.tstree import TREE_MIN_CHILDREN
 from repro.data import OmimChangeRates, OmimGenerator, omim_key_spec
 from repro.data.company import company_key_spec, company_versions
 from repro.indexes import KeyIndex, TimestampTreeIndex
@@ -103,8 +104,11 @@ class TestScanTreeEquivalence:
             assert (with_counter is None) == (without_counter is None)
             if with_counter is not None:
                 assert to_string(with_counter) == to_string(without_counter)
-            # No per-node budget is ever exceeded by cumulative spill.
+            # No per-node budget is ever exceeded by cumulative spill:
+            # wide lists were searched through their trees, and the
+            # by-design scans of short lists are not fallbacks.
             assert probes.fallback_scans == 0
+            assert probes.tree_probes > 0 and probes.short_scans > 0
 
     def test_probe_savings_vs_scan(self):
         generator = OmimGenerator(
@@ -122,6 +126,73 @@ class TestScanTreeEquivalence:
         assert probes.total() < archive.scan_probe_count(1)
 
 
+def _departments(width, alive=lambda index: True):
+    state = Element("db")
+    for index in range(width):
+        if alive(index):
+            dept = state.append(Element("dept"))
+            dept.append(Element("name")).append(Text(f"d{index:02d}"))
+    return state
+
+
+def _department_archive(width):
+    """``width`` departments; the odd ones skip version 2."""
+    archive = Archive(company_key_spec())
+    archive.add_version(_departments(width))
+    archive.add_version(_departments(width, alive=lambda index: index % 2 == 0))
+    archive.add_version(_departments(width))
+    return archive
+
+
+class TestShortListsAreScanned:
+    """Child lists below TREE_MIN_CHILDREN never get a timestamp tree;
+    the rule looks at the child count and nothing else."""
+
+    @pytest.mark.parametrize(
+        "width",
+        [1, TREE_MIN_CHILDREN - 1, TREE_MIN_CHILDREN, TREE_MIN_CHILDREN + 1, 20],
+    )
+    def test_guided_equals_scan_on_both_sides_of_the_bound(self, width):
+        archive = _department_archive(width)
+        for version in (1, 2, 3):
+            assert to_string(archive.retrieve(version)) == to_string(
+                archive.retrieve(version, guided=False)
+            )
+
+    def test_short_list_costs_its_child_count_and_no_tree(self):
+        archive = _department_archive(TREE_MIN_CHILDREN - 1)
+        database = archive.root.children[0]
+        for version, alive in ((1, TREE_MIN_CHILDREN - 1), (2, TREE_MIN_CHILDREN // 2)):
+            probes = ProbeCount()
+            found = archive.relevant_children(
+                database, version, archive.root.timestamp, probes
+            )
+            assert len(found) == alive
+            assert probes.total() == probes.short_scans == len(database.children)
+        archive.retrieve(2)
+        assert not archive._trees
+
+    def test_wide_list_probes_its_tree(self):
+        archive = _department_archive(TREE_MIN_CHILDREN)
+        database = archive.root.children[0]
+        probes = ProbeCount()
+        found = archive.relevant_children(
+            database, 2, archive.root.timestamp, probes
+        )
+        assert found == list(range(0, TREE_MIN_CHILDREN, 2))
+        assert probes.tree_probes > 0
+        assert probes.short_scans == probes.fallback_scans == 0
+        assert list(archive._trees) == [id(database)]
+
+    def test_repeat_visits_count_the_same(self):
+        archive = _omim_archive()
+        first, second = ProbeCount(), ProbeCount()
+        archive.retrieve(archive.last_version, probes=first)
+        archive.retrieve(archive.last_version, probes=second)
+        assert first == second
+        assert first.tree_probes > 0 and first.short_scans > 0
+
+
 # Hypothesis sweep: random keyed states across every configuration.
 
 _names = st.sampled_from(["ann", "bob", "cat", "dan"])
@@ -131,8 +202,10 @@ _salaries = st.one_of(st.none(), st.sampled_from(["10K", "20K", "30K"]))
 @st.composite
 def _company_state(draw):
     state = Element("db")
+    # Up to ten departments: child lists on both sides of
+    # TREE_MIN_CHILDREN, so scanned and tree-searched lists both occur.
     for dept_name in sorted(
-        draw(st.sets(st.sampled_from(["dx", "dy", "dz"]), max_size=3))
+        draw(st.sets(st.sampled_from([f"d{i}" for i in range(10)]), max_size=10))
     ):
         dept = state.append(Element("dept"))
         dept.append(Element("name")).append(Text(dept_name))

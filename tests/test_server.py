@@ -9,9 +9,12 @@ generations only ever append, so a snapshot answer never depends on
 which generation served it.
 """
 
+import http.client
 import json
 import os
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -174,6 +177,30 @@ def test_wire_format_streams_items_then_done(served):
     assert done["generation"] == generation
     assert done["last_version"] == 2
     assert done["stats"]["archive_nodes_visited"] > 0
+
+
+def test_back_to_back_requests_on_one_connection_do_not_stall(served):
+    """A response written in several small segments makes the request
+    that follows it on a keep-alive connection wait out the client's
+    delayed ACK (~40 ms, even for ``/healthz``)."""
+    root, base = served
+    name = seed_archive(root, "chunked")
+    host, port = base.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port))
+    paths = ["/healthz", f"/archives/{name}/at/2/select?xpath=//val/text()"]
+    try:
+        for path in paths:
+            seconds = []
+            for _ in range(11):  # the first request opens the connection
+                start = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200 and body
+            assert statistics.median(seconds[1:]) < 0.020, (path, seconds)
+    finally:
+        connection.close()
 
 
 def test_healthz_and_listing(served):

@@ -168,3 +168,64 @@ class TestCorruptionDrills:
         data = xbin.encode_archive(_fixed_archive())
         with pytest.raises(CodecError):
             xbin.decode_archive(data + b"\x00", spec)
+
+
+# A minimal archive-mode body, record by record (see the module
+# docstring of repro.storage.xbin): one frontier node <db> holding "hi".
+_NAMES = b"\x02" + b"\x02db" + b"\x01x"
+_ROOT = b"\x01\x01\x00"  # one interval: version 1
+_DB = b"\x00"  # tag id of "db"
+_FRONTIER = b"\x04\x00\x00"  # alternatives flag, no key, no attributes
+_ALTERNATIVE = b"\x01\x00\x01"  # one alternative, untimestamped, one content item
+_TEXT = b"\x00\x02hi"
+_NO_CHILDREN = b"\x00"
+
+
+def _body(*, tag=_DB, content=_TEXT, children=_NO_CHILDREN, tail=b""):
+    node = tag + _FRONTIER + _ALTERNATIVE + content + children
+    return _NAMES + _ROOT + b"\x01" + node + tail
+
+
+class TestWellFramedMalformedBodies:
+    """The crc only proves the bytes are the ones that were written;
+    a body that is framed correctly but malformed inside must still
+    fail typed, from every check of the record decoder."""
+
+    def test_the_hand_built_body_is_valid(self):
+        archive = xbin.decode_archive(xbin._pack(_body(), 0), company_key_spec())
+        (node,) = archive.root.children
+        assert node.label.tag == "db"
+        assert node.alternatives[0].content[0].text == "hi"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(_body(tag=b"\x05"), id="name-id-past-the-table"),
+            pytest.param(
+                _body(children=b"\xff" * 10 + b"\x01"), id="varint-overflow"
+            ),
+            pytest.param(
+                _body(content=b"\x00\x7fhi", children=b""),
+                id="string-runs-past-the-end",
+            ),
+            pytest.param(_body(content=b"\x00\x00"), id="empty-text-record"),
+            pytest.param(_body(content=b"\x07\x02hi"), id="unknown-content-kind"),
+            pytest.param(_body(content=b"\x00\x02\xff\xfe"), id="invalid-utf8"),
+            pytest.param(_body(tail=b"\x00"), id="unread-trailing-bytes"),
+            pytest.param(_body(children=b"\x01"), id="missing-child-record"),
+        ],
+    )
+    def test_malformed_body_raises_codec_error(self, body):
+        data = xbin._pack(body, 0)
+        with pytest.raises(CodecError):
+            xbin.decode_archive(data, company_key_spec())
+        with pytest.raises(CodecError):
+            xbin.decode_document_text(data)
+
+    def test_every_truncation_inside_the_frame_is_detected(self):
+        body = _body()
+        for cut in range(len(body)):
+            with pytest.raises(CodecError):
+                xbin.decode_archive(
+                    xbin._pack(body[:cut], 0), company_key_spec()
+                )
