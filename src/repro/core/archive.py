@@ -38,7 +38,13 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from ..keys.annotate import KeyLabel, KeyValue, annotate_keys, compute_key_value
+from ..keys.annotate import (
+    AnnotatedDocument,
+    KeyLabel,
+    KeyValue,
+    annotate_keys,
+    compute_key_value,
+)
 from ..keys.paths import Path, format_path, parse_path, value_at
 from ..keys.spec import KeySpec
 from ..xmltree.canonical import canonical_form
@@ -239,29 +245,41 @@ class Archive:
     def version_count(self) -> int:
         return len(self._root_timestamp())
 
-    def add_version(self, document: Optional[Element], memo=None) -> MergeStats:
+    def add_version(
+        self, document: "Optional[Element | AnnotatedDocument]", memo=None
+    ) -> MergeStats:
         """Archive the next version.
 
         ``document`` is the new version's root element; ``None`` records
         an *empty* version (the paper's Sec. 2: the root node's
-        timestamp advances while the database node's does not).
+        timestamp advances while the database node's does not).  A
+        caller that has run *Annotate Keys* already (the chunked backend
+        annotates a version once and hands each chunk its slice) passes
+        the :class:`~repro.keys.annotate.AnnotatedDocument` instead.
+
+        The document is validated — annotated — before any timestamp is
+        touched: a key violation leaves the archive exactly as it was.
 
         ``memo`` is a :class:`~repro.core.merge.MergeMemo` carried by a
         batched :class:`~repro.core.ingest.IngestSession`; unchanged
         keyed subtrees are then fingerprint-skipped instead of descended.
         """
+        annotated = (
+            annotate_keys(document, self.spec)
+            if isinstance(document, Element)
+            else document
+        )
         version = self.last_version + 1
         root_timestamp = self._root_timestamp()
         root_timestamp.add(version)
         self.note_mutation()
-        if document is None:
+        if annotated is None:
             # Terminate timestamps of the document roots.
             inherited = root_timestamp
             for child in self.root.children:
                 if child.timestamp is None:
                     child.timestamp = inherited.without(version)
             return MergeStats(versions=1)
-        annotated = annotate_keys(document, self.spec)
         options = self.options.merge_options()
         if memo is not None:
             memo.prepare_version(annotated, options)

@@ -84,6 +84,32 @@ class AnnotatedDocument:
     def is_frontier(self, node: Element) -> bool:
         return id(node) in self.frontier_ids
 
+    def shell(self) -> "AnnotatedDocument":
+        """A childless twin of the root, under this document's own tables.
+
+        The caller fills ``shell().root.children`` with some of this
+        root's children *by reference* (not through ``append``, which
+        would re-parent them): everything below them is annotated here
+        already, so a slice of the document costs no second scan and no
+        copy, and the caller's tree stays as it was.
+        """
+        shell = Element(self.root.tag)
+        shell.attributes = [attr.copy() for attr in self.root.attributes]
+        self.labels[id(shell)] = self.labels[id(self.root)]
+        return AnnotatedDocument(
+            root=shell,
+            spec=self.spec,
+            labels=self.labels,
+            frontier_ids=self.frontier_ids,
+        )
+
+    def __reduce__(self):
+        # The tables are keyed by ``id()``, which no other process
+        # shares: the document travels as its tree (parent pointers are
+        # not pickled, so a shell takes only its own records along) and
+        # is annotated again on arrival.
+        return (annotate_keys, (self.root, self.spec))
+
 
 def compute_key_value(node: Element, key: Key, value_of=None) -> KeyValue:
     """Evaluate a node's key value under ``key``.

@@ -50,6 +50,7 @@ from .backend import (
     RecodeReport,
     StorageBackend,
     key_spec_fingerprint,
+    mutation,
     read_manifest,
 )
 from .chunked import (
@@ -140,33 +141,14 @@ class ExternalArchiver(StorageBackend):
         self.io_stats = IOStats(page_size=page_size)
         os.makedirs(directory, exist_ok=True)
         self.archive_path = os.path.join(directory, STREAM_NAME)
-        # Every mutation publishes through the WAL; settle any
-        # interrupted commit before the scratch sweep so the stream,
-        # manifest and checksum sidecar agree on one state.
         self._wal = WriteAheadLog(os.path.join(directory, "wal.json"))
-        if recover:
-            self._wal.recover(
-                stray_tmps=[
-                    os.path.join(directory, name)
-                    for name in os.listdir(directory)
-                    if name.endswith(".tmp")
-                ]
-            )
-            self._recover()
+        self._recover = recover
+        self._load_state()
         self.codec = (
             get_codec(codec)
             if codec is not None
             else sniff_codec(self.archive_path)
         )
-        self._checksums = ChecksumSidecar.load(
-            os.path.join(directory, CHECKSUMS_NAME)
-        )
-        self._verified: set[str] = set()
-        try:
-            manifest = read_manifest(directory)
-        except ManifestInconsistent:
-            manifest = None  # fsck's problem, not open's
-        self.generation = manifest.generation if manifest is not None else 0
         #: Read-only handles cache the materialized stream (the
         #: :meth:`to_archive` product ``diff`` and fallback queries pay
         #: for) in the process-wide decoded-chunk cache, keyed by the
@@ -187,7 +169,37 @@ class ExternalArchiver(StorageBackend):
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _recover(self) -> None:
+    def _load_state(self) -> Optional[Manifest]:
+        """(Re)read what the directory durably holds; returns its manifest.
+
+        Run by the constructor and again after any failed write.  Every
+        mutation publishes through the WAL: an interrupted commit is
+        settled first, before the scratch sweep (both only on handles
+        that recover), so the stream, manifest and checksum sidecar
+        agree on one state; then the sidecar and the generation are
+        taken from disk.
+        """
+        if self._recover:
+            self._wal.recover(
+                stray_tmps=[
+                    os.path.join(self.directory, name)
+                    for name in os.listdir(self.directory)
+                    if name.endswith(".tmp")
+                ]
+            )
+            self._sweep_scratch()
+        self._checksums = ChecksumSidecar.load(
+            os.path.join(self.directory, CHECKSUMS_NAME)
+        )
+        self._verified: set[str] = set()
+        try:
+            manifest = read_manifest(self.directory)
+        except ManifestInconsistent:
+            manifest = None  # fsck's problem, not open's
+        self.generation = manifest.generation if manifest is not None else 0
+        return manifest
+
+    def _sweep_scratch(self) -> None:
         """Discard scratch files of an interrupted merge.
 
         The stream merge publishes by a single :func:`os.replace` of
@@ -266,6 +278,7 @@ class ExternalArchiver(StorageBackend):
 
     # -- the three phases ---------------------------------------------------------
 
+    @mutation
     def add_version(self, document: Optional[Element]) -> MergeStats:
         """Annotate, sort and merge the next version (Sec. 6).
 
@@ -615,6 +628,7 @@ class ExternalArchiver(StorageBackend):
         """Current size of the on-disk archive stream."""
         return os.path.getsize(self.archive_path)
 
+    @mutation
     def recode(self, codec: CodecLike) -> RecodeReport:
         """Re-encode the event stream in place, in bounded memory.
 

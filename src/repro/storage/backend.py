@@ -22,6 +22,7 @@ torn mix of files.
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
 import json
 import os
@@ -207,6 +208,44 @@ def read_manifest(path: str) -> Optional[Manifest]:
 # -- the storage contract -----------------------------------------------------
 
 
+def mutation(write):
+    """Decorator for a backend's write methods; the one failure rule of
+    every write, on every backend: *in-memory state moves only after
+    the commit lands.*
+
+    Whatever stops the decorated ``add_version``, ``ingest_batch``,
+    ``recode`` or ``persist`` — a document Nested Merge rejects
+    half-way, an I/O error or an injected fault at any write, fsync or
+    rename — the handle forgets every decoded tree it may have merged
+    into and reloads from what is durable
+    (:meth:`StorageBackend._reload`) before the error reaches the
+    caller.  It then reports the version count the disk holds, and its
+    next write produces the bytes a freshly opened handle would.  A
+    write that failed *after* its commit point is rolled forward by
+    that reload, exactly as a reopen would roll it: the handle then
+    reports the new version.
+    """
+
+    @functools.wraps(write)
+    def guarded(self, *args, **kwargs):
+        try:
+            return write(self, *args, **kwargs)
+        except BaseException as error:
+            try:
+                self._reload()
+            except Exception as reload_error:
+                # The disk will not be read back right now either.  The
+                # write's own failure is the one to report; the trees
+                # are gone already (``_load_state`` drops them first).
+                error.add_note(
+                    f"{type(self).__name__} could not reload its state "
+                    f"afterwards ({reload_error!r}); reopen the archive"
+                )
+            raise
+
+    return guarded
+
+
 class StorageBackend(abc.ABC):
     """One archive's read/write surface, whatever its on-disk shape.
 
@@ -321,6 +360,21 @@ class StorageBackend(abc.ABC):
         """Hook for backends that track the manifest in their checksum
         sidecar (the sidecar must follow a standalone manifest write)."""
 
+    def _reload(self) -> None:
+        manifest = self._load_state()
+        if manifest is not None:
+            # A recode that died mid-publish rolls forward on recovery.
+            self.codec = get_codec(manifest.codec)
+
+    @abc.abstractmethod
+    def _load_state(self) -> "Optional[Manifest]":
+        """(Re)read every piece of in-memory state from what is durable
+        — settling an interrupted commit first, on handles that run
+        recovery — and drop decoded trees; returns the manifest found.
+        Constructors call it once; :meth:`_reload` after a failed write
+        (see :func:`mutation`).
+        """
+
     def db(self):
         """An :class:`~repro.query.db.ArchiveDB` facade over this
         backend — the planned, index-aware query surface (temporal
@@ -415,15 +469,35 @@ class FileBackend(StorageBackend):
         self.options = options or ArchiveOptions()
         self.verify = validate_policy(verify)
         self._wal = WriteAheadLog(self.path + ".wal")
-        if recover:
-            self._wal.recover(
-                stray_tmps=(self.path + ".tmp", self.manifest_path() + ".tmp")
-            )
+        self._recover = recover
+        #: Read-only handles share the decoded archive through the
+        #: process-wide decoded-chunk cache; write paths always work on
+        #: a privately-owned instance (see ``_ensure_private_archive``).
+        self.cache_reads = cache_reads
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self._load_state()
         # An explicit codec wins; otherwise an existing file's magic
         # bytes decide (new archives start raw).
         self.codec = (
             get_codec(codec) if codec is not None else sniff_codec(self.path)
         )
+
+    def _load_state(self) -> Optional[Manifest]:
+        """(Re)read what is durable; returns the manifest.
+
+        Run by the constructor and again after any failed write: an
+        interrupted commit is settled first (on handles that recover),
+        the payload checksum and the generation come from the manifest,
+        and the in-memory archive is dropped, to be decoded again from
+        the settled file on next use.
+        """
+        self._archive: Optional[Archive] = None
+        self._archive_shared = False
+        if self._recover:
+            self._wal.recover(
+                stray_tmps=(self.path + ".tmp", self.manifest_path() + ".tmp")
+            )
         # The payload's recorded checksum lives in the manifest (the
         # whole-file backend has exactly one payload, so no sidecar).
         manifest = read_manifest(self.path)
@@ -432,14 +506,7 @@ class FileBackend(StorageBackend):
         )
         self.generation = manifest.generation if manifest is not None else 0
         self._verified = False
-        self._archive: Optional[Archive] = None
-        #: Read-only handles share the decoded archive through the
-        #: process-wide decoded-chunk cache; write paths always work on
-        #: a privately-owned instance (see ``_ensure_private_archive``).
-        self.cache_reads = cache_reads
-        self._archive_shared = False
-        self.cache_hits = 0
-        self.cache_misses = 0
+        return manifest
 
     def _read_payload(self) -> Optional[bytes]:
         """The verified at-rest bytes, or ``None`` when nothing is stored.
@@ -540,31 +607,35 @@ class FileBackend(StorageBackend):
             return {"payload": self._payload_checksum}
         return {}
 
+    @mutation
     def persist(self) -> None:
         """Publish the encoded archive and manifest in one atomic commit."""
-        encoded = self.codec.encode_archive(self.archive)
-        previous = self._payload_checksum
-        previous_generation = self.generation
-        # Record the checksum and the next generation before building
-        # the manifest (the manifest carries both); restore them if the
-        # commit never lands.
-        self._payload_checksum = checksum_entry(encoded)
-        self.generation += 1
+        self._publish(self.codec)
+
+    def _publish(self, codec: Codec, encoded: Optional[bytes] = None) -> None:
+        """Commit the archive encoded under ``codec`` plus its manifest;
+        checksum, generation and codec move once that has landed."""
+        if encoded is None:
+            encoded = codec.encode_archive(self.archive)
+        checksum = checksum_entry(encoded)
+        manifest = self.manifest()
+        manifest.codec = codec.name
+        manifest.generation += 1
+        manifest.extra = {"payload": checksum}
         commit = self._wal.begin()
         try:
-            try:
-                commit.stage(self.path, encoded)
-                commit.stage(self.manifest_path(), self.manifest().to_json())
-            except BaseException:
-                commit.abort()  # staging failed: nothing durable yet
-                raise
-            # A failure *during* commit must not abort: recovery on the
-            # next open decides roll-back vs roll-forward from the WAL.
-            commit.commit(meta={"version_count": self.last_version})
+            commit.stage(self.path, encoded)
+            commit.stage(self.manifest_path(), manifest.to_json())
         except BaseException:
-            self._payload_checksum = previous
-            self.generation = previous_generation
+            commit.abort()  # staging failed: nothing durable yet
             raise
+        # A failure *during* commit must not abort: WAL recovery (run
+        # by ``_reload``, or by the next open) decides roll-back vs
+        # roll-forward.
+        commit.commit(meta={"version_count": self.last_version})
+        self._payload_checksum = checksum
+        self.generation += 1
+        self.codec = codec
         if self.cache_reads:
             # Stale-token entries would only age out of the LRU; a
             # read-caching handle that writes drops them eagerly so the
@@ -575,11 +646,13 @@ class FileBackend(StorageBackend):
     def last_version(self) -> int:
         return self.archive.last_version
 
+    @mutation
     def add_version(self, document: Optional[Element]) -> MergeStats:
         stats = self._ensure_private_archive().add_version(document)
-        self.persist()
+        self._publish(self.codec)
         return stats
 
+    @mutation
     def ingest_batch(
         self, documents: Iterable[Optional[Element]], on_version: OnVersion = None
     ) -> MergeStats:
@@ -589,7 +662,7 @@ class FileBackend(StorageBackend):
             stats = session.add(document)
             if on_version is not None:
                 on_version(self.archive.last_version, stats)
-        self.persist()
+        self._publish(self.codec)
         return session.stats
 
     def retrieve(
@@ -620,42 +693,17 @@ class FileBackend(StorageBackend):
         stats.cache_evictions = chunk_cache().evictions
         return stats
 
+    @mutation
     def recode(self, codec: CodecLike) -> RecodeReport:
         """Re-encode the archive file in place (WAL-staged, verified)."""
         target = get_codec(codec)
         old = self.codec
-        # Load (lazily) under the old codec before anything flips: the
-        # manifest staged below reads ``last_version`` off this archive.
-        text = self.archive.to_xml_string()
         before = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        # The in-memory archive (loaded under the old codec) is
+        # unchanged by this; only the at-rest encoding moves.
         encoded = target.encode_archive(self.archive)
-        verify_recoded_document(text, encoded, target)
-        previous_checksum = self._payload_checksum
-        previous_generation = self.generation
-        self._payload_checksum = checksum_entry(encoded)
-        self.generation += 1
-        manifest = self.manifest()
-        manifest.codec = target.name
-        commit = self._wal.begin()
-        try:
-            try:
-                commit.stage(self.path, encoded)
-                commit.stage(self.manifest_path(), manifest.to_json())
-            except BaseException:
-                commit.abort()  # staging failed: nothing durable yet
-                raise
-            commit.commit(meta={"version_count": self.last_version})
-        except BaseException:
-            self._payload_checksum = previous_checksum
-            self.generation = previous_generation
-            raise
-        # Only a published commit moves the in-memory codec: a failure
-        # anywhere above leaves this backend reading the old encoding.
-        self.codec = target
-        if self.cache_reads:
-            chunk_cache().invalidate(self.path)
-        # The in-memory archive (if loaded) is unchanged; only the
-        # at-rest encoding moved.
+        verify_recoded_document(self.archive.to_xml_string(), encoded, target)
+        self._publish(target, encoded)
         return RecodeReport(
             path=self.path,
             kind=self.kind,

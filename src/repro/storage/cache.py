@@ -23,11 +23,17 @@ fall back to the manifest generation as token — and are simply not
 cached when there is no generation either.
 
 **Sharing discipline.**  Cached archives are shared read-only across
-handles and threads; writers never consult the cache (a writer mutates
-its archive in place, which must not leak into other readers' views).
-Backends opt in per handle via ``cache_reads=True`` — set by snapshot
-opens (``open_archive(..., recover=False)``) — and bypass the cache on
-their write paths even then.
+handles and threads; writers never consult *this* cache (a writer
+mutates its archive in place, which must not leak into other readers'
+views) and never install into it.  Backends opt in per handle via
+``cache_reads=True`` — set by snapshot opens (``open_archive(...,
+recover=False)``) — and bypass the cache on their write paths even
+then.  What a writer keeps for itself between appends — the whole-file
+backend's one archive, the chunked backend's held trees — is private to
+its handle; the chunked backend costs its held trees against this
+cache's ``max_bytes`` (so ``REPRO_CHUNK_CACHE_BYTES=0`` turns both
+off), but in an account of its own: they are not entries here and
+evict nothing.
 
 Knobs: ``REPRO_CHUNK_CACHE_BYTES`` caps the budget (approximate, costed
 by each entry's at-rest payload size; default 256 MiB), ``0`` disables

@@ -12,8 +12,13 @@ concatenating the results."
 :class:`ChunkedArchiver` reproduces that scheme: top-level records are
 partitioned by a hash of their key value into ``chunk_count`` buckets,
 each bucket is archived independently (one on-disk XML archive per
-chunk), and queries fan out to the owning chunk.  Peak memory is
-bounded by the largest chunk plus one version's worth of records.
+chunk), and queries fan out to the owning chunk.  A read holds one
+chunk at a time plus one version's worth of records; a write-capable
+handle that appends version after version also keeps the chunk trees it
+last published, up to the decoded-chunk cache budget
+(``REPRO_CHUNK_CACHE_BYTES``; ``0`` keeps none and restores the
+largest-chunk bound), so the next append decodes nothing it encoded
+itself.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
 from ..keys.annotate import (
+    AnnotatedDocument,
     KeyLabel,
     KeyViolationError,
     annotate_keys,
@@ -45,9 +51,11 @@ from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .backend import (
     MANIFEST_NAME,
+    Manifest,
     OnVersion,
     RecodeReport,
     StorageBackend,
+    mutation,
     read_manifest,
 )
 from .cache import chunk_cache
@@ -196,6 +204,18 @@ class ChunkedArchiver(StorageBackend):
     as ``*.tmp``, fsynced behind one WAL record, then renamed into
     place — a crash mid-batch recovers to the pre-batch archive (or, if
     publication had begun, completes it) instead of a torn mix.
+
+    **Writer-held trees.**  After ``add_version`` publishes, the handle
+    keeps each merged chunk tree under the SHA-256 it just recorded for
+    the chunk's bytes.  The next ``add_version`` still reads every chunk
+    file and verifies it against the sidecar; it skips only the decode,
+    and only when the verified checksum is the held one.  Held trees
+    are private to the handle — they never enter the shared
+    :func:`~repro.storage.cache.chunk_cache`, and reads through this
+    handle do not use them — are costed by at-rest size against that
+    cache's budget, and are dropped by ``close()``, ``drop_caches()``,
+    ``ingest_batch``, ``recode`` and any failed write (see
+    :func:`~repro.storage.backend.mutation`).
     """
 
     kind = "chunked"
@@ -241,7 +261,8 @@ class ChunkedArchiver(StorageBackend):
         #: decoded chunks through the process-wide
         #: :func:`~repro.storage.cache.chunk_cache`; write-capable
         #: handles never do — a writer mutates its decoded archive in
-        #: place, which must not leak into other readers' views.
+        #: place, which must not leak into other readers' views (what
+        #: it keeps between appends lives in ``_held``, its own).
         self.cache_reads = cache_reads
         #: Decoded-chunk cache traffic through *this handle* (cumulative;
         #: query execution reads these as before/after deltas).
@@ -254,7 +275,27 @@ class ChunkedArchiver(StorageBackend):
         self.workers = self.pool.workers
         os.makedirs(directory, exist_ok=True)
         self._wal = WriteAheadLog(os.path.join(directory, "wal.json"))
-        if recover:
+        self._recover = recover
+        self._load_state()
+        # An explicit codec wins; otherwise an existing chunk file's
+        # magic bytes decide (fresh directories start raw).
+        self.codec = (
+            get_codec(codec) if codec is not None else self._sniff_codec()
+        )
+
+    def _load_state(self) -> Optional[Manifest]:
+        """(Re)read what the directory durably holds; returns its manifest.
+
+        Run by the constructor and again after any failed write: an
+        interrupted commit is settled first (on handles that recover),
+        then the sidecar, the version counter and the generation are
+        taken from disk, and no decoded tree survives.
+        """
+        directory = self.directory
+        #: Writer-held trees: chunk index -> (the sha256 this handle's
+        #: last commit recorded for the chunk file, the tree it encoded).
+        self._held: dict[int, tuple[str, Archive]] = {}
+        if self._recover:
             self._wal.recover(
                 stray_tmps=[
                     os.path.join(directory, name)
@@ -262,11 +303,6 @@ class ChunkedArchiver(StorageBackend):
                     if name.endswith(".tmp")
                 ]
             )
-        # An explicit codec wins; otherwise an existing chunk file's
-        # magic bytes decide (fresh directories start raw).
-        self.codec = (
-            get_codec(codec) if codec is not None else self._sniff_codec()
-        )
         # Payload checksums: recorded per file in the sidecar, staged
         # through the same WAL commit as the payloads themselves.
         self._checksums = ChecksumSidecar.load(
@@ -279,6 +315,13 @@ class ChunkedArchiver(StorageBackend):
         except ManifestInconsistent:
             manifest = None  # fsck's problem, not open's
         self.generation = manifest.generation if manifest is not None else 0
+        return manifest
+
+    def drop_caches(self) -> None:
+        self._held = {}
+
+    def close(self) -> None:
+        self.drop_caches()
 
     def _sniff_codec(self):
         for index in range(self.chunk_count):
@@ -398,6 +441,12 @@ class ChunkedArchiver(StorageBackend):
             for _ in range(self._version_count):
                 archive.add_version(None)
             return archive
+        if for_write:
+            # Checked out, not peeked at: the writer merges into the
+            # tree in place, so from here on it is held by nobody.
+            held = self._held.pop(index, None)
+            if held is not None and held[0] == self._cache_token(index):
+                return held[1]
         key = None
         cache = None
         if self.cache_reads and not for_write:
@@ -529,18 +578,24 @@ class ChunkedArchiver(StorageBackend):
             )
         return self.chunk_index_for_label(label)
 
-    def _partition(self, document: Element) -> dict[int, Element]:
+    def _partition(self, document: Element) -> dict[int, AnnotatedDocument]:
+        """One version's records, split by owning chunk.
+
+        *Annotate Keys* runs here, once, over the whole version — every
+        key-violation, coverage and sibling-uniqueness error is raised
+        before a chunk is loaded or a byte staged — and each chunk gets
+        a shell over the caller's own record nodes under that one label
+        table: no second scan per chunk, and no copies (Nested Merge
+        copies what it keeps; the caller's document is left as it was).
+        """
         annotated = annotate_keys(document, self.spec)
-        parts: dict[int, Element] = {}
+        parts: dict[int, AnnotatedDocument] = {}
         for record in document.element_children():
             index = self._chunk_of(record, annotated)
-            shell = parts.get(index)
-            if shell is None:
-                shell = Element(document.tag)
-                for attr in document.attributes:
-                    shell.set_attribute(attr.name, attr.value)
-                parts[index] = shell
-            shell.append(record.copy())
+            part = parts.get(index)
+            if part is None:
+                part = parts[index] = annotated.shell()
+            part.root.children.append(record)
         return parts
 
     # -- public API -----------------------------------------------------------------
@@ -564,11 +619,14 @@ class ChunkedArchiver(StorageBackend):
     def part_presence(self, index: int) -> Optional[VersionSet]:
         return self.chunk_presence(index)
 
+    @mutation
     def add_version(self, document: Optional[Element]) -> MergeStats:
         """Partition the version and merge chunk by chunk; all chunk
         files publish atomically behind one WAL record."""
         total = MergeStats()
         parts = self._partition(document) if document is not None else {}
+        room = chunk_cache().max_bytes  # what the held trees may cost
+        merged: dict[int, tuple[str, Archive]] = {}
         pending = self._checksums.copy()
         commit = self._wal.begin()
         try:
@@ -582,19 +640,25 @@ class ChunkedArchiver(StorageBackend):
                 archive = self._load_chunk(index, for_write=True)
                 total.accumulate(archive.add_version(part))
                 self._stage_chunk(commit, pending, index, archive)
+                staged = pending.entries[os.path.basename(self._chunk_path(index))]
+                room -= staged["bytes"]
+                if room >= 0:
+                    merged[index] = (staged["sha256"], archive)
             self._stage_meta(commit, pending, self._version_count + 1)
         except BaseException:
             commit.abort()  # staging failed: nothing was committed
             raise
         commit.commit(meta={"version_count": self._version_count + 1})
-        # Only a published commit moves the in-memory sidecar.
+        # Only a published commit moves the in-memory state.
         self._checksums = pending
         self.generation += 1
         self._invalidate_cached_chunks()
+        self._held = merged
         total.versions = 1
         self._version_count += 1
         return total
 
+    @mutation
     def ingest_batch(
         self,
         documents: Iterable[Optional[Element]],
@@ -638,6 +702,7 @@ class ChunkedArchiver(StorageBackend):
             self._partition(document) if document is not None else {}
             for document in documents
         ]
+        self._held = {}  # the batch republishes every chunk it touches
         tasks = []
         for index in range(self.chunk_count):
             chunk_exists = os.path.exists(self._chunk_path(index))
@@ -900,6 +965,7 @@ class ChunkedArchiver(StorageBackend):
                 total += os.path.getsize(path)
         return total
 
+    @mutation
     def recode(self, codec: CodecLike) -> RecodeReport:
         """Re-encode every chunk file in one atomic, verified commit.
 
@@ -916,6 +982,7 @@ class ChunkedArchiver(StorageBackend):
         target = get_codec(codec)
         old = self.codec
         before = self.total_bytes()
+        self._held = {}  # every chunk file is about to be rewritten
         tasks = []
         for index in range(self.chunk_count):
             # ``self.codec`` is still the old codec here (it moves
@@ -943,8 +1010,8 @@ class ChunkedArchiver(StorageBackend):
             commit.abort()
             raise
         commit.commit(meta={"version_count": self._version_count})
-        # Only a published commit moves the in-memory codec: a failure
-        # anywhere above leaves this backend reading the old encoding.
+        # Only a published commit moves the in-memory codec; after a
+        # failure above, ``_reload`` takes it from the settled manifest.
         self.codec = target
         self._checksums = pending
         self.generation += 1

@@ -23,7 +23,11 @@ class Node:
     """Base class for all tree nodes.
 
     Nodes carry a ``parent`` back-pointer maintained by
-    :meth:`Element.append`; it is informational only and never serialized.
+    :meth:`Element.append`; it is informational only and never serialized
+    — not into XML, and not into a pickle either: a pickled (or
+    deep-copied) subtree carries what is below its root and nothing
+    above, so shipping one record to a worker never drags the document
+    it was cut from along.
     """
 
     __slots__ = ("parent",)
@@ -54,6 +58,13 @@ class Text(Node):
 
     def copy(self) -> "Text":
         return Text(self.text)
+
+    def __getstate__(self) -> tuple:
+        return (self.text,)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.text,) = state
+        self.parent = None
 
     def __repr__(self) -> str:
         preview = self.text if len(self.text) <= 24 else self.text[:21] + "..."
@@ -245,6 +256,15 @@ class Element(Node):
         for child in self.children:
             clone.append(child.copy())
         return clone
+
+    def __getstate__(self) -> tuple:
+        return (self.tag, self.children, self.attributes)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.tag, self.children, self.attributes = state
+        self.parent = None
+        for child in self.children:
+            child.parent = self
 
     def __repr__(self) -> str:
         return (

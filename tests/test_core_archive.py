@@ -52,6 +52,28 @@ class TestAddVersion:
         assert archive.retrieve(2) is None
         assert documents_equivalent(archive.retrieve(1), company_version(1), spec)
 
+    def test_rejected_version_touches_no_timestamp(self, spec):
+        """Annotation is the validation, and it runs first: a key
+        violation must not leave the root timestamp a version ahead."""
+        from repro.core import IngestSession
+        from repro.keys import KeyViolationError, annotate_keys
+
+        archive = Archive(spec)
+        archive.add_version(company_version(1))
+        before = archive.to_xml_string()
+        duplicate = parse_document(
+            "<db><dept><name>a</name></dept><dept><name>a</name></dept></db>"
+        )
+        with pytest.raises(KeyViolationError):
+            archive.add_version(duplicate)
+        with pytest.raises(KeyViolationError):
+            IngestSession(archive).add(duplicate)
+        assert archive.last_version == 1
+        assert archive.to_xml_string() == before
+        # An annotation the caller already paid for is taken as it is.
+        archive.add_version(annotate_keys(company_version(2), spec))
+        assert documents_equivalent(archive.retrieve(2), company_version(2), spec)
+
     def test_element_reappears_after_empty_version(self, spec):
         archive = Archive(spec)
         archive.add_version(company_version(1))

@@ -20,7 +20,14 @@ import shutil
 
 import pytest
 
-from repro.data.company import COMPANY_KEY_TEXT, company_versions
+from repro.core import Archive
+from repro.core.merge import AttributeChangeError
+from repro.data.company import (
+    COMPANY_KEY_TEXT,
+    company_key_spec,
+    company_versions,
+)
+from repro.keys.annotate import KeyViolationError
 from repro.storage import (
     ChecksumMismatch,
     CrashPoint,
@@ -35,7 +42,7 @@ from repro.storage import (
     open_archive,
 )
 from repro.storage import faults
-from repro.xmltree import to_pretty_string
+from repro.xmltree import parse_document, to_pretty_string
 
 BACKENDS = ["file", "chunked", "external"]
 CODECS = ["raw", "gzip", "xmill", "xbin"]
@@ -202,6 +209,153 @@ class TestCrashDrill:
             assert recovered.last_version in (2, 3)
         finally:
             recovered.close()
+
+
+class RaiseAt(FaultInjector):
+    """Fail the ``index``-th counted operation with a plain, non-transient
+    ``OSError`` — a fault the process survives, unlike a crash."""
+
+    def __init__(self, index):
+        super().__init__()
+        self.raise_at = index
+
+    def before_op(self, kind, path):
+        index = self.op_count
+        super().before_op(kind, path)
+        if index == self.raise_at:
+            raise OSError(errno.EACCES, "injected fault", path)
+
+
+FAULTS = {
+    "crash": (lambda index: FaultInjector().crash_at_op(index), CrashPoint),
+    "raise": (RaiseAt, OSError),
+}
+
+
+def model_retrievals(versions):
+    """``retrieve(v)`` for every prefix of ``versions``, from the
+    in-memory archive: what any backend must hand back."""
+    archive = Archive(company_key_spec())
+    for version in versions:
+        archive.add_version(version.copy())
+    return [
+        to_pretty_string(archive.retrieve(number))
+        for number in range(1, len(versions) + 1)
+    ]
+
+
+def continue_on_same_handle(tmp_path, kind, versions, handle, work_base):
+    """After a failed append, ``handle`` must be as good as a new one.
+
+    Its next append writes the bytes a freshly opened handle over the
+    same (recovered) store writes, the result scrubs clean, and every
+    version reads back as the model says.
+    """
+    path = archive_path(work_base, kind)
+    twin_base = os.path.join(tmp_path, "twin")
+    clone(work_base, twin_base)
+    fresh = open_archive(archive_path(twin_base, kind))
+    landed = fresh.last_version
+    assert landed in (2, 3)
+    assert handle.last_version == landed
+    following = versions[landed]
+    handle.add_version(following.copy())
+    fresh.add_version(following.copy())
+    handle.close()
+    fresh.close()
+    assert snapshot(work_base) == snapshot(twin_base), (
+        f"the handle that lived through the failure wrote other bytes than "
+        f"a fresh one: {describe_difference(snapshot(work_base), snapshot(twin_base), {})}"
+    )
+    report = fsck_archive(path)
+    assert report.clean, str(report)
+    reader = open_archive(path)
+    try:
+        assert [
+            to_pretty_string(reader.retrieve(number))
+            for number in range(1, landed + 2)
+        ] == model_retrievals(versions[: landed + 1])
+    finally:
+        reader.close()
+
+
+class TestSameHandleAfterFailure:
+    """One rule for every backend: in-memory state moves only after the
+    commit lands — so a handle that saw an append fail carries on."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_append_fault_at_every_op_then_carry_on(
+        self, tmp_path, kind, codec, fault, versions
+    ):
+        tmp_path = str(tmp_path)
+        make_injector, raised = FAULTS[fault]
+        pre_base = os.path.join(tmp_path, "pre")
+        build_archive(pre_base, kind, codec, versions)
+        dry_base = os.path.join(tmp_path, "dry")
+        clone(pre_base, dry_base)
+        counter = FaultInjector()
+        dry = open_archive(archive_path(dry_base, kind))
+        with inject(counter):
+            dry.add_version(versions[2].copy())
+        dry.close()
+        assert counter.op_count > 0
+
+        work_base = os.path.join(tmp_path, "work")
+        for index in range(counter.op_count):
+            clone(pre_base, work_base)
+            handle = open_archive(archive_path(work_base, kind))
+            with inject(make_injector(index)):
+                with pytest.raises(raised):
+                    handle.add_version(versions[2].copy())
+            continue_on_same_handle(tmp_path, kind, versions, handle, work_base)
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_rejected_document_leaves_the_handle_where_it_was(
+        self, tmp_path, kind, versions
+    ):
+        """Regression: a duplicate key used to advance the root timestamp
+        of a long-lived ``FileBackend`` handle before it was noticed, so
+        the next good append was published as version 4 and version 3
+        read back as nothing."""
+        tmp_path = str(tmp_path)
+        work_base = os.path.join(tmp_path, "work")
+        build_archive(work_base, kind, "xbin", versions, count=1)
+        handle = open_archive(archive_path(work_base, kind))
+        handle.add_version(versions[1].copy())  # the chunked handle holds trees now
+        before = snapshot(work_base)
+        duplicate = parse_document(
+            "<db><dept><name>finance</name></dept>"
+            "<dept><name>finance</name></dept></db>"
+        )
+        with pytest.raises(KeyViolationError):
+            handle.add_version(duplicate)
+        if kind != "external":  # whose batches commit version by version
+            with pytest.raises(KeyViolationError):
+                handle.ingest_batch([versions[2].copy(), duplicate])
+        assert handle.last_version == 2
+        assert snapshot(work_base) == before
+        continue_on_same_handle(tmp_path, kind, versions, handle, work_base)
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_failure_mid_merge_is_not_republished(self, tmp_path, kind, versions):
+        """An attribute change is noticed half-way through Nested Merge,
+        after timestamps moved: the half-merged tree must not survive in
+        the handle, or the next append would publish it."""
+        tmp_path = str(tmp_path)
+        work_base = os.path.join(tmp_path, "work")
+        build_archive(work_base, kind, "xbin", versions, count=1)
+        handle = open_archive(archive_path(work_base, kind))
+        handle.add_version(versions[1].copy())  # the chunked handle holds trees now
+        before = snapshot(work_base)
+        changed = versions[2].copy()
+        changed.find("dept").set_attribute("floor", "3")
+        with pytest.raises(AttributeChangeError):
+            handle.add_version(changed)
+        assert handle.last_version == 2
+        assert snapshot(work_base) == before
+        continue_on_same_handle(tmp_path, kind, versions, handle, work_base)
 
 
 class TestSilentCorruptionOnWrite:

@@ -1,8 +1,11 @@
 """Tests for Annotate Keys (Sec. 4.1) and key validation."""
 
+import os
+import pickle
+
 import pytest
 
-from repro.data.company import company_key_spec, company_version
+from repro.data.company import COMPANY_KEY_TEXT, company_key_spec, company_version
 from repro.keys import (
     KeyCoverageError,
     KeyLabel,
@@ -15,6 +18,8 @@ from repro.keys import (
     KeySpec,
     satisfies,
 )
+from repro.keys import annotate as annotate_module
+from repro.storage import create_archive
 from repro.xmltree import parse_document
 
 
@@ -184,3 +189,103 @@ class TestKeyedLabelOrdering:
         a = KeyLabel(tag="emp", key=())
         b = KeyLabel(tag="emp", key=(("fn", "A"),))
         assert a.sort_token() < b.sort_token()
+
+
+# -- one annotation per append: the chunked backend's routed partition ----------
+
+#: One document per way a version can break the company key specification.
+REJECTED = {
+    "unkeyed record": "<db><dept><name>a</name></dept><office/></db>",
+    "duplicate top-level key": (
+        "<db><dept><name>a</name></dept><dept><name>b</name></dept>"
+        "<dept><name>a</name></dept></db>"
+    ),
+    "stray text under the root": "<db>stray<dept><name>a</name></dept></db>",
+    "missing key path on a record": "<db><dept><nom>a</nom></dept></db>",
+    "violation three levels down": (
+        "<db><dept><name>a</name><emp><fn>J</fn><ln>D</ln>"
+        "<tel>1</tel><tel>1</tel></emp></dept>"
+        "<dept><name>b</name></dept></db>"
+    ),
+    "stray text three levels down": (
+        "<db><dept><name>a</name><emp><fn>J</fn><ln>D</ln>stray</emp></dept></db>"
+    ),
+}
+
+
+class TestRoutedPartition:
+    """The chunked backend annotates a version once and hands every chunk
+    its slice of that annotation: what it rejects, and how, must be what
+    whole-document ``annotate_keys`` rejects."""
+
+    @pytest.fixture
+    def backend(self, tmp_path):
+        backend = create_archive(
+            str(tmp_path / "store"), COMPANY_KEY_TEXT, kind="chunked", chunk_count=4
+        )
+        backend.add_version(company_version(1))
+        return backend
+
+    @pytest.mark.parametrize("why", sorted(REJECTED))
+    def test_same_error_as_whole_document_annotation(self, spec, backend, why):
+        with pytest.raises(KeyViolationError) as whole:
+            annotate_keys(parse_document(REJECTED[why]), spec)
+        before = sorted(os.listdir(backend.directory))
+        attempts = (
+            lambda doc: backend._partition(doc),
+            lambda doc: backend.add_version(doc),
+            lambda doc: backend.ingest_batch([company_version(2), doc]),
+        )
+        for attempt in attempts:
+            with pytest.raises(KeyViolationError) as routed:
+                attempt(parse_document(REJECTED[why]))
+            assert type(routed.value) is type(whole.value)
+            assert str(routed.value) == str(whole.value)
+        # Raised before anything was staged, and the handle carries on.
+        assert sorted(os.listdir(backend.directory)) == before
+        assert backend.last_version == 1
+        backend.add_version(company_version(2))
+        assert backend.last_version == 2
+
+    def test_every_keyed_node_is_annotated_once_per_append(
+        self, backend, monkeypatch
+    ):
+        computed = []
+        original = annotate_module.compute_key_value
+
+        def counting(node, key, value_of=None):
+            computed.append(node)
+            return original(node, key, value_of)
+
+        monkeypatch.setattr(annotate_module, "compute_key_value", counting)
+        document = company_version(4)
+        backend.add_version(document)
+        keyed = list(iter_keyed_nodes(annotate_keys(document, backend.spec)))
+        assert len(computed) == 2 * len(keyed)  # the append's scan, and this one
+        assert len({id(node) for node in computed}) == len(keyed)
+
+    def test_slices_share_one_label_table(self, spec):
+        document = company_version(3)
+        annotated = annotate_keys(document, spec)
+        shell = annotated.shell()
+        finance, marketing = document.children
+        shell.root.children.append(marketing)
+        assert shell.labels is annotated.labels
+        assert shell.label(shell.root) == annotated.label(document)
+        assert shell.label(marketing) == annotated.label(marketing)
+        assert marketing.parent is document and shell.root.parent is None
+        assert [node.tag for node, _ in iter_keyed_nodes(shell)] == [
+            "db", "dept", "name", "emp", "fn", "ln",
+        ]
+
+    def test_an_annotation_crosses_a_process_boundary_as_its_tree(self, spec):
+        document = company_version(3)
+        shell = annotate_keys(document, spec).shell()
+        shell.root.children.append(document.children[1])
+        # No way back up ``parent``: the slice travels without its siblings.
+        assert len(pickle.dumps(shell.root)) < len(pickle.dumps(document))
+        arrived = pickle.loads(pickle.dumps(shell))
+        assert [label for _, label in iter_keyed_nodes(arrived)] == [
+            label for _, label in iter_keyed_nodes(shell)
+        ]
+        assert arrived.root.children[0].parent is arrived.root

@@ -403,12 +403,22 @@ class TestCrashRecovery:
         self, tmp_path, spec, versions, monkeypatch
     ):
         backend = make_backend("chunked", str(tmp_path), spec)
-        monkeypatch.setattr(WriteAheadLog, "publish", _crash_before_publish)
+        records = []
+
+        def crash_with_the_record_in_hand(self, entries):
+            # The failing handle settles the log itself afterwards (the
+            # batch rolls back), so the record is read where a real
+            # crash would leave it: between append and publish.
+            with open(self.path) as handle:
+                records.append(json.load(handle))
+            raise SimulatedCrash("killed between WAL append and publish")
+
+        monkeypatch.setattr(WriteAheadLog, "publish", crash_with_the_record_in_hand)
         with pytest.raises(SimulatedCrash):
             backend.ingest_batch([v.copy() for v in versions])
-        with open(os.path.join(backend.directory, "wal.json")) as handle:
-            record = json.load(handle)
-        assert record["meta"]["version_count"] == len(versions)
+        assert records[0]["meta"]["version_count"] == len(versions)
+        assert backend.last_version == 0
+        assert not os.path.exists(os.path.join(backend.directory, "wal.json"))
 
 
 class TestCodecMatrix:

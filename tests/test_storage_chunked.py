@@ -1,10 +1,15 @@
 """Tests for the chunked archiver (storage.chunked) — the paper's
 Sec. 5 memory workaround."""
 
+import json
+import os
+import pickle
+
 import pytest
 
-from repro.core import Archive, ArchiveError, documents_equivalent
+from repro.core import Archive, ArchiveError, ArchiveOptions, documents_equivalent
 from repro.data import OmimGenerator, omim_key_spec
+from repro.data.omim import OMIM_KEY_TEXT, OmimChangeRates
 from repro.keys import parse_key_spec
 from repro.keys.annotate import KeyLabel
 from repro.storage import (
@@ -13,11 +18,14 @@ from repro.storage import (
     PersistentIngestor,
     create_archive,
     open_archive,
+    parallel,
     restore_key_order,
 )
-from repro.storage.cache import reset_chunk_cache
+from repro.storage.cache import chunk_cache, reset_chunk_cache
+from repro.storage.chunked import concatenate_parts
+from repro.storage.codec import get_codec
 from repro.storage.integrity import IntegrityError
-from repro.xmltree import parse_document, to_pretty_string
+from repro.xmltree import parse_document, to_pretty_string, to_string
 
 
 @pytest.fixture
@@ -276,3 +284,327 @@ class TestHistoryRouting:
         assert store.history(f"/db/rec[id={first}]").existence.to_text() == "2"
         with pytest.raises(ArchiveError, match="never existed"):
             store.history("/nosuch")
+
+
+# -- the write path: held trees, one annotation, no copies --------------------
+
+APPENDS = 40
+
+
+@pytest.fixture(scope="module")
+def churn():
+    """Forty versions with inserts, edits and deletes in every one, plus
+    an empty version: every chunk changes on every append."""
+    rates = OmimChangeRates(
+        insert_fraction=0.1, modify_fraction=0.1, delete_fraction=0.1
+    )
+    versions = OmimGenerator(
+        seed=5, initial_records=16, rates=rates
+    ).generate_versions(APPENDS)
+    versions[7] = None
+    return versions
+
+
+def _copy(document):
+    return document.copy() if document is not None else None
+
+
+def _files(directory):
+    state = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            state[name] = handle.read()
+    return state
+
+
+def _payloads(directory):
+    """Chunk files and presence sidecars, plus what the checksum sidecar
+    records for them — what must not depend on how versions arrived."""
+    state = {
+        name: data
+        for name, data in _files(directory).items()
+        if name.startswith("chunk-") or name == "versions.txt"
+    }
+    recorded = json.loads(_files(directory)["checksums.json"])["entries"]
+    return state, {name: recorded[name] for name in state}
+
+
+def _count_decodes(monkeypatch, codec_name):
+    """Count ``decode_archive`` calls on the (shared) codec instance."""
+    codec = get_codec(codec_name)
+    calls = []
+    original = codec.decode_archive
+
+    def counting(data, spec, options=None):
+        calls.append(len(data))
+        return original(data, spec, options)
+
+    monkeypatch.setattr(codec, "decode_archive", counting)
+    return calls
+
+
+class TestAppendsOnOneHandle:
+    @pytest.mark.parametrize(
+        "codec, compaction",
+        [("raw", False), ("xmill", False), ("xbin", False), ("xbin", True)],
+    )
+    def test_same_store_however_the_versions_arrive(
+        self, tmp_path, churn, codec, compaction
+    ):
+        """Forty appends on one handle (held trees) == one handle per
+        append (every tree decoded) == one batch."""
+        options = ArchiveOptions(compaction=compaction)
+
+        def store(name):
+            return create_archive(
+                str(tmp_path / name), OMIM_KEY_TEXT, kind="chunked",
+                chunk_count=CHUNKS, codec=codec, options=options,
+            )
+
+        one_handle = store("one-handle")
+        for version in churn:
+            one_handle.add_version(_copy(version))
+        assert len(one_handle._held) == CHUNKS
+        one_handle.close()
+        assert one_handle._held == {}
+
+        store("per-append").close()
+        for version in churn:
+            handle = open_archive(str(tmp_path / "per-append"), options=options)
+            handle.add_version(_copy(version))
+            handle.close()
+
+        batch = store("batch")
+        batch.ingest_batch(_copy(version) for version in churn)
+        batch.close()
+
+        assert _files(tmp_path / "one-handle") == _files(tmp_path / "per-append")
+        assert _payloads(tmp_path / "one-handle") == _payloads(tmp_path / "batch")
+        reader = open_archive(str(tmp_path / "one-handle"))
+        spec = omim_key_spec()
+        for number, version in enumerate(churn, start=1):
+            if version is None:
+                assert reader.retrieve(number) is None
+            else:
+                assert documents_equivalent(reader.retrieve(number), version, spec)
+
+    def test_second_append_decodes_nothing(self, tmp_path, churn, monkeypatch):
+        handle = create_archive(
+            str(tmp_path / "s"), OMIM_KEY_TEXT, kind="chunked",
+            chunk_count=CHUNKS, codec="xbin",
+        )
+        handle.ingest_batch(_copy(version) for version in churn[:3])
+        decodes = _count_decodes(monkeypatch, "xbin")
+        handle.add_version(_copy(churn[3]))  # the batch left nothing held
+        assert len(decodes) == CHUNKS
+        handle.add_version(_copy(churn[4]))
+        handle.add_version(_copy(churn[5]))
+        assert len(decodes) == CHUNKS
+        # Reads through the writer never see (or share) a held tree.
+        held = {id(tree) for _sha, tree in handle._held.values()}
+        assert id(handle.load_part(0)) not in held
+        assert len(decodes) == CHUNKS + 1
+
+    def test_every_chunk_file_is_still_hashed_before_use(
+        self, tmp_path, churn
+    ):
+        """``verify="always"``: a held tree is no licence to skip the
+        read — damage under a writer's feet is still noticed."""
+        path = str(tmp_path / "s")
+        handle = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS, codec="xbin"
+        )
+        handle.add_version(_copy(churn[0]))
+        _flip_a_byte(os.path.join(path, "chunk-0002.xml"))
+        with pytest.raises(IntegrityError):
+            handle.add_version(_copy(churn[1]))
+        assert handle._held == {}
+        assert handle.last_version == 1
+
+    def test_budget_bounds_what_is_held(self, tmp_path, churn, monkeypatch):
+        """Held trees are costed by at-rest bytes against the decoded-chunk
+        cache's budget; ``0`` turns them off like it turns the cache off."""
+        path = str(tmp_path / "s")
+        handle = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS, codec="xbin"
+        )
+        try:
+            reset_chunk_cache(0)
+            decodes = _count_decodes(monkeypatch, "xbin")
+            for version in churn[:3]:
+                handle.add_version(_copy(version))
+                assert handle._held == {}
+            assert len(decodes) == 2 * CHUNKS  # the first append created them
+            sizes = [
+                os.path.getsize(os.path.join(path, f"chunk-{index:04d}.xml"))
+                for index in range(CHUNKS)
+            ]
+            # Room for two chunks (and their growth), not for three.
+            reset_chunk_cache(sizes[0] + sizes[1] + sizes[2] // 2)
+            handle.add_version(_copy(churn[3]))
+            assert sorted(handle._held) == [0, 1]
+            del decodes[:]
+            handle.add_version(_copy(churn[4]))
+            assert len(decodes) == CHUNKS - 2
+            assert chunk_cache().entry_count == 0  # never the shared cache
+        finally:
+            reset_chunk_cache()
+        handle.close()
+        fresh = create_archive(
+            str(tmp_path / "fresh"), OMIM_KEY_TEXT, kind="chunked",
+            chunk_count=CHUNKS, codec="xbin",
+        )
+        for version in churn[:5]:
+            fresh.add_version(_copy(version))
+        assert _files(path) == _files(tmp_path / "fresh")
+
+    def test_republished_by_another_handle(self, tmp_path, churn):
+        """A second writer republishes the chunks behind the first one's
+        back.  The first notices at the checksum (its sidecar is stale),
+        drops what it held, reloads — and decodes the other's bytes."""
+        path = str(tmp_path / "s")
+        first = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS, codec="xbin"
+        )
+        first.add_version(_copy(churn[0]))
+        assert len(first._held) == CHUNKS
+        second = open_archive(path)
+        second.add_version(_copy(churn[1]))
+        second.close()
+        with pytest.raises(IntegrityError):
+            first.add_version(_copy(churn[2]))
+        assert first._held == {}
+        assert first.last_version == 2
+        first.add_version(_copy(churn[2]))
+        first.close()
+        alone = create_archive(
+            str(tmp_path / "alone"), OMIM_KEY_TEXT, kind="chunked",
+            chunk_count=CHUNKS, codec="xbin",
+        )
+        for version in churn[:3]:
+            alone.add_version(_copy(version))
+        assert _files(path) == _files(tmp_path / "alone")
+
+    def test_batch_and_recode_drop_held_trees(self, tmp_path, churn):
+        handle = create_archive(
+            str(tmp_path / "s"), OMIM_KEY_TEXT, kind="chunked",
+            chunk_count=CHUNKS, codec="xbin",
+        )
+        handle.add_version(_copy(churn[0]))
+        assert handle._held
+        handle.ingest_batch([_copy(churn[1])])
+        assert handle._held == {}
+        handle.add_version(_copy(churn[2]))
+        assert handle._held
+        handle.recode("gzip")
+        assert handle._held == {}
+        handle.add_version(_copy(churn[3]))
+        handle.drop_caches()
+        assert handle._held == {}
+        spec = omim_key_spec()
+        for number in range(1, 5):
+            assert documents_equivalent(
+                handle.retrieve(number), churn[number - 1], spec
+            )
+
+    def test_cached_reader_never_sees_a_writers_mutation(self, tmp_path, churn):
+        """A snapshot reader shares decoded trees through the process-wide
+        cache; a writer in the same process merges into its held trees in
+        place.  The two sets of trees must be disjoint."""
+        path = str(tmp_path / "s")
+        reset_chunk_cache()
+        try:
+            writer = create_archive(
+                path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS,
+                codec="xbin",
+            )
+            writer.add_version(_copy(churn[0]))
+            writer.add_version(_copy(churn[1]))
+            reader = open_archive(path, recover=False)
+            assert reader.cache_reads
+            before = to_string(reader.retrieve(2))
+            cache = chunk_cache()
+            root = os.path.abspath(path)
+            shared = {
+                index: cache.get((root, index, reader._cache_token(index)))
+                for index in range(CHUNKS)
+            }
+            assert all(tree is not None for tree in shared.values())
+            for version in churn[2:6]:
+                writer.add_version(_copy(version))
+            held = {id(tree) for _sha, tree in writer._held.values()}
+            assert len(held) == CHUNKS
+            for index, tree in shared.items():
+                assert id(tree) not in held
+                assert tree.last_version == 2
+            # The reader's own pin is stale now (its sidecar names bytes
+            # that were replaced); a fresh pin reads the new state, and
+            # the trees cached under the old checksums still say what
+            # they said.
+            later = open_archive(path, recover=False)
+            assert later.last_version == 6
+            assert to_string(later.retrieve(2)) == before
+            rebuilt = restore_key_order(
+                concatenate_parts(
+                    tree.retrieve(2) for tree in shared.values()
+                ),
+                omim_key_spec(),
+            )
+            assert to_string(rebuilt) == before
+        finally:
+            reset_chunk_cache()
+
+
+class TestPartition:
+    def test_slices_share_the_callers_records_and_leave_them_alone(
+        self, tmp_path, churn
+    ):
+        backend = ChunkedArchiver(str(tmp_path), omim_key_spec(), CHUNKS)
+        document = churn[0].copy()
+        records = list(document.children)
+        before = to_string(document)
+        parts = backend._partition(document)
+        sliced = [
+            record for index in sorted(parts) for record in parts[index].root.children
+        ]
+        assert sorted(map(id, sliced)) == sorted(map(id, records))  # no copies
+        assert all(record.parent is document for record in records)
+        assert document.children == records and to_string(document) == before
+        backend.add_version(document)
+        assert to_string(document) == before
+        assert all(record.parent is document for record in records)
+
+    def test_workers_receive_slices_not_documents(
+        self, tmp_path, churn, monkeypatch
+    ):
+        """A record's ``parent`` points at the caller's document; a task
+        pickle that followed it would ship every whole version to every
+        worker."""
+        documents = [_copy(version) for version in churn[:3]]
+        whole = sum(len(pickle.dumps(document)) for document in documents)
+        blobs = []
+        original = pickle.dumps
+
+        def recording(obj, *args, **kwargs):
+            blob = original(obj, *args, **kwargs)
+            blobs.append(len(blob))
+            return blob
+
+        monkeypatch.setattr(parallel.pickle, "dumps", recording)
+        backend = create_archive(
+            str(tmp_path / "w2"), OMIM_KEY_TEXT, kind="chunked",
+            chunk_count=CHUNKS, codec="xbin", workers=2,
+        )
+        backend.ingest_batch(documents)
+        monkeypatch.undo()
+        assert len(blobs) == CHUNKS
+        # Every record travels once; the rest is per-task overhead
+        # (the key spec, one shell per version).
+        assert sum(blobs) < 1.5 * whole
+        assert max(blobs) < 0.6 * whole
+        serial = create_archive(
+            str(tmp_path / "w1"), OMIM_KEY_TEXT, kind="chunked",
+            chunk_count=CHUNKS, codec="xbin",
+        )
+        serial.ingest_batch(_copy(version) for version in churn[:3])
+        assert _payloads(tmp_path / "w2") == _payloads(tmp_path / "w1")

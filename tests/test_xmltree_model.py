@@ -109,6 +109,21 @@ class TestElement:
         assert original.get_attribute("id") == "1"
 
 
+    def test_pickle_and_deepcopy_stop_at_the_subtree_root(self):
+        import copy
+        import pickle
+
+        tree = element("a", element("b", element("c", "text"), id="1"), element("d"))
+        b = tree.find("b")
+        for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert clone.parent is None  # nothing above the root came along
+            assert clone.get_attribute("id") == "1"
+            c = clone.find("c")
+            assert c.parent is clone and c.children[0].parent is c
+            assert c.text_content() == "text"
+        assert len(pickle.dumps(b)) < len(pickle.dumps(tree))
+
+
 class TestElementBuilder:
     def test_strings_become_text_nodes(self):
         node = element("name", "finance")
