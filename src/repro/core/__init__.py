@@ -34,9 +34,7 @@ from .tempquery import (
     Change,
     ChangeReport,
     archive_diff,
-    first_appearance,
     keyed_diff,
-    last_change,
 )
 from .respec import checkpoint_archive, rearchive
 from .tstree import (
@@ -72,9 +70,7 @@ __all__ = [
     "Change",
     "ChangeReport",
     "archive_diff",
-    "first_appearance",
     "keyed_diff",
-    "last_change",
     "Weave",
     "WeaveSegment",
     "ProbeCount",

@@ -4,7 +4,6 @@ Timestamp binary trees accelerate version retrieval (Sec. 7.1); sorted
 child-key lists accelerate temporal-history lookups (Sec. 7.2).
 """
 
-from .bptree import BPlusKeyIndex, BPlusTree
 from .keyindex import IndexRecord, KeyIndex, SortedChildList
 from .timestamp_tree import (
     ProbeCount,
@@ -16,8 +15,6 @@ from .timestamp_tree import (
 )
 
 __all__ = [
-    "BPlusKeyIndex",
-    "BPlusTree",
     "IndexRecord",
     "KeyIndex",
     "ProbeCount",

@@ -59,7 +59,6 @@ from typing import Callable, Iterable, Optional, TypeVar
 from ..query.db import ArchiveDB
 from ..storage.backend import (
     StorageBackend,
-    keys_location,
     manifest_location,
     open_archive,
     read_manifest,
@@ -292,46 +291,32 @@ class ArchiveService:
 
     @staticmethod
     def _is_archive(path: str) -> bool:
-        if os.path.isdir(path):
-            from ..storage.backend import detect_backend_kind
-            from ..core.archive import ArchiveError
-
-            try:
-                detect_backend_kind(path)
-            except ArchiveError:
-                return False
-            return True
-        if os.path.isfile(path):
-            if path.endswith(_SIDECAR_SUFFIXES):
-                return False
-            # A served whole-file archive carries its manifest or keys
-            # sidecar (create_archive writes both); a bare stray file
-            # under the root is not an archive.
-            return os.path.exists(manifest_location(path)) or os.path.exists(
-                keys_location(path)
-            )
-        return False
+        """Whether ``path`` carries a manifest: nothing else is served
+        (a bare stray file or directory under the root is not an
+        archive, and neither is one of an archive's own sidecars)."""
+        if os.path.isfile(path) and path.endswith(_SIDECAR_SUFFIXES):
+            return False
+        return os.path.exists(path) and os.path.exists(manifest_location(path))
 
     def list_archives(self) -> list[dict]:
         """Name, kind and published generation of every served archive."""
-        from ..storage.backend import detect_backend_kind, read_manifest
-
         records = []
         for entry in sorted(os.listdir(self.root)):
             path = os.path.join(self.root, entry)
             if not self._is_archive(path):
                 continue
             manifest = read_manifest(path)
-            record = {"name": entry}
-            if manifest is not None:
-                record["kind"] = manifest.kind
-                record["generation"] = manifest.generation
-                record["versions"] = manifest.version_count
-                record["codec"] = manifest.codec
-            else:
-                record["kind"] = detect_backend_kind(path)
-                record["generation"] = 0
-            records.append(record)
+            if manifest is None:
+                continue  # removed since the listing
+            records.append(
+                {
+                    "name": entry,
+                    "kind": manifest.kind,
+                    "generation": manifest.generation,
+                    "versions": manifest.version_count,
+                    "codec": manifest.codec,
+                }
+            )
         return records
 
     # -- the reader path ---------------------------------------------------
@@ -342,9 +327,9 @@ class ArchiveService:
         A cheap manifest read names the published generation; when the
         pin cache already holds an open backend for ``(name,
         generation)``, the request shares it (refcounted) instead of
-        re-opening the archive.  Misses — and manifest-less archives,
-        whose generation cannot be pinned by key — open privately, the
-        opened backend joining the cache on the miss path.
+        re-opening the archive.  Misses — and archives whose manifest
+        does not read, whose generation cannot be pinned by key — open
+        privately, the opened backend joining the cache on the miss path.
         """
         path = self._resolve(name)
         if self.pins.capacity > 0:

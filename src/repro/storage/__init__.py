@@ -1,11 +1,14 @@
-"""Persistent archive storage: one protocol, three backends.
+"""Persistent archive storage: one protocol, three backends, one
+transaction.
 
 :class:`StorageBackend` (``backend.py``) is the contract every
 persistence path implements — the whole-file :class:`FileBackend`, the
 key-hash :class:`ChunkedArchiver` (Sec. 5) and the event-stream
 :class:`ExternalArchiver` (Sec. 6) — behind a self-describing manifest
-(:func:`open_archive` auto-detects the backend) and the write-ahead
-commit log of ``wal.py`` (crash-safe atomic batch publication).  The
+(:func:`open_archive` reads backend and codec from it).  Every write of
+every backend, creation included, is one :class:`ArchiveTxn`
+(``txn.py``) over the write-ahead commit log of ``wal.py``: payloads,
+manifest and checksum table publish together or not at all.  The
 external-memory machinery keeps its own modules: event-stream files
 with I/O accounting, bounded-memory sorted runs with k-way merging and
 the one-pass stream merge.
@@ -36,9 +39,7 @@ from .codec import (
     GzipCodec,
     RawCodec,
     XMillCodec,
-    detect_codec,
     get_codec,
-    sniff_codec,
 )
 from .events import (
     DEFAULT_PAGE_SIZE,
@@ -67,9 +68,11 @@ from .integrity import (
     ManifestInconsistent,
     TruncatedPayload,
 )
+from .txn import ArchiveTxn
 from .wal import Commit, WalError, WriteAheadLog, atomic_write_text
 
 __all__ = [
+    "ArchiveTxn",
     "BACKEND_KINDS",
     "CHECKSUMS_NAME",
     "CODECS",
@@ -119,12 +122,10 @@ __all__ = [
     "create_archive",
     "decode_event",
     "detect_backend_kind",
-    "detect_codec",
     "encode_event",
     "fsck_archive",
     "get_codec",
     "inject",
-    "sniff_codec",
     "key_spec_fingerprint",
     "keys_location",
     "manifest_location",

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterable, Optional
+from itertools import zip_longest
+from typing import Iterable, Iterator, Optional
 
 from ..core.archive import (
     Archive,
@@ -44,15 +45,7 @@ from ..keys.annotate import KeyLabel, annotate_keys
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from ..xmltree.serializer import to_string
-from .backend import (
-    Manifest,
-    PartitionedBackend,
-    RecodeReport,
-    StorageBackend,
-    key_spec_fingerprint,
-    mutation,
-    read_manifest,
-)
+from .backend import PartitionedBackend, RecodeReport, StorageBackend, mutation
 from .chunked import (
     ChunkedArchiver,
     ChunkedArchiverError,
@@ -62,6 +55,7 @@ from .chunked import (
 )
 from .events import (
     DEFAULT_PAGE_SIZE,
+    Event,
     EventWriter,
     ExitEvent,
     FrontierEvent,
@@ -72,26 +66,11 @@ from .events import (
     events_to_archive_node,
     read_events,
 )
-from .cache import chunk_cache
-from .codec import CodecLike, get_codec, sniff_codec
+from .codec import CodecLike, get_codec
 from .extmerge import merge_archive_stream
 from .extsort import sort_version
-from .integrity import (
-    CHECKSUMS_NAME,
-    ChecksumSidecar,
-    IntegrityError,
-    ManifestInconsistent,
-    hash_file,
-    validate_policy,
-    verify_file,
-)
-from .wal import (
-    WriteAheadLog,
-    fsync_directory,
-    replace_file,
-    write_file_durable,
-)
-from . import faults
+from .integrity import IntegrityError, validate_policy, verify_file
+from .txn import ArchiveTxn
 
 #: The event stream's name inside the archive directory (and its key
 #: in the checksum sidecar).
@@ -99,6 +78,14 @@ STREAM_NAME = "archive.jsonl"
 
 #: Intermediate files of an interrupted annotate/sort/merge pass.
 _SCRATCH_PATTERN = re.compile(r"^v\d+-(run|merge)\S*\.jsonl$")
+
+
+def _empty_stream() -> list[Event]:
+    """The stream of an archive with no versions: a bare root."""
+    root = NodeEvent(
+        label=KeyLabel(tag=ROOT_TAG, key=()), attributes=(), timestamp=VersionSet()
+    )
+    return [root, ExitEvent()]
 
 
 class ExternalArchiver(StorageBackend):
@@ -127,9 +114,11 @@ class ExternalArchiver(StorageBackend):
         checksum policy for reads.  ``workers`` is accepted for
         interface uniformity with the chunked backend; the single
         event stream is merged sequentially by design.  ``recover=False``
-        skips both WAL recovery and the scratch sweep — for read-only
+        skips WAL recovery and the scratch sweep — for read-only
         snapshot opens running next to a live writer, whose in-flight
-        staged commit and scratch files must not be touched."""
+        staged commit and scratch files must not be touched.  A
+        directory that holds no stream yet is the empty archive; the
+        first commit writes one."""
         directory = os.fspath(directory)
         self.directory = directory
         self.storage_root = directory
@@ -141,109 +130,39 @@ class ExternalArchiver(StorageBackend):
         self.io_stats = IOStats(page_size=page_size)
         os.makedirs(directory, exist_ok=True)
         self.archive_path = os.path.join(directory, STREAM_NAME)
-        self._wal = WriteAheadLog(os.path.join(directory, "wal.json"))
         self._recover = recover
-        self._load_state()
-        self.codec = (
-            get_codec(codec)
-            if codec is not None
-            else sniff_codec(self.archive_path)
-        )
         #: Read-only handles cache the materialized stream (the
         #: :meth:`to_archive` product ``diff`` and fallback queries pay
         #: for) in the process-wide decoded-chunk cache, keyed by the
         #: stream's sidecar checksum; writers never do.
         self.cache_reads = cache_reads
-        self.cache_hits = 0
-        self.cache_misses = 0
-        if not os.path.exists(self.archive_path):
-            if self.verify != "never" and (
-                self._checksums.covers(STREAM_NAME)
-                or STREAM_NAME in self._checksums.quarantined
-            ):
-                raise ManifestInconsistent(
-                    f"Event stream {STREAM_NAME!r} is recorded in the "
-                    f"checksum sidecar but missing on disk"
-                )
-            self._write_empty_archive()
+        self._load_state(codec)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _load_state(self) -> Optional[Manifest]:
-        """(Re)read what the directory durably holds; returns its manifest.
-
-        Run by the constructor and again after any failed write.  Every
-        mutation publishes through the WAL: an interrupted commit is
-        settled first, before the scratch sweep (both only on handles
-        that recover), so the stream, manifest and checksum sidecar
-        agree on one state; then the sidecar and the generation are
-        taken from disk.
-        """
+    def _load_state(self, codec: CodecLike = None) -> None:
+        super()._load_state(codec)
         if self._recover:
-            self._wal.recover(
-                stray_tmps=[
-                    os.path.join(self.directory, name)
-                    for name in os.listdir(self.directory)
-                    if name.endswith(".tmp")
-                ]
-            )
             self._sweep_scratch()
-        self._checksums = ChecksumSidecar.load(
-            os.path.join(self.directory, CHECKSUMS_NAME)
-        )
-        self._verified: set[str] = set()
-        try:
-            manifest = read_manifest(self.directory)
-        except ManifestInconsistent:
-            manifest = None  # fsck's problem, not open's
-        self.generation = manifest.generation if manifest is not None else 0
-        return manifest
 
     def _sweep_scratch(self) -> None:
-        """Discard scratch files of an interrupted merge.
-
-        The stream merge publishes by a single :func:`os.replace` of
-        ``archive.next.jsonl`` over ``archive.jsonl`` — atomic on its
-        own — so a crash mid-merge leaves only the pre-merge archive
-        plus scratch files (the unpublished next stream and sorted
-        runs), all droppable.
-        """
-        stale = os.path.join(self.directory, "archive.next.jsonl")
-        if os.path.exists(stale):
-            os.remove(stale)
+        """Discard the sorted runs and merge intermediates of an
+        interrupted annotate/sort/merge pass.  (The merged stream
+        itself is written at its staging name, ``archive.jsonl.tmp``,
+        which settling the commit log keeps or sweeps.)"""
         for name in os.listdir(self.directory):
             if _SCRATCH_PATTERN.match(name):
                 os.remove(os.path.join(self.directory, name))
 
-    def _write_empty_archive(self) -> None:
-        with EventWriter(self.archive_path, self.io_stats, self.codec) as writer:
-            writer.write(
-                NodeEvent(
-                    label=KeyLabel(tag=ROOT_TAG, key=()),
-                    attributes=(),
-                    timestamp=VersionSet(),
-                )
-            )
-            writer.write(ExitEvent())
-        # Cover the bootstrap stream so the very first archive state is
-        # already verifiable.
-        digest, size = hash_file(self.archive_path)
-        self._checksums.entries[STREAM_NAME] = {"sha256": digest, "bytes": size}
-        self._write_checksums_alone()
+    def _bootstrap(self, txn: ArchiveTxn) -> None:
+        staged = txn.staging(self.archive_path)
+        with EventWriter(staged, self.io_stats, txn.codec) as writer:
+            for event in _empty_stream():
+                writer.write(event)
+        txn.adopt(self.archive_path)
 
-    def _write_checksums_alone(self) -> None:
-        from .wal import atomic_write_text
-
-        atomic_write_text(self._checksums.path, self._checksums.to_json())
-        self._checksums.present = True
-
-    def _on_manifest_written(self, text: str) -> None:
-        # A standalone manifest write (archive creation) publishes the
-        # sidecar right behind it so the manifest is covered from birth.
-        from .backend import MANIFEST_NAME
-
-        self._checksums.record(MANIFEST_NAME, text.encode("utf-8"))
-        self._write_checksums_alone()
+    def _part_name(self, part=STREAM_NAME) -> str:
+        return STREAM_NAME
 
     def _verify_stream(self) -> None:
         """Check the event stream against its recorded checksum under
@@ -262,12 +181,17 @@ class ExternalArchiver(StorageBackend):
         )
         self._verified.add(STREAM_NAME)
 
-    def _root_timestamp(self) -> VersionSet:
+    def _events(self, stats: IOStats) -> Iterator[Event]:
+        """The stream's events, verified under the read policy before
+        any parse touches it; the empty archive's while no stream is
+        stored."""
         self._verify_stream()
-        events = read_events(
-            self.archive_path, IOStats(), self.codec
-        )  # peek without accounting
-        root = next(events)
+        if not os.path.exists(self.archive_path):
+            return iter(_empty_stream())
+        return read_events(self.archive_path, stats, self.codec)
+
+    def _root_timestamp(self) -> VersionSet:
+        root = next(self._events(IOStats()))  # peek without accounting
         assert isinstance(root, NodeEvent) and root.timestamp is not None
         return root.timestamp
 
@@ -288,70 +212,36 @@ class ExternalArchiver(StorageBackend):
         stream whose checksum (or manifest) belongs to the other side.
         """
         number = self.last_version + 1
-        out_path = os.path.join(self.directory, "archive.next.jsonl")
-        if document is None:
-            self._stage_empty_version(number, out_path)
-            self._publish_stream(out_path, number)
-            return MergeStats()
-        annotated = annotate_keys(document, self.spec)  # Sec. 6.1
-        version_path = sort_version(  # Sec. 6.2
-            annotated,
-            self.directory,
-            budget=self.memory_budget,
-            stats=self.io_stats,
-            fan_in=self.fan_in,
-            prefix=f"v{number}",
-            codec=self.codec,
-        )
-        merge_stats = merge_archive_stream(  # Sec. 6.3
-            self.archive_path,
-            version_path,
-            out_path,
-            number,
-            self.io_stats,
-            self.codec,
-        )
-        self._publish_stream(out_path, number)
-        os.remove(version_path)
+        with ArchiveTxn(self, number) as txn:
+            out_path = txn.staging(self.archive_path)
+            if document is None:
+                self._stage_empty_version(number, out_path)
+                merge_stats = MergeStats()
+            else:
+                annotated = annotate_keys(document, self.spec)  # Sec. 6.1
+                version_path = sort_version(  # Sec. 6.2
+                    annotated,
+                    self.directory,
+                    budget=self.memory_budget,
+                    stats=self.io_stats,
+                    fan_in=self.fan_in,
+                    prefix=f"v{number}",
+                    codec=self.codec,
+                )
+                merge_stats = merge_archive_stream(  # Sec. 6.3
+                    self._events(self.io_stats),
+                    version_path,
+                    out_path,
+                    number,
+                    self.io_stats,
+                    self.codec,
+                )
+                os.remove(version_path)
+            txn.adopt(self.archive_path)
         return merge_stats
 
-    def _publish_stream(self, out_path: str, version_count: int) -> None:
-        """Commit a fully-written next stream: stage it with a fresh
-        manifest and checksum sidecar, then publish all three behind
-        one WAL record (the same protocol the other backends use)."""
-        staged = self.archive_path + ".tmp"
-        replace_file(out_path, staged)
-        _fsync_file(staged)
-        pending = self._checksums.copy()
-        digest, size = hash_file(staged)
-        pending.entries[STREAM_NAME] = {"sha256": digest, "bytes": size}
-        pending.quarantined.discard(STREAM_NAME)
-        manifest = Manifest(
-            kind=self.kind,
-            key_spec_hash=key_spec_fingerprint(self.spec),
-            version_count=version_count,
-            codec=self.codec.name,
-            generation=self.generation + 1,
-            extra=self._manifest_extra(),
-        )
-        manifest_text = manifest.to_json()
-        from .backend import MANIFEST_NAME
-
-        pending.record(MANIFEST_NAME, manifest_text.encode("utf-8"))
-        write_file_durable(self.manifest_path() + ".tmp", manifest_text)
-        write_file_durable(self._checksums.path + ".tmp", pending.to_json())
-        entries = [self.archive_path, self.manifest_path(), self._checksums.path]
-        self._wal.append(entries, meta={"version_count": version_count})
-        self._wal.publish(entries)
-        self._checksums = pending
-        self.generation += 1
-        self._verified.discard(STREAM_NAME)
-        if self.cache_reads:
-            chunk_cache().invalidate(os.path.abspath(self.directory))
-
     def _stage_empty_version(self, number: int, out_path: str) -> None:
-        self._verify_stream()
-        events = read_events(self.archive_path, self.io_stats, self.codec)
+        events = self._events(self.io_stats)
         with EventWriter(out_path, self.io_stats, self.codec) as writer:
             root = next(events)
             assert isinstance(root, NodeEvent) and root.timestamp is not None
@@ -381,10 +271,7 @@ class ExternalArchiver(StorageBackend):
         ``probes`` is accepted for protocol uniformity but stays zero:
         the stream walk has no timestamp trees to probe.
         """
-        self._verify_stream()
-        events = PeekableEvents(
-            read_events(self.archive_path, self.io_stats, self.codec)
-        )
+        events = PeekableEvents(self._events(self.io_stats))
         root = events.next()
         assert isinstance(root, NodeEvent) and root.timestamp is not None
         if version not in root.timestamp:
@@ -454,10 +341,7 @@ class ExternalArchiver(StorageBackend):
         steps = _parse_history_path(path)
         if not steps:
             raise ArchiveError(f"Empty history path {path!r}")
-        self._verify_stream()
-        events = PeekableEvents(
-            read_events(self.archive_path, self.io_stats, self.codec)
-        )
+        events = PeekableEvents(self._events(self.io_stats))
         root = events.next()
         if not isinstance(root, NodeEvent) or root.timestamp is None:
             raise ArchiveError("Archive stream carries no root timestamp")
@@ -532,13 +416,12 @@ class ExternalArchiver(StorageBackend):
         ``raw_bytes`` the stream's logical (decoded) size and
         ``disk_bytes`` its at-rest size under the codec.
         """
-        self._verify_stream()
         nodes = 0
         stored_timestamps = 0
         versions = 0
         first = True
         pass_stats = IOStats()  # logical bytes of this single pass
-        for event in read_events(self.archive_path, pass_stats, self.codec):
+        for event in self._events(pass_stats):
             if isinstance(event, ExitEvent):
                 continue
             if first:
@@ -559,32 +442,16 @@ class ExternalArchiver(StorageBackend):
                         else:
                             nodes += 1
         self.io_stats.merge(pass_stats)
-        return ArchiveStats(
-            versions=versions,
-            nodes=nodes,
-            stored_timestamps=stored_timestamps,
-            serialized_bytes=pass_stats.bytes_read,
-            raw_bytes=pass_stats.bytes_read,
-            disk_bytes=self.archive_bytes(),
-            generation=self.generation,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            cache_evictions=chunk_cache().evictions,
+        return self._handle_counters(
+            ArchiveStats(
+                versions=versions,
+                nodes=nodes,
+                stored_timestamps=stored_timestamps,
+                serialized_bytes=pass_stats.bytes_read,
+                raw_bytes=pass_stats.bytes_read,
+                disk_bytes=self.archive_bytes(),
+            )
         )
-
-    def _cache_token(self):
-        """Staleness token for the materialized stream (``None``: skip).
-
-        The stream's sidecar sha256 when recorded — every publish
-        rewrites it, and :meth:`_verify_stream` checks the bytes
-        against this very sidecar state before materialization — with
-        the manifest generation as the coarser fallback."""
-        entry = self._checksums.entries.get(STREAM_NAME)
-        if entry is not None and entry.get("sha256"):
-            return entry["sha256"]
-        if self.generation > 0:
-            return ("gen", self.generation)
-        return None
 
     def to_archive(self, options: Optional[ArchiveOptions] = None) -> Archive:
         """Materialize the stream into an in-memory :class:`Archive`.
@@ -596,23 +463,13 @@ class ExternalArchiver(StorageBackend):
         request (non-default ``options`` always materialize fresh: the
         options shape the product).
         """
-        key = None
-        cache = None
-        if self.cache_reads and options is None:
-            token = self._cache_token()
-            cache = chunk_cache()
-            if token is not None and cache.enabled:
-                key = (os.path.abspath(self.directory), STREAM_NAME, token)
-                cached = cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    return cached
-                self.cache_misses += 1
+        if options is not None:
+            return self._materialize(options)
+        return self._cached(STREAM_NAME, self.archive_bytes(), self._materialize)
+
+    def _materialize(self, options: Optional[ArchiveOptions] = None) -> Archive:
         archive = Archive(self.spec, options)
-        self._verify_stream()
-        events = PeekableEvents(
-            read_events(self.archive_path, self.io_stats, self.codec)
-        )
+        events = PeekableEvents(self._events(self.io_stats))
         root = events.next()
         assert isinstance(root, NodeEvent) and root.timestamp is not None
         archive.root = ArchiveNode(
@@ -620,12 +477,12 @@ class ExternalArchiver(StorageBackend):
         )
         while not isinstance(events.peek(), ExitEvent):
             archive.root.children.append(events_to_archive_node(events))
-        if key is not None:
-            cache.put(key, archive, self.archive_bytes())
         return archive
 
     def archive_bytes(self) -> int:
         """Current size of the on-disk archive stream."""
+        if not os.path.exists(self.archive_path):
+            return 0
         return os.path.getsize(self.archive_path)
 
     @mutation
@@ -637,62 +494,31 @@ class ExternalArchiver(StorageBackend):
         second streaming pass comparing decoded lines, then published
         together with the manifest behind one WAL record.
         """
-        from itertools import zip_longest
-
         target = get_codec(codec)
         old = self.codec
         before = self.archive_bytes()
         version_count = self.last_version  # read (and verify) old stream
-        manifest = Manifest(
-            kind=self.kind,
-            key_spec_hash=key_spec_fingerprint(self.spec),
-            version_count=version_count,
-            codec=target.name,
-            generation=self.generation + 1,
-            extra=self._manifest_extra(),
-        )
-        staged = self.archive_path + ".tmp"
-        manifest_staged = self.manifest_path() + ".tmp"
-        checksums_staged = self._checksums.path + ".tmp"
-        pending = self._checksums.copy()
-        try:
-            with old.open_text_read(self.archive_path) as source, \
-                    target.open_text_write(staged) as sink:
-                for line in source:
-                    sink.write(line)
-            _fsync_file(staged)
-            # Identity check: the staged stream must decode line-for-line
-            # to the current stream before anything publishes.
-            with old.open_text_read(self.archive_path) as source, \
-                    target.open_text_read(staged) as copy:
-                for original, recoded in zip_longest(source, copy):
-                    if original != recoded:
-                        raise ArchiveError(
-                            f"Recode verification failed: {target.name} "
-                            f"stream does not round-trip"
-                        )
-            digest, size = hash_file(staged)
-            pending.entries[STREAM_NAME] = {"sha256": digest, "bytes": size}
-            manifest_text = manifest.to_json()
-            from .backend import MANIFEST_NAME
-
-            pending.record(MANIFEST_NAME, manifest_text.encode("utf-8"))
-            write_file_durable(manifest_staged, manifest_text)
-            write_file_durable(checksums_staged, pending.to_json())
-        except BaseException:
-            for path in (staged, manifest_staged, checksums_staged):
-                if os.path.exists(path):
-                    os.remove(path)
-            raise
-        entries = [self.archive_path, self.manifest_path(), self._checksums.path]
-        self._wal.append(entries, meta={"version_count": version_count})
-        self._wal.publish(entries)
-        self.codec = target
-        self._checksums = pending
-        self.generation += 1
-        self._verified.discard(STREAM_NAME)
-        if self.cache_reads:
-            chunk_cache().invalidate(os.path.abspath(self.directory))
+        with ArchiveTxn(self, version_count, codec=target) as txn:
+            if os.path.exists(self.archive_path):
+                staged = txn.staging(self.archive_path)
+                with old.open_text_read(self.archive_path) as source, \
+                        target.open_text_write(staged) as sink:
+                    for line in source:
+                        sink.write(line)
+                # Identity check: the staged stream must decode
+                # line-for-line to the current stream before anything
+                # publishes.
+                with old.open_text_read(self.archive_path) as source, \
+                        target.open_text_read(staged) as copy:
+                    for original, recoded in zip_longest(source, copy):
+                        if original != recoded:
+                            raise ArchiveError(
+                                f"Recode verification failed: {target.name} "
+                                f"stream does not round-trip"
+                            )
+                txn.adopt(self.archive_path)
+            else:  # nothing stored yet: the empty stream, in the new codec
+                self._bootstrap(txn)
         return RecodeReport(
             path=self.directory,
             kind=self.kind,
@@ -702,17 +528,6 @@ class ExternalArchiver(StorageBackend):
             disk_bytes_before=before,
             disk_bytes_after=self.archive_bytes(),
         )
-
-
-def _fsync_file(path: str) -> None:
-    """Flush a fully-written staged file to stable storage."""
-    faults.before_op("fsync", path)
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    fsync_directory(os.path.dirname(os.path.abspath(path)))
 
 
 def archive_to_stream(
@@ -769,9 +584,6 @@ class PersistentIngestor:
                 )
             backend = ChunkedArchiver(directory, spec, chunk_count, options)
         self.backend = backend
-        #: Backward-compatible alias from when the chunked store was
-        #: the only partitioned backend.
-        self.chunked = backend
         self._key_indexes: dict[int, KeyIndex] = {}
         self._timestamp_indexes: dict[int, TimestampTreeIndex] = {}
         #: Part adoptions (XML parses) retrieval skipped because the

@@ -11,12 +11,18 @@ service-fronted) plugs into the same seam.
 
 Each archive is self-describing: a ``manifest.json`` (a sidecar
 ``<archive>.manifest.json`` for single-file archives) records the
-backend kind, a fingerprint of the key specification and the version
-count, so :func:`open_archive` can route a path to the right backend
-without being told.  Durable backends publish every mutation through
-the write-ahead commit log of :mod:`repro.storage.wal`: a crash at any
-point leaves the archive readable at a version-count boundary, never a
-torn mix of files.
+backend kind, the at-rest codec, a fingerprint of the key specification
+and the version count, so :func:`open_archive` routes a path to the
+right backend without being told — and refuses a path that has lost its
+manifest rather than guess (``xarch fsck --repair`` rebuilds one).
+
+Every write of every backend, archive creation included, is one
+:class:`~repro.storage.txn.ArchiveTxn`: payloads, manifest and checksum
+table publish together behind one write-ahead record, and in-memory
+state moves only once that has landed.  Every open settles an
+interrupted commit first, through the one :func:`settle` below.  A
+crash at any point leaves the archive readable at a version-count
+boundary, never a torn mix of files.
 """
 
 from __future__ import annotations
@@ -44,15 +50,16 @@ from ..core.versionset import VersionSet
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .cache import chunk_cache
-from .codec import Codec, CodecLike, get_codec, sniff_codec
+from .codec import RAW, Codec, CodecLike, get_codec
 from .integrity import (
+    CHECKSUMS_NAME,
+    ChecksumSidecar,
     ManifestInconsistent,
     _self_digest,
-    checksum_entry,
     validate_policy,
-    verify_bytes,
 )
-from .wal import WriteAheadLog, atomic_write_text
+from .txn import ArchiveTxn
+from .wal import WriteAheadLog, wal_location
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
@@ -112,8 +119,11 @@ class Manifest:
             raise ManifestInconsistent(
                 "Malformed archive manifest: no backend kind"
             )
+        # Every manifest ever written carries the field: without it
+        # nothing vouches for the rest, and a flipped bit in the key
+        # name must not switch the check off.
         recorded = record.pop("sha256", None)
-        if recorded is not None and _self_digest(record) != recorded:
+        if recorded is None or _self_digest(record) != recorded:
             raise ManifestInconsistent(
                 "Archive manifest fails its self-checksum (corrupt manifest)"
             )
@@ -187,8 +197,43 @@ def keys_location(path: "str | os.PathLike") -> str:
     return path + ".keys"
 
 
+def commit_log(path: "str | os.PathLike") -> tuple[WriteAheadLog, list[str]]:
+    """The write-ahead log of the archive at ``path``, and the staging
+    files an interrupted commit could have left beside it."""
+    path = os.fspath(path)
+    wal = WriteAheadLog(wal_location(path))
+    if os.path.isdir(path):
+        return wal, [
+            os.path.join(path, name)
+            for name in os.listdir(path)
+            if name.endswith(".tmp")
+        ]
+    return wal, [
+        target + ".tmp"
+        for target in (path, manifest_location(path), keys_location(path), wal.path)
+    ]
+
+
+def settle(path: "str | os.PathLike") -> str:
+    """Finish or drop whatever commit was interrupted at ``path`` (see
+    :meth:`~repro.storage.wal.WriteAheadLog.recover`).  Every
+    write-capable open runs this once, before reading anything; so do
+    a handle's reload after a failed write and ``fsck --repair``."""
+    wal, stray_tmps = commit_log(path)
+    return wal.recover(stray_tmps=stray_tmps)
+
+
+def has_commit_record(path: "str | os.PathLike") -> bool:
+    """Whether a commit's write-ahead record lies at ``path`` — on a
+    path that may not be an archive, the one proof that the staging
+    files beside it are an interrupted commit's, to finish or drop.
+    Without it :func:`open_archive` and :func:`create_archive` touch
+    nothing that is already there."""
+    return os.path.exists(wal_location(path))
+
+
 def read_manifest(path: str) -> Optional[Manifest]:
-    """The archive's manifest, or ``None`` for pre-manifest archives."""
+    """The archive's manifest, or ``None`` when there is none."""
     location = manifest_location(path)
     try:
         with open(location, "rb") as handle:
@@ -213,17 +258,16 @@ def mutation(write):
     every write, on every backend: *in-memory state moves only after
     the commit lands.*
 
-    Whatever stops the decorated ``add_version``, ``ingest_batch``,
-    ``recode`` or ``persist`` — a document Nested Merge rejects
-    half-way, an I/O error or an injected fault at any write, fsync or
-    rename — the handle forgets every decoded tree it may have merged
-    into and reloads from what is durable
-    (:meth:`StorageBackend._reload`) before the error reaches the
-    caller.  It then reports the version count the disk holds, and its
-    next write produces the bytes a freshly opened handle would.  A
-    write that failed *after* its commit point is rolled forward by
-    that reload, exactly as a reopen would roll it: the handle then
-    reports the new version.
+    Whatever stops the decorated ``add_version``, ``ingest_batch`` or
+    ``recode`` — a document Nested Merge rejects half-way, an I/O error
+    or an injected fault at any write, fsync or rename — the handle
+    forgets every decoded tree it may have merged into and reloads from
+    what is durable (:meth:`StorageBackend._load_state`) before the
+    error reaches the caller.  It then reports the version count the
+    disk holds, and its next write produces the bytes a freshly opened
+    handle would.  A write that failed *after* its commit point is
+    rolled forward by that reload, exactly as a reopen would roll it:
+    the handle then reports the new version.
     """
 
     @functools.wraps(write)
@@ -232,7 +276,7 @@ def mutation(write):
             return write(self, *args, **kwargs)
         except BaseException as error:
             try:
-                self._reload()
+                self._load_state()
             except Exception as reload_error:
                 # The disk will not be read back right now either.  The
                 # write's own failure is the one to report; the trees
@@ -267,12 +311,27 @@ class StorageBackend(abc.ABC):
     storage_root: str
     #: At-rest encoding of the archive's payload files (recorded in the
     #: manifest; plain sidecars — keys, presence, versions.txt — are
-    #: never encoded).  Every backend sets it in ``__init__``.
-    codec: Codec
-    #: Publication counter: +1 per WAL commit that publishes new state.
-    #: Loaded from the manifest at open, written back inside every
-    #: commit — the snapshot pin concurrent readers anchor to.
+    #: never encoded): the constructor's explicit codec, else the
+    #: manifest's, else raw.
+    codec: Codec = RAW
+    #: Publication counter: +1 per commit.  Loaded from the manifest at
+    #: open, written back inside every commit — the snapshot pin
+    #: concurrent readers anchor to.
     generation: int = 0
+    #: Recorded SHA-256 and size of every payload file, by file name;
+    #: replaced as a whole when a commit lands.
+    _checksums: ChecksumSidecar
+    #: Names verified so far, for the ``verify="open"`` policy.
+    _verified: set[str]
+    #: Whether the handle may write: it settles interrupted commits
+    #: when it (re)loads.  Read-only snapshot handles never touch disk.
+    _recover: bool
+    #: Whether reads go through the process-wide decoded-chunk cache,
+    #: and the traffic that produced through *this handle* (cumulative;
+    #: query execution reads the counters as before/after deltas).
+    cache_reads: bool = False
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     @abc.abstractmethod
@@ -329,51 +388,124 @@ class StorageBackend(abc.ABC):
         current codec is a no-op rewrite and still verifies.
         """
 
-    def manifest(self) -> Manifest:
-        """The manifest describing this backend's current state."""
+    def manifest(
+        self, version_count: int, codec: Codec, checksums: ChecksumSidecar
+    ) -> Manifest:
+        """The manifest of this archive's next commit."""
         return Manifest(
             kind=self.kind,
             key_spec_hash=key_spec_fingerprint(self.spec),
-            version_count=self.last_version,
-            codec=self.codec.name,
-            generation=self.generation,
-            extra=self._manifest_extra(),
+            version_count=version_count,
+            codec=codec.name,
+            generation=self.generation + 1,
+            extra=self._manifest_extra(checksums),
         )
 
-    def _manifest_extra(self) -> dict:
+    def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
         return {}
 
     def manifest_path(self) -> str:
         return manifest_location(self.storage_root)
 
-    def write_manifest(self) -> None:
-        """Publish the manifest alone (atomic on its own).
+    def _create(self, spec_text: Optional[str] = None) -> None:
+        """Publish the empty archive — keys file, what :meth:`_bootstrap`
+        stages, manifest and checksum table — as one transaction."""
+        with ArchiveTxn(self, 0) as txn:
+            if spec_text is not None:
+                txn.put_uncovered(keys_location(self.storage_root), spec_text)
+            self._bootstrap(txn)
 
-        Backends whose mutations publish several files stage the
-        manifest inside their WAL commit instead and use this only at
-        archive-creation time."""
-        text = self.manifest().to_json()
-        atomic_write_text(self.manifest_path(), text)
-        self._on_manifest_written(text)
+    def _bootstrap(self, txn: ArchiveTxn) -> None:
+        """Stage the payload an archive of this kind holds while empty."""
 
-    def _on_manifest_written(self, text: str) -> None:
-        """Hook for backends that track the manifest in their checksum
-        sidecar (the sidecar must follow a standalone manifest write)."""
+    def _load_state(self, codec: CodecLike = None) -> None:
+        """(Re)read every piece of in-memory state from what is durable:
+        drop the decoded trees, settle an interrupted commit (on handles
+        that write), read the manifest and the checksum table.
 
-    def _reload(self) -> None:
-        manifest = self._load_state()
-        if manifest is not None:
-            # A recode that died mid-publish rolls forward on recovery.
-            self.codec = get_codec(manifest.codec)
-
-    @abc.abstractmethod
-    def _load_state(self) -> "Optional[Manifest]":
-        """(Re)read every piece of in-memory state from what is durable
-        — settling an interrupted commit first, on handles that run
-        recovery — and drop decoded trees; returns the manifest found.
-        Constructors call it once; :meth:`_reload` after a failed write
-        (see :func:`mutation`).
+        Constructors call it once, with their explicit codec if any;
+        :func:`mutation` calls it after a failed write, when the
+        settled manifest alone decides the codec — a recode that died
+        mid-publish rolls forward.
         """
+        self.drop_caches()
+        if self._recover:
+            settle(self.storage_root)
+        manifest = read_manifest(self.storage_root)
+        self._checksums = self._load_checksums(manifest)
+        self._verified = set()
+        self.generation = manifest.generation if manifest is not None else 0
+        if codec is None and manifest is not None:
+            codec = manifest.codec
+        if codec is not None:
+            self.codec = get_codec(codec)
+
+    def _load_checksums(self, manifest: Optional[Manifest]) -> ChecksumSidecar:
+        """The checksum table as persisted: the ``checksums.json``
+        sidecar of the directory layouts."""
+        return ChecksumSidecar.load(
+            os.path.join(self.storage_root, CHECKSUMS_NAME)
+        )
+
+    # -- the decoded-chunk cache ---------------------------------------------
+
+    def _part_name(self, part) -> str:
+        """The checksum-table name of one cacheable part's payload."""
+        raise NotImplementedError
+
+    def _cache_token(self, part):
+        """Staleness token for a part's cache key (``None``: don't cache).
+
+        The recorded sha256 is the precise token — a commit that
+        republishes the part rewrites its checksum, and reads verify
+        the bytes against this very table before any decode, so a hit
+        can never shadow bytes this handle would not itself have
+        decoded.  Layouts without a recorded checksum fall back to the
+        manifest generation (coarser: any commit invalidates the whole
+        archive's entries); with neither, the part is not cached.
+        """
+        entry = self._checksums.entry(self._part_name(part))
+        if entry is not None and entry.get("sha256"):
+            return entry["sha256"]
+        if self.generation > 0:
+            return ("gen", self.generation)
+        return None
+
+    def _cache_key(self, part):
+        """The decoded-chunk cache key of a part, or ``None`` when this
+        handle's read of it does not go through the cache."""
+        if not self.cache_reads or not chunk_cache().enabled:
+            return None
+        token = self._cache_token(part)
+        if token is None:
+            return None
+        return (os.path.abspath(self.storage_root), part, token)
+
+    def _cached(self, part, size: int, decode: Callable[[], Archive]) -> Archive:
+        """One part's decoded tree (``size`` bytes at rest), shared
+        through the decoded-chunk cache when the part has a
+        :meth:`_cache_key`.  What comes back is then shared with other
+        readers: fine for every read, never for mutation."""
+        key = self._cache_key(part)
+        if key is None:
+            return decode()
+        cache = chunk_cache()
+        archive = cache.get(key)
+        if archive is not None:
+            self.cache_hits += 1
+            return archive
+        self.cache_misses += 1
+        archive = decode()
+        cache.put(key, archive, size)
+        return archive
+
+    def _handle_counters(self, stats: ArchiveStats) -> ArchiveStats:
+        """Fill in what only the handle knows about itself."""
+        stats.generation = self.generation
+        stats.cache_hits = self.cache_hits
+        stats.cache_misses = self.cache_misses
+        stats.cache_evictions = chunk_cache().evictions
+        return stats
 
     def db(self):
         """An :class:`~repro.query.db.ArchiveDB` facade over this
@@ -439,11 +571,11 @@ class FileBackend(StorageBackend):
     """The CLI's original persistence path behind the protocol: one
     Fig. 5 ``<T>``-tagged XML file holding the whole archive.
 
-    The archive is loaded lazily and persisted after every mutation
-    through the write-ahead log — the XML and the manifest sidecar
-    publish together, so a crash leaves both at the same version count.
-    The simplest backend, and the fastest for archives that fit in
-    memory; the chunked and external backends take over beyond that.
+    The archive is loaded lazily and published after every mutation as
+    one transaction — the XML and the manifest sidecar land together,
+    so a crash leaves both at the same version count.  The simplest
+    backend, and the fastest for archives that fit in memory; the
+    chunked and external backends take over beyond that.
     """
 
     kind = "file"
@@ -468,45 +600,29 @@ class FileBackend(StorageBackend):
         self.spec = spec
         self.options = options or ArchiveOptions()
         self.verify = validate_policy(verify)
-        self._wal = WriteAheadLog(self.path + ".wal")
         self._recover = recover
         #: Read-only handles share the decoded archive through the
         #: process-wide decoded-chunk cache; write paths always work on
         #: a privately-owned instance (see ``_ensure_private_archive``).
         self.cache_reads = cache_reads
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._load_state()
-        # An explicit codec wins; otherwise an existing file's magic
-        # bytes decide (new archives start raw).
-        self.codec = (
-            get_codec(codec) if codec is not None else sniff_codec(self.path)
-        )
+        self._load_state(codec)
 
-    def _load_state(self) -> Optional[Manifest]:
-        """(Re)read what is durable; returns the manifest.
+    def _part_name(self, part=0) -> str:
+        return os.path.basename(self.path)
 
-        Run by the constructor and again after any failed write: an
-        interrupted commit is settled first (on handles that recover),
-        the payload checksum and the generation come from the manifest,
-        and the in-memory archive is dropped, to be decoded again from
-        the settled file on next use.
-        """
-        self._archive: Optional[Archive] = None
-        self._archive_shared = False
-        if self._recover:
-            self._wal.recover(
-                stray_tmps=(self.path + ".tmp", self.manifest_path() + ".tmp")
-            )
-        # The payload's recorded checksum lives in the manifest (the
-        # whole-file backend has exactly one payload, so no sidecar).
-        manifest = read_manifest(self.path)
-        self._payload_checksum: Optional[dict] = (
-            manifest.extra.get("payload") if manifest is not None else None
-        )
-        self.generation = manifest.generation if manifest is not None else 0
-        self._verified = False
-        return manifest
+    def _load_checksums(self, manifest: Optional[Manifest]) -> ChecksumSidecar:
+        # One payload, so no sidecar: its checksum rides in the manifest.
+        table = ChecksumSidecar(None)
+        if manifest is not None and manifest.extra.get("payload"):
+            table.entries[self._part_name()] = manifest.extra["payload"]
+        return table
+
+    def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
+        payload = checksums.entry(self._part_name())
+        return {"payload": payload} if payload is not None else {}
+
+    def _bootstrap(self, txn: ArchiveTxn) -> None:
+        txn.put(self.path, self.codec.encode_archive(self.archive))
 
     def _read_payload(self) -> Optional[bytes]:
         """The verified at-rest bytes, or ``None`` when nothing is stored.
@@ -521,29 +637,15 @@ class FileBackend(StorageBackend):
                 data = handle.read()
         except FileNotFoundError:
             return None
-        if self.verify != "never" and not (self.verify == "open" and self._verified):
-            verify_bytes(os.path.basename(self.path), data, self._payload_checksum)
-            self._verified = True
+        self._checksums.verify(
+            self._part_name(), data, self.verify, self._verified
+        )
         return data
 
-    def _read_text(self) -> Optional[str]:
-        """The decoded archive XML (``None`` when nothing is stored)."""
-        data = self._read_payload()
+    def _decode(self, data: Optional[bytes]) -> Archive:
         if data is None:
-            return None
-        return self.codec.decode_document(data)
-
-    def _cache_token(self):
-        """Staleness token for the payload's cache key (``None``: skip).
-
-        The manifest-recorded sha256 when present (precise: every
-        publish rewrites it), the generation otherwise (coarser), no
-        caching for bare pre-manifest files."""
-        if self._payload_checksum and self._payload_checksum.get("sha256"):
-            return self._payload_checksum["sha256"]
-        if self.generation > 0:
-            return ("gen", self.generation)
-        return None
+            return Archive(self.spec, self.options)
+        return self.codec.decode_archive(data, self.spec, self.options)
 
     @property
     def archive(self) -> Archive:
@@ -557,28 +659,12 @@ class FileBackend(StorageBackend):
         if self._archive is None:
             data = self._read_payload()
             if data is None:
-                self._archive = Archive(self.spec, self.options)
-                return self._archive
-            key = None
-            cache = None
-            if self.cache_reads:
-                token = self._cache_token()
-                cache = chunk_cache()
-                if token is not None and cache.enabled:
-                    key = (self.path, 0, token)
-                    cached = cache.get(key)
-                    if cached is not None:
-                        self.cache_hits += 1
-                        self._archive = cached
-                        self._archive_shared = True
-                        return cached
-                    self.cache_misses += 1
-            self._archive = self.codec.decode_archive(
-                data, self.spec, self.options
-            )
-            if key is not None:
-                cache.put(key, self._archive, len(data))
-                self._archive_shared = True  # shared with the cache now
+                self._archive = self._decode(None)
+            else:
+                self._archive = self._cached(
+                    0, len(data), lambda: self._decode(data)
+                )
+                self._archive_shared = self._cache_key(0) is not None
         return self._archive
 
     def _ensure_private_archive(self) -> Archive:
@@ -589,58 +675,13 @@ class FileBackend(StorageBackend):
         shared (or not-yet-loaded) archive is decoded fresh, bypassing
         the cache entirely."""
         if self._archive is None or self._archive_shared:
-            data = self._read_payload()
-            self._archive = (
-                self.codec.decode_archive(data, self.spec, self.options)
-                if data is not None
-                else Archive(self.spec, self.options)
-            )
+            self._archive = self._decode(self._read_payload())
             self._archive_shared = False
         return self._archive
 
     def drop_caches(self) -> None:
-        self._archive = None
+        self._archive: Optional[Archive] = None
         self._archive_shared = False
-
-    def _manifest_extra(self) -> dict:
-        if self._payload_checksum is not None:
-            return {"payload": self._payload_checksum}
-        return {}
-
-    @mutation
-    def persist(self) -> None:
-        """Publish the encoded archive and manifest in one atomic commit."""
-        self._publish(self.codec)
-
-    def _publish(self, codec: Codec, encoded: Optional[bytes] = None) -> None:
-        """Commit the archive encoded under ``codec`` plus its manifest;
-        checksum, generation and codec move once that has landed."""
-        if encoded is None:
-            encoded = codec.encode_archive(self.archive)
-        checksum = checksum_entry(encoded)
-        manifest = self.manifest()
-        manifest.codec = codec.name
-        manifest.generation += 1
-        manifest.extra = {"payload": checksum}
-        commit = self._wal.begin()
-        try:
-            commit.stage(self.path, encoded)
-            commit.stage(self.manifest_path(), manifest.to_json())
-        except BaseException:
-            commit.abort()  # staging failed: nothing durable yet
-            raise
-        # A failure *during* commit must not abort: WAL recovery (run
-        # by ``_reload``, or by the next open) decides roll-back vs
-        # roll-forward.
-        commit.commit(meta={"version_count": self.last_version})
-        self._payload_checksum = checksum
-        self.generation += 1
-        self.codec = codec
-        if self.cache_reads:
-            # Stale-token entries would only age out of the LRU; a
-            # read-caching handle that writes drops them eagerly so the
-            # budget isn't spent on unreachable generations.
-            chunk_cache().invalidate(self.path)
 
     @property
     def last_version(self) -> int:
@@ -648,8 +689,10 @@ class FileBackend(StorageBackend):
 
     @mutation
     def add_version(self, document: Optional[Element]) -> MergeStats:
-        stats = self._ensure_private_archive().add_version(document)
-        self._publish(self.codec)
+        archive = self._ensure_private_archive()
+        stats = archive.add_version(document)
+        with ArchiveTxn(self, archive.last_version) as txn:
+            txn.put(self.path, self.codec.encode_archive(archive))
         return stats
 
     @mutation
@@ -657,12 +700,14 @@ class FileBackend(StorageBackend):
         self, documents: Iterable[Optional[Element]], on_version: OnVersion = None
     ) -> MergeStats:
         """Batch under a shared fingerprint memo; one publish at the end."""
-        session = IngestSession(self._ensure_private_archive())
+        archive = self._ensure_private_archive()
+        session = IngestSession(archive)
         for document in documents:
             stats = session.add(document)
             if on_version is not None:
-                on_version(self.archive.last_version, stats)
-        self._publish(self.codec)
+                on_version(archive.last_version, stats)
+        with ArchiveTxn(self, archive.last_version) as txn:
+            txn.put(self.path, self.codec.encode_archive(archive))
         return session.stats
 
     def retrieve(
@@ -687,23 +732,21 @@ class FileBackend(StorageBackend):
             stats.disk_bytes = os.path.getsize(self.path)
         except OSError:
             stats.disk_bytes = stats.raw_bytes  # never persisted yet
-        stats.generation = self.generation
-        stats.cache_hits = self.cache_hits
-        stats.cache_misses = self.cache_misses
-        stats.cache_evictions = chunk_cache().evictions
-        return stats
+        return self._handle_counters(stats)
 
     @mutation
     def recode(self, codec: CodecLike) -> RecodeReport:
-        """Re-encode the archive file in place (WAL-staged, verified)."""
+        """Re-encode the archive file in place (one verified commit)."""
         target = get_codec(codec)
         old = self.codec
         before = os.path.getsize(self.path) if os.path.exists(self.path) else 0
         # The in-memory archive (loaded under the old codec) is
         # unchanged by this; only the at-rest encoding moves.
-        encoded = target.encode_archive(self.archive)
-        verify_recoded_document(self.archive.to_xml_string(), encoded, target)
-        self._publish(target, encoded)
+        archive = self.archive
+        encoded = target.encode_archive(archive)
+        verify_recoded_document(archive.to_xml_string(), encoded, target)
+        with ArchiveTxn(self, archive.last_version, codec=target) as txn:
+            txn.put(self.path, encoded)
         return RecodeReport(
             path=self.path,
             kind=self.kind,
@@ -720,37 +763,27 @@ class FileBackend(StorageBackend):
 BACKEND_KINDS = ("file", "chunked", "external")
 
 
-def detect_backend_kind(path: "str | os.PathLike") -> str:
-    """The backend kind stored at ``path``.
+def _no_manifest(path: str) -> ArchiveError:
+    if not os.path.exists(path):
+        return ArchiveError(f"No archive at {path!r}")
+    return ManifestInconsistent(
+        f"{path!r} carries no archive manifest: it is not an archive, or "
+        f"lost its manifest (run 'xarch fsck --repair' to rebuild it)"
+    )
 
-    The manifest decides when present; pre-manifest archives fall back
-    to layout sniffing (an ``archive.jsonl`` stream is external, chunk
-    files are chunked, a plain file is a whole-file archive).
+
+def detect_backend_kind(path: "str | os.PathLike") -> str:
+    """The backend kind stored at ``path``, as its manifest records it.
+
+    Nothing is inferred from the files lying there: a path without a
+    manifest is not an archive this code opens (``xarch fsck --repair``
+    rebuilds a lost manifest from what the payloads still prove).
     """
     path = os.fspath(path)
-    if os.path.isdir(path):
-        manifest = read_manifest(path)
-        if manifest is not None:
-            return manifest.kind
-        if os.path.exists(os.path.join(path, "archive.jsonl")):
-            return "external"
-        if (
-            os.path.exists(os.path.join(path, "versions.txt"))
-            # A pending commit log means a chunked archive crashed
-            # mid-publish before its manifest landed; opening it runs
-            # the recovery that completes (or rolls back) the commit.
-            or os.path.exists(os.path.join(path, "wal.json"))
-            or any(
-                name.startswith("chunk-") and name.endswith(".xml")
-                for name in os.listdir(path)
-            )
-        ):
-            return "chunked"
-        raise ArchiveError(f"{path!r} is not an archive directory")
-    if os.path.isfile(path):
-        manifest = read_manifest(path)
-        return manifest.kind if manifest is not None else "file"
-    raise ArchiveError(f"No archive at {path!r}")
+    manifest = read_manifest(path)
+    if manifest is None:
+        raise _no_manifest(path)
+    return manifest.kind
 
 
 def _load_spec_text(
@@ -767,30 +800,6 @@ def _load_spec_text(
         )
 
 
-def _infer_chunk_count(path: str) -> int:
-    """Best-effort chunk count for pre-manifest chunked directories."""
-    highest = -1
-    for name in os.listdir(path):
-        if name.startswith("chunk-") and name.endswith(".xml"):
-            try:
-                highest = max(highest, int(name[len("chunk-") : -len(".xml")]))
-            except ValueError:
-                continue
-    return highest + 1 if highest >= 0 else 8
-
-
-def _sniff_backend_codec(path: str, kind: str) -> Codec:
-    """Codec of a manifest-less archive, from its payload magic bytes."""
-    if kind == "file":
-        return sniff_codec(path)
-    if kind == "external":
-        return sniff_codec(os.path.join(path, "archive.jsonl"))
-    for name in sorted(os.listdir(path)):
-        if name.startswith("chunk-") and name.endswith(".xml"):
-            return sniff_codec(os.path.join(path, name))
-    return get_codec(None)
-
-
 def open_archive(
     path: "str | os.PathLike",
     spec: Optional[KeySpec] = None,
@@ -803,14 +812,12 @@ def open_archive(
     recover: bool = True,
     cache_reads: Optional[bool] = None,
 ) -> StorageBackend:
-    """Open an existing archive, auto-detecting its backend and codec.
+    """Open an existing archive; its manifest names backend and codec.
 
     ``spec`` (or the key text at ``keys_file`` / the archive's keys
-    sidecar) supplies the key specification; when the archive carries a
-    manifest, the spec is checked against the recorded fingerprint so a
-    wrong keys file fails loudly instead of mis-merging.  The at-rest
-    codec comes from the manifest, falling back to magic-byte sniffing
-    for manifest-less layouts.
+    sidecar) supplies the key specification; it is checked against the
+    fingerprint the manifest records, so a wrong keys file fails loudly
+    instead of mis-merging.
 
     ``verify`` sets the checksum policy for reads (``"always"``,
     ``"open"`` — once per file per handle — or ``"never"``);
@@ -833,84 +840,56 @@ def open_archive(
     from .chunked import ChunkedArchiver
 
     path = os.fspath(path)
-    kind = detect_backend_kind(path)
-    # Settle any interrupted commit before reading the manifest: a
-    # crash mid-publish (of a batch or a recode) may have left the
-    # manifest — and the codec/chunk-count it records — staged but not
-    # yet renamed.
-    if recover:
-        if os.path.isdir(path):
-            WriteAheadLog(os.path.join(path, "wal.json")).recover(
-                stray_tmps=[
-                    os.path.join(path, name)
-                    for name in os.listdir(path)
-                    if name.endswith(".tmp")
-                ]
-            )
-        else:
-            WriteAheadLog(path + ".wal").recover(
-                stray_tmps=(path + ".tmp", manifest_location(path) + ".tmp")
-            )
+    manifest = read_manifest(path)
+    if manifest is None and recover and has_commit_record(path):
+        # The one state with a commit to settle and no manifest yet is
+        # a create_archive that died while publishing.  Every other
+        # interrupted commit is the constructor's to settle: kind, chunk
+        # count and key fingerprint, all this function takes from the
+        # manifest it reads first, are the same on both sides of one.
+        settle(path)
+        manifest = read_manifest(path)
+    if manifest is None:
+        raise _no_manifest(path)
+    kind = manifest.kind
     if spec is None:
         from ..keys.keyparser import parse_key_spec
 
         spec = parse_key_spec(_load_spec_text(path, keys_file))
-    manifest = read_manifest(path)
-    if manifest is not None and manifest.key_spec_hash:
-        if manifest.key_spec_hash != key_spec_fingerprint(spec):
-            raise ManifestInconsistent(
-                f"Key specification does not match the one {path!r} was "
-                f"created with (manifest fingerprint mismatch)"
-            )
-    codec = (
-        get_codec(manifest.codec)
-        if manifest is not None
-        else _sniff_backend_codec(path, kind)
-    )
+    if manifest.key_spec_hash and manifest.key_spec_hash != key_spec_fingerprint(
+        spec
+    ):
+        raise ManifestInconsistent(
+            f"Key specification does not match the one {path!r} was "
+            f"created with (manifest fingerprint mismatch)"
+        )
     if cache_reads is None:
         cache_reads = not recover
+    shared = dict(
+        verify=verify, workers=workers, recover=recover, cache_reads=cache_reads
+    )
     if kind == "file":
-        return FileBackend(
-            path,
-            spec,
-            options,
-            codec=codec,
-            verify=verify,
-            workers=workers,
-            recover=recover,
-            cache_reads=cache_reads,
-        )
+        return FileBackend(path, spec, options, **shared)
     if kind == "chunked":
-        if manifest is not None and "chunk_count" in manifest.extra:
-            chunk_count = int(manifest.extra["chunk_count"])
-        else:
-            chunk_count = _infer_chunk_count(path)
+        if "chunk_count" not in manifest.extra:
+            raise ManifestInconsistent(
+                f"The manifest of {path!r} records no chunk count "
+                f"(run 'xarch fsck --repair')"
+            )
         return ChunkedArchiver(
             path,
             spec,
-            chunk_count,
+            int(manifest.extra["chunk_count"]),
             options,
-            codec=codec,
-            verify=verify,
             on_corrupt=on_corrupt,
-            workers=workers,
-            recover=recover,
-            cache_reads=cache_reads,
+            **shared,
         )
     if kind == "external":
         if options is not None and options.compaction:
             # Reject loudly, exactly like create_archive: silently
             # ignoring the flag would hand back a non-compacted archive.
             raise ArchiveError("The external backend does not store weaves")
-        return ExternalArchiver(
-            path,
-            spec,
-            codec=codec,
-            verify=verify,
-            workers=workers,
-            recover=recover,
-            cache_reads=cache_reads,
-        )
+        return ExternalArchiver(path, spec, **shared)
     raise ArchiveError(f"Unknown backend kind {kind!r} in {path!r} manifest")
 
 
@@ -929,7 +908,7 @@ def _clear_archive(path: str) -> None:
             path,
             manifest_location(path),
             keys_location(path),
-            path + ".wal",
+            wal_location(path),
         ):
             if os.path.exists(target):
                 os.remove(target)
@@ -941,6 +920,27 @@ def _clear_archive(path: str) -> None:
             f"{path!r} exists and is not an archive; refusing to overwrite it"
         )
     shutil.rmtree(path)
+
+
+def _abandoned_creation(directory: str) -> bool:
+    """Whether ``directory`` holds nothing, or only staging files under
+    the names an empty archive is made of — what a
+    :func:`create_archive` killed before its commit record leaves
+    behind.  The next creation stages over them; no other file is
+    taken for a leftover."""
+    from .archiver import STREAM_NAME  # local: avoids an import cycle
+
+    made_of = {
+        os.path.basename(keys_location(directory)),
+        os.path.basename(wal_location(directory)),
+        MANIFEST_NAME,
+        CHECKSUMS_NAME,
+        STREAM_NAME,
+    }
+    return all(
+        name.endswith(".tmp") and name[: -len(".tmp")] in made_of
+        for name in os.listdir(directory)
+    )
 
 
 def create_archive(
@@ -956,9 +956,11 @@ def create_archive(
 ) -> StorageBackend:
     """Create an empty archive of the given backend kind at ``path``.
 
-    Writes the keys sidecar and the manifest (recording the chosen
-    at-rest ``codec``), so every later :func:`open_archive` needs only
-    the path.
+    One transaction publishes the keys sidecar, the manifest (recording
+    the chosen at-rest ``codec``), the checksum table and whatever
+    payload the kind holds while empty — so a creation that is
+    interrupted leaves either nothing or the whole empty archive, and
+    every later :func:`open_archive` needs only the path.
     """
     from ..keys.keyparser import parse_key_spec
 
@@ -972,9 +974,12 @@ def create_archive(
         )
     at_rest = get_codec(codec)  # validate before touching the disk
     spec = parse_key_spec(spec_text)
-    occupied = (
-        os.path.isfile(path)
-        or (os.path.isdir(path) and bool(os.listdir(path)))
+    if has_commit_record(path):
+        # A commit that was interrupted here — the creation's own, when
+        # there is no archive yet — is finished or dropped first.
+        settle(path)
+    occupied = os.path.isfile(path) or (
+        os.path.isdir(path) and not _abandoned_creation(path)
     )
     if occupied and not force:
         raise ArchiveError(f"{path!r} exists (use --force)")
@@ -990,18 +995,11 @@ def create_archive(
     backend: StorageBackend
     if kind == "file":
         backend = FileBackend(path, spec, options, codec=at_rest, workers=workers)
-        backend.persist()
     elif kind == "chunked":
-        os.makedirs(path, exist_ok=True)
         backend = ChunkedArchiver(
             path, spec, chunk_count, options, codec=at_rest, workers=workers
         )
-        backend.write_manifest()
     else:
-        os.makedirs(path, exist_ok=True)
         backend = ExternalArchiver(path, spec, codec=at_rest, workers=workers)
-        backend.write_manifest()
-    from .wal import atomic_write_text
-
-    atomic_write_text(keys_location(path), spec_text)
+    backend._create(spec_text)
     return backend

@@ -49,26 +49,17 @@ from ..keys.annotate import (
 )
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
-from .backend import (
-    MANIFEST_NAME,
-    Manifest,
-    OnVersion,
-    RecodeReport,
-    StorageBackend,
-    mutation,
-    read_manifest,
-)
+from .backend import OnVersion, RecodeReport, StorageBackend, mutation
 from .cache import chunk_cache
-from .codec import CodecError, CodecLike, get_codec, sniff_codec
+from .codec import CodecError, CodecLike, get_codec
 from .integrity import (
-    CHECKSUMS_NAME,
     ChecksumSidecar,
     IntegrityError,
     ManifestInconsistent,
     validate_policy,
 )
 from .parallel import ExecutionPool, _ingest_chunk_task, _recode_chunk_task
-from .wal import Commit, WriteAheadLog, atomic_write_text
+from .txn import ArchiveTxn
 
 #: Per-chunk degradation policies for reads over damaged archives.
 ON_CORRUPT_POLICIES = ("raise", "skip")
@@ -146,6 +137,13 @@ def _chunk_presence_of(archive: Archive) -> VersionSet:
     return presence
 
 
+def chunk_index_for_label(label, chunk_count: int) -> int:
+    """The chunk, of ``chunk_count``, that a top-level record with this
+    key label hashes to — the routing function of the partition scheme."""
+    digest = hashlib.sha256(str(label).encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % chunk_count
+
+
 def route_to_owning_chunk(backend, attempt, path: str) -> ElementHistory:
     """Answer a keyed-path history from the chunk(s) that can hold it.
 
@@ -199,11 +197,11 @@ class ChunkedArchiver(StorageBackend):
     and Swiss-Prot, whose roots hold a flat list of ``Record``
     elements).
 
-    Every mutation publishes through the write-ahead log: chunk files,
-    presence sidecars, the version counter and the manifest are staged
-    as ``*.tmp``, fsynced behind one WAL record, then renamed into
-    place — a crash mid-batch recovers to the pre-batch archive (or, if
-    publication had begun, completes it) instead of a torn mix.
+    Every mutation is one :class:`~repro.storage.txn.ArchiveTxn`: chunk
+    files, presence sidecars, the version counter, the manifest and the
+    checksum sidecar publish together — a crash mid-batch recovers to
+    the pre-batch archive (or, if publication had begun, completes it)
+    instead of a torn mix.
 
     **Writer-held trees.**  After ``add_version`` publishes, the handle
     keeps each merged chunk tree under the SHA-256 it just recorded for
@@ -264,71 +262,26 @@ class ChunkedArchiver(StorageBackend):
         #: place, which must not leak into other readers' views (what
         #: it keeps between appends lives in ``_held``, its own).
         self.cache_reads = cache_reads
-        #: Decoded-chunk cache traffic through *this handle* (cumulative;
-        #: query execution reads these as before/after deltas).
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: Chunk-loop parallelism: batch ingest, recode and chunk query
         #: fan-out run their per-chunk work through this pool.  The
         #: default of one worker is the deterministic serial path.
         self.pool = ExecutionPool(workers)
         self.workers = self.pool.workers
         os.makedirs(directory, exist_ok=True)
-        self._wal = WriteAheadLog(os.path.join(directory, "wal.json"))
         self._recover = recover
-        self._load_state()
-        # An explicit codec wins; otherwise an existing chunk file's
-        # magic bytes decide (fresh directories start raw).
-        self.codec = (
-            get_codec(codec) if codec is not None else self._sniff_codec()
-        )
+        self._load_state(codec)
 
-    def _load_state(self) -> Optional[Manifest]:
-        """(Re)read what the directory durably holds; returns its manifest.
+    def _load_state(self, codec: CodecLike = None) -> None:
+        super()._load_state(codec)
+        self._version_count = self._load_version_count()
 
-        Run by the constructor and again after any failed write: an
-        interrupted commit is settled first (on handles that recover),
-        then the sidecar, the version counter and the generation are
-        taken from disk, and no decoded tree survives.
-        """
-        directory = self.directory
+    def drop_caches(self) -> None:
         #: Writer-held trees: chunk index -> (the sha256 this handle's
         #: last commit recorded for the chunk file, the tree it encoded).
         self._held: dict[int, tuple[str, Archive]] = {}
-        if self._recover:
-            self._wal.recover(
-                stray_tmps=[
-                    os.path.join(directory, name)
-                    for name in os.listdir(directory)
-                    if name.endswith(".tmp")
-                ]
-            )
-        # Payload checksums: recorded per file in the sidecar, staged
-        # through the same WAL commit as the payloads themselves.
-        self._checksums = ChecksumSidecar.load(
-            os.path.join(directory, CHECKSUMS_NAME)
-        )
-        self._verified: set[str] = set()
-        self._version_count = self._load_version_count()
-        try:
-            manifest = read_manifest(directory)
-        except ManifestInconsistent:
-            manifest = None  # fsck's problem, not open's
-        self.generation = manifest.generation if manifest is not None else 0
-        return manifest
-
-    def drop_caches(self) -> None:
-        self._held = {}
 
     def close(self) -> None:
         self.drop_caches()
-
-    def _sniff_codec(self):
-        for index in range(self.chunk_count):
-            path = self._chunk_path(index)
-            if os.path.exists(path):
-                return sniff_codec(path)
-        return get_codec(None)
 
     # -- chunk file plumbing ----------------------------------------------------
 
@@ -402,35 +355,8 @@ class ChunkedArchiver(StorageBackend):
             return None
         return self.codec.decode_document(data)
 
-    def _cache_token(self, index: int):
-        """Staleness token for a chunk's cache key (``None``: don't cache).
-
-        The sidecar's recorded sha256 is the precise token — a commit
-        that republishes the chunk rewrites its checksum, and
-        :meth:`read_part_payload` verifies the bytes against this very
-        sidecar state before any decode, so a hit can never shadow bytes
-        this handle would not itself have decoded.  Sidecar-less layouts
-        fall back to the manifest generation (coarser: any commit
-        invalidates the whole archive's entries); with neither, the
-        chunk is simply not cached.
-        """
-        entry = self._checksums.entries.get(
-            os.path.basename(self._chunk_path(index))
-        )
-        if entry is not None and entry.get("sha256"):
-            return entry["sha256"]
-        if self.generation > 0:
-            return ("gen", self.generation)
-        return None
-
-    def _invalidate_cached_chunks(self) -> None:
-        """Drop this archive's cache entries after a publish.
-
-        Stale-token entries would only age out of the LRU; a
-        read-caching handle that writes drops them eagerly so the
-        budget isn't spent on unreachable generations."""
-        if self.cache_reads:
-            chunk_cache().invalidate(os.path.abspath(self.directory))
+    def _part_name(self, part) -> str:
+        return os.path.basename(self._chunk_path(part))
 
     def _load_chunk(self, index: int, for_write: bool = False) -> Archive:
         data = self.read_part_payload(index)
@@ -441,87 +367,28 @@ class ChunkedArchiver(StorageBackend):
             for _ in range(self._version_count):
                 archive.add_version(None)
             return archive
-        if for_write:
-            # Checked out, not peeked at: the writer merges into the
-            # tree in place, so from here on it is held by nobody.
-            held = self._held.pop(index, None)
-            if held is not None and held[0] == self._cache_token(index):
-                return held[1]
-        key = None
-        cache = None
-        if self.cache_reads and not for_write:
-            token = self._cache_token(index)
-            cache = chunk_cache()
-            if token is not None and cache.enabled:
-                key = (os.path.abspath(self.directory), index, token)
-                cached = cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    return cached
-                self.cache_misses += 1
-        archive = self.codec.decode_archive(data, self.spec, self.options)
-        if key is not None:
-            cache.put(key, archive, len(data))
-        return archive
 
-    def _stage(
-        self,
-        commit: Commit,
-        pending: ChecksumSidecar,
-        path: str,
-        payload: "str | bytes",
-    ) -> None:
-        """Stage one file and record its checksum in the pending sidecar."""
-        commit.stage(path, payload)
-        data = payload.encode("utf-8") if isinstance(payload, str) else payload
-        pending.record(os.path.basename(path), data)
+        def decode() -> Archive:
+            return self.codec.decode_archive(data, self.spec, self.options)
 
-    def _stage_chunk(
-        self,
-        commit: Commit,
-        pending: ChecksumSidecar,
-        index: int,
-        archive: Archive,
-    ) -> None:
+        if not for_write:
+            return self._cached(index, len(data), decode)
+        # Checked out, not peeked at: the writer merges into the tree
+        # in place, so from here on it is held by nobody.
+        held = self._held.pop(index, None)
+        if held is not None and held[0] == self._cache_token(index):
+            return held[1]
+        return decode()
+
+    def _put_chunk(self, txn: ArchiveTxn, index: int, archive: Archive) -> dict:
+        """Stage one merged chunk; returns the chunk file's new
+        checksum entry."""
         # ``.presence`` sidecars stay plain: retrieval prunes on them
         # before paying any decode cost.
-        self._stage(
-            commit,
-            pending,
-            self._presence_path(index),
-            _chunk_presence_of(archive).to_text(),
-        )
-        self._stage(
-            commit,
-            pending,
-            self._chunk_path(index),
-            self.codec.encode_archive(archive),
-        )
+        txn.put(self._presence_path(index), _chunk_presence_of(archive).to_text())
+        return txn.put(self._chunk_path(index), self.codec.encode_archive(archive))
 
-    def _stage_meta(
-        self, commit: Commit, pending: ChecksumSidecar, version_count: int
-    ) -> None:
-        self._stage(commit, pending, self._meta_path(), str(version_count))
-        self._stage(
-            commit,
-            pending,
-            self.manifest_path(),
-            self._manifest_at(version_count).to_json(),
-        )
-        # The sidecar itself stages last, inside the same commit, so
-        # checksums and payloads publish (or roll back) together.
-        commit.stage(self._checksums.path, pending.to_json())
-
-    def _manifest_at(self, version_count: int):
-        manifest = self.manifest()
-        manifest.version_count = version_count
-        # Every staged manifest belongs to the commit that will publish
-        # it, so it carries the *next* generation; the in-memory counter
-        # only advances once that commit actually lands.
-        manifest.generation = self.generation + 1
-        return manifest
-
-    def _manifest_extra(self) -> dict:
+    def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
         return {"chunk_count": self.chunk_count}
 
     def chunk_presence(self, index: int) -> Optional[VersionSet]:
@@ -549,13 +416,6 @@ class ChunkedArchiver(StorageBackend):
         self._verify_payload(path, data)
         return VersionSet.parse(data.decode("utf-8"))
 
-    def _on_manifest_written(self, text: str) -> None:
-        # A standalone manifest write (archive creation) publishes the
-        # sidecar right behind it so the manifest is covered from birth.
-        self._checksums.record(MANIFEST_NAME, text.encode("utf-8"))
-        atomic_write_text(self._checksums.path, self._checksums.to_json())
-        self._checksums.present = True
-
     # -- partitioning --------------------------------------------------------------
 
     def chunk_index_for_label(self, label) -> int:
@@ -566,8 +426,7 @@ class ChunkedArchiver(StorageBackend):
         open only the owning chunk instead of fanning out to all of
         them.
         """
-        digest = hashlib.sha256(str(label).encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") % self.chunk_count
+        return chunk_index_for_label(label, self.chunk_count)
 
     def _chunk_of(self, record: Element, annotated) -> int:
         label = annotated.label(record)
@@ -627,9 +486,8 @@ class ChunkedArchiver(StorageBackend):
         parts = self._partition(document) if document is not None else {}
         room = chunk_cache().max_bytes  # what the held trees may cost
         merged: dict[int, tuple[str, Archive]] = {}
-        pending = self._checksums.copy()
-        commit = self._wal.begin()
-        try:
+        number = self._version_count + 1
+        with ArchiveTxn(self, number) as txn:
             for index in range(self.chunk_count):
                 # Chunks with no records this version still advance their
                 # version counter (as an empty version) so timestamps align.
@@ -639,23 +497,14 @@ class ChunkedArchiver(StorageBackend):
                     continue  # nothing stored, nothing new: stay lazy
                 archive = self._load_chunk(index, for_write=True)
                 total.accumulate(archive.add_version(part))
-                self._stage_chunk(commit, pending, index, archive)
-                staged = pending.entries[os.path.basename(self._chunk_path(index))]
+                staged = self._put_chunk(txn, index, archive)
                 room -= staged["bytes"]
                 if room >= 0:
                     merged[index] = (staged["sha256"], archive)
-            self._stage_meta(commit, pending, self._version_count + 1)
-        except BaseException:
-            commit.abort()  # staging failed: nothing was committed
-            raise
-        commit.commit(meta={"version_count": self._version_count + 1})
-        # Only a published commit moves the in-memory state.
-        self._checksums = pending
-        self.generation += 1
-        self._invalidate_cached_chunks()
+            txn.put(self._meta_path(), str(number))
         self._held = merged
         total.versions = 1
-        self._version_count += 1
+        self._version_count = number
         return total
 
     @mutation
@@ -723,41 +572,26 @@ class ChunkedArchiver(StorageBackend):
             )
         merged = self.pool.map(_ingest_chunk_task, tasks)
         total = MergeStats()
-        pending = self._checksums.copy()
-        commit = self._wal.begin()
-        # ``on_chunk`` fires only after the commit publishes, so index
-        # caches never adopt state a failed batch rolls back.
-        landed: list[tuple[int, bytes]] = []
-        try:
+        number = self._version_count + len(partitions)
+        with ArchiveTxn(self, number) as txn:
             for index, encoded, presence_text, stats in merged:
-                self._stage(
-                    commit, pending, self._presence_path(index), presence_text
-                )
-                self._stage(commit, pending, self._chunk_path(index), encoded)
-                if on_chunk is not None:
-                    landed.append((index, encoded))
+                txn.put(self._presence_path(index), presence_text)
+                txn.put(self._chunk_path(index), encoded)
                 total.accumulate(stats)
-            self._stage_meta(commit, pending, self._version_count + len(partitions))
-        except BaseException:
-            commit.abort()  # staging failed: nothing was committed
-            raise
-        commit.commit(
-            meta={"version_count": self._version_count + len(partitions)}
-        )
-        self._checksums = pending
-        self.generation += 1
-        self._invalidate_cached_chunks()
+            txn.put(self._meta_path(), str(number))
         total.versions = len(partitions)
-        self._version_count += len(partitions)
-        for index, encoded in landed:
-            # The hook wants the merged chunk archive; workers hand
-            # back its published bytes, so rebuild from those — the
-            # same decode ``load_part`` would do on the next read.
-            assert on_chunk is not None
-            on_chunk(
-                index,
-                self.codec.decode_archive(encoded, self.spec, self.options),
-            )
+        self._version_count = number
+        if on_chunk is not None:
+            # Only now, the commit published: index caches never adopt
+            # state a failed batch rolls back.  The hook wants the
+            # merged chunk archive; workers hand back its published
+            # bytes, so rebuild from those — the same decode
+            # ``load_part`` would do on the next read.
+            for index, encoded, _presence, _stats in merged:
+                on_chunk(
+                    index,
+                    self.codec.decode_archive(encoded, self.spec, self.options),
+                )
         return total
 
     def retrieve(
@@ -942,18 +776,15 @@ class ChunkedArchiver(StorageBackend):
                     nodes -= 1  # the shell itself is shared, not repeated
                 else:
                     seen_shells.add(token)
-        cache = chunk_cache()
-        return ArchiveStats(
-            versions=self._version_count,
-            nodes=nodes,
-            stored_timestamps=stored_timestamps,
-            serialized_bytes=raw_bytes,
-            raw_bytes=raw_bytes,
-            disk_bytes=self.total_bytes(),
-            generation=self.generation,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            cache_evictions=cache.evictions,
+        return self._handle_counters(
+            ArchiveStats(
+                versions=self._version_count,
+                nodes=nodes,
+                stored_timestamps=stored_timestamps,
+                serialized_bytes=raw_bytes,
+                raw_bytes=raw_bytes,
+                disk_bytes=self.total_bytes(),
+            )
         )
 
     def total_bytes(self) -> int:
@@ -995,33 +826,15 @@ class ChunkedArchiver(StorageBackend):
                 (index, payload, old.name, target.name, self.spec, self.options)
             )
         recoded = self.pool.map(_recode_chunk_task, tasks)
-        pending = self._checksums.copy()
-        commit = self._wal.begin()
-        files = 0
-        try:
+        with ArchiveTxn(self, self._version_count, codec=target) as txn:
             for index, encoded in recoded:
-                self._stage(commit, pending, self._chunk_path(index), encoded)
-                files += 1
-            manifest = self._manifest_at(self._version_count)
-            manifest.codec = target.name
-            self._stage(commit, pending, self.manifest_path(), manifest.to_json())
-            commit.stage(self._checksums.path, pending.to_json())
-        except BaseException:
-            commit.abort()
-            raise
-        commit.commit(meta={"version_count": self._version_count})
-        # Only a published commit moves the in-memory codec; after a
-        # failure above, ``_reload`` takes it from the settled manifest.
-        self.codec = target
-        self._checksums = pending
-        self.generation += 1
-        self._invalidate_cached_chunks()
+                txn.put(self._chunk_path(index), encoded)
         return RecodeReport(
             path=self.directory,
             kind=self.kind,
             old_codec=old.name,
             new_codec=target.name,
-            files=files,
+            files=len(recoded),
             disk_bytes_before=before,
             disk_bytes_after=self.total_bytes(),
         )

@@ -46,8 +46,9 @@ sidecars and the WAL record itself.
 Every codec's encoded form starts with a distinctive magic
 (:data:`~repro.compress.gzipper.GZIP_MAGIC`,
 :data:`~repro.compress.xmill.XMILL_MAGIC`; XML/JSONL text starts with
-neither), so :func:`detect_codec` can route manifest-less legacy
-layouts; manifests record the codec explicitly (``codec`` field).
+neither).  Manifests record the codec explicitly (``codec`` field) and
+nothing on the read path looks at the magic; ``fsck --repair`` does,
+to rebuild a lost manifest.
 
 The contract of ``decode_document(encode_document(text))`` is
 *parse-equivalence*: the result parses to a document value-equal to
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import abc
 import io
-import os
 import zlib
 from typing import IO, Iterator, Union
 
@@ -400,26 +400,3 @@ def get_codec(codec: CodecLike) -> Codec:
         raise CodecError(
             f"Unknown codec {codec!r} (choose from {', '.join(CODEC_NAMES)})"
         )
-
-
-def detect_codec(prefix: bytes) -> Codec:
-    """The codec whose magic opens ``prefix`` (raw when none matches).
-
-    Used for manifest-less legacy layouts.  A gzip-framed *stream*
-    written by the ``xmill`` or ``xbin`` codec sniffs as ``gzip`` —
-    harmless, since all three share the framed-gzip text path;
-    documents carry the unambiguous XMill/xbin magic.
-    """
-    for codec in (XBIN, XMILL, GZIP):
-        if codec.magic and prefix.startswith(codec.magic):
-            return codec
-    return RAW
-
-
-def sniff_codec(path: str) -> Codec:
-    """Detect the codec of an existing payload file by its leading bytes."""
-    try:
-        with open(os.fspath(path), "rb") as handle:
-            return detect_codec(handle.read(8))
-    except (FileNotFoundError, IsADirectoryError):
-        return RAW

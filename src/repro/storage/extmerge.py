@@ -16,11 +16,13 @@ augmenting the timestamp and recursing.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Iterator
 
 from ..core.merge import MergeStats, merge_alternatives
 from ..core.nodes import Alternative
 from ..core.versionset import VersionSet
 from .events import (
+    Event,
     EventWriter,
     ExitEvent,
     FrontierEvent,
@@ -36,7 +38,7 @@ class StreamMergeError(ValueError):
 
 
 def merge_archive_stream(
-    archive_path: str,
+    archive_events: Iterator[Event],
     version_path: str,
     out_path: str,
     version_number: int,
@@ -45,14 +47,16 @@ def merge_archive_stream(
 ) -> MergeStats:
     """Merge a sorted version stream into a sorted archive stream.
 
-    ``codec`` decodes both inputs and encodes the output; the one-pass
+    The archive side arrives as the events its owner read (and
+    verified) — the stored stream's, or the empty archive's; ``codec``
+    decodes the version file and encodes the output; the one-pass
     bounded-memory shape is unchanged (framed gzip streams decode
     incrementally).
     """
     from .integrity import TruncatedPayload
 
     merge_stats = MergeStats()
-    archive = PeekableEvents(read_events(archive_path, stats, codec))
+    archive = PeekableEvents(archive_events)
     version = PeekableEvents(read_events(version_path, stats, codec))
     try:
         with EventWriter(out_path, stats, codec) as writer:
@@ -75,7 +79,7 @@ def merge_archive_stream(
         # A stream that ends mid-structure (events missing their exits)
         # is a truncated payload, not a programming error.
         raise TruncatedPayload(
-            f"Event stream ends mid-structure merging {archive_path!r} "
+            f"Event stream ends mid-structure merging the archive "
             f"with {version_path!r}"
         ) from None
     return merge_stats

@@ -38,12 +38,13 @@ from ..core.archive import ArchiveError
 from .backend import (
     MANIFEST_NAME,
     Manifest,
+    commit_log,
     detect_backend_kind,
     key_spec_fingerprint,
     keys_location,
     manifest_location,
 )
-from .codec import CodecError, get_codec
+from .codec import GZIP, RAW, XBIN, XMILL, Codec, CodecError, get_codec
 from .integrity import (
     CHECKSUMS_NAME,
     QUARANTINE_DIR,
@@ -51,7 +52,7 @@ from .integrity import (
     IntegrityError,
     hash_file,
 )
-from .wal import WalError, WriteAheadLog, atomic_write_text
+from .wal import WalError, atomic_write_text
 
 #: Every finding code fsck can emit, with a one-line meaning.
 FINDING_CODES = {
@@ -174,13 +175,115 @@ def fsck_archive(
     return report
 
 
+# -- what the files themselves still say --------------------------------------
+#
+# Opening an archive never guesses: the manifest names kind, codec and
+# chunk count, and a path without one is refused.  Rebuilding a lost or
+# corrupt manifest is the one place these are read back off the layout
+# and the payloads' magic bytes.
+
+
 def _sniff_kind(path: str) -> str:
-    """Layout-only kind detection (never trusts the manifest)."""
+    """Layout-only kind detection (never trusts the manifest): an
+    ``archive.jsonl`` stream is external, chunk files are chunked, a
+    plain file is a whole-file archive."""
     if os.path.isfile(path):
         return "file"
     if os.path.exists(os.path.join(path, "archive.jsonl")):
         return "external"
-    return "chunked"
+    if (
+        os.path.exists(os.path.join(path, "versions.txt"))
+        # A pending commit log means a chunked archive crashed
+        # mid-publish before its manifest landed.
+        or os.path.exists(os.path.join(path, "wal.json"))
+        or _chunk_files(path)
+    ):
+        return "chunked"
+    raise ArchiveError(f"{path!r} is not an archive directory")
+
+
+def _chunk_files(path: str) -> dict[int, str]:
+    """Chunk index -> file name, of the chunk files in a directory."""
+    found = {}
+    for name in os.listdir(path):
+        if name.startswith("chunk-") and name.endswith(".xml"):
+            try:
+                found[int(name[len("chunk-") : -len(".xml")])] = name
+            except ValueError:
+                continue
+    return found
+
+
+def detect_codec(prefix: bytes) -> Codec:
+    """The codec whose magic opens ``prefix`` (raw when none matches).
+
+    A gzip-framed *stream* written by the ``xmill`` or ``xbin`` codec
+    sniffs as ``gzip`` — harmless, since all three share the
+    framed-gzip text path; documents carry the unambiguous XMill/xbin
+    magic.
+    """
+    for codec in (XBIN, XMILL, GZIP):
+        if codec.magic and prefix.startswith(codec.magic):
+            return codec
+    return RAW
+
+
+def sniff_codec(path: str) -> Codec:
+    """Detect the codec of an existing payload file by its leading bytes."""
+    try:
+        with open(os.fspath(path), "rb") as handle:
+            return detect_codec(handle.read(8))
+    except (FileNotFoundError, IsADirectoryError):
+        return RAW
+
+
+def _sniff_backend_codec(path: str, kind: str) -> Codec:
+    """Codec of a manifest-less archive, from its payload magic bytes."""
+    if kind == "file":
+        return sniff_codec(path)
+    if kind == "external":
+        return sniff_codec(os.path.join(path, "archive.jsonl"))
+    names = sorted(_chunk_files(path).values())
+    return sniff_codec(os.path.join(path, names[0])) if names else RAW
+
+
+#: Largest chunk count ``--repair`` will consider when the manifest that
+#: recorded it is gone.
+_CHUNK_COUNT_SEARCH = 256
+
+
+def _derive_chunk_count(path: str, codec: Codec, spec) -> Optional[int]:
+    """The chunk count a manifest-less chunked directory was written
+    with, or ``None`` when the stored records do not settle it.
+
+    The highest chunk file only bounds it from below — records hash to
+    chunks, so the last chunks of a small archive are often empty.  A
+    candidate count fits when every stored top-level record routes,
+    under it, to the chunk file that holds it; the answer is the one
+    candidate that fits, and anything else (no records to test, several
+    fits, no key specification) is not guessed at.
+    """
+    from ..core.archive import Archive
+    from .chunked import chunk_index_for_label
+
+    chunks = _chunk_files(path)
+    if spec is None or not chunks:
+        return None
+    stored: list[tuple[int, object]] = []
+    try:
+        for index, name in chunks.items():
+            with open(os.path.join(path, name), "rb") as handle:
+                text = codec.decode_document(handle.read())
+            for shell in Archive.from_xml_string(text, spec).root.children:
+                stored.extend((index, record.label) for record in shell.children)
+    except (CodecError, ValueError, OSError, EOFError):
+        return None
+    fits = [
+        count
+        for count in range(max(chunks) + 1, _CHUNK_COUNT_SEARCH + 1)
+        if all(chunk_index_for_label(label, count) == index for index, label in stored)
+    ]
+    return fits[0] if stored and len(fits) == 1 else None
 
 
 class _Scrubber:
@@ -212,11 +315,6 @@ class _Scrubber:
         self._sidecar_dirty = False
 
     # -- helpers -----------------------------------------------------------
-
-    def _wal_path(self) -> str:
-        if self.is_dir:
-            return os.path.join(self.path, "wal.json")
-        return self.path + ".wal"
 
     def _payload_codec(self):
         """The resolved :class:`~repro.storage.codec.Codec` for
@@ -324,7 +422,7 @@ class _Scrubber:
         self._flush_sidecar()
 
     def _scrub_wal(self) -> None:
-        wal = WriteAheadLog(self._wal_path())
+        wal, stray_tmps = commit_log(self.path)
         torn = False
         record = None
         try:
@@ -338,7 +436,7 @@ class _Scrubber:
                 repair="discard the record and roll staged files back",
             )
             if self.repair:
-                wal.recover(stray_tmps=self._stray_tmps())
+                wal.recover(stray_tmps=stray_tmps)
                 finding.repaired = True
                 finding.repair = "discarded; staged files rolled back"
         if record is not None:
@@ -350,14 +448,13 @@ class _Scrubber:
                 repair="run WAL recovery (roll back or forward)",
             )
             if self.repair:
-                outcome = wal.recover(stray_tmps=self._stray_tmps())
+                outcome = wal.recover(stray_tmps=stray_tmps)
                 finding.repaired = True
                 finding.repair = f"recovered ({outcome})"
                 # The manifest/sidecar may have just changed on disk.
         if record is None and not torn:
-            claimed: set = set()
-            for tmp in self._stray_tmps():
-                if not os.path.exists(tmp) or tmp in claimed:
+            for tmp in stray_tmps:
+                if not os.path.exists(tmp):
                     continue
                 finding = self.report.add(
                     "stray-tmp",
@@ -369,19 +466,6 @@ class _Scrubber:
                     os.remove(tmp)
                     finding.repaired = True
                     finding.repair = "removed"
-
-    def _stray_tmps(self) -> list[str]:
-        if self.is_dir:
-            return [
-                os.path.join(self.path, name)
-                for name in os.listdir(self.path)
-                if name.endswith(".tmp")
-            ]
-        return [
-            self.path + ".tmp",
-            manifest_location(self.path) + ".tmp",
-            self._wal_path() + ".tmp",
-        ]
 
     def _load_manifest(self) -> None:
         location = manifest_location(self.path)
@@ -438,9 +522,13 @@ class _Scrubber:
                 spec_hash = ""
         extra: dict = {}
         if self.kind == "chunked":
-            from .backend import _infer_chunk_count
-
-            extra["chunk_count"] = _infer_chunk_count(self.path)
+            chunk_count = _derive_chunk_count(
+                self.path, get_codec(codec), self._load_spec()
+            )
+            if chunk_count is None:
+                finding.repair = "unrepairable: chunk count not derivable"
+                return
+            extra["chunk_count"] = chunk_count
         manifest = Manifest(
             kind=self.kind,
             key_spec_hash=spec_hash,
@@ -461,8 +549,6 @@ class _Scrubber:
         finding.repair = f"rebuilt ({self.kind}, {version_count} version(s))"
 
     def _sniff_codec(self) -> str:
-        from .backend import _sniff_backend_codec
-
         try:
             return _sniff_backend_codec(self.path, self.kind).name
         except (OSError, ValueError):

@@ -171,10 +171,14 @@ class ChecksumSidecar:
     A missing sidecar (``present`` is ``False``) means a pre-integrity
     archive: verification is skipped for every file and ``fsck``
     reports the archive as unchecksummed (repairable).
+
+    The whole-file layout has one payload and keeps its entry in the
+    manifest instead: its table has no ``path`` and is never written
+    out as a sidecar.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = os.path.abspath(path)
+    def __init__(self, path: Optional[str]) -> None:
+        self.path = os.path.abspath(path) if path is not None else None
         self.entries: dict[str, dict] = {}
         self.quarantined: set[str] = set()
         self.present = False
@@ -200,7 +204,15 @@ class ChecksumSidecar:
                 f"Checksum sidecar {path!r} is malformed (no entries)"
             )
         recorded = record.pop("sha256", None)
-        if recorded is not None and _self_digest(record) != recorded:
+        if recorded is None:
+            # Every sidecar ever written carries the field, so absence
+            # is damage — a flipped bit in the key name must not switch
+            # the check off.
+            raise ManifestInconsistent(
+                f"Checksum sidecar {path!r} carries no self-checksum "
+                f"(corrupt sidecar)"
+            )
+        if _self_digest(record) != recorded:
             raise ChecksumMismatch(
                 f"Checksum sidecar {path!r} fails its own checksum "
                 f"(corrupt sidecar)"

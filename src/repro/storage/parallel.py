@@ -17,10 +17,10 @@ Design rules, enforced here so callers cannot get them wrong:
   unpicklable payload fails fast as :class:`TaskNotPicklable` instead
   of dying opaquely inside the executor machinery.
 * **Results gather before anything publishes.**  Callers run
-  ``pool.map`` to completion *before* ``wal.begin()``; a worker failure
-  therefore stages nothing and the archive is untouched — the single
-  WAL commit point (and with it crash atomicity and byte-identity with
-  serial runs) is preserved unchanged.
+  ``pool.map`` to completion *before* their transaction begins; a
+  worker failure therefore stages nothing and the archive is untouched
+  — the single commit point (and with it crash atomicity and
+  byte-identity with serial runs) is preserved unchanged.
 * **Worker failures come back typed.**  A task that raises inside a
   worker is captured (type name, message, traceback text) and
   re-raised in the parent as :class:`WorkerError`; a worker process

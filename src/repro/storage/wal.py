@@ -111,6 +111,18 @@ def write_file_durable(path: str, payload: "str | bytes") -> None:
     faults.retry_transient(lambda: _write_once(path, data))
 
 
+def fsync_file(path: str) -> None:
+    """Flush a file somebody else finished writing, and its directory
+    entry, to stable storage."""
+    faults.before_op("fsync", path)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    fsync_directory(os.path.dirname(os.path.abspath(path)))
+
+
 def replace_file(tmp: str, path: str) -> None:
     """Rename a staged file over its final name (the seam's commit op)."""
     faults.before_op("replace", path)
@@ -125,6 +137,14 @@ def atomic_write_text(path: str, text: str) -> None:
     write_file_durable(tmp, text)
     replace_file(tmp, path)
     fsync_directory(os.path.dirname(os.path.abspath(path)))
+
+
+def wal_location(path: "str | os.PathLike") -> str:
+    """Where an archive at ``path`` keeps its write-ahead record."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        return os.path.join(path, "wal.json")
+    return path + ".wal"
 
 
 class WriteAheadLog:
@@ -279,6 +299,13 @@ class Commit:
         """Write one file of the commit (text or bytes) to its staging name."""
         path = os.path.abspath(path)
         write_file_durable(path + ".tmp", payload)
+        self._entries.append(path)
+
+    def adopt(self, path: str) -> None:
+        """Take in a file the caller wrote at ``path``'s staging name
+        itself — a payload streamed to disk, never held in memory."""
+        path = os.path.abspath(path)
+        fsync_file(path + ".tmp")
         self._entries.append(path)
 
     def commit(self, meta: Optional[dict] = None) -> None:

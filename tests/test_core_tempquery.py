@@ -2,14 +2,13 @@
 
 import pytest
 
+import repro
 from repro.core import (
     Archive,
     ArchiveError,
     ArchiveOptions,
     archive_diff,
-    first_appearance,
     keyed_diff,
-    last_change,
 )
 from repro.data.company import company_key_spec, company_versions
 from repro.keys import KeySpec, key
@@ -131,14 +130,14 @@ class TestPointQueries:
     def test_first_appearance(self):
         archive = company_archive()
         path = "/db/dept[name=finance]/emp[fn=John, ln=Doe]"
-        assert first_appearance(archive, path) == 3
+        assert repro.open(archive).first_appearance(path) == 3
 
     def test_last_change_of_frontier(self):
         archive = company_archive()
         path = "/db/dept[name=finance]/emp[fn=John, ln=Doe]/sal"
-        assert last_change(archive, path) == 4
+        assert repro.open(archive).last_change(path) == 4
 
     def test_last_change_of_stable_element(self):
         archive = company_archive()
         path = "/db/dept[name=finance]/emp[fn=John, ln=Doe]/tel[.=123-4567]"
-        assert last_change(archive, path) == 3  # unchanged since creation
+        assert repro.open(archive).last_change(path) == 3  # unchanged since creation

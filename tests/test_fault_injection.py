@@ -20,7 +20,7 @@ import shutil
 
 import pytest
 
-from repro.core import Archive
+from repro.core import Archive, ArchiveError
 from repro.core.merge import AttributeChangeError
 from repro.data.company import (
     COMPANY_KEY_TEXT,
@@ -173,6 +173,42 @@ class TestCrashDrill:
                 backend.close()
 
         drill(tmp_path, kind, versions, operate)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_creation_survives_crash_at_every_op(self, tmp_path, kind, codec):
+        """An interrupted ``create_archive`` leaves a path that either
+        opens as the empty archive or can simply be created again —
+        never one that does neither."""
+
+        def create(path):
+            return create_archive(
+                path, COMPANY_KEY_TEXT, kind=kind, chunk_count=2, codec=codec
+            )
+
+        def fresh_path(name):
+            (tmp_path / name).mkdir()
+            return archive_path(str(tmp_path / name), kind)
+
+        counter = FaultInjector()
+        with inject(counter):
+            create(fresh_path("dry")).close()
+        assert counter.op_count > 0
+        for index in range(counter.op_count):
+            path = fresh_path(f"work-{index}")
+            with inject(FaultInjector().crash_at_op(index)):
+                with pytest.raises(CrashPoint):
+                    create(path)
+            try:
+                backend = open_archive(path)
+            except ArchiveError:
+                backend = create(path)  # no ``force``: nothing is in the way
+            assert backend.last_version == 0 and backend.generation == 1
+            backend.close()
+            report = fsck_archive(path, deep=True)
+            assert report.clean, f"fsck after crash at op {index}:\n{report}"
+            with open_archive(path) as reopened:
+                assert reopened.codec.name == codec
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_recovered_archive_still_answers_queries(

@@ -174,6 +174,65 @@ class TestDerivableRepairs:
         assert "forgotten" in missing[0].repair
 
 
+class TestLostChunkCount:
+    """Records hash to chunks, so a small archive leaves its last
+    chunks empty: the highest chunk file says little about the count
+    the records were routed with.  Four records in sixteen chunks land
+    in chunks 2, 11 and 14 — a guessed count of 15 would route every
+    later record elsewhere and answer ``history`` wrongly while
+    ``retrieve`` and ``fsck`` still look fine."""
+
+    KEYS = "(/, (db, {}))\n(/db, (dept, {name}))"
+    NAMES = ["d12-0", "d12-1", "d12-2", "d12-3"]
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        from repro.xmltree import parse_document
+
+        path = str(tmp_path / "store")
+        backend = create_archive(path, self.KEYS, kind="chunked", chunk_count=16)
+        backend.add_version(
+            parse_document(
+                "<db>"
+                + "".join(f"<dept><name>{n}</name></dept>" for n in self.NAMES)
+                + "</db>"
+            )
+        )
+        backend.close()
+        chunks = sorted(n for n in os.listdir(path) if n.endswith(".xml"))
+        assert chunks[-1] == "chunk-0014.xml"  # what "highest + 1" would read
+        os.remove(os.path.join(path, "manifest.json"))
+        return path
+
+    def test_open_refuses_rather_than_infer(self, store):
+        with pytest.raises(IntegrityError, match="fsck --repair"):
+            open_archive(store)
+
+    def test_repair_rebuilds_the_true_count_or_refuses(self, store):
+        report = fsck_archive(store, repair=True)
+        missing = next(f for f in report.findings if f.code == "manifest-missing")
+        if not missing.repaired:
+            assert "chunk count not derivable" in missing.repair
+            return
+        with open_archive(store) as backend:
+            assert backend.chunk_count == 16
+            for name in self.NAMES:
+                history = backend.history(f"/db/dept[name={name}]")
+                assert history.existence.to_text() == "1"
+
+    def test_repair_without_records_to_test_refuses(self, tmp_path):
+        path = str(tmp_path / "empty")
+        create_archive(path, self.KEYS, kind="chunked", chunk_count=16).close()
+        os.remove(os.path.join(path, "manifest.json"))
+        with open(os.path.join(path, "versions.txt"), "w") as handle:
+            handle.write("0")  # the version count is derivable; the chunk count is not
+        report = fsck_archive(path, repair=True)
+        missing = next(f for f in report.findings if f.code == "manifest-missing")
+        assert not missing.repaired
+        assert "chunk count not derivable" in missing.repair
+        assert not os.path.exists(os.path.join(path, "manifest.json"))
+
+
 class TestQuarantine:
     def test_undecodable_payload_is_quarantined_never_deleted(
         self, tmp_path, versions

@@ -277,3 +277,53 @@ class TestWalRecordCorruption:
             }
         finally:
             shutil.rmtree(base, ignore_errors=True)
+
+
+class TestSelfChecksumKeyDamage:
+    """A self-checksum only protects a file if its *absence* is damage
+    too: one flipped bit in the key name (``"sha256"`` → ``"sha25v"``)
+    must not switch the check off and let edited metadata through."""
+
+    @staticmethod
+    def disable_self_checksum(path, edit):
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        assert '"sha256"' in text
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(edit(text.replace('  "sha256":', '  "sha25v":')))
+
+    def build(self, tmp_path, kind):
+        path = str(tmp_path / ("archive.xml" if kind == "file" else "store"))
+        backend = create_archive(path, COMPANY_KEY_TEXT, kind=kind, chunk_count=2)
+        backend.ingest_batch([v.copy() for v in list(company_versions())[:3]])
+        backend.close()
+        return path
+
+    @pytest.mark.parametrize("kind", ["file", "chunked", "external"])
+    def test_manifest_with_edited_version_count(self, tmp_path, kind):
+        from repro.storage import ManifestInconsistent, manifest_location
+
+        path = self.build(tmp_path, kind)
+        self.disable_self_checksum(
+            manifest_location(path),
+            lambda text: text.replace('"version_count": 3', '"version_count": 2'),
+        )
+        with pytest.raises(ManifestInconsistent, match="self-checksum"):
+            open_archive(path)
+        assert "manifest-corrupt" in {
+            finding.code for finding in fsck_archive(path).findings
+        }
+
+    @pytest.mark.parametrize("kind", ["chunked", "external"])
+    def test_sidecar_without_its_self_checksum(self, tmp_path, kind):
+        from repro.storage import ManifestInconsistent
+
+        path = self.build(tmp_path, kind)
+        self.disable_self_checksum(
+            os.path.join(path, "checksums.json"), lambda text: text
+        )
+        with pytest.raises(ManifestInconsistent, match="self-checksum"):
+            open_archive(path)
+        assert "checksums-corrupt" in {
+            finding.code for finding in fsck_archive(path).findings
+        }

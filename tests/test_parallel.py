@@ -272,8 +272,8 @@ class TestByteIdentity:
         split_manifest = json.loads(
             (tmp_path / "parallel" / "manifest.json").read_text()
         )
-        assert serial_manifest.pop("generation") == 1
-        assert split_manifest.pop("generation") == 2
+        assert serial_manifest.pop("generation") == 2  # creation is commit 1
+        assert split_manifest.pop("generation") == 3
         serial_manifest.pop("sha256")
         split_manifest.pop("sha256")
         assert serial_manifest == split_manifest

@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.core import Archive, ArchiveError, ArchiveOptions, Fingerprinter
-from repro.core.tempquery import Change, first_appearance, last_change
+from repro.core.tempquery import Change
 from repro.keys import parse_key_spec
 from repro.query import ArchiveDB, compile_plan
 from repro.storage import create_archive
@@ -226,27 +226,6 @@ class TestMissingPathErrors:
         db = repro.open(_memory_archive())
         with pytest.raises(ArchiveError, match="never existed"):
             db.first_appearance(self.PATH)
-
-    def test_deprecated_shims_still_work(self):
-        archive = _memory_archive()
-        with pytest.deprecated_call():
-            assert (
-                first_appearance(
-                    archive, "/db/dept[name=finance]/emp[fn=John, ln=Doe]"
-                )
-                == 3
-            )
-        with pytest.deprecated_call():
-            assert (
-                last_change(
-                    archive, "/db/dept[name=finance]/emp[fn=John, ln=Doe]/sal"
-                )
-                == 4
-            )
-        with pytest.deprecated_call(), pytest.raises(
-            ArchiveError, match="never existed"
-        ):
-            first_appearance(archive, self.PATH)
 
 
 class TestPlanner:

@@ -520,9 +520,9 @@ class TestChunkPruning:
         ingestor.drop_caches()  # force re-adoption through the prune gate
         expected = sum(
             1
-            for index in range(ingestor.chunked.chunk_count)
-            if os.path.exists(ingestor.chunked._chunk_path(index))
-            and 1 not in ingestor.chunked.chunk_presence(index)
+            for index in range(ingestor.backend.chunk_count)
+            if os.path.exists(ingestor.backend._chunk_path(index))
+            and 1 not in ingestor.backend.chunk_presence(index)
         )
         document, _ = ingestor.retrieve(1)
         assert ingestor.chunks_pruned == expected > 0

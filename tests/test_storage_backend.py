@@ -28,9 +28,12 @@ from repro.storage import (
     ChunkedArchiver,
     ExternalArchiver,
     FileBackend,
+    ManifestInconsistent,
     create_archive,
     detect_backend_kind,
+    fsck_archive,
     key_spec_fingerprint,
+    manifest_location,
     open_archive,
     read_manifest,
 )
@@ -72,6 +75,20 @@ def make_backend(kind, base, spec, chunk_count=3, codec=None):
 
 def rendered(document):
     return to_pretty_string(document) if document is not None else None
+
+
+def reopen_after_losing_manifest(path, spec, tmp_path):
+    """Opening never guesses: without its manifest a path is refused
+    with a typed error naming the way out, ``fsck --repair``, which
+    rebuilds the manifest from what the payloads prove."""
+    os.remove(manifest_location(path))
+    with pytest.raises(ManifestInconsistent, match="fsck --repair"):
+        open_archive(path, spec)
+    keys = tmp_path / "keys.txt"
+    keys.write_text(COMPANY_KEY_TEXT, encoding="utf-8")
+    report = fsck_archive(path, keys_file=keys, repair=True)
+    assert not report.unrepaired, str(report)
+    return open_archive(path, spec)
 
 
 class TestConformance:
@@ -231,27 +248,23 @@ class TestOpenArchive:
         with pytest.raises(ArchiveError):
             open_archive(path, other)
 
-    def test_legacy_layouts_detected_without_manifest(self, tmp_path, spec, versions):
-        chunked = ChunkedArchiver(str(tmp_path / "chunked"), spec, 3)
-        chunked.ingest_batch([v.copy() for v in versions])
-        expected = rendered(chunked.retrieve(2))
-        os.remove(tmp_path / "chunked" / "manifest.json")
-        assert detect_backend_kind(str(tmp_path / "chunked")) == "chunked"
-        reopened = open_archive(str(tmp_path / "chunked"), spec)
-        # The inferred chunk count covers every stored chunk file, so
-        # reads of a pre-manifest directory stay complete.
-        assert reopened.last_version == len(versions)
-        assert rendered(reopened.retrieve(2)) == expected
-
-        external = ExternalArchiver(str(tmp_path / "external"), spec)
-        external.add_version(versions[0].copy())
-        os.remove(tmp_path / "external" / "manifest.json")
-        assert detect_backend_kind(str(tmp_path / "external")) == "external"
-
-        file_backend = FileBackend(str(tmp_path / "arch.xml"), spec)
-        file_backend.add_version(versions[0].copy())
-        os.remove(tmp_path / "arch.xml.manifest.json")
-        assert detect_backend_kind(str(tmp_path / "arch.xml")) == "file"
+    def test_lost_manifest_is_refused_then_rebuilt(self, tmp_path, spec, versions):
+        built = {
+            "chunked": ChunkedArchiver(str(tmp_path / "chunked"), spec, 3),
+            "external": ExternalArchiver(str(tmp_path / "external"), spec),
+            "file": FileBackend(str(tmp_path / "arch.xml"), spec),
+        }
+        for kind, backend in built.items():
+            backend.ingest_batch([v.copy() for v in versions])
+            expected = rendered(backend.retrieve(2))
+            backend.close()
+            path = backend.storage_root
+            reopened = reopen_after_losing_manifest(path, spec, tmp_path)
+            assert detect_backend_kind(path) == reopened.kind == kind
+            assert reopened.last_version == len(versions)
+            assert rendered(reopened.retrieve(2)) == expected
+            if kind == "chunked":
+                assert reopened.chunk_count == 3
 
     def test_missing_archive_raises(self, tmp_path):
         with pytest.raises(ArchiveError):
@@ -274,6 +287,71 @@ class TestOpenArchive:
         with pytest.raises(ArchiveError):
             create_archive(str(victim), COMPANY_KEY_TEXT, kind="chunked", force=True)
         assert (victim / "data.txt").exists()
+
+    @pytest.mark.parametrize("names", [["work.tmp", "other.txt"], ["work.tmp"]])
+    def test_a_directory_that_is_not_an_archive_keeps_its_files(
+        self, names, tmp_path
+    ):
+        # No commit record, so nothing there is an interrupted commit's:
+        # neither opening nor creating may sweep the directory's tmps.
+        victim = tmp_path / "precious"
+        victim.mkdir()
+        for name in names:
+            (victim / name).write_text("somebody's")
+        with pytest.raises(ManifestInconsistent):
+            open_archive(str(victim))
+        for force in (False, True):
+            with pytest.raises(ArchiveError):
+                create_archive(
+                    str(victim), COMPANY_KEY_TEXT, kind="chunked", force=force
+                )
+        assert sorted(os.listdir(victim)) == sorted(names)
+
+    def test_a_file_that_is_not_an_archive_keeps_its_neighbours(self, tmp_path):
+        victim = tmp_path / "notes.xml"
+        victim.write_text("<notes/>")
+        (tmp_path / "notes.xml.tmp").write_text("somebody's")
+        with pytest.raises(ManifestInconsistent):
+            open_archive(str(victim))
+        with pytest.raises(ArchiveError):
+            create_archive(str(victim), COMPANY_KEY_TEXT, kind="file")
+        assert sorted(os.listdir(tmp_path)) == ["notes.xml", "notes.xml.tmp"]
+
+    def test_external_constructor_writes_nothing(self, tmp_path, spec, versions):
+        # Like the other two kinds, a handle over an empty directory is
+        # the empty archive; only create_archive and commits write.
+        external = ExternalArchiver(str(tmp_path / "ext"), spec)
+        assert os.listdir(tmp_path / "ext") == []
+        assert external.last_version == 0 and external.archive_bytes() == 0
+        assert external.stats().versions == 0
+        assert external.to_archive().last_version == 0
+        with pytest.raises(ArchiveError):
+            external.retrieve(1)
+        assert os.listdir(tmp_path / "ext") == []
+        external.recode("gzip")
+        assert external.generation == 1 and external.last_version == 0
+        external.add_version(versions[0].copy())
+        assert external.generation == 2
+        reopened = open_archive(str(tmp_path / "ext"), spec)
+        assert reopened.codec.name == "gzip"
+        assert rendered(reopened.retrieve(1)) == rendered(versions[0])
+        assert fsck_archive(str(tmp_path / "ext"), deep=True).clean
+
+    def test_file_handle_shares_its_tree_only_through_the_cache(
+        self, tmp_path, spec, versions, monkeypatch
+    ):
+        # A read-caching handle whose read bypassed the cache (disabled
+        # here) owns the tree it decoded: its first write merges into
+        # it instead of decoding the file a second time.
+        from repro.storage.cache import chunk_cache
+
+        path = str(tmp_path / "arch.xml")
+        create_archive(path, COMPANY_KEY_TEXT).add_version(versions[0].copy())
+        monkeypatch.setattr(chunk_cache(), "max_bytes", 0)
+        assert not chunk_cache().enabled
+        handle = FileBackend(path, spec, cache_reads=True)
+        tree = handle.archive
+        assert handle._ensure_private_archive() is tree
 
 
 class SimulatedCrash(RuntimeError):
@@ -457,27 +535,27 @@ class TestCodecMatrix:
         assert gz_stats.compression_ratio > 1.0
         assert raw_stats.compression_ratio == 1.0
 
-    def test_manifestless_file_codec_sniffed_by_magic(
+    def test_lost_file_manifest_rebuilt_with_the_codec(
         self, tmp_path, spec, versions
     ):
         path = str(tmp_path / "arch.xml")
         backend = FileBackend(path, spec, codec="xmill")
         backend.ingest_batch([v.copy() for v in versions])
         expected = rendered(backend.retrieve(2))
-        os.remove(path + ".manifest.json")
-        reopened = open_archive(path, spec)
+        reopened = reopen_after_losing_manifest(path, spec, tmp_path)
         assert reopened.codec.name == "xmill"
         assert rendered(reopened.retrieve(2)) == expected
 
-    def test_manifestless_chunked_codec_sniffed_by_magic(
+    def test_lost_chunked_manifest_rebuilt_with_the_codec(
         self, tmp_path, spec, versions
     ):
-        backend = ChunkedArchiver(str(tmp_path / "c"), spec, 3, codec="gzip")
+        path = str(tmp_path / "c")
+        backend = ChunkedArchiver(path, spec, 3, codec="gzip")
         backend.ingest_batch([v.copy() for v in versions])
         expected = rendered(backend.retrieve(2))
-        os.remove(tmp_path / "c" / "manifest.json")
-        reopened = open_archive(str(tmp_path / "c"), spec)
+        reopened = reopen_after_losing_manifest(path, spec, tmp_path)
         assert reopened.codec.name == "gzip"
+        assert reopened.chunk_count == 3
         assert rendered(reopened.retrieve(2)) == expected
 
     def test_presence_sidecars_stay_plain(self, tmp_path, spec, versions):

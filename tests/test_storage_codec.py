@@ -18,13 +18,12 @@ from repro.storage import (
     FileBackend,
     create_archive,
     detect_backend_kind,
-    detect_codec,
     get_codec,
     keys_location,
     manifest_location,
     open_archive,
-    sniff_codec,
 )
+from repro.storage.fsck import detect_codec, sniff_codec
 from repro.storage.codec import CODECS, GZIP, RAW, STREAM_FLUSH_BYTES, XBIN, XMILL
 from repro.storage.xbin import XBIN_MAGIC
 from repro.xmltree import parse_document, to_pretty_string, value_equal
