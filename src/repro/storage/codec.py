@@ -344,7 +344,9 @@ class XbinCodec(Codec):
     """
 
     name = "xbin"
-    magic = xbin.XBIN_MAGIC
+    #: What both container versions open with; the version byte that
+    #: follows is the decoder's business.
+    magic = xbin.XBIN_MAGIC[:2]
 
     def encode_archive(self, archive) -> bytes:
         return xbin.encode_archive(archive)

@@ -7,11 +7,12 @@ serializes the :class:`~repro.core.nodes.ArchiveNode` tree itself:
 magic-headed, length-prefixed records with interned tag/attribute/key-path
 names and :class:`~repro.core.versionset.VersionSet` timestamps stored as
 ``(start, end)`` interval lists — exactly the in-memory encoding — so a
-chunk loads by direct record decoding, no XML parse at all.
+chunk loads by direct record decoding, no XML parse at all, and a read
+decodes only the records it touches.
 
 Container layout (all integers are LEB128 varints)::
 
-    magic   b"XB\\x01\\x00"
+    magic   b"XB" + version byte + b"\\x00"  -- written: version 2
     crc     varint  -- crc32 over (flags byte + compressed body)
     flags   1 byte  -- bit0: weave compaction, bit1: opaque-text mode
     length  varint  -- compressed body size in bytes
@@ -22,30 +23,45 @@ An *archive-mode* body (the normal case, written through the
 
     names   varint count, then count x string   -- interned name table
     root    intervals                           -- the root timestamp
-    tree    varint count, then count x node record
+    tree    children block
 
-where ``string`` is ``varint length + UTF-8 bytes`` and ``intervals`` is
-``varint count`` then per interval ``varint start, varint (end - start)``.
-A node record is ``tag id, flag byte (timestamp/weave/alternatives),
-key components, attributes, the flagged sections, then children`` —
-depth-first, in stored (already key-sorted) order.  Frontier content
+where ``string`` is ``varint length + UTF-8 bytes``, ``intervals`` is
+``varint count`` then per interval ``varint start, varint (end - start)``
+and a *children block* is ``varint count, then count x node record`` —
+depth-first, in stored (already key-sorted) order.  A node record is
+``tag id, flag byte, key components, attributes, the flagged sections
+(timestamp, weave, alternatives), then the node's children block``; flag
+bit 3 (*children framed*, version 2 only) says the block's byte length,
+a varint, is written before it.  Frontier content
 (:class:`~repro.xmltree.model.Element`/``Text``) nests as typed records
 with attributes kept in *element* order, so re-emission is byte-identical.
+
+The frame is what lets a reader skip: the decoder builds a framed node's
+head (label, key, attributes, timestamp, frontier content), steps over
+the block, and decodes it the first time the node's ``children`` are
+read (:class:`_DecodedNode`).  A keyed select therefore decodes the
+record heads of one chunk and the one record it returns; a history reads
+a timestamp off a head and decodes no record at all.  Blocks shorter
+than :data:`FRAME_MIN_BYTES` are not framed and decode with their
+parent.  Version 1 containers (``XB\\x01\\x00``, written before the flag
+existed) never carry it, so the same decoder reads them whole.
 
 A *text-mode* body is a plain UTF-8 document blob — the fallback for
 ``encode_document`` callers that hold only text (no key spec to build
 nodes from); ``decode_document`` handles both modes transparently.
 
 Corruption never escapes untyped: a flipped bit fails the crc, a
-truncation fails the varint/length accounting, and both raise
-:class:`~repro.storage.codec.CodecError` (registered callers translate
-that into the exit-2 taxonomy).
+truncation fails the varint/length accounting, a children block that
+does not end where its frame says fails on the read that first touches
+it, and all raise :class:`~repro.storage.codec.CodecError` (registered
+callers translate that into the exit-2 taxonomy).
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.archive import (
     ROOT_TAG,
@@ -63,8 +79,27 @@ from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element, Text
 
-#: Leading bytes of every xbin container (version 1, reserved zero byte).
-XBIN_MAGIC = b"XB\x01\x00"
+#: Leading bytes of every container this module writes (version 2,
+#: reserved zero byte).
+XBIN_MAGIC = b"XB\x02\x00"
+#: Version 1: no framed children blocks.  Read, never written.
+_MAGIC_V1 = b"XB\x01\x00"
+
+#: Shortest children block (count + child records, in bytes) that gets a
+#: frame.  Measured on the e2e store (seed 3: eight chunk bodies, 98 KB,
+#: 2,640 nodes): decoding costs ~0.13 us per body byte, and a node left
+#: pending costs ~1 us more than an eager one once it is touched (423
+#: frames: 12.5 -> 13.0 ms to decode and walk everything), plus one or
+#: two length bytes on disk.  A frame therefore pays when more than one
+#: read in (1 + 0.13 x length) skips its block — one in 7 at 48 bytes —
+#: and never when block and parent are always read together.  48 falls
+#: between the two kinds of block OMIM has: those a query leaves behind
+#: — a chunk's record list (9-18 KB), a record (0.7-1.2 KB), a
+#: ``Contributors`` entry or a ``Creation_Date`` (65-90 B), which the
+#: keyed select, the history and the dense select skip — and the three
+#: one-field children of a ``Date`` (37 B), read whenever the entry
+#: above them is.
+FRAME_MIN_BYTES = 48
 
 _FLAG_COMPACTION = 0x01
 _FLAG_TEXT = 0x02
@@ -72,6 +107,7 @@ _FLAG_TEXT = 0x02
 _NODE_HAS_TIMESTAMP = 0x01
 _NODE_HAS_WEAVE = 0x02
 _NODE_HAS_ALTERNATIVES = 0x04
+_NODE_CHILDREN_FRAMED = 0x08
 
 _ALT_HAS_TIMESTAMP = 0x01
 
@@ -89,6 +125,25 @@ def _codec_error(message: str):
     return CodecError(message)
 
 
+#: What a malformed body raises from the record decoder: its own
+#: checks, reads past the end, and the model's invariants (valid UTF-8,
+#: non-empty names, valid version ranges, sane nesting).
+_MALFORMED = (_Corrupt, IndexError, ValueError, OverflowError, RecursionError)
+
+
+def _typed_error(error: BaseException):
+    detail = "truncated record" if isinstance(error, IndexError) else error
+    return _codec_error(f"Corrupt xbin container: {detail}")
+
+
+def _typed(read: Callable, *args):
+    """Run one decoding step; every malformation leaves as a CodecError."""
+    try:
+        return read(*args)
+    except _MALFORMED as error:
+        raise _typed_error(error)
+
+
 # -- primitive encoding -------------------------------------------------------
 
 
@@ -103,20 +158,6 @@ def _write_varint(out: bytearray, value: int) -> None:
         else:
             out.append(byte)
             return
-
-
-def _write_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    _write_varint(out, len(data))
-    out.extend(data)
-
-
-def _write_intervals(out: bytearray, timestamp: VersionSet) -> None:
-    intervals = timestamp.intervals()
-    _write_varint(out, len(intervals))
-    for start, end in intervals:
-        _write_varint(out, start)
-        _write_varint(out, end - start)
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -137,101 +178,242 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
             raise _Corrupt("varint overflow")
 
 
-# -- name interning -----------------------------------------------------------
-
-
-class _Names:
-    """Write-side interning of tag / attribute / key-path names."""
-
-    __slots__ = ("ids", "ordered")
-
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self.ordered: list[str] = []
-
-    def intern(self, name: str) -> int:
-        found = self.ids.get(name)
-        if found is not None:
-            return found
-        index = len(self.ordered)
-        self.ids[name] = index
-        self.ordered.append(name)
-        return index
-
-    def to_bytes(self) -> bytearray:
-        out = bytearray()
-        _write_varint(out, len(self.ordered))
-        for name in self.ordered:
-            _write_str(out, name)
-        return out
-
-
 # -- the archive-node records -------------------------------------------------
 
 
-def _write_content(out: bytearray, names: _Names, item) -> None:
-    if isinstance(item, Text):
-        out.append(_CONTENT_TEXT)
-        _write_str(out, item.text)
-        return
-    out.append(_CONTENT_ELEMENT)
-    _write_varint(out, names.intern(item.tag))
-    # Element attributes keep *element* order (the model's order, which
-    # serialization preserves) — unlike archive-node attributes, which
-    # the archiver stores sorted.
-    _write_varint(out, len(item.attributes))
-    for attr in item.attributes:
-        _write_varint(out, names.intern(attr.name))
-        _write_str(out, attr.value)
-    _write_varint(out, len(item.children))
-    for child in item.children:
-        _write_content(out, names, child)
+class _NameIds(dict):
+    """Write-side interning of tag / attribute / key-path names: a
+    name's id is its insertion rank, so the table is ``list(self)``."""
+
+    def __missing__(self, name: str) -> int:
+        index = self[name] = len(self)
+        return index
 
 
-def _write_node(out: bytearray, names: _Names, node: ArchiveNode) -> None:
-    _write_varint(out, names.intern(node.label.tag))
-    flags = 0
-    if node.timestamp is not None:
-        flags |= _NODE_HAS_TIMESTAMP
-    if node.weave is not None:
-        flags |= _NODE_HAS_WEAVE
-    if node.alternatives is not None:
-        flags |= _NODE_HAS_ALTERNATIVES
-    out.append(flags)
-    _write_varint(out, len(node.label.key))
-    for path, value in node.label.key:
-        _write_varint(out, names.intern(path))
-        _write_str(out, value)
-    _write_varint(out, len(node.attributes))
-    for name, value in node.attributes:
-        _write_varint(out, names.intern(name))
-        _write_str(out, value)
-    if node.timestamp is not None:
-        _write_intervals(out, node.timestamp)
-    if node.weave is not None:
-        _write_varint(out, len(node.weave.segments))
-        for segment in node.weave.segments:
-            _write_intervals(out, segment.timestamp)
-            _write_varint(out, len(segment.lines))
-            for line in segment.lines:
-                _write_str(out, line)
-    if node.alternatives is not None:
-        _write_varint(out, len(node.alternatives))
-        for alternative in node.alternatives:
-            out.append(
-                _ALT_HAS_TIMESTAMP if alternative.timestamp is not None else 0
-            )
-            if alternative.timestamp is not None:
-                _write_intervals(out, alternative.timestamp)
-            _write_varint(out, len(alternative.content))
-            for item in alternative.content:
-                _write_content(out, names, item)
-    _write_varint(out, len(node.children))
-    for child in node.children:
-        _write_node(out, names, child)
+def _write_tree(archive: Archive) -> bytes:
+    """Encode an archive-mode body.
+
+    The hot loop of every append (each touched chunk is re-encoded
+    whole), so the output, the name table and the primitives live in one
+    closure's variables and a varint's common single-byte form is
+    appended inline.  A children block is framed in place: written
+    first, its length inserted before it once known.
+    """
+    out = bytearray()
+    append = out.append
+    extend = out.extend
+    ids = _NameIds()
+
+    def varint(value: int) -> None:
+        # ``append`` rejects a negative value as ``_write_varint`` does.
+        if value < 0x80:
+            append(value)
+        else:
+            _write_varint(out, value)
+
+    def string(text: str) -> None:
+        data = text.encode("utf-8")
+        varint(len(data))
+        extend(data)
+
+    def named_values(pairs) -> None:
+        varint(len(pairs))
+        for name, value in pairs:
+            varint(ids[name])
+            string(value)
+
+    def intervals(timestamp: VersionSet) -> None:
+        pairs = timestamp.intervals()
+        varint(len(pairs))
+        for start, end in pairs:
+            varint(start)
+            varint(end - start)
+
+    def content(item) -> None:
+        if isinstance(item, Text):
+            append(_CONTENT_TEXT)
+            string(item.text)
+            return
+        append(_CONTENT_ELEMENT)
+        varint(ids[item.tag])
+        # Element attributes keep *element* order (the model's order, which
+        # serialization preserves) — unlike archive-node attributes, which
+        # the archiver stores sorted.
+        varint(len(item.attributes))
+        for attr in item.attributes:
+            varint(ids[attr.name])
+            string(attr.value)
+        varint(len(item.children))
+        for child in item.children:
+            content(child)
+
+    def node(item: ArchiveNode) -> None:
+        label = item.label
+        timestamp = item.timestamp
+        weave = item.weave
+        alternatives = item.alternatives
+        varint(ids[label.tag])
+        flag_at = len(out)
+        append(
+            (_NODE_HAS_TIMESTAMP if timestamp is not None else 0)
+            | (_NODE_HAS_WEAVE if weave is not None else 0)
+            | (_NODE_HAS_ALTERNATIVES if alternatives is not None else 0)
+        )
+        # Most nodes have no key, no attributes or no children: a zero
+        # count, written without the call.
+        if label.key:
+            named_values(label.key)
+        else:
+            append(0)
+        if item.attributes:
+            named_values(item.attributes)
+        else:
+            append(0)
+        if timestamp is not None:
+            intervals(timestamp)
+        if weave is not None:
+            varint(len(weave.segments))
+            for segment in weave.segments:
+                intervals(segment.timestamp)
+                varint(len(segment.lines))
+                for line in segment.lines:
+                    string(line)
+        if alternatives is not None:
+            varint(len(alternatives))
+            for alternative in alternatives:
+                if alternative.timestamp is not None:
+                    append(_ALT_HAS_TIMESTAMP)
+                    intervals(alternative.timestamp)
+                else:
+                    append(0)
+                varint(len(alternative.content))
+                for piece in alternative.content:
+                    content(piece)
+        if not item.children:
+            append(0)
+            return
+        start = len(out)
+        children(item.children)
+        length = len(out) - start
+        if length >= FRAME_MIN_BYTES:
+            out[flag_at] |= _NODE_CHILDREN_FRAMED
+            if length < 0x80:
+                out.insert(start, length)
+            else:
+                frame = bytearray()
+                _write_varint(frame, length)
+                out[start:start] = frame
+
+    def children(nodes: list) -> None:
+        varint(len(nodes))
+        for child in nodes:
+            node(child)
+
+    root_timestamp = archive.root.timestamp
+    intervals(root_timestamp if root_timestamp is not None else VersionSet())
+    children(archive.root.children)
+    body = bytearray()
+    _write_varint(body, len(ids))
+    for name in ids:
+        encoded = name.encode("utf-8")
+        _write_varint(body, len(encoded))
+        body += encoded
+    body += out
+    return bytes(body)
 
 
-def _read_tree(data: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
+class _FirstTouch:
+    """``children`` of a decoded node that has none of its own yet.
+
+    A non-data descriptor: an instance's own ``children`` is found
+    before it, so it runs once per framed node — decoding the node's
+    children block under the chunk's lock (decoded chunks are shared
+    between threads through the chunk cache) and giving the instance
+    the list — and never for a node decoded whole.
+    """
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        block = node._block
+        if block is not None:  # else another thread got here first
+            lock, read, start, end = block
+            with lock:
+                if node._block is not None:
+                    try:
+                        node.children = read(start, end)
+                    except _MALFORMED as error:
+                        raise _typed_error(error)
+                    node._block = None  # lets go of the chunk body
+        return node.children
+
+
+class _DecodedNode(ArchiveNode):
+    """Every node this module decodes, pending or not.
+
+    A *pending* node has its head and ``_block`` — ``(chunk lock,
+    block reader, start, end)``, where its children block lies — and no
+    ``children`` until they are first read (:class:`_FirstTouch`).
+    From then on it is an ``ArchiveNode`` like any other to ``core/``
+    and ``query/``: same object, same fields.
+
+    One class for all of them, and no change of class on first touch:
+    CPython specialises attribute reads per class and instance layout,
+    so a tree of one kind of node reads as fast as one built by
+    ``ArchiveNode(...)``, while a tree mixing two kinds — or holding
+    nodes whose ``__class__`` was assigned, which un-inlines their
+    attributes — was measured 1.5-3x slower at every site that meets
+    both (7 % on a warm ``retrieve``).  What a node of this class keeps
+    paying is the unspecialised lookup of ``children`` itself (~10 ns);
+    a ``__getattr__`` in the descriptor's place un-specialises every
+    attribute of the class (60 -> 140 ns per node visited).
+
+    What a pending node holds on to: ``_block``'s reader is the chunk's
+    decode closure, so the chunk's whole decompressed body (about three
+    times its file) stays in memory until the *last* framed node of
+    that chunk has been touched.  A cached or writer-held tree that is
+    read only in part keeps the body beside it, and the chunk cache
+    budgets at-rest bytes, not this; ``fsck --deep``, ``recode`` or any
+    full walk releases it.
+    """
+
+    children = _FirstTouch()
+
+    def __init__(self, label, timestamp, attributes, alternatives, weave):
+        self.label = label
+        self.timestamp = timestamp
+        self.attributes = attributes
+        self.alternatives = alternatives
+        self.weave = weave
+
+    def __eq__(self, other):
+        # The dataclass's field-wise equality, across the two classes: a
+        # decoded node equals the ``ArchiveNode`` it pickles or copies as.
+        if not isinstance(other, ArchiveNode):
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __reduce_ex__(self, protocol):
+        # Pickles and copies as the plain, settled node it stands for.
+        return ArchiveNode, _fields(self)
+
+
+def _fields(node: ArchiveNode) -> tuple:
+    """``ArchiveNode``'s fields in declaration order (reading
+    ``children`` settles a pending node)."""
+    return (
+        node.label,
+        node.timestamp,
+        node.attributes,
+        node.children,
+        node.alternatives,
+        node.weave,
+    )
+
+
+def _read_tree(
+    data: bytes, version: int, token: Optional[Callable]
+) -> tuple[VersionSet, list[ArchiveNode]]:
     """Decode an archive-mode body: ``(root timestamp, top-level nodes)``.
 
     The hot loop of every cold read, so the cursor, the body and the
@@ -240,9 +422,16 @@ def _read_tree(data: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
     ``IndexError`` from the body itself (or a failed length check where
     a slice would silently shorten); the caller types it with every
     other malformation.
+
+    Framed children blocks are stepped over and left to the node
+    holding them, whose first ``children`` read calls back into this
+    closure's ``block`` — under ``lock``, because the cursor is shared.
+    Every child list sorts by ``token`` as it is built (``None``: stored
+    order).
     """
     size = len(data)
     pos = 0
+    lock = threading.Lock()
 
     def varint() -> int:
         nonlocal pos
@@ -297,6 +486,7 @@ def _read_tree(data: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
         return tuple([(name(), string()) for _ in range(count)]) if count else ()
 
     def node() -> ArchiveNode:
+        nonlocal pos
         tag = name()
         flags = varint()
         key = named_values()
@@ -324,23 +514,53 @@ def _read_tree(data: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
                 )
                 for _ in range(varint())
             ]
-        count = varint()
-        return ArchiveNode(
-            label=KeyLabel(tag=tag, key=key),
-            timestamp=timestamp,
-            attributes=attributes,
-            children=[node() for _ in range(count)] if count else [],
-            alternatives=alternatives,
-            weave=weave,
+        decoded = _DecodedNode(
+            KeyLabel(tag=tag, key=key), timestamp, attributes, alternatives, weave
         )
+        if flags & _NODE_CHILDREN_FRAMED:
+            if version < 2:
+                raise _Corrupt("framed children block in a version 1 container")
+            length = varint()
+            start = pos
+            pos = start + length
+            if pos > size:
+                raise _Corrupt("children block runs past the body")
+            decoded._block = (lock, block, start, pos)
+        elif data[pos]:
+            decoded.children = children()
+        else:  # no children (every frontier node): a zero count
+            pos += 1
+            decoded.children = []
+        return decoded
+
+    def children() -> list[ArchiveNode]:
+        count = varint()
+        nodes = [node() for _ in range(count)]
+        if count > 1 and token is not None:
+            nodes.sort(key=sort_key)
+        return nodes
+
+    def sort_key(child: ArchiveNode):
+        return token(child.label)
+
+    def block(start: int, end: int) -> list[ArchiveNode]:
+        nonlocal pos
+        pos = start
+        nodes = children()
+        if pos != end:
+            raise _Corrupt(
+                f"children block of {end - start} byte(s) ends at byte "
+                f"{pos - start}"
+            )
+        return nodes
 
     names = [string() for _ in range(varint())]
     name_count = len(names)
     root_timestamp = intervals()
-    children = [node() for _ in range(varint())]
+    top = children()
     if pos != size:
         raise _Corrupt(f"{size - pos} unread byte(s) after the node tree")
-    return root_timestamp, children
+    return root_timestamp, top
 
 
 # -- the container ------------------------------------------------------------
@@ -357,9 +577,10 @@ def _pack(body: bytes, flags: int) -> bytes:
     return bytes(out)
 
 
-def _unpack(data: bytes) -> tuple[int, bytes]:
-    """Validate the container; return ``(flags, decompressed body)``."""
-    if not data.startswith(XBIN_MAGIC):
+def _unpack(data: bytes) -> tuple[int, int, bytes]:
+    """Validate the container; return ``(version, flags, decompressed
+    body)``."""
+    if not data.startswith((XBIN_MAGIC, _MAGIC_V1)):
         raise _codec_error("Not an xbin container (bad magic)")
     try:
         crc, pos = _read_varint(data, len(XBIN_MAGIC))
@@ -384,7 +605,7 @@ def _unpack(data: bytes) -> tuple[int, bytes]:
             raise _Corrupt(f"body does not inflate: {error}")
     except _Corrupt as error:
         raise _codec_error(f"Corrupt xbin container: {error}")
-    return flags, body
+    return data[2], flags, body
 
 
 def encode_text_blob(text: str) -> bytes:
@@ -394,33 +615,8 @@ def encode_text_blob(text: str) -> bytes:
 
 def encode_archive(archive: Archive) -> bytes:
     """Serialize an in-memory archive straight from its node tree."""
-    names = _Names()
-    records = bytearray()
-    root_timestamp = archive.root.timestamp
-    _write_intervals(
-        records, root_timestamp if root_timestamp is not None else VersionSet()
-    )
-    _write_varint(records, len(archive.root.children))
-    for child in archive.root.children:
-        _write_node(records, names, child)
-    body = names.to_bytes()
-    body.extend(records)
     flags = _FLAG_COMPACTION if archive.options.compaction else 0
-    return _pack(bytes(body), flags)
-
-
-def _decode_tree(body: bytes) -> tuple[VersionSet, list[ArchiveNode]]:
-    try:
-        return _read_tree(body)
-    except _Corrupt as error:
-        raise _codec_error(f"Corrupt xbin container: {error}")
-    except IndexError:
-        raise _codec_error("Corrupt xbin container: truncated record")
-    except (ValueError, OverflowError, RecursionError) as error:
-        # Model invariants (valid UTF-8, non-empty names, valid version
-        # ranges, sane nesting) reject a crafted or damaged body as a
-        # typed error.
-        raise _codec_error(f"Corrupt xbin container: {error}")
+    return _pack(_write_tree(archive), flags)
 
 
 def decode_archive(
@@ -430,11 +626,12 @@ def decode_archive(
 
     The container's own compaction flag decides the frontier storage
     form, exactly like the ``storage=`` marker does for the XML path;
-    ``options`` supplies the remaining switches.  Children re-sort under
-    the effective options' order so a fingerprinting reader sees the
-    same tree :meth:`Archive.from_xml_string` would build.
+    ``options`` supplies the remaining switches.  Children sort under
+    the effective options' order as each list is decoded, so a
+    fingerprinting reader sees the same tree
+    :meth:`Archive.from_xml_string` would build.
     """
-    flags, body = _unpack(data)
+    version, flags, body = _unpack(data)
     if flags & _FLAG_TEXT:
         return Archive.from_xml_string(
             body.decode("utf-8"), spec, options
@@ -446,21 +643,11 @@ def decode_archive(
             fingerprinter=archive.options.fingerprinter,
             compaction=compaction,
         )
-    root_timestamp, children = _decode_tree(body)
-    archive.root.timestamp = root_timestamp
-    archive.root.children = children
     token = archive.options.merge_options().sort_token()
-    _sort_children(archive.root, token)
+    archive.root.timestamp, archive.root.children = _typed(
+        _read_tree, body, version, token
+    )
     return archive
-
-
-def _sort_children(node: ArchiveNode, token) -> None:
-    children = node.children
-    if len(children) > 1:
-        children.sort(key=lambda child: token(child.label))
-    for child in children:
-        if child.children:
-            _sort_children(child, token)
 
 
 def decode_document_text(data: bytes) -> str:
@@ -470,17 +657,16 @@ def decode_document_text(data: bytes) -> str:
     :meth:`Archive.to_xml_string`, so a round-trip of backend-written
     payloads is byte-identical — which is what lets ``fsck --deep``,
     recode verification and the stats paths treat xbin like any other
-    document codec.
+    document codec.  The walk reads every children block, so a
+    malformed one is reported here whoever else skipped it.
     """
     from ..xmltree.serializer import to_pretty_string
+    from .codec import CodecError  # local: codec.py imports this module
 
-    flags, body = _unpack(data)
+    version, flags, body = _unpack(data)
     if flags & _FLAG_TEXT:
-        try:
-            return body.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise _codec_error(f"Corrupt xbin container: {error}")
-    root_timestamp, children = _decode_tree(body)
+        return _typed(body.decode, "utf-8")
+    root_timestamp, children = _typed(_read_tree, body, version, None)
     wrapper = Element(T_TAG)
     wrapper.set_attribute(T_ATTR, root_timestamp.to_text())
     wrapper.set_attribute(
@@ -491,8 +677,10 @@ def decode_document_text(data: bytes) -> str:
     try:
         for child in children:
             _emit_node(child, root_element)
-    except ValueError as error:
-        raise _codec_error(f"Corrupt xbin container: {error}")
+    except CodecError:
+        raise  # a children block that failed on first touch: typed already
+    except (ValueError, RecursionError) as error:
+        raise CodecError(f"Corrupt xbin container: {error}")
     return to_pretty_string(wrapper)
 
 

@@ -52,6 +52,8 @@ class TestCodecRegistry:
         assert detect_codec(b"\x1f\x8b\x08") is GZIP
         assert detect_codec(XMILL_MAGIC + b"rest") is XMILL
         assert detect_codec(XBIN_MAGIC + b"rest") is XBIN
+        assert XBIN_MAGIC == b"XB\x02\x00"
+        assert detect_codec(b"XB\x01\x00rest") is XBIN  # version 1 stores
 
     def test_sniff_codec_missing_file_is_raw(self, tmp_path):
         assert sniff_codec(str(tmp_path / "nowhere")) is RAW

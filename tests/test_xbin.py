@@ -4,18 +4,27 @@ Random archived histories — including attribute-heavy, deeply nested
 and non-ASCII frontier content — must survive the parse-free binary
 round-trip with a byte-identical Fig. 5 re-emission, and any damaged
 container (truncated, bit-flipped, or wearing another codec's framing)
-must fail as a typed :class:`~repro.storage.codec.CodecError`.
+must fail as a typed :class:`~repro.storage.codec.CodecError`.  Framed
+children blocks are decoded on first touch: that must be invisible
+(same tree, same bytes, same value semantics, from any thread) and a
+malformed block must fail typed from whichever read reaches it.
 """
+
+import copy
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Archive, ArchiveOptions, Fingerprinter
+from repro.core.nodes import ArchiveNode
 from repro.data.company import company_key_spec
 from repro.storage import xbin
 from repro.storage.codec import CodecError, get_codec
-from repro.xmltree import Element, Text
+from repro.xmltree import Element, Text, to_string
 
 _names = st.sampled_from(["ann", "bob", "cat", "dän", "ève", "面"])
 _words = st.sampled_from(["10K", "20K", "ü — ₤", 'q"uo&te', "<amp>"])
@@ -106,16 +115,69 @@ def _fixed_archive() -> Archive:
     return archive
 
 
+def _pending(node) -> bool:
+    """Whether ``node``'s children block is still undecoded — asked of
+    the decoder's private mark, so asking decodes nothing."""
+    return getattr(node, "_block", None) is not None
+
+
+def _walk(node):
+    """Every node at or below ``node``; reads every children list."""
+    yield node
+    for child in node.children:
+        yield from _walk(child)
+
+
+def _shape(node):
+    """A node's whole subtree as a comparable value (frontier content
+    compares by its serialization: model nodes compare by identity)."""
+    alternatives = node.alternatives and [
+        (
+            alternative.timestamp,
+            [
+                item.text if isinstance(item, Text) else to_string(item)
+                for item in alternative.content
+            ],
+        )
+        for alternative in node.alternatives
+    ]
+    return (
+        node.label,
+        node.timestamp,
+        node.attributes,
+        alternatives,
+        node.weave,
+        [_shape(child) for child in node.children],
+    )
+
+
 class TestArchiveRoundTrip:
     @given(_version_sequences, _configurations)
     @settings(max_examples=40, deadline=None)
     def test_binary_round_trip_is_identity(self, states, options):
         archive = _build_archive(states, options)
         spec = company_key_spec()
-        decoded = xbin.decode_archive(
-            xbin.encode_archive(archive), spec, options
-        )
+        encoded = xbin.encode_archive(archive)
+        decoded = xbin.decode_archive(encoded, spec, options)
         assert decoded.to_xml_string() == archive.to_xml_string()
+        # Fully touched, the lazily decoded tree is the tree that was
+        # encoded — no pending node left, equal node for node — and it
+        # encodes to the same bytes.
+        assert _shape(decoded.root) == _shape(archive.root)
+        assert not any(map(_pending, _walk(decoded.root)))
+        assert xbin.encode_archive(decoded) == encoded
+
+    @given(_version_sequences, _configurations, _configurations)
+    @settings(max_examples=25, deadline=None)
+    def test_children_sort_under_the_readers_order(self, states, wrote, reads):
+        """A reader whose options order siblings differently (a
+        fingerprinter) gets every child list — eager or decoded on
+        first touch — in its own order, as the XML path builds it."""
+        archive = _build_archive(states, wrote)
+        spec = company_key_spec()
+        decoded = xbin.decode_archive(xbin.encode_archive(archive), spec, reads)
+        parsed = Archive.from_xml_string(archive.to_xml_string(), spec, reads)
+        assert _shape(decoded.root) == _shape(parsed.root)
 
     @given(_version_sequences, _configurations)
     @settings(max_examples=25, deadline=None)
@@ -133,6 +195,136 @@ class TestArchiveRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_text_blob_round_trip(self, text):
         assert xbin.decode_document_text(xbin.encode_text_blob(text)) == text
+
+
+def _wide_archive(records: int = 40) -> Archive:
+    """One department of ``records`` employees: a record list, and
+    records, long enough to be framed."""
+    archive = Archive(company_key_spec())
+    for salary in ("10K", "20K"):
+        db = Element("db")
+        dept = db.append(Element("dept"))
+        dept.append(Element("name")).append(Text("r&d"))
+        for number in range(records):
+            emp = dept.append(Element("emp"))
+            emp.append(Element("fn")).append(Text(f"first-{number:03d}"))
+            emp.append(Element("ln")).append(Text(f"last-{number:03d}"))
+            emp.append(Element("sal")).append(Text(salary))
+            emp.append(Element("tel")).append(Text(f"555-{number:04d}"))
+        archive.add_version(db)
+    return archive
+
+
+class TestChildrenOnFirstTouch:
+    def test_decode_builds_heads_and_touching_settles_them(self):
+        archive = _wide_archive()
+        decoded = xbin.decode_archive(
+            xbin.encode_archive(archive), company_key_spec()
+        )
+        (db,) = decoded.root.children
+        assert _pending(db) and db.label.tag == "db"
+        (dept,) = db.children
+        assert not _pending(db) and _pending(dept)
+        employees = [c for c in dept.children if c.label.tag == "emp"]
+        assert len(employees) == 40 and all(map(_pending, employees))
+        # A head carries what a lookup or a history needs.
+        assert employees[7].label.key == (("fn", "first-007"), ("ln", "last-007"))
+        assert dept.timestamp is None and decoded.root.timestamp.to_text() == "1-2"
+        assert [c.label.tag for c in employees[7].children] == [
+            "fn", "ln", "sal", "tel"
+        ]
+        assert sum(map(_pending, employees)) == 39
+        assert _shape(decoded.root) == _shape(archive.root)
+
+    def test_the_threshold_is_exact(self):
+        """A children block of FRAME_MIN_BYTES - 1 bytes decodes with
+        its parent; one byte more and it waits."""
+        spec = company_key_spec()
+        seen = {}
+        for pad in range(60):
+            archive = Archive(spec)
+            db = Element("db")
+            dept = db.append(Element("dept"))
+            dept.append(Element("name")).append(Text("n" * (1 + pad)))
+            archive.add_version(db)
+            decoded = xbin.decode_archive(xbin.encode_archive(archive), spec)
+            (db_node,) = decoded.root.children
+            (dept_node,) = db_node.children
+            # dept's block: count, then <name>: tag, flags, no key, no
+            # attributes, one untimestamped alternative of one text.
+            block = 1 + (1 + 1 + 1 + 1) + (1 + 1 + 1) + (1 + 1 + 1 + pad) + 1
+            seen[block] = _pending(dept_node)
+        assert seen[xbin.FRAME_MIN_BYTES - 1] is False
+        assert seen[xbin.FRAME_MIN_BYTES] is True
+        assert [size for size, framed in sorted(seen.items()) if framed] == [
+            size for size in sorted(seen) if size >= xbin.FRAME_MIN_BYTES
+        ]
+
+    def test_a_pending_node_pickles_and_copies_as_a_settled_one(self):
+        archive = _wide_archive(6)
+        spec = company_key_spec()
+        encoded = xbin.encode_archive(archive)
+        for clone in (
+            lambda node: pickle.loads(pickle.dumps(node)),
+            copy.deepcopy,
+            lambda node: copy.deepcopy(copy.copy(node)),
+        ):
+            (db,) = xbin.decode_archive(encoded, spec).root.children
+            assert _pending(db)
+            cloned = clone(db)
+            assert all(type(node) is ArchiveNode for node in _walk(cloned))
+            assert _shape(cloned) == _shape(archive.root.children[0])
+
+    def test_a_decoded_node_equals_the_plain_node_with_its_fields(self):
+        """Field-wise, as two ``ArchiveNode``s compare, whichever class
+        is on the left (frontier content compares by identity, hence
+        shallow copies)."""
+        (db,) = xbin.decode_archive(
+            xbin.encode_archive(_wide_archive(6)), company_key_spec()
+        ).root.children
+        plain = copy.copy(db)
+        plain.children = [copy.copy(child) for child in db.children]
+        assert type(plain) is type(plain.children[0]) is ArchiveNode
+        assert plain == db and db == plain
+        plain.children[0].attributes = (("a", "b"),)
+        assert plain != db and db != plain
+        assert db != "db"
+
+    def test_threads_touching_one_tree_first_see_one_tree(self):
+        """xarchd hands one cached decode to every request thread: first
+        touches racing on the same blocks must settle each block once."""
+        archive = _wide_archive(60)
+        spec = company_key_spec()
+        encoded = xbin.encode_archive(archive)
+        threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                decoded = xbin.decode_archive(encoded, spec)
+                barrier = threading.Barrier(threads)
+                seen, errors = [], []
+
+                def reader():
+                    try:
+                        barrier.wait(timeout=30)
+                        seen.append([id(n) for n in _walk(decoded.root)])
+                    except Exception as error:  # reported by the assert below
+                        errors.append(error)
+
+                workers = [threading.Thread(target=reader) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                assert not errors
+                assert len(seen) == threads
+                assert all(ids == seen[0] for ids in seen)
+                assert _shape(decoded.root) == _shape(archive.root)
+                assert not any(map(_pending, _walk(decoded.root)))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCorruptionDrills:
@@ -186,6 +378,24 @@ def _body(*, tag=_DB, content=_TEXT, children=_NO_CHILDREN, tail=b""):
     return _NAMES + _ROOT + b"\x01" + node + tail
 
 
+# The same store with <db> as an internal node whose children block —
+# one frontier child <x> holding "hi" — is framed.
+_INTERNAL_FRAMED = b"\x08\x00\x00"  # children-framed flag, no key, no attributes
+
+
+def _child(*, tag=b"\x01", content=_TEXT):
+    return tag + _FRONTIER + _ALTERNATIVE + content + _NO_CHILDREN
+
+
+_CHILD_BLOCK = b"\x01" + _child()
+
+
+def _framed_body(*, block=_CHILD_BLOCK, length=None, top=b"\x01", tail=b""):
+    length = len(block) if length is None else length
+    node = _DB + _INTERNAL_FRAMED + bytes([length]) + block
+    return _NAMES + _ROOT + top + node + tail
+
+
 class TestWellFramedMalformedBodies:
     """The crc only proves the bytes are the ones that were written;
     a body that is framed correctly but malformed inside must still
@@ -229,3 +439,116 @@ class TestWellFramedMalformedBodies:
                 xbin.decode_archive(
                     xbin._pack(body[:cut], 0), company_key_spec()
                 )
+
+    # -- framed children blocks: the same checks, on first touch ------------
+
+    def test_the_hand_built_framed_body_is_valid(self):
+        data = xbin._pack(_framed_body(), 0)
+        archive = xbin.decode_archive(data, company_key_spec())
+        (node,) = archive.root.children
+        assert _pending(node) and node.label.tag == "db"
+        (child,) = node.children
+        assert child.label.tag == "x"
+        assert child.alternatives[0].content[0].text == "hi"
+        assert "<x>hi</x>" in xbin.decode_document_text(data)
+
+    @pytest.mark.parametrize(
+        "body, fails_at_decode",
+        [
+            pytest.param(
+                _framed_body(length=len(_CHILD_BLOCK) + 1, tail=b"\x00"),
+                False,
+                id="length-too-long",
+            ),
+            pytest.param(
+                _framed_body(length=len(_CHILD_BLOCK) - 1),
+                True,
+                id="length-too-short",
+            ),
+            pytest.param(
+                # ... and the block's last byte plus the tail happen to
+                # read as a second top-level record.
+                _framed_body(
+                    length=len(_CHILD_BLOCK) - 1,
+                    top=b"\x02",
+                    tail=b"\x00\x00\x00\x00",
+                ),
+                False,
+                id="length-too-short-rest-parses",
+            ),
+            pytest.param(
+                _framed_body(length=0x7F), True, id="length-runs-past-the-body"
+            ),
+            pytest.param(
+                _framed_body(block=b"\x01" + _child(tag=b"\x05")),
+                False,
+                id="name-id-past-the-table",
+            ),
+            pytest.param(
+                _framed_body(block=b"\x01" + _child(content=b"\x00\x82")[:-1]),
+                False,
+                id="truncated-varint",
+            ),
+            pytest.param(
+                _framed_body(block=b"\x02" + _child()),
+                False,
+                id="missing-child-record",
+            ),
+            pytest.param(
+                _framed_body(block=b"\x01" + _child(content=b"\x00\x02\xff\xfe")),
+                False,
+                id="invalid-utf8",
+            ),
+        ],
+    )
+    def test_malformed_children_block_raises_codec_error(
+        self, body, fails_at_decode
+    ):
+        """Inside a crc-valid container, every malformation of a framed
+        block is a CodecError — at decode when the frame itself cannot
+        be stepped over, else from the read that first touches the
+        block, again on every later touch, and from the document walk
+        that fsck --deep and recode verification run."""
+        data = xbin._pack(body, 0)
+        spec = company_key_spec()
+        if fails_at_decode:
+            with pytest.raises(CodecError):
+                xbin.decode_archive(data, spec)
+        else:
+            node = next(
+                child
+                for child in xbin.decode_archive(data, spec).root.children
+                if _pending(child)
+            )
+            for _ in range(2):
+                with pytest.raises(CodecError, match="^Corrupt xbin container: (?!Corrupt)"):
+                    node.children
+                assert _pending(node)
+        with pytest.raises(CodecError, match="^Corrupt xbin container: (?!Corrupt)"):
+            xbin.decode_document_text(data)
+
+    def test_the_framed_bit_is_malformed_under_version_1(self):
+        v2 = xbin._pack(_framed_body(), 0)
+        v1 = b"XB\x01\x00" + v2[4:]
+        with pytest.raises(CodecError, match="version 1"):
+            xbin.decode_archive(v1, company_key_spec())
+        with pytest.raises(CodecError, match="version 1"):
+            xbin.decode_document_text(v1)
+        # ... and version 1 without the bit still decodes, eagerly.
+        v1 = b"XB\x01\x00" + xbin._pack(_body(), 0)[4:]
+        (node,) = xbin.decode_archive(v1, company_key_spec()).root.children
+        assert not _pending(node)
+
+    def test_an_unknown_version_byte_is_not_xbin(self):
+        data = xbin._pack(_body(), 0)
+        with pytest.raises(CodecError, match="bad magic"):
+            xbin.decode_archive(b"XB\x03\x00" + data[4:], company_key_spec())
+
+    def test_every_truncation_inside_a_framed_block_is_detected(self):
+        body = _framed_body()
+        for cut in range(len(body)):
+            data = xbin._pack(body[:cut], 0)
+            with pytest.raises(CodecError):
+                list(_walk(xbin.decode_archive(data, company_key_spec()).root))
+            with pytest.raises(CodecError):
+                xbin.decode_document_text(data)
