@@ -9,14 +9,14 @@ the two stay within a constant factor (the paper's 2k fallback bound).
 The repeat-read bench covers the hot read path end to end through the
 storage layer: a cold read pays the chunk decode, a warm read serves
 the decoded tree from the process-wide chunk cache.  Cold/warm p50 and
-p99 plus the hit ratio land in ``extra_info`` so committed
-``BENCH_retrieval.json`` baselines track the cache's effect; the
-acceptance bar is a ≥ 2× warm-over-cold p99 improvement.  A cold read
-of version 1 decodes the 40 records alive then, not the ~330 stored, so
-what the cache saves that read is the file read, SHA-256, inflate, the
-record heads and those 40 records: twelve runs measured p99 ratios of
-2.9–5.1× (median 4.2×; p50 4.3–5.7×), and the bar sits under the
-lowest.
+p99 plus the hit ratio land in ``extra_info`` and are printed; what is
+*asserted* is what the cache promises exactly, on any box: every warm
+read hits (ratio 1.0, no miss), and from the third read of a cached
+tree on nothing is decoded — the first read streams the blocks and
+keeps none, the second walks and keeps what version 1 needs, and the
+count of blocks still encoded never moves again.  (The wall-time ratio
+this test used to assert shrinks every time the cold path gets faster;
+``benchmarks/e2e`` is where timings are compared.)
 """
 
 import gc
@@ -75,8 +75,24 @@ def _percentile(samples, quantile):
     return ranked[int(quantile * (len(ranked) - 1))]
 
 
+def _encoded_blocks(handle) -> int:
+    """Children blocks the handle's cached chunk trees have not decoded
+    (told by the decoder's private mark: asking decodes nothing)."""
+    count = 0
+    for index in range(handle.part_count):
+        stack = list(handle.load_part(index).root.children)
+        while stack:
+            node = stack.pop()
+            if getattr(node, "_block", None) is None:
+                stack.extend(node.children)
+            else:
+                count += 1
+    return count
+
+
 def test_repeat_read_cache(benchmark, tmp_path):
-    """Cold (decode) vs warm (cached) repeat-read latency distributions."""
+    """Cold (decode) vs warm (cached) repeat reads: exact work asserted,
+    latency distributions printed."""
     path = os.path.join(str(tmp_path), "store")
     generator = OmimGenerator(
         seed=6,
@@ -109,11 +125,15 @@ def test_repeat_read_cache(benchmark, tmp_path):
             reset_chunk_cache()  # every cold sample re-decodes each chunk
             cold.append(timed_read())
         reset_chunk_cache()
-        timed_read()  # populate once; the timed warm reads all hit
+        timed_read()  # populates the cache; streams, builds no node
+        streamed = _encoded_blocks(handle)
+        timed_read()  # walks: decodes what version 1 needs, for good
+        settled = _encoded_blocks(handle)
         gc.collect()
         handle.cache_hits = handle.cache_misses = 0
         warm = [timed_read() for _ in range(100)]
         hits, misses = handle.cache_hits, handle.cache_misses
+        still_encoded = _encoded_blocks(handle)
     finally:
         gc.enable()
     handle.close()
@@ -139,11 +159,11 @@ def test_repeat_read_cache(benchmark, tmp_path):
     )
     # The timed region for the committed baseline: one warm read.
     benchmark.pedantic(timed_warm_read_factory(path), rounds=5, iterations=1)
-    # Acceptance bar: warm repeat reads are at least 2x faster at p99.
-    assert cold_p99 >= 2 * warm_p99, (
-        f"repeat-read p99 improved only {cold_p99 / warm_p99:.1f}x"
-    )
+    # Acceptance bar: every warm read is served from the cache, and
+    # after the second read of a tree no read decodes anything.
     assert misses == 0 and hits > 0
+    assert streamed == 4  # each chunk's record list: the first read built none
+    assert still_encoded == settled
 
 
 def timed_warm_read_factory(path):

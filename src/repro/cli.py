@@ -236,8 +236,8 @@ def cmd_get(args: argparse.Namespace) -> int:
             naive = backend.scan_probe_count(args.version)
             print(
                 f"probed {probes.total()} nodes "
-                f"({probes.tree_probes} tree, {probes.fallback_scans} fallback, "
-                f"{probes.short_scans} short-list scan); "
+                f"({probes.tree_probes} tree, {probes.fallback_scans} "
+                f"wide-list scan, {probes.short_scans} short-list scan); "
                 f"a full scan checks {naive}",
                 file=sys.stderr,
             )
@@ -569,7 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_get.add_argument(
         "--probes",
         action="store_true",
-        help="report timestamp-tree probe counts vs the full-scan baseline",
+        help=(
+            "report how many child timestamps the read checked (timestamp-"
+            "tree probes, and scans of short or still-encoded lists) vs the "
+            "full-scan baseline"
+        ),
     )
     p_get.add_argument("--keys")
     p_get.set_defaults(func=cmd_get)

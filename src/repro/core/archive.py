@@ -30,6 +30,14 @@ returns reference the archive's stored content nodes directly (the
 merge never mutates stored content in place, so the shared subtrees are
 stable), and a deep copy happens only when a caller that intends to
 mutate asks for one with ``copy_content=True``.
+
+A tree that came from a decoder may hold nodes whose children are still
+encoded (:meth:`~repro.core.nodes.ArchiveNode.children_at`).  The
+*first* ``retrieve`` such a tree serves asks those nodes for the
+version's elements directly and builds no archive node under them — a
+tree opened for one read is never built; every later ``retrieve`` walks
+``children`` as above, so a tree that is kept gets its nodes, timestamp
+trees and shared content on its second read and keeps them.
 """
 
 from __future__ import annotations
@@ -202,6 +210,12 @@ class Archive:
             label=KeyLabel(tag=ROOT_TAG, key=()), timestamp=VersionSet()
         )
         self._mutations = 0
+        #: Whether :meth:`retrieve` has served this tree yet.
+        self._retrieved = False
+        #: Size of the decoded container body this tree's pending nodes
+        #: read their children from (``xbin``; 0 when there is none).
+        #: Whoever holds the tree holds that body too, and budgets it.
+        self.body_bytes = 0
         self._trees: dict[int, _CachedTree] = {}
         self._child_tokens: dict[int, _CachedTokens] = {}
 
@@ -392,6 +406,11 @@ class Archive:
         probe counts when supplied.  The result shares frontier content
         with the archive unless ``copy_content=True`` (see the module
         docstring).
+
+        The first guided call on a tree reads children that are still
+        encoded straight into elements (module docstring); each list
+        read that way is scanned whole and counted as such in
+        ``probes``.  Any call after the first walks the node tree.
         """
         root_timestamp = self._root_timestamp()
         if version not in root_timestamp:
@@ -399,11 +418,13 @@ class Archive:
                 f"Version {version} is not in the archive "
                 f"(have {root_timestamp.to_text() or 'none'})"
             )
+        stream = guided and not self._retrieved
+        self._retrieved = True
         for child in self._select_children(
             self.root, version, root_timestamp, guided, probes
         ):
             rebuilt = self._reconstruct(
-                child, version, root_timestamp, guided, copy_content, probes
+                child, version, root_timestamp, guided, copy_content, probes, stream
             )
             if rebuilt is not None:
                 return rebuilt
@@ -435,6 +456,7 @@ class Archive:
         guided: bool = False,
         copy_content: bool = True,
         probes: Optional[ProbeCount] = None,
+        stream: bool = False,
     ) -> Optional[Element]:
         timestamp = node.effective_timestamp(inherited)
         if version not in timestamp:
@@ -458,9 +480,16 @@ class Archive:
                     # so the nodes are referenced, not deep-copied.
                     element.children.extend(alternative.content)
             return element
+        if stream:
+            streamed = node.children_at(version, probes)
+            if streamed is not None:
+                for child in streamed:
+                    child.parent = element
+                element.children = streamed
+                return element
         for child in self._select_children(node, version, timestamp, guided, probes):
             rebuilt = self._reconstruct(
-                child, version, timestamp, guided, copy_content, probes
+                child, version, timestamp, guided, copy_content, probes, stream
             )
             if rebuilt is not None:
                 element.append(rebuilt)

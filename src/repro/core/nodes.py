@@ -122,6 +122,14 @@ class ArchiveNode:
             stack.extend(node.children)
         return True
 
+    def children_at(self, version: int, probes=None) -> Optional[list[Element]]:
+        """The reconstructed children alive at ``version``, from a node
+        that can produce them without having child nodes built — a
+        decoder's node whose children are still encoded.  ``None`` here
+        and wherever ``children`` is the thing to walk; see
+        :meth:`repro.core.archive.Archive.retrieve`."""
+        return None
+
     def effective_timestamp(self, inherited: VersionSet) -> VersionSet:
         """This node's timestamp, inheriting from the parent when absent."""
         return self.timestamp if self.timestamp is not None else inherited

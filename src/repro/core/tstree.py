@@ -13,8 +13,15 @@ fewer than ``k`` of them, so child lists shorter than
 :meth:`repro.core.archive.Archive.relevant_children` scans them
 directly (``k`` probes, counted as ``ProbeCount.short_scans``) and
 builds, patches and searches trees only for wider lists.  The rule
-depends on the child count alone, so every retrieval of a node does —
-and counts — the same work.
+depends on the child count alone, so every retrieval that walks a node
+does — and counts — the same work.
+
+One retrieval does not walk.  The first one a decoded tree serves reads
+children that are still encoded straight off their block
+(:meth:`repro.core.archive.Archive.retrieve`) and tests every child's
+timestamp as it passes: ``k`` probes whatever ``k`` is, counted as
+``short_scans`` below the threshold and as ``fallback_scans`` from it
+on — such a list has no tree yet, and that read builds none.
 
 This module holds the tree structure plus the build/patch/search
 primitives; :class:`repro.core.archive.Archive` owns a lazily-built
@@ -69,10 +76,12 @@ class ProbeCount:
     """Probe accounting for the retrieval cost analysis.
 
     ``tree_probes`` counts timestamp-tree nodes examined,
-    ``fallback_scans`` leaves scanned because a search (or a
-    ``guided=False`` reference retrieval) gave up on the tree, and
-    ``short_scans`` children of lists too short to have a tree
-    (:data:`TREE_MIN_CHILDREN`) — by design, not a budget spill.
+    ``fallback_scans`` children scanned where a tree could have been
+    asked — a search gave up on it, a ``guided=False`` reference
+    retrieval never asks, or the list was still encoded and a first
+    retrieval read it whole — and ``short_scans`` children of lists
+    too short to have a tree (:data:`TREE_MIN_CHILDREN`): by design,
+    not a budget spill, whoever scans them.
     """
 
     tree_probes: int = 0

@@ -484,8 +484,10 @@ class StorageBackend(abc.ABC):
     def _cached(self, part, size: int, decode: Callable[[], Archive]) -> Archive:
         """One part's decoded tree (``size`` bytes at rest), shared
         through the decoded-chunk cache when the part has a
-        :meth:`_cache_key`.  What comes back is then shared with other
-        readers: fine for every read, never for mutation."""
+        :meth:`_cache_key` — costed there at ``size`` plus the decoded
+        body the tree keeps alive (``Archive.body_bytes``).  What comes
+        back is then shared with other readers: fine for every read,
+        never for mutation."""
         key = self._cache_key(part)
         if key is None:
             return decode()
@@ -496,7 +498,7 @@ class StorageBackend(abc.ABC):
             return archive
         self.cache_misses += 1
         archive = decode()
-        cache.put(key, archive, size)
+        cache.put(key, archive, size + archive.body_bytes)
         return archive
 
     def _handle_counters(self, stats: ArchiveStats) -> ArchiveStats:

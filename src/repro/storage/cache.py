@@ -35,9 +35,11 @@ cache's ``max_bytes`` (so ``REPRO_CHUNK_CACHE_BYTES=0`` turns both
 off), but in an account of its own: they are not entries here and
 evict nothing.
 
-Knobs: ``REPRO_CHUNK_CACHE_BYTES`` caps the budget (approximate, costed
-by each entry's at-rest payload size; default 256 MiB), ``0`` disables
-caching entirely.
+Knobs: ``REPRO_CHUNK_CACHE_BYTES`` caps the budget (approximate: an
+entry costs its at-rest payload size plus the decoded container body
+its tree keeps alive — ``Archive.body_bytes``, the larger part for an
+``xbin`` chunk with blocks still unread; default 256 MiB), ``0``
+disables caching entirely.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ CacheKey = tuple[str, Hashable, Hashable]
 class DecodedChunkCache:
     """A thread-safe, size-bounded LRU of decoded chunk archives.
 
-    ``cost`` is the entry's at-rest payload size — a stable, already
-    known proxy for the decoded tree's footprint (the decoded form is
-    larger by a roughly constant factor, so relative budgeting is
-    preserved without walking trees to measure them).
+    ``cost`` is what the caller knows the entry holds without walking
+    it: the at-rest payload size — a stable proxy for the decoded
+    tree's footprint (the decoded form is larger by a roughly constant
+    factor, so relative budgeting is preserved) — plus any encoded
+    body the tree still reads from.  Set at ``put``, never re-costed.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:

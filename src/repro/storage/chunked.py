@@ -210,8 +210,9 @@ class ChunkedArchiver(StorageBackend):
     and only when the verified checksum is the held one.  Held trees
     are private to the handle — they never enter the shared
     :func:`~repro.storage.cache.chunk_cache`, and reads through this
-    handle do not use them — are costed by at-rest size against that
-    cache's budget, and are dropped by ``close()``, ``drop_caches()``,
+    handle do not use them — are costed like its entries (at-rest size
+    plus the body the tree was decoded from) against that cache's
+    budget, and are dropped by ``close()``, ``drop_caches()``,
     ``ingest_batch``, ``recode`` and any failed write (see
     :func:`~repro.storage.backend.mutation`).
     """
@@ -498,7 +499,7 @@ class ChunkedArchiver(StorageBackend):
                 archive = self._load_chunk(index, for_write=True)
                 total.accumulate(archive.add_version(part))
                 staged = self._put_chunk(txn, index, archive)
-                room -= staged["bytes"]
+                room -= staged["bytes"] + archive.body_bytes
                 if room >= 0:
                     merged[index] = (staged["sha256"], archive)
             txn.put(self._meta_path(), str(number))

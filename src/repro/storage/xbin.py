@@ -46,6 +46,21 @@ than :data:`FRAME_MIN_BYTES` are not framed and decode with their
 parent.  Version 1 containers (``XB\\x01\\x00``, written before the flag
 existed) never carry it, so the same decoder reads them whole.
 
+So a block is read in one of three ways, all by the one reader closure
+of :func:`_read_tree`: with its parent (unframed, or version 1); on the
+first read of ``children``, into archive nodes that stay; or *at a
+version* (:meth:`_DecodedNode.children_at`), straight into the elements
+(:class:`~repro.xmltree.model.Element`) of the children alive then —
+timestamps tested as they are read, dead nodes' frames and content
+stepped over by their lengths, nothing kept and the node left pending.
+The third is what the first ``retrieve`` of a decoded tree uses
+(:meth:`repro.core.archive.Archive.retrieve`): a tree opened for one
+read is never built.  It makes every check the other two make on the
+bytes it reads — name ids, string bounds, content types, frame lengths,
+UTF-8 — but decodes no string it does not return and never enters a
+dead node's frame; the full walk (``fsck --deep``, ``recode``) is what
+checks everything.
+
 A *text-mode* body is a plain UTF-8 document blob — the fallback for
 ``encode_document`` callers that hold only text (no key spec to build
 nodes from); ``decode_document`` handles both modes transparently.
@@ -73,7 +88,9 @@ from ..core.archive import (
     Archive,
     ArchiveOptions,
 )
+from ..core.compaction import lines_to_content
 from ..core.nodes import Alternative, ArchiveNode, Weave, WeaveSegment
+from ..core.tstree import TREE_MIN_CHILDREN, ProbeCount
 from ..core.versionset import VersionSet
 from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
@@ -337,7 +354,7 @@ class _FirstTouch:
             return self
         block = node._block
         if block is not None:  # else another thread got here first
-            lock, read, start, end = block
+            lock, read, _read_at, start, end = block
             with lock:
                 if node._block is not None:
                     try:
@@ -352,8 +369,10 @@ class _DecodedNode(ArchiveNode):
     """Every node this module decodes, pending or not.
 
     A *pending* node has its head and ``_block`` — ``(chunk lock,
-    block reader, start, end)``, where its children block lies — and no
-    ``children`` until they are first read (:class:`_FirstTouch`).
+    block reader, version-directed block reader, start, end)``, where
+    its children block lies — and no ``children`` until they are first
+    read (:class:`_FirstTouch`); :meth:`children_at` reads the block
+    without settling the node.
     From then on it is an ``ArchiveNode`` like any other to ``core/``
     and ``query/``: same object, same fields.
 
@@ -368,16 +387,19 @@ class _DecodedNode(ArchiveNode):
     a ``__getattr__`` in the descriptor's place un-specialises every
     attribute of the class (60 -> 140 ns per node visited).
 
-    What a pending node holds on to: ``_block``'s reader is the chunk's
-    decode closure, so the chunk's whole decompressed body (about three
-    times its file) stays in memory until the *last* framed node of
-    that chunk has been touched.  A cached or writer-held tree that is
-    read only in part keeps the body beside it, and the chunk cache
-    budgets at-rest bytes, not this; ``fsck --deep``, ``recode`` or any
-    full walk releases it.
+    What a pending node holds on to: ``_block``'s readers are the
+    chunk's decode closure, so the chunk's whole decompressed body
+    (about three times its file) stays in memory until the *last*
+    framed node of that chunk has been touched — and a first
+    ``retrieve`` touches none.  :func:`decode_archive` records the
+    body's size on the tree (``Archive.body_bytes``) and whoever keeps
+    the tree — the chunk cache, a writer between appends — budgets it
+    beside the at-rest bytes; ``fsck --deep``, ``recode`` or any full
+    walk releases the body itself.
     """
 
     children = _FirstTouch()
+    _block = None  # what every node but a pending one sees
 
     def __init__(self, label, timestamp, attributes, alternatives, weave):
         self.label = label
@@ -385,6 +407,22 @@ class _DecodedNode(ArchiveNode):
         self.attributes = attributes
         self.alternatives = alternatives
         self.weave = weave
+
+    def children_at(
+        self, version: int, probes: Optional[ProbeCount] = None
+    ) -> Optional[list[Element]]:
+        """A pending node's children block read straight into the
+        elements alive at ``version`` — under the chunk's lock, like a
+        first touch, but building no node: the node stays pending."""
+        block = self._block
+        if block is None:
+            return None
+        lock, _read, read_at, start, end = block
+        with lock:
+            try:
+                return read_at(start, end, version, probes)
+            except _MALFORMED as error:
+                raise _typed_error(error)
 
     def __eq__(self, other):
         # The dataclass's field-wise equality, across the two classes: a
@@ -525,7 +563,7 @@ def _read_tree(
             pos = start + length
             if pos > size:
                 raise _Corrupt("children block runs past the body")
-            decoded._block = (lock, block, start, pos)
+            decoded._block = (lock, block, block_at, start, pos)
         elif data[pos]:
             decoded.children = children()
         else:  # no children (every frontier node): a zero count
@@ -543,16 +581,195 @@ def _read_tree(
     def sort_key(child: ArchiveNode):
         return token(child.label)
 
-    def block(start: int, end: int) -> list[ArchiveNode]:
+    def framed(start: int, end: int, read: Callable, *args) -> list:
+        """What ``read`` makes of the children block at ``start``, which
+        must end where its frame said."""
         nonlocal pos
         pos = start
-        nodes = children()
+        found = read(*args)
         if pos != end:
             raise _Corrupt(
                 f"children block of {end - start} byte(s) ends at byte "
                 f"{pos - start}"
             )
-        return nodes
+        return found
+
+    def block(start: int, end: int) -> list[ArchiveNode]:
+        return framed(start, end, children)
+
+    # -- the version-directed pass: a block straight to ``Element``s ----------
+    #
+    # Never reached in a version 1 container: it has no framed block,
+    # so no pending node to ask for one.
+
+    def skip_string() -> None:
+        nonlocal pos
+        length = varint()  # moves ``pos``: never ``pos += varint()``
+        pos += length
+        if pos > size:
+            raise _Corrupt("truncated string")
+
+    def skip_named_values() -> None:
+        for _ in range(varint()):
+            name()
+            skip_string()
+
+    def holds(at: int) -> bool:
+        """``at in intervals()`` without the set (``at=0``: step over)."""
+        found = False
+        for _ in range(varint()):
+            start = varint()
+            if not start:
+                raise _Corrupt("Version numbers are positive, got 0")
+            end = start + varint()
+            if start <= at <= end:
+                found = True
+        return found
+
+    def skip_content() -> None:
+        kind = varint()
+        if kind == _CONTENT_TEXT:
+            if not data[pos]:
+                raise _Corrupt("empty text record")
+            skip_string()
+            return
+        if kind != _CONTENT_ELEMENT:
+            raise _Corrupt(f"unknown content record type {kind}")
+        name()
+        skip_named_values()
+        for _ in range(varint()):
+            skip_content()
+
+    def skip_children(flags: int) -> None:
+        """Step over a children block: a framed one by its length."""
+        nonlocal pos
+        if flags & _NODE_CHILDREN_FRAMED:
+            length = varint()
+            pos += length
+            if pos > size:
+                raise _Corrupt("children block runs past the body")
+            return
+        for _ in range(varint()):
+            name()
+            flags = varint()
+            skip_named_values()
+            skip_named_values()
+            if flags & _NODE_HAS_TIMESTAMP:
+                holds(0)
+            skip_sections(flags)
+
+    def skip_sections(flags: int) -> None:
+        """Step over what follows a dead node's timestamp."""
+        if flags & _NODE_HAS_WEAVE:
+            for _ in range(varint()):
+                holds(0)
+                for _ in range(varint()):
+                    skip_string()
+        if flags & _NODE_HAS_ALTERNATIVES:
+            for _ in range(varint()):
+                if varint() & _ALT_HAS_TIMESTAMP:
+                    holds(0)
+                for _ in range(varint()):
+                    skip_content()
+        skip_children(flags)
+
+    def alive(at: int, probes) -> list[Element]:
+        """A children block as the elements of the children alive at
+        version ``at`` — what ``Archive._reconstruct`` makes of the
+        nodes :func:`children` would build, in the same order.
+
+        The caller's node is alive, so a child that stores no timestamp
+        is too; everything under a dead child is stepped over.
+        """
+        nonlocal pos
+        count = varint()
+        if probes is not None:
+            if count < TREE_MIN_CHILDREN:
+                probes.short_scans += count
+            else:
+                probes.fallback_scans += count
+        ordered = count > 1 and token is not None
+        elements = []
+        tokens = []
+        for _ in range(count):
+            tag = name()
+            flags = varint()
+            # Most nodes have no key and no attributes: a zero count.
+            if data[pos]:
+                key = named_values()
+            else:
+                pos += 1
+                key = ()
+            if data[pos]:
+                attributes = named_values()
+            else:
+                pos += 1
+                attributes = ()
+            if flags & _NODE_HAS_TIMESTAMP and not holds(at):
+                skip_sections(flags)
+                continue
+            if ordered:
+                tokens.append(label_token(tag, key))
+            element = Element(tag)
+            for attribute, value in attributes:
+                element.set_attribute(attribute, value)
+            if flags & _NODE_HAS_WEAVE:
+                lines: list[str] = []
+                for _ in range(varint()):
+                    if holds(at):
+                        lines.extend([string() for _ in range(varint())])
+                    else:
+                        for _ in range(varint()):
+                            skip_string()
+                for piece in lines_to_content(lines):
+                    element.append(piece)
+            if flags & _NODE_HAS_ALTERNATIVES:
+                # The first alternative current at ``at``; a weave wins.
+                wanted = not flags & _NODE_HAS_WEAVE
+                for _ in range(varint()):
+                    current = not varint() & _ALT_HAS_TIMESTAMP or holds(at)
+                    if current and wanted:
+                        wanted = False
+                        adopt(element, [content() for _ in range(varint())])
+                    else:
+                        for _ in range(varint()):
+                            skip_content()
+            if flags & (_NODE_HAS_WEAVE | _NODE_HAS_ALTERNATIVES):
+                # A frontier node's children are never read (and it
+                # has none: a zero count).
+                if flags & _NODE_CHILDREN_FRAMED or data[pos]:
+                    skip_children(flags)
+                else:
+                    pos += 1
+            elif flags & _NODE_CHILDREN_FRAMED:
+                length = varint()
+                adopt(element, block_at(pos, pos + length, at, probes))
+            else:
+                adopt(element, alive(at, probes))
+            elements.append(element)
+        if ordered and len(elements) > 1:
+            order = sorted(range(len(tokens)), key=tokens.__getitem__)
+            elements = [elements[index] for index in order]
+        return elements
+
+    def adopt(element: Element, pieces: list) -> None:
+        for piece in pieces:
+            piece.parent = element
+        element.children = pieces
+
+    if token is KeyLabel.sort_token:
+        # ``token(KeyLabel(tag, key))`` without building the label.
+
+        def label_token(tag: str, key: tuple):
+            return (tag, len(key), key)
+
+    else:
+
+        def label_token(tag: str, key: tuple):
+            return token(KeyLabel(tag=tag, key=key))
+
+    def block_at(start: int, end: int, at: int, probes) -> list[Element]:
+        return framed(start, end, alive, at, probes)
 
     names = [string() for _ in range(varint())]
     name_count = len(names)
@@ -647,6 +864,8 @@ def decode_archive(
     archive.root.timestamp, archive.root.children = _typed(
         _read_tree, body, version, token
     )
+    if version >= 2:  # framed blocks: pending nodes keep ``body`` alive
+        archive.body_bytes = len(body)
     return archive
 
 

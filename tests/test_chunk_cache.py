@@ -148,6 +148,75 @@ class TestHitAfterRead:
         backend.close()
 
 
+class TestWhatAnEntryCosts:
+    """A decoded ``xbin`` tree with blocks still unread keeps its
+    chunk's inflated body alive (a first retrieve leaves every block
+    unread), so the budget has to count the body, not just the file."""
+
+    @pytest.fixture
+    def omim(self, tmp_path):
+        """A three-chunk ``xbin`` store of OMIM records: chunks big
+        enough to have framed blocks, which company's few do not."""
+        from repro.data import OmimGenerator
+        from repro.data.omim import OMIM_KEY_TEXT
+
+        path = str(tmp_path / "omim")
+        backend = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=3, codec="xbin"
+        )
+        backend.ingest_batch(
+            OmimGenerator(seed=4, initial_records=9).generate_versions(3)
+        )
+        backend.close()
+        return path
+
+    def sums(self, path):
+        """Bytes of the store's chunk files; those plus their bodies."""
+        from repro.storage import xbin
+
+        handle = open_archive(path)
+        payloads = [
+            handle.read_part_payload(index)
+            for index in range(handle.part_count)
+            if handle.part_exists(index)
+        ]
+        handle.close()
+        assert len(payloads) > 1
+        at_rest = sum(len(payload) for payload in payloads)
+        bodies = sum(len(xbin._unpack(payload)[2]) for payload in payloads)
+        return at_rest, at_rest + bodies
+
+    def test_an_xbin_entry_costs_its_file_plus_its_body(self, omim):
+        path = omim
+        at_rest, held = self.sums(path)
+        assert held > 2 * at_rest  # the body is the larger part
+        reader = open_archive(path, cache_reads=True)
+        retrievals(reader)
+        assert chunk_cache().used_bytes == held
+        reader.close()
+
+    def test_a_budget_between_the_two_sums_evicts(self, omim):
+        path = omim
+        at_rest, held = self.sums(path)
+        cache = reset_chunk_cache((at_rest + held) // 2)
+        reader = open_archive(path, cache_reads=True)
+        expected = retrievals(reader)  # still right, whatever was evicted
+        assert cache.evictions > 0 and cache.used_bytes <= cache.max_bytes
+        reader.close()
+        reset_chunk_cache(0)
+        bare = open_archive(path, cache_reads=True)
+        assert retrievals(bare) == expected
+        bare.close()
+
+    @pytest.mark.parametrize("codec", ["raw", "gzip", "xmill"])
+    def test_a_text_codec_entry_keeps_no_body(self, tmp_path, versions, codec):
+        path = build(tmp_path, "file", codec, versions)
+        reader = open_archive(path, cache_reads=True)
+        reader.retrieve(1)
+        assert chunk_cache().used_bytes == os.path.getsize(path)
+        reader.close()
+
+
 class TestInvalidation:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_foreign_write_bumps_token(self, tmp_path, versions, kind):

@@ -21,6 +21,7 @@ from repro.storage import (
     parallel,
     restore_key_order,
 )
+from repro.storage import xbin
 from repro.storage.cache import chunk_cache, reset_chunk_cache
 from repro.storage.chunked import concatenate_parts
 from repro.storage.codec import get_codec
@@ -422,8 +423,10 @@ class TestAppendsOnOneHandle:
         assert handle.last_version == 1
 
     def test_budget_bounds_what_is_held(self, tmp_path, churn, monkeypatch):
-        """Held trees are costed by at-rest bytes against the decoded-chunk
-        cache's budget; ``0`` turns them off like it turns the cache off."""
+        """Held trees are costed against the decoded-chunk cache's budget
+        like its entries — at-rest bytes plus the inflated body the tree
+        was decoded from; ``0`` turns them off like it turns the cache
+        off."""
         path = str(tmp_path / "s")
         handle = create_archive(
             path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS, codec="xbin"
@@ -435,12 +438,19 @@ class TestAppendsOnOneHandle:
                 handle.add_version(_copy(version))
                 assert handle._held == {}
             assert len(decodes) == 2 * CHUNKS  # the first append created them
-            sizes = [
+            sizes = []
+            for index in range(CHUNKS):
+                payload = handle.read_part_payload(index)
+                _version, _flags, body = xbin._unpack(payload)
+                sizes.append(len(payload) + len(body))
+            # Room for two chunks (and their growth), not for three —
+            # though the files alone, a quarter of that, would all fit.
+            budget = sizes[0] + sizes[1] + sizes[2] // 2
+            assert budget > sum(
                 os.path.getsize(os.path.join(path, f"chunk-{index:04d}.xml"))
                 for index in range(CHUNKS)
-            ]
-            # Room for two chunks (and their growth), not for three.
-            reset_chunk_cache(sizes[0] + sizes[1] + sizes[2] // 2)
+            )
+            reset_chunk_cache(budget)
             handle.add_version(_copy(churn[3]))
             assert sorted(handle._held) == [0, 1]
             del decodes[:]

@@ -507,14 +507,19 @@ class TestWellFramedMalformedBodies:
         """Inside a crc-valid container, every malformation of a framed
         block is a CodecError — at decode when the frame itself cannot
         be stepped over, else from the read that first touches the
-        block, again on every later touch, and from the document walk
-        that fsck --deep and recode verification run."""
+        block (a first ``retrieve`` streaming it included), again on
+        every later touch, and from the document walk that fsck --deep
+        and recode verification run."""
         data = xbin._pack(body, 0)
         spec = company_key_spec()
         if fails_at_decode:
             with pytest.raises(CodecError):
                 xbin.decode_archive(data, spec)
         else:
+            archive = xbin.decode_archive(data, spec)
+            for _streamed_then_walked in range(2):
+                with pytest.raises(CodecError, match="^Corrupt xbin container: (?!Corrupt)"):
+                    archive.retrieve(1)
             node = next(
                 child
                 for child in xbin.decode_archive(data, spec).root.children
@@ -526,6 +531,30 @@ class TestWellFramedMalformedBodies:
                 assert _pending(node)
         with pytest.raises(CodecError, match="^Corrupt xbin container: (?!Corrupt)"):
             xbin.decode_document_text(data)
+
+    def test_a_streamed_read_checks_what_it_returns_the_walk_everything(self):
+        """A record that died before the version asked for is stepped
+        over by its lengths: damage inside it is the walk's to find."""
+        dead = (
+            b"\x01\x05\x00\x00"  # <x>, timestamped + alternatives, no key/attrs
+            + b"\x01\x02\x00"  # alive at version 2 only
+            + _ALTERNATIVE
+            + b"\x00\x02\xff\xfe"  # its text is not UTF-8
+            + _NO_CHILDREN
+        )
+        block = b"\x02" + _child() + dead
+        node = _DB + _INTERNAL_FRAMED + bytes([len(block)]) + block
+        body = _NAMES + b"\x01\x01\x01" + b"\x01" + node  # versions 1-2
+        data = xbin._pack(body, 0)
+        spec = company_key_spec()
+        first = xbin.decode_archive(data, spec).retrieve(1)
+        assert to_string(first) == "<db><x>hi</x></db>"
+        with pytest.raises(CodecError, match="utf-8|UTF-8"):
+            xbin.decode_archive(data, spec).retrieve(2)
+        with pytest.raises(CodecError):
+            xbin.decode_document_text(data)
+        with pytest.raises(CodecError):
+            list(_walk(xbin.decode_archive(data, spec).root))
 
     def test_the_framed_bit_is_malformed_under_version_1(self):
         v2 = xbin._pack(_framed_body(), 0)

@@ -1,10 +1,11 @@
 """``xbin`` version 2 through whole stores.
 
 Three things the container-level suite (``test_xbin.py``) cannot show:
-that a query on a fresh handle really leaves the blocks it does not
-need undecoded; that a children block which is malformed inside a crc-
-and SHA-valid chunk fails typed from whichever surface first reads it
-(and only from those that do); and that stores written before the
+that a read on a fresh handle really leaves the blocks it does not
+need undecoded (and a first ``retrieve`` all of them); that a children
+block which is malformed inside a crc- and SHA-valid chunk fails typed
+from whichever surface first reads it — streamed or walked — (and only
+from those that do); and that stores written before the
 format gained framed blocks — ``tests/fixtures/xbin_v1`` — still open,
 scrub, answer identically and accept appends.
 """
@@ -121,15 +122,40 @@ class TestAReadDecodesWhatItTouches:
             assert pending["Contributors"] and not settled["Contributors"]
         handle.close()
 
-    def test_retrieve_settles_everything_alive(self, store):
+    def test_first_retrieve_settles_nothing_it_streams(self, store):
         path, versions = store
         handle = open_archive(path, recover=False)
         document = handle.retrieve(4)
         assert sorted(nums(document)) == sorted(nums(versions[3]))
         for index in range(handle.part_count):
             settled, pending = census(handle.load_part(index))
+            # The record list itself is a framed block: not one node
+            # below the chunk's shell was built.
+            assert not settled and pending == {"ROOT": 1}
+        handle.close()
+
+    def test_second_retrieve_settles_everything_alive(self, store):
+        path, versions = store
+        handle = open_archive(path, recover=False)
+        first = handle.retrieve(4)
+        second = handle.retrieve(4)
+        assert to_pretty_string(second) == to_pretty_string(first)
+        for index in range(handle.part_count):
+            settled, pending = census(handle.load_part(index))
+            assert settled["Record"]
             # Only records that died before version 4 may stay behind.
             assert set(pending) <= {"Record"}
+        handle.close()
+
+    def test_first_retrieve_streams_only_what_is_still_pending(self, store):
+        path, versions = store
+        handle = open_archive(path, recover=False)
+        db = repro.open(handle)
+        db.at(4).select(DENSE).all()  # settles records, not Contributors
+        before = [census(handle.load_part(index)) for index in range(2)]
+        document = handle.retrieve(4)
+        assert [census(handle.load_part(index)) for index in range(2)] == before
+        assert to_pretty_string(handle.retrieve(4)) == to_pretty_string(document)
         handle.close()
 
 
@@ -158,7 +184,7 @@ def break_one_record(store: str, index: int) -> str:
     version, flags, body = xbin._unpack(payload)
     (root,) = xbin.decode_archive(payload, spec).root.children
     victim = root.children[1]
-    _lock, _read, start, _end = victim._block
+    _lock, _read, _read_at, start, _end = victim._block
     damaged = bytearray(body)
     assert damaged[start] < 0x80  # a one-byte child count, then a tag id
     damaged[start + 1] = 0x7F
@@ -189,6 +215,23 @@ class TestAMalformedBlockInAValidChunk:
             db.history(f"/ROOT/Record[Num={victim}]/Title")
         handle.close()
 
+    def test_a_first_retrieve_over_it_raises_typed_and_builds_nothing(
+        self, damaged
+    ):
+        """The streamed read meets the damage inside the chunk's lock
+        and its own pass; it fails as typed as the walk after it."""
+        path, versions, victim = damaged
+        handle = open_archive(path, recover=False)
+        with pytest.raises(CodecError, match="^Corrupt xbin container: name id 127"):
+            handle.retrieve(4)
+        settled, pending = census(handle.load_part(0))
+        assert not settled and pending == {"ROOT": 1}
+        with pytest.raises(CodecError, match="^Corrupt xbin container: name id 127"):
+            handle.retrieve(4)
+        settled, pending = census(handle.load_part(0))
+        assert settled["Record"] and pending["Record"]  # the walk got that far
+        handle.close()
+
     def test_reads_that_do_not_touch_it_answer(self, damaged):
         path, versions, victim = damaged
         handle = open_archive(path, recover=False)
@@ -209,12 +252,13 @@ class TestAMalformedBlockInAValidChunk:
     def test_skip_policy_serves_the_healthy_chunk(self, damaged):
         path, versions, victim = damaged
         handle = open_archive(path, recover=False, on_corrupt="skip")
-        document = handle.retrieve(4)
-        assert handle.chunks_skipped_corrupt == 1
-        served = nums(document)
-        assert served == sorted(
+        healthy = sorted(
             num for num in nums(versions[3]) if owner_of(handle, num) == 1
         )
+        # The first retrieve streams, the second walks: both skip.
+        for skipped in (1, 2):
+            assert nums(handle.retrieve(4)) == healthy
+            assert handle.chunks_skipped_corrupt == skipped
         handle.close()
 
     def test_cli_exits_2_and_client_reports_codec_corrupt(self, damaged, capsys):
