@@ -660,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck.add_argument(
         "--repair",
         action="store_true",
-        help="rebuild derivable state (presence sidecars, checksums, "
+        help="rebuild derivable state (presence map, checksums, "
         "manifest); quarantine — never delete — undecodable payloads",
     )
     p_fsck.add_argument(

@@ -212,10 +212,16 @@ class Archive:
         self._mutations = 0
         #: Whether :meth:`retrieve` has served this tree yet.
         self._retrieved = False
-        #: Size of the decoded container body this tree's pending nodes
-        #: read their children from (``xbin``; 0 when there is none).
-        #: Whoever holds the tree holds that body too, and budgets it.
+        #: Size of the ``xbin`` container body this tree was decoded
+        #: from — its pending nodes read their children from it — or
+        #: last encoded as (0 when neither has happened).  Whoever holds
+        #: the tree budgets it by this beside the bytes at rest.
         self.body_bytes = 0
+        #: Encoded children blocks by node id, on a tree a writer holds
+        #: between appends (:mod:`repro.storage.xbin` fills and reads
+        #: it, Nested Merge drops what it outdates); ``None`` on every
+        #: other tree.
+        self.kept: Optional[dict] = None
         self._trees: dict[int, _CachedTree] = {}
         self._child_tokens: dict[int, _CachedTokens] = {}
 
@@ -297,7 +303,9 @@ class Archive:
         options = self.options.merge_options()
         if memo is not None:
             memo.prepare_version(annotated, options)
-        stats = nested_merge(self.root, annotated, version, options, memo=memo)
+        stats = nested_merge(
+            self.root, annotated, version, options, memo=memo, kept=self.kept
+        )
         stats.versions = 1
         return stats
 

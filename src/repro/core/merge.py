@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from ..keys.annotate import AnnotatedDocument, KeyLabel
 from ..xmltree.canonical import canonical_form
-from ..xmltree.model import Element
+from ..xmltree.model import Element, Text
 from .compaction import lines_to_content, merge_weave, weave_from_content
 from .fingerprint import Fingerprinter
 from .nodes import Alternative, ArchiveNode, ContentNode, WeaveSegment
@@ -272,7 +272,14 @@ class MergeMemo:
 def _content_equal(a: list[ContentNode], b: list[ContentNode]) -> bool:
     if len(a) != len(b):
         return False
-    return all(canonical_form(x) == canonical_form(y) for x, y in zip(a, b))
+    for x, y in zip(a, b):
+        if isinstance(x, Text) and isinstance(y, Text):
+            # Escaping is injective: equal canonical forms, equal text.
+            if x.text != y.text:
+                return False
+        elif canonical_form(x) != canonical_form(y):
+            return False
+    return True
 
 
 def _copy_content(nodes: list[ContentNode]) -> list[ContentNode]:
@@ -337,6 +344,7 @@ def nested_merge(
     version: int,
     options: Optional[MergeOptions] = None,
     memo: Optional[MergeMemo] = None,
+    kept: Optional[dict] = None,
 ) -> MergeStats:
     """Merge version ``version`` (the annotated document) into the archive.
 
@@ -348,6 +356,11 @@ def nested_merge(
     ``memo``, when given, must have been prepared for this version with
     :meth:`MergeMemo.prepare_version`; unchanged uniform subtrees are
     then skipped instead of descended.
+
+    ``kept``, when given, is the tree's :attr:`Archive.kept
+    <repro.core.archive.Archive.kept>` — encoded children blocks by node
+    id.  A node's entry is dropped in the call that changes anything
+    beneath the node; what stays is still what an encoder would write.
     """
     options = options or MergeOptions()
     stats = MergeStats()
@@ -365,7 +378,15 @@ def nested_merge(
         archive_root.children.sort(key=lambda c: token(c.label))
     else:
         _merge_node(
-            existing, document.root, document, version, inherited, options, stats, memo
+            existing,
+            document.root,
+            document,
+            version,
+            inherited,
+            options,
+            stats,
+            memo,
+            kept,
         )
     # Terminate any sibling roots absent from this version.
     for child in archive_root.children:
@@ -383,12 +404,16 @@ def _merge_node(
     options: MergeOptions,
     stats: MergeStats,
     memo: Optional[MergeMemo] = None,
-) -> bool:
+    kept: Optional[dict] = None,
+) -> tuple[bool, bool]:
     """The paper's ``Nested Merge(x, y, T)`` with ``label(x) = label(y)``.
 
-    Returns whether the subtree below ``x`` is *uniform* after the merge
-    (skip-safe for the next version: no explicit timestamp below needs
-    augmenting while the content stays unchanged).
+    Returns ``(uniform, changed)``: whether the subtree below ``x`` is
+    *uniform* after the merge (skip-safe for the next version: no
+    explicit timestamp below needs augmenting while the content stays
+    unchanged), and whether the merge changed anything an encoder
+    writes for ``x`` — its own timestamp, its frontier content or
+    anything beneath it.
     """
     stats.nodes_matched += 1
     digest = memo.incoming.get(id(y)) if memo is not None else None
@@ -401,7 +426,7 @@ def _merge_node(
                 x.timestamp.add(version)
             stats.subtrees_skipped += 1
             stats.nodes_skipped += entry.count - 1
-            return True
+            return True, x.timestamp is not None
     incoming_attributes = _attribute_pairs(y)
     if incoming_attributes != x.attributes:
         raise AttributeChangeError(
@@ -418,7 +443,9 @@ def _merge_node(
         _merge_frontier(x, y, version, current, options, stats, memo, digest)
         uniform = x.content_uniform()
         _note_subtree(memo, x, y, digest, uniform)
-        return uniform
+        # Uniform content is content the merge found equal and left
+        # alone; any other has had a timestamp extended or set.
+        return uniform, x.timestamp is not None or not uniform
 
     token = options.sort_token()
     version_children = sorted(
@@ -427,6 +454,7 @@ def _merge_node(
     # x.children is maintained sorted by the same token; merge-join.
     merged: list[ArchiveNode] = []
     uniform = True
+    below = False  # whether x's children block changed
     i, j = 0, 0
     archive_children = x.children
     while i < len(archive_children) and j < len(version_children):
@@ -435,18 +463,29 @@ def _merge_node(
         x_token = token(x_child.label)
         y_token = token(document.label(y_child))
         if x_token == y_token:
-            child_uniform = _merge_node(
-                x_child, y_child, document, version, current, options, stats, memo
+            child_uniform, child_changed = _merge_node(
+                x_child,
+                y_child,
+                document,
+                version,
+                current,
+                options,
+                stats,
+                memo,
+                kept,
             )
             if not child_uniform or x_child.timestamp is not None:
                 uniform = False
+            if child_changed:
+                below = True
             merged.append(x_child)
             i += 1
             j += 1
         elif x_token < y_token:
             # A terminated child never contains ``version``, so it needs
             # no augmentation from future skips: uniformity survives.
-            _terminate(x_child, version, current, stats)
+            if _terminate(x_child, version, current, stats):
+                below = True
             merged.append(x_child)
             i += 1
         else:
@@ -454,9 +493,11 @@ def _merge_node(
                 _insert(x, y_child, document, version, options, stats, memo)
             )
             uniform = False  # the fresh subtree's root timestamp is {version}
+            below = True
             j += 1
     while i < len(archive_children):
-        _terminate(archive_children[i], version, current, stats)
+        if _terminate(archive_children[i], version, current, stats):
+            below = True
         merged.append(archive_children[i])
         i += 1
     while j < len(version_children):
@@ -464,10 +505,13 @@ def _merge_node(
             _insert(x, version_children[j], document, version, options, stats, memo)
         )
         uniform = False
+        below = True
         j += 1
     x.children = merged
+    if below and kept is not None:
+        kept.pop(id(x), None)
     _note_subtree(memo, x, y, digest, uniform)
-    return uniform
+    return uniform, below or x.timestamp is not None
 
 
 def _note_subtree(
@@ -490,12 +534,15 @@ def _note_subtree(
 
 def _terminate(
     x_child: ArchiveNode, version: int, current: VersionSet, stats: MergeStats
-) -> None:
-    """Action (b): the archive child is absent from this version."""
+) -> bool:
+    """Action (b): the archive child is absent from this version.
+    Returns whether that changed the child."""
     if x_child.timestamp is None:
         x_child.timestamp = current.without(version)
         stats.nodes_terminated += 1
+        return True
     # A child with its own timestamp was simply not augmented; nothing to do.
+    return False
 
 
 def _insert(

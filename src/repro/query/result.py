@@ -34,7 +34,7 @@ class QueryStats:
     ``nodes_materialized`` counts E/T nodes actually built into result
     elements; ``index_lookups`` counts key-equality steps answered by
     binary search instead of a child scan; ``chunks_pruned`` counts
-    chunk files skipped wholesale via presence sidecars;
+    chunk files skipped wholesale via the presence map;
     ``chunks_routed_past`` counts chunks a partition-level key lookup
     never had to consider because the hash router named the one owner;
     ``events_skipped`` counts stream events drained without building

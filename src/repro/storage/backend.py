@@ -83,6 +83,15 @@ class Manifest:
     it to completion: the store is append-mostly, so answers about
     versions the pinned generation already held never change under
     later publications.
+
+    ``extra`` holds what only one layout needs, and whatever it holds
+    is therefore as atomic and as checksummed as the manifest: the
+    whole-file layout's one checksum entry (``payload``); the chunked
+    layout's ``chunk_count`` and ``presence`` — chunk index to the
+    versions at which the chunk has records, which with
+    ``version_count`` is everything a chunked read needs before it
+    opens a chunk (a store written before the map keeps both in
+    sidecar files, and has no ``presence`` here until its next commit).
     """
 
     kind: str
@@ -310,8 +319,8 @@ class StorageBackend(abc.ABC):
     #: every backend sets it, and manifest placement derives from it.
     storage_root: str
     #: At-rest encoding of the archive's payload files (recorded in the
-    #: manifest; plain sidecars — keys, presence, versions.txt — are
-    #: never encoded): the constructor's explicit codec, else the
+    #: manifest; the plain files — keys, manifest, checksum table —
+    #: are never encoded): the constructor's explicit codec, else the
     #: manifest's, else raw.
     codec: Codec = RAW
     #: Publication counter: +1 per commit.  Loaded from the manifest at
@@ -418,6 +427,13 @@ class StorageBackend(abc.ABC):
     def _bootstrap(self, txn: ArchiveTxn) -> None:
         """Stage the payload an archive of this kind holds while empty."""
 
+    def _adopt(self, manifest: Optional[Manifest]) -> None:
+        """Take over the state a manifest is the record of: the one
+        read at open (``None`` where there is none yet), or the one a
+        commit of this handle has just published.  The checksum table
+        is in place by then."""
+        self.generation = manifest.generation if manifest is not None else 0
+
     def _load_state(self, codec: CodecLike = None) -> None:
         """(Re)read every piece of in-memory state from what is durable:
         drop the decoded trees, settle an interrupted commit (on handles
@@ -434,7 +450,7 @@ class StorageBackend(abc.ABC):
         manifest = read_manifest(self.storage_root)
         self._checksums = self._load_checksums(manifest)
         self._verified = set()
-        self.generation = manifest.generation if manifest is not None else 0
+        self._adopt(manifest)
         if codec is None and manifest is not None:
             codec = manifest.codec
         if codec is not None:
@@ -679,6 +695,10 @@ class FileBackend(StorageBackend):
         if self._archive is None or self._archive_shared:
             self._archive = self._decode(self._read_payload())
             self._archive_shared = False
+        if self._archive.kept is None and chunk_cache().enabled:
+            # A tree a writer holds keeps the blocks it encodes (a
+            # fraction of the tree, which this layout has always held).
+            self._archive.kept = {}
         return self._archive
 
     def drop_caches(self) -> None:

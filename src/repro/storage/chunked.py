@@ -15,10 +15,18 @@ each bucket is archived independently (one on-disk XML archive per
 chunk), and queries fan out to the owning chunk.  A read holds one
 chunk at a time plus one version's worth of records; a write-capable
 handle that appends version after version also keeps the chunk trees it
-last published, up to the decoded-chunk cache budget
-(``REPRO_CHUNK_CACHE_BYTES``; ``0`` keeps none and restores the
-largest-chunk bound), so the next append decodes nothing it encoded
-itself.
+last published and the encoded blocks of what stood still in them, up
+to the decoded-chunk cache budget (``REPRO_CHUNK_CACHE_BYTES``; ``0``
+keeps none and restores the largest-chunk bound), so the next append
+decodes nothing it encoded itself and re-encodes only what it changed.
+
+Beside the chunk files the directory holds the manifest, which carries
+the version count and, per chunk, the versions at which the chunk has
+records (*presence*: retrieval prunes on it before opening a chunk),
+and the checksum table.  Stores written before the manifest carried
+the map keep presence in ``chunk-NNNN.presence`` sidecars and the count
+in ``versions.txt``; they are read as they are, and their first commit
+through this code moves both into the manifest and unlinks the files.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from ..keys.annotate import (
 )
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
-from .backend import OnVersion, RecodeReport, StorageBackend, mutation
+from .backend import Manifest, OnVersion, RecodeReport, StorageBackend, mutation
 from .cache import chunk_cache
 from .codec import CodecError, CodecLike, get_codec
 from .integrity import (
@@ -60,6 +68,7 @@ from .integrity import (
 )
 from .parallel import ExecutionPool, _ingest_chunk_task, _recode_chunk_task
 from .txn import ArchiveTxn
+from .xbin import kept_bytes
 
 #: Per-chunk degradation policies for reads over damaged archives.
 ON_CORRUPT_POLICIES = ("raise", "skip")
@@ -198,23 +207,28 @@ class ChunkedArchiver(StorageBackend):
     elements).
 
     Every mutation is one :class:`~repro.storage.txn.ArchiveTxn`: chunk
-    files, presence sidecars, the version counter, the manifest and the
+    files, the manifest (version count and presence map) and the
     checksum sidecar publish together — a crash mid-batch recovers to
     the pre-batch archive (or, if publication had begun, completes it)
     instead of a torn mix.
 
     **Writer-held trees.**  After ``add_version`` publishes, the handle
     keeps each merged chunk tree under the SHA-256 it just recorded for
-    the chunk's bytes.  The next ``add_version`` still reads every chunk
-    file and verifies it against the sidecar; it skips only the decode,
-    and only when the verified checksum is the held one.  Held trees
+    the chunk's bytes, and on the tree (``Archive.kept``) the encoded
+    bytes of every framed children block the ``xbin`` encoder wrote.
+    The next ``add_version`` still reads every chunk file and verifies
+    it against the sidecar; it skips the decode, and only when the
+    verified checksum is the held one.  Nested Merge then drops the
+    kept block of every node it changes anything beneath, and the
+    encoder copies the blocks that are left (:mod:`repro.storage.xbin`):
+    the chunk's bytes are those a fresh handle would write.  Held trees
     are private to the handle — they never enter the shared
     :func:`~repro.storage.cache.chunk_cache`, and reads through this
     handle do not use them — are costed like its entries (at-rest size
-    plus the body the tree was decoded from) against that cache's
-    budget, and are dropped by ``close()``, ``drop_caches()``,
-    ``ingest_batch``, ``recode`` and any failed write (see
-    :func:`~repro.storage.backend.mutation`).
+    plus the encoded body) and their kept blocks by their length
+    against that cache's budget, and are dropped, blocks and all, by
+    ``close()``, ``drop_caches()``, ``ingest_batch``, ``recode`` and
+    any failed write (see :func:`~repro.storage.backend.mutation`).
     """
 
     kind = "chunked"
@@ -272,9 +286,27 @@ class ChunkedArchiver(StorageBackend):
         self._recover = recover
         self._load_state(codec)
 
-    def _load_state(self, codec: CodecLike = None) -> None:
-        super()._load_state(codec)
-        self._version_count = self._load_version_count()
+    def _adopt(self, manifest: Optional[Manifest]) -> None:
+        super()._adopt(manifest)
+        recorded = manifest.extra.get("presence") if manifest is not None else None
+        #: Chunk index -> the versions at which the chunk has records,
+        #: as the manifest carries it; ``None`` on a store from before
+        #: it did, whose sidecars and ``versions.txt`` are read instead.
+        self._presence: Optional[dict[int, VersionSet]] = None
+        if recorded is None:
+            self._version_count = self._load_version_count()
+            return
+        self._presence = {
+            int(index): VersionSet.parse(text) for index, text in recorded.items()
+        }
+        self._version_count = manifest.version_count
+        if self._recover:
+            # The commit that moved the map — this handle's, or one it
+            # has just rolled forward — left these behind; nothing reads
+            # them any more.
+            for path in self._sidecar_paths():
+                if os.path.exists(path):
+                    os.remove(path)
 
     def drop_caches(self) -> None:
         #: Writer-held trees: chunk index -> (the sha256 this handle's
@@ -294,6 +326,12 @@ class ChunkedArchiver(StorageBackend):
 
     def _meta_path(self) -> str:
         return os.path.join(self.directory, "versions.txt")
+
+    def _sidecar_paths(self) -> list[str]:
+        """The files a store from before the presence map keeps it, and
+        the version count, in."""
+        paths = [self._presence_path(index) for index in range(self.chunk_count)]
+        return paths + [self._meta_path()]
 
     def _verify_payload(self, path: str, data: bytes) -> None:
         """Check one read against the sidecar under the verify policy."""
@@ -381,29 +419,53 @@ class ChunkedArchiver(StorageBackend):
             return held[1]
         return decode()
 
-    def _put_chunk(self, txn: ArchiveTxn, index: int, archive: Archive) -> dict:
-        """Stage one merged chunk; returns the chunk file's new
-        checksum entry."""
-        # ``.presence`` sidecars stay plain: retrieval prunes on them
-        # before paying any decode cost.
-        txn.put(self._presence_path(index), _chunk_presence_of(archive).to_text())
-        return txn.put(self._chunk_path(index), self.codec.encode_archive(archive))
-
     def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
-        return {"chunk_count": self.chunk_count}
+        extra: dict = {"chunk_count": self.chunk_count}
+        if self._presence is not None:  # every commit carries the map on
+            extra["presence"] = {
+                str(index): presence.to_text()
+                for index, presence in self._presence.items()
+            }
+        return extra
+
+    def _bootstrap(self, txn: ArchiveTxn) -> None:
+        txn.extra["presence"] = {}
+
+    def _carry_presence(self, txn: ArchiveTxn) -> dict[str, str]:
+        """The presence map of ``txn``'s manifest, for the write to
+        overwrite the entries of the chunks it merges.
+
+        On a store from before the map this is the commit that moves it:
+        the map is read off the sidecars, and they and ``versions.txt``
+        leave the checksum table (and, once it has landed, the
+        directory: :meth:`_adopt`).
+        """
+        carried = self._manifest_extra(txn.checksums).get("presence")
+        if carried is None:
+            carried = {}
+            for index in range(self.chunk_count):
+                presence = self.chunk_presence(index)
+                if presence is not None:
+                    carried[str(index)] = presence.to_text()
+            for path in self._sidecar_paths():
+                txn.checksums.forget(os.path.basename(path))
+        txn.extra["presence"] = carried
+        return carried
 
     def chunk_presence(self, index: int) -> Optional[VersionSet]:
         """Versions at which the chunk actually stores records.
 
-        Read from the tiny ``.presence`` sidecar written next to the
-        chunk file, so retrieval can prune whole chunks whose timestamps
-        exclude the target version *before* parsing their XML.  Every
-        chunk shares the global version numbering via locally-empty
-        versions, so the chunk archive's own root timestamp never
-        excludes anything — the presence set is the union of the
-        top-level record roots' effective timestamps instead.  ``None``
-        when unknown (sidecar missing: chunk written by an older tool).
+        Read off the manifest this handle loaded, so retrieval can prune
+        whole chunks whose timestamps exclude the target version
+        *before* opening them.  Every chunk shares the global version
+        numbering via locally-empty versions, so the chunk archive's own
+        root timestamp never excludes anything — the presence set is the
+        union of the top-level record roots' effective timestamps
+        instead.  ``None`` when unknown (a chunk the map does not name).
         """
+        if self._presence is not None:
+            return self._presence.get(index)
+        # A store from before the map: the chunk's ``.presence`` sidecar.
         path = self._presence_path(index)
         try:
             with open(path, "rb") as handle:
@@ -485,10 +547,12 @@ class ChunkedArchiver(StorageBackend):
         files publish atomically behind one WAL record."""
         total = MergeStats()
         parts = self._partition(document) if document is not None else {}
-        room = chunk_cache().max_bytes  # what the held trees may cost
+        # What the held trees and their kept blocks may cost.
+        room = chunk_cache().max_bytes
         merged: dict[int, tuple[str, Archive]] = {}
         number = self._version_count + 1
         with ArchiveTxn(self, number) as txn:
+            presence = self._carry_presence(txn)
             for index in range(self.chunk_count):
                 # Chunks with no records this version still advance their
                 # version counter (as an empty version) so timestamps align.
@@ -497,15 +561,18 @@ class ChunkedArchiver(StorageBackend):
                 if part is None and not chunk_exists:
                     continue  # nothing stored, nothing new: stay lazy
                 archive = self._load_chunk(index, for_write=True)
+                if room > 0 and archive.kept is None:
+                    archive.kept = {}  # a tree that may be held keeps blocks
                 total.accumulate(archive.add_version(part))
-                staged = self._put_chunk(txn, index, archive)
-                room -= staged["bytes"] + archive.body_bytes
+                presence[str(index)] = _chunk_presence_of(archive).to_text()
+                staged = txn.put(
+                    self._chunk_path(index), self.codec.encode_archive(archive)
+                )
+                room -= staged["bytes"] + archive.body_bytes + kept_bytes(archive)
                 if room >= 0:
                     merged[index] = (staged["sha256"], archive)
-            txn.put(self._meta_path(), str(number))
         self._held = merged
         total.versions = 1
-        self._version_count = number
         return total
 
     @mutation
@@ -575,13 +642,12 @@ class ChunkedArchiver(StorageBackend):
         total = MergeStats()
         number = self._version_count + len(partitions)
         with ArchiveTxn(self, number) as txn:
+            presence = self._carry_presence(txn)
             for index, encoded, presence_text, stats in merged:
-                txn.put(self._presence_path(index), presence_text)
+                presence[str(index)] = presence_text
                 txn.put(self._chunk_path(index), encoded)
                 total.accumulate(stats)
-            txn.put(self._meta_path(), str(number))
         total.versions = len(partitions)
-        self._version_count = number
         if on_chunk is not None:
             # Only now, the commit published: index caches never adopt
             # state a failed batch rolls back.  The hook wants the
@@ -801,10 +867,10 @@ class ChunkedArchiver(StorageBackend):
     def recode(self, codec: CodecLike) -> RecodeReport:
         """Re-encode every chunk file in one atomic, verified commit.
 
-        Presence sidecars and ``versions.txt`` stay plain and untouched;
-        the chunk files and the manifest (recording the new codec)
-        publish together behind one WAL record, so a crash mid-recode
-        recovers to wholly-old or wholly-new encodings.
+        The chunk files and the manifest (recording the new codec, and
+        the presence map as it was) publish together behind one WAL
+        record, so a crash mid-recode recovers to wholly-old or
+        wholly-new encodings.
 
         With ``workers > 1`` the decode → re-encode → verify work runs
         per chunk in a process pool; every result gathers before the
@@ -828,6 +894,7 @@ class ChunkedArchiver(StorageBackend):
             )
         recoded = self.pool.map(_recode_chunk_task, tasks)
         with ArchiveTxn(self, self._version_count, codec=target) as txn:
+            self._carry_presence(txn)  # an old store's recode moves it too
             for index, encoded in recoded:
                 txn.put(self._chunk_path(index), encoded)
         return RecodeReport(

@@ -40,8 +40,8 @@ the pre-seam behaviour, byte for byte); ``xbin`` overrides them with
 the record codec, which is where the repeat-read win comes from.
 
 Payloads that must stay greppable/plain stay plain regardless of codec:
-``manifest.json``, key-spec sidecars, ``versions.txt``, ``.presence``
-sidecars and the WAL record itself.
+``manifest.json``, the checksum table, key-spec sidecars and the WAL
+record itself.
 
 Every codec's encoded form starts with a distinctive magic
 (:data:`~repro.compress.gzipper.GZIP_MAGIC`,

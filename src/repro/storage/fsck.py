@@ -4,8 +4,9 @@ The scrub works at the *file* level — it never goes through
 :func:`~repro.storage.backend.open_archive`, whose constructor would
 silently run WAL recovery and hide exactly the states fsck exists to
 report.  It walks manifest ↔ payload files ↔ checksum sidecar ↔ WAL
-state ↔ key-spec fingerprint and cross-checks ``.presence`` sidecars
-against actual chunk contents, emitting one structured
+state ↔ key-spec fingerprint and cross-checks the manifest's chunk →
+presence map (on a store from before the map: the ``.presence``
+sidecars) against actual chunk contents, emitting one structured
 :class:`Finding` per problem.
 
 Repair (``--repair``) follows one rule: **rebuild everything
@@ -13,8 +14,11 @@ derivable, quarantine — never delete — everything that is not**.
 
 * WAL state (pending or torn records, stray ``*.tmp``) → run the
   deterministic recovery of :class:`~repro.storage.wal.WriteAheadLog`;
-* ``.presence`` sidecars, ``versions.txt``, the manifest and the
-  checksum sidecar are all derivable from healthy payloads → rebuilt;
+* the presence map, the manifest and the checksum sidecar are all
+  derivable from healthy payloads → rebuilt (the map through an
+  :class:`~repro.storage.txn.ArchiveTxn`, which on a store from before
+  the map also retires its sidecars and ``versions.txt``); a sidecar
+  left beside a manifest that carries the map is debris → deleted;
 * payload files (chunks, the whole-file archive, the event stream)
   are *not* derivable → a payload that fails its checksum but still
   decodes is re-recorded (stale checksum), one that does not decode is
@@ -70,7 +74,9 @@ FINDING_CODES = {
     "truncated-payload": "a payload is shorter than its recorded size",
     "unchecksummed": "a payload exists with no recorded checksum",
     "undecodable": "a payload fails to decode or parse",
-    "presence-mismatch": "a .presence sidecar disagrees with its chunk's contents",
+    "presence-mismatch": "a chunk's recorded presence disagrees with its contents",
+    "leftover-sidecar": "a .presence or versions.txt file beside a manifest "
+    "that carries the presence map",
     "quarantined": "a payload was previously quarantined by fsck --repair",
 }
 
@@ -192,7 +198,8 @@ def _sniff_kind(path: str) -> str:
     if os.path.exists(os.path.join(path, "archive.jsonl")):
         return "external"
     if (
-        os.path.exists(os.path.join(path, "versions.txt"))
+        os.path.exists(os.path.join(path, CHECKSUMS_NAME))
+        or os.path.exists(os.path.join(path, "versions.txt"))
         # A pending commit log means a chunked archive crashed
         # mid-publish before its manifest landed.
         or os.path.exists(os.path.join(path, "wal.json"))
@@ -200,6 +207,12 @@ def _sniff_kind(path: str) -> str:
     ):
         return "chunked"
     raise ArchiveError(f"{path!r} is not an archive directory")
+
+
+def _is_sidecar(name: str) -> bool:
+    """A file of the chunked layout from before the manifest carried
+    the presence map and the version count alone."""
+    return name.endswith(".presence") or name == "versions.txt"
 
 
 def _chunk_files(path: str) -> dict[int, str]:
@@ -324,6 +337,12 @@ class _Scrubber:
             self._resolved_codec = (self.codec, get_codec(self.codec))
         return self._resolved_codec[1]
 
+    @property
+    def _mapped(self) -> bool:
+        """Whether the manifest carries the chunk -> presence map — and
+        with it the version count alone: no file beside it does then."""
+        return self.manifest is not None and "presence" in self.manifest.extra
+
     def _rel(self, full: str) -> str:
         return os.path.relpath(full, self.directory) if self.is_dir else (
             os.path.basename(full)
@@ -341,8 +360,7 @@ class _Scrubber:
                 continue
             if self.kind == "chunked" and (
                 (name.startswith("chunk-") and name.endswith(".xml"))
-                or name.endswith(".presence")
-                or name == "versions.txt"
+                or (_is_sidecar(name) and not self._mapped)
             ):
                 payloads.append(full)
             elif self.kind == "external" and name == "archive.jsonl":
@@ -505,7 +523,7 @@ class _Scrubber:
 
     def _rebuild_manifest(self, finding: Finding) -> None:
         """Best-effort manifest reconstruction from derivable state."""
-        codec = self._sniff_codec()
+        codec = self.codec = self._sniff_codec()
         version_count = self._derive_version_count(codec)
         if version_count is None:
             finding.repair = "unrepairable: version count not derivable"
@@ -522,13 +540,18 @@ class _Scrubber:
                 spec_hash = ""
         extra: dict = {}
         if self.kind == "chunked":
-            chunk_count = _derive_chunk_count(
-                self.path, get_codec(codec), self._load_spec()
-            )
+            from .chunked import _chunk_presence_of
+
+            spec = self._load_spec()
+            chunk_count = _derive_chunk_count(self.path, get_codec(codec), spec)
             if chunk_count is None:
                 finding.repair = "unrepairable: chunk count not derivable"
                 return
             extra["chunk_count"] = chunk_count
+            extra["presence"] = {
+                str(index): _chunk_presence_of(archive).to_text()
+                for index, archive in self._chunk_archives(spec)
+            }
         manifest = Manifest(
             kind=self.kind,
             key_spec_hash=spec_hash,
@@ -558,8 +581,20 @@ class _Scrubber:
         try:
             if self.kind == "chunked":
                 meta = os.path.join(self.path, "versions.txt")
-                with open(meta, "r", encoding="utf-8") as handle:
-                    return int(handle.read().strip() or "0")
+                if os.path.exists(meta):  # a store from before the map
+                    with open(meta, "r", encoding="utf-8") as handle:
+                        return int(handle.read().strip() or "0")
+                # Every chunk shares the global numbering.
+                spec = self._load_spec()
+                if spec is None:
+                    return None
+                counts = [
+                    archive.last_version
+                    for _, archive in self._chunk_archives(spec)
+                ]
+                if counts:
+                    return max(counts)
+                return None if _chunk_files(self.path) else 0
             if self.kind == "external":
                 from .events import IOStats, NodeEvent, read_events
 
@@ -668,6 +703,7 @@ class _Scrubber:
                 name: entry
                 for name, entry in self.sidecar.entries.items()
                 if name != MANIFEST_NAME
+                and not (self._mapped and _is_sidecar(name))
             }
             for name in sorted(self.sidecar.quarantined):
                 self.report.add(
@@ -810,72 +846,118 @@ class _Scrubber:
 
     # -- backend-specific cross-checks -------------------------------------
 
-    def _scrub_chunked(self) -> None:
-        """Cross-check ``.presence`` sidecars against chunk contents."""
+    def _chunk_archives(self, spec):
+        """``(index, decoded tree)`` of every chunk file that decodes;
+        the others are the hash pass's to report."""
         from ..core.archive import Archive
-        from ..core.versionset import VersionSet
+
+        for index, name in sorted(_chunk_files(self.path).items()):
+            try:
+                with open(os.path.join(self.path, name), "rb") as handle:
+                    text = self._payload_codec().decode_document(handle.read())
+                yield index, Archive.from_xml_string(text, spec)
+            except (CodecError, ValueError, OSError, EOFError):
+                continue
+
+    def _scrub_chunked(self) -> None:
+        """Cross-check recorded chunk presence against chunk contents:
+        the manifest's map, or the sidecars of a store from before it."""
         from .chunked import _chunk_presence_of
 
         spec = self._load_spec()
-        for name in sorted(os.listdir(self.path)):
-            if not (name.startswith("chunk-") and name.endswith(".xml")):
+        if spec is None or self.manifest is None:
+            return
+        mapped = self.manifest.extra.get("presence")
+        if mapped is not None:
+            self._scrub_leftovers()
+        presence = dict(mapped or {})  # what a repair records
+        stale = []
+        for index, archive in self._chunk_archives(spec):
+            derived = presence[str(index)] = _chunk_presence_of(archive).to_text()
+            if mapped is not None:
+                where, recorded = MANIFEST_NAME, mapped.get(str(index))
+            else:
+                where = f"chunk-{index:04d}.presence"
+                recorded = self._sidecar_presence(where)
+            if recorded != derived:
+                stale.append(
+                    self.report.add(
+                        "presence-mismatch",
+                        where,
+                        f"chunk {index} is recorded present at {recorded!r}, "
+                        f"its contents say {derived!r}",
+                        repair="rewrite the presence map from the chunks' contents",
+                    )
+                )
+        if stale and self.repair:
+            self._rewrite_presence(spec, presence, stale)
+
+    def _sidecar_presence(self, name: str) -> Optional[str]:
+        """What a ``.presence`` sidecar records, in canonical text."""
+        from ..core.versionset import VersionSet
+
+        try:
+            with open(os.path.join(self.path, name), "r", encoding="utf-8") as handle:
+                return VersionSet.parse(handle.read()).to_text()
+        except FileNotFoundError:
+            return None
+        except ValueError:
+            return "unparsable"
+
+    def _scrub_leftovers(self) -> None:
+        """Sidecars beside a manifest that carries the map: a commit
+        that moved the map retired them, so nothing reads them."""
+        assert self.sidecar is not None
+        names = {name for name in os.listdir(self.path) if _is_sidecar(name)}
+        names.update(name for name in self.sidecar.entries if _is_sidecar(name))
+        for name in sorted(names):
+            finding = self.report.add(
+                "leftover-sidecar",
+                name,
+                "the manifest carries the presence map and the version "
+                "count; nothing reads this file",
+                repair="delete it",
+            )
+            if not self.repair:
                 continue
             full = os.path.join(self.path, name)
-            presence_path = full[: -len(".xml")] + ".presence"
-            try:
-                with open(full, "rb") as handle:
-                    text = self._payload_codec().decode_document(handle.read())
-                derived = (
-                    _chunk_presence_of(Archive.from_xml_string(text, spec))
-                    if spec is not None
-                    else None
-                )
-            except (CodecError, ValueError, OSError, EOFError):
-                continue  # undecodable chunks were handled by the hash pass
-            if derived is None:
-                continue
-            recorded: Optional[VersionSet] = None
-            try:
-                with open(presence_path, "r", encoding="utf-8") as handle:
-                    recorded = VersionSet.parse(handle.read())
-            except FileNotFoundError:
-                finding = self.report.add(
-                    "presence-mismatch",
-                    self._rel(presence_path),
-                    "presence sidecar missing for a stored chunk",
-                    repair="rebuild from the chunk's contents",
-                )
-                self._rebuild_presence(presence_path, derived, finding)
-                continue
-            except ValueError:
-                recorded = None
-            if recorded is None or recorded.to_text() != derived.to_text():
-                have = recorded.to_text() if recorded is not None else "unparsable"
-                finding = self.report.add(
-                    "presence-mismatch",
-                    self._rel(presence_path),
-                    f"sidecar says {have!r}, chunk contents say "
-                    f"{derived.to_text()!r}",
-                    repair="rebuild from the chunk's contents",
-                )
-                self._rebuild_presence(presence_path, derived, finding)
+            if os.path.exists(full):
+                os.remove(full)
+            if self.sidecar.covers(name):
+                self.sidecar.forget(name)
+                self._sidecar_dirty = True
+            finding.repaired = True
+            finding.repair = "deleted"
 
-    def _rebuild_presence(self, presence_path, derived, finding) -> None:
-        if not self.repair:
-            return
-        atomic_write_text(presence_path, derived.to_text())
-        name = os.path.basename(presence_path)
-        if self.sidecar is not None:
-            with open(presence_path, "rb") as handle:
-                self.sidecar.record(name, handle.read())
-            self._sidecar_dirty = True
-        finding.repaired = True
-        finding.repair = "rebuilt from the chunk's contents"
-        # The hash pass deferred this file to us; close its finding too.
+    def _rewrite_presence(self, spec, presence: dict, findings: list) -> None:
+        """Publish ``presence`` as the manifest's map, in one commit
+        that also retires the sidecars of a store from before the map
+        (the handle unlinks them once it has landed)."""
+        from .backend import read_manifest
+        from .chunked import ChunkedArchiver
+        from .txn import ArchiveTxn
+
+        assert self.manifest is not None
+        self._flush_sidecar()  # the commit starts from the table on disk
+        backend = ChunkedArchiver(
+            self.path, spec, int(self.manifest.extra["chunk_count"]), verify="never"
+        )
+        with ArchiveTxn(backend, self.manifest.version_count) as txn:
+            txn.extra["presence"] = presence
+            for name in list(txn.checksums.entries):
+                if _is_sidecar(name):
+                    txn.checksums.forget(name)
+        self.manifest = read_manifest(self.path)
+        self.sidecar = ChecksumSidecar.load(os.path.join(self.path, CHECKSUMS_NAME))
+        self._sidecar_dirty = False
+        for finding in findings:
+            finding.repaired = True
+            finding.repair = "presence map rewritten from the chunks' contents"
+        # The hash pass left damaged sidecars to this one; they are gone.
         for earlier in self.report.findings:
-            if earlier.path == name and not earlier.repaired:
+            if earlier.path.endswith(".presence") and not earlier.repaired:
                 earlier.repaired = True
-                earlier.repair = "rebuilt from the chunk's contents"
+                earlier.repair = "retired with the presence map's rewrite"
 
     def _load_spec(self):
         from ..keys.keyparser import parse_key_spec

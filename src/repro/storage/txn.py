@@ -15,16 +15,25 @@ over.  Leaving it cleanly runs the commit:
    (or written by the caller at :meth:`ArchiveTxn.staging` and taken in
    by :meth:`ArchiveTxn.adopt`), its SHA-256 recorded in a pending copy
    of the backend's checksum table;
-2. the manifest — next generation, the given version count and codec —
-   is staged, then the checksum table last: as the ``checksums.json``
-   sidecar, which also covers the manifest, or inside the manifest for
-   the one-payload file layout (a table without a ``path``);
+2. the manifest — next generation, the given version count and codec,
+   and whatever the write put in :attr:`ArchiveTxn.extra` — is staged,
+   then the checksum table last: as the ``checksums.json`` sidecar,
+   which also covers the manifest, or inside the manifest for the
+   one-payload file layout (a table without a ``path``);
 3. the write-ahead record is appended and the staged files are renamed
    into place (:mod:`repro.storage.wal`);
 4. only then does in-memory state move: the backend receives the new
-   checksum table, generation and codec, forgets what it had verified
-   of the rewritten files, and drops its entries from the decoded-chunk
-   cache.
+   checksum table and codec, takes the rest from the manifest it just
+   published (:meth:`StorageBackend._adopt
+   <repro.storage.backend.StorageBackend._adopt>`), forgets what it had
+   verified of the rewritten files, and drops its entries from the
+   decoded-chunk cache.
+
+So a commit stages what changed and two files that describe it.  An
+append to an 8-chunk archive is 10 staged files (8 chunks, manifest,
+checksum table) and 14 syncs: one per staged file, one for the
+write-ahead record, and three of the directory (record in, files
+published, record out).  ``tests/test_storage_txn.py`` pins both counts.
 
 An exception before step 3 removes what was staged and leaves disk and
 handle as they were.  A failure *during* step 3 removes nothing: a
@@ -45,7 +54,7 @@ from .integrity import ChecksumSidecar, hash_file
 from .wal import WriteAheadLog, wal_location
 
 if TYPE_CHECKING:
-    from .backend import StorageBackend
+    from .backend import Manifest, StorageBackend
 
 
 class ArchiveTxn:
@@ -68,6 +77,9 @@ class ArchiveTxn:
         self._streamed: list[str] = []
         #: Checksum-table names of the files this commit rewrites.
         self._rewritten: set[str] = set()
+        #: Manifest fields this commit sets, over the backend's
+        #: ``_manifest_extra``.
+        self.extra: dict = {}
 
     def __enter__(self) -> "ArchiveTxn":
         return self
@@ -102,17 +114,18 @@ class ArchiveTxn:
         self.checksums.quarantined.discard(name)
         self._rewritten.add(name)
 
-    def _seal(self) -> None:
+    def _seal(self) -> "Manifest":
         """Stage the manifest, then the checksum table."""
         backend = self.backend
-        text = backend.manifest(
-            self.version_count, self.codec, self.checksums
-        ).to_json()
+        manifest = backend.manifest(self.version_count, self.codec, self.checksums)
+        manifest.extra.update(self.extra)
+        text = manifest.to_json()
         location = backend.manifest_path()
         self._commit.stage(location, text)
         if self.checksums.path is not None:
             self.checksums.record(os.path.basename(location), text.encode("utf-8"))
             self._commit.stage(self.checksums.path, self.checksums.to_json())
+        return manifest
 
     def _abort(self) -> None:
         self._commit.abort()
@@ -130,15 +143,15 @@ class ArchiveTxn:
             self._abort()
             return
         try:
-            self._seal()
+            manifest = self._seal()
         except BaseException:
             self._abort()
             raise
         self._commit.commit(meta={"version_count": self.version_count})
         backend = self.backend
         backend._checksums = self.checksums
-        backend.generation += 1
         backend.codec = self.codec
+        backend._adopt(manifest)
         backend._verified -= self._rewritten
         if backend.cache_reads:
             # Entries under superseded checksums would only age out of

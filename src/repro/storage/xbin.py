@@ -61,6 +61,18 @@ UTF-8 — but decodes no string it does not return and never enters a
 dead node's frame; the full walk (``fsck --deep``, ``recode``) is what
 checks everything.
 
+On the write side a block can be a fourth thing: *kept*.  A tree a
+writer holds between appends (``Archive.kept`` is a dict, not ``None``)
+remembers the bytes of every framed block the encoder wrote for it,
+beside the name table the block was written against and the names it
+added.  Nested Merge drops a node's entry in the call that changes
+anything beneath the node (:func:`repro.core.merge.nested_merge`), so
+the next encode writes the heads again and copies every block still
+kept — provided the table stands where it stood — interning the block's
+names in the order the block introduced them.  The output is byte for
+byte what the full walk writes, and the full walk is the only path for
+a tree that keeps nothing.
+
 A *text-mode* body is a plain UTF-8 document blob — the fallback for
 ``encode_document`` callers that hold only text (no key spec to build
 nodes from); ``decode_document`` handles both modes transparently.
@@ -210,16 +222,31 @@ class _NameIds(dict):
 def _write_tree(archive: Archive) -> bytes:
     """Encode an archive-mode body.
 
-    The hot loop of every append (each touched chunk is re-encoded
-    whole), so the output, the name table and the primitives live in one
-    closure's variables and a varint's common single-byte form is
-    appended inline.  A children block is framed in place: written
-    first, its length inserted before it once known.
+    The hot loop of every append, so the output, the name table and the
+    primitives live in one closure's variables and a varint's common
+    single-byte form is appended inline.  A children block is framed in
+    place: written first, its length inserted before it once known.
+
+    With ``archive.kept`` a dict, a framed block is copied from it when
+    the node has an entry written against the name table as it stands,
+    and recorded in it — ``id(node) -> (node, block bytes, table then,
+    names the block added)`` — when it had to be written.  The node
+    rides along so its id is not reused while the entry lives.
     """
     out = bytearray()
     append = out.append
     extend = out.extend
     ids = _NameIds()
+    kept = archive.kept
+    table: tuple = ()
+
+    def names() -> tuple:
+        """The name table so far; a new tuple only once it has grown, so
+        blocks written against one state share one."""
+        nonlocal table
+        if len(table) != len(ids):
+            table = tuple(ids)
+        return table
 
     def varint(value: int) -> None:
         # ``append`` rejects a negative value as ``_write_varint`` does.
@@ -309,10 +336,28 @@ def _write_tree(archive: Archive) -> bytes:
         if not item.children:
             append(0)
             return
+        if kept is not None:
+            against = names()
+            entry = kept.get(id(item))
+            if entry is not None and entry[2] == against:
+                _, block, _, added = entry
+                out[flag_at] |= _NODE_CHILDREN_FRAMED
+                varint(len(block))
+                extend(block)
+                for name in added:
+                    ids[name]
+                return
         start = len(out)
         children(item.children)
         length = len(out) - start
         if length >= FRAME_MIN_BYTES:
+            if kept is not None:
+                kept[id(item)] = (
+                    item,
+                    bytes(out[start:]),
+                    against,
+                    names()[len(against) :],
+                )
             out[flag_at] |= _NODE_CHILDREN_FRAMED
             if length < 0x80:
                 out.insert(start, length)
@@ -831,9 +876,17 @@ def encode_text_blob(text: str) -> bytes:
 
 
 def encode_archive(archive: Archive) -> bytes:
-    """Serialize an in-memory archive straight from its node tree."""
+    """Serialize an in-memory archive straight from its node tree, and
+    cost the tree by the body that makes (``Archive.body_bytes``)."""
     flags = _FLAG_COMPACTION if archive.options.compaction else 0
-    return _pack(_write_tree(archive), flags)
+    body = _write_tree(archive)
+    archive.body_bytes = len(body)
+    return _pack(body, flags)
+
+
+def kept_bytes(archive: Archive) -> int:
+    """What the blocks kept on ``archive`` hold, for whoever budgets it."""
+    return sum(len(entry[1]) for entry in (archive.kept or {}).values())
 
 
 def decode_archive(

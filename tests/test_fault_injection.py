@@ -33,6 +33,7 @@ from repro.storage import (
     CrashPoint,
     FaultInjector,
     IntegrityError,
+    ManifestInconsistent,
     TruncatedPayload,
     WalError,
     WriteAheadLog,
@@ -425,15 +426,16 @@ class TestSilentCorruptionOnWrite:
         with pytest.raises(TruncatedPayload):
             open_archive(path).retrieve(1)
 
-    def test_truncated_versions_sidecar_write_detected(self, tmp_path, versions):
+    def test_truncated_manifest_write_detected(self, tmp_path, versions):
+        # The manifest carries the version count and the presence map.
         path = os.path.join(str(tmp_path), "store")
         backend = create_archive(
             path, COMPANY_KEY_TEXT, kind="chunked", chunk_count=2, codec="raw"
         )
-        with inject(FaultInjector().truncate_write(r"versions\.txt", at_byte=0)):
+        with inject(FaultInjector().truncate_write(r"manifest\.json", at_byte=0)):
             backend.ingest_batch([v.copy() for v in versions[:2]])
         backend.close()
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(ManifestInconsistent):
             open_archive(path)
 
     def test_corrupted_whole_file_archive_detected(self, tmp_path, versions):

@@ -1,8 +1,8 @@
 """``fsck_archive`` scrub/repair behaviour and the CLI's exit taxonomy.
 
-Covers the repair philosophy end to end: everything derivable
-(``.presence`` sidecars, ``versions.txt`` checksums, the manifest, the
-checksum sidecar, WAL state) is rebuilt in place; payloads that fail
+Covers the repair philosophy end to end: everything derivable (the
+manifest and its chunk -> presence map, the checksum sidecar, WAL
+state) is rebuilt in place; payloads that fail
 their checksum but still decode are re-recorded; payloads that do not
 decode are *quarantined* — moved aside, never deleted — and later
 reads raise a typed error instead of serving garbage.  The acceptance
@@ -12,7 +12,6 @@ answer retrievals byte-identically to an undamaged copy.
 
 import json
 import os
-import shutil
 
 import pytest
 
@@ -63,6 +62,27 @@ def codes(report):
     return {finding.code for finding in report.findings}
 
 
+def record_presence(path, chunk, text):
+    """Make the manifest's map say ``text`` for one chunk (``None``:
+    nothing) the way a wrong writer would: a manifest that verifies,
+    recorded in the checksum table."""
+    from repro.storage import ChecksumSidecar
+    from repro.storage.backend import read_manifest
+
+    manifest = read_manifest(path)
+    if text is None:
+        del manifest.extra["presence"][str(chunk)]
+    else:
+        manifest.extra["presence"][str(chunk)] = text
+    encoded = manifest.to_json().encode("utf-8")
+    with open(os.path.join(path, "manifest.json"), "wb") as handle:
+        handle.write(encoded)
+    table = ChecksumSidecar.load(os.path.join(path, "checksums.json"))
+    table.record("manifest.json", encoded)
+    with open(table.path, "w", encoding="utf-8") as handle:
+        handle.write(table.to_json())
+
+
 class TestCleanArchives:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_fresh_archive_is_clean(self, tmp_path, versions, kind):
@@ -88,15 +108,13 @@ class TestDerivableRepairs:
     def test_presence_repair_restores_query_equivalence(
         self, tmp_path, versions
     ):
-        """The acceptance bar: after ``--repair`` of a damaged
-        ``.presence`` sidecar, every retrieval is byte-identical to the
-        undamaged original's."""
+        """The acceptance bar: after ``--repair`` of a wrong presence
+        map, every retrieval is byte-identical to the undamaged
+        original's."""
         path = build(str(tmp_path), "chunked", versions)
         reference = renderings(path)
         # Lie about which versions chunk 0 stores.
-        presence = os.path.join(path, "chunk-0000.presence")
-        with open(presence, "w", encoding="utf-8") as handle:
-            handle.write("1")
+        record_presence(path, 0, "1")
         report = fsck_archive(path)
         assert "presence-mismatch" in codes(report)
         assert report.unrepaired  # detect-only pass repairs nothing
@@ -110,10 +128,12 @@ class TestDerivableRepairs:
     def test_deleted_presence_is_rebuilt(self, tmp_path, versions):
         path = build(str(tmp_path), "chunked", versions)
         reference = renderings(path)
-        os.remove(os.path.join(path, "chunk-0001.presence"))
+        record_presence(path, 1, None)
+        assert renderings(path) == reference  # unknown: the chunk is read
         repaired = fsck_archive(path, repair=True)
         assert "presence-mismatch" in codes(repaired)
         assert not repaired.unrepaired, str(repaired)
+        assert fsck_archive(path).clean
         assert renderings(path) == reference
 
     def test_corrupt_manifest_is_rebuilt(self, tmp_path, versions):
@@ -146,11 +166,11 @@ class TestDerivableRepairs:
         self, tmp_path, versions
     ):
         path = build(str(tmp_path), "chunked", versions)
-        meta = os.path.join(path, "versions.txt")
-        with open(meta, "r", encoding="utf-8") as handle:
+        chunk = os.path.join(path, "chunk-0000.xml")
+        with open(chunk, "r", encoding="utf-8") as handle:
             text = handle.read()
-        with open(meta, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")  # same value, different bytes
+        with open(chunk, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")  # same document, different bytes
         report = fsck_archive(path)
         assert "checksum-mismatch" in codes(report)
         repaired = fsck_archive(path, repair=True)
@@ -224,8 +244,7 @@ class TestLostChunkCount:
         path = str(tmp_path / "empty")
         create_archive(path, self.KEYS, kind="chunked", chunk_count=16).close()
         os.remove(os.path.join(path, "manifest.json"))
-        with open(os.path.join(path, "versions.txt"), "w") as handle:
-            handle.write("0")  # the version count is derivable; the chunk count is not
+        # No chunk: the version count is derivable, the chunk count is not.
         report = fsck_archive(path, repair=True)
         missing = next(f for f in report.findings if f.code == "manifest-missing")
         assert not missing.repaired
@@ -352,8 +371,7 @@ class TestCliFsck:
         self, tmp_path, versions, capsys
     ):
         path = build(str(tmp_path), "chunked", versions)
-        with open(os.path.join(path, "chunk-0000.presence"), "w") as handle:
-            handle.write("1")
+        record_presence(path, 0, "1")
         assert self.run("fsck", path) == 1
         assert "presence-mismatch" in capsys.readouterr().out
         assert self.run("fsck", path, "--repair") == 0
@@ -362,7 +380,7 @@ class TestCliFsck:
 
     def test_json_report(self, tmp_path, versions, capsys):
         path = build(str(tmp_path), "chunked", versions)
-        os.remove(os.path.join(path, "chunk-0000.presence"))
+        record_presence(path, 0, None)
         assert self.run("fsck", path, "--json") == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is False
@@ -397,10 +415,7 @@ class TestCliFsck:
         """CLI-level end-to-end: damage, repair, read back."""
         path = build(str(tmp_path), "chunked", versions)
         reference = renderings(path)
-        shutil.copy(
-            os.path.join(path, "chunk-0001.presence"),
-            os.path.join(path, "chunk-0000.presence"),
-        )
+        record_presence(path, 0, "3")  # chunk 1's
         assert self.run("fsck", path, "--repair") == 0
         capsys.readouterr()
         assert renderings(path) == reference

@@ -1,8 +1,9 @@
 """Property suite: arbitrary corruption surfaces as *typed* errors.
 
-Hypothesis flips bits and truncates files — manifests, ``.presence``
-sidecars, checksum sidecars, codec containers, the payloads themselves
-— at arbitrary offsets, across every backend.  Whatever the damage,
+Hypothesis flips bits and truncates files — manifests, checksum
+sidecars, codec containers, the payloads themselves, the ``.presence``
+and ``versions.txt`` files of an old store — at arbitrary offsets,
+across every backend.  Whatever the damage,
 reading the archive must raise the typed
 :class:`~repro.storage.IntegrityError` family, never a bare
 ``KeyError``/``UnicodeDecodeError``/``EOFError``/``json``/``zlib``
@@ -32,17 +33,14 @@ from repro.xmltree.serializer import to_pretty_string
 #: Archive-state files fair game for corruption, per backend layout.
 TARGETS = {
     "file": ["archive.xml", "archive.xml.manifest.json"],
-    "chunked": [
-        "chunk-0000.xml",
-        "chunk-0000.presence",
-        "versions.txt",
-        "manifest.json",
-        "checksums.json",
-    ],
+    "chunked": ["chunk-0000.xml", "manifest.json", "checksums.json"],
+    # A store from before the manifest carried presence and the count.
+    "chunked-v1": ["chunk-0000.presence", "versions.txt", "manifest.json"],
     "external": ["archive.jsonl", "manifest.json", "checksums.json"],
 }
 #: Codec per backend — compressed containers make offsets interesting.
 BUILD_CODEC = {"file": "gzip", "chunked": "gzip", "external": "xmill"}
+V1_STORE = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1", "chunked")
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +57,18 @@ def pristine():
         path = os.path.join(
             root, "archive.xml" if kind == "file" else "store"
         )
-        backend = create_archive(
-            path,
-            COMPANY_KEY_TEXT,
-            kind=kind,
-            chunk_count=2,
-            codec=BUILD_CODEC[kind],
-        )
-        backend.ingest_batch([v.copy() for v in versions])
-        backend.close()
+        if kind == "chunked-v1":
+            shutil.copytree(V1_STORE, path)
+        else:
+            backend = create_archive(
+                path,
+                COMPANY_KEY_TEXT,
+                kind=kind,
+                chunk_count=2,
+                codec=BUILD_CODEC[kind],
+            )
+            backend.ingest_batch([v.copy() for v in versions])
+            backend.close()
         paths[kind] = root
         references[kind] = exercise(path)
     yield paths, references

@@ -477,17 +477,15 @@ class TestChunkPruning:
             document, monolithic.retrieve(1), spec
         )
 
-    def test_missing_sidecar_falls_back_to_parsing(self, tmp_path):
+    def test_unknown_presence_falls_back_to_parsing(self, tmp_path):
         spec = omim_key_spec()
         versions = self._versions()
         chunked = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
         for version in versions:
             chunked.add_version(version.copy())
-        for index in range(chunked.chunk_count):
-            path = chunked._presence_path(index)
-            if os.path.exists(path):
-                os.remove(path)
         reopened = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
+        assert reopened._presence == chunked._presence != {}
+        reopened._presence = {}  # a map that names no chunk
         monolithic = Archive(spec)
         for version in versions:
             monolithic.add_version(version.copy())

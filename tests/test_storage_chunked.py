@@ -4,6 +4,7 @@ Sec. 5 memory workaround."""
 import json
 import os
 import pickle
+import shutil
 
 import pytest
 
@@ -15,15 +16,20 @@ from repro.keys.annotate import KeyLabel
 from repro.storage import (
     ChunkedArchiver,
     ChunkedArchiverError,
+    CrashPoint,
+    FaultInjector,
     PersistentIngestor,
     create_archive,
+    fsck_archive,
+    inject,
     open_archive,
     parallel,
+    read_manifest,
     restore_key_order,
 )
 from repro.storage import xbin
 from repro.storage.cache import chunk_cache, reset_chunk_cache
-from repro.storage.chunked import concatenate_parts
+from repro.storage.chunked import _chunk_presence_of, concatenate_parts
 from repro.storage.codec import get_codec
 from repro.storage.integrity import IntegrityError
 from repro.xmltree import parse_document, to_pretty_string, to_string
@@ -319,15 +325,16 @@ def _files(directory):
 
 
 def _payloads(directory):
-    """Chunk files and presence sidecars, plus what the checksum sidecar
-    records for them — what must not depend on how versions arrived."""
+    """Chunk files, what the checksum sidecar records for them and the
+    manifest's presence map — what must not depend on how versions
+    arrived."""
+    files = _files(directory)
     state = {
-        name: data
-        for name, data in _files(directory).items()
-        if name.startswith("chunk-") or name == "versions.txt"
+        name: data for name, data in files.items() if name.startswith("chunk-")
     }
-    recorded = json.loads(_files(directory)["checksums.json"])["entries"]
-    return state, {name: recorded[name] for name in state}
+    recorded = json.loads(files["checksums.json"])["entries"]
+    presence = json.loads(files["manifest.json"])["extra"]["presence"]
+    return state, {name: recorded[name] for name in state}, presence
 
 
 def _count_decodes(monkeypatch, codec_name):
@@ -424,13 +431,23 @@ class TestAppendsOnOneHandle:
 
     def test_budget_bounds_what_is_held(self, tmp_path, churn, monkeypatch):
         """Held trees are costed against the decoded-chunk cache's budget
-        like its entries — at-rest bytes plus the inflated body the tree
-        was decoded from; ``0`` turns them off like it turns the cache
-        off."""
+        like its entries — at-rest bytes plus the encoded body — and
+        their kept blocks by their length; ``0`` turns all of it off
+        like it turns the cache off."""
         path = str(tmp_path / "s")
         handle = create_archive(
             path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS, codec="xbin"
         )
+        codec = get_codec("xbin")
+        encoded = []  # (tree, what it kept) as each chunk was encoded
+        original = codec.encode_archive
+
+        def watching(archive):
+            data = original(archive)
+            encoded.append((archive, archive.kept))
+            return data
+
+        monkeypatch.setattr(codec, "encode_archive", watching)
         try:
             reset_chunk_cache(0)
             decodes = _count_decodes(monkeypatch, "xbin")
@@ -438,33 +455,46 @@ class TestAppendsOnOneHandle:
                 handle.add_version(_copy(version))
                 assert handle._held == {}
             assert len(decodes) == 2 * CHUNKS  # the first append created them
-            sizes = []
+            assert [kept for _tree, kept in encoded] == [None] * (3 * CHUNKS)
+            # A created chunk's tree is costed like a decoded one.
+            assert all(tree.body_bytes > 0 for tree, _kept in encoded[:CHUNKS])
+
+            reset_chunk_cache()
+            handle.add_version(_copy(churn[3]))
+            assert len(handle._held) == CHUNKS
+            costs = []
             for index in range(CHUNKS):
-                payload = handle.read_part_payload(index)
-                _version, _flags, body = xbin._unpack(payload)
-                sizes.append(len(payload) + len(body))
-            # Room for two chunks (and their growth), not for three —
-            # though the files alone, a quarter of that, would all fit.
-            budget = sizes[0] + sizes[1] + sizes[2] // 2
+                _sha, tree = handle._held[index]
+                blocks = xbin.kept_bytes(tree)
+                assert blocks > 0
+                at_rest = os.path.getsize(os.path.join(path, f"chunk-{index:04d}.xml"))
+                assert tree.body_bytes > at_rest
+                costs.append(at_rest + tree.body_bytes + blocks)
+            # Room for two trees with their blocks (and their growth),
+            # not for three — though trees and bodies alone, or the
+            # files of all four, would fit.
+            budget = costs[0] + costs[1] + costs[2] // 2
             assert budget > sum(
-                os.path.getsize(os.path.join(path, f"chunk-{index:04d}.xml"))
-                for index in range(CHUNKS)
+                cost - xbin.kept_bytes(handle._held[index][1])
+                for index, cost in enumerate(costs[:3])
             )
             reset_chunk_cache(budget)
-            handle.add_version(_copy(churn[3]))
-            assert sorted(handle._held) == [0, 1]
             del decodes[:]
             handle.add_version(_copy(churn[4]))
+            assert decodes == []  # all were held
+            assert sorted(handle._held) == [0, 1]
+            handle.add_version(_copy(churn[5]))
             assert len(decodes) == CHUNKS - 2
             assert chunk_cache().entry_count == 0  # never the shared cache
         finally:
             reset_chunk_cache()
         handle.close()
+        monkeypatch.setattr(codec, "encode_archive", original)
         fresh = create_archive(
             str(tmp_path / "fresh"), OMIM_KEY_TEXT, kind="chunked",
             chunk_count=CHUNKS, codec="xbin",
         )
-        for version in churn[:5]:
+        for version in churn[:6]:
             fresh.add_version(_copy(version))
         assert _files(path) == _files(tmp_path / "fresh")
 
@@ -618,3 +648,147 @@ class TestPartition:
         )
         serial.ingest_batch(_copy(version) for version in churn[:3])
         assert _payloads(tmp_path / "w2") == _payloads(tmp_path / "w1")
+
+
+# -- stores from before the manifest carried the presence map -----------------
+
+V1_STORE = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1", "chunked")
+#: What that layout kept beside its two chunks.
+V1_SIDECARS = {"chunk-0000.presence", "chunk-0001.presence", "versions.txt"}
+
+
+class TestStoreFromBeforeThePresenceMap:
+    """``tests/fixtures/xbin_v1/chunked`` keeps presence in sidecars and
+    the version count in ``versions.txt``: read old, never write old."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        return OmimGenerator(seed=15, initial_records=8).generate_versions(6)
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        path = str(tmp_path / "store")
+        shutil.copytree(V1_STORE, path)
+        assert V1_SIDECARS < set(os.listdir(path))
+        assert "presence" not in read_manifest(path).extra
+        return path
+
+    @staticmethod
+    def assert_holds(path, documents):
+        """Every ``retrieve(v)`` equals the in-memory model."""
+        model = Archive(omim_key_spec())
+        for document in documents:
+            model.add_version(_copy(document))
+        with open_archive(path, recover=False) as handle:
+            assert handle.last_version == len(documents)
+            for number in range(1, len(documents) + 1):
+                assert to_pretty_string(handle.retrieve(number)) == (
+                    to_pretty_string(model.retrieve(number))
+                )
+
+    @staticmethod
+    def assert_moved(path):
+        """The map is in the manifest; the sidecars are in neither the
+        directory nor the checksum table."""
+        manifest = read_manifest(path)
+        with open_archive(path, recover=False) as handle:
+            for index in range(handle.chunk_count):
+                derived = _chunk_presence_of(handle.load_part(index))
+                assert manifest.extra["presence"][str(index)] == derived.to_text()
+                assert handle.part_presence(index) == derived
+            assert manifest.version_count == handle.last_version
+        assert not V1_SIDECARS & set(os.listdir(path))
+        assert not V1_SIDECARS & set(_recorded(path))
+        report = fsck_archive(path, deep=True)
+        assert report.clean, str(report)
+
+    def test_it_is_read_as_it_is(self, old, documents):
+        before = _files(old)
+        self.assert_holds(old, documents[:4])
+        with open_archive(old) as handle:  # write-capable: still touches nothing
+            assert handle._presence is None
+            assert handle.part_presence(0).to_text() == "1-4"
+            os.remove(os.path.join(old, "chunk-0001.presence"))
+            assert handle.part_presence(1) is None  # unknown: the chunk is read
+            assert len(handle.retrieve(4).children) >= 8
+        after = _files(old)
+        del before["chunk-0001.presence"]
+        assert after == before
+        assert fsck_archive(V1_STORE, deep=True).clean
+
+    @pytest.mark.parametrize("first_commit", ["add_version", "ingest_batch", "recode"])
+    def test_its_first_commit_moves_the_map(self, old, documents, first_commit):
+        stored = 4
+        with open_archive(old) as handle:
+            if first_commit == "add_version":
+                handle.add_version(_copy(documents[4]))
+                stored = 5
+            elif first_commit == "ingest_batch":
+                handle.ingest_batch(_copy(document) for document in documents[4:6])
+                stored = 6
+            else:
+                handle.recode("gzip")
+            assert handle.last_version == stored
+            assert handle._presence is not None
+        self.assert_moved(old)
+        self.assert_holds(old, documents[:stored])
+        with open_archive(old) as handle:  # and the next one is an ordinary one
+            handle.add_version(_copy(documents[stored] if stored < 6 else None))
+        self.assert_moved(old)
+
+    def test_a_crash_while_publishing_rolls_the_unlinks_forward(self, old, documents):
+        dry = FaultInjector()
+        shutil.copytree(old, old + "-dry")
+        with inject(dry), open_archive(old + "-dry") as handle:
+            handle.add_version(_copy(documents[4]))
+        renames = [
+            index
+            for index, (kind, target) in enumerate(dry.log)
+            if kind == "replace" and not target.endswith("wal.json")
+        ]
+        crashing = open_archive(old)
+        with inject(FaultInjector().crash_at_op(renames[1])):
+            with pytest.raises(CrashPoint):
+                crashing.add_version(_copy(documents[4]))
+        # One file was in place: the handle's reload settled the commit
+        # as a reopen would — forward, unlinks included.
+        assert crashing.last_version == 5
+        self.assert_moved(old)
+        self.assert_holds(old, documents[:5])
+
+    def test_sidecars_that_come_back_are_debris(self, old, documents):
+        """Beside a manifest that carries the map nothing reads them: a
+        reader leaves them alone, ``fsck`` names them and ``--repair``
+        deletes them — as the next write-capable open would."""
+        with open_archive(old) as handle:
+            handle.add_version(_copy(documents[4]))
+        left = {"chunk-0000.presence", "versions.txt"}
+        for name in left:
+            shutil.copy(os.path.join(V1_STORE, name), os.path.join(old, name))
+        self.assert_holds(old, documents[:5])  # versions.txt says 4
+        assert left < set(os.listdir(old))
+        report = fsck_archive(old)
+        assert {finding.code for finding in report.findings} == {"leftover-sidecar"}
+        assert {finding.path for finding in report.findings} == left
+        shutil.copytree(old, old + "-reopened")
+        repaired = fsck_archive(old, repair=True)
+        assert not repaired.unrepaired, str(repaired)
+        open_archive(old + "-reopened").close()
+        for path in (old, old + "-reopened"):
+            self.assert_moved(path)
+            self.assert_holds(path, documents[:5])
+
+    def test_fsck_repairs_a_wrong_sidecar_by_moving_the_map(self, old, documents):
+        with open(os.path.join(old, "chunk-0000.presence"), "w") as handle:
+            handle.write("1")
+        report = fsck_archive(old)
+        assert "presence-mismatch" in {finding.code for finding in report.findings}
+        repaired = fsck_archive(old, repair=True)
+        assert not repaired.unrepaired, str(repaired)
+        self.assert_moved(old)
+        self.assert_holds(old, documents[:4])
+
+
+def _recorded(path):
+    with open(os.path.join(path, "checksums.json"), encoding="utf-8") as handle:
+        return json.load(handle)["entries"]

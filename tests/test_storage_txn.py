@@ -12,7 +12,9 @@ import os
 
 import pytest
 
+from repro.data import OmimGenerator
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
+from repro.data.omim import OMIM_KEY_TEXT
 from repro.storage import (
     ArchiveTxn,
     CrashPoint,
@@ -154,15 +156,13 @@ class TestTransaction:
     def test_crash_after_the_wal_append_leaves_the_tmps_to_recovery(self, backend):
         root = backend.storage_root
 
-        def republish_the_counter():
+        def publish_a_note():
             with ArchiveTxn(backend, backend.last_version) as txn:
-                txn.put(
-                    os.path.join(root, "versions.txt"), str(backend.last_version)
-                )
+                txn.put(os.path.join(root, "note.txt"), str(backend.last_version))
 
         counter = FaultInjector()
         with inject(counter):
-            republish_the_counter()
+            publish_a_note()
         appended = next(
             index
             for index, (kind, target) in enumerate(counter.log)
@@ -172,13 +172,51 @@ class TestTransaction:
         # Past the record's rename and its directory sync: the first publish.
         with inject(FaultInjector().crash_at_op(appended + 2)):
             with pytest.raises(CrashPoint):
-                republish_the_counter()
+                publish_a_note()
         # The record is durable, so the transaction cleaned nothing up
         # and moved nothing: what happens next is recovery's decision.
         assert os.path.exists(os.path.join(root, "wal.json"))
-        assert os.path.exists(os.path.join(root, "versions.txt.tmp"))
+        assert os.path.exists(os.path.join(root, "note.txt.tmp"))
         assert os.path.exists(manifest_location(root) + ".tmp")
         assert self.in_memory(backend) == state
         backend._load_state()  # nothing was renamed yet: rolls back
         assert self.in_memory(backend) == state
         assert not any(name.endswith(".tmp") for name in os.listdir(root))
+
+
+class TestWhatAnAppendStages:
+    """The cost of durability is a count, and the count is part of the
+    contract: an append stages the chunks it merged and the two files
+    that describe them, and syncs each once."""
+
+    CHUNKS = 8
+
+    def test_ten_files_and_fourteen_syncs(self, tmp_path):
+        versions = OmimGenerator(seed=3, initial_records=40).generate_versions(3)
+        root = str(tmp_path / "store")
+        backend = create_archive(
+            root, OMIM_KEY_TEXT, kind="chunked", chunk_count=self.CHUNKS, codec="xbin"
+        )
+        backend.ingest_batch(version.copy() for version in versions[:2])
+        assert all(backend.part_exists(index) for index in range(self.CHUNKS))
+        seam = FaultInjector()
+        with inject(seam):
+            backend.add_version(versions[2].copy())
+        backend.close()
+        log = [(kind, os.path.basename(target)) for kind, target in seam.log]
+        staged = sorted(
+            name for kind, name in log if kind == "write" and name != "wal.json.tmp"
+        )
+        assert staged == sorted(
+            [f"chunk-{index:04d}.xml.tmp" for index in range(self.CHUNKS)]
+            + ["manifest.json.tmp", "checksums.json.tmp"]
+        )
+        syncs = [(kind, name) for kind, name in log if kind in ("fsync", "dirsync")]
+        # Each staged file and the write-ahead record; the directory
+        # when the record is in, the files are published, the record out.
+        assert len([kind for kind, _ in syncs if kind == "fsync"]) == 11
+        assert len([kind for kind, _ in syncs if kind == "dirsync"]) == 3
+        assert not [
+            name for _, name in log if ".presence" in name or "versions.txt" in name
+        ]
+        assert_committed(root, open_archive(root), generation=3)
