@@ -121,7 +121,8 @@ def cmd_add(args: argparse.Namespace) -> int:
             print(
                 f"merged {version_path} as version {number} "
                 f"(matched {stats.nodes_matched}, "
-                f"inserted {stats.nodes_inserted}, "
+                f"{stats.nodes_kept} of them in {stats.records_kept} kept "
+                f"records, inserted {stats.nodes_inserted}, "
                 f"content changes {stats.frontier_content_changes})"
             )
         else:
@@ -216,7 +217,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"ingested {total.versions} versions: {total.nodes_visited()} node visits, "
         f"{total.nodes_inserted} inserted, {total.subtrees_skipped} subtrees "
         f"skipped ({total.nodes_skipped} nodes), "
-        f"{total.frontier_skips} frontier digest hits"
+        f"{total.frontier_skips} frontier digest hits, "
+        f"{total.records_kept} records kept ({total.nodes_kept} nodes)"
     )
     backend.close()
     return 0

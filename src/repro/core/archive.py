@@ -38,6 +38,15 @@ version's elements directly and builds no archive node under them — a
 tree opened for one read is never built; every later ``retrieve`` walks
 ``children`` as above, so a tree that is kept gets its nodes, timestamp
 trees and shared content on its second read and keeps them.
+
+A tree a *writer* holds between appends keeps two things on
+:attr:`Archive.kept`: the encoded children blocks of what stood still
+(the encoder copies them) and a memo of the records alive at the last
+version.  ``add_version`` on such a tree digests the incoming records
+before it annotates them; what the memo confirms is neither annotated
+nor descended (:func:`~repro.core.merge.annotate_version`).  The tree,
+the bytes it encodes to and the ``MergeStats`` it reports are those of
+a tree that keeps nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from ..xmltree.parser import parse_document
 from ..xmltree.serializer import to_pretty_string, to_string
 from .compaction import lines_to_content, weave_content_at
 from .fingerprint import Fingerprinter
-from .merge import MergeOptions, MergeStats, nested_merge
+from .merge import Kept, MergeOptions, MergeStats, annotate_version, nested_merge
 from .nodes import Alternative, ArchiveNode, Weave, WeaveSegment
 from .tstree import (
     TREE_MIN_CHILDREN,
@@ -217,11 +226,13 @@ class Archive:
         #: last encoded as (0 when neither has happened).  Whoever holds
         #: the tree budgets it by this beside the bytes at rest.
         self.body_bytes = 0
-        #: Encoded children blocks by node id, on a tree a writer holds
-        #: between appends (:mod:`repro.storage.xbin` fills and reads
-        #: it, Nested Merge drops what it outdates); ``None`` on every
-        #: other tree.
-        self.kept: Optional[dict] = None
+        #: On a tree a writer holds between appends: encoded children
+        #: blocks by node id (:mod:`repro.storage.xbin` fills and reads
+        #: them, Nested Merge drops what it outdates) and, beside them,
+        #: the memo of the records alive at the last version
+        #: (:class:`~repro.core.merge.Kept`).  ``None`` on every other
+        #: tree.
+        self.kept: Optional[Kept] = None
         self._trees: dict[int, _CachedTree] = {}
         self._child_tokens: dict[int, _CachedTokens] = {}
 
@@ -283,12 +294,21 @@ class Archive:
         ``memo`` is a :class:`~repro.core.merge.MergeMemo` carried by a
         batched :class:`~repro.core.ingest.IngestSession`; unchanged
         keyed subtrees are then fingerprint-skipped instead of descended.
+
+        A lone version merged into a tree that keeps records
+        (:attr:`kept`) is digested before it is annotated: a record the
+        memo confirmed at the last version is neither annotated nor
+        descended (:func:`~repro.core.merge.annotate_version`).
         """
-        annotated = (
-            annotate_keys(document, self.spec)
-            if isinstance(document, Element)
-            else document
-        )
+        annotated: Optional[AnnotatedDocument]
+        if not isinstance(document, Element):
+            annotated = document
+        elif self.kept is not None and memo is None:
+            annotated = annotate_version(
+                document, self.spec, [self.kept.records], self.last_version
+            )
+        else:
+            annotated = annotate_keys(document, self.spec)
         version = self.last_version + 1
         root_timestamp = self._root_timestamp()
         root_timestamp.add(version)

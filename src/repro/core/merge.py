@@ -18,14 +18,26 @@ timestamps below — see :meth:`ArchiveNode.subtree_uniform`), the merge
 skips the whole descent: the paper's accretive workloads leave most
 keyed subtrees untouched between versions, so ingestion cost tracks the
 delta instead of the archive size.
+
+A lone append has no batch to carry a memo across, but the tree a
+writer holds between appends does: beside its kept blocks it keeps a
+*record memo* (:class:`Kept`) — for every child of the document root
+alive at the last version, a digest of the record as it arrived and the
+explicit timestamps beneath it.  :func:`annotate_version` digests an
+incoming version's records **before** Annotate Keys; a record whose
+digest the memo confirmed at the last version is neither annotated nor
+descended: the merge extends those timestamps, drops the kept blocks
+they sit in, and moves on.  Annotate Keys and Nested Merge then cost
+what the records that changed cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
-from ..keys.annotate import AnnotatedDocument, KeyLabel
+from ..keys.annotate import AnnotatedDocument, KeyLabel, annotate_keys
+from ..keys.spec import KeySpec
 from ..xmltree.canonical import canonical_form
 from ..xmltree.model import Element, Text
 from .compaction import lines_to_content, merge_weave, weave_from_content
@@ -62,12 +74,21 @@ class MergeStats:
     """Counters describing one merge (or a whole batch of merges).
 
     ``nodes_matched`` counts merge-node visits; the skip counters record
-    work the fingerprint memo avoided: ``subtrees_skipped`` unchanged
-    keyed subtrees whose descent was short-circuited, ``nodes_skipped``
-    the keyed nodes inside them that were never visited, and
-    ``frontier_skips`` frontier nodes whose content comparison was
-    replaced by a digest hit.  ``versions`` counts merges accumulated
-    into this instance (1 for a single ``add_version``).
+    work the batch's fingerprint memo avoided: ``subtrees_skipped``
+    unchanged keyed subtrees whose descent was short-circuited,
+    ``nodes_skipped`` the keyed nodes inside them that were never
+    visited, and ``frontier_skips`` frontier nodes whose content
+    comparison was replaced by a digest hit.  ``versions`` counts merges
+    accumulated into this instance (1 for a single ``add_version``).
+
+    **Contract.**  Every counter above is what a merge of the same
+    version into a freshly decoded tree reports, whatever the tree's
+    holder remembered: a record the kept memo (:class:`Kept`) proved
+    unchanged adds its keyed nodes to ``nodes_matched`` — they *are*
+    matched, by digest — and nothing to the batch memo's skip counters.
+    What the holder saved is reported beside them: ``records_kept``
+    records matched by digest, and ``nodes_kept`` — of
+    ``nodes_matched``, the nodes matched without a descent.
     """
 
     nodes_matched: int = 0
@@ -78,21 +99,19 @@ class MergeStats:
     nodes_skipped: int = 0
     frontier_skips: int = 0
     versions: int = 0
+    records_kept: int = 0
+    nodes_kept: int = 0
 
     def accumulate(self, other: "MergeStats") -> "MergeStats":
         """Fold another merge's counters into this one (batch totals)."""
-        self.nodes_matched += other.nodes_matched
-        self.nodes_inserted += other.nodes_inserted
-        self.nodes_terminated += other.nodes_terminated
-        self.frontier_content_changes += other.frontier_content_changes
-        self.subtrees_skipped += other.subtrees_skipped
-        self.nodes_skipped += other.nodes_skipped
-        self.frontier_skips += other.frontier_skips
-        self.versions += other.versions
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def nodes_visited(self) -> int:
-        """Merge-node visits actually performed (skips excluded)."""
+        """Merge-node visits (skips excluded; nodes a kept memo matched
+        by digest included, see the contract above)."""
         return self.nodes_matched + self.nodes_inserted
 
 
@@ -269,6 +288,162 @@ class MergeMemo:
         self.frontier[id(node)] = FrontierEntry(digest=digest, segments=segments)
 
 
+#: About what CPython spends on one :class:`RecordEntry` and its slot
+#: in the memo (the object, its digest, two lists), and on each
+#: reference those lists hold.
+_ENTRY_BYTES = 320
+_REFERENCE_BYTES = 8
+
+
+@dataclass(slots=True)
+class RecordEntry:
+    """Kept memo of one *record* — a child of the document root.
+
+    Made from the digest alone when a version is digested
+    (:func:`annotate_version`); filled by the merge that descends the
+    record (:meth:`fill`: ``node`` set); and from then on confirmed,
+    without a descent, by every version that brings the record back
+    with the same digest (:meth:`confirm`).
+
+    ``timestamps`` are the explicit timestamps at or beneath ``node``
+    that contain ``version`` — its own, its live keyed descendants',
+    the current :class:`Alternative`'s or weave segments' — which is
+    exactly what Nested Merge extends when it walks an unchanged
+    record; ``owners`` are the ids of the nodes beneath whose children
+    blocks those timestamps are encoded; ``count`` is the record's
+    keyed nodes alive at ``version``.
+    """
+
+    digest: int
+    node: Optional[ArchiveNode] = None
+    version: int = 0
+    count: int = 0
+    timestamps: list[VersionSet] = field(default_factory=list)
+    owners: list[int] = field(default_factory=list)
+
+    def fill(self, node: ArchiveNode, version: int) -> None:
+        """Remember ``node`` as merged, or inserted, at ``version``."""
+        self.node = node
+        self.version = version
+        self.count = 0
+        self.timestamps = []
+        self.owners = []
+        self._note(node, version)
+
+    def _note(self, node: ArchiveNode, version: int) -> None:
+        # Runs over every record a version changed: frontier nodes, most
+        # of them with one untimestamped alternative, leave early.
+        self.count += 1
+        timestamps = self.timestamps
+        if node.timestamp is not None:
+            timestamps.append(node.timestamp)
+        if node.alternatives is not None:
+            for alternative in node.alternatives:
+                current = alternative.timestamp
+                if current is not None and version in current:
+                    timestamps.append(current)
+            return
+        if node.weave is not None:
+            for segment in node.weave.segments:
+                if version in segment.timestamp:
+                    timestamps.append(segment.timestamp)
+            return
+        found = len(timestamps)
+        for child in node.children:
+            if child.timestamp is None or version in child.timestamp:
+                self._note(child, version)
+        if len(timestamps) > found:
+            self.owners.append(id(node))
+
+    def confirm(self, version: int, kept: dict, stats: MergeStats) -> bool:
+        """The merge of the unchanged record, without the walk; returns
+        whether it changed anything an encoder writes."""
+        for timestamp in self.timestamps:
+            timestamp.add(version)
+        for owner in self.owners:
+            kept.pop(owner, None)
+        self.version = version
+        stats.nodes_matched += self.count
+        stats.records_kept += 1
+        stats.nodes_kept += self.count
+        return bool(self.timestamps)
+
+
+class Kept(dict):
+    """What a tree keeps while a writer holds it between appends
+    (:attr:`Archive.kept <repro.core.archive.Archive.kept>`).
+
+    The mapping itself is the encoder's: children blocks by node id
+    (:mod:`repro.storage.xbin`).  ``records`` is the *record memo*: for
+    every record alive at the last version merged through
+    :func:`annotate_version`, its :class:`RecordEntry` by digest.  One
+    object, so both halves live, are budgeted and die together.  A
+    version merged any other way (a batch, an empty version) leaves the
+    entries behind unconfirmed, where they can never hit; the next
+    digested version replaces the memo.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: dict[int, RecordEntry] = {}
+
+    def records_bytes(self) -> int:
+        """About what the record memo holds, for whoever budgets it."""
+        return sum(
+            _ENTRY_BYTES
+            + _REFERENCE_BYTES * (len(entry.timestamps) + len(entry.owners))
+            for entry in self.records.values()
+        )
+
+
+_RECORD_DIGEST = Fingerprinter(bits=128)
+
+
+def annotate_version(
+    document: Element,
+    spec: KeySpec,
+    memos: list[dict[int, RecordEntry]],
+    last_version: int,
+) -> AnnotatedDocument:
+    """Annotate Keys for a version bound for trees that keep records.
+
+    Every child of the root is digested first (Sec. 4.3: 128 bits over
+    the order-sensitive canonical form, so no labels are needed, and
+    over the root's tag, so a record never hits across document roots).
+    A digest one of ``memos`` holds, *confirmed at* ``last_version``, is
+    a hit: the record takes the label its archive node carries and is
+    not annotated.  Everything else is annotated as always, hits
+    counting among their siblings for uniqueness (which is also what
+    refuses the same record twice in one version), so every key
+    violation is still raised here, before any tree is touched.  The
+    result's ``records`` maps each record to its entry: the memo's own
+    for a hit, a fresh one to fill for a miss.
+
+    Only a root keyed by its tag alone is treated this way (all of the
+    paper's are): any other could not be labelled without its records.
+    """
+    keyed = spec.roots.get(document.tag)
+    if keyed is None or keyed.frontier or keyed.key.key_paths:
+        return annotate_keys(document, spec)
+    fingerprint = _RECORD_DIGEST.fingerprint
+    records: dict[int, RecordEntry] = {}
+    known: dict[int, KeyLabel] = {}
+    for record in document.element_children():
+        digest = fingerprint(f"{document.tag}\x1f{canonical_form(record)}")
+        hit = None
+        for memo in memos:
+            entry = memo.get(digest)
+            if entry is not None and entry.version == last_version:
+                assert entry.node is not None  # only filled entries are kept
+                known[id(record)] = entry.node.label
+                hit = entry
+                break
+        records[id(record)] = hit or RecordEntry(digest)
+    annotated = annotate_keys(document, spec, known)
+    annotated.records = records
+    return annotated
+
+
 def _content_equal(a: list[ContentNode], b: list[ContentNode]) -> bool:
     if len(a) != len(b):
         return False
@@ -344,7 +519,7 @@ def nested_merge(
     version: int,
     options: Optional[MergeOptions] = None,
     memo: Optional[MergeMemo] = None,
-    kept: Optional[dict] = None,
+    kept: Optional[Kept] = None,
 ) -> MergeStats:
     """Merge version ``version`` (the annotated document) into the archive.
 
@@ -361,6 +536,12 @@ def nested_merge(
     <repro.core.archive.Archive.kept>` — encoded children blocks by node
     id.  A node's entry is dropped in the call that changes anything
     beneath the node; what stays is still what an encoder would write.
+    When the document came through :func:`annotate_version`, its hits
+    are confirmed instead of descended, its misses fill their entries
+    as they are merged, and the entries of the records this version
+    holds become ``kept.records``.  (A root that enters whole — the
+    first version of a tree — fills none: its records hit from the
+    version after next.)
     """
     options = options or MergeOptions()
     stats = MergeStats()
@@ -392,6 +573,14 @@ def nested_merge(
     for child in archive_root.children:
         if child.label != root_label and child.timestamp is None:
             child.timestamp = inherited.without(version)
+    if kept is not None and document.records:
+        entries = [
+            document.records[id(record)]
+            for record in document.root.element_children()
+        ]
+        kept.records = {
+            entry.digest: entry for entry in entries if entry.node is not None
+        }
     return stats
 
 
@@ -404,7 +593,7 @@ def _merge_node(
     options: MergeOptions,
     stats: MergeStats,
     memo: Optional[MergeMemo] = None,
-    kept: Optional[dict] = None,
+    kept: Optional[Kept] = None,
 ) -> tuple[bool, bool]:
     """The paper's ``Nested Merge(x, y, T)`` with ``label(x) = label(y)``.
 
@@ -455,6 +644,11 @@ def _merge_node(
     merged: list[ArchiveNode] = []
     uniform = True
     below = False  # whether x's children block changed
+    # The kept memo's entries of y's children, when y is the root of a
+    # digested version and the tree is one that keeps records.
+    entries = None
+    if kept is not None and y is document.root:
+        entries = document.records
     i, j = 0, 0
     archive_children = x.children
     while i < len(archive_children) and j < len(version_children):
@@ -463,17 +657,26 @@ def _merge_node(
         x_token = token(x_child.label)
         y_token = token(document.label(y_child))
         if x_token == y_token:
-            child_uniform, child_changed = _merge_node(
-                x_child,
-                y_child,
-                document,
-                version,
-                current,
-                options,
-                stats,
-                memo,
-                kept,
-            )
+            entry = entries.get(id(y_child)) if entries else None
+            if entry is not None and entry.node is not None:
+                # A hit: y_child was never annotated, and is not descended.
+                assert entry.node is x_child, "a kept record outlived its node"
+                child_uniform = False
+                child_changed = entry.confirm(version, kept, stats)
+            else:
+                child_uniform, child_changed = _merge_node(
+                    x_child,
+                    y_child,
+                    document,
+                    version,
+                    current,
+                    options,
+                    stats,
+                    memo,
+                    kept,
+                )
+                if entry is not None:
+                    entry.fill(x_child, version)
             if not child_uniform or x_child.timestamp is not None:
                 uniform = False
             if child_changed:
@@ -490,7 +693,9 @@ def _merge_node(
             i += 1
         else:
             merged.append(
-                _insert(x, y_child, document, version, options, stats, memo)
+                _insert(
+                    x, y_child, document, version, options, stats, memo, entries
+                )
             )
             uniform = False  # the fresh subtree's root timestamp is {version}
             below = True
@@ -500,13 +705,12 @@ def _merge_node(
             below = True
         merged.append(archive_children[i])
         i += 1
-    while j < len(version_children):
+    for y_child in version_children[j:]:
         merged.append(
-            _insert(x, version_children[j], document, version, options, stats, memo)
+            _insert(x, y_child, document, version, options, stats, memo, entries)
         )
         uniform = False
         below = True
-        j += 1
     x.children = merged
     if below and kept is not None:
         kept.pop(id(x), None)
@@ -553,14 +757,18 @@ def _insert(
     options: MergeOptions,
     stats: MergeStats,
     memo: Optional[MergeMemo] = None,
+    entries: Optional[dict[int, RecordEntry]] = None,
 ) -> ArchiveNode:
-    """Action (c): the version child is new; graft it with timestamp {i}."""
+    """Action (c): the version child is new; graft it with timestamp {i}
+    (and, a record of a tree that keeps them, fill its entry)."""
     stats.nodes_inserted += 1
     node = build_archive_subtree(
         y_child, document, VersionSet([version]), version, options
     )
     if memo is not None:
         _memoize_built(node, y_child, document, options, memo)
+    if entries:
+        entries[id(y_child)].fill(node, version)
     return node
 
 

@@ -18,7 +18,7 @@ a side table keeps the input immutable, which the experiments rely on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..xmltree.model import Element, Text
@@ -73,6 +73,10 @@ class AnnotatedDocument:
     spec: KeySpec
     labels: dict[int, KeyLabel]
     frontier_ids: set[int]
+    #: For a version that was digested before it was annotated
+    #: (:func:`repro.core.merge.annotate_version`): the kept-memo entry
+    #: of each child of the root, by element id.
+    records: dict = field(default_factory=dict)
 
     def label(self, node: Element) -> Optional[KeyLabel]:
         """The node's key label, or ``None`` for unkeyed nodes."""
@@ -101,6 +105,7 @@ class AnnotatedDocument:
             spec=self.spec,
             labels=self.labels,
             frontier_ids=self.frontier_ids,
+            records=self.records,
         )
 
     def __reduce__(self):
@@ -122,9 +127,8 @@ def compute_key_value(node: Element, key: Key, value_of=None) -> KeyValue:
     """
     value_of = value_of or value_at
     components: list[tuple[str, str]] = []
-    for key_path in key.key_paths:
+    for key_path, path_text in key.rendered_paths:
         targets = navigate(node, key_path)
-        path_text = format_path(key_path, absolute=False)
         if not targets:
             raise KeyViolationError(
                 f"Key path {path_text!r} missing at <{node.tag}> "
@@ -136,17 +140,26 @@ def compute_key_value(node: Element, key: Key, value_of=None) -> KeyValue:
                 f"(key {key}): {len(targets)} occurrences"
             )
         components.append((path_text, value_of(targets[0])))
-    components.sort(key=lambda item: item[0])
     return tuple(components)
 
 
-def annotate_keys(root: Element, spec: KeySpec) -> AnnotatedDocument:
+def annotate_keys(
+    root: Element, spec: KeySpec, known: Optional[dict[int, KeyLabel]] = None
+) -> AnnotatedDocument:
     """Annotate every keyed node of ``root`` with its key value.
 
-    The traversal is a single document-order scan maintaining the
-    root-to-node path (the paper's main stack ``M``); key-path values are
-    evaluated through pointers into the subtree, the implementation the
-    paper's analysis assumes.
+    The traversal is a single document-order scan carrying the keyed
+    path it stands at (the paper's main stack ``M``; here the
+    specification's own table of keyed paths, one step per level);
+    key-path values are evaluated through pointers into the subtree, the
+    implementation the paper's analysis assumes.  Each node's children
+    are labelled, and checked against each other for uniqueness, as the
+    node is visited.
+
+    ``known`` gives the labels of children of ``root`` the caller has
+    already — records a writer's kept memo proved unchanged
+    (:func:`repro.core.merge.annotate_version`): they take that label,
+    count among their siblings for uniqueness, and are not descended.
 
     With an empty key specification the root is treated as the single
     frontier node and the document is otherwise unannotated — archiving
@@ -154,67 +167,61 @@ def annotate_keys(root: Element, spec: KeySpec) -> AnnotatedDocument:
     """
     labels: dict[int, KeyLabel] = {}
     frontier_ids: set[int] = set()
-
-    if len(spec) == 0:
-        labels[id(root)] = KeyLabel(tag=root.tag, key=())
-        frontier_ids.add(id(root))
-        return AnnotatedDocument(
-            root=root, spec=spec, labels=labels, frontier_ids=frontier_ids
-        )
-
-    # Iterative document-order walk carrying the path from the root.
-    stack: list[tuple[Element, Path]] = [(root, (root.tag,))]
-    while stack:
-        node, path = stack.pop()
-        key = spec.key_for(path)
-        if key is None:
-            raise KeyCoverageError(
-                f"Unkeyed node above the frontier: <{node.tag}> at "
-                f"{format_path(path)}"
-            )
-        labels[id(node)] = KeyLabel(tag=node.tag, key=compute_key_value(node, key))
-        if spec.is_frontier_path(path):
-            frontier_ids.add(id(node))
-            continue  # everything beneath is beyond the frontier
-        _check_children_coverage(node, path)
-        for child in node.element_children():
-            stack.append((child, path + (child.tag,)))
-
     document = AnnotatedDocument(
         root=root, spec=spec, labels=labels, frontier_ids=frontier_ids
     )
-    _check_sibling_uniqueness(document)
-    return document
+    if len(spec) == 0:
+        labels[id(root)] = KeyLabel(tag=root.tag, key=())
+        frontier_ids.add(id(root))
+        return document
 
-
-def _check_children_coverage(node: Element, path: Path) -> None:
-    for child in node.children:
-        if isinstance(child, Text) and child.text.strip():
-            raise KeyCoverageError(
-                f"Text content above the frontier under <{node.tag}> at "
-                f"{format_path(path)}"
-            )
-
-
-def _check_sibling_uniqueness(document: AnnotatedDocument) -> None:
-    """No two keyed siblings may share a key label (strong-key uniqueness)."""
-    stack = [document.root]
+    keyed = spec.roots.get(root.tag)
+    if keyed is None:
+        raise _unkeyed(root, (root.tag,))
+    labels[id(root)] = KeyLabel(tag=root.tag, key=compute_key_value(root, keyed.key))
+    if keyed.frontier:
+        frontier_ids.add(id(root))
+        return document  # everything beneath is beyond the frontier
+    stack = [(root, keyed)]
     while stack:
-        node = stack.pop()
-        if document.is_frontier(node):
-            continue
+        node, keyed = stack.pop()
+        below = keyed.below
         seen: set[KeyLabel] = set()
-        for child in node.element_children():
-            label = document.label(child)
-            if label is None:
+        for child in node.children:
+            if isinstance(child, Text):
+                if child.text.strip():
+                    raise KeyCoverageError(
+                        f"Text content above the frontier under <{node.tag}> "
+                        f"at {format_path(keyed.path)}"
+                    )
                 continue
-            if label in seen:
+            label = known.get(id(child)) if known else None
+            if label is None:
+                step = below.get(child.tag)
+                if step is None:
+                    raise _unkeyed(child, keyed.path + (child.tag,))
+                label = KeyLabel(
+                    tag=child.tag, key=compute_key_value(child, step.key)
+                )
+                if step.frontier:
+                    frontier_ids.add(id(child))
+                else:
+                    stack.append((child, step))
+            distinct = len(seen)
+            seen.add(label)
+            if len(seen) == distinct:
                 raise KeyViolationError(
                     f"Duplicate key value {label} among children of "
                     f"<{node.tag}>"
                 )
-            seen.add(label)
-            stack.append(child)
+            labels[id(child)] = label
+    return document
+
+
+def _unkeyed(node: Element, path: Path) -> KeyCoverageError:
+    return KeyCoverageError(
+        f"Unkeyed node above the frontier: <{node.tag}> at {format_path(path)}"
+    )
 
 
 def iter_keyed_nodes(document: AnnotatedDocument) -> Iterator[tuple[Element, KeyLabel]]:

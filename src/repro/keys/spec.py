@@ -15,6 +15,7 @@ verifies the paper's structural assumptions on the key structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .paths import (
     EMPTY_PATH,
@@ -54,12 +55,35 @@ class Key:
         """``Q/Q'`` — the full root-to-target path (``CS_i`` in Sec. 4.1)."""
         return concat(self.context, self.target)
 
+    @cached_property
+    def rendered_paths(self) -> tuple[tuple[Path, str], ...]:
+        """Every key path beside its text, in the order a key value lists
+        its components (by text): rendered and sorted once per key, not
+        once per node the key labels."""
+        rendered = [
+            (path, format_path(path, absolute=False)) for path in self.key_paths
+        ]
+        return tuple(sorted(rendered, key=lambda item: item[1]))
+
     def __str__(self) -> str:
         paths = ", ".join(format_path(p, absolute=False) for p in self.key_paths)
         return (
             f"({format_path(self.context)}, "
             f"({format_path(self.target, absolute=False)}, {{{paths}}}))"
         )
+
+
+@dataclass
+class KeyedPath:
+    """One keyed path of a specification as Annotate Keys walks it: the
+    key that labels the nodes there, whether they are frontier nodes,
+    and the keyed paths one step below by child tag — so the walk
+    carries this down instead of building and hashing a path per node."""
+
+    path: Path
+    key: Key
+    frontier: bool
+    below: dict[str, "KeyedPath"] = field(default_factory=dict, repr=False)
 
 
 def key(context: str, target: str, key_paths: tuple[str, ...] | list[str] = ()) -> Key:
@@ -114,6 +138,23 @@ class KeySpec:
         )
         self._check_insertion_friendly()
         self._check_no_keys_beneath_key_paths()
+
+    @cached_property
+    def roots(self) -> dict[str, KeyedPath]:
+        """The keyed paths of length one, by tag; the rest hang below
+        them.  Built the first time a document is annotated: a handle
+        that only reads never asks."""
+        keyed = {
+            path: KeyedPath(path, path_key, path in self.frontier_paths)
+            for path, path_key in self.keys_by_path.items()
+        }
+        roots = {}
+        for path, entry in keyed.items():
+            if len(path) == 1:
+                roots[path[0]] = entry
+            elif path[:-1] in keyed:  # else unreachable: coverage fails above it
+                keyed[path[:-1]].below[path[-1]] = entry
+        return roots
 
     @staticmethod
     def _add(closed: dict[Path, Key], new_key: Key) -> None:

@@ -453,6 +453,8 @@ class ArchiveService:
                         "subtrees_skipped": stats.subtrees_skipped,
                         "nodes_skipped": stats.nodes_skipped,
                         "frontier_skips": stats.frontier_skips,
+                        "records_kept": stats.records_kept,
+                        "nodes_kept": stats.nodes_kept,
                     },
                 }
             finally:

@@ -43,7 +43,7 @@ from ..core.archive import (
     ElementHistory,
 )
 from ..core.ingest import IngestSession
-from ..core.merge import MergeStats
+from ..core.merge import Kept, MergeStats
 from ..core.tempquery import ChangeReport, archive_diff
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
@@ -696,9 +696,10 @@ class FileBackend(StorageBackend):
             self._archive = self._decode(self._read_payload())
             self._archive_shared = False
         if self._archive.kept is None and chunk_cache().enabled:
-            # A tree a writer holds keeps the blocks it encodes (a
-            # fraction of the tree, which this layout has always held).
-            self._archive.kept = {}
+            # A tree a writer holds keeps the blocks it encodes and the
+            # memo of its records (a fraction of the tree, which this
+            # layout has always held).
+            self._archive.kept = Kept()
         return self._archive
 
     def drop_caches(self) -> None:

@@ -15,10 +15,23 @@ each bucket is archived independently (one on-disk XML archive per
 chunk), and queries fan out to the owning chunk.  A read holds one
 chunk at a time plus one version's worth of records; a write-capable
 handle that appends version after version also keeps the chunk trees it
-last published and the encoded blocks of what stood still in them, up
-to the decoded-chunk cache budget (``REPRO_CHUNK_CACHE_BYTES``; ``0``
-keeps none and restores the largest-chunk bound), so the next append
-decodes nothing it encoded itself and re-encodes only what it changed.
+last published, the encoded blocks of what stood still in them and a
+memo of the records alive in them, up to the decoded-chunk cache budget
+(``REPRO_CHUNK_CACHE_BYTES``; ``0`` keeps none and restores the
+largest-chunk bound), so the next append decodes nothing it encoded
+itself, annotates and merges only the records that arrive changed, and
+re-encodes only what it changed.
+
+The memo knows *records* — the children of the document root, the
+level this module partitions at (OMIM's and Swiss-Prot's ``Record``
+lists).  An incoming version is digested record by record before
+anything else; what a held tree's memo confirms costs that digest and
+nothing more.  Data whose root has a few large children instead (XMark's
+``site``: six regions and lists) confirms one only when a whole child
+stood still, and otherwise pays the digest pass on top of the full
+annotate and merge — as does any version in which every record changed
+(measured at 0…+2 % of such an append at 80 records,
+``benchmarks/results/e2e_kept_memo_pr22.txt``).
 
 Beside the chunk files the directory holds the manifest, which carries
 the version count and, per chunk, the versions at which the chunk has
@@ -44,7 +57,7 @@ from ..core.archive import (
     _parse_history_path,
     missing_element_error,
 )
-from ..core.merge import MergeStats
+from ..core.merge import Kept, MergeStats, RecordEntry, annotate_version
 from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
@@ -221,14 +234,24 @@ class ChunkedArchiver(StorageBackend):
     verified checksum is the held one.  Nested Merge then drops the
     kept block of every node it changes anything beneath, and the
     encoder copies the blocks that are left (:mod:`repro.storage.xbin`):
-    the chunk's bytes are those a fresh handle would write.  Held trees
-    are private to the handle — they never enter the shared
+    the chunk's bytes are those a fresh handle would write.
+
+    Beside the blocks each held tree keeps its *record memo*
+    (:class:`~repro.core.merge.Kept`): the next ``add_version`` digests
+    the incoming records before Annotate Keys and asks the memos of the
+    trees it is about to be handed; a record one of them confirmed at
+    the last version goes to that tree's chunk unannotated and is
+    merged by extending the timestamps the memo names.  A tree decoded
+    afresh has no memo, merges in full and fills one.
+
+    Held trees are private to the handle — they never enter the shared
     :func:`~repro.storage.cache.chunk_cache`, and reads through this
     handle do not use them — are costed like its entries (at-rest size
-    plus the encoded body) and their kept blocks by their length
-    against that cache's budget, and are dropped, blocks and all, by
-    ``close()``, ``drop_caches()``, ``ingest_batch``, ``recode`` and
-    any failed write (see :func:`~repro.storage.backend.mutation`).
+    plus the encoded body), their kept blocks by their length and their
+    memo by its entries against that cache's budget, and are dropped,
+    blocks, memo and all, by ``close()``, ``drop_caches()``,
+    ``ingest_batch``, ``recode`` and any failed write (see
+    :func:`~repro.storage.backend.mutation`).
     """
 
     kind = "chunked"
@@ -500,7 +523,11 @@ class ChunkedArchiver(StorageBackend):
             )
         return self.chunk_index_for_label(label)
 
-    def _partition(self, document: Element) -> dict[int, AnnotatedDocument]:
+    def _partition(
+        self,
+        document: Element,
+        memos: Optional[list[dict[int, RecordEntry]]] = None,
+    ) -> dict[int, AnnotatedDocument]:
         """One version's records, split by owning chunk.
 
         *Annotate Keys* runs here, once, over the whole version — every
@@ -509,8 +536,20 @@ class ChunkedArchiver(StorageBackend):
         a shell over the caller's own record nodes under that one label
         table: no second scan per chunk, and no copies (Nested Merge
         copies what it keeps; the caller's document is left as it was).
+
+        With ``memos`` — the record memos of the trees this handle
+        holds — the version is digested first and only the records no
+        memo confirms are annotated
+        (:func:`~repro.core.merge.annotate_version`); a confirmed record
+        is routed by the label its archive node carries, which is the
+        one that routed it there.
         """
-        annotated = annotate_keys(document, self.spec)
+        if memos is None:
+            annotated = annotate_keys(document, self.spec)
+        else:
+            annotated = annotate_version(
+                document, self.spec, memos, self._version_count
+            )
         parts: dict[int, AnnotatedDocument] = {}
         for record in document.element_children():
             index = self._chunk_of(record, annotated)
@@ -546,9 +585,17 @@ class ChunkedArchiver(StorageBackend):
         """Partition the version and merge chunk by chunk; all chunk
         files publish atomically behind one WAL record."""
         total = MergeStats()
-        parts = self._partition(document) if document is not None else {}
-        # What the held trees and their kept blocks may cost.
+        # What the held trees and what they keep may cost.
         room = chunk_cache().max_bytes
+        memos = None
+        if room > 0:
+            # Of the trees ``_load_chunk`` is going to hand out.
+            memos = [
+                tree.kept.records
+                for index, (sha256, tree) in self._held.items()
+                if tree.kept is not None and sha256 == self._cache_token(index)
+            ]
+        parts = self._partition(document, memos) if document is not None else {}
         merged: dict[int, tuple[str, Archive]] = {}
         number = self._version_count + 1
         with ArchiveTxn(self, number) as txn:
@@ -562,7 +609,7 @@ class ChunkedArchiver(StorageBackend):
                     continue  # nothing stored, nothing new: stay lazy
                 archive = self._load_chunk(index, for_write=True)
                 if room > 0 and archive.kept is None:
-                    archive.kept = {}  # a tree that may be held keeps blocks
+                    archive.kept = Kept()  # a tree that may be held keeps
                 total.accumulate(archive.add_version(part))
                 presence[str(index)] = _chunk_presence_of(archive).to_text()
                 staged = txn.put(

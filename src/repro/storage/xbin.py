@@ -885,8 +885,12 @@ def encode_archive(archive: Archive) -> bytes:
 
 
 def kept_bytes(archive: Archive) -> int:
-    """What the blocks kept on ``archive`` hold, for whoever budgets it."""
-    return sum(len(entry[1]) for entry in (archive.kept or {}).values())
+    """What ``archive`` keeps for its holder — the blocks' bytes and the
+    record memo beside them — for whoever budgets it."""
+    kept = archive.kept
+    if kept is None:
+        return 0
+    return sum(len(entry[1]) for entry in kept.values()) + kept.records_bytes()
 
 
 def decode_archive(

@@ -47,11 +47,18 @@ def _write(value: Value, parts: list[str]) -> None:
     if isinstance(value, Attribute):
         parts.append(f'@{value.name}="{escape_attribute(value.value)}"')
         return
-    attrs = sorted(value.attributes, key=lambda attr: attr.name)
-    attr_text = "".join(
-        f' {attr.name}="{escape_attribute(attr.value)}"' for attr in attrs
-    )
-    parts.append(f"<{value.tag}{attr_text}>")
+    tag = value.tag
+    if value.attributes:
+        attrs = sorted(value.attributes, key=lambda attr: attr.name)
+        attr_text = "".join(
+            f' {attr.name}="{escape_attribute(attr.value)}"' for attr in attrs
+        )
+        parts.append(f"<{tag}{attr_text}>")
+    else:  # most elements, on every digested record: no sort, no join
+        parts.append(f"<{tag}>")
     for child in value.children:
-        _write(child, parts)
-    parts.append(f"</{value.tag}>")
+        if isinstance(child, Text):
+            parts.append(escape_text(child.text))
+        else:
+            _write(child, parts)
+    parts.append(f"</{tag}>")

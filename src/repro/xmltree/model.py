@@ -196,7 +196,11 @@ class Element(Node):
 
     def find_all(self, tag: str) -> list["Element"]:
         """Return all E-children with the given tag, in document order."""
-        return [c for c in self.element_children() if c.tag == tag]
+        return [
+            child
+            for child in self.children
+            if isinstance(child, Element) and child.tag == tag
+        ]
 
     def text_content(self) -> str:
         """Concatenated text of all descendant T-nodes, in document order."""

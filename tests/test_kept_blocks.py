@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Archive, ArchiveOptions
-from repro.core.merge import AttributeChangeError
+from repro.core.merge import AttributeChangeError, Kept
 from repro.data.company import company_key_spec
 from repro.data.omim import OMIM_KEY_TEXT
 from repro.keys.annotate import annotate_keys
@@ -66,7 +66,7 @@ def run(documents, options=None):
     """Merge and encode ``documents`` one by one on a tree that keeps
     its blocks; returns the tree."""
     archive = Archive(SPEC, options or ArchiveOptions())
-    archive.kept = {}
+    archive.kept = Kept()
     body = None
     for document in documents:
         archive.add_version(_copy(document))
@@ -264,9 +264,12 @@ class TestWhoHoldsABlock:
             chunk_count=CHUNKS, codec="xbin",
         )
         for version in churn[:3]:
-            handle.add_version(_copy(version))
+            stats = handle.add_version(_copy(version))
         assert len(handle._held) == CHUNKS
         assert all(xbin.kept_bytes(tree) for _sha, tree in handle._held.values())
+        # The record memo beside the blocks: filled, and used by now.
+        assert all(tree.kept.records for _sha, tree in handle._held.values())
+        assert stats.records_kept > 0
         return handle
 
     @staticmethod
@@ -288,8 +291,8 @@ class TestWhoHoldsABlock:
             with pytest.raises(CrashPoint):
                 writer.add_version(_copy(churn[3]))
         assert writer._held == {} and writer.last_version == 3
-        del trees  # nothing else referred to them
-        writer.add_version(_copy(churn[3]))
+        del trees  # nothing else referred to them, nor to their memos
+        assert writer.add_version(_copy(churn[3])).records_kept == 0
         writer.close()
         assert _files(tmp_path / "s") == self.fresh_copy(tmp_path, churn[:4])
 
@@ -318,7 +321,8 @@ class TestWhoHoldsABlock:
         with pytest.raises(AttributeChangeError):
             writer.add_version(rejected)
         assert writer._held == {} and writer.last_version == 3
-        writer.add_version(_copy(churn[3]))
+        # Records confirmed in the chunks merged first went with them.
+        assert writer.add_version(_copy(churn[3])).records_kept == 0
         writer.close()
         assert _files(tmp_path / "s") == self.fresh_copy(tmp_path, churn[:4])
 
@@ -330,15 +334,19 @@ class TestWhoHoldsABlock:
         for version in churn[:3]:
             handle.add_version(_copy(version))
         assert xbin.kept_bytes(handle._archive) > 0
+        assert handle._archive.kept.records
         with inject(FaultInjector().crash_at_op(1)):
             with pytest.raises(CrashPoint):
                 handle.add_version(_copy(churn[3]))
         assert handle._archive is None and handle.last_version == 3
-        handle.add_version(_copy(churn[3]))
+        assert handle.add_version(_copy(churn[3])).records_kept == 0
+        assert handle.add_version(_copy(churn[3])).records_kept > 0
         handle.close()
         other = str(tmp_path / "other.xml")
         fresh = create_archive(other, OMIM_KEY_TEXT, kind="file", codec="xbin")
-        for version in churn[:4]:
+        for version in churn[:4] + [churn[3]]:
+            fresh.close()
+            fresh = open_archive(other)
             fresh.add_version(_copy(version))
         fresh.close()
         with open(path, "rb") as ours, open(other, "rb") as theirs:
@@ -354,6 +362,7 @@ class TestWhoHoldsABlock:
             for index in range(CHUNKS):
                 for handle in (writer, reader):
                     tree = handle.load_part(index)
+                    # Neither blocks nor record memo: nothing is kept.
                     assert id(tree) not in held and tree.kept is None
             assert chunk_cache().entry_count == CHUNKS  # the reader's
             reader.close()
@@ -373,8 +382,9 @@ class TestWhoHoldsABlock:
             path = str(tmp_path / "archive.xml")
             handle = create_archive(path, OMIM_KEY_TEXT, kind="file", codec="xbin")
             for version in churn[:3]:
-                handle.add_version(_copy(version))
-                assert handle._archive.kept is None
+                stats = handle.add_version(_copy(version))
+                assert handle._archive.kept is None  # no block, no memo
+                assert stats.records_kept == 0
             handle.close()
         finally:
             reset_chunk_cache()
