@@ -25,6 +25,14 @@ The same counter is what external indexes
 :class:`~repro.indexes.timestamp_tree.TimestampTreeIndex`) watch to
 refresh themselves instead of silently serving a stale tree.
 
+Retrieval proves a node alive once.  A timestamp is stored only where
+it differs from the parent's (Sec. 2), so the guided walk decides a
+child's liveness *in its parent*: one that stores none is alive because
+its parent is, and no set is asked; one that stores its own is tested
+against it once and hands it down as what its own children inherit.
+``guided=False`` tests every node on entry and builds through
+``Element``'s checked constructors, not ``assemble``: the reference.
+
 Retrieval shares frontier content copy-on-write style: the elements it
 returns reference the archive's stored content nodes directly (the
 merge never mutates stored content in place, so the shared subtrees are
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from ..keys.annotate import (
     AnnotatedDocument,
@@ -377,13 +385,15 @@ class Archive:
         effective: VersionSet,
         probes: Optional[ProbeCount] = None,
     ) -> list[int]:
-        """Indexes of ``node``'s children alive at ``version``.
+        """Indexes of the children alive at ``version`` of a ``node``
+        that is alive at it (``effective`` holds ``version``).
 
         Child lists of :data:`~repro.core.tstree.TREE_MIN_CHILDREN` or
         more probe the cached timestamp tree instead of every child
-        (with the paper's ``2k`` fallback-to-scan threshold); shorter
-        lists, where a tree cannot probe fewer nodes than a scan, are
-        scanned and never get a tree."""
+        (the paper's ``2k`` fallback-to-scan threshold); shorter lists,
+        where a tree cannot probe fewer nodes than a scan, are scanned
+        and never get a tree: a child that stores no timestamp is alive
+        because ``node`` is — counted, but no set is asked."""
         children = node.children
         if len(children) < TREE_MIN_CHILDREN:
             if probes is not None:
@@ -391,7 +401,7 @@ class Archive:
             return [
                 index
                 for index, child in enumerate(children)
-                if version in child.effective_timestamp(effective)
+                if child.timestamp is None or version in child.timestamp
             ]
         return search_timestamp_tree(
             self.timestamp_tree(node, effective), version, len(children), probes
@@ -448,44 +458,90 @@ class Archive:
             )
         stream = guided and not self._retrieved
         self._retrieved = True
-        for child in self._select_children(
-            self.root, version, root_timestamp, guided, probes
-        ):
-            rebuilt = self._reconstruct(
-                child, version, root_timestamp, guided, copy_content, probes, stream
+        if not guided:
+            scanned = (
+                self._scan(child, version, root_timestamp, copy_content, probes)
+                for child in self.root.children
             )
-            if rebuilt is not None:
-                return rebuilt
-        return None
+            return next((found for found in scanned if found is not None), None)
+        alive = self.relevant_children(self.root, version, root_timestamp, probes)
+        if not alive:
+            return None
+        child = self.root.children[alive[0]]
+        build = self._walk(version, copy_content, probes, stream)
+        return build(child, child.effective_timestamp(root_timestamp))
 
-    def _select_children(
+    def _walk(
         self,
-        node: ArchiveNode,
         version: int,
-        effective: VersionSet,
-        guided: bool,
+        copy_content: bool,
         probes: Optional[ProbeCount],
-    ) -> Iterator[ArchiveNode]:
-        if guided:
-            for index in self.relevant_children(node, version, effective, probes):
-                yield node.children[index]
-            return
-        for child in node.children:
-            if probes is not None:
-                probes.fallback_scans += 1
-            if version in child.effective_timestamp(effective):
-                yield child
+        stream: bool,
+    ) -> Callable[[ArchiveNode, VersionSet], Element]:
+        """The guided walk at ``version``: ``build(node, effective)``
+        makes the element of a ``node`` its caller has proved alive,
+        given its effective timestamp (module docstring).  A closure: a
+        call per node carries two arguments, not the whole request."""
+        assemble = Element.assemble
+        timestamp_tree = self.timestamp_tree
 
-    def _reconstruct(
+        def build(node: ArchiveNode, effective: VersionSet) -> Element:
+            tag = node.label.tag
+            if node.weave is not None:
+                built = weave_content_at(node.weave, version)
+            elif node.alternatives is not None:
+                content = ()
+                for alternative in node.alternatives:
+                    stamp = alternative.timestamp
+                    if stamp is None or version in stamp:
+                        content = alternative.content
+                        break
+                if not copy_content:
+                    # Copy-on-write share: merges append alternatives,
+                    # never edit them, so stored content is referenced —
+                    # not copied, not adopted: its ``parent`` stays.
+                    element = assemble(tag, node.attributes, [])
+                    element.children.extend(content)
+                    return element
+                built = [item.copy() for item in content]
+            else:
+                built = node.children_at(version, probes) if stream else None
+            if built is None:
+                children = node.children
+                if len(children) < TREE_MIN_CHILDREN:
+                    if probes is not None:
+                        probes.short_scans += len(children)
+                    alive = [
+                        child
+                        for child in children
+                        if child.timestamp is None or version in child.timestamp
+                    ]
+                else:
+                    tree = timestamp_tree(node, effective)
+                    found = search_timestamp_tree(tree, version, len(children), probes)
+                    alive = [children[index] for index in found]
+                built = [
+                    build(
+                        child, effective if child.timestamp is None else child.timestamp
+                    )
+                    for child in alive
+                ]
+            return assemble(tag, node.attributes, built)
+
+        return build
+
+    def _scan(
         self,
         node: ArchiveNode,
         version: int,
         inherited: VersionSet,
-        guided: bool = False,
-        copy_content: bool = True,
-        probes: Optional[ProbeCount] = None,
-        stream: bool = False,
+        copy_content: bool,
+        probes: Optional[ProbeCount],
     ) -> Optional[Element]:
+        """``guided=False``: the reference.  Every node is counted and
+        tested on entry, its element made by the checked constructors."""
+        if probes is not None:
+            probes.fallback_scans += 1
         timestamp = node.effective_timestamp(inherited)
         if version not in timestamp:
             return None
@@ -493,34 +549,19 @@ class Archive:
         for name, value in node.attributes:
             element.set_attribute(name, value)
         if node.weave is not None:
-            for content in weave_content_at(node.weave, version):
-                element.append(content)
-            return element
-        if node.alternatives is not None:
+            element.extend(weave_content_at(node.weave, version))
+        elif node.alternatives is not None:
             alternative = node.alternative_at(version)
-            if alternative is not None:
-                if copy_content:
-                    for content in alternative.content:
-                        element.append(content.copy())
-                else:
-                    # Copy-on-write share: stored content is stable
-                    # (merges append alternatives, never edit them),
-                    # so the nodes are referenced, not deep-copied.
-                    element.children.extend(alternative.content)
-            return element
-        if stream:
-            streamed = node.children_at(version, probes)
-            if streamed is not None:
-                for child in streamed:
-                    child.parent = element
-                element.children = streamed
-                return element
-        for child in self._select_children(node, version, timestamp, guided, probes):
-            rebuilt = self._reconstruct(
-                child, version, timestamp, guided, copy_content, probes, stream
-            )
-            if rebuilt is not None:
-                element.append(rebuilt)
+            content = alternative.content if alternative is not None else []
+            if copy_content:
+                element.extend(item.copy() for item in content)
+            else:
+                element.children.extend(content)
+        else:
+            for child in node.children:
+                found = self._scan(child, version, timestamp, copy_content, probes)
+                if found is not None:
+                    element.append(found)
         return element
 
     def reconstruct_node(
@@ -541,10 +582,10 @@ class Archive:
         alive at ``version``.  Content is shared copy-on-write like
         :meth:`retrieve` unless ``copy_content=True``.
         """
-        return self._reconstruct(
-            node, version, inherited, guided=True,
-            copy_content=copy_content, probes=probes,
-        )
+        effective = node.effective_timestamp(inherited)
+        if version not in effective:
+            return None
+        return self._walk(version, copy_content, probes, False)(node, effective)
 
     def scan_probe_count(self, version: int) -> int:
         """Membership probes a scan-all-children retrieval makes — the
@@ -678,54 +719,13 @@ class Archive:
 
     def to_xml(self) -> Element:
         """The archive as an XML element tree (Fig. 5)."""
-        wrapper = Element(T_TAG)
-        wrapper.set_attribute(T_ATTR, self._root_timestamp().to_text())
-        wrapper.set_attribute(
-            STORAGE_ATTR,
-            STORAGE_WEAVE if self.options.compaction else STORAGE_ALTERNATIVES,
+        return archive_xml(
+            self._root_timestamp(), self.root.children, self.options.compaction
         )
-        root_element = wrapper.append(Element(ROOT_TAG))
-        for child in self.root.children:
-            self._emit(child, root_element)
-        return wrapper
 
     def to_xml_string(self, pretty: bool = True) -> str:
         xml = self.to_xml()
         return to_pretty_string(xml) if pretty else to_string(xml)
-
-    def _emit(self, node: ArchiveNode, parent: Element) -> None:
-        element = Element(node.label.tag)
-        for name, value in node.attributes:
-            element.set_attribute(name, value)
-        if node.timestamp is not None:
-            wrapper = Element(T_TAG)
-            wrapper.set_attribute(T_ATTR, node.timestamp.to_text())
-            wrapper.append(element)
-            parent.append(wrapper)
-        else:
-            parent.append(element)
-        if node.weave is not None:
-            for segment in node.weave.segments:
-                t_node = Element(T_TAG)
-                t_node.set_attribute(T_ATTR, segment.timestamp.to_text())
-                t_node.append(Text("\n".join(segment.lines)))
-                element.append(t_node)
-            return
-        if node.alternatives is not None:
-            if len(node.alternatives) == 1 and node.alternatives[0].timestamp is None:
-                for content in node.alternatives[0].content:
-                    element.append(content.copy())
-            else:
-                for alternative in node.alternatives:
-                    assert alternative.timestamp is not None
-                    t_node = Element(T_TAG)
-                    t_node.set_attribute(T_ATTR, alternative.timestamp.to_text())
-                    for content in alternative.content:
-                        t_node.append(content.copy())
-                    element.append(t_node)
-            return
-        for child in node.children:
-            self._emit(child, element)
 
     # -- parsing the XML representation back ---------------------------------------------
 
@@ -934,6 +934,60 @@ class Archive:
             raw_bytes=serialized,
             disk_bytes=serialized,
         )
+
+
+def archive_xml(
+    root_timestamp: VersionSet, children: list[ArchiveNode], compaction: bool
+) -> Element:
+    """The Fig. 5 element tree: :meth:`Archive.to_xml`, any codec's text."""
+    wrapper = Element(T_TAG)
+    wrapper.set_attribute(T_ATTR, root_timestamp.to_text())
+    wrapper.set_attribute(
+        STORAGE_ATTR, STORAGE_WEAVE if compaction else STORAGE_ALTERNATIVES
+    )
+    root_element = wrapper.append(Element(ROOT_TAG))
+    for child in children:
+        _emit(child, root_element)
+    return wrapper
+
+
+def _emit(node: ArchiveNode, parent: Element) -> None:
+    element = Element(node.label.tag)
+    for name, value in node.attributes:
+        element.set_attribute(name, value)
+    if node.timestamp is not None:
+        wrapper = Element(T_TAG)
+        wrapper.set_attribute(T_ATTR, node.timestamp.to_text())
+        wrapper.append(element)
+        parent.append(wrapper)
+    else:
+        parent.append(element)
+    if node.weave is not None:
+        for segment in node.weave.segments:
+            t_node = Element(T_TAG)
+            t_node.set_attribute(T_ATTR, segment.timestamp.to_text())
+            t_node.append(Text("\n".join(segment.lines)))
+            element.append(t_node)
+        return
+    if node.alternatives is not None:
+        if len(node.alternatives) == 1 and node.alternatives[0].timestamp is None:
+            for content in node.alternatives[0].content:
+                element.append(content.copy())
+        else:
+            for alternative in node.alternatives:
+                if alternative.timestamp is None:
+                    raise ValueError(
+                        "multi-alternative frontier with an untimestamped "
+                        "alternative"
+                    )
+                t_node = Element(T_TAG)
+                t_node.set_attribute(T_ATTR, alternative.timestamp.to_text())
+                for content in alternative.content:
+                    t_node.append(content.copy())
+                element.append(t_node)
+        return
+    for child in node.children:
+        _emit(child, element)
 
 
 def _parse_history_path(path: str) -> list[tuple[str, KeyValue]]:

@@ -75,6 +75,9 @@ class TimestampTreeNode:
 class ProbeCount:
     """Probe accounting for the retrieval cost analysis.
 
+    A probe is a child or tree node *looked at*, whether or not a set
+    was asked: a walk meets every child of a short list, asks only those
+    that store a timestamp, and counts them all, as it always did.
     ``tree_probes`` counts timestamp-tree nodes examined,
     ``fallback_scans`` children scanned where a tree could have been
     asked — a search gave up on it, a ``guided=False`` reference
@@ -176,10 +179,11 @@ def search_timestamp_tree(
     Descends the tree counting probes; once ``2k`` tree nodes have been
     probed the remaining work cannot beat a plain scan, so the search
     falls back to scanning all leaves (the paper's threshold rule).
+    Either way the answer is in child order: left before right, over
+    leaves :func:`build_timestamp_tree` paired in that order.
     """
     if tree is None:
         return []
-    probes = probes if probes is not None else ProbeCount()
     budget = 2 * child_count
     # Budget against probes spent in THIS search: ``probes`` may be a
     # cumulative counter shared across a whole reconstruction, and
@@ -191,41 +195,43 @@ def search_timestamp_tree(
     while stack:
         node = stack.pop()
         spent += 1
-        probes.tree_probes += 1
         if spent > budget:
             # Fall back: scan every leaf once.
             result = _scan_leaves(tree, version, probes)
-            return sorted(result)
+            break
         if version not in node.timestamp:
             continue
-        if node.is_leaf:
-            assert node.child_index is not None
+        if node.child_index is not None:
             result.append(node.child_index)
         else:
             if node.right is not None:
                 stack.append(node.right)
             if node.left is not None:
                 stack.append(node.left)
-    return sorted(result)
+    if probes is not None:
+        probes.tree_probes += spent
+    return result
 
 
 def _scan_leaves(
-    tree: TimestampTreeNode, version: int, probes: ProbeCount
+    tree: TimestampTreeNode, version: int, probes: Optional[ProbeCount]
 ) -> list[int]:
     result: list[int] = []
+    leaves = 0
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
-            probes.fallback_scans += 1
+        if node.child_index is not None:
+            leaves += 1
             if version in node.timestamp:
-                assert node.child_index is not None
                 result.append(node.child_index)
             continue
         if node.right is not None:
             stack.append(node.right)
         if node.left is not None:
             stack.append(node.left)
+    if probes is not None:
+        probes.fallback_scans += leaves
     return result
 
 

@@ -6,8 +6,8 @@ Because scientific data is largely accretive, an element tends to live
 through long runs of consecutive versions, so the interval encoding is
 small (usually a single interval).
 
-The algebra is the retrieval hot path: ``_reconstruct`` runs one
-membership test per archive node, and the timestamp trees union/
+The algebra is the retrieval hot path: the archive's walk runs one
+membership test per stored timestamp it meets, and the timestamp trees union/
 intersect/difference interval lists wholesale.  Every bulk operation is
 therefore a single linear pass over the interval lists — construction,
 ``union``, ``intersection`` and ``difference`` are all ``O(n + m)`` —

@@ -36,7 +36,6 @@ from typing import Iterator, Optional, Union
 from ..core.archive import Archive, ArchiveError
 from ..core.tempquery import ChangeReport
 from ..core.versionset import VersionSet
-from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
 from ..storage.archiver import ExternalArchiver
 from ..storage.backend import FileBackend, StorageBackend, open_archive
@@ -490,11 +489,8 @@ class ArchiveDB:
         exactly one chunk — the query opens that chunk alone.  ``None``
         when the plan has no partition-level lookup to route by.
         """
-        if len(plan.steps) >= 2 and plan.steps[1].lookup is not None:
-            step = plan.steps[1]
-            return backend.chunk_index_for_label(
-                KeyLabel(tag=step.name, key=step.lookup)
-            )
+        if len(plan.steps) >= 2 and plan.steps[1].lookup_label is not None:
+            return backend.chunk_index_for_label(plan.steps[1].lookup_label)
         return None
 
     def _stream_items(

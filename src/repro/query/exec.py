@@ -68,7 +68,13 @@ NO_ANCHOR: tuple = ()
 
 def node_count(element: Element) -> int:
     """E+T nodes of a materialized subtree (the cost accounting unit)."""
-    return sum(1 for _ in element.iter())
+    count, found = 1, [element]
+    for node in found:  # the list grows as it is walked
+        count += len(node.children)
+        for child in node.children:
+            if isinstance(child, Element):
+                found.append(child)
+    return count
 
 
 # -- cursors ------------------------------------------------------------------
@@ -195,11 +201,13 @@ class MemoryCursor(Cursor):
         )
 
     def materialize(self) -> Optional[Element]:
-        probes = ProbeCount()
+        # Nothing is probed under a frontier node (a dense select's every hit).
+        probes = None if self.node.is_frontier else ProbeCount()
         element = self.archive.reconstruct_node(
             self.node, self.version, self.inherited, probes=probes
         )
-        self.stats.tree_probes += probes.total()
+        if probes is not None:
+            self.stats.tree_probes += probes.total()
         if element is not None:
             self.stats.nodes_materialized += node_count(element)
         return element
@@ -454,8 +462,8 @@ def _eval(
     if step.axis == "descendant":
         yield from _descend(cursor, step, rest, depth, anchor)
         return
-    if step.lookup is not None and cursor.supports_lookup:
-        hit = cursor.lookup(KeyLabel(tag=step.name, key=step.lookup))
+    if step.lookup_label is not None and cursor.supports_lookup:
+        hit = cursor.lookup(step.lookup_label)
         if hit is not None:
             child_anchor = _anchor_of(hit, depth + 1, anchor)
             verdict = check_predicates(hit, step, None)

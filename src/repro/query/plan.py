@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..keys.annotate import KeyValue
+from ..keys.annotate import KeyLabel, KeyValue
 from ..keys.paths import Path, format_path
 from ..keys.spec import KeySpec
 from ..xmltree.xpath import (
@@ -82,6 +82,12 @@ class PlannedStep:
     #: When set, the step is answered by one binary-search lookup with
     #: this key value instead of a child scan.
     lookup: Optional[KeyValue] = None
+    #: ``lookup`` as a label: built with the step, not per node it is tried at.
+    lookup_label: Optional[KeyLabel] = field(init=False, default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.lookup is not None:
+            self.lookup_label = KeyLabel(tag=self.step.name, key=self.lookup)
 
     @property
     def axis(self) -> str:

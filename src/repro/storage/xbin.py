@@ -90,16 +90,7 @@ import threading
 import zlib
 from typing import Callable, Optional
 
-from ..core.archive import (
-    ROOT_TAG,
-    STORAGE_ALTERNATIVES,
-    STORAGE_ATTR,
-    STORAGE_WEAVE,
-    T_ATTR,
-    T_TAG,
-    Archive,
-    ArchiveOptions,
-)
+from ..core.archive import Archive, ArchiveOptions, archive_xml
 from ..core.compaction import lines_to_content
 from ..core.nodes import Alternative, ArchiveNode, Weave, WeaveSegment
 from ..core.tstree import TREE_MIN_CHILDREN, ProbeCount
@@ -515,6 +506,7 @@ def _read_tree(
     size = len(data)
     pos = 0
     lock = threading.Lock()
+    assemble = Element.assemble
 
     def varint() -> int:
         nonlocal pos
@@ -720,7 +712,7 @@ def _read_tree(
 
     def alive(at: int, probes) -> list[Element]:
         """A children block as the elements of the children alive at
-        version ``at`` — what ``Archive._reconstruct`` makes of the
+        version ``at`` — what ``Archive._walk`` makes of the
         nodes :func:`children` would build, in the same order.
 
         The caller's node is alive, so a child that stores no timestamp
@@ -755,9 +747,7 @@ def _read_tree(
                 continue
             if ordered:
                 tokens.append(label_token(tag, key))
-            element = Element(tag)
-            for attribute, value in attributes:
-                element.set_attribute(attribute, value)
+            pieces: list = []
             if flags & _NODE_HAS_WEAVE:
                 lines: list[str] = []
                 for _ in range(varint()):
@@ -766,8 +756,7 @@ def _read_tree(
                     else:
                         for _ in range(varint()):
                             skip_string()
-                for piece in lines_to_content(lines):
-                    element.append(piece)
+                pieces = lines_to_content(lines)
             if flags & _NODE_HAS_ALTERNATIVES:
                 # The first alternative current at ``at``; a weave wins.
                 wanted = not flags & _NODE_HAS_WEAVE
@@ -775,7 +764,7 @@ def _read_tree(
                     current = not varint() & _ALT_HAS_TIMESTAMP or holds(at)
                     if current and wanted:
                         wanted = False
-                        adopt(element, [content() for _ in range(varint())])
+                        pieces = [content() for _ in range(varint())]
                     else:
                         for _ in range(varint()):
                             skip_content()
@@ -788,19 +777,14 @@ def _read_tree(
                     pos += 1
             elif flags & _NODE_CHILDREN_FRAMED:
                 length = varint()
-                adopt(element, block_at(pos, pos + length, at, probes))
+                pieces = block_at(pos, pos + length, at, probes)
             else:
-                adopt(element, alive(at, probes))
-            elements.append(element)
+                pieces = alive(at, probes)
+            elements.append(assemble(tag, attributes, pieces))
         if ordered and len(elements) > 1:
             order = sorted(range(len(tokens)), key=tokens.__getitem__)
             elements = [elements[index] for index in order]
         return elements
-
-    def adopt(element: Element, pieces: list) -> None:
-        for piece in pieces:
-            piece.parent = element
-        element.children = pieces
 
     if token is KeyLabel.sort_token:
         # ``token(KeyLabel(tag, key))`` without building the label.
@@ -943,59 +927,11 @@ def decode_document_text(data: bytes) -> str:
     if flags & _FLAG_TEXT:
         return _typed(body.decode, "utf-8")
     root_timestamp, children = _typed(_read_tree, body, version, None)
-    wrapper = Element(T_TAG)
-    wrapper.set_attribute(T_ATTR, root_timestamp.to_text())
-    wrapper.set_attribute(
-        STORAGE_ATTR,
-        STORAGE_WEAVE if flags & _FLAG_COMPACTION else STORAGE_ALTERNATIVES,
-    )
-    root_element = wrapper.append(Element(ROOT_TAG))
     try:
-        for child in children:
-            _emit_node(child, root_element)
+        return to_pretty_string(
+            archive_xml(root_timestamp, children, bool(flags & _FLAG_COMPACTION))
+        )
     except CodecError:
         raise  # a children block that failed on first touch: typed already
     except (ValueError, RecursionError) as error:
         raise CodecError(f"Corrupt xbin container: {error}")
-    return to_pretty_string(wrapper)
-
-
-def _emit_node(node: ArchiveNode, parent: Element) -> None:
-    """Mirror of :meth:`Archive._emit` — kept in lockstep so xbin text
-    output is byte-identical to what the XML-writing codecs store."""
-    element = Element(node.label.tag)
-    for name, value in node.attributes:
-        element.set_attribute(name, value)
-    if node.timestamp is not None:
-        wrapper = Element(T_TAG)
-        wrapper.set_attribute(T_ATTR, node.timestamp.to_text())
-        wrapper.append(element)
-        parent.append(wrapper)
-    else:
-        parent.append(element)
-    if node.weave is not None:
-        for segment in node.weave.segments:
-            t_node = Element(T_TAG)
-            t_node.set_attribute(T_ATTR, segment.timestamp.to_text())
-            t_node.append(Text("\n".join(segment.lines)))
-            element.append(t_node)
-        return
-    if node.alternatives is not None:
-        if len(node.alternatives) == 1 and node.alternatives[0].timestamp is None:
-            for content in node.alternatives[0].content:
-                element.append(content.copy())
-        else:
-            for alternative in node.alternatives:
-                if alternative.timestamp is None:
-                    raise ValueError(
-                        "multi-alternative frontier with an untimestamped "
-                        "alternative"
-                    )
-                t_node = Element(T_TAG)
-                t_node.set_attribute(T_ATTR, alternative.timestamp.to_text())
-                for content in alternative.content:
-                    t_node.append(content.copy())
-                element.append(t_node)
-        return
-    for child in node.children:
-        _emit_node(child, element)

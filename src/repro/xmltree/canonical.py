@@ -13,19 +13,17 @@ no inter-element whitespace (the paper's model ignores it; footnote 3).
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Iterable, Union
 
-from .model import Attribute, Element, Text
-from .serializer import escape_attribute, escape_text
+from .model import Attribute, Element, Text, too_deep
+from .serializer import attribute_text, escape_attribute, escape_text
 
 Value = Union[Element, Text, Attribute]
 
 
 def canonical_form(value: Value) -> str:
     """Return the canonical string of an XML value."""
-    parts: list[str] = []
-    _write(value, parts)
-    return "".join(parts)
+    return _render((value,))
 
 
 def canonical_form_of_children(node: Element) -> str:
@@ -34,31 +32,40 @@ def canonical_form_of_children(node: Element) -> str:
     Key path values and frontier-node contents are XML values rooted
     *under* a node, so equality must ignore the enclosing tag.
     """
+    return _render(node.children)
+
+
+def _render(values: Iterable[Value]) -> str:
     parts: list[str] = []
-    for child in node.children:
-        _write(child, parts)
+    try:
+        for value in values:
+            _write(value, parts.append)
+    except RecursionError:
+        raise too_deep("canonicalize") from None
     return "".join(parts)
 
 
-def _write(value: Value, parts: list[str]) -> None:
+def _write(value: Value, emit: Callable[[str], None]) -> None:
     if isinstance(value, Text):
-        parts.append(escape_text(value.text))
+        emit(escape_text(value.text))
         return
     if isinstance(value, Attribute):
-        parts.append(f'@{value.name}="{escape_attribute(value.value)}"')
+        emit(f'@{value.name}="{escape_attribute(value.value)}"')
         return
     tag = value.tag
-    if value.attributes:
-        attrs = sorted(value.attributes, key=lambda attr: attr.name)
-        attr_text = "".join(
-            f' {attr.name}="{escape_attribute(attr.value)}"' for attr in attrs
-        )
-        parts.append(f"<{tag}{attr_text}>")
-    else:  # most elements, on every digested record: no sort, no join
-        parts.append(f"<{tag}>")
-    for child in value.children:
+    if value.attributes:  # few elements do, on any digested record
+        ordered = sorted(value.attributes, key=lambda attr: attr.name)
+        head = f"<{tag}{attribute_text(ordered)}>"
+    else:
+        head = f"<{tag}>"
+    children = value.children
+    if len(children) == 1 and isinstance(children[0], Text):
+        emit(f"{head}{escape_text(children[0].text)}</{tag}>")
+        return
+    emit(head)
+    for child in children:
         if isinstance(child, Text):
-            parts.append(escape_text(child.text))
+            emit(escape_text(child.text))
         else:
-            _write(child, parts)
-    parts.append(f"</{tag}>")
+            _write(child, emit)
+    emit(f"</{tag}>")

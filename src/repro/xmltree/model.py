@@ -16,7 +16,17 @@ timestamp tag — the paper's model does the same (Sec. 4.3, footnote 3).
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, Optional, Union
+
+
+def too_deep(action: str) -> ValueError:
+    """What ``copy``, the serializers and ``canonical_form`` raise for a
+    tree the parser (a loop) could read but recursion cannot follow."""
+    return ValueError(
+        f"Cannot {action} an element nested deeper than the interpreter's "
+        f"recursion limit of {sys.getrecursionlimit()} allows"
+    )
 
 
 class Node:
@@ -133,6 +143,28 @@ class Element(Node):
                 self.append(child)
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def assemble(
+        cls, tag: str, pairs: Iterable[tuple[str, str]], children: list[Child]
+    ) -> "Element":
+        """The trusted constructor, for code that turns *stored* values
+        back into elements (the archive's walk, ``xbin``'s streamed
+        pass): nothing is checked.  ``pairs`` are attributes with
+        distinct non-empty names, kept in order; ``children`` is a list
+        built for this element (E/T nodes, no two ``Text`` neighbours),
+        kept as is, each child's ``parent`` set.  Outside input goes
+        through ``__init__``/``append``/``set_attribute``, which check."""
+        element = cls.__new__(cls)
+        element.tag = tag
+        element.parent = None
+        element.attributes = (  # mostly none: no comprehension frame
+            [Attribute(name, value) for name, value in pairs] if pairs else []
+        )
+        element.children = children
+        for child in children:
+            child.parent = element
+        return element
 
     def append(self, child: Child) -> Child:
         """Attach ``child`` as the last E/T child and return it.
@@ -257,8 +289,11 @@ class Element(Node):
     def copy(self) -> "Element":
         clone = Element(self.tag)
         clone.attributes = [attr.copy() for attr in self.attributes]
-        for child in self.children:
-            clone.append(child.copy())
+        try:  # at every level: whichever has the room left reports it
+            for child in self.children:
+                clone.append(child.copy())
+        except RecursionError:
+            raise too_deep("copy") from None
         return clone
 
     def __getstate__(self) -> tuple:

@@ -12,50 +12,65 @@ Two formats are provided:
 
 from __future__ import annotations
 
-from .model import Attribute, Element, Text
+from typing import Callable
+
+from .model import Attribute, Element, Text, too_deep
 
 
 def escape_text(value: str) -> str:
-    """Escape character data for element content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data (each character looked for, then replaced)."""
+    if "&" in value:
+        value = value.replace("&", "&amp;")
+    if "<" in value:
+        value = value.replace("<", "&lt;")
+    if ">" in value:
+        value = value.replace(">", "&gt;")
+    return value
 
 
 def escape_attribute(value: str) -> str:
     """Escape an attribute value for inclusion in double quotes."""
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
+    value = escape_text(value)
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    return value
+
+
+def attribute_text(attributes: list[Attribute]) -> str:
+    """`` name="value"`` for each attribute, in the order given."""
+    return "".join(
+        [f' {attr.name}="{escape_attribute(attr.value)}"' for attr in attributes]
     )
-
-
-def _attribute_text(attributes: list[Attribute]) -> str:
-    if not attributes:
-        return ""
-    parts = [f' {attr.name}="{escape_attribute(attr.value)}"' for attr in attributes]
-    return "".join(parts)
 
 
 def to_string(node: Element) -> str:
     """Serialize compactly (no indentation, no added newlines)."""
     parts: list[str] = []
-    _write_compact(node, parts)
+    try:
+        _write_compact(node, parts.append)
+    except RecursionError:
+        raise too_deep("serialize") from None
     return "".join(parts)
 
 
-def _write_compact(node: Element, parts: list[str]) -> None:
-    attrs = _attribute_text(node.attributes)
-    if not node.children:
-        parts.append(f"<{node.tag}{attrs}/>")
+def _write_compact(node: Element, emit: Callable[[str], None]) -> None:
+    tag = node.tag
+    attrs = node.attributes
+    head = f"<{tag}{attribute_text(attrs)}" if attrs else f"<{tag}"
+    children = node.children
+    if not children:
+        emit(f"{head}/>")
         return
-    parts.append(f"<{node.tag}{attrs}>")
-    for child in node.children:
+    if len(children) == 1 and isinstance(children[0], Text):
+        emit(f"{head}>{escape_text(children[0].text)}</{tag}>")
+        return
+    emit(f"{head}>")
+    for child in children:
         if isinstance(child, Text):
-            parts.append(escape_text(child.text))
+            emit(escape_text(child.text))
         else:
-            _write_compact(child, parts)
-    parts.append(f"</{node.tag}>")
+            _write_compact(child, emit)
+    emit(f"</{tag}>")
 
 
 def to_pretty_string(node: Element, indent: str = "") -> str:
@@ -71,38 +86,54 @@ def to_pretty_string(node: Element, indent: str = "") -> str:
     for whitespace; pass ``indent='  '`` for human-readable output.
     """
     lines: list[str] = []
-    _write_pretty(node, lines, 0, indent)
+    try:
+        _write_pretty(node, lines.append, "", indent)
+    except RecursionError:
+        raise too_deep("serialize") from None
     return "\n".join(lines) + "\n"
 
 
 def _escape_line_text(value: str) -> str:
     """Escape text for one-line emission: newlines become ``&#10;`` so
     the line-oriented form reparses to the exact original value."""
-    return escape_text(value).replace("\n", "&#10;")
+    value = escape_text(value)
+    if "\n" in value:
+        value = value.replace("\n", "&#10;")
+    return value
 
 
-def _write_pretty(node: Element, lines: list[str], depth: int, indent: str) -> None:
-    pad = indent * depth
-    attrs = _attribute_text(node.attributes)
-    if not node.children:
-        lines.append(f"{pad}<{node.tag}{attrs}/>")
+def _write_pretty(
+    node: Element, emit: Callable[[str], None], pad: str, indent: str
+) -> None:
+    tag = node.tag
+    attrs = node.attributes
+    head = f"{pad}<{tag}{attribute_text(attrs)}" if attrs else f"{pad}<{tag}"
+    children = node.children
+    if not children:
+        emit(f"{head}/>")
         return
-    if any(isinstance(child, Text) for child in node.children):
-        # Text-bearing content (text-only or mixed) stays on one line;
-        # splitting it would inject whitespace that does not reparse to
-        # the same value.
-        parts: list[str] = []
-        for child in node.children:
-            if isinstance(child, Text):
-                parts.append(_escape_line_text(child.text))
-            else:
-                parts.append(to_string(child))
-        lines.append(f"{pad}<{node.tag}{attrs}>{''.join(parts)}</{node.tag}>")
+    if len(children) == 1 and isinstance(children[0], Text):
+        emit(f"{head}>{_escape_line_text(children[0].text)}</{tag}>")
         return
-    lines.append(f"{pad}<{node.tag}{attrs}>")
-    for child in node.children:
-        _write_pretty(child, lines, depth + 1, indent)
-    lines.append(f"{pad}</{node.tag}>")
+    for child in children:
+        if isinstance(child, Text):
+            break
+    else:
+        emit(f"{head}>")
+        deeper = pad + indent
+        for child in children:
+            _write_pretty(child, emit, deeper, indent)
+        emit(f"{pad}</{tag}>")
+        return
+    # Mixed content stays on one line; splitting it would inject
+    # whitespace that does not reparse to the same value.
+    parts: list[str] = []
+    for child in children:
+        if isinstance(child, Text):
+            parts.append(_escape_line_text(child.text))
+        else:
+            _write_compact(child, parts.append)
+    emit(f"{head}>{''.join(parts)}</{tag}>")
 
 
 def write_file(node: Element, path: str, pretty: bool = True) -> int:
