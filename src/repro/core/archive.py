@@ -243,6 +243,7 @@ class Archive:
         self.kept: Optional[Kept] = None
         self._trees: dict[int, _CachedTree] = {}
         self._child_tokens: dict[int, _CachedTokens] = {}
+        self._label_order: Optional[tuple[int, Callable[[KeyLabel], tuple]]] = None
 
     # -- mutation tracking -------------------------------------------------
 
@@ -564,29 +565,6 @@ class Archive:
                     element.append(found)
         return element
 
-    def reconstruct_node(
-        self,
-        node: ArchiveNode,
-        version: int,
-        inherited: VersionSet,
-        *,
-        copy_content: bool = False,
-        probes: Optional[ProbeCount] = None,
-    ) -> Optional[Element]:
-        """Materialize one archive subtree at ``version``, tree-guided.
-
-        The public entry the query executor uses to materialize only the
-        nodes a plan selects (instead of the whole snapshot
-        :meth:`retrieve` builds).  ``inherited`` is the timestamp the
-        node's parent resolves to; returns ``None`` when the node is not
-        alive at ``version``.  Content is shared copy-on-write like
-        :meth:`retrieve` unless ``copy_content=True``.
-        """
-        effective = node.effective_timestamp(inherited)
-        if version not in effective:
-            return None
-        return self._walk(version, copy_content, probes, False)(node, effective)
-
     def scan_probe_count(self, version: int) -> int:
         """Membership probes a scan-all-children retrieval makes — the
         baseline the timestamp trees are measured against."""
@@ -604,6 +582,15 @@ class Archive:
 
     # -- keyed-path lookup -------------------------------------------------------
 
+    def label_order(self) -> Callable[[KeyLabel], tuple]:
+        """The sort token the child lists are ordered by, resolved once
+        per mutation count (as the token lists are), not per lookup."""
+        cached = self._label_order
+        if cached is None or cached[0] != self._mutations:
+            token = self.options.merge_options().sort_token()
+            cached = self._label_order = (self._mutations, token)
+        return cached[1]
+
     def find_child(
         self, node: ArchiveNode, label: KeyLabel
     ) -> Optional[ArchiveNode]:
@@ -611,15 +598,15 @@ class Archive:
         token-sorted child list (the merge keeps children sorted by the
         archive's sort token).  Falls back over equal-token runs so
         colliding fingerprint tokens stay correct."""
+        token = self.label_order()
         entry = self._child_tokens.get(id(node))
         if entry is None or entry.mutation != self._mutations:
-            token = self.options.merge_options().sort_token()
             entry = _CachedTokens(
                 tokens=[token(child.label) for child in node.children],
                 mutation=self._mutations,
             )
             self._child_tokens[id(node)] = entry
-        target = self.options.merge_options().sort_token()(label)
+        target = token(label)
         position = bisect.bisect_left(entry.tokens, target)
         while position < len(entry.tokens) and entry.tokens[position] == target:
             child = node.children[position]
@@ -775,7 +762,7 @@ class Archive:
             raise ArchiveError(f"Archive XML lacks the <{ROOT_TAG}> element")
         for child in root_element.children:
             archive._read_top(child)
-        token = archive.options.merge_options().sort_token()
+        token = archive.label_order()
         archive.root.children.sort(key=lambda c: token(c.label))
         return archive
 
@@ -807,7 +794,7 @@ class Archive:
         if self._is_frontier(path):
             self._read_frontier_content(element, node)
             return node
-        token = self.options.merge_options().sort_token()
+        token = self.label_order()
         for child in element.children:
             if isinstance(child, Text):
                 if child.text.strip():

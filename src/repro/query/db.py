@@ -31,7 +31,8 @@ from __future__ import annotations
 import heapq
 import os
 import re
-from typing import Iterator, Optional, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Union
 
 from ..core.archive import Archive, ArchiveError
 from ..core.tempquery import ChangeReport
@@ -52,6 +53,7 @@ Source = Union[str, "os.PathLike[str]", Archive, StorageBackend]
 
 
 _QUOTED_VALUE = re.compile(r"=\s*(['\"])(.*?)\1")
+_ELEMENT = itemgetter(3)  # of a chunk stream's (anchor, seq, chunk, element)
 
 
 def _path_within(path: str, prefix: str) -> bool:
@@ -250,12 +252,14 @@ class ArchiveDB:
     def _counting_cache(self, stats: QueryStats, loader):
         """Run a backend load, folding its decoded-chunk cache traffic
         (hit/miss counter movement on the handle) into the query's
-        stats."""
-        hits = getattr(self.backend, "cache_hits", 0)
-        misses = getattr(self.backend, "cache_misses", 0)
+        stats.  A bare in-memory archive has no handle and no traffic."""
+        backend = self.backend
+        if backend is None:
+            return loader()
+        hits, misses = backend.cache_hits, backend.cache_misses
         result = loader()
-        stats.cache_hits += getattr(self.backend, "cache_hits", 0) - hits
-        stats.cache_misses += getattr(self.backend, "cache_misses", 0) - misses
+        stats.cache_hits += backend.cache_hits - hits
+        stats.cache_misses += backend.cache_misses - misses
         return result
 
     def _check_version(self, version: int) -> None:
@@ -283,24 +287,16 @@ class ArchiveDB:
 
     def _fallback_reason(self, plan: QueryPlan) -> Optional[str]:
         """Why this plan cannot run over the archive tree here."""
-        if plan.has_descendant_position():
-            return "positional predicate on a descendant step"
-        if plan.root_residual():
-            return "residual predicate on the root step"
-        if isinstance(self.backend, ChunkedArchiver) and self._archive is None:
-            if plan.single_step():
-                return "the query selects the document root, which no single chunk holds"
-            if plan.has_descendant():
-                return "descendant steps may select nodes above the chunk partition level"
-            if plan.has_position_at(1):
-                return "positional predicate at the partition level counts across chunks"
-        return None
+        everywhere, partitioned = plan.fallbacks
+        if everywhere is None and isinstance(self.backend, ChunkedArchiver):
+            return partitioned
+        return everywhere
 
     # -- query execution ---------------------------------------------------
 
     def _select(self, version: int, expression: str) -> QueryResult:
         self._check_version(version)
-        plan = compile_plan(expression, self.spec)
+        plan = self.plan(expression)
         stats = QueryStats()
         reason = self._fallback_reason(plan)
         if reason is not None:
@@ -318,12 +314,8 @@ class ArchiveDB:
                     version, plan, stats, "backend without a planned evaluation"
                 )
         if plan.want_text:
-            items: Iterator = (element.text_content() for element in elements)
-            kind = STRINGS
-        else:
-            items = elements
-            kind = ELEMENTS
-        return QueryResult(items, kind, stats, plan.describe())
+            return QueryResult(map(Element.text_content, elements), STRINGS, stats, plan)
+        return QueryResult(elements, ELEMENTS, stats, plan)
 
     def _fallback_items(
         self, version: int, plan: QueryPlan, stats: QueryStats, reason: str
@@ -337,8 +329,7 @@ class ArchiveDB:
             if snapshot is None:
                 return
             stats.nodes_materialized += node_count(snapshot)
-            raw_steps = [planned.step for planned in plan.steps]
-            yield from evaluate_steps(snapshot, raw_steps)
+            yield from evaluate_steps(snapshot, plan.raw_steps)
 
         return generate()
 
@@ -368,34 +359,33 @@ class ArchiveDB:
 
         Chunks whose presence timestamps exclude the version are pruned
         before their XML is parsed.  Per-chunk result streams arrive in
-        chunk-internal order; they are merged on the top-level record's
-        sort token so the global order matches a snapshot's
-        (:func:`~repro.storage.chunked.restore_key_order`).  Merging is
-        a lazy k-way heap merge, except under a fingerprinter — chunk
-        order is then fingerprint order, not key order, so results are
-        collected and sorted once.
+        chunk-internal order as ``(anchor, seq, chunk, element)``; they
+        are merged on those tuples — the top-level record's sort token
+        first, never an element — so the global order matches a
+        snapshot's (:func:`~repro.storage.chunked.restore_key_order`).
+        Merging is a lazy k-way heap merge (none for a single live
+        chunk), except under a fingerprinter — chunk order is then
+        fingerprint order, not key order, so results are collected and
+        sorted once.
 
         When the backend was opened with ``workers > 1``, the live
         chunks evaluate in its process pool instead: each worker gets
         the chunk's verified bytes plus the compiled plan (plain,
         picklable data), returns its ordered result list, and the
-        parent sorts the union on the same ``(anchor, seq)`` key the
-        serial merge uses — same elements, same order, with the
-        worker-side accounting folded back into ``stats``.
+        parent sorts the union of the same tuples the serial merge
+        compares — same elements, same order, with the worker-side
+        accounting folded back into ``stats``.
         """
 
-        def part_stream(index: int) -> Iterator[tuple[tuple, int, Element]]:
-            archive = self._counting_cache(
-                stats, lambda: backend.load_part(index)
-            )
+        def part_stream(index: int) -> Iterator[tuple[tuple, int, int, Element]]:
+            archive = self._counting_cache(stats, lambda: backend.load_part(index))
             root_timestamp = archive.root.timestamp
             if root_timestamp is None:
                 return
-            cursor = MemoryCursor(
-                archive, archive.root, root_timestamp, version, stats
-            )
+            cursor = MemoryCursor(archive, archive.root, root_timestamp, version, stats)
+            # (anchor, seq, chunk) is unique: a merge never compares elements.
             for seq, (anchor, element) in enumerate(run_plan(cursor, plan, stats)):
-                yield (anchor, seq, element)
+                yield (anchor, seq, index, element)
 
         def live_indices(indices) -> list[int]:
             live = []
@@ -409,7 +399,7 @@ class ArchiveDB:
                 live.append(index)
             return live
 
-        def parallel_items(live: list[int]) -> list[tuple[tuple, int, Element]]:
+        def parallel_items(live: list[int]) -> list[tuple[tuple, int, int, Element]]:
             tasks = []
             for index in live:
                 payload = backend.read_part_payload(index)
@@ -427,40 +417,37 @@ class ArchiveDB:
                     )
                 )
             stats.workers_used = max(stats.workers_used, backend.workers)
-            collected: list[tuple[tuple, int, Element]] = []
+            collected: list[tuple[tuple, int, int, Element]] = []
             for _index, items, worker_stats in backend.pool.map(
                 _query_chunk_task, tasks
             ):
                 stats.parallel_chunks += 1
                 stats.merge(worker_stats)
                 collected.extend(items)
-            collected.sort(key=lambda item: (item[0], item[1]))
-            return collected
+            return sorted(collected)
 
         def run_over(indices) -> Iterator[Element]:
             live = live_indices(indices)
-            merged: Iterator[tuple[tuple, int, Element]]
+            merged: Iterable[tuple[tuple, int, int, Element]]
             if backend.workers > 1 and len(live) > 1:
-                merged = iter(parallel_items(live))
+                merged = parallel_items(live)
             elif backend.options.fingerprinter is not None:
-                collected = [
-                    item for index in live for item in part_stream(index)
-                ]
-                collected.sort(key=lambda item: (item[0], item[1]))
-                merged = iter(collected)
+                merged = sorted(item for index in live for item in part_stream(index))
+            elif len(live) == 1:  # every routed keyed select: nothing to merge
+                merged = part_stream(live[0])
             else:
-                merged = heapq.merge(
-                    *(part_stream(index) for index in live),
-                    key=lambda item: (item[0], item[1]),
-                )
-            for _, _, element in merged:
-                yield element
+                merged = heapq.merge(*map(part_stream, live))
+            return map(_ELEMENT, merged)
 
         def generate() -> Iterator[Element]:
-            owner = self._routed_chunk(backend, plan)
-            if owner is None:
+            # A key lookup at the step selecting a top-level record pins
+            # the record's key value, and the hash router maps a key
+            # value to exactly one chunk: the query opens that one alone.
+            label = plan.steps[1].lookup_label
+            if label is None:
                 yield from run_over(range(backend.part_count))
                 return
+            owner = backend.chunk_index_for_label(label)
             produced = False
             for element in run_over([owner]):
                 produced = True
@@ -478,20 +465,6 @@ class ArchiveDB:
             )
 
         return generate()
-
-    def _routed_chunk(
-        self, backend: ChunkedArchiver, plan: QueryPlan
-    ) -> Optional[int]:
-        """The single chunk owning a partition-level key lookup.
-
-        A key lookup at the step selecting a top-level record pins the
-        record's key value, and the hash router maps a key value to
-        exactly one chunk — the query opens that chunk alone.  ``None``
-        when the plan has no partition-level lookup to route by.
-        """
-        if len(plan.steps) >= 2 and plan.steps[1].lookup_label is not None:
-            return backend.chunk_index_for_label(plan.steps[1].lookup_label)
-        return None
 
     def _stream_items(
         self,

@@ -8,9 +8,8 @@ shape:
   inside an in-memory :class:`~repro.core.archive.Archive` (the file
   backend, and each chunk of the chunked backend).  Child scans are
   guided by the archive's timestamp trees, key lookups by the sorted
-  child lists, and matches materialize through
-  :meth:`~repro.core.archive.Archive.reconstruct_node` — only the
-  selected subtrees are ever built.
+  child lists, and matches materialize through the archive's guided
+  walk — only the selected subtrees are ever built.
 * :class:`StreamCursor` — a node of the external backend's key-sorted
   event stream.  Evaluation is a single forward pass in bounded
   memory: subtrees the plan rejects are drained without building
@@ -27,11 +26,23 @@ pairs, where ``anchor`` is the sort token of the top-level record the
 result lives under — the key the chunked backend merges per-chunk
 streams by (hash partitioning scatters records, so chunk streams must
 be re-interleaved into global key order).
+
+**The run context.**  A :class:`MemoryCursor` made by hand opens a
+*run*; every cursor reached from it is three slots — node, effective
+timestamp, run — and stands on a node proved alive, which nothing
+re-proves.  The run holds what one evaluation over one tree shares: the
+version, the stats, one :meth:`~repro.core.archive.Archive._walk`
+closure that materializes every hit, one ``ProbeCount`` it and the
+child scans report to (folded into the stats by delta, so a result
+pulled half way is accounted half way).  The evaluator recurses through
+plain calls on a step index; only a sibling scan is a generator, so a
+stream stays lazy per sibling (``first()`` builds one answer) without a
+generator frame per step per result.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..core.archive import Archive
 from ..core.compaction import weave_content_at
@@ -83,6 +94,7 @@ def node_count(element: Element) -> int:
 class Cursor:
     """One archive position bound to a scope version."""
 
+    __slots__ = ()
     supports_lookup = False
     tag: str
 
@@ -120,9 +132,29 @@ class Cursor:
         """Declare this cursor unused (drains stream cursors)."""
 
 
-class MemoryCursor(Cursor):
-    """A cursor over an in-memory archive node."""
+class _Run:
+    """What the cursors of one evaluation over one tree share."""
 
+    __slots__ = ("archive", "version", "stats", "probes", "seen", "build")
+
+    def __init__(self, archive: Archive, version: int, stats: QueryStats) -> None:
+        self.archive = archive
+        self.version = version
+        self.stats = stats
+        self.probes = ProbeCount()
+        self.seen = 0  # of ``probes``, already in ``stats``
+        self.build = archive._walk(version, False, self.probes, False)
+
+    def fold_probes(self) -> None:
+        total = self.probes.total()
+        self.stats.tree_probes += total - self.seen
+        self.seen = total
+
+
+class MemoryCursor(Cursor):
+    """A cursor over an in-memory archive node alive at the version."""
+
+    __slots__ = ("node", "effective", "run")
     supports_lookup = True
 
     def __init__(
@@ -133,12 +165,17 @@ class MemoryCursor(Cursor):
         version: int,
         stats: QueryStats,
     ) -> None:
-        self.archive = archive
         self.node = node
-        self.inherited = inherited
         self.effective = node.effective_timestamp(inherited)
-        self.version = version
-        self.stats = stats
+        self.run = _Run(archive, version, stats)
+
+    def _at(self, child: ArchiveNode) -> "MemoryCursor":
+        """The cursor of a child proved alive, in this cursor's run."""
+        cursor = MemoryCursor.__new__(MemoryCursor)
+        cursor.node = child
+        cursor.effective = self.effective if child.timestamp is None else child.timestamp
+        cursor.run = self.run
+        return cursor
 
     @property
     def tag(self) -> str:  # type: ignore[override]
@@ -160,56 +197,44 @@ class MemoryCursor(Cursor):
         return self.node.label.sort_token()
 
     def children(self) -> Iterator[Cursor]:
-        node = self.node
+        node, run = self.node, self.run
         if node.is_frontier:
             for content in self._frontier_content():
                 if isinstance(content, Element):
-                    yield ElementCursor(content, self.stats)
+                    yield ElementCursor(content, run.stats)
             return
-        probes = ProbeCount()
-        indexes = self.archive.relevant_children(
-            node, self.version, self.effective, probes
+        indexes = run.archive.relevant_children(
+            node, run.version, self.effective, run.probes
         )
-        self.stats.tree_probes += probes.total()
+        run.fold_probes()
         for index in indexes:
-            self.stats.archive_nodes_visited += 1
-            yield MemoryCursor(
-                self.archive,
-                node.children[index],
-                self.effective,
-                self.version,
-                self.stats,
-            )
+            run.stats.archive_nodes_visited += 1
+            yield self._at(node.children[index])
 
     def _frontier_content(self):
         node = self.node
         if node.weave is not None:
-            return weave_content_at(node.weave, self.version)
-        alternative = node.alternative_at(self.version)
+            return weave_content_at(node.weave, self.run.version)
+        alternative = node.alternative_at(self.run.version)
         return alternative.content if alternative is not None else []
 
     def lookup(self, label: KeyLabel) -> Optional[Cursor]:
-        self.stats.index_lookups += 1
-        child = self.archive.find_child(self.node, label)
+        run = self.run
+        run.stats.index_lookups += 1
+        child = run.archive.find_child(self.node, label)
         if child is None:
             return None
-        self.stats.archive_nodes_visited += 1
-        if self.version not in child.effective_timestamp(self.effective):
+        run.stats.archive_nodes_visited += 1
+        if child.timestamp is not None and run.version not in child.timestamp:
             return None
-        return MemoryCursor(
-            self.archive, child, self.effective, self.version, self.stats
-        )
+        return self._at(child)
 
     def materialize(self) -> Optional[Element]:
-        # Nothing is probed under a frontier node (a dense select's every hit).
-        probes = None if self.node.is_frontier else ProbeCount()
-        element = self.archive.reconstruct_node(
-            self.node, self.version, self.inherited, probes=probes
-        )
-        if probes is not None:
-            self.stats.tree_probes += probes.total()
-        if element is not None:
-            self.stats.nodes_materialized += node_count(element)
+        run = self.run
+        element = run.build(self.node, self.effective)
+        if not self.node.is_frontier:  # nothing is probed under a frontier node
+            run.fold_probes()
+        run.stats.nodes_materialized += node_count(element)
         return element
 
 
@@ -384,13 +409,6 @@ def check_predicates(
     return NEEDS_ELEMENT if needs else PASS
 
 
-def _element_matches(element: Element, step: PlannedStep, position: int) -> bool:
-    return all(
-        planned.predicate.matches(element, position)
-        for planned in step.predicates
-    )
-
-
 # -- the evaluator ------------------------------------------------------------
 
 
@@ -403,113 +421,86 @@ def run_plan(
     document roots (at most one alive per version).  Yields
     ``(anchor, element)`` in snapshot document order.
     """
-    steps = plan.steps
-    first, rest = steps[0], steps[1:]
-    if first.axis == "child":
-        for child in root_cursor.children():
-            if not match_name_text(child.tag, first.name):
-                child.skip()
-                continue
-            verdict = check_predicates(child, first, 1)
-            if verdict == FAIL:
-                child.skip()
-                continue
-            if verdict == NEEDS_ELEMENT:
-                element = child.materialize()
-                if element is None or not _element_matches(element, first, 1):
-                    continue
-                for result in apply_steps([element], _raw(rest)):
-                    yield (NO_ANCHOR, result)
-                continue
-            yield from _eval(child, rest, depth=0, anchor=None)
-    else:
-        for child in root_cursor.children():
-            yield from _descend(child, first, rest, depth=0, anchor=None)
+    first = plan.steps[0]
+    for child in root_cursor.children():
+        if first.axis == "descendant":
+            yield from _descend(child, plan, 0, 0, NO_ANCHOR)
+        elif first.name in ("*", child.tag):
+            yield from _candidate(child, plan, 0, 1, 0, NO_ANCHOR)
+        else:
+            child.skip()
 
 
-def match_name_text(tag: str, name: str) -> bool:
-    return name == "*" or tag == name
-
-
-def _raw(steps: Sequence[PlannedStep]):
-    return [planned.step for planned in steps]
-
-
-def _anchor_of(cursor: Cursor, depth: int, anchor: Optional[tuple]) -> Optional[tuple]:
-    """Results are anchored at the top-level record (depth 1)."""
-    if depth == 1 and anchor is None:
-        return cursor.order_token()
-    return anchor
-
-
-def _yield_key(anchor: Optional[tuple]) -> tuple:
-    return anchor if anchor is not None else NO_ANCHOR
+def _candidate(
+    cursor: Cursor,
+    plan: QueryPlan,
+    at: int,
+    position: Optional[int],
+    depth: int,
+    anchor: tuple,
+) -> Iterable[tuple[tuple, Element]]:
+    """What the plan selects through ``cursor``: a name match of step
+    ``at``, met at ``depth`` as candidate number ``position`` of a
+    sibling scan (``None``: a lookup found it).  Results are anchored
+    at the top-level record, depth 1."""
+    step = plan.steps[at]
+    verdict = check_predicates(cursor, step, position) if step.predicates else PASS
+    if verdict == FAIL:
+        cursor.skip()
+        return ()
+    if depth == 1:
+        anchor = cursor.order_token()
+    if verdict == PASS:
+        return _eval(cursor, plan, at + 1, depth, anchor)
+    element = cursor.materialize()
+    # Lookup plans carry no positional predicate by construction: the
+    # residual re-check of a looked-up node needs no sibling position.
+    if element is None or not all(
+        p.predicate.matches(element, position or 0) for p in step.predicates
+    ):
+        return ()
+    below = apply_steps([element], plan.raw_steps[at + 1 :])
+    return [(anchor, result) for result in below]
 
 
 def _eval(
-    cursor: Cursor,
-    steps: Sequence[PlannedStep],
-    depth: int,
-    anchor: Optional[tuple],
-) -> Iterator[tuple[tuple, Element]]:
-    """Evaluate the remaining steps below an already-matched cursor."""
-    if not steps:
+    cursor: Cursor, plan: QueryPlan, at: int, depth: int, anchor: tuple
+) -> Iterable[tuple[tuple, Element]]:
+    """Evaluate the steps from ``at`` on below an already-matched cursor."""
+    steps = plan.steps
+    if at == len(steps):
         element = cursor.materialize()
-        if element is not None:
-            yield (_yield_key(anchor), element)
-        return
-    step, rest = steps[0], steps[1:]
+        return () if element is None else [(anchor, element)]
+    step = steps[at]
     if step.axis == "descendant":
-        yield from _descend(cursor, step, rest, depth, anchor)
-        return
+        return _descend(cursor, plan, at, depth, anchor)
     if step.lookup_label is not None and cursor.supports_lookup:
         hit = cursor.lookup(step.lookup_label)
         if hit is not None:
-            child_anchor = _anchor_of(hit, depth + 1, anchor)
-            verdict = check_predicates(hit, step, None)
-            if verdict == PASS:
-                yield from _eval(hit, rest, depth + 1, child_anchor)
-                return
-            if verdict == NEEDS_ELEMENT:
-                element = hit.materialize()
-                # Residual re-check without a sibling position: lookup
-                # plans carry no positional predicates by construction.
-                if element is not None and _element_matches(element, step, 0):
-                    for result in apply_steps([element], _raw(rest)):
-                        yield (_yield_key(child_anchor), result)
-                return
-            return  # FAIL: the looked-up node does not satisfy the step
+            return _candidate(hit, plan, at, None, depth + 1, anchor)
         # A miss is only trustworthy for plain stored key values; fall
         # through to the sibling scan, which handles every encoding.
+    return _scan(cursor, plan, at, depth, anchor)
+
+
+def _scan(
+    cursor: Cursor, plan: QueryPlan, at: int, depth: int, anchor: tuple
+) -> Iterator[tuple[tuple, Element]]:
+    """Step ``at`` as a sibling scan of ``cursor``'s live children."""
+    name = plan.steps[at].name
     position = 0
     for child in cursor.children():
-        if not match_name_text(child.tag, step.name):
+        if name != "*" and child.tag != name:
             child.skip()
             continue
         position += 1
-        verdict = check_predicates(child, step, position)
-        if verdict == FAIL:
-            child.skip()
-            continue
-        child_anchor = _anchor_of(child, depth + 1, anchor)
-        if verdict == NEEDS_ELEMENT:
-            element = child.materialize()
-            if element is None or not _element_matches(element, step, position):
-                continue
-            for result in apply_steps([element], _raw(rest)):
-                yield (_yield_key(child_anchor), result)
-            continue
-        yield from _eval(child, rest, depth + 1, child_anchor)
+        yield from _candidate(child, plan, at, position, depth + 1, anchor)
 
 
 def _descend(
-    cursor: Cursor,
-    step: PlannedStep,
-    rest: Sequence[PlannedStep],
-    depth: int,
-    anchor: Optional[tuple],
+    cursor: Cursor, plan: QueryPlan, at: int, depth: int, anchor: tuple
 ) -> Iterator[tuple[tuple, Element]]:
-    """Descendant-or-self evaluation, pre-order.
+    """Descendant-or-self evaluation of step ``at``, pre-order.
 
     A cursor that passes the name test (and is not ruled out by the
     pushable predicates) materializes once; the whole sub-expression —
@@ -518,17 +509,16 @@ def _descend(
     matches a forward-only stream could not revisit.  Cursors the
     pushdown definitively rejects are descended in the archive world.
     """
-    cursor_anchor = _anchor_of(cursor, depth, anchor)
-    if match_name_text(cursor.tag, step.name):
-        verdict = check_predicates(cursor, step, None)
-        if verdict != FAIL:
+    step = plan.steps[at]
+    if depth == 1:
+        anchor = cursor.order_token()
+    if step.name in ("*", cursor.tag):
+        if check_predicates(cursor, step, None) != FAIL:
             element = cursor.materialize()
             if element is not None:
-                results = apply_steps(
-                    [virtual_shell(element)], [step.step] + _raw(rest)
-                )
-                for result in results:
-                    yield (_yield_key(cursor_anchor), result)
+                shell = [virtual_shell(element)]
+                for result in apply_steps(shell, plan.raw_steps[at:]):
+                    yield (anchor, result)
             return
     for child in cursor.children():
-        yield from _descend(child, step, rest, depth + 1, cursor_anchor)
+        yield from _descend(child, plan, at, depth + 1, anchor)

@@ -20,14 +20,32 @@ into the archive's own structures instead of a materialized snapshot:
   without probing them individually.
 
 The planner is deliberately static: it never touches the archive, only
-the key specification, so a plan can be compiled once and executed
-against any backend (in-memory, chunked, stream).
+the key specification.  So what it compiles is kept *with* the
+specification (:class:`_Plans`: owned by this module, at most
+:data:`PLAN_STORE_LIMIT` entries, oldest out first, none taken along
+when the specification is pickled) and serves every facade, handle and
+server pin sharing it, on any backend; two specifications never share a
+plan.  An entry is a **shape**: the expression with the contents of its
+quoted literals lifted out, plus one bit per literal — whether it is a
+:func:`_plain_value`, all the planner ever asks of one.
+``/ROOT/Record[Num='100']`` and ``[Num='207']`` are one shape,
+``[Num='a&b']`` another (a residual).  The first expression of a shape
+is parsed and classified; a later one is **bound**: the steps that carry
+a literal are rebuilt around the new values (``lookup``/``lookup_label``
+with them), the rest is the stored plan's.  Plans are immutable, so
+sharing them across calls and threads is safe.  An expression whose
+quotes the XPath parser reads another way than the lifting (a quote in a
+step name) is compiled as ever and not kept; one that does not parse
+raises every time and keeps nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import re
+import threading
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterator, Optional
 
 from ..keys.annotate import KeyLabel, KeyValue
 from ..keys.paths import Path, format_path
@@ -43,6 +61,13 @@ from ..xmltree.xpath import (
     split_text_step,
 )
 
+#: Shapes kept per key specification.
+PLAN_STORE_LIMIT = 128
+#: ``= 'literal'`` as the XPath parser reads it inside a predicate.
+_LITERAL = re.compile(r"""(=\s*)(['"])([^\[\]]*?)\2""")
+_MARKUP = re.compile(r"""[<>&"@]""")
+_STORE_LOCK = threading.Lock()  # misses only; a hit is one ``dict.get``
+
 #: Predicate evaluation modes assigned by the planner.
 PUSH_POSITION = "position"  # decided while scanning siblings
 PUSH_ATTRIBUTE = "attribute"  # decided on the archive node's attributes
@@ -55,7 +80,7 @@ def _plain_value(value: str) -> bool:
     and as ``text_content`` — no markup, no XML-escaped characters, no
     attribute encoding.  Key-equality pushdown is only sound for such
     values; others fall back to a residual (materialized) check."""
-    return not any(ch in value for ch in "<>&\"@")
+    return _MARKUP.search(value) is None
 
 
 @dataclass(frozen=True)
@@ -66,16 +91,20 @@ class PlannedPredicate:
     mode: str
     key_path: Optional[str] = None  # set for PUSH_KEY: the key component
 
-    def describe(self) -> str:
-        return f"{self.predicate} via {self.mode}"
+    def bind(self, value: str) -> "PlannedPredicate":
+        """The same test against another literal."""
+        old = self.predicate
+        return PlannedPredicate(
+            Predicate(old.kind, old.name, value), self.mode, self.key_path
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannedStep:
     """One location step with its compiled evaluation strategy."""
 
     step: Step
-    predicates: list[PlannedPredicate]
+    predicates: tuple[PlannedPredicate, ...]
     #: The keyed spec path this step lands on, when statically known
     #: (child-axis chains from the root; lost after ``//`` or ``*``).
     spec_path: Optional[Path] = None
@@ -84,18 +113,32 @@ class PlannedStep:
     lookup: Optional[KeyValue] = None
     #: ``lookup`` as a label: built with the step, not per node it is tried at.
     lookup_label: Optional[KeyLabel] = field(init=False, default=None, compare=False)
+    #: ``step.axis`` and ``step.name``, one attribute load away.
+    axis: str = field(init=False, default="", compare=False)
+    name: str = field(init=False, default="", compare=False)
 
     def __post_init__(self) -> None:
+        fill = object.__setattr__  # frozen: nothing else ever writes
+        fill(self, "axis", self.step.axis)
+        fill(self, "name", self.step.name)
         if self.lookup is not None:
-            self.lookup_label = KeyLabel(tag=self.step.name, key=self.lookup)
+            fill(self, "lookup_label", KeyLabel(tag=self.name, key=self.lookup))
 
-    @property
-    def axis(self) -> str:
-        return self.step.axis
-
-    @property
-    def name(self) -> str:
-        return self.step.name
+    def bind(self, values: Iterator[str]) -> "PlannedStep":
+        """This step with the next of ``values`` in place of each
+        literal its predicates compare with."""
+        predicates = tuple(
+            [
+                p if p.mode == PUSH_POSITION else p.bind(next(values))
+                for p in self.predicates
+            ]
+        )
+        lookup = self.lookup
+        if lookup:
+            pinned = _pinned(predicates)
+            lookup = tuple([(path, pinned[path]) for path, _ in lookup])
+        step = Step(self.axis, self.name, tuple([p.predicate for p in predicates]))
+        return PlannedStep(step, predicates, self.spec_path, lookup)
 
     def residuals(self) -> list[PlannedPredicate]:
         return [p for p in self.predicates if p.mode == RESIDUAL]
@@ -120,22 +163,35 @@ class PlannedStep:
         return f"{marker}{self.name}{preds} -> {how}{detail}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryPlan:
     """A compiled query: steps plus whole-plan properties."""
 
     expression: str
-    steps: list[PlannedStep]
+    steps: tuple[PlannedStep, ...]
     want_text: bool
-    spec: KeySpec = field(repr=False, default=None)  # type: ignore[assignment]
+    #: Why no backend can run the plan over the archive tree, and why a
+    #: partitioned one cannot chunk by chunk (``None``: it can).  Known
+    #: from the shape: binding hands them on.
+    fallbacks: tuple[Optional[str], Optional[str]] = (None, None)
+
+    def bind(self, expression: str, literals: list[str]) -> "QueryPlan":
+        """The plan of another ``expression`` of this shape."""
+        if expression == self.expression:
+            return self
+        values = iter(literals)
+        steps = [step.bind(values) if step.predicates else step for step in self.steps]
+        return QueryPlan(expression, tuple(steps), self.want_text, self.fallbacks)
 
     # -- whole-plan properties --------------------------------------------
 
+    @cached_property
+    def raw_steps(self) -> tuple[Step, ...]:
+        """The parsed steps, for the element evaluator."""
+        return tuple([planned.step for planned in self.steps])
+
     def uses_index(self) -> bool:
         return any(step.lookup is not None for step in self.steps)
-
-    def has_descendant(self) -> bool:
-        return any(step.axis == "descendant" for step in self.steps)
 
     def has_descendant_position(self) -> bool:
         """Positional predicates on descendant steps count candidates
@@ -147,33 +203,15 @@ class QueryPlan:
             for step in self.steps
         )
 
-    def has_position_at(self, index: int) -> bool:
-        """Whether the step at ``index`` carries a positional predicate.
-
-        Partitioned backends need this: positions at the partition
-        level (the document root's children) count siblings *across*
-        parts, which no single part can see."""
-        if index >= len(self.steps):
-            return False
-        return any(
-            p.mode == PUSH_POSITION for p in self.steps[index].predicates
-        )
-
     def root_residual(self) -> bool:
         """Residual predicates on a child-axis first step test the
         document root itself, which cannot be checked without
         materializing it (descendant first steps check candidates as
         they are found instead)."""
-        return (
-            bool(self.steps)
-            and self.steps[0].axis == "child"
-            and bool(self.steps[0].residuals())
-        )
-
-    def single_step(self) -> bool:
-        return len(self.steps) == 1
+        return self.steps[0].axis == "child" and bool(self.steps[0].residuals())
 
     def describe(self) -> list[str]:
+        """The plan, one line per step: the caller's own list."""
         lines = [f"query {self.expression!r}"]
         lines.extend(f"  {step.describe()}" for step in self.steps)
         if self.want_text:
@@ -183,6 +221,23 @@ class QueryPlan:
         if self.root_residual():
             lines.append("  !! residual predicate on the root step: snapshot fallback")
         return lines
+
+
+def _fallbacks(plan: QueryPlan) -> tuple[Optional[str], Optional[str]]:
+    """:attr:`QueryPlan.fallbacks` of a freshly compiled plan."""
+    everywhere = partitioned = None
+    if plan.has_descendant_position():
+        everywhere = "positional predicate on a descendant step"
+    elif plan.root_residual():
+        everywhere = "residual predicate on the root step"
+    steps = plan.steps
+    if len(steps) == 1:
+        partitioned = "the query selects the document root, which no single chunk holds"
+    elif any(step.axis == "descendant" for step in steps):
+        partitioned = "descendant steps may select nodes above the chunk partition level"
+    elif any(p.mode == PUSH_POSITION for p in steps[1].predicates):
+        partitioned = "positional predicate at the partition level counts across chunks"
+    return everywhere, partitioned
 
 
 def _classify(
@@ -206,6 +261,13 @@ def _classify(
     return PlannedPredicate(predicate, RESIDUAL)
 
 
+def _pinned(planned) -> dict[Optional[str], str]:
+    """Key path → the value of the first predicate that pins it."""
+    return {
+        p.key_path: p.predicate.value for p in reversed(planned) if p.mode == PUSH_KEY
+    }
+
+
 def _lookup_value(
     planned: list[PlannedPredicate], spec: KeySpec, spec_path: Optional[Path]
 ) -> Optional[KeyValue]:
@@ -216,30 +278,59 @@ def _lookup_value(
     if any(p.mode == PUSH_POSITION for p in planned):
         # A positional predicate needs the sibling scan anyway.
         return None
-    components: list[tuple[str, str]] = []
-    for key_path in key.key_paths:
-        path_text = format_path(key_path, absolute=False)
-        match = next(
-            (
-                p
-                for p in planned
-                if p.mode == PUSH_KEY and p.key_path == path_text
-            ),
-            None,
-        )
-        if match is None:
-            return None
-        components.append((path_text, match.predicate.value))
-    components.sort(key=lambda item: item[0])
-    return tuple(components)
+    pinned = _pinned(planned)
+    paths = sorted(format_path(key_path, absolute=False) for key_path in key.key_paths)
+    if any(path not in pinned for path in paths):
+        return None
+    return tuple([(path, pinned[path]) for path in paths])
+
+
+class _Plans(dict):
+    """One specification's compiled plans by shape.  It sits in the
+    specification's ``__dict__`` — it lives as long, and every holder of
+    the specification finds it — but only this module reads or writes
+    it, and a pickled specification (a pool task carries one) takes an
+    empty one along."""
+
+    def __reduce__(self) -> tuple:
+        return (_Plans, ())
+
+
+def stored_plans(spec: KeySpec) -> _Plans:
+    """The plans kept with ``spec`` (made on first ask)."""
+    plans = spec.__dict__.get("_plans")
+    if plans is None:
+        plans = spec.__dict__.setdefault("_plans", _Plans())
+    return plans
 
 
 def compile_plan(expression: str, spec: KeySpec) -> QueryPlan:
-    """Compile an XPath expression against a key specification.
+    """The plan of an XPath expression under a key specification: bound
+    from the stored plan of its shape, compiled (and stored) when it is
+    the first of it.
 
     Raises :class:`~repro.xmltree.xpath.XPathError` on malformed
     expressions (same grammar as the element evaluator).
     """
+    parts = _LITERAL.split(expression)
+    literals = parts[3::4]
+    del parts[3::4]
+    shape = (tuple(parts), tuple([_plain_value(value) for value in literals]))
+    plans = stored_plans(spec)
+    stored = plans.get(shape)
+    if stored is not None:
+        return stored.bind(expression, literals)
+    plan = _compile(expression, spec)
+    compared = [p.predicate for step in plan.steps for p in step.predicates]
+    if [p.value for p in compared if p.kind != POSITION] == literals:
+        with _STORE_LOCK:  # else the parser read the quotes its own way: not kept
+            if len(plans) >= PLAN_STORE_LIMIT:
+                del plans[next(iter(plans))]
+            plans[shape] = plan
+    return plan
+
+
+def _compile(expression: str, spec: KeySpec) -> QueryPlan:
     steps, want_text = split_text_step(parse_steps(expression))
     planned_steps: list[PlannedStep] = []
     spec_path: Optional[Path] = ()
@@ -255,14 +346,6 @@ def compile_plan(expression: str, spec: KeySpec) -> QueryPlan:
             # The first step anchors at the document root — there is
             # nothing to look up in; later child steps are candidates.
             lookup = _lookup_value(planned, spec, known_path)
-        planned_steps.append(
-            PlannedStep(
-                step=step,
-                predicates=planned,
-                spec_path=known_path,
-                lookup=lookup,
-            )
-        )
-    return QueryPlan(
-        expression=expression, steps=planned_steps, want_text=want_text, spec=spec
-    )
+        planned_steps.append(PlannedStep(step, tuple(planned), known_path, lookup))
+    plan = QueryPlan(expression, tuple(planned_steps), want_text)
+    return replace(plan, fallbacks=_fallbacks(plan))

@@ -14,6 +14,7 @@ exhaustion) by caching what has already been produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Optional
 
 
@@ -118,15 +119,21 @@ class QueryResult:
         items: Iterable[Any],
         kind: str,
         stats: Optional[QueryStats] = None,
-        plan_description: Optional[list[str]] = None,
+        plan: Any = None,  # the ``QueryPlan`` behind a ``select``
     ) -> None:
         if kind not in _KINDS:
             raise ValueError(f"Unknown result kind {kind!r}")
         self.kind = kind
         self.stats = stats if stats is not None else QueryStats()
-        self.plan_description = plan_description or []
+        self._plan = plan
         self._source: Optional[Iterator[Any]] = iter(items)
         self._cache: list[Any] = []
+
+    @cached_property
+    def plan_description(self) -> list[str]:
+        """The plan behind a ``select``, a line per step: this result's
+        own list, written when first asked for (plans are shared)."""
+        return self._plan.describe() if self._plan is not None else []
 
     # -- iteration ---------------------------------------------------------
 

@@ -262,8 +262,8 @@ def _query_chunk_task(task: tuple) -> tuple:
 
     Task: ``(index, payload, codec_name, spec, options, plan,
     version)``.  Returns ``(index, items, stats)`` where ``items`` is
-    the chunk's ordered ``(anchor, seq, element)`` result list — the
-    same stream the serial evaluator feeds the k-way merge — and
+    the chunk's ordered ``(anchor, seq, index, element)`` result list —
+    the same stream the serial evaluator feeds the k-way merge — and
     ``stats`` the chunk-local
     :class:`~repro.query.result.QueryStats` for the parent to merge.
     """
@@ -281,5 +281,5 @@ def _query_chunk_task(task: tuple) -> tuple:
     if root_timestamp is not None:
         cursor = MemoryCursor(archive, archive.root, root_timestamp, version, stats)
         for seq, (anchor, element) in enumerate(run_plan(cursor, plan, stats)):
-            items.append((anchor, seq, element))
+            items.append((anchor, seq, index, element))
     return (index, items, stats)

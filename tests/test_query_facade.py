@@ -1,15 +1,25 @@
 """The ArchiveDB facade: one queryable surface over every backend."""
 
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, asdict
+
 import pytest
 
 import repro
 from repro.core import Archive, ArchiveError, ArchiveOptions, Fingerprinter
 from repro.core.tempquery import Change
+from repro.core.tstree import ProbeCount
 from repro.keys import parse_key_spec
 from repro.query import ArchiveDB, compile_plan
-from repro.storage import create_archive
+from repro.query import db as query_db
+from repro.query import plan as query_plan
+from repro.query.plan import stored_plans
+from repro.query.exec import NO_ANCHOR, node_count
+from repro.storage import create_archive, open_archive
 from repro.xmltree import parse_document, to_string
-from repro.xmltree.xpath import evaluate
+from repro.xmltree.xpath import XPathError, evaluate
 
 KEYS = """
 (/, (db, {}))
@@ -253,6 +263,206 @@ class TestPlanner:
         plan = compile_plan("/db/dept/emp[sal='90K']", parse_key_spec(KEYS))
         residuals = plan.steps[2].residuals()
         assert len(residuals) == 1
+
+    # -- one compilation per shape, kept with the key specification ---------
+
+    def test_a_shape_is_compiled_once_and_bound_per_literal(self):
+        spec = parse_key_spec(KEYS)
+        first = compile_plan("/db/dept[name='finance']/emp[fn='John'][ln='Doe']", spec)
+        assert compile_plan(first.expression, spec) is first
+        other = "/db/dept[name='marketing']/emp[fn='Jane'][ln='Smith']"
+        bound = compile_plan(other, spec)
+        assert len(stored_plans(spec)) == 1
+        cold = query_plan._compile(other, spec)  # what no store would answer
+        assert bound == cold and bound.describe() == cold.describe()
+        assert [step.lookup_label for step in bound.steps] == [
+            step.lookup_label for step in cold.steps
+        ]
+        assert bound.steps[2].lookup == (("fn", "Jane"), ("ln", "Smith"))
+        assert bound.steps[0] is first.steps[0]  # no literal: the stored step
+        assert first.steps[1].lookup == (("name", "finance"),)  # and untouched
+
+    def test_first_predicate_on_a_key_path_still_supplies_the_lookup(self):
+        spec = parse_key_spec(KEYS)
+        compile_plan("/db/dept[name='a'][name='b']", spec)
+        bound = compile_plan("/db/dept[name='c'][name='d']", spec)
+        assert bound.steps[1].lookup == (("name", "c"),)
+        assert bound == query_plan._compile(bound.expression, spec)
+
+    @pytest.mark.parametrize("value", ["R&D", "a<b", 'say "hi"', "ops@hq"])
+    def test_markup_literal_is_its_own_shape_and_answers(self, tmp_path, value):
+        source = f"<db><dept><name>{value.replace('&', '&amp;').replace('<', '&lt;')}"
+        source += "</name><emp><fn>A</fn><ln>B</ln></emp></dept><dept><name>x</name></dept></db>"
+        quote = "'" if '"' in value else '"'
+        expression = f"/db/dept[name={quote}{value}{quote}]/emp"
+        for kind in BACKENDS:
+            path = str(tmp_path / (kind + (".xml" if kind == "file" else "")))
+            store = create_archive(path, KEYS, kind=kind, chunk_count=3)
+            store.add_version(parse_document(source))
+            db = store.db()
+            assert len(db.at(1).select(f"/db/dept[name={quote}x{quote}]/emp").all()) == 0
+            result = db.at(1).select(expression)
+            expected = evaluate(store.retrieve(1), expression).items
+            assert _rendered(result.all()) == _rendered(expected) != []
+            assert len(stored_plans(store.spec)) == 2  # not the plain literal's shape
+            plan = db.plan(expression)
+            assert plan.steps[1].lookup is None and plan.steps[1].residuals()
+            store.close()
+
+    def test_quotes_the_parser_reads_differently_are_not_kept(self):
+        spec = parse_key_spec(KEYS)
+        plan = compile_plan("/db/dept[name='a'='b']", spec)  # one value: a'='b
+        assert plan.steps[1].predicates[0].predicate.value == "a'='b"
+        assert compile_plan("/db/x='1'/dept", spec).steps[1].name == "x='1'"
+        assert stored_plans(spec) == {}
+
+    def test_two_specs_never_share_a_plan(self):
+        keyed, lone = parse_key_spec(KEYS), parse_key_spec(
+            "(/, (db, {}))\n(/db, (dept, {}))"  # at most one dept: no key path
+        )
+        expression = "/db/dept[name='finance']"
+        assert compile_plan(expression, keyed).steps[1].lookup == (("name", "finance"),)
+        assert compile_plan(expression, lone).steps[1].lookup == ()
+        assert compile_plan(expression, keyed).steps[1].lookup == (("name", "finance"),)
+        assert stored_plans(keyed) is not stored_plans(lone) and len(stored_plans(keyed)) == 1
+        travelled = pickle.loads(pickle.dumps(keyed))  # as a pool task carries it
+        assert travelled == keyed and stored_plans(travelled) == {}
+
+    def test_store_is_bounded_and_an_evicted_shape_answers_again(self, monkeypatch):
+        monkeypatch.setattr(query_plan, "PLAN_STORE_LIMIT", 3)
+        archive = _memory_archive()
+        db = repro.open(archive)
+        oldest = "/db/dept[name='finance']/emp"
+        expected = _rendered(evaluate(archive.retrieve(4), oldest).items)
+        assert _rendered(db.at(4).select(oldest).all()) == expected
+        for tag in ("emp", "name", "emp/sal"):
+            db.plan(f"/db/dept/{tag}")
+        assert len(stored_plans(archive.spec)) == 3
+        assert all("finance" not in str(shape) for shape in stored_plans(archive.spec))
+        assert _rendered(db.at(4).select(oldest).all()) == expected
+        assert len(stored_plans(archive.spec)) == 3
+
+    def test_failed_compilation_keeps_nothing_and_raises_each_time(self):
+        archive = _memory_archive()
+        db = repro.open(archive)
+        for _ in range(2):
+            with pytest.raises(XPathError):
+                db.at(1).select("/db/dept[name=finance]")
+            with pytest.raises(XPathError):
+                db.explain("db/dept")
+        assert stored_plans(archive.spec) == {}
+        with pytest.raises(ArchiveError):  # the version is checked before the parse
+            db.at(99).select("db/dept")
+
+    def test_shared_plans_are_immutable_and_descriptions_private(self):
+        db = repro.open(_memory_archive())
+        expression = "/db/dept[name='finance']/emp"
+        result = db.at(4).select(expression)
+        described = list(result.plan_description)
+        assert described == db.plan(expression).describe() and described
+        result.plan_description.append("scribble")
+        db.explain(expression).append("scribble")
+        assert db.at(4).select(expression).plan_description == described
+        plan = db.plan(expression)
+        assert isinstance(plan.steps, tuple) and isinstance(plan.steps[1].predicates, tuple)
+        with pytest.raises(FrozenInstanceError):
+            plan.want_text = True
+        with pytest.raises(FrozenInstanceError):
+            plan.steps[1].lookup = None
+
+    def test_cached_plan_pickles_and_workers_answer_as_serial(self, tmp_path):
+        path = str(tmp_path / "arch")
+        store = create_archive(path, KEYS, kind="chunked", chunk_count=4)
+        store.ingest_batch(parse_document(source) for source in VERSIONS)
+        store.close()
+        serial, fanned = open_archive(path), open_archive(path, workers=2)
+        assert serial.spec is not fanned.spec
+        for expression in ("/db/dept/emp", "/db/dept/emp/fn/text()"):
+            for _ in range(2):  # compiled, then the stored plan crosses the pool
+                one = serial.db().at(3).select(expression)
+                two = fanned.db().at(3).select(expression)
+                assert _rendered(two.all()) == _rendered(one.all()) != []
+                assert two.stats.parallel_chunks > 0 == one.stats.parallel_chunks
+                assert two.stats.nodes_visited() == one.stats.nodes_visited()
+            plan = fanned.db().plan(expression)
+            assert pickle.loads(pickle.dumps(plan)) == plan
+        serial.close()
+        fanned.close()
+
+    def test_first_builds_less_than_all(self, tmp_path):
+        archive = _memory_archive()
+        path = str(tmp_path / "arch.xml")
+        store = create_archive(path, KEYS)
+        store.ingest_batch(parse_document(source) for source in VERSIONS)
+        for db in (repro.open(archive), store.db()):
+            whole = db.at(4).select("/db/dept/emp/fn/text()")
+            assert whole.all() == ["Jane", "John"]
+            one = db.at(4).select("/db/dept/emp/fn/text()")
+            assert one.first() == "Jane"
+            assert 0 < one.stats.nodes_materialized < whole.stats.nodes_materialized
+            assert one.stats.index_lookups < whole.stats.index_lookups
+        store.close()
+
+    def test_threads_sharing_one_shape_answer_as_serial(self, monkeypatch):
+        archive = _memory_archive()
+        asks = [
+            (version, f"/db/dept[name='{name}']/emp[fn='{fn}'][ln='{ln}']")
+            for version in (3, 4)
+            for name in ("finance", "marketing", "nowhere")
+            for fn, ln in (("John", "Doe"), ("Jane", "Smith"), ("No", "One"))
+        ] * 8
+
+        def ask(pair):
+            result = repro.open(archive).at(pair[0]).select(pair[1])
+            return _rendered(result.all()), asdict(result.stats), result.plan_description
+
+        serial = [ask(pair) for pair in asks]
+        assert any(answer for answer, _, _ in serial)
+        plans = stored_plans(archive.spec)
+        plans.clear()  # the threads race for the one compilation
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                assert list(pool.map(ask, asks, timeout=120)) == serial
+                assert len(plans) == 1
+                # ... and, with room for one shape, for every insertion.
+                monkeypatch.setattr(query_plan, "PLAN_STORE_LIMIT", 1)
+                mixed = [(4, f"/db/dept/{tag}[{n}]") for n in (1, 2) for tag in "abcd"]
+                mixed = [pair for both in zip(asks, mixed * 18) for pair in both]
+                answers = list(pool.map(ask, mixed, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers[0::2] == serial and len(plans) == 1
+
+    def test_select_stats_are_those_of_a_probed_retrieve(self):
+        """Everything alive under ``/db/dept`` is scanned once and built
+        once — what one guided ``retrieve`` probes — whether the run's
+        one ``ProbeCount`` is read once or after every cursor."""
+        archive = _memory_archive()
+        db = repro.open(archive)
+        for version in range(1, archive.last_version + 1):
+            probes = ProbeCount()
+            snapshot = archive.retrieve(version, probes=probes)
+            for expression, above in (("/db", 0), ("/db/dept", 1)):
+                result = db.at(version).select(expression)
+                found = result.all()
+                assert result.stats.tree_probes == probes.total()
+                assert result.stats.nodes_materialized == node_count(snapshot) - above
+                assert result.stats.archive_nodes_visited == above + len(found)
+
+    def test_chunk_merge_never_compares_elements(self, backend, monkeypatch):
+        """Streams that tie on ``(anchor, seq)`` come out in chunk order."""
+        if backend.kind != "chunked":
+            pytest.skip("merging is a chunked-backend concern")
+
+        def tied(cursor, plan, stats):
+            for child in cursor.children():
+                yield (NO_ANCHOR, child.materialize())
+
+        monkeypatch.setattr(query_db, "run_plan", tied)
+        found = backend.db().at(3).select("/db/dept").all()
+        assert [element.tag for element in found] == ["db", "db"]
 
     def test_explain_mentions_lookup_and_fallback(self, backend):
         db = backend.db()

@@ -7,9 +7,19 @@ residual/unindexed predicates that exercise the scan fallback,
 descendant walks, text()) are evaluated both ways.  The answers must be
 identical: same cardinality, same order, byte-identical serialized
 elements.
+
+Plans are compiled once per shape and kept with the key specification,
+so every drawn expression is asked five ways: cold (nothing kept),
+again through the same handle (its own stored plan), through a fresh
+``repro.open`` wrapper of the same handle, as a *sibling* — the same
+shape around other literals, bound from the stored plan — and that
+sibling cold.  Each must give the oracle's answer, and the warm ways
+the cold way's ``QueryStats``, field for field, and ``plan_description``.
 """
 
+import re
 import tempfile
+from dataclasses import asdict
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +27,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import Archive, ArchiveOptions, Fingerprinter
 from repro.data.company import company_key_spec
+from repro.query.plan import stored_plans
 from repro.storage import create_archive
 from repro.xmltree import Element, Text, to_string
 from repro.xmltree.xpath import evaluate
@@ -116,14 +127,35 @@ def _rendered(items) -> list[str]:
     ]
 
 
-def _assert_equivalent(db, reference_retrieve, last_version, expression):
+#: Literal → another of its kind: a sibling expression of the same shape.
+_SIBLING = {
+    "dx": "dy", "dy": "dz", "dz": "dx", "ann": "bob", "bob": "cat",
+    "10K": "20K", "20K": "10K", "111": "222",
+}
+
+
+def _ask(db, version, expression):
+    result = db.at(version).select(expression)
+    return _rendered(result.all()), asdict(result.stats), result.plan_description
+
+
+def _assert_equivalent(source, db, reference_retrieve, last_version, expression):
+    sibling = re.sub(r"'(\w+)'", lambda m: f"'{_SIBLING[m.group(1)]}'", expression)
+    plans = stored_plans(db.spec)
     for version in range(1, last_version + 1):
         snapshot = reference_retrieve(version)
-        expected = (
-            evaluate(snapshot, expression).items if snapshot is not None else []
-        )
-        got = db.at(version).select(expression).all()
-        assert _rendered(got) == _rendered(expected), (expression, version)
+        for text in (expression, sibling):  # and every chunk either opens is decoded
+            expected = evaluate(snapshot, text).items if snapshot is not None else []
+            assert _ask(db, version, text)[0] == _rendered(expected), (text, version)
+        plans.clear()
+        cold = _ask(db, version, expression)
+        assert len(plans) == 1
+        assert _ask(db, version, expression) == cold, (expression, version)
+        assert _ask(repro.open(source), version, expression) == cold
+        bound = _ask(db, version, sibling)
+        assert len(plans) == 1  # one shape, however many literals
+        plans.clear()
+        assert _ask(db, version, sibling) == bound, (sibling, version)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,7 +165,9 @@ def test_memory_plan_matches_materialize(states, options, expression):
     for state in states:
         archive.add_version(_state_to_document(state))
     db = repro.open(archive)
-    _assert_equivalent(db, archive.retrieve, archive.last_version, expression)
+    _assert_equivalent(
+        archive, db, archive.retrieve, archive.last_version, expression
+    )
 
 
 @settings(
@@ -151,7 +185,7 @@ def test_backends_plan_matches_materialize(states, expression):
             store.ingest_batch(document.copy() for document in documents)
             db = store.db()
             _assert_equivalent(
-                db, store.retrieve, store.last_version, expression
+                store, db, store.retrieve, store.last_version, expression
             )
             store.close()
 
@@ -169,5 +203,7 @@ def test_chunked_fingerprinter_plan_matches_materialize(states, expression):
         )
         store.ingest_batch(document.copy() for document in documents)
         db = store.db()
-        _assert_equivalent(db, store.retrieve, store.last_version, expression)
+        _assert_equivalent(
+            store, db, store.retrieve, store.last_version, expression
+        )
         store.close()
