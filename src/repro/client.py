@@ -22,16 +22,26 @@ objects (or plain strings for ``text()`` queries), ``changes`` yields
 :class:`~repro.query.result.QueryStats` once exhausted, plus a
 ``generation`` attribute naming the snapshot the server pinned for it.
 
-Transport is one keep-alive :class:`http.client.HTTPConnection` per
-:class:`RemoteDB`; the connection is **not** thread-safe — give each
-thread its own ``connect()`` (they multiplex fine on the server side).
-Issuing a new call silently drains any half-consumed previous stream.
+Transport is one keep-alive socket per :class:`RemoteDB` (``TCP_NODELAY``,
+no ``http.client``): a request's head and body leave in one ``sendall``;
+the status line and headers are read into a mapping keyed by lower-cased
+name, and the body is read off the socket as NDJSON lines against its
+``Content-Length`` (a response with no length must say ``Connection:
+close`` and is read to end of stream; one with neither, or with a
+``Transfer-Encoding``, is a :class:`RemoteError`).  Issuing a new call
+silently drains any half-consumed previous stream.  A ``GET`` whose
+kept-alive connection turns out to have been closed by the server is
+re-sent once on a fresh one; a timeout is raised as it is, and a
+``POST`` is never sent twice.  The connection is **not** thread-safe —
+give each thread its own ``connect()`` (they multiplex fine on the
+server side).
 """
 
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection, HTTPResponse
+import socket
+import sys
 from typing import Iterable, Iterator, Optional, Union
 from urllib.parse import quote, urlsplit
 
@@ -42,6 +52,9 @@ from .query.result import CHANGES, ELEMENTS, STRINGS, QueryResult, QueryStats
 from .xmltree.model import Element
 from .xmltree.parser import parse_document
 from .xmltree.serializer import to_string
+
+#: Longest status or header line read from a server.
+_MAX_LINE_BYTES = 65536
 
 
 class RemoteError(ArchiveError):
@@ -89,16 +102,169 @@ def connect(
     return RemoteDB(host, archive, timeout=timeout)
 
 
+class _Response:
+    """One response head, and its body while it is being read off the
+    connection: ``Content-Length`` bytes of it, or — under ``Connection:
+    close`` and no length — whatever comes before end of stream."""
+
+    def __init__(self, wire: "_Wire", status_line: bytes) -> None:
+        self._wire = wire
+        #: Header names are lower-cased.
+        self.headers: dict = {}
+        try:
+            self.status = int(status_line.split(None, 2)[1])
+            while True:
+                line = wire.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                self.headers[name.strip().lower()] = value.strip()
+            self.closes = self.headers.get("connection", "").lower() == "close"
+            self.sized = "content-length" in self.headers
+            if "transfer-encoding" in self.headers:
+                raise ValueError("Transfer-Encoding is not spoken here")
+            if not self.sized and not self.closes:
+                raise ValueError("neither Content-Length nor Connection: close")
+            #: Body bytes not read yet.
+            self.remaining = (
+                int(self.headers["content-length"]) if self.sized else sys.maxsize
+            )
+        except (ValueError, IndexError) as error:
+            raise RemoteError(
+                f"Unreadable response from {wire.host}: {error}",
+                code="internal-error",
+                status=500,
+            )
+
+    def lines(self) -> Iterator[bytes]:
+        """The rest of the body, a line at a time."""
+        while self.remaining:
+            try:
+                line = self._wire.readline(self.remaining)
+            except OSError:
+                self._wire.close()
+                raise
+            if not line:  # end of stream; closing zeroes ``remaining``
+                self._wire.close()
+                if self.sized:
+                    raise ConnectionResetError("Response body ended early")
+                return
+            self.remaining -= len(line)
+            yield line
+
+    def read(self) -> bytes:
+        """The rest of the body."""
+        return b"".join(self.lines())
+
+
+class _Wire:
+    """One keep-alive connection: each request leaves in one
+    ``sendall``; its response must be read (or is drained) before the
+    next one."""
+
+    def __init__(self, host: str, timeout: float) -> None:
+        self.host = host
+        location = urlsplit("//" + host)
+        self._address = (location.hostname, location.port or 80)
+        self._timeout = timeout
+        self._socket: Optional[socket.socket] = None
+        self._file = None
+        self._response: Optional[_Response] = None
+
+    def close(self) -> None:
+        if self._response is not None:
+            self._response.remaining = 0  # nothing more to read from it
+            self._response = None
+        if self._socket is not None:
+            self._file.close()
+            self._socket.close()
+            self._socket = self._file = None
+
+    def readline(self, limit: int = _MAX_LINE_BYTES) -> bytes:
+        return self._file.readline(limit)
+
+    def _send(self, payload: bytes) -> bytes:
+        """One request out; the status line that answers it."""
+        if self._socket is None:
+            self._socket = socket.create_connection(self._address, self._timeout)
+            self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._file = self._socket.makefile("rb")
+        self._socket.sendall(payload)
+        line = self.readline()
+        if not line:
+            raise ConnectionResetError(f"{self.host} closed the connection")
+        return line
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        content_type: Optional[str] = None,
+    ) -> _Response:
+        previous = self._response
+        if previous is not None:
+            # Keep-alive hygiene: the previous response must be fully
+            # read before the connection can carry another request.
+            try:
+                for _ in previous.lines():
+                    pass
+            except OSError:
+                pass  # reading it closed the connection
+            if previous.closes:
+                self.close()
+            self._response = None
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
+        if body is not None:
+            head += (
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        payload = head.encode("latin-1") + b"\r\n" + (body or b"")
+        kept_alive = self._socket is not None
+        try:
+            try:
+                line = self._send(payload)
+            except ConnectionError:
+                # One transparent reconnect, only for a kept-alive
+                # connection found closed (the server may drop an idle
+                # one between calls).  A timeout is not that, and a
+                # resent ingest could double-apply: the caller decides.
+                if not kept_alive or method != "GET":
+                    raise
+                self.close()
+                line = self._send(payload)
+            self._response = _Response(self, line)
+        except (OSError, RemoteError):
+            self.close()
+            raise
+        return self._response
+
+
+def _server_timing(value: str) -> dict:
+    """``{"pin": ms, "read": ms}`` out of a ``Server-Timing`` header."""
+    timing = {}
+    for entry in value.split(","):
+        name, _, duration = entry.partition(";dur=")
+        try:
+            timing[name.strip()] = float(duration)
+        except ValueError:
+            continue
+    return timing
+
+
 class RemoteDB:
     """One archive on one server, spoken to over keep-alive HTTP."""
 
     def __init__(self, host: str, archive: str, *, timeout: float = 30.0) -> None:
         self.archive = archive
         self.host = host
-        self._conn = HTTPConnection(host, timeout=timeout)
-        self._active: Optional[HTTPResponse] = None
+        self._wire = _Wire(host, timeout)
         #: Generation of the snapshot behind the most recent response.
         self.last_generation: Optional[int] = None
+        #: The server's own account of the most recent answer, from its
+        #: ``Server-Timing`` header: ``{"pin": ms, "read": ms}``.
+        self.last_timing: dict = {}
 
     # -- transport ---------------------------------------------------------
 
@@ -108,29 +274,8 @@ class RemoteDB:
         path: str,
         body: Optional[bytes] = None,
         content_type: Optional[str] = None,
-    ) -> HTTPResponse:
-        if self._active is not None:
-            # Keep-alive hygiene: the previous response must be fully
-            # read before the connection can carry another request.
-            try:
-                self._active.read()
-            except Exception:
-                self._conn.close()
-            self._active = None
-        headers = {}
-        if content_type is not None:
-            headers["Content-Type"] = content_type
-        try:
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-        except (ConnectionError, OSError):
-            if method != "GET":
-                raise  # a resent ingest could double-apply; let the caller decide
-            # One transparent reconnect: the server may have dropped an
-            # idle keep-alive connection between calls.
-            self._conn.close()
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
+    ) -> _Response:
+        response = self._wire.request(method, path, body, content_type)
         if response.status >= 400:
             raw = response.read()
             try:
@@ -146,20 +291,22 @@ class RemoteDB:
                 code=record.get("code", "internal-error"),
                 status=response.status,
             )
-        generation = response.getheader("X-Archive-Generation")
+        generation = response.headers.get("x-archive-generation")
         if generation is not None:
             self.last_generation = int(generation)
-        self._active = response
+        self.last_timing = _server_timing(
+            response.headers.get("server-timing", "")
+        )
         return response
 
     def _archive_path(self, suffix: str) -> str:
         return f"/archives/{quote(self.archive, safe='')}{suffix}"
 
     def _stream(
-        self, response: HTTPResponse, stats: QueryStats, sink: dict
+        self, response: _Response, stats: QueryStats, sink: dict
     ) -> Iterator:
         """Yield item payloads; fold the done record into ``stats``/``sink``."""
-        for raw in response:
+        for raw in response.lines():
             record = json.loads(raw)
             if "item" in record:
                 yield record["item"]
@@ -169,10 +316,6 @@ class RemoteDB:
                 for key, value in (done.get("stats") or {}).items():
                     if hasattr(stats, key):
                         setattr(stats, key, value)
-                # Drain the chunked-transfer terminator so the
-                # keep-alive connection is reusable immediately.
-                response.read()
-                self._active = None
                 return
             elif "error" in record:
                 error = record["error"]
@@ -189,7 +332,7 @@ class RemoteDB:
 
     def _ndjson_result(self, path: str) -> tuple[QueryResult, dict]:
         response = self._request("GET", path)
-        kind = response.getheader("X-Result-Kind") or ELEMENTS
+        kind = response.headers.get("x-result-kind") or ELEMENTS
         generation = self.last_generation
         stats = QueryStats()
         sink: dict = {}
@@ -308,15 +451,12 @@ class RemoteDB:
             body=body,
             content_type="application/x-ndjson",
         )
-        report = json.loads(response.read())
-        self._active = None
-        return report
+        return json.loads(response.read())
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        self._conn.close()
-        self._active = None
+        self._wire.close()
 
     def __enter__(self) -> "RemoteDB":
         return self

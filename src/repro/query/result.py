@@ -79,6 +79,10 @@ class QueryStats:
             + self.events_skipped
         )
 
+    def as_record(self) -> dict:
+        """The wire record ``xarchd`` sends: every field by name."""
+        return dict(self.__dict__)
+
     def mark_fallback(self, reason: str) -> None:
         self.fallback = True
         self.fallback_reason = reason

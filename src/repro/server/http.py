@@ -1,4 +1,4 @@
-"""The ``xarchd`` wire layer: stdlib HTTP, streaming NDJSON responses.
+"""The ``xarchd`` wire layer: HTTP/1.1 over ``socketserver``, sized NDJSON.
 
 Routes (all answers are ``application/x-ndjson`` unless noted)::
 
@@ -11,31 +11,52 @@ Routes (all answers are ``application/x-ndjson`` unless noted)::
     GET  /archives/{name}/between/{a}/{b}/changes[?prefix=KEYPATH]
     POST /archives/{name}/ingest                      NDJSON {"xml": ...} lines
 
-Streaming responses are chunked-transfer NDJSON: zero or more
-``{"item": ...}`` lines followed by exactly one ``{"done": {...}}``
-line carrying the result count, the pinned generation, the query's
-work accounting, and a ``cache`` record (whether the snapshot reused
-an open pin, plus pin-cache and decoded-chunk-cache hit/miss/eviction
-counters).  Two response headers make the snapshot observable
-before the body streams: ``X-Archive-Generation`` (the pinned
-generation every item was answered from) and ``X-Result-Kind``
+An NDJSON answer is zero or more ``{"item": ...}`` lines followed by
+exactly one ``{"done": {...}}`` line carrying the result count, the
+pinned generation, the query's work accounting, and a ``cache`` record
+(whether the snapshot reused an open pin, plus pin-cache and
+decoded-chunk-cache hit/miss/eviction counters).  Three response
+headers describe the answer before its body: ``X-Archive-Generation``
+(the pinned generation every item was answered from), ``X-Result-Kind``
 (``elements`` / ``strings`` / ``changes`` — the
 :class:`~repro.query.result.QueryResult` kind, so clients type items
-without sniffing).
+without sniffing) and ``Server-Timing: pin;dur=…, read;dur=…`` (the
+milliseconds :meth:`ArchiveService.read` spent pinning the snapshot and
+answering from it — whatever else a client waited was the wire).
 
 Failures never tear a stream: the service layer materializes the whole
 answer under its snapshot pin *before* the status line is sent, so
 every error — unknown archive, bad version, detected corruption —
 arrives as a proper status code with the structured
-:mod:`repro.server.errors` body.
+:mod:`repro.server.errors` body.  And since the answer is whole, every
+response — NDJSON, JSON, error — leaves through :meth:`XarchdHandler.
+_respond` as one ``sendall``: status line, ``Server``, ``Date``, the
+route's headers, ``Content-Length`` and the body.  Nothing is chunked.
+
+The handler reads a request head itself: request line and header lines
+into a mapping keyed by lower-cased name, within the stdlib server's
+limits and with its answers — a line over 64 KiB is 414 (request line)
+or 431 (header), more than 100 headers 431, a request line that is not
+``METHOD TARGET HTTP/x.y`` or a header line without a colon 400 (so is
+an HTTP/0.9 two-word line), ``HTTP/2.0`` and up 505, a method without a
+``do_`` handler 501; these are answered in plain text and close the
+connection.  A connection is kept alive unless the request was
+HTTP/1.0, said ``Connection: close``, was refused as above, or
+announced a body (``Content-Length`` or ``Transfer-Encoding``) that
+nobody read: what follows such a request on the wire is its body, not
+the next request line.  Every closing response says ``Connection:
+close``.
 """
 
 from __future__ import annotations
 
 import json
+import socketserver
+import sys
 import threading
-from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -48,12 +69,15 @@ from .service import ArchiveService, Snapshot
 #: Cap on ingest request bodies (64 MiB): a runaway upload should fail
 #: fast, not exhaust the server.
 MAX_INGEST_BYTES = 64 * 1024 * 1024
+#: Request-head limits (the stdlib server's): bytes per line, header lines.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
 NDJSON = "application/x-ndjson"
 
 
-class XarchdServer(ThreadingHTTPServer):
-    """One thread per request; the service carries the shared state
+class XarchdServer(socketserver.ThreadingTCPServer):
+    """One thread per connection; the service carries the shared state
     (writer locks), so handler threads stay stateless."""
 
     daemon_threads = True
@@ -63,63 +87,157 @@ class XarchdServer(ThreadingHTTPServer):
         super().__init__(address, XarchdHandler)
         self.service = service
         self.quiet = quiet
+        self._date = (0, "")
+
+    def http_date(self) -> str:
+        """The ``Date`` header value, formatted once per second."""
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, formatdate(now, usegmt=True))
+        return self._date[1]
 
 
-class XarchdHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "xarchd/1.0"
-    # A response leaves in as few segments as its size allows: written
-    # piecemeal (the inherited ``wbufsize = 0``), the second small
-    # segment waits behind Nagle for the client's delayed ACK — ~40 ms
-    # on every request that follows another on a keep-alive connection.
-    # Whatever writes a response also flushes it, inside its route's
-    # handler, so a client that went away surfaces as the
-    # BrokenPipeError the route ignores.
-    wbufsize = -1
+class _HeadError(Exception):
+    """A request head the server refuses: answered in plain text under
+    ``status`` (these sit below the API's error taxonomy), then the
+    connection closes."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
+
+
+class XarchdHandler(socketserver.StreamRequestHandler):
+    # One segment per response: ``_respond`` hands head and body to a
+    # single ``sendall`` on the unbuffered socket, Nagle off.  Written
+    # piecemeal, a second small segment waits behind Nagle for the
+    # client's delayed ACK — ~40 ms on every request that follows
+    # another on a keep-alive connection.
     disable_nagle_algorithm = True
 
-    # -- plumbing ----------------------------------------------------------
+    # -- one connection ----------------------------------------------------
 
     @property
     def service(self) -> ArchiveService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args) -> None:
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._handle_one()
+        except ConnectionError:
+            pass  # the client went away; nothing left to answer
+
+    def _handle_one(self) -> None:
+        #: Whether the request announced a body nobody has read yet: what
+        #: follows it on the wire is then not a request line.
+        self._unread_body = False
+        try:
+            head = self._read_head()
+        except _HeadError as error:
+            self.close_connection = True
+            self._respond(
+                error.status,
+                [("Content-Type", "text/plain; charset=utf-8")],
+                f"{error.status} {error}\n".encode("utf-8"),
+            )
+            return
+        if head is None:
+            self.close_connection = True  # EOF between requests
+            return
+        method, target, self.headers = head
+        url = urlsplit(target)
+        parts = [part for part in url.path.split("/") if part]
+        try:
+            getattr(self, "do_" + method)(url, parts)
+        except ConnectionError:
+            raise  # the client went away mid-answer; ``handle`` closes
+        except Exception as error:
+            named = len(parts) >= 2 and parts[0] == "archives"
+            payload = error_body(error, archive=parts[1] if named else None)
+            self._send_json(payload["error"]["status"], payload)
+        if not self.server.quiet:  # type: ignore[attr-defined]
+            sys.stderr.write(f"{self.client_address[0]} {method} {target}\n")
+
+    def _read_head(self) -> Optional[tuple[str, str, dict]]:
+        """Request line and header lines: ``(method, target, headers)``
+        with header names lower-cased, ``None`` at end of stream."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _HeadError(414, "Request-URI Too Long")
+        words = line.decode("latin-1").split()
+        if not words:
+            return None
+        try:
+            method, target, protocol = words
+            if not protocol.startswith("HTTP/"):
+                raise ValueError(protocol)
+            major, minor = protocol[5:].split(".")
+            version = (int(major), int(minor))
+        except ValueError:
+            raise _HeadError(400, f"Bad request syntax ({line[:80]!r})")
+        if version >= (2, 0):
+            raise _HeadError(505, f"Invalid HTTP version ({protocol[5:]})")
+        headers: dict = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _HeadError(431, "Line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise _HeadError(400, f"Bad header line ({line[:80]!r})")
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise _HeadError(431, "Too many headers")
+        if not hasattr(self, "do_" + method):
+            raise _HeadError(501, f"Unsupported method ({method!r})")
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            raise _HeadError(400, "Bad Content-Length")
+        self._unread_body = length > 0 or "transfer-encoding" in headers
+        if version < (1, 1) or headers.get("connection", "").lower() == "close":
+            self.close_connection = True
+        if headers.get("expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return method, target, headers
+
+    def _respond(self, status: int, headers: list, body: bytes) -> None:
+        """Every answer leaves here: status line, headers and the sized
+        body in one ``sendall``."""
+        if self._unread_body:
+            self.close_connection = True
+        head = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: xarchd/1.0\r\n"
+            f"Date: {self.server.http_date()}\r\n"  # type: ignore[attr-defined]
+        ]
+        head += [f"{name}: {value}\r\n" for name, value in headers]
+        head.append(f"Content-Length: {len(body)}\r\n")
+        if self.close_connection:
+            head.append("Connection: close\r\n")
+        head.append("\r\n")
+        self.request.sendall("".join(head).encode("latin-1") + body)
 
     def _send_json(
-        self, status: int, payload: dict, *, extra_headers: Optional[dict] = None
+        self, status: int, payload: dict, extra_headers: tuple = ()
     ) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in (extra_headers or {}).items():
-            self.send_header(key, str(value))
-        self.end_headers()
-        self.wfile.write(body)
-        self.wfile.flush()
-
-    def _send_error_body(self, error: BaseException, archive: Optional[str]) -> None:
-        payload = error_body(error, archive=archive)
-        self._send_json(payload["error"]["status"], payload)
+        self._respond(
+            status,
+            [("Content-Type", "application/json"), *extra_headers],
+            (json.dumps(payload) + "\n").encode("utf-8"),
+        )
 
     def _stream_ndjson(
         self, snapshot: Snapshot, kind: str, items: list, done: dict
     ) -> None:
-        """Chunked NDJSON: one chunk per item line, one for the done line."""
-        self.send_response(200)
-        self.send_header("Content-Type", NDJSON)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("X-Archive-Generation", str(snapshot.generation))
-        self.send_header("X-Result-Kind", kind)
-        self.end_headers()
-        for item in items:
-            self._write_chunk(
-                json.dumps({"item": item}, ensure_ascii=False).encode("utf-8")
-                + b"\n"
-            )
+        """Sized NDJSON: one line per item, then the done line."""
+        lines = [
+            json.dumps({"item": item}, ensure_ascii=False) for item in items
+        ]
         done_record = dict(done)
         done_record.setdefault("count", len(items))
         done_record.setdefault("generation", snapshot.generation)
@@ -139,14 +257,23 @@ class XarchdHandler(BaseHTTPRequestHandler):
                 "chunk_evictions": cache.evictions,
             },
         )
-        self._write_chunk(
-            json.dumps({"done": done_record}).encode("utf-8") + b"\n"
+        lines.append(json.dumps({"done": done_record}))
+        lines.append("")
+        pin_seconds, read_seconds = snapshot.timing
+        self._respond(
+            200,
+            [
+                ("Content-Type", NDJSON),
+                ("X-Archive-Generation", snapshot.generation),
+                ("X-Result-Kind", kind),
+                (
+                    "Server-Timing",
+                    f"pin;dur={pin_seconds * 1e3:.3f}, "
+                    f"read;dur={read_seconds * 1e3:.3f}",
+                ),
+            ],
+            "\n".join(lines).encode("utf-8"),
         )
-        self.wfile.write(b"0\r\n\r\n")
-        self.wfile.flush()
-
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(b"%x\r\n%b\r\n" % (len(data), data))
 
     def _query_param(self, query: dict, key: str) -> Optional[str]:
         values = query.get(key)
@@ -154,77 +281,48 @@ class XarchdHandler(BaseHTTPRequestHandler):
 
     # -- routing -----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler convention)
-        url = urlsplit(self.path)
-        parts = [part for part in url.path.split("/") if part]
+    def do_GET(self, url, parts: list) -> None:  # noqa: N802 (stdlib naming)
         query = parse_qs(url.query)
-        archive: Optional[str] = None
-        try:
-            if parts == ["healthz"]:
-                self._send_json(
-                    200,
-                    {
-                        "status": "ok",
-                        "archives": len(self.service.list_archives()),
-                    },
+        if parts == ["healthz"]:
+            self._send_json(
+                200,
+                {"status": "ok", "archives": len(self.service.list_archives())},
+            )
+            return
+        if parts == ["archives"]:
+            self._send_json(200, {"archives": self.service.list_archives()})
+            return
+        if len(parts) >= 2 and parts[0] == "archives":
+            archive = parts[1]
+            rest = parts[2:]
+            if rest == ["stats"]:
+                self._get_stats(archive)
+                return
+            if rest == ["versions"]:
+                self._get_versions(archive)
+                return
+            if rest == ["history"]:
+                self._get_history(archive, self._query_param(query, "path"))
+                return
+            if len(rest) == 3 and rest[0] == "at" and rest[2] == "select":
+                self._get_select(
+                    archive, rest[1], self._query_param(query, "xpath")
                 )
                 return
-            if parts == ["archives"]:
-                self._send_json(200, {"archives": self.service.list_archives()})
+            if len(rest) == 4 and rest[0] == "between" and rest[3] == "changes":
+                self._get_changes(
+                    archive, rest[1], rest[2], self._query_param(query, "prefix")
+                )
                 return
-            if len(parts) >= 2 and parts[0] == "archives":
-                archive = parts[1]
-                rest = parts[2:]
-                if rest == ["stats"]:
-                    self._get_stats(archive)
-                    return
-                if rest == ["versions"]:
-                    self._get_versions(archive)
-                    return
-                if rest == ["history"]:
-                    self._get_history(archive, self._query_param(query, "path"))
-                    return
-                if len(rest) == 3 and rest[0] == "at" and rest[2] == "select":
-                    self._get_select(
-                        archive, rest[1], self._query_param(query, "xpath")
-                    )
-                    return
-                if (
-                    len(rest) == 4
-                    and rest[0] == "between"
-                    and rest[3] == "changes"
-                ):
-                    self._get_changes(
-                        archive,
-                        rest[1],
-                        rest[2],
-                        self._query_param(query, "prefix"),
-                    )
-                    return
-                if rest == ["ingest"]:
-                    raise ApiError(
-                        "method-not-allowed", "ingest requires POST"
-                    )
-            raise ApiError("not-found", f"No route for GET {url.path!r}")
-        except BrokenPipeError:
-            pass  # client went away mid-stream; nothing to answer
-        except BaseException as error:
-            self._send_error_body(error, archive)
+            if rest == ["ingest"]:
+                raise ApiError("method-not-allowed", "ingest requires POST")
+        raise ApiError("not-found", f"No route for GET {url.path!r}")
 
-    def do_POST(self) -> None:  # noqa: N802
-        url = urlsplit(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        archive: Optional[str] = None
-        try:
-            if len(parts) == 3 and parts[0] == "archives" and parts[2] == "ingest":
-                archive = parts[1]
-                self._post_ingest(archive)
-                return
-            raise ApiError("not-found", f"No route for POST {url.path!r}")
-        except BrokenPipeError:
-            pass
-        except BaseException as error:
-            self._send_error_body(error, archive)
+    def do_POST(self, url, parts: list) -> None:  # noqa: N802
+        if len(parts) == 3 and parts[0] == "archives" and parts[2] == "ingest":
+            self._post_ingest(parts[1])
+            return
+        raise ApiError("not-found", f"No route for POST {url.path!r}")
 
     # -- endpoints ---------------------------------------------------------
 
@@ -241,7 +339,7 @@ class XarchdHandler(BaseHTTPRequestHandler):
                 item if isinstance(item, str) else to_string(item)
                 for item in result
             ]
-            return version, result.kind, items, asdict(result.stats)
+            return version, result.kind, items, result.stats.as_record()
 
         snapshot, (version, kind, items, stats) = self.service.read(
             archive, run
@@ -319,7 +417,7 @@ class XarchdHandler(BaseHTTPRequestHandler):
     def _get_stats(self, archive: str) -> None:
         def run(snapshot: Snapshot):
             stats = snapshot.backend.stats()
-            record = asdict(stats)
+            record = dict(vars(stats))
             record["compression_ratio"] = stats.compression_ratio
             record["backend"] = snapshot.backend.kind
             record["codec"] = snapshot.backend.codec.name
@@ -329,7 +427,7 @@ class XarchdHandler(BaseHTTPRequestHandler):
         self._stream_ndjson(snapshot, "elements", [item], {})
 
     def _post_ingest(self, archive: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = int(self.headers.get("content-length") or 0)
         if length <= 0:
             raise ApiError(
                 "bad-request", "ingest requires a Content-Length body"
@@ -341,6 +439,7 @@ class XarchdHandler(BaseHTTPRequestHandler):
                 f"{MAX_INGEST_BYTES}-byte cap",
             )
         body = self.rfile.read(length)
+        self._unread_body = False
         documents = []
         for line_number, raw in enumerate(body.splitlines(), start=1):
             line = raw.strip()
@@ -362,9 +461,7 @@ class XarchdHandler(BaseHTTPRequestHandler):
             documents.append(parse_document(record["xml"]))
         report = self.service.ingest(archive, documents)
         self._send_json(
-            200,
-            report,
-            extra_headers={"X-Archive-Generation": report["generation"]},
+            200, report, (("X-Archive-Generation", report["generation"]),)
         )
 
 

@@ -39,7 +39,17 @@ The concurrency model ``xarchd`` promises:
   through the process-wide cache of :mod:`repro.storage.cache`.  A
   publish moves the generation, so new requests stop acquiring the old
   pin immediately; eviction waits for in-flight readers, then drops
-  the backend's caches and closes it.
+  the backend's caches and closes it.  Which generation is published is
+  itself remembered, per archive name, beside the ``(st_ino,
+  st_mtime_ns, st_size)`` of the manifest file that said so: a request
+  pays one ``stat`` of that file and, if nothing moved, neither resolves
+  the name nor opens, parses and self-checks the manifest again.  Manifests
+  are published by rename, so a new generation is a new inode whoever
+  wrote it (this server, ``xarch add``, another process).  Should an
+  entry ever outlive its generation (a reused inode within one
+  timestamp tick), it names an older pin: answers from it are that
+  generation's, still correct, until its first read of a re-published
+  chunk fails the checksum and the reconcile below drops entry and pin.
 
 Read callbacks must *fully materialize* their answer before returning
 — the pin is released when the callback does, and laziness would leak
@@ -58,6 +68,7 @@ from typing import Callable, Iterable, Optional, TypeVar
 
 from ..query.db import ArchiveDB
 from ..storage.backend import (
+    Manifest,
     StorageBackend,
     manifest_location,
     open_archive,
@@ -75,6 +86,12 @@ _SIDECAR_SUFFIXES = (".manifest.json", ".keys", ".wal", ".tmp")
 
 #: How many times a read re-pins before an IntegrityError is believed.
 _RECONCILE_ATTEMPTS = 4
+
+
+def _stamp(location: str) -> tuple[int, int, int]:
+    """What tells one published manifest file from the next."""
+    status = os.stat(location)
+    return status.st_ino, status.st_mtime_ns, status.st_size
 
 
 @dataclass
@@ -100,6 +117,9 @@ class Snapshot:
     )
     #: Whether this pin was served from an already-open cached backend.
     cached: bool = field(default=False, compare=False)
+    #: Seconds :meth:`ArchiveService.read` spent pinning and answering
+    #: (the ``Server-Timing`` header).
+    timing: tuple[float, float] = field(default=(0.0, 0.0), compare=False)
 
     def resolve_version(self, token: str) -> int:
         """A concrete version number for a request operand.
@@ -270,6 +290,9 @@ class ArchiveService:
         #: ``(archive, generation)``; ``pin_cache_size=0`` restores the
         #: open-per-request behaviour.
         self.pins = _PinCache(pin_cache_size)
+        #: What each served archive last published: ``name -> (path,
+        #: manifest location, (st_ino, st_mtime_ns, st_size), Manifest)``.
+        self._published: dict[str, tuple] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -321,43 +344,67 @@ class ArchiveService:
 
     # -- the reader path ---------------------------------------------------
 
+    def _manifest(self, name: str) -> tuple[str, Optional[Manifest]]:
+        """The archive's path and the manifest it has published: from
+        ``_published`` when one ``stat`` finds the manifest file unmoved
+        (module docstring), else resolved and read as ever.  The
+        ``stat`` precedes the read, so a publish between the two leaves
+        an entry that misses next time, never one that hides a generation.
+        """
+        memo = self._published.get(name)
+        if memo is not None:
+            try:
+                if _stamp(memo[1]) == memo[2]:
+                    return memo[0], memo[3]
+            except OSError:
+                pass
+            self._published.pop(name, None)
+        path = self._resolve(name)
+        location = manifest_location(path)
+        try:
+            stamp = _stamp(location)
+            manifest = read_manifest(path)
+        except (OSError, ManifestInconsistent):
+            return path, None
+        if manifest is not None:
+            self._published[name] = (path, location, stamp, manifest)
+        return path, manifest
+
     def pin(self, name: str) -> Snapshot:
         """Pin a recovery-free snapshot of one archive.
 
-        A cheap manifest read names the published generation; when the
-        pin cache already holds an open backend for ``(name,
-        generation)``, the request shares it (refcounted) instead of
-        re-opening the archive.  Misses — and archives whose manifest
-        does not read, whose generation cannot be pinned by key — open
-        privately, the opened backend joining the cache on the miss path.
+        The published manifest names the generation; when the pin cache
+        already holds an open backend for ``(name, generation)``, the
+        request shares it (refcounted) instead of re-opening the
+        archive.  Misses — and archives whose manifest does not read,
+        whose generation cannot be pinned by key — open privately, the
+        opened backend joining the cache on the miss path.
         """
-        path = self._resolve(name)
-        if self.pins.capacity > 0:
-            try:
-                manifest = read_manifest(path)
-            except ManifestInconsistent:
-                manifest = None
-            if manifest is not None:
-                key = (name, manifest.generation)
-                entry = self.pins.acquire(key)
-                cached = entry is not None
-                if entry is None:
-                    backend = open_archive(path, workers=1, recover=False)
-                    # The writer may have published between the manifest
-                    # read and the open; key by what the open saw.
-                    key = (name, backend.generation)
-                    entry = self.pins.install(key, backend)
-                backend, db, _ = entry
-                return Snapshot(
-                    name=name,
-                    path=path,
-                    generation=backend.generation,
-                    last_version=backend.last_version,
-                    backend=backend,
-                    db=db,
-                    release=lambda: self.pins.release(key, entry),
-                    cached=cached,
-                )
+        if self.pins.capacity == 0:
+            path, manifest = self._resolve(name), None
+        else:
+            path, manifest = self._manifest(name)
+        if manifest is not None:
+            key = (name, manifest.generation)
+            entry = self.pins.acquire(key)
+            cached = entry is not None
+            if entry is None:
+                backend = open_archive(path, workers=1, recover=False)
+                # The writer may have published between the manifest
+                # read and the open; key by what the open saw.
+                key = (name, backend.generation)
+                entry = self.pins.install(key, backend)
+            backend, db, _ = entry
+            return Snapshot(
+                name=name,
+                path=path,
+                generation=backend.generation,
+                last_version=backend.last_version,
+                backend=backend,
+                db=db,
+                release=lambda: self.pins.release(key, entry),
+                cached=cached,
+            )
         backend = open_archive(path, workers=1, recover=False)
         return Snapshot(
             name=name,
@@ -367,6 +414,19 @@ class ArchiveService:
             backend=backend,
             db=ArchiveDB(backend),
         )
+
+    def _read_once(
+        self, name: str, fn: Callable[[Snapshot], T]
+    ) -> tuple[Snapshot, T]:
+        start = time.perf_counter()
+        snapshot = self.pin(name)
+        pinned = time.perf_counter()
+        try:
+            value = fn(snapshot)
+        finally:
+            snapshot.close()
+        snapshot.timing = (pinned - start, time.perf_counter() - pinned)
+        return snapshot, value
 
     def read(
         self, name: str, fn: Callable[[Snapshot], T]
@@ -388,14 +448,12 @@ class ArchiveService:
                 # The pin itself can race a publish too (sidecar read,
                 # then a payload verified during open), so it sits
                 # inside the retried block alongside the callback.
-                snapshot = self.pin(name)
-                try:
-                    return snapshot, fn(snapshot)
-                finally:
-                    snapshot.close()
+                return self._read_once(name, fn)
             except IntegrityError:
                 # A cached pin whose byte view went stale must not be
-                # handed to the retry (or any other reader) again.
+                # handed to the retry (or any other reader) again, and
+                # neither must the manifest that named it.
+                self._published.pop(name, None)
                 self.pins.evict(name)
                 # Let an in-flight publish finish renaming before the
                 # next pin re-reads manifest + checksums + payloads.
@@ -405,11 +463,7 @@ class ArchiveService:
         # and the read, so no publish can race it — what fails here is
         # corruption, not a race, and propagates to the taxonomy.
         with self._writer_lock(name):
-            snapshot = self.pin(name)
-            try:
-                return snapshot, fn(snapshot)
-            finally:
-                snapshot.close()
+            return self._read_once(name, fn)
 
     # -- the writer path ---------------------------------------------------
 
