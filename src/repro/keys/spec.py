@@ -130,14 +130,11 @@ class KeySpec:
                 if implied.absolute_target not in closed:
                     self._add(closed, implied)
         self.keys_by_path = closed
-        all_paths = set(closed)
-        self.frontier_paths = frozenset(
-            path
-            for path in all_paths
-            if not any(is_proper_prefix(path, other) for other in all_paths)
-        )
+        # Proper prefixes of keyed paths: one set for both checks below.
+        prefixes = {path[:end] for path in closed for end in range(len(path))}
+        self.frontier_paths = frozenset(closed.keys() - prefixes)
         self._check_insertion_friendly()
-        self._check_no_keys_beneath_key_paths()
+        self._check_no_keys_beneath_key_paths(prefixes)
 
     @cached_property
     def roots(self) -> dict[str, KeyedPath]:
@@ -175,15 +172,15 @@ class KeySpec:
                     f"{format_path(k.context)!r} is not itself a keyed path"
                 )
 
-    def _check_no_keys_beneath_key_paths(self) -> None:
+    def _check_no_keys_beneath_key_paths(self, prefixes: set[Path]) -> None:
         # Assumption 3: for keys K1 with non-empty key path Pi, no keyed
         # path may lie strictly beneath K1's target extended by Pi.
         for k in self.explicit_keys:
             for key_path in k.key_paths:
-                if key_path == EMPTY_PATH:
-                    continue
                 beneath = concat(k.absolute_target, key_path)
-                for other_path in self.keys_by_path:
+                if key_path == EMPTY_PATH or beneath not in prefixes:
+                    continue
+                for other_path in self.keys_by_path:  # name the first
                     if is_proper_prefix(beneath, other_path):
                         raise KeySpecError(
                             f"Keyed path {format_path(other_path)!r} lies "

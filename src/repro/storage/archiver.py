@@ -45,7 +45,13 @@ from ..keys.annotate import KeyLabel, annotate_keys
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from ..xmltree.serializer import to_string
-from .backend import PartitionedBackend, RecodeReport, StorageBackend, mutation
+from .backend import (
+    Manifest,
+    PartitionedBackend,
+    RecodeReport,
+    StorageBackend,
+    mutation,
+)
 from .chunked import (
     ChunkedArchiver,
     ChunkedArchiverError,
@@ -105,6 +111,7 @@ class ExternalArchiver(StorageBackend):
         workers: int = 1,
         recover: bool = True,
         cache_reads: bool = False,
+        _manifest: Optional[Manifest] = None,
     ) -> None:
         """``memory_budget`` is the node budget of one sorted run — the
         paper's ``M``; ``fan_in`` models ``(M/B) - 1`` merge arity.
@@ -119,7 +126,7 @@ class ExternalArchiver(StorageBackend):
         staged commit and scratch files must not be touched.  A
         directory that holds no stream yet is the empty archive; the
         first commit writes one."""
-        directory = os.fspath(directory)
+        directory = os.path.abspath(os.fspath(directory))
         self.directory = directory
         self.storage_root = directory
         self.spec = spec
@@ -136,12 +143,14 @@ class ExternalArchiver(StorageBackend):
         #: for) in the process-wide decoded-chunk cache, keyed by the
         #: stream's sidecar checksum; writers never do.
         self.cache_reads = cache_reads
-        self._load_state(codec)
+        self._load_state(codec, _manifest)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _load_state(self, codec: CodecLike = None) -> None:
-        super()._load_state(codec)
+    def _load_state(
+        self, codec: CodecLike = None, manifest: Optional[Manifest] = None
+    ) -> None:
+        super()._load_state(codec, manifest)
         if self._recover:
             self._sweep_scratch()
 

@@ -316,7 +316,8 @@ class StorageBackend(abc.ABC):
 
     spec: KeySpec
     #: Filesystem anchor of the archive — a directory or a single file;
-    #: every backend sets it, and manifest placement derives from it.
+    #: every backend sets it, absolute, once (a later ``chdir`` moves
+    #: nothing), and manifest placement and cache keys derive from it.
     storage_root: str
     #: At-rest encoding of the archive's payload files (recorded in the
     #: manifest; the plain files — keys, manifest, checksum table —
@@ -434,20 +435,24 @@ class StorageBackend(abc.ABC):
         is in place by then."""
         self.generation = manifest.generation if manifest is not None else 0
 
-    def _load_state(self, codec: CodecLike = None) -> None:
+    def _load_state(
+        self, codec: CodecLike = None, manifest: Optional[Manifest] = None
+    ) -> None:
         """(Re)read every piece of in-memory state from what is durable:
         drop the decoded trees, settle an interrupted commit (on handles
         that write), read the manifest and the checksum table.
 
-        Constructors call it once, with their explicit codec if any;
-        :func:`mutation` calls it after a failed write, when the
+        Constructors call it once, with their explicit codec if any (and
+        the manifest :func:`open_archive` has read, unless settling moves
+        it); :func:`mutation` calls it after a failed write, when the
         settled manifest alone decides the codec — a recode that died
         mid-publish rolls forward.
         """
         self.drop_caches()
-        if self._recover:
-            settle(self.storage_root)
-        manifest = read_manifest(self.storage_root)
+        if self._recover and settle(self.storage_root) == "rolled-forward":
+            manifest = None
+        if manifest is None:
+            manifest = read_manifest(self.storage_root)
         self._checksums = self._load_checksums(manifest)
         self._verified = set()
         self._adopt(manifest)
@@ -495,7 +500,7 @@ class StorageBackend(abc.ABC):
         token = self._cache_token(part)
         if token is None:
             return None
-        return (os.path.abspath(self.storage_root), part, token)
+        return (self.storage_root, part, token)
 
     def _cached(self, part, size: int, decode: Callable[[], Archive]) -> Archive:
         """One part's decoded tree (``size`` bytes at rest), shared
@@ -609,6 +614,7 @@ class FileBackend(StorageBackend):
         workers: int = 1,
         recover: bool = True,
         cache_reads: bool = False,
+        _manifest: Optional[Manifest] = None,
     ) -> None:
         self.path = os.path.abspath(os.fspath(path))
         #: Accepted for interface uniformity with the chunked backend;
@@ -623,7 +629,7 @@ class FileBackend(StorageBackend):
         #: process-wide decoded-chunk cache; write paths always work on
         #: a privately-owned instance (see ``_ensure_private_archive``).
         self.cache_reads = cache_reads
-        self._load_state(codec)
+        self._load_state(codec, _manifest)
 
     def _part_name(self, part=0) -> str:
         return os.path.basename(self.path)
@@ -888,9 +894,8 @@ def open_archive(
         )
     if cache_reads is None:
         cache_reads = not recover
-    shared = dict(
-        verify=verify, workers=workers, recover=recover, cache_reads=cache_reads
-    )
+    shared = dict(verify=verify, workers=workers, recover=recover)
+    shared.update(cache_reads=cache_reads, _manifest=manifest)
     if kind == "file":
         return FileBackend(path, spec, options, **shared)
     if kind == "chunked":

@@ -269,6 +269,7 @@ class ChunkedArchiver(StorageBackend):
         workers: int = 1,
         recover: bool = True,
         cache_reads: bool = False,
+        _manifest: Optional[Manifest] = None,
     ) -> None:
         if chunk_count < 1:
             raise ChunkedArchiverError("Need at least one chunk")
@@ -277,7 +278,7 @@ class ChunkedArchiver(StorageBackend):
                 f"Unknown on_corrupt policy {on_corrupt!r} "
                 f"(choose from {', '.join(ON_CORRUPT_POLICIES)})"
             )
-        directory = os.fspath(directory)
+        directory = os.path.abspath(os.fspath(directory))
         self.directory = directory
         self.storage_root = directory
         self.spec = spec
@@ -307,7 +308,7 @@ class ChunkedArchiver(StorageBackend):
         self.workers = self.pool.workers
         os.makedirs(directory, exist_ok=True)
         self._recover = recover
-        self._load_state(codec)
+        self._load_state(codec, _manifest)
 
     def _adopt(self, manifest: Optional[Manifest]) -> None:
         super()._adopt(manifest)

@@ -157,4 +157,4 @@ class ArchiveTxn:
             # Entries under superseded checksums would only age out of
             # the LRU; a read-caching handle that writes drops them so
             # the budget is not spent on what no read can reach.
-            chunk_cache().invalidate(os.path.abspath(backend.storage_root))
+            chunk_cache().invalidate(backend.storage_root)

@@ -52,14 +52,15 @@ first read of ``children``, into archive nodes that stay; or *at a
 version* (:meth:`_DecodedNode.children_at`), straight into the elements
 (:class:`~repro.xmltree.model.Element`) of the children alive then —
 timestamps tested as they are read, dead nodes' frames and content
-stepped over by their lengths, nothing kept and the node left pending.
-The third is what the first ``retrieve`` of a decoded tree uses
-(:meth:`repro.core.archive.Archive.retrieve`): a tree opened for one
-read is never built.  It makes every check the other two make on the
-bytes it reads — name ids, string bounds, content types, frame lengths,
-UTF-8 — but decodes no string it does not return and never enters a
-dead node's frame; the full walk (``fsck --deep``, ``recode``) is what
-checks everything.
+stepped over by their lengths, nothing kept and the node left pending
+(the first ``retrieve`` of a decoded tree: one read never builds it).
+Both readers make the same checks on every byte they read — name ids
+in the table, flag bits known, version numbers positive, string and
+frame bounds, content types, non-empty text, UTF-8 — and build through
+trusted constructors (``Element.assemble``, ``Text.assemble``); the
+names themselves are checked non-empty once, as the table is read.  The
+streamed pass never enters a dead node's frame nor decodes a string it
+does not return; the full walk (``fsck --deep``, ``recode``) checks all.
 
 On the write side a block can be a fourth thing: *kept*.  A tree a
 writer holds between appends (``Archive.kept`` is a dict, not ``None``)
@@ -128,6 +129,7 @@ _NODE_HAS_TIMESTAMP = 0x01
 _NODE_HAS_WEAVE = 0x02
 _NODE_HAS_ALTERNATIVES = 0x04
 _NODE_CHILDREN_FRAMED = 0x08
+_NODE_FLAGS = 0x0F  # every bit a node's flag byte may set
 
 _ALT_HAS_TIMESTAMP = 0x01
 
@@ -491,11 +493,12 @@ def _read_tree(
     """Decode an archive-mode body: ``(root timestamp, top-level nodes)``.
 
     The hot loop of every cold read, so the cursor, the body and the
-    name table live in one closure's variables and a varint's common
-    single-byte form is read inline.  Reading past the end is an
-    ``IndexError`` from the body itself (or a failed length check where
-    a slice would silently shorten); the caller types it with every
-    other malformation.
+    name table live in one closure's variables, and the common forms — a
+    single-byte varint, a one-interval timestamp, a content list of one
+    short text — are read inline before the general path.  Reading past
+    the end is an ``IndexError`` from the body itself (or a failed length
+    check where a slice would silently shorten); the caller types it with
+    every other malformation.
 
     Framed children blocks are stepped over and left to the node
     holding them, whose first ``children`` read calls back into this
@@ -507,6 +510,11 @@ def _read_tree(
     pos = 0
     lock = threading.Lock()
     assemble = Element.assemble
+    text_node = Text.assemble
+    adopt = VersionSet._from_normalized
+    #: One label for every keyless node of a tag (labels are frozen).
+    keyless: dict[str, KeyLabel] = {}
+    native = token is KeyLabel.sort_token  # (tag, len(key), key), no label
 
     def varint() -> int:
         nonlocal pos
@@ -518,7 +526,10 @@ def _read_tree(
 
     def string() -> str:
         nonlocal pos
-        length = varint()
+        length = data[pos]
+        pos += 1
+        if length & 0x80:
+            length, pos = _read_varint(data, pos - 1)
         end = pos + length
         if end > size:
             raise _Corrupt("truncated string")
@@ -527,33 +538,62 @@ def _read_tree(
         return text
 
     def name() -> str:
-        index = varint()
+        nonlocal pos
+        index = data[pos]
+        pos += 1
+        if index & 0x80:
+            index, pos = _read_varint(data, pos - 1)
         if index >= name_count:
             raise _Corrupt(f"name id {index} beyond the interned table")
         return names[index]
 
+    def flag(known: int) -> int:
+        """A flag byte, which may set no bit but ``known``'s."""
+        nonlocal pos
+        value = data[pos]
+        pos += 1
+        if value & ~known:
+            raise _Corrupt(f"unknown flag bits in {value:#04x}")
+        return value
+
     def intervals() -> VersionSet:
+        nonlocal pos
+        if data[pos] == 1 and data[pos + 1] | data[pos + 2] < 0x80:
+            start = data[pos + 1]
+            if not start:
+                raise _Corrupt("Version numbers are positive, got 0")
+            pos += 3
+            return adopt([[start, start + data[pos - 1]]])
         pairs = []
         for _ in range(varint()):
             start = varint()
             pairs.append((start, start + varint()))
         return VersionSet.from_intervals(pairs)
 
+    def pieces() -> list:
+        """A content list; one text of a single-byte length read inline."""
+        nonlocal pos
+        if data[pos] == 1 and not data[pos + 1] and 0 < data[pos + 2] < 0x80:
+            end = pos + 3 + data[pos + 2]
+            if end > size:
+                raise _Corrupt("truncated string")
+            text = data[pos + 3 : end].decode("utf-8")
+            pos = end
+            return [text_node(text)]
+        return [content() for _ in range(varint())]
+
     def content():
-        kind = varint()
+        nonlocal pos
+        kind = data[pos]
+        pos += 1
         if kind == _CONTENT_TEXT:
             text = string()
             if not text:
                 raise _Corrupt("empty text record")
-            return Text(text)
+            return text_node(text)
         if kind != _CONTENT_ELEMENT:
             raise _Corrupt(f"unknown content record type {kind}")
-        element = Element(name())
-        for _ in range(varint()):
-            element.set_attribute(name(), string())
-        for _ in range(varint()):
-            element.append(content())
-        return element
+        return assemble(name(), named_values(), [content() for _ in range(varint())])
 
     def named_values() -> tuple:
         # Key components or attributes; most nodes have none of one.
@@ -563,9 +603,17 @@ def _read_tree(
     def node() -> ArchiveNode:
         nonlocal pos
         tag = name()
-        flags = varint()
-        key = named_values()
-        attributes = named_values()
+        flags = flag(_NODE_FLAGS)
+        if data[pos]:
+            label = KeyLabel(tag=tag, key=named_values())
+        else:
+            pos += 1
+            label = keyless.get(tag) or keyless.setdefault(tag, KeyLabel(tag, ()))
+        if data[pos]:
+            attributes = named_values()
+        else:
+            pos += 1
+            attributes = ()
         timestamp = intervals() if flags & _NODE_HAS_TIMESTAMP else None
         weave = None
         if flags & _NODE_HAS_WEAVE:
@@ -583,15 +631,13 @@ def _read_tree(
             alternatives = [
                 Alternative(
                     timestamp=(
-                        intervals() if varint() & _ALT_HAS_TIMESTAMP else None
+                        intervals() if flag(_ALT_HAS_TIMESTAMP) else None
                     ),
-                    content=[content() for _ in range(varint())],
+                    content=pieces(),
                 )
                 for _ in range(varint())
             ]
-        decoded = _DecodedNode(
-            KeyLabel(tag=tag, key=key), timestamp, attributes, alternatives, weave
-        )
+        decoded = _DecodedNode(label, timestamp, attributes, alternatives, weave)
         if flags & _NODE_CHILDREN_FRAMED:
             if version < 2:
                 raise _Corrupt("framed children block in a version 1 container")
@@ -652,19 +698,13 @@ def _read_tree(
             skip_string()
 
     def holds(at: int) -> bool:
-        """``at in intervals()`` without the set (``at=0``: step over)."""
-        found = False
-        for _ in range(varint()):
-            start = varint()
-            if not start:
-                raise _Corrupt("Version numbers are positive, got 0")
-            end = start + varint()
-            if start <= at <= end:
-                found = True
-        return found
+        """Whether the timestamp at the cursor holds ``at`` (0: step over)."""
+        return at in intervals()
 
     def skip_content() -> None:
-        kind = varint()
+        nonlocal pos
+        kind = data[pos]
+        pos += 1
         if kind == _CONTENT_TEXT:
             if not data[pos]:
                 raise _Corrupt("empty text record")
@@ -688,7 +728,7 @@ def _read_tree(
             return
         for _ in range(varint()):
             name()
-            flags = varint()
+            flags = flag(_NODE_FLAGS)
             skip_named_values()
             skip_named_values()
             if flags & _NODE_HAS_TIMESTAMP:
@@ -704,7 +744,7 @@ def _read_tree(
                     skip_string()
         if flags & _NODE_HAS_ALTERNATIVES:
             for _ in range(varint()):
-                if varint() & _ALT_HAS_TIMESTAMP:
+                if flag(_ALT_HAS_TIMESTAMP):
                     holds(0)
                 for _ in range(varint()):
                     skip_content()
@@ -730,7 +770,7 @@ def _read_tree(
         tokens = []
         for _ in range(count):
             tag = name()
-            flags = varint()
+            flags = flag(_NODE_FLAGS)
             # Most nodes have no key and no attributes: a zero count.
             if data[pos]:
                 key = named_values()
@@ -746,8 +786,9 @@ def _read_tree(
                 skip_sections(flags)
                 continue
             if ordered:
-                tokens.append(label_token(tag, key))
-            pieces: list = []
+                rank = (tag, len(key), key) if native else token(KeyLabel(tag, key))
+                tokens.append(rank)
+            found: list = []
             if flags & _NODE_HAS_WEAVE:
                 lines: list[str] = []
                 for _ in range(varint()):
@@ -756,18 +797,22 @@ def _read_tree(
                     else:
                         for _ in range(varint()):
                             skip_string()
-                pieces = lines_to_content(lines)
+                found = lines_to_content(lines)
             if flags & _NODE_HAS_ALTERNATIVES:
                 # The first alternative current at ``at``; a weave wins.
                 wanted = not flags & _NODE_HAS_WEAVE
-                for _ in range(varint()):
-                    current = not varint() & _ALT_HAS_TIMESTAMP or holds(at)
-                    if current and wanted:
-                        wanted = False
-                        pieces = [content() for _ in range(varint())]
-                    else:
-                        for _ in range(varint()):
-                            skip_content()
+                if wanted and data[pos] == 1 and not data[pos + 1]:
+                    pos += 2  # one alternative, inheriting: the current one
+                    found = pieces()
+                else:
+                    for _ in range(varint()):
+                        current = not flag(_ALT_HAS_TIMESTAMP) or holds(at)
+                        if current and wanted:
+                            wanted = False
+                            found = pieces()
+                        else:
+                            for _ in range(varint()):
+                                skip_content()
             if flags & (_NODE_HAS_WEAVE | _NODE_HAS_ALTERNATIVES):
                 # A frontier node's children are never read (and it
                 # has none: a zero count).
@@ -777,31 +822,22 @@ def _read_tree(
                     pos += 1
             elif flags & _NODE_CHILDREN_FRAMED:
                 length = varint()
-                pieces = block_at(pos, pos + length, at, probes)
+                found = block_at(pos, pos + length, at, probes)
             else:
-                pieces = alive(at, probes)
-            elements.append(assemble(tag, attributes, pieces))
+                found = alive(at, probes)
+            elements.append(assemble(tag, attributes, found))
         if ordered and len(elements) > 1:
             order = sorted(range(len(tokens)), key=tokens.__getitem__)
             elements = [elements[index] for index in order]
         return elements
-
-    if token is KeyLabel.sort_token:
-        # ``token(KeyLabel(tag, key))`` without building the label.
-
-        def label_token(tag: str, key: tuple):
-            return (tag, len(key), key)
-
-    else:
-
-        def label_token(tag: str, key: tuple):
-            return token(KeyLabel(tag=tag, key=key))
 
     def block_at(start: int, end: int, at: int, probes) -> list[Element]:
         return framed(start, end, alive, at, probes)
 
     names = [string() for _ in range(varint())]
     name_count = len(names)
+    if "" in names:
+        raise _Corrupt("empty name in the interned table")
     root_timestamp = intervals()
     top = children()
     if pos != size:

@@ -66,6 +66,15 @@ class Text(Node):
             raise ValueError("Text content must be non-empty")
         self.text = text
 
+    @classmethod
+    def assemble(cls, text: str) -> "Text":
+        """The trusted constructor (see :meth:`Element.assemble`):
+        ``text`` is a non-empty ``str``, not checked."""
+        node = cls.__new__(cls)
+        node.text = text
+        node.parent = None
+        return node
+
     def copy(self) -> "Text":
         return Text(self.text)
 
@@ -149,8 +158,8 @@ class Element(Node):
         cls, tag: str, pairs: Iterable[tuple[str, str]], children: list[Child]
     ) -> "Element":
         """The trusted constructor, for code that turns *stored* values
-        back into elements (the archive's walk, ``xbin``'s streamed
-        pass): nothing is checked.  ``pairs`` are attributes with
+        back into elements (the archive's walk, ``xbin``'s two block
+        readers): nothing is checked.  ``pairs`` are attributes with
         distinct non-empty names, kept in order; ``children`` is a list
         built for this element (E/T nodes, no two ``Text`` neighbours),
         kept as is, each child's ``parent`` set.  Outside input goes

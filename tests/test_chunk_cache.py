@@ -138,6 +138,35 @@ class TestHitAfterRead:
         assert second.cache_hits >= 1
         second.close()
 
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_a_relative_open_still_hits_after_chdir(
+        self, tmp_path, versions, kind, monkeypatch
+    ):
+        """A handle's root is made absolute once, at open: a later
+        ``chdir`` moves neither its files nor its cache keys."""
+        path = build(tmp_path, kind, "xbin", versions)
+
+        def read(backend):
+            if kind == "external":
+                return backend.to_archive().to_xml_string()
+            return retrievals(backend)
+
+        monkeypatch.chdir(tmp_path)
+        handle = open_archive(os.path.basename(path), cache_reads=True)
+        first = read(handle)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        misses = handle.cache_misses
+        assert read(handle) == first
+        assert handle.cache_misses == misses  # nothing decoded twice
+        assert handle.cache_hits > 0 or kind == "file"  # which keeps its tree
+        handle.close()
+        other = open_archive(path, cache_reads=True)  # by its absolute path
+        assert read(other) == first
+        assert other.cache_hits > 0 and other.cache_misses == 0
+        other.close()
+
     def test_default_open_does_not_cache(self, tmp_path, versions):
         path = build(tmp_path, "chunked", "raw", versions)
         backend = open_archive(path)  # recover=True → write-capable

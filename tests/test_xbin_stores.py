@@ -7,7 +7,9 @@ block which is malformed inside a crc- and SHA-valid chunk fails typed
 from whichever surface first reads it — streamed or walked — (and only
 from those that do); and that stores written before the
 format gained framed blocks — ``tests/fixtures/xbin_v1`` — still open,
-scrub, answer identically and accept appends.
+scrub, answer identically and accept appends.  Then the slow paths the
+readers' inline reads step around: a chunk multi-byte at every such
+site, and node heads whose flag bits or version numbers are malformed.
 """
 
 import collections
@@ -20,8 +22,10 @@ import repro
 from repro.cli import EXIT_CORRUPT
 from repro.cli import main as xarch_main
 from repro.client import RemoteError, connect
+from repro.core import Archive
 from repro.core.tstree import ProbeCount
 from repro.data import OmimGenerator
+from repro.data.company import company_key_spec
 from repro.data.omim import OMIM_KEY_TEXT
 from repro.keys.annotate import KeyLabel
 from repro.server.http import make_server, run_in_thread
@@ -29,7 +33,7 @@ from repro.storage import create_archive, fsck_archive, open_archive, xbin
 from repro.storage.cache import reset_chunk_cache
 from repro.storage.codec import CodecError
 from repro.storage.integrity import ChecksumSidecar
-from repro.xmltree import to_pretty_string, to_string
+from repro.xmltree import Element, Text, to_pretty_string, to_string
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1")
 DENSE = "/ROOT/Record/Num/text()"
@@ -436,3 +440,228 @@ def test_one_store_may_hold_both_versions(tmp_path):
     ]
     assert fsck_archive(path, deep=True).clean
     assert answers(path) == before
+
+
+# -- the slow paths behind the inline reads ----------------------------------------
+#
+# The readers take a varint's single-byte form, a one-interval timestamp
+# with single-byte start and length, and a content list of one short
+# text inline; everything else goes the general way.  This store makes
+# every one of those sites multi-byte somewhere.
+
+WIDE_ITEMS = 140  # distinct field tags: name ids past 127; a 140-child node
+WIDE_VERSIONS = 130  # interval starts and lengths past 127
+WIDE_KEYS = "(/, (db, {}))\n(/db, (item, {id}))\n" + "".join(
+    f"(/db/item, (f{k}, {{}}))\n" for k in range(WIDE_ITEMS)
+)
+
+
+def wide_version(number: int):
+    def element(tag, *children):
+        built = Element(tag)
+        for child in children:
+            built.append(child)
+        return built
+
+    db = Element("db")
+    for k in range(WIDE_ITEMS):
+        if k == 0 and number == WIDE_VERSIONS:
+            continue  # alive 1-129: a length of 128
+        if k == WIDE_ITEMS - 1 and number < WIDE_VERSIONS - 1:
+            continue  # alive 129-130: a start of 129
+        if k == 1:  # alternatives 1-129 and 130
+            value = [Text("early" if number < WIDE_VERSIONS else "late")]
+        elif k == 2:  # 130 content pieces
+            value = [element("p", Text(str(piece))) for piece in range(130)]
+        else:
+            value = [Text(f"value {k}")]
+        fields = element("id", Text(str(k))), element(f"f{k}", *value)
+        db.append(element("item", *fields))
+    return db
+
+
+def wide_expected(number: int) -> str:
+    """Version ``number`` as the archive hands it back: keyed siblings
+    in key order (items by ``id`` text, an item's fields by tag)."""
+    db = wide_version(number)
+    db.children.sort(key=lambda item: item.find("id").text_content())
+    for item in db.children:
+        item.children.sort(key=lambda field: field.tag)
+    return to_pretty_string(db)
+
+
+def wide_reach(archive, body: bytes) -> dict:
+    """The largest value each inlined varint site holds in ``archive``."""
+    reach = collections.Counter()
+    reach["names"] = xbin._read_varint(body, 0)[0]
+
+    def stamp(timestamp) -> None:
+        for start, end in timestamp.intervals() if timestamp is not None else ():
+            reach["start"] = max(reach["start"], start)
+            reach["length"] = max(reach["length"], end - start)
+
+    stack = list(archive.root.children)
+    while stack:
+        node = stack.pop()
+        stamp(node.timestamp)
+        reach["children"] = max(reach["children"], len(node.children))
+        for alternative in node.alternatives or ():
+            stamp(alternative.timestamp)
+            reach["pieces"] = max(reach["pieces"], len(alternative.content))
+        stack.extend(node.children)
+    return reach
+
+
+class TestMultiByteVarints:
+    """Each reader — a cold (streamed) read, a settled tree, a select —
+    gives what the Fig. 5 text of the same chunk gives once re-read
+    through ``Archive.from_xml_string``, on a chunk whose varints are
+    multi-byte at every site the readers take inline."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("wide") / "store")
+        backend = create_archive(
+            path, WIDE_KEYS, kind="chunked", chunk_count=1, codec="xbin"
+        )
+        backend.ingest_batch(wide_version(n) for n in range(1, WIDE_VERSIONS + 1))
+        backend.close()
+        handle = open_archive(path, recover=False)
+        payload, spec = handle.read_part_payload(0), handle.spec
+        handle.close()
+        text = xbin.decode_document_text(payload)
+        return path, payload, spec, text, Archive.from_xml_string(text, spec)
+
+    def test_every_inlined_site_is_multi_byte(self, wide):
+        _path, payload, _spec, _text, reference = wide
+        reach = wide_reach(reference, xbin._unpack(payload)[2])
+        assert min(reach.values()) >= 128, reach
+
+    def test_a_cold_read_streams_the_text_paths_versions(self, wide):
+        path, payload, spec, _text, reference = wide
+        for version in range(1, WIDE_VERSIONS + 1):
+            cold = xbin.decode_archive(payload, spec).retrieve(version)
+            assert to_pretty_string(cold) == to_pretty_string(
+                reference.retrieve(version)
+            ), version
+        for version in (1, 64, WIDE_VERSIONS - 1, WIDE_VERSIONS):  # and right
+            cold = xbin.decode_archive(payload, spec).retrieve(version)
+            assert to_pretty_string(cold) == wide_expected(version)
+        for version in (1, WIDE_VERSIONS - 1, WIDE_VERSIONS):
+            reset_chunk_cache()
+            handle = open_archive(path, recover=False)
+            assert to_pretty_string(handle.retrieve(version)) == to_pretty_string(
+                reference.retrieve(version)
+            )
+            handle.close()
+
+    def test_a_settled_tree_is_the_text_paths_tree(self, wide):
+        _path, payload, spec, text, reference = wide
+        settled = xbin.decode_archive(payload, spec)
+        assert settled.to_xml_string() == text == reference.to_xml_string()
+        for version in range(1, WIDE_VERSIONS + 1):  # the walk, not the stream
+            assert to_pretty_string(settled.retrieve(version)) == to_pretty_string(
+                reference.retrieve(version)
+            ), version
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["/db/item/id/text()", "/db/item[id='2']", "/db/item/f1/text()", "//p"],
+    )
+    def test_select_answers_what_the_text_path_answers(self, wide, expression):
+        path, payload, spec, _text, reference = wide
+        settled = repro.open(xbin.decode_archive(payload, spec))
+        for version in (1, 64, WIDE_VERSIONS - 1, WIDE_VERSIONS):
+            expected = [
+                item if isinstance(item, str) else to_string(item)
+                for item in repro.open(reference).at(version).select(expression)
+            ]
+            cold = repro.open(xbin.decode_archive(payload, spec))
+            for db in (cold, settled):
+                answer = [
+                    item if isinstance(item, str) else to_string(item)
+                    for item in db.at(version).select(expression)
+                ]
+                assert answer == expected, (version, expression)
+        reset_chunk_cache()
+        handle = open_archive(path, recover=False)
+        answer = repro.open(handle).at(WIDE_VERSIONS).select(expression).all()
+        assert [a if isinstance(a, str) else to_string(a) for a in answer] == expected
+        handle.close()
+
+
+# -- hand-built bodies: what the inline reads still reject -------------------------
+#
+# A body is the name table, the root timestamp, then the top-level block
+# (see the module docstring of repro.storage.xbin).  <db> is internal and
+# its children block — one frontier child <x> holding "hi" — is framed,
+# so the same bytes reach the streamed pass and the settling one.
+
+HAND_NAMES = b"\x02" + b"\x02db" + b"\x01x"
+
+
+def hand_body(
+    *, flags=b"\x04", stamp=b"", alternative=b"\x00", names=HAND_NAMES
+) -> bytes:
+    child = b"\x01" + flags + b"\x00\x00" + stamp
+    child += b"\x01" + alternative + b"\x01" + b"\x00\x02hi" + b"\x00"
+    block = b"\x01" + child
+    db = b"\x00" + b"\x08\x00\x00" + bytes([len(block)]) + block
+    return names + b"\x01\x01\x00" + b"\x01" + db
+
+
+def test_the_hand_built_body_reads_both_ways():
+    data = xbin._pack(hand_body(), 0)
+    spec = company_key_spec()
+    streamed = xbin.decode_archive(data, spec).retrieve(1)
+    assert to_string(streamed) == "<db><x>hi</x></db>"
+    (db,) = xbin.decode_archive(data, spec).root.children
+    (x,) = db.children
+    assert x.label.tag == "x" and x.alternatives[0].content[0].text == "hi"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(
+            hand_body(flags=b"\x14"), "unknown flag bits", id="node-flag-0x10"
+        ),
+        pytest.param(
+            # Read as a two-byte varint before flag bytes were checked.
+            hand_body(flags=b"\x84"),
+            "unknown flag bits",
+            id="node-flag-0x80",
+        ),
+        pytest.param(
+            hand_body(alternative=b"\x02"), "unknown flag bits", id="alternative-flag"
+        ),
+        pytest.param(
+            hand_body(flags=b"\x05", stamp=b"\x01\x00\x03"),
+            "Version numbers are positive, got 0",
+            id="zero-start-inline",
+        ),
+        pytest.param(
+            hand_body(flags=b"\x05", stamp=b"\x02\x00\x01\x03\x00"),
+            "Version numbers are positive, got 0",
+            id="zero-start-general",
+        ),
+    ],
+)
+def test_a_malformed_head_fails_typed_from_both_readers(body, message):
+    data = xbin._pack(body, 0)
+    spec = company_key_spec()
+    with pytest.raises(CodecError, match=message):
+        xbin.decode_archive(data, spec).retrieve(1)  # streamed
+    (db,) = xbin.decode_archive(data, spec).root.children
+    with pytest.raises(CodecError, match=message):
+        db.children  # settled
+    with pytest.raises(CodecError, match=message):
+        xbin.decode_document_text(data)
+
+
+def test_an_empty_name_in_the_table_fails_typed():
+    data = xbin._pack(hand_body(names=b"\x02" + b"\x02db" + b"\x00"), 0)
+    with pytest.raises(CodecError, match="empty name"):
+        xbin.decode_archive(data, company_key_spec())
+    with pytest.raises(CodecError, match="empty name"):
+        xbin.decode_document_text(data)
