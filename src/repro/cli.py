@@ -76,12 +76,7 @@ def _load_spec(archive_path: str, keys_file: str | None) -> KeySpec:
 def _open(args: argparse.Namespace) -> StorageBackend:
     spec = _load_spec(args.archive, getattr(args, "keys", None))
     options = ArchiveOptions(compaction=getattr(args, "compaction", False))
-    return open_archive(
-        args.archive,
-        spec,
-        options=options,
-        workers=getattr(args, "workers", 1),
-    )
+    return open_archive(args.archive, spec, options=options)
 
 
 def cmd_init(args: argparse.Namespace) -> int:
@@ -193,7 +188,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             chunk_count=args.chunks,
             options=ArchiveOptions(compaction=args.compaction),
             codec=args.codec,
-            workers=args.workers,
         )
     base = backend.last_version
     per_version: dict[int, object] = {}
@@ -308,13 +302,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{stats.events_skipped} stream events drained), "
             f"{stats.index_lookups} index lookups, "
             f"{stats.chunks_pruned} chunks pruned, "
-            f"{stats.chunks_routed_past} routed past"
-            + (
-                f", {stats.parallel_chunks} chunk plan(s) across "
-                f"{stats.workers_used} workers"
-                if stats.parallel_chunks
-                else ""
-            ),
+            f"{stats.chunks_routed_past} routed past",
             file=sys.stderr,
         )
     return 0
@@ -510,18 +498,6 @@ def _add_remote_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="process-pool width for per-chunk work on the chunked "
-        "backend (default 1 = serial; output is byte-identical "
-        "either way)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xarch",
@@ -559,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store frontier content as SCCS weaves (further compaction)",
     )
     _add_backend_options(p_ingest)
-    _add_workers_option(p_ingest)
     _add_remote_option(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -615,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report planner/pushdown work accounting on stderr",
     )
     p_query.add_argument("--keys")
-    _add_workers_option(p_query)
     _add_remote_option(p_query)
     p_query.set_defaults(func=cmd_query)
 
@@ -650,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="target codec (atomic, identity-verified rewrite)",
     )
     p_recode.add_argument("--keys")
-    _add_workers_option(p_recode)
     p_recode.set_defaults(func=cmd_recode)
 
     p_fsck = sub.add_parser(

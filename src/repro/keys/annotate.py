@@ -108,13 +108,6 @@ class AnnotatedDocument:
             records=self.records,
         )
 
-    def __reduce__(self):
-        # The tables are keyed by ``id()``, which no other process
-        # shares: the document travels as its tree (parent pointers are
-        # not pickled, so a shell takes only its own records along) and
-        # is annotated again on arrival.
-        return (annotate_keys, (self.root, self.spec))
-
 
 def compute_key_value(node: Element, key: Key, value_of=None) -> KeyValue:
     """Evaluate a node's key value under ``key``.

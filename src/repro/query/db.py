@@ -42,7 +42,6 @@ from ..storage.archiver import ExternalArchiver
 from ..storage.backend import FileBackend, StorageBackend, open_archive
 from ..storage.chunked import ChunkedArchiver
 from ..storage.events import NodeEvent, PeekableEvents, read_events
-from ..storage.parallel import _query_chunk_task
 from ..xmltree.model import Element
 from ..xmltree.xpath import evaluate_steps
 from .exec import MemoryCursor, StreamCursor, node_count, run_plan
@@ -90,20 +89,12 @@ def open_db(
     :func:`repro.storage.backend.open_archive` (backend auto-detected
     from the manifest); the database then owns the backend and
     ``close()`` releases it.  Backends and in-memory archives are
-    wrapped without taking ownership (their own ``workers`` setting
-    applies; the ``workers`` argument here configures only backends
-    this call opens).
-
-    ``workers`` above 1 evaluates chunk query plans in a process pool
-    on the chunked backend (results and their order are identical to
-    a serial run; ``stats.parallel_chunks``/``workers_used`` report
-    the fan-out).
+    wrapped without taking ownership.  ``workers`` is accepted and
+    ignored: every chunk loop runs serially.
     """
     if isinstance(source, (Archive, StorageBackend)):
         return ArchiveDB(source)
-    backend = open_archive(
-        os.fspath(source), keys_file=keys_file, options=options, workers=workers
-    )
+    backend = open_archive(os.fspath(source), keys_file=keys_file, options=options)
     return ArchiveDB(backend, owns_backend=True)
 
 
@@ -139,13 +130,6 @@ class ArchiveDB:
     def kind(self) -> str:
         """The storage shape queries run against."""
         return "memory" if self.backend is None else self.backend.kind
-
-    @property
-    def workers(self) -> int:
-        """Chunk-loop parallelism of the underlying backend (1 = serial)."""
-        if self.backend is None:
-            return 1
-        return getattr(self.backend, "workers", 1)
 
     @property
     def last_version(self) -> int:
@@ -367,14 +351,6 @@ class ArchiveDB:
         chunk), except under a fingerprinter — chunk order is then
         fingerprint order, not key order, so results are collected and
         sorted once.
-
-        When the backend was opened with ``workers > 1``, the live
-        chunks evaluate in its process pool instead: each worker gets
-        the chunk's verified bytes plus the compiled plan (plain,
-        picklable data), returns its ordered result list, and the
-        parent sorts the union of the same tuples the serial merge
-        compares — same elements, same order, with the worker-side
-        accounting folded back into ``stats``.
         """
 
         def part_stream(index: int) -> Iterator[tuple[tuple, int, int, Element]]:
@@ -399,39 +375,10 @@ class ArchiveDB:
                 live.append(index)
             return live
 
-        def parallel_items(live: list[int]) -> list[tuple[tuple, int, int, Element]]:
-            tasks = []
-            for index in live:
-                payload = backend.read_part_payload(index)
-                if payload is None:
-                    continue
-                tasks.append(
-                    (
-                        index,
-                        payload,
-                        backend.codec.name,
-                        backend.spec,
-                        backend.options,
-                        plan,
-                        version,
-                    )
-                )
-            stats.workers_used = max(stats.workers_used, backend.workers)
-            collected: list[tuple[tuple, int, int, Element]] = []
-            for _index, items, worker_stats in backend.pool.map(
-                _query_chunk_task, tasks
-            ):
-                stats.parallel_chunks += 1
-                stats.merge(worker_stats)
-                collected.extend(items)
-            return sorted(collected)
-
         def run_over(indices) -> Iterator[Element]:
             live = live_indices(indices)
             merged: Iterable[tuple[tuple, int, int, Element]]
-            if backend.workers > 1 and len(live) > 1:
-                merged = parallel_items(live)
-            elif backend.options.fingerprinter is not None:
+            if backend.options.fingerprinter is not None:
                 merged = sorted(item for index in live for item in part_stream(index))
             elif len(live) == 1:  # every routed keyed select: nothing to merge
                 merged = part_stream(live[0])

@@ -22,10 +22,9 @@ into the archive's own structures instead of a materialized snapshot:
 The planner is deliberately static: it never touches the archive, only
 the key specification.  So what it compiles is kept *with* the
 specification (:class:`_Plans`: owned by this module, at most
-:data:`PLAN_STORE_LIMIT` entries, oldest out first, none taken along
-when the specification is pickled) and serves every facade, handle and
-server pin sharing it, on any backend; two specifications never share a
-plan.  An entry is a **shape**: the expression with the contents of its
+:data:`PLAN_STORE_LIMIT` entries, oldest out first) and serves every
+facade, handle and server pin sharing it, on any backend; two
+specifications never share a plan.  An entry is a **shape**: the expression with the contents of its
 quoted literals lifted out, plus one bit per literal — whether it is a
 :func:`_plain_value`, all the planner ever asks of one.
 ``/ROOT/Record[Num='100']`` and ``[Num='207']`` are one shape,
@@ -289,11 +288,7 @@ class _Plans(dict):
     """One specification's compiled plans by shape.  It sits in the
     specification's ``__dict__`` — it lives as long, and every holder of
     the specification finds it — but only this module reads or writes
-    it, and a pickled specification (a pool task carries one) takes an
-    empty one along."""
-
-    def __reduce__(self) -> tuple:
-        return (_Plans, ())
+    it."""
 
 
 def stored_plans(spec: KeySpec) -> _Plans:

@@ -42,13 +42,6 @@ class QueryStats:
     anything (external backend).  ``fallback`` is set when the plan
     abandoned the archive walk for materialize-then-evaluate.
 
-    Parallel chunk fan-out reports through two extra fields:
-    ``parallel_chunks`` counts chunk plans evaluated in worker
-    processes and ``workers_used`` the pool width they ran under (0
-    for an all-serial query).  Worker-local accounting folds back into
-    the parent's stats via :meth:`merge`, so the headline totals are
-    the same work count a serial run would report.
-
     ``cache_hits``/``cache_misses`` count decoded-chunk cache traffic
     this query caused (both 0 on non-caching handles): a hit means a
     chunk's decode was skipped entirely because the process-wide cache
@@ -62,8 +55,6 @@ class QueryStats:
     chunks_pruned: int = 0
     chunks_routed_past: int = 0
     events_skipped: int = 0
-    parallel_chunks: int = 0
-    workers_used: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     fallback: bool = False
@@ -88,13 +79,8 @@ class QueryStats:
         self.fallback_reason = reason
 
     def merge(self, other: "QueryStats") -> None:
-        """Fold a worker's chunk-local accounting into this one.
-
-        Counters add; ``workers_used`` keeps the widest pool seen; the
-        fallback flag never travels (workers only ever run planned
-        evaluations — a fallback happens in the parent, before any
-        fan-out).
-        """
+        """Add another query's counters to this one (a running total
+        over several queries); the fallback flag is not carried."""
         self.archive_nodes_visited += other.archive_nodes_visited
         self.tree_probes += other.tree_probes
         self.nodes_materialized += other.nodes_materialized
@@ -102,10 +88,8 @@ class QueryStats:
         self.chunks_pruned += other.chunks_pruned
         self.chunks_routed_past += other.chunks_routed_past
         self.events_skipped += other.events_skipped
-        self.parallel_chunks += other.parallel_chunks
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
-        self.workers_used = max(self.workers_used, other.workers_used)
 
 
 class QueryResult:

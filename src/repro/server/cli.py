@@ -2,7 +2,7 @@
 
 ::
 
-    xarchd serve STORE_DIR --port 8400 --workers 4
+    xarchd serve STORE_DIR --port 8400
     python -m repro.server serve STORE_DIR --port 8400
 
 ``STORE_DIR`` is a directory whose entries are archives (any backend;
@@ -31,14 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8400, help="bind port (default 8400)"
     )
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="process-pool width for ingest work on chunked archives "
-        "(reads always snapshot-open serially)",
-    )
-    p_serve.add_argument(
         "--verbose",
         action="store_true",
         help="log one line per request to stderr",
@@ -50,13 +42,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     from .http import serve
 
-    serve(
-        args.root,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        quiet=not args.verbose,
-    )
+    serve(args.root, host=args.host, port=args.port, quiet=not args.verbose)
     return 0
 
 

@@ -470,12 +470,11 @@ def make_server(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    workers: int = 1,
     quiet: bool = True,
 ) -> XarchdServer:
     """A ready-to-run server (``port=0`` binds an ephemeral port —
     the tests' and benchmarks' entry point)."""
-    service = ArchiveService(root, workers=workers)
+    service = ArchiveService(root)
     return XarchdServer((host, port), service, quiet=quiet)
 
 
@@ -484,13 +483,10 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8400,
-    workers: int = 1,
     quiet: bool = False,
 ) -> None:
     """Run the server until interrupted (the ``xarchd serve`` command)."""
-    server = make_server(
-        root, host=host, port=port, workers=workers, quiet=quiet
-    )
+    server = make_server(root, host=host, port=port, quiet=quiet)
     address = server.server_address
     print(f"xarchd: serving {root} on http://{address[0]}:{address[1]}")
     try:

@@ -271,7 +271,6 @@ class ArchiveService:
         self,
         root: "str | os.PathLike",
         *,
-        workers: int = 1,
         pin_cache_size: int = 8,
     ) -> None:
         root = os.path.abspath(os.fspath(root))
@@ -280,10 +279,6 @@ class ArchiveService:
                 "bad-request", f"Server root {root!r} is not a directory"
             )
         self.root = root
-        #: Chunk-loop parallelism handed to *writer* opens.  Snapshot
-        #: opens always run ``workers=1``: a per-request process pool
-        #: would cost more than any read it could speed up.
-        self.workers = max(1, int(workers))
         self._locks_guard = threading.Lock()
         self._writer_locks: dict[str, threading.Lock] = {}
         #: Open snapshot backends shared across reader requests at one
@@ -389,7 +384,7 @@ class ArchiveService:
             entry = self.pins.acquire(key)
             cached = entry is not None
             if entry is None:
-                backend = open_archive(path, workers=1, recover=False)
+                backend = open_archive(path, recover=False)
                 # The writer may have published between the manifest
                 # read and the open; key by what the open saw.
                 key = (name, backend.generation)
@@ -405,7 +400,7 @@ class ArchiveService:
                 release=lambda: self.pins.release(key, entry),
                 cached=cached,
             )
-        backend = open_archive(path, workers=1, recover=False)
+        backend = open_archive(path, recover=False)
         return Snapshot(
             name=name,
             path=path,
@@ -491,7 +486,7 @@ class ArchiveService:
             )
         path = self._resolve(name)
         with self._writer_lock(name):
-            backend = open_archive(path, workers=self.workers)
+            backend = open_archive(path)
             try:
                 base = backend.last_version
                 stats = backend.ingest_batch(iter(documents))

@@ -56,7 +56,6 @@ from .events import (
 from .extmerge import StreamMergeError, merge_archive_stream
 from .extsort import merge_event_streams, sort_version, write_sorted_runs
 from .faults import CrashPoint, FaultInjector, inject
-from .parallel import ExecutionPool, TaskNotPicklable, WorkerError
 from .fsck import FINDING_CODES, Finding, FsckReport, fsck_archive
 from .integrity import (
     CHECKSUMS_NAME,
@@ -100,7 +99,6 @@ __all__ = [
     "VERIFY_POLICIES",
     "XMillCodec",
     "EventWriter",
-    "ExecutionPool",
     "ExitEvent",
     "ExternalArchiver",
     "FileBackend",
@@ -113,9 +111,7 @@ __all__ = [
     "PersistentIngestor",
     "StorageBackend",
     "StreamMergeError",
-    "TaskNotPicklable",
     "WalError",
-    "WorkerError",
     "WriteAheadLog",
     "archive_to_stream",
     "atomic_write_text",

@@ -108,7 +108,6 @@ class ExternalArchiver(StorageBackend):
         page_size: int = DEFAULT_PAGE_SIZE,
         codec: CodecLike = None,
         verify: str = "always",
-        workers: int = 1,
         recover: bool = True,
         cache_reads: bool = False,
         _manifest: Optional[Manifest] = None,
@@ -118,9 +117,7 @@ class ExternalArchiver(StorageBackend):
         ``codec`` encodes the event stream (and its scratch runs) at
         rest — framed gzip under the compressing codecs, so every pass
         still streams in bounded memory.  ``verify`` sets the stream's
-        checksum policy for reads.  ``workers`` is accepted for
-        interface uniformity with the chunked backend; the single
-        event stream is merged sequentially by design.  ``recover=False``
+        checksum policy for reads.  ``recover=False``
         skips WAL recovery and the scratch sweep — for read-only
         snapshot opens running next to a live writer, whose in-flight
         staged commit and scratch files must not be touched.  A
@@ -132,7 +129,6 @@ class ExternalArchiver(StorageBackend):
         self.spec = spec
         self.memory_budget = memory_budget
         self.fan_in = fan_in
-        self.workers = max(1, int(workers))
         self.verify = validate_policy(verify)
         self.io_stats = IOStats(page_size=page_size)
         os.makedirs(directory, exist_ok=True)

@@ -611,15 +611,11 @@ class FileBackend(StorageBackend):
         options: Optional[ArchiveOptions] = None,
         codec: CodecLike = None,
         verify: str = "always",
-        workers: int = 1,
         recover: bool = True,
         cache_reads: bool = False,
         _manifest: Optional[Manifest] = None,
     ) -> None:
         self.path = os.path.abspath(os.fspath(path))
-        #: Accepted for interface uniformity with the chunked backend;
-        #: a single-file archive has no independent parts to fan out.
-        self.workers = max(1, int(workers))
         self.storage_root = self.path
         self.spec = spec
         self.options = options or ArchiveOptions()
@@ -852,10 +848,7 @@ def open_archive(
     ``"open"`` — once per file per handle — or ``"never"``);
     ``on_corrupt`` sets the chunked backend's per-chunk degradation
     policy (``"raise"`` or ``"skip"`` corrupt chunks during retrieval).
-    ``workers`` sets the chunk-loop parallelism (a runtime knob, never
-    recorded in the manifest): batch ingest, recode and chunk query
-    fan-out on the chunked backend run per-chunk work in a process
-    pool when it is above 1.
+    ``workers`` is accepted and ignored: every chunk loop runs serially.
     ``recover=False`` opens without running WAL recovery — required for
     read-only snapshot opens that run concurrently with a live writer,
     where replaying (or rolling back) the writer's in-flight staged
@@ -894,7 +887,7 @@ def open_archive(
         )
     if cache_reads is None:
         cache_reads = not recover
-    shared = dict(verify=verify, workers=workers, recover=recover)
+    shared = dict(verify=verify, recover=recover)
     shared.update(cache_reads=cache_reads, _manifest=manifest)
     if kind == "file":
         return FileBackend(path, spec, options, **shared)
@@ -988,7 +981,8 @@ def create_archive(
     the chosen at-rest ``codec``), the checksum table and whatever
     payload the kind holds while empty — so a creation that is
     interrupted leaves either nothing or the whole empty archive, and
-    every later :func:`open_archive` needs only the path.
+    every later :func:`open_archive` needs only the path.  ``workers``
+    is accepted and ignored, as by :func:`open_archive`.
     """
     from ..keys.keyparser import parse_key_spec
 
@@ -1022,12 +1016,10 @@ def create_archive(
         )
     backend: StorageBackend
     if kind == "file":
-        backend = FileBackend(path, spec, options, codec=at_rest, workers=workers)
+        backend = FileBackend(path, spec, options, codec=at_rest)
     elif kind == "chunked":
-        backend = ChunkedArchiver(
-            path, spec, chunk_count, options, codec=at_rest, workers=workers
-        )
+        backend = ChunkedArchiver(path, spec, chunk_count, options, codec=at_rest)
     else:
-        backend = ExternalArchiver(path, spec, codec=at_rest, workers=workers)
+        backend = ExternalArchiver(path, spec, codec=at_rest)
     backend._create(spec_text)
     return backend

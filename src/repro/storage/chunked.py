@@ -57,6 +57,7 @@ from ..core.archive import (
     _parse_history_path,
     missing_element_error,
 )
+from ..core.ingest import IngestSession
 from ..core.merge import Kept, MergeStats, RecordEntry, annotate_version
 from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
@@ -70,7 +71,14 @@ from ..keys.annotate import (
 )
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
-from .backend import Manifest, OnVersion, RecodeReport, StorageBackend, mutation
+from .backend import (
+    Manifest,
+    OnVersion,
+    RecodeReport,
+    StorageBackend,
+    mutation,
+    verify_recoded_document,
+)
 from .cache import chunk_cache
 from .codec import CodecError, CodecLike, get_codec
 from .integrity import (
@@ -79,7 +87,6 @@ from .integrity import (
     ManifestInconsistent,
     validate_policy,
 )
-from .parallel import ExecutionPool, _ingest_chunk_task, _recode_chunk_task
 from .txn import ArchiveTxn
 from .xbin import kept_bytes
 
@@ -266,7 +273,6 @@ class ChunkedArchiver(StorageBackend):
         codec: CodecLike = None,
         verify: str = "always",
         on_corrupt: str = "raise",
-        workers: int = 1,
         recover: bool = True,
         cache_reads: bool = False,
         _manifest: Optional[Manifest] = None,
@@ -301,11 +307,6 @@ class ChunkedArchiver(StorageBackend):
         #: place, which must not leak into other readers' views (what
         #: it keeps between appends lives in ``_held``, its own).
         self.cache_reads = cache_reads
-        #: Chunk-loop parallelism: batch ingest, recode and chunk query
-        #: fan-out run their per-chunk work through this pool.  The
-        #: default of one worker is the deterministic serial path.
-        self.pool = ExecutionPool(workers)
-        self.workers = self.pool.workers
         os.makedirs(directory, exist_ok=True)
         self._recover = recover
         self._load_state(codec, _manifest)
@@ -397,9 +398,8 @@ class ChunkedArchiver(StorageBackend):
         The raw bytes verify against the checksum sidecar *before*
         anything decodes them, so corruption surfaces as a typed
         :class:`~repro.storage.integrity.IntegrityError`, never a
-        confusing decode failure.  This is the handoff point to worker
-        processes: workers receive these already-trusted bytes plus the
-        codec *name*, never a live backend handle.
+        confusing decode failure.  Every decode of a stored chunk starts
+        from these bytes.
         """
         path = self._chunk_path(index)
         try:
@@ -635,11 +635,14 @@ class ChunkedArchiver(StorageBackend):
         Where a loop over :meth:`add_version` loads, re-parses and
         re-serializes every chunk *per version*, the batch path
         partitions all versions up front, then touches each chunk
-        exactly once: load, run a fingerprint-memoized
+        exactly once: read and verify, decode, run a fingerprint-memoized
         :class:`~repro.core.ingest.IngestSession` over the chunk's slice
-        of every version, store.  ``on_chunk(index, archive)`` fires as
-        each chunk's versions land (before the in-memory archive is
-        dropped) — the hook the index-maintaining persistent layer uses.
+        of every version, encode.  Every payload is in hand before the
+        one :class:`~repro.storage.txn.ArchiveTxn` begins, so a failed
+        merge stages nothing.  ``on_chunk(index, archive)`` is handed
+        each merged chunk archive once that commit has published — the
+        hook the index-maintaining persistent layer uses; a batch that
+        rolls back fires it for no chunk.
 
         The chunk-major order trades memory for I/O: the whole batch's
         partitions stay in memory until their chunks are processed, so
@@ -652,61 +655,42 @@ class ChunkedArchiver(StorageBackend):
         ``on_version`` is accepted for protocol uniformity but never
         fires: the chunk-major order merges each version's records
         chunk by chunk, so no per-version stats exist to report.
-
-        With ``workers > 1`` the per-chunk merges run in a process
-        pool (:mod:`repro.storage.parallel`): each worker receives the
-        chunk's verified at-rest bytes, the codec name and its slice of
-        every version, and returns the encoded payload.  All results
-        gather *before* the WAL commit begins, so a worker failure
-        stages nothing, and every payload still publishes through the
-        single commit point — crash semantics and output bytes are
-        identical to the serial path, which runs the very same task
-        function inline.
         """
         partitions = [
             self._partition(document) if document is not None else {}
             for document in documents
         ]
         self._held = {}  # the batch republishes every chunk it touches
-        tasks = []
+        total = MergeStats()
+        merged: list[tuple[int, str, bytes]] = []
+        trees: dict[int, Archive] = {}  # kept only for ``on_chunk``
         for index in range(self.chunk_count):
-            chunk_exists = os.path.exists(self._chunk_path(index))
-            if not chunk_exists and not any(
+            if not self.part_exists(index) and not any(
                 index in parts for parts in partitions
             ):
                 continue  # never stored, never mentioned: stay lazy
-            tasks.append(
-                (
-                    index,
-                    self.read_part_payload(index),
-                    self.codec.name,
-                    self.spec,
-                    self.options,
-                    self._version_count,
-                    [parts.get(index) for parts in partitions],
-                )
-            )
-        merged = self.pool.map(_ingest_chunk_task, tasks)
-        total = MergeStats()
+            archive = self._load_chunk(index, for_write=True)
+            session = IngestSession(archive)
+            for parts in partitions:
+                # Versions without records for this chunk are empty
+                # versions locally, keeping timestamps globally aligned.
+                session.add(parts.get(index))
+            total.accumulate(session.stats)
+            presence_text = _chunk_presence_of(archive).to_text()
+            merged.append((index, presence_text, self.codec.encode_archive(archive)))
+            if on_chunk is not None:
+                trees[index] = archive
         number = self._version_count + len(partitions)
         with ArchiveTxn(self, number) as txn:
             presence = self._carry_presence(txn)
-            for index, encoded, presence_text, stats in merged:
+            for index, presence_text, encoded in merged:
                 presence[str(index)] = presence_text
                 txn.put(self._chunk_path(index), encoded)
-                total.accumulate(stats)
         total.versions = len(partitions)
-        if on_chunk is not None:
-            # Only now, the commit published: index caches never adopt
-            # state a failed batch rolls back.  The hook wants the
-            # merged chunk archive; workers hand back its published
-            # bytes, so rebuild from those — the same decode
-            # ``load_part`` would do on the next read.
-            for index, encoded, _presence, _stats in merged:
-                on_chunk(
-                    index,
-                    self.codec.decode_archive(encoded, self.spec, self.options),
-                )
+        # Only now, the commit published: index caches never adopt
+        # state a failed batch rolls back.
+        for index, archive in trees.items():
+            on_chunk(index, archive)
         return total
 
     def retrieve(
@@ -918,29 +902,28 @@ class ChunkedArchiver(StorageBackend):
         The chunk files and the manifest (recording the new codec, and
         the presence map as it was) publish together behind one WAL
         record, so a crash mid-recode recovers to wholly-old or
-        wholly-new encodings.
-
-        With ``workers > 1`` the decode → re-encode → verify work runs
-        per chunk in a process pool; every result gathers before the
-        WAL commit begins, so the atomic wholly-old-or-wholly-new
-        guarantee is untouched.
+        wholly-new encodings.  Every chunk is decoded, re-encoded and
+        verified before that commit begins, so a chunk that fails the
+        identity check stages nothing.
         """
         target = get_codec(codec)
         old = self.codec
         before = self.total_bytes()
         self._held = {}  # every chunk file is about to be rewritten
-        tasks = []
+        recoded = []
         for index in range(self.chunk_count):
-            # ``self.codec`` is still the old codec here (it moves
-            # only after the commit publishes), so workers decode the
-            # current encoding.
             payload = self.read_part_payload(index)
             if payload is None:
                 continue
-            tasks.append(
-                (index, payload, old.name, target.name, self.spec, self.options)
-            )
-        recoded = self.pool.map(_recode_chunk_task, tasks)
+            # Decode through the archive seam, re-encode through it, then
+            # verify the staged payload re-emits the Fig. 5 document the
+            # old encoding held — codecs that store binary records (xbin)
+            # take part in the identity check via their re-emission.
+            archive = old.decode_archive(payload, self.spec, self.options)
+            text = archive.to_xml_string()
+            encoded = target.encode_archive(archive)
+            verify_recoded_document(text, encoded, target)
+            recoded.append((index, encoded))
         with ArchiveTxn(self, self._version_count, codec=target) as txn:
             self._carry_presence(txn)  # an old store's recode moves it too
             for index, encoded in recoded:

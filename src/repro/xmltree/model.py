@@ -36,8 +36,8 @@ class Node:
     :meth:`Element.append`; it is informational only and never serialized
     — not into XML, and not into a pickle either: a pickled (or
     deep-copied) subtree carries what is below its root and nothing
-    above, so shipping one record to a worker never drags the document
-    it was cut from along.
+    above, so one record never drags the document it was cut from
+    along.
     """
 
     __slots__ = ("parent",)

@@ -1,8 +1,8 @@
 """Cache-correctness drills for the decoded-chunk cache.
 
 The cache must be invisible except in speed: byte-identical answers
-with caching on or off across every backend × codec (and through the
-chunk-parallel fan-out), repeat reads must actually hit, a publish
+with caching on or off across every backend × codec, repeat reads
+must actually hit, a publish
 must invalidate exactly the republished chunks (token bump), and a
 crashed commit must never leave an entry that shadows what a cache-free
 reader would see.
@@ -322,15 +322,6 @@ class TestByteIdentity:
             warm.to_archive()
         assert warm.cache_hits + warm.cache_misses > 0
         warm.close()
-
-    def test_parallel_query_fanout_matches(self, tmp_path, versions):
-        path = build(tmp_path, "chunked", "xbin", versions, chunk_count=3)
-        serial = open_archive(path, cache_reads=True)
-        expected = retrievals(serial)
-        serial.close()
-        fanned = open_archive(path, workers=2, cache_reads=True)
-        assert retrievals(fanned) == expected
-        fanned.close()
 
 
 class TestCrashSafety:

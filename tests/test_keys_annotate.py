@@ -1,7 +1,6 @@
 """Tests for Annotate Keys (Sec. 4.1) and key validation."""
 
 import os
-import pickle
 
 import pytest
 
@@ -277,15 +276,3 @@ class TestRoutedPartition:
         assert [node.tag for node, _ in iter_keyed_nodes(shell)] == [
             "db", "dept", "name", "emp", "fn", "ln",
         ]
-
-    def test_an_annotation_crosses_a_process_boundary_as_its_tree(self, spec):
-        document = company_version(3)
-        shell = annotate_keys(document, spec).shell()
-        shell.root.children.append(document.children[1])
-        # No way back up ``parent``: the slice travels without its siblings.
-        assert len(pickle.dumps(shell.root)) < len(pickle.dumps(document))
-        arrived = pickle.loads(pickle.dumps(shell))
-        assert [label for _, label in iter_keyed_nodes(arrived)] == [
-            label for _, label in iter_keyed_nodes(shell)
-        ]
-        assert arrived.root.children[0].parent is arrived.root

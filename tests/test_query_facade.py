@@ -1,6 +1,5 @@
 """The ArchiveDB facade: one queryable surface over every backend."""
 
-import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, asdict
@@ -325,8 +324,6 @@ class TestPlanner:
         assert compile_plan(expression, lone).steps[1].lookup == ()
         assert compile_plan(expression, keyed).steps[1].lookup == (("name", "finance"),)
         assert stored_plans(keyed) is not stored_plans(lone) and len(stored_plans(keyed)) == 1
-        travelled = pickle.loads(pickle.dumps(keyed))  # as a pool task carries it
-        assert travelled == keyed and stored_plans(travelled) == {}
 
     def test_store_is_bounded_and_an_evicted_shape_answers_again(self, monkeypatch):
         monkeypatch.setattr(query_plan, "PLAN_STORE_LIMIT", 3)
@@ -370,24 +367,21 @@ class TestPlanner:
         with pytest.raises(FrozenInstanceError):
             plan.steps[1].lookup = None
 
-    def test_cached_plan_pickles_and_workers_answer_as_serial(self, tmp_path):
+    def test_cached_plan_answers_as_a_first_compile(self, tmp_path):
         path = str(tmp_path / "arch")
         store = create_archive(path, KEYS, kind="chunked", chunk_count=4)
         store.ingest_batch(parse_document(source) for source in VERSIONS)
         store.close()
-        serial, fanned = open_archive(path), open_archive(path, workers=2)
-        assert serial.spec is not fanned.spec
+        first, second = open_archive(path), open_archive(path)
+        assert first.spec is not second.spec
         for expression in ("/db/dept/emp", "/db/dept/emp/fn/text()"):
-            for _ in range(2):  # compiled, then the stored plan crosses the pool
-                one = serial.db().at(3).select(expression)
-                two = fanned.db().at(3).select(expression)
-                assert _rendered(two.all()) == _rendered(one.all()) != []
-                assert two.stats.parallel_chunks > 0 == one.stats.parallel_chunks
-                assert two.stats.nodes_visited() == one.stats.nodes_visited()
-            plan = fanned.db().plan(expression)
-            assert pickle.loads(pickle.dumps(plan)) == plan
-        serial.close()
-        fanned.close()
+            expected = second.db().at(3).select(expression)
+            for _ in range(2):  # compiled, then the stored plan
+                one = first.db().at(3).select(expression)
+                assert _rendered(one.all()) == _rendered(expected.all()) != []
+                assert one.stats.nodes_visited() == expected.stats.nodes_visited()
+        first.close()
+        second.close()
 
     def test_first_builds_less_than_all(self, tmp_path):
         archive = _memory_archive()

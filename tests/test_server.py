@@ -567,12 +567,15 @@ class ScriptedServer:
         self.listener.close()
 
 
-def ndjson_answer(item, *, length=True, close=False) -> bytes:
+def ndjson_answer(
+    item, *, length=True, close=False, kind="elements", done=None
+) -> bytes:
+    done = {"count": 1} if done is None else done
     body = (
-        json.dumps({"item": item}) + "\n" + json.dumps({"done": {"count": 1}}) + "\n"
+        json.dumps({"item": item}) + "\n" + json.dumps({"done": done}) + "\n"
     ).encode()
     head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
-    head += "X-Result-Kind: elements\r\nX-Archive-Generation: 7\r\n"
+    head += f"X-Result-Kind: {kind}\r\nX-Archive-Generation: 7\r\n"
     if length:
         head += f"Content-Length: {len(body)}\r\n"
     if close:
@@ -652,6 +655,25 @@ def test_client_wants_a_length_or_a_close(scripted):
         with pytest.raises(RemoteError, match="Unreadable response"):
             db.versions()
     assert server.connections == 4
+
+
+def test_client_skips_stats_fields_it_does_not_know(scripted):
+    """An older server's done record still names the process pool's
+    ``parallel_chunks`` and ``workers_used``: the answer decodes, and
+    the counters the client knows arrive intact."""
+    stats = {
+        "archive_nodes_visited": 5, "index_lookups": 2, "chunks_pruned": 1,
+        "parallel_chunks": 3, "workers_used": 2,
+    }
+    done = {"version": 2, "stats": stats, "count": 1}
+    server = scripted([(ndjson_answer("v2-0", kind="strings", done=done), "keep")])
+    with connect(server.url, timeout=5) as db:
+        result = db.at(2).select("//val/text()")
+        assert result.all() == ["v2-0"]
+    assert result.stats == QueryStats(
+        archive_nodes_visited=5, index_lookups=2, chunks_pruned=1
+    )
+    assert result.done["stats"]["workers_used"] == 2
 
 
 def test_client_drains_a_half_read_stream_and_fills_the_result(served):

@@ -3,11 +3,11 @@ Sec. 5 memory workaround."""
 
 import json
 import os
-import pickle
 import shutil
 
 import pytest
 
+import repro
 from repro.core import Archive, ArchiveError, ArchiveOptions, documents_equivalent
 from repro.data import OmimGenerator, omim_key_spec
 from repro.data.omim import OMIM_KEY_TEXT, OmimChangeRates
@@ -23,7 +23,6 @@ from repro.storage import (
     fsck_archive,
     inject,
     open_archive,
-    parallel,
     read_manifest,
     restore_key_order,
 )
@@ -614,40 +613,71 @@ class TestPartition:
         assert to_string(document) == before
         assert all(record.parent is document for record in records)
 
-    def test_workers_receive_slices_not_documents(
+
+class TestBatch:
+    def _store(self, path):
+        return create_archive(
+            str(path), OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS,
+            codec="xbin",
+        )
+
+    def test_two_batches_write_what_one_batch_writes(self, tmp_path, churn):
+        one = self._store(tmp_path / "one")
+        one.ingest_batch(_copy(version) for version in churn[:6])
+        one.close()
+        two = self._store(tmp_path / "two")
+        two.ingest_batch(_copy(version) for version in churn[:3])
+        two.ingest_batch(_copy(version) for version in churn[3:6])
+        two.close()
+        assert _payloads(tmp_path / "one") == _payloads(tmp_path / "two")
+        # Creation is commit 1; the split store committed once more.
+        assert read_manifest(str(tmp_path / "one")).generation == 2
+        assert read_manifest(str(tmp_path / "two")).generation == 3
+
+    def test_on_chunk_is_handed_the_merged_tree(
         self, tmp_path, churn, monkeypatch
     ):
-        """A record's ``parent`` points at the caller's document; a task
-        pickle that followed it would ship every whole version to every
-        worker."""
-        documents = [_copy(version) for version in churn[:3]]
-        whole = sum(len(pickle.dumps(document)) for document in documents)
-        blobs = []
-        original = pickle.dumps
-
-        def recording(obj, *args, **kwargs):
-            blob = original(obj, *args, **kwargs)
-            blobs.append(len(blob))
-            return blob
-
-        monkeypatch.setattr(parallel.pickle, "dumps", recording)
-        backend = create_archive(
-            str(tmp_path / "w2"), OMIM_KEY_TEXT, kind="chunked",
-            chunk_count=CHUNKS, codec="xbin", workers=2,
+        """The hook gets the tree the batch merged, not a decode of what
+        it published: a batch decodes each existing chunk once."""
+        path = tmp_path / "s"
+        store = self._store(path)
+        store.ingest_batch(_copy(version) for version in churn[:3])
+        decodes = _count_decodes(monkeypatch, "xbin")
+        landed = {}
+        store.ingest_batch(
+            (_copy(version) for version in churn[3:6]),
+            on_chunk=lambda index, archive: landed.__setitem__(
+                index, archive.to_xml_string()
+            ),
         )
-        backend.ingest_batch(documents)
-        monkeypatch.undo()
-        assert len(blobs) == CHUNKS
-        # Every record travels once; the rest is per-task overhead
-        # (the key spec, one shell per version).
-        assert sum(blobs) < 1.5 * whole
-        assert max(blobs) < 0.6 * whole
-        serial = create_archive(
-            str(tmp_path / "w1"), OMIM_KEY_TEXT, kind="chunked",
-            chunk_count=CHUNKS, codec="xbin",
-        )
-        serial.ingest_batch(_copy(version) for version in churn[:3])
-        assert _payloads(tmp_path / "w2") == _payloads(tmp_path / "w1")
+        assert len(decodes) == CHUNKS
+        assert sorted(landed) == list(range(CHUNKS))
+        store.close()
+        fresh = open_archive(str(path))
+        for index, text in landed.items():
+            assert text == fresh.load_part(index).to_xml_string()
+        fresh.close()
+
+    def test_workers_is_accepted_and_ignored(self, tmp_path, churn):
+        """``create_archive``, ``open_archive`` and ``repro.open`` still
+        take ``workers=`` and answer exactly as without it."""
+        answers = {}
+        for label, extra in (("plain", {}), ("workers", {"workers": 2})):
+            path = str(tmp_path / label)
+            store = create_archive(
+                path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS,
+                codec="xbin", **extra,
+            )
+            store.ingest_batch(_copy(version) for version in churn[:4])
+            store.recode("gzip")
+            store.close()
+            reader = open_archive(path, **extra)
+            retrieved = to_string(reader.retrieve(4))
+            reader.close()
+            with repro.open(path, **extra) as db:
+                selected = [to_string(e) for e in db.at(4).select("/ROOT/Record")]
+            answers[label] = (_payloads(path), retrieved, selected)
+        assert answers["plain"] == answers["workers"]
 
 
 # -- stores from before the manifest carried the presence map -----------------
