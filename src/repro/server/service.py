@@ -16,8 +16,8 @@ The concurrency model ``xarchd`` promises:
   appends content — so an answer at any version the pin covers is
   byte-identical in every later generation.  Torn *logical* reads are
   therefore impossible; the only cross-generation race left is
-  physical: a payload republished between the pin and a read no longer
-  hashes to the pinned checksum view and surfaces as
+  physical: a payload republished between the pin and a cache miss
+  on it no longer hashes to the pinned checksum view and surfaces as
   :class:`~repro.storage.integrity.IntegrityError` although nothing is
   corrupt.  :meth:`ArchiveService.read` reconciles that race by
   re-pinning and retrying the whole (idempotent, generation-invariant)
@@ -48,8 +48,10 @@ The concurrency model ``xarchd`` promises:
   wrote it (this server, ``xarch add``, another process).  Should an
   entry ever outlive its generation (a reused inode within one
   timestamp tick), it names an older pin: answers from it are that
-  generation's, still correct, until its first read of a re-published
-  chunk fails the checksum and the reconcile below drops entry and pin.
+  generation's, still correct — a decoded-chunk cache hit answers from
+  the tree that generation verified, never a mix — until its first
+  miss on a re-published chunk fails the checksum and the reconcile
+  below drops entry and pin.
 
 Read callbacks must *fully materialize* their answer before returning
 — the pin is released when the callback does, and laziness would leak

@@ -46,6 +46,7 @@ from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from ..xmltree.serializer import to_string
 from .backend import (
+    Loaded,
     Manifest,
     PartitionedBackend,
     RecodeReport,
@@ -169,28 +170,32 @@ class ExternalArchiver(StorageBackend):
     def _part_name(self, part=STREAM_NAME) -> str:
         return STREAM_NAME
 
-    def _verify_stream(self) -> None:
+    def _verify_stream(self) -> bool:
         """Check the event stream against its recorded checksum under
-        the read policy, before any parse touches it."""
+        the read policy, before any parse touches it; whether it hashed
+        the stream."""
         if self.verify == "never":
-            return
+            return False
         if self.verify == "open" and STREAM_NAME in self._verified:
-            return
+            return False
         if STREAM_NAME in self._checksums.quarantined:
             raise IntegrityError(
                 f"Event stream {STREAM_NAME!r} was quarantined by fsck "
                 f"--repair; restore it from quarantine/ or re-ingest"
             )
-        verify_file(
-            STREAM_NAME, self.archive_path, self._checksums.entry(STREAM_NAME)
-        )
+        expected = self._checksums.entry(STREAM_NAME)
+        verify_file(STREAM_NAME, self.archive_path, expected)
         self._verified.add(STREAM_NAME)
+        return expected is not None
 
     def _events(self, stats: IOStats) -> Iterator[Event]:
         """The stream's events, verified under the read policy before
         any parse touches it; the empty archive's while no stream is
         stored."""
         self._verify_stream()
+        return self._stored_events(stats)
+
+    def _stored_events(self, stats: IOStats) -> Iterator[Event]:
         if not os.path.exists(self.archive_path):
             return iter(_empty_stream())
         return read_events(self.archive_path, stats, self.codec)
@@ -469,12 +474,21 @@ class ExternalArchiver(StorageBackend):
         options shape the product).
         """
         if options is not None:
-            return self._materialize(options)
-        return self._cached(STREAM_NAME, self.archive_bytes(), self._materialize)
+            return self._materialize(self._events(self.io_stats), options)
+        return self._cached(STREAM_NAME, self._load)
 
-    def _materialize(self, options: Optional[ArchiveOptions] = None) -> Archive:
+    def _load(self) -> Loaded:
+        """One cold materialization: verify, then read the stream once."""
+        hashed = self._verify_stream()
+        size = self.archive_bytes()
+        archive = self._materialize(self._stored_events(self.io_stats))
+        return archive, size, hashed
+
+    def _materialize(
+        self, stream: Iterator[Event], options: Optional[ArchiveOptions] = None
+    ) -> Archive:
         archive = Archive(self.spec, options)
-        events = PeekableEvents(self._events(self.io_stats))
+        events = PeekableEvents(stream)
         root = events.next()
         assert isinstance(root, NodeEvent) and root.timestamp is not None
         archive.root = ArchiveNode(

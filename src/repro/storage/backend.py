@@ -67,6 +67,11 @@ MANIFEST_FORMAT = 1
 #: Per-version ingest progress callback: ``(version_number, stats)``.
 OnVersion = Optional[Callable[[int, MergeStats], None]]
 
+#: What a decoded-chunk cache miss loads (:meth:`StorageBackend._cached`):
+#: the decoded tree, its at-rest bytes (``None`` when nothing is stored)
+#: and whether the read hashed them against the recorded checksum.
+Loaded = tuple[Archive, Optional[int], bool]
+
 
 # -- the manifest -------------------------------------------------------------
 
@@ -101,6 +106,10 @@ class Manifest:
     generation: int = 0
     format_version: int = MANIFEST_FORMAT
     extra: dict = field(default_factory=dict)
+    #: SHA-256 of the bytes this manifest was read from (``None`` for
+    #: one built in memory): what a checksum table of the same commit
+    #: records for it.
+    digest: Optional[str] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> str:
         record = {
@@ -256,7 +265,9 @@ def read_manifest(path: str) -> Optional[Manifest]:
             f"Archive manifest {location!r} is not valid UTF-8 "
             f"(corrupt manifest): {error}"
         )
-    return Manifest.from_json(text)
+    manifest = Manifest.from_json(text)
+    manifest.digest = hashlib.sha256(raw).hexdigest()
+    return manifest
 
 
 # -- the storage contract -----------------------------------------------------
@@ -454,6 +465,7 @@ class StorageBackend(abc.ABC):
         if manifest is None:
             manifest = read_manifest(self.storage_root)
         self._checksums = self._load_checksums(manifest)
+        self._check_one_commit(manifest)
         self._verified = set()
         self._adopt(manifest)
         if codec is None and manifest is not None:
@@ -468,6 +480,28 @@ class StorageBackend(abc.ABC):
             os.path.join(self.storage_root, CHECKSUMS_NAME)
         )
 
+    def _check_one_commit(self, manifest: Optional[Manifest]) -> None:
+        """Refuse a manifest and a checksum sidecar of different commits.
+
+        A commit renames the manifest into place before the sidecar, so
+        an open racing it can read the new manifest beside the old
+        table.  Cache keys come from the table alone (:meth:`_cached`),
+        so such a handle would be handed the old trees as the new
+        generation's; the sidecar records the manifest's own bytes, and
+        a mismatch is raised here instead, as the race it is (a
+        snapshot reader re-pins) or damage (``fsck`` reports it)."""
+        if manifest is None or manifest.digest is None:
+            return
+        recorded = self._checksums.entry(MANIFEST_NAME)
+        if self._checksums.path is None or recorded is None:
+            return
+        if recorded.get("sha256") != manifest.digest:
+            raise ManifestInconsistent(
+                f"The manifest of {self.storage_root!r} is not the one its "
+                f"checksum sidecar records (a commit publishing meanwhile, "
+                f"or damage): reopen the archive"
+            )
+
     # -- the decoded-chunk cache ---------------------------------------------
 
     def _part_name(self, part) -> str:
@@ -478,12 +512,13 @@ class StorageBackend(abc.ABC):
         """Staleness token for a part's cache key (``None``: don't cache).
 
         The recorded sha256 is the precise token — a commit that
-        republishes the part rewrites its checksum, and reads verify
-        the bytes against this very table before any decode, so a hit
-        can never shadow bytes this handle would not itself have
-        decoded.  Layouts without a recorded checksum fall back to the
-        manifest generation (coarser: any commit invalidates the whole
-        archive's entries); with neither, the part is not cached.
+        republishes the part rewrites its checksum, and only bytes
+        hashed against this very checksum are ever filed under it
+        (:meth:`_cached`), so a hit hands back exactly what a verified
+        read of this handle would have decoded.  Layouts without a
+        recorded checksum fall back to the manifest generation (coarser:
+        any commit invalidates the whole archive's entries); with
+        neither, the part is not cached.
         """
         entry = self._checksums.entry(self._part_name(part))
         if entry is not None and entry.get("sha256"):
@@ -502,24 +537,37 @@ class StorageBackend(abc.ABC):
             return None
         return (self.storage_root, part, token)
 
-    def _cached(self, part, size: int, decode: Callable[[], Archive]) -> Archive:
-        """One part's decoded tree (``size`` bytes at rest), shared
-        through the decoded-chunk cache when the part has a
-        :meth:`_cache_key` — costed there at ``size`` plus the decoded
-        body the tree keeps alive (``Archive.body_bytes``).  What comes
-        back is then shared with other readers: fine for every read,
-        never for mutation."""
+    def _cached(self, part, load: Callable[[], Loaded]) -> Archive:
+        """One part's decoded tree, asked of the decoded-chunk cache
+        before anything touches the disk.
+
+        The key comes from what the handle holds (:meth:`_cache_key`),
+        so a hit costs a dict lookup: no stat, no read, no hash.  A miss
+        runs ``load`` — the backend's read, verified under its policy,
+        then its decode — which returns the tree, its at-rest size
+        (``None`` when nothing is stored) and whether that read hashed
+        the bytes against the recorded checksum.  The tree is installed,
+        costed at its size plus the decoded body it keeps alive
+        (``Archive.body_bytes``), only if that read hashed it against
+        the checksum it is filed under — a ``verify="never"`` handle, or
+        an ``"open"`` one re-reading a file, answers its own read but
+        shares nothing — or if it is filed under the generation (an
+        uncovered payload: nothing to hash against).  What comes back
+        may be shared with other readers: fine for every read, never for
+        mutation."""
         key = self._cache_key(part)
         if key is None:
-            return decode()
+            return load()[0]
         cache = chunk_cache()
         archive = cache.get(key)
         if archive is not None:
             self.cache_hits += 1
             return archive
         self.cache_misses += 1
-        archive = decode()
-        cache.put(key, archive, size + archive.body_bytes)
+        archive, size, hashed = load()
+        # The token is a recorded sha256 (str) or a generation (tuple).
+        if size is not None and (hashed or not isinstance(key[2], str)):
+            cache.put(key, archive, size + archive.body_bytes)
         return archive
 
     def _handle_counters(self, stats: ArchiveStats) -> ArchiveStats:
@@ -644,8 +692,9 @@ class FileBackend(StorageBackend):
     def _bootstrap(self, txn: ArchiveTxn) -> None:
         txn.put(self.path, self.codec.encode_archive(self.archive))
 
-    def _read_payload(self) -> Optional[bytes]:
-        """The verified at-rest bytes, or ``None`` when nothing is stored.
+    def _read_payload(self) -> tuple[Optional[bytes], bool]:
+        """The verified at-rest bytes (``None`` when nothing is stored),
+        and whether this read hashed them.
 
         The payload is verified against the manifest's recorded
         checksum under the backend's ``verify`` policy before the codec
@@ -656,16 +705,20 @@ class FileBackend(StorageBackend):
             with open(self.path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            return None
-        self._checksums.verify(
+            return None, False
+        hashed = self._checksums.verify(
             self._part_name(), data, self.verify, self._verified
         )
-        return data
+        return data, hashed
 
     def _decode(self, data: Optional[bytes]) -> Archive:
         if data is None:
             return Archive(self.spec, self.options)
         return self.codec.decode_archive(data, self.spec, self.options)
+
+    def _load(self) -> Loaded:
+        data, hashed = self._read_payload()
+        return self._decode(data), None if data is None else len(data), hashed
 
     @property
     def archive(self) -> Archive:
@@ -677,14 +730,8 @@ class FileBackend(StorageBackend):
         mutation, which goes through :meth:`_ensure_private_archive`.
         """
         if self._archive is None:
-            data = self._read_payload()
-            if data is None:
-                self._archive = self._decode(None)
-            else:
-                self._archive = self._cached(
-                    0, len(data), lambda: self._decode(data)
-                )
-                self._archive_shared = self._cache_key(0) is not None
+            self._archive = self._cached(0, self._load)
+            self._archive_shared = self._cache_key(0) is not None
         return self._archive
 
     def _ensure_private_archive(self) -> Archive:
@@ -695,7 +742,7 @@ class FileBackend(StorageBackend):
         shared (or not-yet-loaded) archive is decoded fresh, bypassing
         the cache entirely."""
         if self._archive is None or self._archive_shared:
-            self._archive = self._decode(self._read_payload())
+            self._archive = self._decode(self._read_payload()[0])
             self._archive_shared = False
         if self._archive.kept is None and chunk_cache().enabled:
             # A tree a writer holds keeps the blocks it encodes and the
@@ -844,8 +891,11 @@ def open_archive(
     fingerprint the manifest records, so a wrong keys file fails loudly
     instead of mis-merging.
 
-    ``verify`` sets the checksum policy for reads (``"always"``,
-    ``"open"`` — once per file per handle — or ``"never"``);
+    ``verify`` sets the checksum policy for reads (``"always"`` — every
+    byte that is decoded is hashed first —, ``"open"`` — once per file
+    per handle — or ``"never"``); a decoded-chunk cache hit decodes
+    nothing and so reads and hashes nothing, under every policy, and
+    only trees decoded from hashed bytes are shared through the cache;
     ``on_corrupt`` sets the chunked backend's per-chunk degradation
     policy (``"raise"`` or ``"skip"`` corrupt chunks during retrieval).
     ``workers`` is accepted and ignored: every chunk loop runs serially.

@@ -14,13 +14,26 @@ staleness pattern of ``KeyIndex``/PR 9 sharpened to its fixpoint: a WAL
 commit that republishes a chunk gives it a new checksum (new key, old
 entry ages out of the LRU), while commits that *don't* touch the chunk
 keep its token — so readers across generations share one decode and a
-publish invalidates exactly the republished chunks.  A crashed commit
-never poisons the cache: tokens come from the sidecar state the reader
-verified its bytes against, so an entry can only ever be installed for
-payload bytes that actually decoded.  Chunks without a recorded
-checksum (legacy layouts, ``verify="never"`` handles without a sidecar)
-fall back to the manifest generation as token — and are simply not
-cached when there is no generation either.
+publish invalidates exactly the republished chunks.  The key is built
+from what the handle already holds, so the cache is asked *first*: a
+hit costs a dict lookup and touches no file — no stat, no read, no
+SHA-256.  Only a miss reads, verifies under the handle's policy and
+decodes (:meth:`~repro.storage.backend.StorageBackend._cached`).  An
+entry is therefore a promise about bytes, and a miss installs its tree
+only if that very read hashed the bytes against the checksum it files
+them under: a ``verify="never"`` handle, or a ``verify="open"`` one
+re-reading a file after eviction, answers its own read and shares
+nothing.  A crashed commit never poisons the cache either: tokens come
+from the sidecar state the reader verified its bytes against.  Since a
+hit trusts that sidecar without reading a byte, an open refuses a
+sidecar of another commit than its manifest (one racing a publish,
+which renames the manifest first).  Chunks
+without a recorded checksum (legacy layouts) fall back to the manifest
+generation as token — there is nothing to hash against, and they are
+installed as read — and are simply not cached when there is no
+generation either.  Damage that lands on disk after a verified decode
+is reported by the next miss (or by ``fsck``); until then a hit answers
+with the verified tree from before it.
 
 **Sharing discipline.**  Cached archives are shared read-only across
 handles and threads; writers never consult *this* cache (a writer

@@ -72,6 +72,7 @@ from ..keys.annotate import (
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .backend import (
+    Loaded,
     Manifest,
     OnVersion,
     RecodeReport,
@@ -344,7 +345,7 @@ class ChunkedArchiver(StorageBackend):
     # -- chunk file plumbing ----------------------------------------------------
 
     def _chunk_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"chunk-{index:04d}.xml")
+        return os.path.join(self.directory, self._part_name(index))
 
     def _presence_path(self, index: int) -> str:
         return os.path.join(self.directory, f"chunk-{index:04d}.presence")
@@ -358,9 +359,10 @@ class ChunkedArchiver(StorageBackend):
         paths = [self._presence_path(index) for index in range(self.chunk_count)]
         return paths + [self._meta_path()]
 
-    def _verify_payload(self, path: str, data: bytes) -> None:
-        """Check one read against the sidecar under the verify policy."""
-        self._checksums.verify(
+    def _verify_payload(self, path: str, data: bytes) -> bool:
+        """Check one read against the sidecar under the verify policy;
+        whether it hashed the bytes."""
+        return self._checksums.verify(
             os.path.basename(path), data, self.verify, self._verified
         )
 
@@ -401,15 +403,18 @@ class ChunkedArchiver(StorageBackend):
         confusing decode failure.  Every decode of a stored chunk starts
         from these bytes.
         """
+        return self._read_part(index)[0]
+
+    def _read_part(self, index: int) -> tuple[Optional[bytes], bool]:
+        """:meth:`read_part_payload`, and whether the read hashed."""
         path = self._chunk_path(index)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
             self._check_absent(path)
-            return None
-        self._verify_payload(path, data)
-        return data
+            return None, False
+        return data, self._verify_payload(path, data)
 
     def _read_chunk_text(self, index: int) -> Optional[str]:
         """Decoded XML text of a stored chunk (``None`` when absent)."""
@@ -419,29 +424,36 @@ class ChunkedArchiver(StorageBackend):
         return self.codec.decode_document(data)
 
     def _part_name(self, part) -> str:
-        return os.path.basename(self._chunk_path(part))
+        return f"chunk-{part:04d}.xml"
+
+    def _empty_chunk(self) -> Archive:
+        """What an absent chunk holds: nothing, at every version so far
+        (chunk timestamps stay globally aligned)."""
+        archive = Archive(self.spec, self.options)
+        for _ in range(self._version_count):
+            archive.add_version(None)
+        return archive
+
+    def _decode_chunk(self, index: int) -> Loaded:
+        """One cold load of a stored chunk: read, verify, decode."""
+        data, hashed = self._read_part(index)
+        if data is None:
+            return self._empty_chunk(), None, False
+        archive = self.codec.decode_archive(data, self.spec, self.options)
+        return archive, len(data), hashed
 
     def _load_chunk(self, index: int, for_write: bool = False) -> Archive:
+        if not for_write:
+            return self._cached(index, lambda: self._decode_chunk(index))
         data = self.read_part_payload(index)
         if data is None:
-            archive = Archive(self.spec, self.options)
-            # Bring the fresh chunk up to the current version count so
-            # chunk timestamps stay globally aligned.
-            for _ in range(self._version_count):
-                archive.add_version(None)
-            return archive
-
-        def decode() -> Archive:
-            return self.codec.decode_archive(data, self.spec, self.options)
-
-        if not for_write:
-            return self._cached(index, len(data), decode)
+            return self._empty_chunk()
         # Checked out, not peeked at: the writer merges into the tree
         # in place, so from here on it is held by nobody.
         held = self._held.pop(index, None)
         if held is not None and held[0] == self._cache_token(index):
             return held[1]
-        return decode()
+        return self.codec.decode_archive(data, self.spec, self.options)
 
     def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
         extra: dict = {"chunk_count": self.chunk_count}
@@ -573,7 +585,14 @@ class ChunkedArchiver(StorageBackend):
         return self.chunk_count
 
     def part_exists(self, index: int) -> bool:
-        return os.path.exists(self._chunk_path(index))
+        """Whether the chunk is stored: any chunk the checksum table
+        covers is, without a look at the disk (a covered chunk that has
+        gone missing raises on its first uncached load); only an
+        uncovered one — a legacy store's, or one never written — is
+        looked for."""
+        return self._checksums.covers(self._part_name(index)) or os.path.exists(
+            self._chunk_path(index)
+        )
 
     def load_part(self, index: int) -> Archive:
         return self._load_chunk(index)
@@ -665,7 +684,7 @@ class ChunkedArchiver(StorageBackend):
         merged: list[tuple[int, str, bytes]] = []
         trees: dict[int, Archive] = {}  # kept only for ``on_chunk``
         for index in range(self.chunk_count):
-            if not self.part_exists(index) and not any(
+            if not os.path.exists(self._chunk_path(index)) and not any(
                 index in parts for parts in partitions
             ):
                 continue  # never stored, never mentioned: stay lazy
@@ -713,9 +732,10 @@ class ChunkedArchiver(StorageBackend):
         def parts():
             for index in range(self.chunk_count):
                 try:
-                    if not os.path.exists(self._chunk_path(index)):
-                        # Raises when the sidecar says the chunk should
-                        # exist (deleted or quarantined); silent when lazy.
+                    if not self.part_exists(index):
+                        # Raises when fsck quarantined the chunk; silent
+                        # when lazy.  A covered chunk that went missing
+                        # raises in its load instead, unless cached.
                         self._check_absent(self._chunk_path(index))
                         continue
                     presence = self.chunk_presence(index)
@@ -737,7 +757,7 @@ class ChunkedArchiver(StorageBackend):
         """Summed full-scan baseline across the stored chunks."""
         total = 0
         for index in range(self.chunk_count):
-            if os.path.exists(self._chunk_path(index)):
+            if self.part_exists(index):
                 total += self._load_chunk(index).scan_probe_count(version)
         return total
 
@@ -750,7 +770,7 @@ class ChunkedArchiver(StorageBackend):
         """
 
         def attempt(index: int):
-            if not os.path.exists(self._chunk_path(index)):
+            if not self.part_exists(index):
                 self._check_absent(self._chunk_path(index))
                 return None
             return self._load_chunk(index).history(path)
@@ -784,7 +804,7 @@ class ChunkedArchiver(StorageBackend):
         shell_changes: list[tuple[Archive, Change]] = []
         presence = VersionSet()
         for index in range(self.chunk_count):
-            if not os.path.exists(self._chunk_path(index)):
+            if not self.part_exists(index):
                 continue
             archive = self._load_chunk(index)
             presence = presence.union(_chunk_presence_of(archive))

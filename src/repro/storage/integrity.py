@@ -12,8 +12,14 @@ plane closes that gap:
   backends — published through the same WAL commit as the payload
   itself, so checksums and bytes are never torn apart;
 * reads verify under a configurable policy (``verify="always"``:
-  every read, the default; ``"open"``: once per file per backend
-  instance; ``"never"``: trust the disk);
+  every byte that is decoded is hashed first, the default; ``"open"``:
+  once per file per backend instance; ``"never"``: trust the disk).
+  A decoded-chunk cache hit reads no bytes, so it hashes none: it
+  hands back a tree decoded from bytes that were hashed against the
+  very checksum that keys it (:mod:`repro.storage.cache`).  Damage that
+  lands on disk after such a decode is reported by the next miss, or
+  by ``fsck``; until then the cache keeps answering with the verified
+  tree;
 * failures raise a *typed* :class:`IntegrityError` — readers can tell
   a short file (:class:`TruncatedPayload`) from flipped bits
   (:class:`ChecksumMismatch`) from metadata that contradicts the data
@@ -262,8 +268,9 @@ class ChecksumSidecar:
 
     def verify(
         self, name: str, data: bytes, policy: str, verified: set
-    ) -> None:
-        """Verify payload bytes under a read policy.
+    ) -> bool:
+        """Verify payload bytes under a read policy; whether ``data``
+        was hashed against a recorded checksum by this call.
 
         ``verified`` is the caller's per-instance memo for the
         ``"open"`` policy (verify once per file, then trust the
@@ -276,8 +283,10 @@ class ChecksumSidecar:
                 f"restore it from {QUARANTINE_DIR}/ or re-ingest"
             )
         if policy == "never":
-            return
+            return False
         if policy == "open" and name in verified:
-            return
-        verify_bytes(name, data, self.entries.get(name))
+            return False
+        expected = self.entries.get(name)
+        verify_bytes(name, data, expected)
         verified.add(name)
+        return expected is not None

@@ -5,17 +5,29 @@ with caching on or off across every backend × codec, repeat reads
 must actually hit, a publish
 must invalidate exactly the republished chunks (token bump), and a
 crashed commit must never leave an entry that shadows what a cache-free
-reader would see.
+reader would see.  A hit is asked before any file is touched, so a warm
+read stats, reads and hashes nothing, and only bytes a read hashed
+against their checksum ever enter the cache.
 """
 
+import dataclasses
 import os
 
 import pytest
 
+import repro
+from repro.core.archive import _parse_history_path
+from repro.core.tstree import ProbeCount
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
+from repro.keys.annotate import KeyLabel
 from repro.storage import (
+    ChecksumMismatch,
+    ChunkedArchiver,
     CrashPoint,
+    ExternalArchiver,
     FaultInjector,
+    FileBackend,
+    ManifestInconsistent,
     create_archive,
     fsck_archive,
     inject,
@@ -26,7 +38,7 @@ from repro.storage.cache import (
     chunk_cache,
     reset_chunk_cache,
 )
-from repro.xmltree import to_pretty_string
+from repro.xmltree import to_pretty_string, to_string
 
 BACKENDS = ["file", "chunked", "external"]
 CODECS = ["raw", "gzip", "xmill", "xbin"]
@@ -352,3 +364,382 @@ class TestCrashSafety:
         assert retrievals(bare) == answers
         bare.close()
         assert answers == pre  # op 0 dies before any publication
+
+
+# -- the hit path: a warm read touches no file --------------------------------
+
+#: OMIM at the shape of the e2e stores: 40 records in 4 chunks, 3 versions.
+OMIM_VERSIONS = 3
+DENSE = "/ROOT/Record/Num/text()"
+
+
+def keyed(num):
+    return f"/ROOT/Record[Num='{num}']"
+
+
+def record_path(num):
+    return f"/ROOT/Record[Num={num}]"
+
+
+@pytest.fixture
+def omim_store(tmp_path):
+    """A 4-chunk OMIM store (seed 1, 40 records) and two record keys
+    alive at version 1."""
+    from repro.data import OmimGenerator
+    from repro.data.omim import OMIM_KEY_TEXT
+
+    documents = list(
+        OmimGenerator(seed=1, initial_records=40).generate_versions(OMIM_VERSIONS)
+    )
+    path = str(tmp_path / "omim")
+    backend = create_archive(
+        path, OMIM_KEY_TEXT, kind="chunked", chunk_count=4, codec="xbin"
+    )
+    backend.ingest_batch(documents)
+    backend.close()
+    nums = [record.find("Num").text_content() for record in documents[0].children]
+    return path, nums[:2]
+
+
+def cycle(handle, nums):
+    """One retrieve, keyed select, dense select and history."""
+    db = repro.open(handle)
+    return (
+        to_pretty_string(handle.retrieve(OMIM_VERSIONS)),
+        [to_string(element) for element in db.at(1).select(keyed(nums[0]))],
+        db.at(1).select(DENSE).all(),
+        str(db.history(record_path(nums[1]))),
+    )
+
+
+def oracle(path, nums):
+    """:func:`cycle` on a fresh handle with the cache switched off."""
+    reset_chunk_cache(0)
+    bare = open_archive(path, recover=False)
+    try:
+        return cycle(bare, nums)
+    finally:
+        bare.close()
+        reset_chunk_cache()
+
+
+def owner(handle, num):
+    """The chunk a record's key hashes to."""
+    step = _parse_history_path(record_path(num))[1]
+    return handle.chunk_index_for_label(KeyLabel(tag=step[0], key=step[1]))
+
+
+def refuse(monkeypatch, cls, *names):
+    """Make ``cls``'s disk reads fail the test if anything calls them."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{cls.__name__} touched the disk on a hit")
+
+    for name in names:
+        monkeypatch.setattr(cls, name, refused)
+
+
+def watch_exists(monkeypatch):
+    """Record every path ``os.path.exists`` is asked about."""
+    looked = []
+    real = os.path.exists
+
+    def exists(path):
+        looked.append(os.fspath(path))
+        return real(path)
+
+    monkeypatch.setattr(os.path, "exists", exists)
+    return looked
+
+
+def flip_a_byte(path):
+    """Flip one byte in the middle of a file, keeping its size."""
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[len(data) // 2] ^= 0x01
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+
+
+class TestAWarmReadTouchesNoFile:
+    def test_chunked_warm_cycle_reads_and_stats_nothing(
+        self, omim_store, monkeypatch
+    ):
+        path, nums = omim_store
+        expected = oracle(path, nums)
+        reader = open_archive(path, recover=False)
+        assert cycle(reader, nums) == expected  # the warm-up
+        looked = watch_exists(monkeypatch)
+        refuse(monkeypatch, ChunkedArchiver, "read_part_payload", "_read_part")
+        misses = chunk_cache().misses
+        for _ in range(2):
+            assert cycle(reader, nums) == expected
+        assert chunk_cache().misses == misses
+        assert [p for p in looked if os.path.basename(p).startswith("chunk-")] == []
+        reader.close()
+
+    def test_a_second_file_handle_hits_without_a_read(
+        self, tmp_path, versions, monkeypatch
+    ):
+        path = build(tmp_path, "file", "xbin", versions)
+
+        def reads(handle):
+            db = repro.open(handle)
+            return (
+                retrievals(handle),
+                db.at(handle.last_version).select("/db/dept/name/text()").all(),
+                str(db.history("/db/dept[name=finance]")),
+            )
+
+        first = open_archive(path, cache_reads=True)
+        expected = reads(first)
+        first.close()
+        refuse(monkeypatch, FileBackend, "_read_payload")
+        second = open_archive(path, cache_reads=True)
+        assert reads(second) == expected
+        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        second.close()
+
+    def test_a_second_external_handle_hits_without_a_read(
+        self, tmp_path, versions, monkeypatch
+    ):
+        path = build(tmp_path, "external", "xbin", versions)
+        first = open_archive(path, cache_reads=True)
+        expected = first.to_archive().to_xml_string()
+        first.close()
+        looked = watch_exists(monkeypatch)
+        refuse(monkeypatch, ExternalArchiver, "_verify_stream", "_stored_events")
+        second = open_archive(path, cache_reads=True)
+        assert second.to_archive().to_xml_string() == expected
+        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        assert second.archive_path not in looked
+        second.close()
+
+    def test_damage_after_a_verified_decode(self, omim_store):
+        """A hit answers with the tree its verified decode built; the
+        next miss, and fsck, report the damage."""
+        path, nums = omim_store
+        expected = oracle(path, nums)
+        reader = open_archive(path, recover=False)
+        assert cycle(reader, nums) == expected
+        victim = f"chunk-{owner(reader, nums[0]):04d}.xml"
+        flip_a_byte(os.path.join(path, victim))
+        assert cycle(reader, nums) == expected
+        reset_chunk_cache()
+        with pytest.raises(ChecksumMismatch):
+            cycle(reader, nums)
+        reader.close()
+        report = fsck_archive(path)
+        assert [
+            finding.code for finding in report.findings if victim in finding.path
+        ] == ["checksum-mismatch"]
+
+    def test_an_open_between_manifest_and_table_renames_is_refused(
+        self, omim_store
+    ):
+        """A commit renames the manifest before the checksum sidecar.
+        An open in between holds the new generation's manifest beside
+        the old table, whose trees the cache still holds: it must raise
+        (a snapshot reader re-pins), not answer the new version with
+        the old generation's trees."""
+        from repro.data import OmimGenerator
+
+        path, nums = omim_store
+        warm = open_archive(path, recover=False)
+        cycle(warm, nums)
+        warm.close()
+        table = os.path.join(path, "checksums.json")
+        with open(table, "rb") as handle:
+            old_table = handle.read()
+        documents = OmimGenerator(seed=1, initial_records=40).generate_versions(
+            OMIM_VERSIONS + 1
+        )
+        writer = open_archive(path)
+        writer.add_version(list(documents)[-1])
+        writer.close()
+        with open(table, "rb") as handle:
+            new_table = handle.read()
+        with open(table, "wb") as handle:
+            handle.write(old_table)  # the sidecar rename has not landed
+        with pytest.raises(ManifestInconsistent):
+            open_archive(path, recover=False)
+        with open(table, "wb") as handle:
+            handle.write(new_table)
+        reader = open_archive(path, recover=False)
+        db = repro.open(reader)
+        assert len(db.at(OMIM_VERSIONS + 1).select(DENSE).all()) > 0
+        reader.close()
+
+    def test_each_decode_is_one_miss(self, omim_store):
+        path, _ = omim_store
+        cache = chunk_cache()
+        reader = open_archive(path, recover=False)
+        stored = [i for i in range(reader.part_count) if reader.part_exists(i)]
+        for _ in range(2):
+            for index in stored:
+                reader.load_part(index)
+        assert (cache.hits, cache.misses) == (len(stored), len(stored))
+        reader.close()
+        # A handle that cannot share what it decodes still asks once
+        # per load, and decodes once per miss.
+        cache = reset_chunk_cache()
+        blind = open_archive(path, recover=False, verify="never")
+        for _ in range(2):
+            for index in stored:
+                blind.load_part(index)
+        assert (cache.hits, cache.misses) == (0, 2 * len(stored))
+        assert cache.entry_count == 0
+        blind.close()
+
+    def test_query_stats_and_probes_cold_and_warm(self, omim_store):
+        """The counters a query reports (wire format) move as before:
+        a cold query misses once per chunk it opens, the same query
+        again hits once per chunk, and nothing else it counts moves."""
+        path, nums = omim_store
+        queries = {"keyed": (keyed(nums[0]), 1), "dense": (DENSE, None)}
+        for name, (expression, opened) in queries.items():
+            reset_chunk_cache()
+            handle = open_archive(path, recover=False)
+            db = repro.open(handle)
+            if opened is None:  # every chunk with records at version 1
+                opened = sum(
+                    1
+                    for index in range(handle.part_count)
+                    if 1 in handle.part_presence(index)
+                )
+            runs = []
+            for _ in range(2):
+                result = db.at(1).select(expression)
+                result.all()
+                runs.append(result.stats)
+            cold, warm = runs
+            assert (cold.cache_hits, cold.cache_misses) == (0, opened), name
+            assert (warm.cache_hits, warm.cache_misses) == (opened, 0), name
+            rest = {"cache_hits": 0, "cache_misses": 0}
+            assert dataclasses.replace(cold, **rest) == dataclasses.replace(
+                warm, **rest
+            ), name
+            handle.close()
+
+        # Probes: the cached handle's first and second retrieve count
+        # what a first and a second retrieve of privately decoded trees
+        # count.
+        reset_chunk_cache(0)
+        private = open_archive(path, recover=False)
+        trees = [
+            private.load_part(index)
+            for index in range(private.part_count)
+            if OMIM_VERSIONS in private.part_presence(index)
+        ]
+        private.close()
+        reset_chunk_cache()
+        reader = open_archive(path, recover=False)
+        for _ in range(2):
+            expected = ProbeCount()
+            for tree in trees:
+                tree.retrieve(OMIM_VERSIONS, probes=expected)
+            probes = ProbeCount()
+            reader.retrieve(OMIM_VERSIONS, probes=probes)
+            assert probes == expected
+        reader.close()
+
+
+class TestOnlyVerifiedBytesAreShared:
+    """A miss installs its tree only if that read hashed the bytes
+    against the checksum the entry is filed under."""
+
+    @pytest.fixture
+    def raw_omim(self, tmp_path):
+        from repro.data import OmimGenerator
+        from repro.data.omim import OMIM_KEY_TEXT
+
+        path = str(tmp_path / "raw")
+        backend = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=4, codec="raw"
+        )
+        backend.ingest_batch(
+            OmimGenerator(seed=1, initial_records=40).generate_versions(2)
+        )
+        backend.close()
+        return path
+
+    @staticmethod
+    def tamper(path):
+        """Change one word of text in a chunk: the file still decodes,
+        but no longer matches its checksum."""
+        for name in sorted(os.listdir(path)):
+            if name.startswith("chunk-"):
+                with open(os.path.join(path, name), "rb") as handle:
+                    data = handle.read()
+                if b"phenotype" in data:
+                    with open(os.path.join(path, name), "wb") as handle:
+                        handle.write(data.replace(b"phenotype", b"PHENOTYPE", 1))
+                    return name
+        raise AssertionError("no chunk to tamper with")
+
+    @staticmethod
+    def read_everything(handle):
+        return [to_pretty_string(handle.retrieve(v)) for v in (1, 2)]
+
+    def test_a_never_handle_shares_nothing(self, raw_omim):
+        self.tamper(raw_omim)
+        blind = open_archive(raw_omim, recover=False, verify="never")
+        assert any("PHENOTYPE" in text for text in self.read_everything(blind))
+        blind.close()
+        assert chunk_cache().entry_count == 0
+        strict = open_archive(raw_omim, recover=False)
+        with pytest.raises(ChecksumMismatch):
+            self.read_everything(strict)
+        strict.close()
+
+    def test_an_open_handle_rereading_after_eviction_shares_nothing(
+        self, raw_omim
+    ):
+        once = open_archive(raw_omim, recover=False, verify="open")
+        self.read_everything(once)  # verified: these trees are shared
+        assert chunk_cache().entry_count > 0
+        reset_chunk_cache()  # evicted
+        self.tamper(raw_omim)
+        assert any("PHENOTYPE" in text for text in self.read_everything(once))
+        once.close()
+        assert chunk_cache().entry_count == 0
+        strict = open_archive(raw_omim, recover=False)
+        with pytest.raises(ChecksumMismatch):
+            self.read_everything(strict)
+        strict.close()
+
+
+class TestAMissingChunk:
+    """Liveness comes from the checksum table: a select raises on a
+    covered chunk that is gone, as ``retrieve`` does, instead of
+    answering without it — unless the chunk's tree is cached."""
+
+    def test_cold_reads_raise_and_warm_ones_answer(self, omim_store):
+        path, nums = omim_store
+        expected = oracle(path, nums)
+        warm = open_archive(path, recover=False)
+        assert cycle(warm, nums) == expected
+        victim = owner(warm, nums[0])
+        os.remove(os.path.join(path, f"chunk-{victim:04d}.xml"))
+        assert cycle(warm, nums) == expected  # every load a hit
+        warm.close()
+
+        reset_chunk_cache()
+        cold = open_archive(path, recover=False)
+        db = repro.open(cold)
+        reads = [
+            lambda: db.at(1).select(DENSE).all(),
+            lambda: db.at(1).select(keyed(nums[0])).all(),
+            lambda: db.history(record_path(nums[0])),
+            lambda: cold.retrieve(1),
+        ]
+        for read in reads:
+            with pytest.raises(ManifestInconsistent):
+                read()
+        cold.close()
+
+        skip = open_archive(path, recover=False, on_corrupt="skip")
+        partial = skip.retrieve(1)
+        assert skip.chunks_skipped_corrupt == 1
+        assert 0 < len(partial.children) < len(expected[2])
+        skip.close()

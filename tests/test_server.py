@@ -33,7 +33,9 @@ from repro.server.http import MAX_INGEST_BYTES, make_server, run_in_thread
 from repro.server.service import ArchiveService
 from repro.storage import create_archive, open_archive
 from repro.storage.backend import manifest_location, read_manifest
+from repro.storage.cache import reset_chunk_cache
 from repro.storage.integrity import IntegrityError
+from repro.xmltree import to_string
 from repro.xmltree.model import Element
 from repro.xmltree.parser import parse_document
 
@@ -480,31 +482,50 @@ def test_pin_cache_size_zero_still_opens_per_request(tmp_path):
     assert not service._published
 
 
-def test_reconcile_forgets_the_manifest_that_named_the_stale_pin(tmp_path):
-    """A memo entry that outlives its generation (here forged; on disk
-    it takes a reused inode within one timestamp tick) can only name an
-    older pin, whose first read of a re-published chunk fails its
-    checksum — and that reconcile must drop the entry, or every later
-    request misses the pin cache and opens the archive again."""
+def latest_values(db):
+    return db.at(db.last_version).select("//val/text()").all()
+
+
+def stale_pin(tmp_path, answer):
+    """A service whose manifest memo outlives its generation (here
+    forged; on disk it takes a reused inode within one timestamp tick):
+    a chunked archive is pinned and read once through the service, which
+    warms the decoded-chunk cache, then a version is published behind
+    the service's back.  Returns the service, the archive's name, the
+    pinned snapshot and ``answer`` of a solo open of that generation."""
     name = seed_archive(str(tmp_path), "chunked")
     path = os.path.join(str(tmp_path), name)
+    solo = open_archive(path, recover=False, cache_reads=False)
+    expected = answer(solo.db())
+    solo.close()
     service = ArchiveService(str(tmp_path))
-
-    def latest(pinned):
-        return pinned.db.at(pinned.last_version).select("//val/text()").all()
-
-    stale, _ = service.read(name, latest)
+    stale, first = service.read(name, lambda pinned: answer(pinned.db))
+    assert first == expected
     backend = open_archive(path)
     backend.add_version(version_doc(3))
     backend.close()
-    location = manifest_location(path)
-    status = os.stat(location)
+    status = os.stat(manifest_location(path))
     entry = service._published[name]
     service._published[name] = entry[:2] + (
         (status.st_ino, status.st_mtime_ns, status.st_size),
     ) + entry[3:]
-    # The stale pin's first read of a re-published chunk fails its
-    # checksum; the reconcile re-reads the manifest and answers anew.
+    return service, name, stale, expected
+
+
+def test_reconcile_forgets_the_manifest_that_named_the_stale_pin(tmp_path):
+    """A memo entry that outlives its generation can only name an older
+    pin, whose first miss on a re-published chunk fails its checksum —
+    and that reconcile must drop the entry, or every later request
+    misses the pin cache and opens the archive again."""
+    service, name, stale, _ = stale_pin(tmp_path, latest_values)
+
+    def latest(pinned):
+        return latest_values(pinned.db)
+
+    # With the decoded chunks gone, the stale pin's first load is a
+    # miss: the re-published chunk fails its checksum, and the
+    # reconcile re-reads the manifest and answers anew.
+    reset_chunk_cache()
     snapshot, items = service.read(name, latest)
     assert snapshot.generation == stale.generation + 1
     assert items == [f"v3-{i}" for i in range(3)]
@@ -513,6 +534,31 @@ def test_reconcile_forgets_the_manifest_that_named_the_stale_pin(tmp_path):
         snapshot, items = service.read(name, latest)
         assert snapshot.cached and snapshot.generation == stale.generation + 1
         assert items == [f"v3-{i}" for i in range(3)]
+    service.pins.clear()
+
+
+def test_a_warm_stale_pin_answers_as_its_own_generation(tmp_path):
+    """A stale pin whose chunks are all cached reads nothing from disk:
+    it answers from the trees its own generation verified, byte for
+    byte what a solo open of that generation answers — never the
+    republished chunks, never a mix of the two."""
+
+    def answers(db):
+        return (
+            db.last_version,
+            latest_values(db),
+            db.at(1).select("/db/rec[id='1']/val/text()").all(),
+            [to_string(element) for element in db.at(2).select("/db/rec").all()],
+            to_string(db.backend.retrieve(2)),
+            str(db.history("/db/rec[id=1]/val")),
+        )
+
+    service, name, stale, expected = stale_pin(tmp_path, answers)
+    misses = stale.backend.cache_misses
+    snapshot, got = service.read(name, lambda pinned: answers(pinned.db))
+    assert snapshot.cached and snapshot.generation == stale.generation
+    assert got == expected
+    assert snapshot.backend.cache_misses == misses  # every load a hit
     service.pins.clear()
 
 
