@@ -1,14 +1,15 @@
-"""TIME-INGEST — batched multi-version ingestion with fingerprint
-skip-merge.
+"""TIME-INGEST — batched multi-version ingestion under the record memo.
 
 The paper's headline workload archives long sequences of versions with
 tiny deltas (OMIM: ~0.2% insertions per version).  A loop over
-``add_version`` re-walks the full archive per version, so its merge
-visits grow with archive size; ``add_versions`` carries subtree
-fingerprints across the batch and skips descent into unchanged keyed
-subtrees, so its visits track the delta.  The acceptance test asserts
-both the skip counters and the canonical identity of every retrieved
-version between the two paths.
+``add_version`` on a tree that remembers nothing re-walks the full
+archive per version, so its merge visits grow with archive size;
+``add_versions`` runs the same loop on a tree that keeps records, and
+confirms every record a version brings back unchanged instead of
+descending into it, so its descents track the delta.  The acceptance
+test asserts the memo's counters, the descents it saved, the byte
+identity of the two archives and the canonical identity of every
+retrieved version between the two paths.
 """
 
 import pytest
@@ -34,9 +35,10 @@ def sequence():
 
 def test_batch_ingest_visits_fewer_merge_nodes(sequence):
     """The acceptance criterion: over a 50-version synthetic sequence,
-    ``add_versions`` performs measurably fewer merge-node visits than
-    50× ``add_version`` — while retrieval stays canonically identical
-    for every version in both paths."""
+    ``add_versions`` descends into under half the merge nodes that 50×
+    ``add_version`` on a tree that keeps nothing visits — while both
+    store the same archive and every version retrieves canonically
+    identical in both paths."""
     spec = omim_key_spec()
 
     sequential = Archive(spec)
@@ -47,18 +49,14 @@ def test_batch_ingest_visits_fewer_merge_nodes(sequence):
     batched = Archive(spec)
     batched_total = batched.add_versions(version.copy() for version in sequence)
 
-    # The skip counters prove the memo actually fired...
-    assert batched_total.subtrees_skipped > 0
-    assert batched_total.nodes_skipped > 0
+    # The memo fired...
+    assert batched_total.records_kept > 0
     assert batched_total.versions == VERSIONS
-    # ...and the visit counts prove it saved real merge work: the batch
-    # path must do under half the visits (in practice it is ~20x fewer).
-    assert batched_total.nodes_visited() * 2 < sequential_total.nodes_visited()
-    # Skips account for the visits the sequential path performed.
-    assert (
-        batched_total.nodes_visited() + batched_total.nodes_skipped
-        == sequential_total.nodes_visited()
-    )
+    # ...its counters are the full merge's (kept nodes are matched)...
+    assert batched_total.nodes_visited() == sequential_total.nodes_visited()
+    # ...and it saved real merge work: under half the descents.
+    descents = batched_total.nodes_visited() - batched_total.nodes_kept
+    assert descents * 2 < sequential_total.nodes_visited()
 
     # Both paths store the same archive, and every version reconstructs.
     assert batched.to_xml_string() == sequential.to_xml_string()
@@ -69,25 +67,26 @@ def test_batch_ingest_visits_fewer_merge_nodes(sequence):
         assert documents_equivalent(batched.retrieve(number), original, spec)
 
 
-def test_batch_ingest_skips_under_fingerprint_sorting(sequence):
-    """Skip-merge composes with the Sec. 4.3 sorting fingerprinter."""
+@pytest.mark.parametrize(
+    "options",
+    [
+        ArchiveOptions(fingerprinter=Fingerprinter(bits=64)),
+        ArchiveOptions(compaction=True),
+    ],
+    ids=["fingerprint-sorting", "compaction"],
+)
+def test_batch_ingest_keeps_records_under_every_option(sequence, options):
+    """The memo composes with the Sec. 4.3 sorting fingerprinter, and
+    with further compaction, whose weave segments are timestamps a
+    confirmed record's entry extends."""
     spec = omim_key_spec()
-    options = ArchiveOptions(fingerprinter=Fingerprinter(bits=64))
     batched = Archive(spec, options)
     total = batched.add_versions(version.copy() for version in sequence[:10])
-    assert total.subtrees_skipped > 0
-    assert documents_equivalent(batched.retrieve(10), sequence[9], spec)
-
-
-def test_batch_ingest_frontier_skips_under_compaction(sequence):
-    """Under further compaction, weave segments carry explicit
-    timestamps, so whole-subtree skips give way to frontier digest hits
-    (content serialization and diff alignment avoided)."""
-    spec = omim_key_spec()
-    options = ArchiveOptions(compaction=True)
-    batched = Archive(spec, options)
-    total = batched.add_versions(version.copy() for version in sequence[:10])
-    assert total.frontier_skips > 0
+    assert total.records_kept > 0
+    sequential = Archive(spec, options)
+    for version in sequence[:10]:
+        sequential.add_version(version.copy())
+    assert batched.to_xml_string() == sequential.to_xml_string()
     assert documents_equivalent(batched.retrieve(10), sequence[9], spec)
 
 

@@ -32,7 +32,6 @@ from .core import (
     ArchiveOptions,
     ElementHistory,
     Fingerprinter,
-    IngestSession,
     VersionSet,
     documents_equivalent,
     normalize_document,
@@ -56,7 +55,6 @@ __all__ = [
     "Element",
     "ElementHistory",
     "Fingerprinter",
-    "IngestSession",
     "Key",
     "KeySpec",
     "QueryResult",

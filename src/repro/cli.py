@@ -159,7 +159,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             f"on {args.remote} (versions {report['base_version'] + 1}.."
             f"{report['last_version']}, generation {report['generation']}): "
             f"{merge['nodes_inserted']} inserted, "
-            f"{merge['subtrees_skipped']} subtrees skipped"
+            f"{merge['records_kept']} records kept"
         )
         return 0
     if os.path.exists(args.archive):
@@ -202,16 +202,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(
                 f"merged {version_path} as version {number} "
                 f"(visited {stats.nodes_visited()}, "
-                f"skipped {stats.subtrees_skipped} subtrees "
-                f"/ {stats.nodes_skipped} nodes)"
+                f"kept {stats.records_kept} records / {stats.nodes_kept} nodes)"
             )
         else:
             print(f"merged {version_path} as version {number}")
     print(
         f"ingested {total.versions} versions: {total.nodes_visited()} node visits, "
-        f"{total.nodes_inserted} inserted, {total.subtrees_skipped} subtrees "
-        f"skipped ({total.nodes_skipped} nodes), "
-        f"{total.frontier_skips} frontier digest hits, "
+        f"{total.nodes_inserted} inserted, "
         f"{total.records_kept} records kept ({total.nodes_kept} nodes)"
     )
     backend.close()

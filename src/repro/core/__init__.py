@@ -20,10 +20,8 @@ from .archive import (
 )
 from .canonicalize import documents_equivalent, normalize_document
 from .fingerprint import Fingerprinter
-from .ingest import IngestSession
 from .merge import (
     AttributeChangeError,
-    MergeMemo,
     MergeOptions,
     MergeStats,
     build_archive_subtree,
@@ -56,8 +54,6 @@ __all__ = [
     "AttributeChangeError",
     "ElementHistory",
     "Fingerprinter",
-    "IngestSession",
-    "MergeMemo",
     "MergeOptions",
     "MergeStats",
     "ROOT_TAG",

@@ -50,9 +50,10 @@ trees and shared content on its second read and keeps them.
 A tree a *writer* holds between appends keeps two things on
 :attr:`Archive.kept`: the encoded children blocks of what stood still
 (the encoder copies them) and a memo of the records alive at the last
-version.  ``add_version`` on such a tree digests the incoming records
-before it annotates them; what the memo confirms is neither annotated
-nor descended (:func:`~repro.core.merge.annotate_version`).  The tree,
+version; a batch (:meth:`Archive.add_versions`) gives any tree the memo
+for its length.  ``add_version`` on such a tree digests the incoming
+records before it annotates them; what the memo confirms is neither
+annotated nor descended (:func:`~repro.core.merge.nested_merge`).  The tree,
 the bytes it encodes to and the ``MergeStats`` it reports are those of
 a tree that keeps nothing.
 """
@@ -238,8 +239,9 @@ class Archive:
         #: blocks by node id (:mod:`repro.storage.xbin` fills and reads
         #: them, Nested Merge drops what it outdates) and, beside them,
         #: the memo of the records alive at the last version
-        #: (:class:`~repro.core.merge.Kept`).  ``None`` on every other
-        #: tree.
+        #: (:class:`~repro.core.merge.Kept`).  Given to any tree for the
+        #: length of a batch (:meth:`add_versions`); ``None`` on every
+        #: other tree.
         self.kept: Optional[Kept] = None
         self._trees: dict[int, _CachedTree] = {}
         self._child_tokens: dict[int, _CachedTokens] = {}
@@ -286,7 +288,7 @@ class Archive:
         return len(self._root_timestamp())
 
     def add_version(
-        self, document: "Optional[Element | AnnotatedDocument]", memo=None
+        self, document: "Optional[Element | AnnotatedDocument]"
     ) -> MergeStats:
         """Archive the next version.
 
@@ -300,19 +302,15 @@ class Archive:
         The document is validated — annotated — before any timestamp is
         touched: a key violation leaves the archive exactly as it was.
 
-        ``memo`` is a :class:`~repro.core.merge.MergeMemo` carried by a
-        batched :class:`~repro.core.ingest.IngestSession`; unchanged
-        keyed subtrees are then fingerprint-skipped instead of descended.
-
-        A lone version merged into a tree that keeps records
-        (:attr:`kept`) is digested before it is annotated: a record the
-        memo confirmed at the last version is neither annotated nor
-        descended (:func:`~repro.core.merge.annotate_version`).
+        A version merged into a tree that keeps records (:attr:`kept`)
+        is digested before it is annotated: a record the memo confirmed
+        at the last version is neither annotated nor descended
+        (:func:`~repro.core.merge.nested_merge`).
         """
         annotated: Optional[AnnotatedDocument]
         if not isinstance(document, Element):
             annotated = document
-        elif self.kept is not None and memo is None:
+        elif self.kept is not None:
             annotated = annotate_version(
                 document, self.spec, [self.kept.records], self.last_version
             )
@@ -329,30 +327,37 @@ class Archive:
                 if child.timestamp is None:
                     child.timestamp = inherited.without(version)
             return MergeStats(versions=1)
-        options = self.options.merge_options()
-        if memo is not None:
-            memo.prepare_version(annotated, options)
         stats = nested_merge(
-            self.root, annotated, version, options, memo=memo, kept=self.kept
+            self.root, annotated, version, self.options.merge_options(),
+            kept=self.kept,
         )
         stats.versions = 1
         return stats
 
     def add_versions(
-        self, documents: Iterable[Optional[Element]]
+        self, documents: "Iterable[Optional[Element | AnnotatedDocument]]"
     ) -> MergeStats:
-        """Archive a whole sequence of versions in one batched pass.
+        """Archive a whole sequence of versions; returns their summed
+        :class:`MergeStats`.
 
-        Equivalent to calling :meth:`add_version` on each document in
-        order — the resulting archive is identical — but a shared
-        fingerprint memo skips merge descent into keyed subtrees that
-        did not change between consecutive versions (Sec. 4.3 digests,
-        memoized across the batch).  Returns cumulative
-        :class:`MergeStats` whose skip counters record the saved work.
+        A loop over :meth:`add_version` on a tree that keeps records: a
+        tree that keeps nothing is given a :class:`Kept` for the batch
+        and keeps nothing after it.  So a record a version brings back
+        unchanged is confirmed rather than descended (``records_kept``
+        counts them), and the archive is the one the loop builds on a
+        tree that keeps nothing.
         """
-        from .ingest import IngestSession
-
-        return IngestSession(self).add_all(documents)
+        batch = self.kept is None
+        if batch:
+            self.kept = Kept()
+        total = MergeStats()
+        try:
+            for document in documents:
+                total.accumulate(self.add_version(document))
+        finally:
+            if batch:
+                self.kept = None
+        return total
 
     # -- timestamp trees (Sec. 7.1, archive-resident) -----------------------
 

@@ -9,26 +9,22 @@ as their timestamp.  Frontier nodes — where keys run out — are handled
 by whole-content value comparison (or by an SCCS weave under *further
 compaction*, Example 4.3).
 
-Batched ingestion threads a :class:`MergeMemo` through the walk: the
-memo remembers, per archive node, a fingerprint (Sec. 4.3 digests over
-canonical forms) of the subtree it stored after the previous version of
-the batch.  When the incoming version's subtree carries the same
-fingerprint and the archive subtree is *uniform* (no explicit
-timestamps below — see :meth:`ArchiveNode.subtree_uniform`), the merge
-skips the whole descent: the paper's accretive workloads leave most
-keyed subtrees untouched between versions, so ingestion cost tracks the
-delta instead of the archive size.
-
-A lone append has no batch to carry a memo across, but the tree a
-writer holds between appends does: beside its kept blocks it keeps a
-*record memo* (:class:`Kept`) — for every child of the document root
-alive at the last version, a digest of the record as it arrived and the
-explicit timestamps beneath it.  :func:`annotate_version` digests an
-incoming version's records **before** Annotate Keys; a record whose
-digest the memo confirmed at the last version is neither annotated nor
+The Sec. 4.3 fingerprints let the merge skip what did not change, one
+*record* — a child of the document root — at a time.  A tree that
+keeps records (:class:`Kept`: a tree a writer holds between appends,
+or any tree for the length of a batch) remembers, for every record
+alive at the last version, a digest of the record as it arrived and
+the explicit timestamps beneath it.  An incoming record whose digest
+the memo confirmed at the previous version, and whose entry names the
+archive child the record pairs with, is confirmed rather than
 descended: the merge extends those timestamps, drops the kept blocks
-they sit in, and moves on.  Annotate Keys and Nested Merge then cost
-what the records that changed cost.
+they sit in, and moves on.  Every other record fills its entry as it is
+merged or inserted, and so does every record of a root that enters
+whole.  :func:`annotate_version` digests a version's records before
+Annotate Keys, and leaves unannotated those whose label a held tree's
+memo already holds.  The paper's accretive workloads leave most records
+untouched between versions, so Annotate Keys and Nested Merge cost what
+the records that changed cost, not what the archive holds.
 """
 
 from __future__ import annotations
@@ -40,9 +36,9 @@ from ..keys.annotate import AnnotatedDocument, KeyLabel, annotate_keys
 from ..keys.spec import KeySpec
 from ..xmltree.canonical import canonical_form
 from ..xmltree.model import Element, Text
-from .compaction import lines_to_content, merge_weave, weave_from_content
+from .compaction import merge_weave, weave_from_content
 from .fingerprint import Fingerprinter
-from .nodes import Alternative, ArchiveNode, ContentNode, WeaveSegment
+from .nodes import Alternative, ArchiveNode, ContentNode
 from .versionset import VersionSet
 
 SortToken = Callable[[KeyLabel], tuple]
@@ -73,21 +69,16 @@ class MergeOptions:
 class MergeStats:
     """Counters describing one merge (or a whole batch of merges).
 
-    ``nodes_matched`` counts merge-node visits; the skip counters record
-    work the batch's fingerprint memo avoided: ``subtrees_skipped``
-    unchanged keyed subtrees whose descent was short-circuited,
-    ``nodes_skipped`` the keyed nodes inside them that were never
-    visited, and ``frontier_skips`` frontier nodes whose content
-    comparison was replaced by a digest hit.  ``versions`` counts merges
-    accumulated into this instance (1 for a single ``add_version``).
+    ``nodes_matched`` counts merge-node visits; ``versions`` counts
+    merges accumulated into this instance (1 for a single
+    ``add_version``).
 
-    **Contract.**  Every counter above is what a merge of the same
-    version into a freshly decoded tree reports, whatever the tree's
-    holder remembered: a record the kept memo (:class:`Kept`) proved
+    **Contract.**  Every counter but the last two is what a merge of the
+    same version into a freshly decoded tree reports, whatever the tree
+    remembered: a record the record memo (:class:`Kept`) proved
     unchanged adds its keyed nodes to ``nodes_matched`` — they *are*
-    matched, by digest — and nothing to the batch memo's skip counters.
-    What the holder saved is reported beside them: ``records_kept``
-    records matched by digest, and ``nodes_kept`` — of
+    matched, by digest.  What the memo saved is reported beside them:
+    ``records_kept`` records matched by digest, and ``nodes_kept`` — of
     ``nodes_matched``, the nodes matched without a descent.
     """
 
@@ -95,9 +86,6 @@ class MergeStats:
     nodes_inserted: int = 0
     nodes_terminated: int = 0
     frontier_content_changes: int = 0
-    subtrees_skipped: int = 0
-    nodes_skipped: int = 0
-    frontier_skips: int = 0
     versions: int = 0
     records_kept: int = 0
     nodes_kept: int = 0
@@ -110,182 +98,21 @@ class MergeStats:
         return self
 
     def nodes_visited(self) -> int:
-        """Merge-node visits (skips excluded; nodes a kept memo matched
-        by digest included, see the contract above)."""
+        """Merge-node visits (nodes the record memo matched by digest
+        included, see the contract above)."""
         return self.nodes_matched + self.nodes_inserted
 
+    @property
+    def subtrees_skipped(self) -> int:
+        """Always 0: the per-node batch memo that counted skipped
+        subtrees is gone, and ``records_kept`` counts what the record
+        memo saves.  Kept for the e2e harness, which still reads it."""
+        return 0
 
-@dataclass
-class SubtreeEntry:
-    """Memo record for one archive subtree: its content fingerprint as
-    of the last merged version, plus its keyed-node count (how many
-    merge visits a skip saves)."""
-
-    digest: int
-    count: int
-
-
-@dataclass
-class FrontierEntry:
-    """Memo record for a timestamped frontier node: the fingerprint of
-    the content current at the last merged version, and the storage it
-    lives in — the matching :class:`Alternative`, or the weave segments
-    visible at that version."""
-
-    digest: int
-    alternative: Optional[Alternative] = None
-    segments: Optional[list[WeaveSegment]] = None
-
-    def augment(self, version: int) -> None:
-        """Apply the unchanged-content merge effect: extend the current
-        content's timestamps with ``version``."""
-        if self.alternative is not None:
-            assert self.alternative.timestamp is not None
-            self.alternative.timestamp.add(version)
-        if self.segments is not None:
-            for segment in self.segments:
-                segment.timestamp.add(version)
-
-
-class MergeMemo:
-    """Cross-version fingerprint memo for batched ingestion (Sec. 4.3).
-
-    ``subtree`` maps archive-node ids to :class:`SubtreeEntry`; an entry
-    certifies that the node's subtree is uniform (skip-safe) and records
-    the digest of the version content it stores.  ``frontier`` maps
-    timestamped frontier nodes to the digest of their *current* content.
-    ``incoming``/``incoming_counts`` hold the digests of the version
-    being merged right now, keyed by element id (refreshed per version
-    by :meth:`prepare_version`).
-
-    Skip equality is probabilistic in exactly the sense of the paper's
-    fingerprints (DOMHash): the memo uses its own wide digest — 128 bits
-    by default, independent of any narrow sorting fingerprinter the
-    archive options carry — so a collision is never forced by the
-    collision-testing configurations.
-    """
-
-    def __init__(self, fingerprinter: Optional[Fingerprinter] = None) -> None:
-        self.fingerprinter = fingerprinter or Fingerprinter(bits=128)
-        self.subtree: dict[int, SubtreeEntry] = {}
-        self.frontier: dict[int, FrontierEntry] = {}
-        self.incoming: dict[int, int] = {}
-        self.incoming_counts: dict[int, int] = {}
-
-    # -- incoming-version digests ------------------------------------------
-
-    def prepare_version(
-        self, document: AnnotatedDocument, options: "MergeOptions"
-    ) -> None:
-        """Digest every keyed subtree of the incoming version bottom-up.
-
-        Internal nodes hash their children's digests in sort-token order
-        (the order the archive stores siblings in), so the digest is
-        stable under the keyed-sibling reordering the archive ignores.
-        """
-        self.incoming = {}
-        self.incoming_counts = {}
-        fingerprinter = self.fingerprinter
-        token = options.sort_token()
-        stack: list[tuple[Element, bool]] = [(document.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if document.is_frontier(node):
-                self.incoming[id(node)] = fingerprinter.frontier_digest(
-                    node.tag, _attribute_pairs(node), node.children
-                )
-                self.incoming_counts[id(node)] = 1
-                continue
-            if not expanded:
-                stack.append((node, True))
-                for child in node.element_children():
-                    stack.append((child, False))
-                continue
-            children = sorted(
-                node.element_children(), key=lambda c: token(document.label(c))
-            )
-            self.incoming[id(node)] = fingerprinter.subtree_digest(
-                node.tag,
-                _attribute_pairs(node),
-                (self.incoming[id(child)] for child in children),
-            )
-            self.incoming_counts[id(node)] = 1 + sum(
-                self.incoming_counts[id(child)] for child in children
-            )
-
-    # -- seeding from an existing archive ----------------------------------
-
-    def seed(self, archive_root: ArchiveNode, last_version: int) -> None:
-        """Prime the memo from an archive that already holds versions.
-
-        Uniform subtrees get :class:`SubtreeEntry` records digesting the
-        content they store; timestamped frontier nodes whose content is
-        current at ``last_version`` get :class:`FrontierEntry` records.
-        A batch appended to an existing archive can then skip from its
-        very first version.
-        """
-        for child in archive_root.children:
-            self._seed_node(child, last_version)
-
-    def _seed_node(
-        self, node: ArchiveNode, last_version: int
-    ) -> tuple[Optional[int], int]:
-        """Post-order walk returning ``(digest-if-uniform, keyed count)``."""
-        if node.is_frontier:
-            if node.content_uniform():
-                content = node.alternatives[0].content if node.alternatives else []
-                digest = self.fingerprinter.frontier_digest(
-                    node.label.tag, node.attributes, content
-                )
-                self.subtree[id(node)] = SubtreeEntry(digest=digest, count=1)
-                return digest, 1
-            self._seed_frontier(node, last_version)
-            return None, 1
-        child_digests: list[Optional[int]] = []
-        count = 1
-        uniform = True
-        for child in node.children:
-            digest, child_count = self._seed_node(child, last_version)
-            count += child_count
-            if child.timestamp is not None or digest is None:
-                uniform = False
-            child_digests.append(digest)
-        if not uniform:
-            return None, count
-        digest = self.fingerprinter.subtree_digest(
-            node.label.tag, node.attributes, child_digests  # type: ignore[arg-type]
-        )
-        self.subtree[id(node)] = SubtreeEntry(digest=digest, count=count)
-        return digest, count
-
-    def _seed_frontier(self, node: ArchiveNode, last_version: int) -> None:
-        if node.alternatives is not None:
-            for alternative in node.alternatives:
-                if (
-                    alternative.timestamp is not None
-                    and last_version in alternative.timestamp
-                ):
-                    digest = self.fingerprinter.frontier_digest(
-                        node.label.tag, node.attributes, alternative.content
-                    )
-                    self.frontier[id(node)] = FrontierEntry(
-                        digest=digest, alternative=alternative
-                    )
-                    return
-            return
-        assert node.weave is not None
-        segments = [
-            segment
-            for segment in node.weave.segments
-            if last_version in segment.timestamp
-        ]
-        if not segments:
-            return
-        content = lines_to_content(node.weave.lines_at(last_version))
-        digest = self.fingerprinter.frontier_digest(
-            node.label.tag, node.attributes, content
-        )
-        self.frontier[id(node)] = FrontierEntry(digest=digest, segments=segments)
+    @property
+    def nodes_skipped(self) -> int:
+        """Always 0, as :attr:`subtrees_skipped`."""
+        return 0
 
 
 #: About what CPython spends on one :class:`RecordEntry` and its slot
@@ -300,10 +127,10 @@ class RecordEntry:
     """Kept memo of one *record* — a child of the document root.
 
     Made from the digest alone when a version is digested
-    (:func:`annotate_version`); filled by the merge that descends the
-    record (:meth:`fill`: ``node`` set); and from then on confirmed,
-    without a descent, by every version that brings the record back
-    with the same digest (:meth:`confirm`).
+    (:func:`annotate_version`); filled by the merge that descends or
+    inserts the record (:meth:`fill`: ``node`` set); and from then on
+    confirmed, without a descent, by every next version that brings the
+    record back to the same node with the same digest (:meth:`confirm`).
 
     ``timestamps`` are the explicit timestamps at or beneath ``node``
     that contain ``version`` — its own, its live keyed descendants',
@@ -370,17 +197,19 @@ class RecordEntry:
 
 
 class Kept(dict):
-    """What a tree keeps while a writer holds it between appends
+    """What a tree keeps while a writer holds it between appends, or
+    for the length of a batch
     (:attr:`Archive.kept <repro.core.archive.Archive.kept>`).
 
     The mapping itself is the encoder's: children blocks by node id
     (:mod:`repro.storage.xbin`).  ``records`` is the *record memo*: for
-    every record alive at the last version merged through
-    :func:`annotate_version`, its :class:`RecordEntry` by digest.  One
-    object, so both halves live, are budgeted and die together.  A
-    version merged any other way (a batch, an empty version) leaves the
-    entries behind unconfirmed, where they can never hit; the next
-    digested version replaces the memo.
+    every record alive at the last version merged with its records
+    digested (:func:`annotate_version`), its :class:`RecordEntry` by
+    digest.  One object, so both halves live, are budgeted and die
+    together.  A version merged any other way (an empty version, a root
+    not keyed by its tag alone) leaves the entries behind unconfirmed,
+    where they can never hit; the next digested version replaces the
+    memo.
     """
 
     def __init__(self) -> None:
@@ -410,14 +239,17 @@ def annotate_version(
     Every child of the root is digested first (Sec. 4.3: 128 bits over
     the order-sensitive canonical form, so no labels are needed, and
     over the root's tag, so a record never hits across document roots).
-    A digest one of ``memos`` holds, *confirmed at* ``last_version``, is
-    a hit: the record takes the label its archive node carries and is
-    not annotated.  Everything else is annotated as always, hits
-    counting among their siblings for uniqueness (which is also what
-    refuses the same record twice in one version), so every key
-    violation is still raised here, before any tree is touched.  The
-    result's ``records`` maps each record to its entry: the memo's own
-    for a hit, a fresh one to fill for a miss.
+    The result's ``records`` maps each record to its entry, which the
+    merge fills or, where the tree's memo confirms the record, replaces
+    (:func:`nested_merge`).
+
+    A digest one of ``memos`` (the memos of the trees a writer holds)
+    confirmed at ``last_version`` saves the record its annotation: it
+    takes the label its archive node carries, and the memo's entry.
+    Everything else is annotated as always, those records counting
+    among their siblings for uniqueness (which is also what refuses the
+    same record twice in one version), so every key violation is still
+    raised here, before any tree is touched.
 
     Only a root keyed by its tag alone is treated this way (all of the
     paper's are): any other could not be labelled without its records.
@@ -518,7 +350,6 @@ def nested_merge(
     document: AnnotatedDocument,
     version: int,
     options: Optional[MergeOptions] = None,
-    memo: Optional[MergeMemo] = None,
     kept: Optional[Kept] = None,
 ) -> MergeStats:
     """Merge version ``version`` (the annotated document) into the archive.
@@ -528,20 +359,16 @@ def nested_merge(
     timestamp must already include ``version`` (the
     :class:`~repro.core.archive.Archive` facade maintains it).
 
-    ``memo``, when given, must have been prepared for this version with
-    :meth:`MergeMemo.prepare_version`; unchanged uniform subtrees are
-    then skipped instead of descended.
-
     ``kept``, when given, is the tree's :attr:`Archive.kept
     <repro.core.archive.Archive.kept>` — encoded children blocks by node
     id.  A node's entry is dropped in the call that changes anything
     beneath the node; what stays is still what an encoder would write.
-    When the document came through :func:`annotate_version`, its hits
-    are confirmed instead of descended, its misses fill their entries
-    as they are merged, and the entries of the records this version
-    holds become ``kept.records``.  (A root that enters whole — the
-    first version of a tree — fills none: its records hit from the
-    version after next.)
+    When the document came through :func:`annotate_version`, a record
+    whose digest ``kept.records`` confirmed at ``version - 1`` for the
+    archive child it pairs with is confirmed instead of descended; every
+    other record — merged, inserted, or under a root that enters whole
+    — fills its entry; and the entries of the records this version
+    holds become ``kept.records``.
     """
     options = options or MergeOptions()
     stats = MergeStats()
@@ -549,35 +376,33 @@ def nested_merge(
     assert root_label is not None
     inherited = archive_root.effective_timestamp(VersionSet())
     token = options.sort_token()
+    records = document.records if kept is not None else None
 
     existing = archive_root.find_child(root_label)
     if existing is None:
-        subtree = _insert(
-            archive_root, document.root, document, version, options, stats, memo
-        )
+        subtree = _insert(document.root, document, version, options, stats)
         archive_root.children.append(subtree)
         archive_root.children.sort(key=lambda c: token(c.label))
+        if records:
+            # build_archive_subtree sorted the records by the same
+            # (unique) tokens, so the lists pair positionally.
+            entering = sorted(
+                document.root.element_children(),
+                key=lambda record: token(document.label(record)),
+            )
+            for record, node in zip(entering, subtree.children):
+                records[id(record)].fill(node, version)
     else:
         _merge_node(
-            existing,
-            document.root,
-            document,
-            version,
-            inherited,
-            options,
-            stats,
-            memo,
-            kept,
+            existing, document.root, document, version, inherited, options,
+            stats, kept,
         )
     # Terminate any sibling roots absent from this version.
     for child in archive_root.children:
         if child.label != root_label and child.timestamp is None:
             child.timestamp = inherited.without(version)
-    if kept is not None and document.records:
-        entries = [
-            document.records[id(record)]
-            for record in document.root.element_children()
-        ]
+    if records:
+        entries = [records[id(record)] for record in document.root.element_children()]
         kept.records = {
             entry.digest: entry for entry in entries if entry.node is not None
         }
@@ -592,30 +417,15 @@ def _merge_node(
     inherited: VersionSet,
     options: MergeOptions,
     stats: MergeStats,
-    memo: Optional[MergeMemo] = None,
     kept: Optional[Kept] = None,
-) -> tuple[bool, bool]:
+) -> bool:
     """The paper's ``Nested Merge(x, y, T)`` with ``label(x) = label(y)``.
 
-    Returns ``(uniform, changed)``: whether the subtree below ``x`` is
-    *uniform* after the merge (skip-safe for the next version: no
-    explicit timestamp below needs augmenting while the content stays
-    unchanged), and whether the merge changed anything an encoder
-    writes for ``x`` — its own timestamp, its frontier content or
-    anything beneath it.
+    Returns whether the merge changed anything an encoder writes for
+    ``x`` — its own timestamp, its frontier content or anything beneath
+    it.
     """
     stats.nodes_matched += 1
-    digest = memo.incoming.get(id(y)) if memo is not None else None
-    if memo is not None and digest is not None:
-        entry = memo.subtree.get(id(x))
-        if entry is not None and entry.digest == digest:
-            # Fingerprint hit on a uniform subtree: the only merge effect
-            # is augmenting x's own timestamp (descendants inherit it).
-            if x.timestamp is not None:
-                x.timestamp.add(version)
-            stats.subtrees_skipped += 1
-            stats.nodes_skipped += entry.count - 1
-            return True, x.timestamp is not None
     incoming_attributes = _attribute_pairs(y)
     if incoming_attributes != x.attributes:
         raise AttributeChangeError(
@@ -629,12 +439,10 @@ def _merge_node(
         current = inherited
 
     if document.is_frontier(y):
-        _merge_frontier(x, y, version, current, options, stats, memo, digest)
-        uniform = x.content_uniform()
-        _note_subtree(memo, x, y, digest, uniform)
+        _merge_frontier(x, y, version, current, stats)
         # Uniform content is content the merge found equal and left
         # alone; any other has had a timestamp extended or set.
-        return uniform, x.timestamp is not None or not uniform
+        return x.timestamp is not None or not x.content_uniform()
 
     token = options.sort_token()
     version_children = sorted(
@@ -642,10 +450,9 @@ def _merge_node(
     )
     # x.children is maintained sorted by the same token; merge-join.
     merged: list[ArchiveNode] = []
-    uniform = True
     below = False  # whether x's children block changed
-    # The kept memo's entries of y's children, when y is the root of a
-    # digested version and the tree is one that keeps records.
+    # The record memo's entries of y's children, when y is the root of
+    # a digested version and the tree is one that keeps records.
     entries = None
     if kept is not None and y is document.root:
         entries = document.records
@@ -658,46 +465,36 @@ def _merge_node(
         y_token = token(document.label(y_child))
         if x_token == y_token:
             entry = entries.get(id(y_child)) if entries else None
-            if entry is not None and entry.node is not None:
-                # A hit: y_child was never annotated, and is not descended.
-                assert entry.node is x_child, "a kept record outlived its node"
-                child_uniform = False
-                child_changed = entry.confirm(version, kept, stats)
+            hit = kept.records.get(entry.digest) if entry is not None else None
+            if hit is not None and hit.version == version - 1 and hit.node is x_child:
+                # Unchanged since the last version: not descended (and,
+                # on a held tree's append, never annotated either).
+                entries[id(y_child)] = hit
+                changed = hit.confirm(version, kept, stats)
             else:
-                child_uniform, child_changed = _merge_node(
-                    x_child,
-                    y_child,
-                    document,
-                    version,
-                    current,
-                    options,
-                    stats,
-                    memo,
-                    kept,
+                assert entry is None or entry.node is None, (
+                    "a kept record outlived its node"
+                )
+                changed = _merge_node(
+                    x_child, y_child, document, version, current, options,
+                    stats, kept,
                 )
                 if entry is not None:
                     entry.fill(x_child, version)
-            if not child_uniform or x_child.timestamp is not None:
-                uniform = False
-            if child_changed:
+            if changed:
                 below = True
             merged.append(x_child)
             i += 1
             j += 1
         elif x_token < y_token:
-            # A terminated child never contains ``version``, so it needs
-            # no augmentation from future skips: uniformity survives.
             if _terminate(x_child, version, current, stats):
                 below = True
             merged.append(x_child)
             i += 1
         else:
             merged.append(
-                _insert(
-                    x, y_child, document, version, options, stats, memo, entries
-                )
+                _insert(y_child, document, version, options, stats, entries)
             )
-            uniform = False  # the fresh subtree's root timestamp is {version}
             below = True
             j += 1
     while i < len(archive_children):
@@ -706,34 +503,12 @@ def _merge_node(
         merged.append(archive_children[i])
         i += 1
     for y_child in version_children[j:]:
-        merged.append(
-            _insert(x, y_child, document, version, options, stats, memo, entries)
-        )
-        uniform = False
+        merged.append(_insert(y_child, document, version, options, stats, entries))
         below = True
     x.children = merged
     if below and kept is not None:
         kept.pop(id(x), None)
-    _note_subtree(memo, x, y, digest, uniform)
-    return uniform, below or x.timestamp is not None
-
-
-def _note_subtree(
-    memo: Optional[MergeMemo],
-    x: ArchiveNode,
-    y: Element,
-    digest: Optional[int],
-    uniform: bool,
-) -> None:
-    """Record (or retract) the skip certificate for a merged subtree."""
-    if memo is None or digest is None:
-        return
-    if uniform:
-        memo.subtree[id(x)] = SubtreeEntry(
-            digest=digest, count=memo.incoming_counts[id(y)]
-        )
-    else:
-        memo.subtree.pop(id(x), None)
+    return below or x.timestamp is not None
 
 
 def _terminate(
@@ -750,13 +525,11 @@ def _terminate(
 
 
 def _insert(
-    parent: ArchiveNode,
     y_child: Element,
     document: AnnotatedDocument,
     version: int,
     options: MergeOptions,
     stats: MergeStats,
-    memo: Optional[MergeMemo] = None,
     entries: Optional[dict[int, RecordEntry]] = None,
 ) -> ArchiveNode:
     """Action (c): the version child is new; graft it with timestamp {i}
@@ -765,43 +538,9 @@ def _insert(
     node = build_archive_subtree(
         y_child, document, VersionSet([version]), version, options
     )
-    if memo is not None:
-        _memoize_built(node, y_child, document, options, memo)
     if entries:
         entries[id(y_child)].fill(node, version)
     return node
-
-
-def _memoize_built(
-    node: ArchiveNode,
-    y: Element,
-    document: AnnotatedDocument,
-    options: MergeOptions,
-    memo: MergeMemo,
-) -> bool:
-    """Register skip certificates for every uniform keyed subtree of a
-    freshly built archive subtree, so the very next version can skip
-    its unchanged parts (the first version of a batch inserts the whole
-    document through this path).  Returns the root's uniformity."""
-    digest = memo.incoming.get(id(y))
-    if node.is_frontier:
-        uniform = node.content_uniform()
-    else:
-        token = options.sort_token()
-        ordered = sorted(
-            y.element_children(), key=lambda child: token(document.label(child))
-        )
-        # build_archive_subtree sorted node.children by the same (unique)
-        # tokens, so the lists pair positionally.
-        uniform = True
-        for child_node, child_y in zip(node.children, ordered):
-            if not _memoize_built(child_node, child_y, document, options, memo):
-                uniform = False
-    if uniform and digest is not None:
-        memo.subtree[id(node)] = SubtreeEntry(
-            digest=digest, count=memo.incoming_counts[id(y)]
-        )
-    return uniform
 
 
 def _merge_frontier(
@@ -809,56 +548,16 @@ def _merge_frontier(
     y: Element,
     version: int,
     current: VersionSet,
-    options: MergeOptions,
     stats: MergeStats,
-    memo: Optional[MergeMemo] = None,
-    digest: Optional[int] = None,
 ) -> None:
     """Frontier-node branch of the paper's algorithm."""
-    if memo is not None and digest is not None:
-        entry = memo.frontier.get(id(x))
-        if entry is not None and entry.digest == digest:
-            entry.augment(version)
-            stats.frontier_skips += 1
-            return
     if x.weave is not None:
         changed = merge_weave(x.weave, y.children, version)
-        if changed:
-            stats.frontier_content_changes += 1
-        _note_frontier(memo, x, version, digest)
-        return
-    assert x.alternatives is not None, "frontier node lost its content store"
-    if merge_alternatives(x.alternatives, y.children, version, current):
+    else:
+        assert x.alternatives is not None, "frontier node lost its content store"
+        changed = merge_alternatives(x.alternatives, y.children, version, current)
+    if changed:
         stats.frontier_content_changes += 1
-    _note_frontier(memo, x, version, digest)
-
-
-def _note_frontier(
-    memo: Optional[MergeMemo],
-    x: ArchiveNode,
-    version: int,
-    digest: Optional[int],
-) -> None:
-    """Remember which stored content is current after a frontier merge."""
-    if memo is None or digest is None:
-        return
-    if x.content_uniform():
-        # Untimestamped content is covered by the subtree certificate.
-        memo.frontier.pop(id(x), None)
-        return
-    if x.weave is not None:
-        segments = [
-            segment for segment in x.weave.segments if version in segment.timestamp
-        ]
-        memo.frontier[id(x)] = FrontierEntry(digest=digest, segments=segments)
-        return
-    assert x.alternatives is not None
-    for alternative in x.alternatives:
-        if alternative.timestamp is not None and version in alternative.timestamp:
-            memo.frontier[id(x)] = FrontierEntry(
-                digest=digest, alternative=alternative
-            )
-            return
 
 
 def merge_alternatives(

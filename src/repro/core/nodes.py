@@ -102,26 +102,6 @@ class ArchiveNode:
             return not self.weave.segments
         return False
 
-    def subtree_uniform(self) -> bool:
-        """``True`` when no node strictly below carries an explicit
-        timestamp and every frontier node at or below stores uniform
-        content — the precondition for skip-merging this subtree: the
-        only state a merge of an unchanged version would touch is this
-        node's own timestamp."""
-        if self.is_frontier:
-            return self.content_uniform()
-        stack = list(self.children)
-        while stack:
-            node = stack.pop()
-            if node.timestamp is not None:
-                return False
-            if node.is_frontier:
-                if not node.content_uniform():
-                    return False
-                continue
-            stack.extend(node.children)
-        return True
-
     def children_at(self, version: int, probes=None) -> Optional[list[Element]]:
         """The reconstructed children alive at ``version``, from a node
         that can produce them without having child nodes built — a

@@ -501,9 +501,6 @@ class ArchiveService:
                         "nodes_matched": stats.nodes_matched,
                         "nodes_inserted": stats.nodes_inserted,
                         "frontier_content_changes": stats.frontier_content_changes,
-                        "subtrees_skipped": stats.subtrees_skipped,
-                        "nodes_skipped": stats.nodes_skipped,
-                        "frontier_skips": stats.frontier_skips,
                         "records_kept": stats.records_kept,
                         "nodes_kept": stats.nodes_kept,
                     },

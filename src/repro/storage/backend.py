@@ -42,7 +42,6 @@ from ..core.archive import (
     ArchiveStats,
     ElementHistory,
 )
-from ..core.ingest import IngestSession
 from ..core.merge import Kept, MergeStats
 from ..core.tempquery import ChangeReport, archive_diff
 from ..core.tstree import ProbeCount
@@ -771,16 +770,20 @@ class FileBackend(StorageBackend):
     def ingest_batch(
         self, documents: Iterable[Optional[Element]], on_version: OnVersion = None
     ) -> MergeStats:
-        """Batch under a shared fingerprint memo; one publish at the end."""
+        """A loop over ``add_version`` on the tree this handle holds —
+        which keeps records unless the handle keeps nothing, so a record
+        a version brings back unchanged is confirmed, not descended —
+        and one publish at the end."""
         archive = self._ensure_private_archive()
-        session = IngestSession(archive)
+        total = MergeStats()
         for document in documents:
-            stats = session.add(document)
+            stats = archive.add_version(document)
+            total.accumulate(stats)
             if on_version is not None:
                 on_version(archive.last_version, stats)
         with ArchiveTxn(self, archive.last_version) as txn:
             txn.put(self.path, self.codec.encode_archive(archive))
-        return session.stats
+        return total
 
     def retrieve(
         self, version: int, *, probes: Optional[ProbeCount] = None

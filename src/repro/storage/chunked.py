@@ -57,7 +57,6 @@ from ..core.archive import (
     _parse_history_path,
     missing_element_error,
 )
-from ..core.ingest import IngestSession
 from ..core.merge import Kept, MergeStats, RecordEntry, annotate_version
 from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
@@ -250,7 +249,9 @@ class ChunkedArchiver(StorageBackend):
     trees it is about to be handed; a record one of them confirmed at
     the last version goes to that tree's chunk unannotated and is
     merged by extending the timestamps the memo names.  A tree decoded
-    afresh has no memo, merges in full and fills one.
+    afresh has no memo, merges in full and fills one.  ``ingest_batch``
+    gives each chunk's tree a memo of its own for the length of the
+    batch.
 
     Held trees are private to the handle — they never enter the shared
     :func:`~repro.storage.cache.chunk_cache`, and reads through this
@@ -551,8 +552,8 @@ class ChunkedArchiver(StorageBackend):
         copies what it keeps; the caller's document is left as it was).
 
         With ``memos`` — the record memos of the trees this handle
-        holds — the version is digested first and only the records no
-        memo confirms are annotated
+        holds, or none for a batch — the version is digested first and
+        only the records no memo confirms are annotated
         (:func:`~repro.core.merge.annotate_version`); a confirmed record
         is routed by the label its archive node carries, which is the
         one that routed it there.
@@ -652,11 +653,15 @@ class ChunkedArchiver(StorageBackend):
         """Merge a whole sequence of versions chunk-major.
 
         Where a loop over :meth:`add_version` loads, re-parses and
-        re-serializes every chunk *per version*, the batch path
-        partitions all versions up front, then touches each chunk
-        exactly once: read and verify, decode, run a fingerprint-memoized
-        :class:`~repro.core.ingest.IngestSession` over the chunk's slice
-        of every version, encode.  Every payload is in hand before the
+        re-serializes every chunk *per version*, the batch path digests,
+        annotates and partitions all versions up front (every key error
+        is raised before a chunk loads), then touches each chunk exactly
+        once: read and verify, decode, merge the chunk's slice of every
+        version through :meth:`Archive.add_versions
+        <repro.core.archive.Archive.add_versions>` — a loop under a
+        record memo that lives for the batch, so a record a version
+        brings back unchanged is confirmed, not descended — encode.  No
+        tree is held afterwards.  Every payload is in hand before the
         one :class:`~repro.storage.txn.ArchiveTxn` begins, so a failed
         merge stages nothing.  ``on_chunk(index, archive)`` is handed
         each merged chunk archive once that commit has published — the
@@ -676,7 +681,7 @@ class ChunkedArchiver(StorageBackend):
         chunk by chunk, so no per-version stats exist to report.
         """
         partitions = [
-            self._partition(document) if document is not None else {}
+            self._partition(document, []) if document is not None else {}
             for document in documents
         ]
         self._held = {}  # the batch republishes every chunk it touches
@@ -689,12 +694,11 @@ class ChunkedArchiver(StorageBackend):
             ):
                 continue  # never stored, never mentioned: stay lazy
             archive = self._load_chunk(index, for_write=True)
-            session = IngestSession(archive)
-            for parts in partitions:
-                # Versions without records for this chunk are empty
-                # versions locally, keeping timestamps globally aligned.
-                session.add(parts.get(index))
-            total.accumulate(session.stats)
+            # Versions without records for this chunk are empty
+            # versions locally, keeping timestamps globally aligned.
+            total.accumulate(
+                archive.add_versions(parts.get(index) for parts in partitions)
+            )
             presence_text = _chunk_presence_of(archive).to_text()
             merged.append((index, presence_text, self.codec.encode_archive(archive)))
             if on_chunk is not None:

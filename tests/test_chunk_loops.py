@@ -243,7 +243,7 @@ class TestFailureStagesNothing:
             # The chunk's last version, after the others merged into its tree.
             per_chunk = len(self.SECOND)
             at = chunk * per_chunk + per_chunk - 1
-            calls = fail_on_call(monkeypatch, chunked.IngestSession, "add", at)
+            calls = fail_on_call(monkeypatch, chunked.Archive, "add_version", at)
         else:
             calls = fail_on_call(monkeypatch, get_codec("gzip"), "encode_archive", chunk)
         with pytest.raises(Injected):

@@ -144,7 +144,7 @@ class TestIngest:
         assert "version 5" in out
         assert run("get", loaded, "5") == 0
 
-    def test_ingest_reports_skips(self, workspace, capsys):
+    def test_ingest_reports_kept_records(self, workspace, capsys):
         archive = workspace / "batch.xml"
         code = run(
             "ingest", archive,
@@ -152,7 +152,10 @@ class TestIngest:
             "--keys", workspace / "keys.txt",
         )
         assert code == 0
-        assert "skipped 1 subtrees" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # Both departments of the repeated version are confirmed.
+        assert "as version 2 (visited " in out and ", kept 2 records / " in out
+        assert " 2 records kept (" in out
 
     def test_compaction_archive_is_self_describing(self, workspace, capsys):
         """An archive written with --compaction must be read correctly

@@ -55,7 +55,6 @@ class TestAddVersion:
     def test_rejected_version_touches_no_timestamp(self, spec):
         """Annotation is the validation, and it runs first: a key
         violation must not leave the root timestamp a version ahead."""
-        from repro.core import IngestSession
         from repro.keys import KeyViolationError, annotate_keys
 
         archive = Archive(spec)
@@ -67,7 +66,8 @@ class TestAddVersion:
         with pytest.raises(KeyViolationError):
             archive.add_version(duplicate)
         with pytest.raises(KeyViolationError):
-            IngestSession(archive).add(duplicate)
+            archive.add_versions([duplicate])
+        assert archive.kept is None  # a failed batch keeps no memo either
         assert archive.last_version == 1
         assert archive.to_xml_string() == before
         # An annotation the caller already paid for is taken as it is.

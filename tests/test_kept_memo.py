@@ -91,13 +91,13 @@ class TestEveryVersionIsTheFullMerge:
 
     @pytest.mark.parametrize("compaction", [False, True])
     def test_a_version_in_which_nothing_changed(self, compaction):
-        """Not vacuous: the root enters whole at version 1, version 2
-        fills the memo, and from version 3 every record is kept."""
+        """Not vacuous: the root enters whole at version 1 and fills the
+        memo, and from version 2 every record is kept."""
         quiet = company(("dx", *staff("ann", "bob")), ("dy", *staff("cat")))
         archive, reports = merge_both(
             [quiet] * 5, ArchiveOptions(compaction=compaction)
         )
-        assert kept_records(reports) == [0, 0, 2, 2, 2]
+        assert kept_records(reports) == [0, 2, 2, 2, 2]
         last = reports[-1]
         assert last.nodes_kept == last.nodes_matched - 1  # all but <db>
         assert last.nodes_inserted == last.nodes_terminated == 0
@@ -123,13 +123,13 @@ class TestEveryVersionIsTheFullMerge:
         both = company(("dx", *staff("ann")), ("dy", *staff("cat")))
         one = company(("dx", *staff("ann")))
         archive, reports = merge_both([both, both, both, one, both, both])
-        assert kept_records(reports) == [0, 0, 2, 1, 1, 2]
+        assert kept_records(reports) == [0, 2, 2, 1, 1, 2]
         assert department(archive, "dy").timestamp.to_text() == "1-3,5-6"
 
     def test_a_record_that_comes_back_after_a_batch(self):
-        """Entries a batch left behind unconfirmed never hit: ``dy`` was
-        deleted inside the batch, and its old entry would bring it back
-        without its timestamp."""
+        """A batch on a held tree confirms through the same memo, and
+        ``dy`` — deleted inside the batch — leaves it: its old entry,
+        which would bring it back without its timestamp, never hits."""
         both = company(("dx", *staff("ann")), ("dy", *staff("cat")))
         one = company(("dx", *staff("ann")))
         keeping, plain = Archive(SPEC), Archive(SPEC)
@@ -137,18 +137,27 @@ class TestEveryVersionIsTheFullMerge:
         for archive in (keeping, plain):
             archive.add_version(_copy(both))
             archive.add_version(_copy(both))
-            archive.add_versions([_copy(one), _copy(one)])
-        assert {entry.version for entry in keeping.kept.records.values()} == {2}
+        (old,) = [
+            entry
+            for entry in keeping.kept.records.values()
+            if entry.node is department(keeping, "dy")
+        ]
+        batch = keeping.add_versions([_copy(one), _copy(one)])
+        plain.add_versions([_copy(one), _copy(one)])
+        assert batch.records_kept == 2  # dx, at versions 3 and 4
+        assert old not in keeping.kept.records.values()
+        assert {entry.version for entry in keeping.kept.records.values()} == {4}
         stats = keeping.add_version(_copy(both))
-        assert stats.records_kept == 0
+        assert stats.records_kept == 1  # dx; dy is merged in full
         plain.add_version(_copy(both))
         assert xbin._write_tree(keeping) == xbin._write_tree(plain)
+        assert department(keeping, "dy").timestamp.to_text() == "1-2,5"
         assert keeping.add_version(_copy(both)).records_kept == 2
 
     def test_an_empty_version_confirms_nothing(self):
         quiet = company(("dx", *staff("ann")), ("dy", *staff("cat")))
         _, reports = merge_both([quiet, quiet, quiet, None, quiet, quiet, quiet])
-        assert kept_records(reports) == [0, 0, 2, 0, 0, 2, 2]
+        assert kept_records(reports) == [0, 2, 2, 0, 0, 2, 2]
 
     def test_keyed_siblings_reordered_inside_an_equal_record(self):
         """The digest is of the record as it arrived: another order is
@@ -156,7 +165,7 @@ class TestEveryVersionIsTheFullMerge:
         forward = company(("dx", *staff("ann", "bob")), ("dy", *staff("cat")))
         backward = company(("dx", *staff("bob", "ann")), ("dy", *staff("cat")))
         archive, reports = merge_both([forward, forward, forward, backward, backward])
-        assert kept_records(reports) == [0, 0, 2, 1, 2]
+        assert kept_records(reports) == [0, 2, 2, 1, 2]
         changed = reports[3]
         assert changed.nodes_inserted == changed.nodes_terminated == 0
         assert changed.frontier_content_changes == 0
@@ -172,7 +181,7 @@ class TestEveryVersionIsTheFullMerge:
             )
 
         archive, reports = merge_both([paid(10), paid(10), paid(10), paid(20), paid(20)])
-        assert kept_records(reports) == [0, 0, 2, 1, 2]
+        assert kept_records(reports) == [0, 2, 2, 1, 2]
         assert reports[3].frontier_content_changes == 1
         # The alternative current since version 4 is what a hit extends.
         (entry,) = [
@@ -189,7 +198,7 @@ class TestEveryVersionIsTheFullMerge:
         early = company(("dx", *staff("ann", "bob")))
         late = company(("dx", *staff("ann", "bob")), ("dz", *staff("eve", "fay")))
         archive, reports = merge_both([early, early, late, late])
-        assert kept_records(reports) == [0, 0, 1, 2]
+        assert kept_records(reports) == [0, 1, 1, 2]
         (db,) = archive.root.children
         dx, dz = department(archive, "dx"), department(archive, "dz")
         assert dz.timestamp.to_text() == "3-4"
@@ -320,7 +329,7 @@ class TestStoresAreTheSameFiles:
     @pytest.mark.parametrize("kind", ["chunked", "file"])
     def test_records_are_kept_through_a_handle(self, tmp_path, kind):
         """The property above is not vacuous, and a batch between two
-        appends (which confirms nothing) costs the memo, not the store."""
+        appends costs at most the memo, never the store."""
         quiet = company(
             ("dx", *staff("ann", "bob")), ("dy", *staff("cat")),
             ("dz", *staff("eve")), ("dw", ("fay", "jones", {"tel": TELS})),
@@ -340,11 +349,17 @@ class TestStoresAreTheSameFiles:
 
         held = store("held")
         kept = [held.add_version(_copy(version)).records_kept for version in versions]
-        # Version 1 enters whole, version 2 fills the memos.
-        assert kept == [0, 0, 4, 3, 4, 3, 4]
-        held.ingest_batch([_copy(busy), _copy(busy)])
+        # Version 1 enters whole and fills the memos.
+        assert kept == [0, 4, 4, 3, 4, 3, 4]
+        batch = held.ingest_batch([_copy(busy), _copy(busy)])
         kept = [held.add_version(_copy(busy)).records_kept for _ in range(3)]
-        assert kept == [0, 4, 4]  # held or decoded afresh, the tree is merged in full
+        if kind == "chunked":
+            # A chunked batch decodes every tree afresh (its first
+            # version confirms nothing) and holds none afterwards.
+            assert batch.records_kept == 4 and kept == [0, 4, 4]
+        else:
+            # The file backend batches on the tree it holds, memo and all.
+            assert batch.records_kept == 3 + 4 and kept == [4, 4, 4]
         held.close()
 
         fresh = store("fresh")

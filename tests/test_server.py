@@ -166,6 +166,31 @@ def test_ingest_publishes_exactly_one_generation(served, kind):
         ]
 
 
+def test_ingest_reports_the_record_memo(served, tmp_path, capsys):
+    """``POST /ingest`` reports one set of skip counters, and ``xarch
+    ingest --remote`` prints the records the batch kept."""
+    root, base = served
+    name = seed_archive(root, "chunked")
+    with connect(f"{base}/archives/{name}") as db:
+        report = db.ingest([version_doc(3), version_doc(3)])
+    assert set(report["merge"]) == {
+        "nodes_matched",
+        "nodes_inserted",
+        "frontier_content_changes",
+        "records_kept",
+        "nodes_kept",
+    }
+    assert report["merge"]["records_kept"] == 3  # version 4 repeats version 3
+    snapshot = tmp_path / "snapshots" / "v5.xml"
+    snapshot.parent.mkdir()
+    snapshot.write_text("<db><rec><id>0</id><val>v5-0</val></rec></db>")
+    argv = ["ingest", name, str(snapshot), str(snapshot), "--remote", base]
+    assert xarch_main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith(
+        "0 inserted, 1 records kept"
+    )
+
+
 def test_wire_format_streams_items_then_done(served):
     root, base = served
     name = seed_archive(root, "file")

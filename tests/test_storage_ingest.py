@@ -11,8 +11,8 @@ import os
 
 import pytest
 
-from repro.core import Archive, documents_equivalent
-from repro.data import OmimGenerator, omim_key_spec
+from repro.core import Archive, MergeStats, documents_equivalent
+from repro.data import OmimChangeRates, OmimGenerator, omim_key_spec
 from repro.storage import ChunkedArchiver, ExternalArchiver, PersistentIngestor
 
 
@@ -46,8 +46,31 @@ class TestChunkedIngestBatch:
     def test_batch_skips_merge_work(self, tmp_path, versions, spec):
         archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
         stats = archiver.ingest_batch([v.copy() for v in versions])
-        assert stats.subtrees_skipped > 0
-        assert stats.nodes_skipped > 0
+        assert stats.records_kept > 0
+        assert stats.nodes_kept > 0
+
+    def test_batch_of_omim_churn_keeps_records(self, tmp_path, spec):
+        """Churn changes every chunk in every version; the batch still
+        confirms the records that stood still, reports a loop's
+        counters, and writes the chunk files a per-version loop writes."""
+        rates = OmimChangeRates(
+            insert_fraction=0.05, modify_fraction=0.05, delete_fraction=0.05
+        )
+        versions = OmimGenerator(
+            seed=7, initial_records=40, rates=rates
+        ).generate_versions(8)
+        batched = ChunkedArchiver(str(tmp_path / "batch"), spec, chunk_count=4)
+        stats = batched.ingest_batch([v.copy() for v in versions])
+        looped = ChunkedArchiver(str(tmp_path / "loop"), spec, chunk_count=4)
+        expected = MergeStats()
+        for version in versions:
+            expected.accumulate(looped.add_version(version.copy()))
+        assert stats.records_kept > 0
+        assert stats.nodes_visited() == expected.nodes_visited()
+        for index in range(4):
+            with open(batched._chunk_path(index), "rb") as ours:
+                with open(looped._chunk_path(index), "rb") as theirs:
+                    assert ours.read() == theirs.read()
 
     def test_batch_with_empty_versions(self, tmp_path, versions, spec):
         archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=3)
