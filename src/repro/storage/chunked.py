@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..core.archive import (
     Archive,
@@ -371,8 +371,11 @@ class ChunkedArchiver(StorageBackend):
         """A file is missing: fine for legacy/lazy files, a typed error
         when the checksum sidecar says it should exist (or fsck moved
         it to quarantine)."""
-        if self.verify == "never":
-            return
+        if self.verify != "never":
+            self._refuse_absent(path)
+
+    def _refuse_absent(self, path: str) -> None:
+        """:meth:`_check_absent` whatever the verify policy."""
         name = os.path.basename(path)
         if name in self._checksums.quarantined:
             raise IntegrityError(
@@ -417,6 +420,16 @@ class ChunkedArchiver(StorageBackend):
             return None, False
         return data, self._verify_payload(path, data)
 
+    def _read_for_write(self, index: int) -> Optional[bytes]:
+        """:meth:`read_part_payload` for a write, which must neither
+        skip nor recreate a chunk whose history it cannot read: a
+        missing chunk the checksum table covers (or fsck quarantined)
+        raises under every verify policy."""
+        data = self.read_part_payload(index)
+        if data is None:
+            self._refuse_absent(self._chunk_path(index))
+        return data
+
     def _read_chunk_text(self, index: int) -> Optional[str]:
         """Decoded XML text of a stored chunk (``None`` when absent)."""
         data = self.read_part_payload(index)
@@ -446,7 +459,7 @@ class ChunkedArchiver(StorageBackend):
     def _load_chunk(self, index: int, for_write: bool = False) -> Archive:
         if not for_write:
             return self._cached(index, lambda: self._decode_chunk(index))
-        data = self.read_part_payload(index)
+        data = self._read_for_write(index)
         if data is None:
             return self._empty_chunk()
         # Checked out, not peeked at: the writer merges into the tree
@@ -601,10 +614,56 @@ class ChunkedArchiver(StorageBackend):
     def part_presence(self, index: int) -> Optional[VersionSet]:
         return self.chunk_presence(index)
 
+    def _stage_chunks(
+        self,
+        txn: ArchiveTxn,
+        chunks: Iterable[tuple[int, Archive]],
+        check: Optional[Callable[[int, bytes], None]] = None,
+    ) -> dict[int, dict]:
+        """The commit tail of every chunk loop: encode, check, stage.
+
+        ``chunks`` yields ``(index, tree)`` in chunk-index order, each
+        tree merged or decoded on this thread as it is asked for; one
+        :meth:`~repro.storage.codec.Codec.encode_archives` call in the
+        codec ``txn`` commits to encodes them all (``xbin`` deflates one
+        chunk on its pool while this thread merges the next).  Only once
+        every payload is in hand — and ``check(index, payload)`` has
+        passed on each, when given — are they staged through
+        :meth:`ArchiveTxn.put`, here and in chunk-index order, so a
+        failure anywhere before stages nothing and the fault seam sees
+        the same operations in the same order whatever the pool does.
+        Returns each staged chunk's new checksum-table entry.
+        """
+        indexes: list[int] = []
+
+        def trees() -> Iterator[Archive]:
+            for index, tree in chunks:
+                indexes.append(index)
+                yield tree
+
+        payloads = txn.codec.encode_archives(trees())
+        if check is not None:
+            for index, payload in zip(indexes, payloads):
+                check(index, payload)
+        return {
+            index: txn.put(self._chunk_path(index), payload)
+            for index, payload in zip(indexes, payloads)
+        }
+
     @mutation
     def add_version(self, document: Optional[Element]) -> MergeStats:
-        """Partition the version and merge chunk by chunk; all chunk
-        files publish atomically behind one WAL record."""
+        """Partition the version, merge every chunk it touches, encode
+        them in one call and stage the payloads in chunk order
+        (:meth:`_stage_chunks`); all chunk files publish atomically
+        behind one WAL record.
+
+        Chunks with no records this version still advance their version
+        counter (as an empty version) so timestamps align.  Whether a
+        chunk is stored is the checksum table's word
+        (:meth:`part_exists`): a covered chunk whose file has gone
+        raises :class:`~repro.storage.integrity.ManifestInconsistent`
+        before anything is staged, under every verify policy.
+        """
         total = MergeStats()
         # What the held trees and what they keep may cost.
         room = chunk_cache().max_bytes
@@ -617,29 +676,31 @@ class ChunkedArchiver(StorageBackend):
                 if tree.kept is not None and sha256 == self._cache_token(index)
             ]
         parts = self._partition(document, memos) if document is not None else {}
-        merged: dict[int, tuple[str, Archive]] = {}
+        trees: dict[int, Archive] = {}
         number = self._version_count + 1
         with ArchiveTxn(self, number) as txn:
             presence = self._carry_presence(txn)
-            for index in range(self.chunk_count):
-                # Chunks with no records this version still advance their
-                # version counter (as an empty version) so timestamps align.
-                chunk_exists = os.path.exists(self._chunk_path(index))
-                part = parts.get(index)
-                if part is None and not chunk_exists:
-                    continue  # nothing stored, nothing new: stay lazy
-                archive = self._load_chunk(index, for_write=True)
-                if room > 0 and archive.kept is None:
-                    archive.kept = Kept()  # a tree that may be held keeps
-                total.accumulate(archive.add_version(part))
-                presence[str(index)] = _chunk_presence_of(archive).to_text()
-                staged = txn.put(
-                    self._chunk_path(index), self.codec.encode_archive(archive)
-                )
-                room -= staged["bytes"] + archive.body_bytes + kept_bytes(archive)
-                if room >= 0:
-                    merged[index] = (staged["sha256"], archive)
-        self._held = merged
+
+            def merged() -> Iterator[tuple[int, Archive]]:
+                for index in range(self.chunk_count):
+                    part = parts.get(index)
+                    if part is None and not self.part_exists(index):
+                        continue  # nothing stored, nothing new: stay lazy
+                    archive = self._load_chunk(index, for_write=True)
+                    if room > 0 and archive.kept is None:
+                        archive.kept = Kept()  # a tree that may be held keeps
+                    total.accumulate(archive.add_version(part))
+                    presence[str(index)] = _chunk_presence_of(archive).to_text()
+                    trees[index] = archive
+                    yield index, archive
+
+            staged = self._stage_chunks(txn, merged())
+        held: dict[int, tuple[str, Archive]] = {}
+        for index, archive in trees.items():
+            room -= staged[index]["bytes"] + archive.body_bytes + kept_bytes(archive)
+            if room >= 0:
+                held[index] = (staged[index]["sha256"], archive)
+        self._held = held
         total.versions = 1
         return total
 
@@ -660,19 +721,22 @@ class ChunkedArchiver(StorageBackend):
         version through :meth:`Archive.add_versions
         <repro.core.archive.Archive.add_versions>` — a loop under a
         record memo that lives for the batch, so a record a version
-        brings back unchanged is confirmed, not descended — encode.  No
-        tree is held afterwards.  Every payload is in hand before the
-        one :class:`~repro.storage.txn.ArchiveTxn` begins, so a failed
-        merge stages nothing.  ``on_chunk(index, archive)`` is handed
+        brings back unchanged is confirmed, not descended.  The merged
+        trees go to one encode call as they are made and their payloads
+        are staged in chunk order once all are in hand
+        (:meth:`_stage_chunks`), so a failed merge stages nothing.  No
+        tree is held afterwards.  ``on_chunk(index, archive)`` is handed
         each merged chunk archive once that commit has published — the
         hook the index-maintaining persistent layer uses; a batch that
         rolls back fires it for no chunk.
 
         The chunk-major order trades memory for I/O: the whole batch's
         partitions stay in memory until their chunks are processed, so
-        peak memory is one chunk plus the *batch's* records rather than
-        the single version the per-version loop holds.  Callers on the
-        paper's 256 MB budget bound it by ingesting in slices —
+        peak memory is one chunk tree, the bodies the pool has yet to
+        deflate and the payloads it has, plus the *batch's* records,
+        rather than the single version the per-version loop holds.
+        Callers on the paper's 256 MB budget bound it by ingesting in
+        slices —
         consecutive ``ingest_batch`` calls produce chunk files identical
         to one big batch (and to a per-version loop).
 
@@ -686,29 +750,29 @@ class ChunkedArchiver(StorageBackend):
         ]
         self._held = {}  # the batch republishes every chunk it touches
         total = MergeStats()
-        merged: list[tuple[int, str, bytes]] = []
         trees: dict[int, Archive] = {}  # kept only for ``on_chunk``
-        for index in range(self.chunk_count):
-            if not os.path.exists(self._chunk_path(index)) and not any(
-                index in parts for parts in partitions
-            ):
-                continue  # never stored, never mentioned: stay lazy
-            archive = self._load_chunk(index, for_write=True)
-            # Versions without records for this chunk are empty
-            # versions locally, keeping timestamps globally aligned.
-            total.accumulate(
-                archive.add_versions(parts.get(index) for parts in partitions)
-            )
-            presence_text = _chunk_presence_of(archive).to_text()
-            merged.append((index, presence_text, self.codec.encode_archive(archive)))
-            if on_chunk is not None:
-                trees[index] = archive
         number = self._version_count + len(partitions)
         with ArchiveTxn(self, number) as txn:
             presence = self._carry_presence(txn)
-            for index, presence_text, encoded in merged:
-                presence[str(index)] = presence_text
-                txn.put(self._chunk_path(index), encoded)
+
+            def merged() -> Iterator[tuple[int, Archive]]:
+                for index in range(self.chunk_count):
+                    if not self.part_exists(index) and not any(
+                        index in parts for parts in partitions
+                    ):
+                        continue  # never stored, never mentioned: stay lazy
+                    archive = self._load_chunk(index, for_write=True)
+                    # Versions without records for this chunk are empty
+                    # versions locally, keeping timestamps globally aligned.
+                    total.accumulate(
+                        archive.add_versions(parts.get(index) for parts in partitions)
+                    )
+                    presence[str(index)] = _chunk_presence_of(archive).to_text()
+                    if on_chunk is not None:
+                        trees[index] = archive
+                    yield index, archive
+
+            self._stage_chunks(txn, merged())
         total.versions = len(partitions)
         # Only now, the commit published: index caches never adopt
         # state a failed batch rolls back.
@@ -926,38 +990,42 @@ class ChunkedArchiver(StorageBackend):
         The chunk files and the manifest (recording the new codec, and
         the presence map as it was) publish together behind one WAL
         record, so a crash mid-recode recovers to wholly-old or
-        wholly-new encodings.  Every chunk is decoded, re-encoded and
-        verified before that commit begins, so a chunk that fails the
-        identity check stages nothing.
+        wholly-new encodings.  Every chunk is decoded, then all are
+        re-encoded in one call and verified (:meth:`_stage_chunks`)
+        before the first is staged, so a chunk that fails the identity
+        check stages nothing.  A missing chunk the checksum table
+        covers raises rather than being left out.
         """
         target = get_codec(codec)
         old = self.codec
         before = self.total_bytes()
         self._held = {}  # every chunk file is about to be rewritten
-        recoded = []
-        for index in range(self.chunk_count):
-            payload = self.read_part_payload(index)
-            if payload is None:
-                continue
-            # Decode through the archive seam, re-encode through it, then
-            # verify the staged payload re-emits the Fig. 5 document the
-            # old encoding held — codecs that store binary records (xbin)
-            # take part in the identity check via their re-emission.
-            archive = old.decode_archive(payload, self.spec, self.options)
-            text = archive.to_xml_string()
-            encoded = target.encode_archive(archive)
-            verify_recoded_document(text, encoded, target)
-            recoded.append((index, encoded))
+        # The Fig. 5 document each old payload holds: the staged payload
+        # must re-emit it — codecs that store binary records (xbin) take
+        # part in the identity check via their re-emission.
+        texts: dict[int, str] = {}
+
+        def decoded() -> Iterator[tuple[int, Archive]]:
+            for index in range(self.chunk_count):
+                payload = self._read_for_write(index)
+                if payload is None:
+                    continue
+                archive = old.decode_archive(payload, self.spec, self.options)
+                texts[index] = archive.to_xml_string()
+                yield index, archive
+
+        def check(index: int, encoded: bytes) -> None:
+            verify_recoded_document(texts.pop(index), encoded, target)
+
         with ArchiveTxn(self, self._version_count, codec=target) as txn:
             self._carry_presence(txn)  # an old store's recode moves it too
-            for index, encoded in recoded:
-                txn.put(self._chunk_path(index), encoded)
+            staged = self._stage_chunks(txn, decoded(), check)
         return RecodeReport(
             path=self.directory,
             kind=self.kind,
             old_codec=old.name,
             new_codec=target.name,
-            files=len(recoded),
+            files=len(staged),
             disk_bytes_before=before,
             disk_bytes_after=self.total_bytes(),
         )

@@ -37,7 +37,10 @@ Backends read and write whole archives through the **archive seam** —
 :meth:`Codec.encode_archive` / :meth:`Codec.decode_archive`.  For the
 text codecs these default to serializing/parsing Fig. 5 XML (exactly
 the pre-seam behaviour, byte for byte); ``xbin`` overrides them with
-the record codec, which is where the repeat-read win comes from.
+the record codec, which is where the repeat-read win comes from.  A
+chunk loop encodes all its trees in one :meth:`Codec.encode_archives`
+call, which is :meth:`Codec.encode_archive` of each in turn except in
+``xbin``, whose deflates run on a thread pool beside the caller.
 
 Payloads that must stay greppable/plain stay plain regardless of codec:
 ``manifest.json``, the checksum table, key-spec sidecars and the WAL
@@ -64,7 +67,7 @@ from __future__ import annotations
 import abc
 import io
 import zlib
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 from ..compress import gzipper, xmill
 from . import xbin
@@ -160,6 +163,12 @@ class Codec(abc.ABC):
         Binary codecs override this to skip the text entirely.
         """
         return self.encode_document(archive.to_xml_string())
+
+    def encode_archives(self, archives: Iterable) -> list[bytes]:
+        """:meth:`encode_archive` of every tree ``archives`` yields, in
+        order — the one call a chunk loop makes.  The default encodes
+        each in turn; ``xbin`` deflates them on a thread pool."""
+        return [self.encode_archive(archive) for archive in archives]
 
     def decode_archive(self, data: bytes, spec, options=None):
         """Decode bytes written by :meth:`encode_archive` into an
@@ -332,7 +341,9 @@ class XbinCodec(Codec):
 
     ``encode_archive``/``decode_archive`` move whole node trees as
     length-prefixed records — no XML text on either side — which is the
-    seam every backend's chunk reads and writes cross.  The *document*
+    seam every backend's chunk reads and writes cross;
+    ``encode_archives`` writes each tree's records on the calling thread
+    and deflates them on :mod:`.xbin`'s pack pool.  The *document*
     methods stay fully interoperable: ``decode_document`` re-emits the
     Fig. 5 XML (byte-identical to what the text codecs store, so fsck's
     deep scrub and recode verification treat xbin payloads like any
@@ -350,6 +361,9 @@ class XbinCodec(Codec):
 
     def encode_archive(self, archive) -> bytes:
         return xbin.encode_archive(archive)
+
+    def encode_archives(self, archives: Iterable) -> list[bytes]:
+        return xbin.encode_archives(archives)
 
     def decode_archive(self, data: bytes, spec, options=None):
         return xbin.decode_archive(data, spec, options)

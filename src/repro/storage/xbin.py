@@ -74,6 +74,16 @@ names in the order the block introduced them.  The output is byte for
 byte what the full walk writes, and the full walk is the only path for
 a tree that keeps nothing.
 
+An encode is two halves that run in different places.  The body
+(:func:`_write_tree`) is written on the calling thread: it walks the
+tree, costs it (``Archive.body_bytes``) and reads and writes kept
+blocks, none of which may race.  The container around it (:func:`_pack`:
+deflate and CRC, both of which release the interpreter lock) runs on a
+thread pool sized to the CPUs the process may use, so a chunk loop that
+hands every tree to :func:`encode_archives` deflates one chunk while it
+merges and writes the next.  The bytes are those of a serial
+``_pack(_write_tree(tree))``.
+
 A *text-mode* body is a plain UTF-8 document blob — the fallback for
 ``encode_document`` callers that hold only text (no key spec to build
 nodes from); ``decode_document`` handles both modes transparently.
@@ -87,9 +97,11 @@ callers translate that into the exit-2 taxonomy).
 
 from __future__ import annotations
 
+import os
 import threading
 import zlib
-from typing import Callable, Optional
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Iterable, Optional
 
 from ..core.archive import Archive, ArchiveOptions, archive_xml
 from ..core.compaction import lines_to_content
@@ -215,7 +227,9 @@ class _NameIds(dict):
 def _write_tree(archive: Archive) -> bytes:
     """Encode an archive-mode body.
 
-    The hot loop of every append, so the output, the name table and the
+    The hot loop of every append, and the half of an encode that stays
+    on the calling thread (the deflate after it, :func:`_pack`, runs on
+    :func:`encode_archives`' pool), so the output, the name table and the
     primitives live in one closure's variables and a varint's common
     single-byte form is appended inline.  A children block is framed in
     place: written first, its length inserted before it once known.
@@ -849,14 +863,47 @@ def _read_tree(
 
 
 def _pack(body: bytes, flags: int) -> bytes:
+    """The container around ``body``.  Deflate and CRC release the
+    interpreter lock, so packs on pool threads run beside the caller."""
     compressed = zlib.compress(body, 6)
     out = bytearray(XBIN_MAGIC)
-    crc = zlib.crc32(bytes([flags]) + compressed)
+    crc = zlib.crc32(compressed, zlib.crc32(bytes([flags])))
     _write_varint(out, crc)
     out.append(flags)
     _write_varint(out, len(compressed))
     out.extend(compressed)
     return bytes(out)
+
+
+#: The pool :func:`encode_archives` packs on: one per process, made on
+#: first use, sized to the CPUs this process may run on, and forgotten
+#: by a forked child (its threads do not survive the fork).
+_packers: Optional[ThreadPoolExecutor] = None
+_packers_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # ``taskset`` narrows it
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _packers
+    with _packers_lock:
+        if _packers is None:
+            _packers = ThreadPoolExecutor(_usable_cpus(), "xbin-pack")
+        return _packers
+
+
+def _forget_pool() -> None:
+    global _packers, _packers_lock
+    _packers = None
+    _packers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _unpack(data: bytes) -> tuple[int, int, bytes]:
@@ -895,13 +942,43 @@ def encode_text_blob(text: str) -> bytes:
     return _pack(text.encode("utf-8"), _FLAG_TEXT)
 
 
+def _body(archive: Archive) -> tuple[bytes, int]:
+    """``archive``'s body and container flags; costs the tree by the
+    body (``Archive.body_bytes``)."""
+    body = _write_tree(archive)
+    archive.body_bytes = len(body)
+    return body, _FLAG_COMPACTION if archive.options.compaction else 0
+
+
 def encode_archive(archive: Archive) -> bytes:
     """Serialize an in-memory archive straight from its node tree, and
     cost the tree by the body that makes (``Archive.body_bytes``)."""
-    flags = _FLAG_COMPACTION if archive.options.compaction else 0
-    body = _write_tree(archive)
-    archive.body_bytes = len(body)
-    return _pack(body, flags)
+    return _pack(*_body(archive))
+
+
+def encode_archives(archives: Iterable[Archive]) -> list[bytes]:
+    """:func:`encode_archive` of each tree, in order, the packs fanned out.
+
+    Each body is written on the calling thread as its tree arrives —
+    the writer walks the tree, sets ``body_bytes`` and reads and writes
+    kept blocks, none of which may race — and handed to the pool, which
+    deflates it while the caller writes the next (or, when ``archives``
+    is a generator, merges the next tree).  A body is dropped once
+    packed.  If anything raises, the packs already handed over are
+    cancelled or waited for before the error leaves, so nothing of this
+    call still runs when the caller cleans up.
+    """
+    pool = _pool()
+    packing = []
+    try:
+        for archive in archives:
+            packing.append(pool.submit(_pack, *_body(archive)))
+        return [future.result() for future in packing]
+    except BaseException:
+        for future in packing:
+            future.cancel()
+        wait(packing)
+        raise
 
 
 def kept_bytes(archive: Archive) -> int:

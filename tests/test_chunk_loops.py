@@ -1,8 +1,10 @@
-"""The serial chunk loops: ``ingest_batch``, ``recode`` and the select.
+"""The chunk loops: ``add_version``, ``ingest_batch``, ``recode`` and the select.
 
 Each write loop reads, decodes, merges or re-encodes every chunk it
-touches in turn, and opens the one ``ArchiveTxn`` that publishes only
-once every payload is in hand.  Three guarantees follow:
+touches in turn on the calling thread, hands the trees to one
+``encode_archives`` call (``xbin`` deflates them on a thread pool) and
+stages the payloads in chunk order, inside the one ``ArchiveTxn`` that
+publishes only once every payload is in hand.  Four guarantees follow:
 
 * **Determinism** — the same versions give the same payloads however
   the batches are cut, and a recode writes the payloads a store created
@@ -10,6 +12,10 @@ once every payload is in hand.  Three guarantees follow:
 * **A failure stages nothing** — an error at any chunk, in any step
   before the commit, leaves the store byte-identical, fsck-clean and
   writable by the same handle.
+* **The pool changes nothing but the clock** — the files, and the
+  order of the storage seam's operations, are a serial encode's; a
+  failure leaves no pack running, and a forked child packs on its own
+  pool.
 * **One answer** — a chunked select answers as the file backend does,
   and a keyed lookup opens only the chunk that owns the key.
 
@@ -20,6 +26,11 @@ and ``open_db`` and changes nothing; no command-line tool takes it.
 import glob
 import json
 import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +38,23 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.archive import ArchiveOptions
+from repro.data import OmimGenerator
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
+from repro.data.omim import OMIM_KEY_TEXT
+from repro.keys.annotate import annotate_keys
 from repro.query.db import open_db
-from repro.storage import chunked, create_archive, fsck_archive, open_archive
+from repro.storage import (
+    FaultInjector,
+    ManifestInconsistent,
+    chunked,
+    create_archive,
+    fsck_archive,
+    inject,
+    open_archive,
+    xbin,
+)
 from repro.storage.cache import reset_chunk_cache
-from repro.storage.codec import get_codec
+from repro.storage.codec import Codec, get_codec
 from repro.xmltree.model import Element, Text
 from repro.xmltree.serializer import to_string
 
@@ -312,6 +335,258 @@ class TestFailureStagesNothing:
         store, reference = payloads_of(paths["store"]), payloads_of(paths["reference"])
         assert store[1] == reference[1]
         assert store[0]["store.xml"] == reference[0]["reference.xml"]
+
+
+class TestAMissingCoveredChunk:
+    """A write must neither skip nor recreate a chunk whose history it
+    cannot read: the checksum table says the chunk is stored, so its
+    file being gone is an inconsistency, raised before anything is
+    staged — also when the version brings no records for that chunk,
+    and also under ``verify="never"``."""
+
+    @pytest.mark.parametrize("verify", ["always", "open", "never"])
+    @pytest.mark.parametrize("operation", ["add_version", "ingest_batch", "recode"])
+    def test_a_write_refuses_it(self, tmp_path, operation, verify):
+        first, second = dense_versions(2, records=20)
+        path = tmp_path / "store"
+        _chunked_store(path, [first], codec="xbin").close()
+        backend = open_archive(str(path), verify=verify)
+        annotated = annotate_keys(second, backend.spec)
+        owners = {
+            id(record): backend.chunk_index_for_label(annotated.label(record))
+            for record in second.element_children()
+        }
+        victim = owners[id(next(second.element_children()))]
+        others = Element("db")
+        for record in second.element_children():
+            if owners[id(record)] != victim:
+                others.append(record.copy())
+        assert 0 < len(others.children) < 20
+        os.remove(path / f"chunk-{victim:04d}.xml")
+        before = files_of(path)
+        with pytest.raises(ManifestInconsistent):
+            if operation == "add_version":
+                backend.add_version(others)
+            elif operation == "ingest_batch":
+                backend.ingest_batch([others])
+            else:
+                backend.recode("gzip")
+        assert files_of(path) == before
+        assert not glob.glob(str(path / "*.tmp"))
+        assert (backend.last_version, backend.codec.name) == (1, "xbin")
+        backend.close()
+
+
+# -- the pool changes nothing but the clock --------------------------------------
+
+OMIM = OmimGenerator(seed=3, initial_records=40).generate_versions(6)
+OMIM_CHUNKS = 8
+
+
+def _omim_store(path, options=None):
+    return create_archive(
+        str(path), OMIM_KEY_TEXT, kind="chunked", chunk_count=OMIM_CHUNKS,
+        codec="xbin", options=options,
+    )
+
+
+def _pack_spy(monkeypatch, delay=0.0):
+    """Wrap ``xbin._pack``: the thread each pack started on, and the
+    packs that finished."""
+    original = xbin._pack
+    spy: dict = {"started": [], "finished": []}
+
+    def packing(body, flags):
+        spy["started"].append(threading.current_thread())
+        time.sleep(delay)
+        data = original(body, flags)
+        spy["finished"].append(None)
+        return data
+
+    monkeypatch.setattr(xbin, "_pack", packing)
+    return spy
+
+
+class TestTheCommitTail:
+    @staticmethod
+    def _every_write(base, options):
+        """The files after a batch, two appends on the handle that holds
+        its trees, an append on a fresh handle, and a recode away from
+        ``xbin`` and back."""
+        path = base / "store"
+        backend = _omim_store(path, options)
+        backend.ingest_batch(v.copy() for v in OMIM[:3])
+        states = [files_of(path)]
+        for version in OMIM[3:5]:
+            backend.add_version(version.copy())
+            states.append(files_of(path))
+        backend.close()
+        backend = open_archive(str(path), options=options)
+        backend.add_version(OMIM[5].copy())
+        states.append(files_of(path))
+        backend.recode("gzip")
+        backend.recode("xbin")
+        states.append(files_of(path))
+        backend.close()
+        return states
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("compaction", [False, True])
+    def test_every_write_is_a_serial_encode(
+        self, tmp_path, monkeypatch, compaction, threads
+    ):
+        """Pool or no pool, a pool of one or two: the same files, each
+        ``_pack(_write_tree(tree))`` of the tree the loop merged."""
+        options = ArchiveOptions(compaction=compaction)
+        codec = get_codec("xbin")
+        with monkeypatch.context() as serial:
+            serial.setattr(
+                codec, "encode_archives",
+                lambda archives: Codec.encode_archives(codec, archives),
+            )
+            expected = self._every_write(tmp_path / "serial", options)
+        pool = ThreadPoolExecutor(threads, "test-pack")
+        try:
+            monkeypatch.setattr(xbin, "_packers", pool)
+            spy = _pack_spy(monkeypatch)
+            assert self._every_write(tmp_path / "pooled", options) == expected
+        finally:
+            pool.shutdown()
+        assert len(spy["started"]) == len(spy["finished"]) > 0
+        assert threading.main_thread() not in spy["started"]
+
+    def test_the_seam_sees_one_append_in_chunk_order(self, tmp_path):
+        """The seam's ``(kind, path)`` log of one append, in order: the
+        chunks staged in index order, the manifest, the checksum table,
+        the write-ahead record, the publishing renames, the record out.
+        The crash-at-every-op drill enumerates exactly these states."""
+        backend = _omim_store(tmp_path / "store")
+        backend.ingest_batch(v.copy() for v in OMIM[:2])
+        seam = FaultInjector()
+        with inject(seam):
+            backend.add_version(OMIM[2].copy())
+        backend.close()
+        log = [(kind, os.path.basename(target)) for kind, target in seam.log]
+        staged = [f"chunk-{index:04d}.xml" for index in range(OMIM_CHUNKS)]
+        staged += ["manifest.json", "checksums.json"]
+        expected = []
+        for name in staged + ["wal.json"]:
+            expected += [("write", f"{name}.tmp"), ("fsync", f"{name}.tmp")]
+        expected += [("replace", "wal.json"), ("dirsync", "store")]
+        expected += [("replace", name) for name in staged]
+        expected += [("dirsync", "store"), ("remove", "wal.json"), ("dirsync", "store")]
+        assert log == expected
+
+    @pytest.mark.parametrize("operation", ["add_version", "ingest_batch"])
+    def test_a_failed_merge_leaves_no_pack_running(
+        self, tmp_path, monkeypatch, operation
+    ):
+        """A merge fails after earlier chunks' packs were handed to the
+        pool (and are still deflating): the error leaves only once none
+        of them runs, nothing is staged, and the next append writes what
+        a fresh handle writes."""
+        versions = dense_versions(5)
+        first, following = versions[:3], versions[3:]
+        batch = operation == "ingest_batch"
+        path = tmp_path / "store"
+        backend = _chunked_store(path, first, codec="xbin")
+        before = files_of(path)
+
+        def write(handle):
+            if batch:
+                handle.ingest_batch(v.copy() for v in following)
+            else:
+                handle.add_version(following[0].copy())
+
+        spy = _pack_spy(monkeypatch, delay=0.05)
+        per_chunk = len(following) if batch else 1
+        fail_on_call(monkeypatch, chunked.Archive, "add_version", 2 * per_chunk)
+        with pytest.raises(Injected):
+            write(backend)
+        assert len(spy["started"]) == len(spy["finished"]) >= 1
+        monkeypatch.undo()
+        assert_untouched(path, before)
+        write(backend)
+        backend.close()
+        _chunked_store(tmp_path / "reference", first, codec="xbin").close()
+        with open_archive(str(tmp_path / "reference")) as fresh:
+            write(fresh)
+        assert files_of(path) == files_of(tmp_path / "reference")
+
+    def test_threads_that_encode_at_once_share_one_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """More encoding threads than cores, switching often, racing to
+        make the pool: one pool is made and every thread gets the
+        payloads a serial encode gives."""
+        backend = _omim_store(tmp_path / "store")
+        backend.ingest_batch(v.copy() for v in OMIM[:3])
+        payloads = [backend.read_part_payload(i) for i in range(OMIM_CHUNKS)]
+        spec = backend.spec
+        backend.close()
+        monkeypatch.setattr(xbin, "_packers", None)
+        made = []
+        monkeypatch.setattr(
+            xbin, "ThreadPoolExecutor",
+            lambda *args: made.append(None) or ThreadPoolExecutor(*args),
+        )
+        answers = {}
+
+        def encode(thread):
+            trees = [xbin.decode_archive(data, spec) for data in payloads]
+            answers[thread] = xbin.encode_archives(trees)
+
+        threads = [threading.Thread(target=encode, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if xbin._packers is not None:
+                xbin._packers.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(made) == 1
+        assert answers == {n: payloads for n in range(6)}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Forking beside the pool's threads is what this drill is about.
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_a_forked_child_packs_on_its_own_pool(self, tmp_path):
+        """The parent's pack threads do not survive a fork; a child that
+        appends makes its own pool instead of waiting on theirs."""
+        paths = [tmp_path / "forked", tmp_path / "reference"]
+        for path in paths:
+            backend = _omim_store(path)
+            backend.ingest_batch(v.copy() for v in OMIM[:3])
+            backend.close()
+        assert xbin._packers is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                with open_archive(str(paths[0])) as child:
+                    child.add_version(OMIM[3].copy())
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's append did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+        with open_archive(str(paths[1])) as reference:
+            reference.add_version(OMIM[3].copy())
+        assert files_of(paths[0]) == files_of(paths[1])
 
 
 # -- one answer ------------------------------------------------------------------

@@ -439,14 +439,21 @@ class TestAppendsOnOneHandle:
         )
         codec = get_codec("xbin")
         encoded = []  # (tree, what it kept) as each chunk was encoded
-        original = codec.encode_archive
+        original = codec.encode_archives
 
-        def watching(archive):
-            data = original(archive)
-            encoded.append((archive, archive.kept))
+        def watching(archives):
+            trees = []
+
+            def each():
+                for archive in archives:
+                    trees.append(archive)
+                    yield archive
+
+            data = original(each())
+            encoded.extend((archive, archive.kept) for archive in trees)
             return data
 
-        monkeypatch.setattr(codec, "encode_archive", watching)
+        monkeypatch.setattr(codec, "encode_archives", watching)
         try:
             reset_chunk_cache(0)
             decodes = _count_decodes(monkeypatch, "xbin")
@@ -488,7 +495,7 @@ class TestAppendsOnOneHandle:
         finally:
             reset_chunk_cache()
         handle.close()
-        monkeypatch.setattr(codec, "encode_archive", original)
+        monkeypatch.setattr(codec, "encode_archives", original)
         fresh = create_archive(
             str(tmp_path / "fresh"), OMIM_KEY_TEXT, kind="chunked",
             chunk_count=CHUNKS, codec="xbin",
