@@ -14,6 +14,7 @@ answering wrong.
 
 import pytest
 
+import repro
 from repro.data import OmimGenerator, omim_key_spec
 from repro.storage import ChunkedArchiver, ExternalArchiver, FileBackend
 
@@ -70,7 +71,7 @@ def test_backend_retrieve_throughput(benchmark, kind, sequence, spec, tmp_path_f
         for number in range(1, VERSIONS + 1):
             document = backend.retrieve(number)
             assert document is not None
-        history = backend.history(path)
+        history = repro.open(backend).history(path)
         assert history.existence.max_version() >= 1
 
     benchmark.pedantic(read_everything, rounds=3, iterations=1)

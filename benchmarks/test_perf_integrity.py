@@ -28,7 +28,7 @@ from repro.storage import ChunkedArchiver, fsck_archive, open_archive
 VERSIONS = 10
 RECORDS = 16
 #: Manual-timing repetitions for the verify delta (min-of-N).
-TIMING_RUNS = 5
+TIMING_RUNS = 9
 
 
 @pytest.fixture(scope="module")
@@ -92,20 +92,19 @@ def test_sparse_retrieval_verify_delta(benchmark, store, spec):
         finally:
             backend.close()
 
-    def min_of_n(policy):
-        best = float("inf")
-        for _ in range(TIMING_RUNS):
-            start = time.perf_counter()
-            read(policy)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def timed(policy):
+        start = time.perf_counter()
+        read(policy)
+        return time.perf_counter() - start
 
-    # Interleave a warm-up of each side, then time both the same way
-    # so cache state cancels out of the comparison.
+    # Warm up each side, then time the two in alternation so cache
+    # state and a burst of load from elsewhere fall on both sides.
     read("never")
     read("always")
-    never_s = min_of_n("never")
-    always_s = min_of_n("always")
+    never_s = always_s = float("inf")
+    for _ in range(TIMING_RUNS):
+        never_s = min(never_s, timed("never"))
+        always_s = min(always_s, timed("always"))
     delta = (always_s - never_s) / never_s if never_s else 0.0
 
     benchmark.extra_info["verify_always_min_s"] = round(always_s, 6)

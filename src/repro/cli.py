@@ -364,8 +364,7 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
 
 
 def cmd_log(args: argparse.Namespace) -> int:
-    backend = _open(args)
-    history = backend.history(args.path)
+    history = _open(args).db().history(args.path)
     print(f"{args.path}")
     print(f"  exists at versions: {history.existence.to_text()}")
     if history.changes:
@@ -376,9 +375,7 @@ def cmd_log(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    backend = _open(args)
-    report = backend.diff(args.from_version, args.to_version)
-    print(report)
+    print(_open(args).db().between(args.from_version, args.to_version).report())
     return 0
 
 

@@ -623,89 +623,11 @@ class Archive:
     # -- temporal history (Sec. 7.2) ----------------------------------------------
 
     def history(self, path: str) -> ElementHistory:
-        """History of the element at a keyed path.
+        """History of the element at a keyed path
+        (:func:`~repro.core.tempquery.history_in` over this archive)."""
+        from .tempquery import history_in  # the walk builds on this module
 
-        Path syntax matches the paper's examples:
-        ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` — each step is a
-        tag plus the key-path/value pairs identifying the node among its
-        siblings.  Steps with singleton keys take no predicate
-        (``/db/dept[name=finance]/emp[fn=John, ln=Doe]/sal``).
-        """
-        steps = _parse_history_path(path)
-        node = self.root
-        inherited = self._root_timestamp()
-        for tag, key_value in steps:
-            label = KeyLabel(tag=tag, key=key_value)
-            child = self.find_child(node, label)
-            if child is None:
-                raise missing_element_error(label, path)
-            inherited = child.effective_timestamp(inherited)
-            node = child
-        return ElementHistory(
-            path=path,
-            existence=inherited.copy(),
-            changes=self._content_changes(node, inherited),
-        )
-
-    @staticmethod
-    def _content_changes(
-        node: ArchiveNode, existence: VersionSet
-    ) -> Optional[list[tuple[VersionSet, str]]]:
-        if node.alternatives is not None:
-            changes = []
-            for alternative in node.alternatives:
-                timestamp = (
-                    alternative.timestamp.copy()
-                    if alternative.timestamp is not None
-                    else existence.copy()
-                )
-                rendered = "".join(
-                    to_string(c) if isinstance(c, Element) else c.text
-                    for c in alternative.content
-                )
-                changes.append((timestamp, rendered))
-            return changes
-        if node.weave is not None:
-            return Archive._weave_changes(node.weave, existence)
-        return None
-
-    @staticmethod
-    def _weave_changes(
-        weave: Weave, existence: VersionSet
-    ) -> list[tuple[VersionSet, str]]:
-        """Content runs of a woven frontier node.
-
-        The visible line set only changes where some segment's timestamp
-        has an interval boundary, so the weave is rendered once per
-        constant-content run instead of once per version — linear in
-        runs and segments rather than in the number of versions.
-        """
-        changes: list[tuple[VersionSet, str]] = []
-        if not existence:
-            return changes
-        boundaries: set[int] = set()
-        for segment in weave.segments:
-            for lo, hi in segment.timestamp.intervals():
-                boundaries.add(lo)
-                boundaries.add(hi + 1)
-        previous: Optional[str] = None
-        run: Optional[VersionSet] = None
-        for lo, hi in existence.intervals():
-            cuts = sorted(point for point in boundaries if lo < point <= hi)
-            starts = [lo] + cuts
-            ends = cuts + [hi + 1]
-            for start, stop in zip(starts, ends):
-                rendered = "\n".join(weave.lines_at(start))
-                if rendered == previous and run is not None:
-                    run.add_range(start, stop - 1)
-                else:
-                    if run is not None and previous is not None:
-                        changes.append((run, previous))
-                    run = VersionSet.from_intervals([(start, stop - 1)])
-                    previous = rendered
-        if run is not None and previous is not None:
-            changes.append((run, previous))
-        return changes
+        return history_in([self], path)
 
     # -- XML representation (Fig. 5) -------------------------------------------------
 
@@ -1015,18 +937,11 @@ def _parse_history_path(path: str) -> list[tuple[str, KeyValue]]:
 def _split_steps(text: str) -> list[str]:
     """Split on ``/`` outside brackets (key values may contain ``/``)."""
     steps: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for char in text:
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        if char == "/" and depth == 0:
-            steps.append("".join(current))
-            current = []
+    depth = 0  # of the brackets open before the ``/`` at hand
+    for piece in text.split("/"):
+        if depth:
+            steps[-1] += "/" + piece
         else:
-            current.append(char)
-    if current:
-        steps.append("".join(current))
+            steps.append(piece)
+        depth += piece.count("[") - piece.count("]")
     return [step for step in steps if step]

@@ -11,7 +11,7 @@ of Sec. 7.1 can be verified experimentally.
 Because the trees are archive-resident and keyed to the archive's
 mutation counter, an index instance never serves a stale tree: versions
 merged after the index was built are visible to the very next
-``retrieve`` without an explicit ``refresh``.
+``retrieve``.
 """
 
 from __future__ import annotations
@@ -51,19 +51,6 @@ class TimestampTreeIndex:
 
     def __init__(self, archive: Archive) -> None:
         self.archive = archive
-        self.refresh()
-
-    def refresh(self, archive: Optional[Archive] = None) -> None:
-        """Re-anchor to ``archive``.
-
-        Kept for compatibility with callers that re-point the index at
-        a reloaded archive object (the persistent chunked store does);
-        plain staleness needs no refresh — the archive's mutation
-        counter keeps the shared trees current, and the trees themselves
-        stay lazy so batched ingestion never pays to keep them warm.
-        """
-        if archive is not None:
-            self.archive = archive
 
     def tree_node_count(self) -> int:
         """Total tree nodes — the index's space cost.  Warms every lazy

@@ -9,7 +9,7 @@ not just compact storage.  This module is the door to it::
         db.versions()                                  # VersionSet
         db.at(3).select("/db/dept[name='finance']/emp")  # streaming elements
         db.at(3).select("//tel/text()")                # streaming strings
-        db.between(2, 5).changes()                     # streaming Change records
+        db.between(2, 5).changes()                     # Change records, key order
         db.history("/db/dept[name=finance]")           # ElementHistory
         db.first_appearance("/db/dept[name=finance]")  # version number
         db.explain("/db/dept[name='x']/emp")           # the plan, human-readable
@@ -30,13 +30,25 @@ from __future__ import annotations
 
 import heapq
 import os
-import re
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from ..core.archive import Archive, ArchiveError
-from ..core.tempquery import ChangeReport
+from ..core.archive import (
+    Archive,
+    ArchiveError,
+    ElementHistory,
+    _parse_history_path,
+    _split_steps,
+)
+from ..core.tempquery import (
+    ChangeReport,
+    changes_in,
+    history_in,
+    normalize_prefix,
+    render_step,
+)
 from ..core.versionset import VersionSet
+from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
 from ..storage.archiver import ExternalArchiver
 from ..storage.backend import FileBackend, StorageBackend, open_archive
@@ -51,29 +63,7 @@ from .result import CHANGES, ELEMENTS, STRINGS, QueryResult, QueryStats
 Source = Union[str, "os.PathLike[str]", Archive, StorageBackend]
 
 
-_QUOTED_VALUE = re.compile(r"=\s*(['\"])(.*?)\1")
-_ELEMENT = itemgetter(3)  # of a chunk stream's (anchor, seq, chunk, element)
-
-
-def _path_within(path: str, prefix: str) -> bool:
-    """Step-boundary prefix match on keyed paths.
-
-    ``path`` is within ``prefix`` when it is the prefix itself, a
-    descendant step (``prefix + '/...'``), or the prefix with a key
-    predicate appended (``/db/dept`` covers ``/db/dept[name=x]``) — a
-    plain ``startswith`` would also leak sibling tags that merely
-    extend the name (``.../sal`` matching ``.../salx``).  Quoted
-    predicate values (``[name='finance']``, the ``select`` grammar) are
-    normalized to the unquoted form :class:`Change` paths render, so
-    the same expression works across both query modes.
-    """
-    prefix = _QUOTED_VALUE.sub(r"=\2", prefix).rstrip("/") or "/"
-    if prefix == "/":
-        return True
-    if not path.startswith(prefix):
-        return False
-    remainder = path[len(prefix) :]
-    return remainder == "" or remainder[0] in "/["
+_ELEMENT = itemgetter(3)  # of a chunk stream's (anchor, seq, part, element)
 
 
 def open_db(
@@ -157,12 +147,17 @@ class ArchiveDB:
 
     # -- temporal history (Sec. 7.2) ---------------------------------------
 
-    def history(self, path: str):
-        """Temporal history of the element at a keyed path."""
-        if self._archive is not None:
-            return self._archive.history(path)
-        assert self.backend is not None
-        return self.backend.history(path)
+    def history(self, path: str) -> ElementHistory:
+        """Temporal history of the element at a keyed path.
+
+        The external stream answers in one pass in memory bounded by
+        the tree's height; every other source walks its parts
+        (:func:`~repro.core.tempquery.history_in`), on ``chunked`` the
+        record's owning chunk alone (:meth:`_route`).
+        """
+        if isinstance(self.backend, ExternalArchiver):
+            return self.backend.history(path)
+        return history_in(self._parts(QueryStats(), self._route(path)), path)
 
     def first_appearance(self, path: str) -> int:
         """The version in which the element at ``path`` first existed.
@@ -225,14 +220,6 @@ class ArchiveDB:
 
     # -- internals ---------------------------------------------------------
 
-    def _memory_archive(self) -> Optional[Archive]:
-        """The in-memory archive, when this source has one."""
-        if self._archive is not None:
-            return self._archive
-        if isinstance(self.backend, FileBackend):
-            return self.backend.archive
-        return None
-
     def _counting_cache(self, stats: QueryStats, loader):
         """Run a backend load, folding its decoded-chunk cache traffic
         (hit/miss counter movement on the handle) into the query's
@@ -261,13 +248,102 @@ class ArchiveDB:
         assert self.backend is not None
         return self.backend.retrieve(version)
 
-    def _diff(self, from_version: int, to_version: int) -> ChangeReport:
-        if self._archive is not None:
-            from ..core.tempquery import archive_diff
+    def _changes(
+        self,
+        from_version: int,
+        to_version: int,
+        prefix: Optional[str],
+        stats: QueryStats,
+    ) -> ChangeReport:
+        versions = (from_version, to_version)
+        parts = self._parts(stats, self._route(prefix, versions), versions)
+        return changes_in(parts, from_version, to_version, prefix)
 
-            return archive_diff(self._archive, from_version, to_version)
-        assert self.backend is not None
-        return self.backend.diff(from_version, to_version)
+    def _parts(
+        self,
+        stats: QueryStats,
+        indices: Optional[Iterable[int]] = None,
+        versions: tuple[int, ...] = (),
+    ) -> list[Archive]:
+        """The archives a query walks.
+
+        One archive in memory, on ``file`` and (materialized) on
+        ``external``; on ``chunked``, the stored chunks among
+        ``indices`` (every chunk when ``None``) whose presence holds
+        one of ``versions`` (when given; the others are counted pruned),
+        loaded through the decoded-chunk cache.  An absent chunk that
+        fsck quarantined raises as it does in ``retrieve``
+        (:meth:`~repro.storage.chunked.ChunkedArchiver.part_stored`), so
+        no answer silently leaves its records out.
+        """
+        if self._archive is not None:
+            return [self._archive]
+        backend = self.backend
+        if isinstance(backend, FileBackend):
+            return [self._counting_cache(stats, lambda: backend.archive)]
+        if isinstance(backend, ExternalArchiver):
+            return [self._counting_cache(stats, backend.to_archive)]
+        assert isinstance(backend, ChunkedArchiver)
+        parts = []
+        for index in range(backend.part_count) if indices is None else indices:
+            if not backend.part_stored(index):
+                continue
+            presence = backend.part_presence(index)
+            if (
+                versions
+                and presence is not None
+                and not any(version in presence for version in versions)
+            ):
+                stats.chunks_pruned += 1
+                continue
+            parts.append(
+                self._counting_cache(stats, lambda: backend.load_part(index))
+            )
+        return parts
+
+    def _route(
+        self, path: Optional[str], versions: tuple[int, ...] = ()
+    ) -> Optional[list[int]]:
+        """The one chunk that answers for a keyed ``path`` — or for a
+        ``changes`` prefix between two ``versions`` — or ``None`` for
+        every chunk.
+
+        The path's record step (its second) names one record, whose key
+        label hashes to one chunk, when it parses and renders back to
+        the same text and carries a predicate (or the spec keys the
+        record by its tag alone); any other text reaches records in
+        other chunks too.  A prefix routes only while the owner holds
+        records at both versions or at neither: otherwise its copy of
+        the document shell flips where the document's may not, and
+        every chunk is walked.
+        """
+        backend = self.backend
+        if path is None or not isinstance(backend, ChunkedArchiver):
+            return None
+        text = normalize_prefix(path).strip()
+        steps = _split_steps(text[1:])
+        if not text.startswith("/") or len(steps) < 2:
+            return None
+        try:
+            [(tag, key)] = _parse_history_path("/" + steps[1])
+        except ArchiveError:
+            return None
+        label = KeyLabel(tag=tag, key=key)
+        if render_step(label) != steps[1]:
+            return None
+        if not key:
+            record_key = backend.spec.key_for((steps[0], tag))
+            if record_key is None or record_key.key_paths:
+                return None
+        owner = backend.chunk_index_for_label(label)
+        if versions:
+            mine = backend.part_presence(owner)
+            if mine is None:
+                if backend.part_exists(owner):
+                    return None  # stored, presence unknown
+            elif len({version in mine for version in versions}) > 1:
+                return None
+        return [owner]
 
     def _fallback_reason(self, plan: QueryPlan) -> Optional[str]:
         """Why this plan cannot run over the archive tree here."""
@@ -285,18 +361,10 @@ class ArchiveDB:
         reason = self._fallback_reason(plan)
         if reason is not None:
             elements = self._fallback_items(version, plan, stats, reason)
+        elif isinstance(self.backend, ExternalArchiver):
+            elements = self._stream_items(self.backend, plan, version, stats)
         else:
-            memory = self._counting_cache(stats, self._memory_archive)
-            if memory is not None:
-                elements = self._memory_items(memory, plan, version, stats)
-            elif isinstance(self.backend, ChunkedArchiver):
-                elements = self._chunked_items(self.backend, plan, version, stats)
-            elif isinstance(self.backend, ExternalArchiver):
-                elements = self._stream_items(self.backend, plan, version, stats)
-            else:  # an unknown future backend: correct, if unplanned
-                elements = self._fallback_items(
-                    version, plan, stats, "backend without a planned evaluation"
-                )
+            elements = self._part_items(plan, version, stats)
         if plan.want_text:
             return QueryResult(map(Element.text_content, elements), STRINGS, stats, plan)
         return QueryResult(elements, ELEMENTS, stats, plan)
@@ -317,90 +385,66 @@ class ArchiveDB:
 
         return generate()
 
-    def _memory_items(
-        self, archive: Archive, plan: QueryPlan, version: int, stats: QueryStats
+    def _part_items(
+        self, plan: QueryPlan, version: int, stats: QueryStats
     ) -> Iterator[Element]:
-        def generate() -> Iterator[Element]:
-            root_timestamp = archive.root.timestamp
-            if root_timestamp is None:
-                raise ArchiveError("Archive root carries no timestamp")
-            cursor = MemoryCursor(
-                archive, archive.root, root_timestamp, version, stats
-            )
-            for _, element in run_plan(cursor, plan, stats):
-                yield element
-
-        return generate()
-
-    def _chunked_items(
-        self,
-        backend: ChunkedArchiver,
-        plan: QueryPlan,
-        version: int,
-        stats: QueryStats,
-    ) -> Iterator[Element]:
-        """Fan a plan out to the owning chunks and re-interleave.
+        """Run a plan over the parts (:meth:`_parts`); on ``chunked``,
+        fan it out to the owning chunks and re-interleave.
 
         Chunks whose presence timestamps exclude the version are pruned
         before their XML is parsed.  Per-chunk result streams arrive in
-        chunk-internal order as ``(anchor, seq, chunk, element)``; they
+        chunk-internal order as ``(anchor, seq, part, element)``; they
         are merged on those tuples — the top-level record's sort token
         first, never an element — so the global order matches a
         snapshot's (:func:`~repro.storage.chunked.restore_key_order`).
-        Merging is a lazy k-way heap merge (none for a single live
-        chunk), except under a fingerprinter — chunk order is then
-        fingerprint order, not key order, so results are collected and
-        sorted once.
+        Merging is a lazy k-way heap merge (none for a single part),
+        except under a fingerprinter — chunk order is then fingerprint
+        order, not key order, so results are collected and sorted once.
         """
+        chunked = self.backend if isinstance(self.backend, ChunkedArchiver) else None
 
-        def part_stream(index: int) -> Iterator[tuple[tuple, int, int, Element]]:
-            archive = self._counting_cache(stats, lambda: backend.load_part(index))
+        def part_stream(
+            position: int, archive: Archive
+        ) -> Iterator[tuple[tuple, int, int, Element]]:
             root_timestamp = archive.root.timestamp
             if root_timestamp is None:
                 return
             cursor = MemoryCursor(archive, archive.root, root_timestamp, version, stats)
-            # (anchor, seq, chunk) is unique: a merge never compares elements.
+            # (anchor, seq, position) is unique: a merge never compares elements.
             for seq, (anchor, element) in enumerate(run_plan(cursor, plan, stats)):
-                yield (anchor, seq, index, element)
+                yield (anchor, seq, position, element)
 
-        def live_indices(indices) -> list[int]:
-            live = []
-            for index in indices:
-                if not backend.part_exists(index):
-                    continue
-                presence = backend.part_presence(index)
-                if presence is not None and version not in presence:
-                    stats.chunks_pruned += 1
-                    continue
-                live.append(index)
-            return live
-
-        def run_over(indices) -> Iterator[Element]:
-            live = live_indices(indices)
+        def run_over(indices: Optional[Iterable[int]]) -> Iterator[Element]:
+            streams = [
+                part_stream(position, archive)
+                for position, archive in enumerate(
+                    self._parts(stats, indices, (version,))
+                )
+            ]
             merged: Iterable[tuple[tuple, int, int, Element]]
-            if backend.options.fingerprinter is not None:
-                merged = sorted(item for index in live for item in part_stream(index))
-            elif len(live) == 1:  # every routed keyed select: nothing to merge
-                merged = part_stream(live[0])
+            if chunked is not None and chunked.options.fingerprinter is not None:
+                merged = sorted(item for stream in streams for item in stream)
+            elif len(streams) == 1:  # every routed keyed select: nothing to merge
+                merged = streams[0]
             else:
-                merged = heapq.merge(*map(part_stream, live))
+                merged = heapq.merge(*streams)
             return map(_ELEMENT, merged)
 
         def generate() -> Iterator[Element]:
             # A key lookup at the step selecting a top-level record pins
             # the record's key value, and the hash router maps a key
             # value to exactly one chunk: the query opens that one alone.
-            label = plan.steps[1].lookup_label
+            label = plan.steps[1].lookup_label if chunked is not None else None
             if label is None:
-                yield from run_over(range(backend.part_count))
+                yield from run_over(None)
                 return
-            owner = backend.chunk_index_for_label(label)
+            owner = chunked.chunk_index_for_label(label)
             produced = False
             for element in run_over([owner]):
                 produced = True
                 yield element
             if produced:
-                stats.chunks_routed_past += backend.part_count - 1
+                stats.chunks_routed_past += chunked.part_count - 1
                 return
             # The routed chunk answered nothing.  A key value whose
             # stored canonical form differs from the predicate's text
@@ -408,7 +452,7 @@ class ArchiveDB:
             # only trustworthy after the other chunks scan too — misses
             # cost a fan-out, hits open exactly one chunk.
             yield from run_over(
-                index for index in range(backend.part_count) if index != owner
+                index for index in range(chunked.part_count) if index != owner
             )
 
         return generate()
@@ -474,27 +518,32 @@ class RangeScope:
         """Element-level changes between the two versions.
 
         Streams :class:`~repro.core.tempquery.Change` records (added /
-        deleted / changed, identified by key path), computed through
-        the timestamp-tree-guided diff walk.  ``path_prefix`` filters
-        to changes at or beneath one keyed path (whole path steps:
-        ``.../sal`` does not match a sibling ``.../salx``).
+        deleted / changed, identified by key path) in key order on every
+        backend, computed by the timestamp-tree-guided walk
+        (:func:`~repro.core.tempquery.changes_in`).  ``path_prefix``
+        keeps the changes at or beneath one keyed path (whole path
+        steps: ``.../sal`` does not match a sibling ``.../salx``) and
+        prunes the walk to it: on ``chunked`` a prefix under one record
+        opens the record's owning chunk alone.
         """
         self.db._check_version(self.from_version)
         self.db._check_version(self.to_version)
+        stats = QueryStats()
 
         def generate():
-            report = self.db._diff(self.from_version, self.to_version)
-            for change in report.changes:
-                if path_prefix is None or _path_within(change.path, path_prefix):
-                    yield change
+            yield from self.db._changes(
+                self.from_version, self.to_version, path_prefix, stats
+            ).changes
 
-        return QueryResult(generate(), CHANGES)
+        return QueryResult(generate(), CHANGES, stats)
 
     def report(self) -> ChangeReport:
         """The eager :class:`ChangeReport` (legacy shape)."""
         self.db._check_version(self.from_version)
         self.db._check_version(self.to_version)
-        return self.db._diff(self.from_version, self.to_version)
+        return self.db._changes(
+            self.from_version, self.to_version, None, QueryStats()
+        )
 
     def __repr__(self) -> str:
         return (

@@ -14,12 +14,11 @@ with I/O accounting, bounded-memory sorted runs with k-way merging and
 the one-pass stream merge.
 """
 
-from .archiver import ExternalArchiver, PersistentIngestor, archive_to_stream
+from .archiver import ExternalArchiver, archive_to_stream
 from .backend import (
     BACKEND_KINDS,
     FileBackend,
     Manifest,
-    PartitionedBackend,
     RecodeReport,
     StorageBackend,
     create_archive,
@@ -106,9 +105,7 @@ __all__ = [
     "IOStats",
     "Manifest",
     "NodeEvent",
-    "PartitionedBackend",
     "PeekableEvents",
-    "PersistentIngestor",
     "StorageBackend",
     "StreamMergeError",
     "WalError",

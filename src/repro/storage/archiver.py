@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import re
 from itertools import zip_longest
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..core.archive import (
     Archive,
@@ -36,29 +36,18 @@ from ..core.archive import (
 )
 from ..core.merge import MergeStats
 from ..core.nodes import ArchiveNode
-from ..core.tempquery import ChangeReport, archive_diff
+from ..core.tempquery import alternative_runs
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
-from ..indexes.keyindex import KeyIndex
-from ..indexes.timestamp_tree import TimestampTreeIndex
 from ..keys.annotate import KeyLabel, annotate_keys
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
-from ..xmltree.serializer import to_string
 from .backend import (
     Loaded,
     Manifest,
-    PartitionedBackend,
     RecodeReport,
     StorageBackend,
     mutation,
-)
-from .chunked import (
-    ChunkedArchiver,
-    ChunkedArchiverError,
-    concatenate_parts,
-    restore_key_order,
-    route_to_owning_chunk,
 )
 from .events import (
     DEFAULT_PAGE_SIZE,
@@ -136,7 +125,7 @@ class ExternalArchiver(StorageBackend):
         self.archive_path = os.path.join(directory, STREAM_NAME)
         self._recover = recover
         #: Read-only handles cache the materialized stream (the
-        #: :meth:`to_archive` product ``diff`` and fallback queries pay
+        #: :meth:`to_archive` product ``changes`` and fallback queries pay
         #: for) in the process-wide decoded-chunk cache, keyed by the
         #: stream's sidecar checksum; writers never do.
         self.cache_reads = cache_reads
@@ -392,30 +381,10 @@ class ExternalArchiver(StorageBackend):
                 )
         changes = None
         if isinstance(found, FrontierEvent):
-            changes = []
-            for alternative in found.alternatives:
-                timestamp = (
-                    alternative.timestamp.copy()
-                    if alternative.timestamp is not None
-                    else inherited.copy()
-                )
-                rendered = "".join(
-                    to_string(c) if isinstance(c, Element) else c.text
-                    for c in alternative.content
-                )
-                changes.append((timestamp, rendered))
+            changes = alternative_runs(found.alternatives, inherited)
         return ElementHistory(
             path=path, existence=inherited.copy(), changes=changes
         )
-
-    def diff(self, from_version: int, to_version: int) -> ChangeReport:
-        """Element-level changes between two versions.
-
-        Materializes the stream once (the diff walks parent and child
-        timestamps together, which a single forward pass cannot); the
-        report matches the in-memory backend's exactly.
-        """
-        return archive_diff(self.to_archive(), from_version, to_version)
 
     def stats(self) -> ArchiveStats:
         """Size/shape counters, in one stream pass.
@@ -466,12 +435,12 @@ class ExternalArchiver(StorageBackend):
     def to_archive(self, options: Optional[ArchiveOptions] = None) -> Archive:
         """Materialize the stream into an in-memory :class:`Archive`.
 
-        Used by ``diff`` and the equivalence tests; defeats the
-        bounded-memory purpose otherwise — which is exactly why
-        read-caching handles keep the materialized product in the
-        decoded-chunk cache instead of paying the full stream pass per
-        request (non-default ``options`` always materialize fresh: the
-        options shape the product).
+        Used by ``changes`` (``repro.open(...).between(a, b)``) and the
+        equivalence tests; defeats the bounded-memory purpose otherwise —
+        which is exactly why read-caching handles keep the materialized
+        product in the decoded-chunk cache instead of paying the full
+        stream pass per request (non-default ``options`` always
+        materialize fresh: the options shape the product).
         """
         if options is not None:
             return self._materialize(self._events(self.io_stats), options)
@@ -565,146 +534,3 @@ def archive_to_stream(
         for child in archive.root.children:
             archive_node_to_events(child, writer)
         writer.write(ExitEvent())
-
-
-class PersistentIngestor:
-    """Batched ingestion into a partitioned persistent store, with live
-    retrieval and history indexes.
-
-    Runs against the :class:`~repro.storage.backend.PartitionedBackend`
-    protocol rather than a concrete archiver: any backend that stores
-    its archive as independently-loadable parts sharing the global
-    version numbering (today :class:`ChunkedArchiver`; tomorrow a
-    sharded multi-directory store) gets a
-    :class:`~repro.indexes.keyindex.KeyIndex` (Sec. 7.2 history
-    lookups) and a
-    :class:`~repro.indexes.timestamp_tree.TimestampTreeIndex` (Sec. 7.1
-    guided retrieval) kept current per part as batches flush, so
-    queries between batches hit indexes instead of re-walking part
-    archives.  The index cache holds each part's in-memory archive; the
-    on-disk part files remain the durable source of truth and are
-    re-adopted lazily after a restart.
-    """
-
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        spec: Optional[KeySpec] = None,
-        chunk_count: int = 8,
-        options: Optional[ArchiveOptions] = None,
-        *,
-        backend: Optional[PartitionedBackend] = None,
-    ) -> None:
-        if backend is None:
-            if directory is None or spec is None:
-                raise ValueError(
-                    "PersistentIngestor needs either a backend or a "
-                    "directory plus key spec"
-                )
-            backend = ChunkedArchiver(directory, spec, chunk_count, options)
-        self.backend = backend
-        self._key_indexes: dict[int, KeyIndex] = {}
-        self._timestamp_indexes: dict[int, TimestampTreeIndex] = {}
-        #: Part adoptions (XML parses) retrieval skipped because the
-        #: part's presence timestamp excluded the version (cumulative).
-        self.chunks_pruned = 0
-
-    @property
-    def last_version(self) -> int:
-        return self.backend.last_version
-
-    def ingest_batch(self, documents: Iterable[Optional[Element]]) -> MergeStats:
-        """Batch-merge versions; part indexes refresh as parts land."""
-        return self.backend.ingest_batch(documents, on_chunk=self._index_part)
-
-    def _index_part(self, index: int, archive: Archive) -> None:
-        key_index = self._key_indexes.get(index)
-        if key_index is None:
-            self._key_indexes[index] = KeyIndex(archive)
-        else:
-            key_index.refresh(archive)
-        timestamp_index = self._timestamp_indexes.get(index)
-        if timestamp_index is None:
-            self._timestamp_indexes[index] = TimestampTreeIndex(archive)
-        else:
-            timestamp_index.refresh(archive)
-
-    def _adopt_part(self, index: int) -> bool:
-        """Lazily index a part that exists on disk but not in the cache
-        (e.g. after a restart)."""
-        if index in self._timestamp_indexes:
-            return True
-        if not self.backend.part_exists(index):
-            return False
-        self._index_part(index, self.backend.load_part(index))
-        return True
-
-    def retrieve(
-        self, version: int, *, copy_content: bool = False
-    ) -> tuple[Optional[Element], ProbeCount]:
-        """Concatenate per-part reconstructions in key order, guided by
-        the timestamp trees; returns the probe accounting alongside.
-
-        Unadopted parts whose presence timestamps exclude ``version``
-        are pruned before their files are ever parsed — the part-level
-        analogue of the timestamp trees' subtree pruning.
-
-        The result shares frontier content with the cached part
-        archives (which later batches flush back to disk); callers that
-        intend to mutate the returned document must pass
-        ``copy_content=True`` or they corrupt the cache.
-        """
-        if not 1 <= version <= self.last_version:
-            raise ChunkedArchiverError(
-                f"Version {version} not archived (have 1..{self.last_version})"
-            )
-        probes = ProbeCount()
-
-        def parts():
-            for index in range(self.backend.part_count):
-                if index not in self._timestamp_indexes:
-                    presence = self.backend.part_presence(index)
-                    if presence is not None and version not in presence:
-                        self.chunks_pruned += 1
-                        continue
-                if not self._adopt_part(index):
-                    continue
-                part, part_probes = self._timestamp_indexes[index].retrieve(
-                    version, copy_content=copy_content
-                )
-                probes.merge(part_probes)
-                yield part
-
-        document = restore_key_order(
-            concatenate_parts(parts()), self.backend.spec
-        )
-        return document, probes
-
-    def history(self, path: str) -> ElementHistory:
-        """Route a history query through the owning part's key index.
-
-        The record step's key label hashes to the owning part, the only
-        one adopted; its index's binary searches settle membership in
-        ``O(l log d)`` and the part's archive — already cached by the
-        index — supplies the full :class:`ElementHistory` including the
-        ``changes`` content runs, matching
-        :meth:`ChunkedArchiver.history`.
-        """
-        def attempt(index: int):
-            if not self._adopt_part(index):
-                return None
-            return self._key_indexes[index].element_history(path)
-
-        return route_to_owning_chunk(self.backend, attempt, path)
-
-    def drop_caches(self) -> None:
-        """Release the per-part index/archive caches.
-
-        The caches trade the partitioned store's memory bound for query
-        speed: every indexed part's archive stays in RAM.  Long-lived
-        processes that have touched many parts can drop the caches and
-        let :meth:`retrieve`/:meth:`history` re-adopt parts lazily from
-        the durable part files.
-        """
-        self._key_indexes.clear()
-        self._timestamp_indexes.clear()

@@ -33,19 +33,16 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, Optional
 
 from ..core.archive import (
     Archive,
     ArchiveError,
     ArchiveOptions,
     ArchiveStats,
-    ElementHistory,
 )
 from ..core.merge import Kept, MergeStats
-from ..core.tempquery import ChangeReport, archive_diff
 from ..core.tstree import ProbeCount
-from ..core.versionset import VersionSet
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .cache import chunk_cache
@@ -315,8 +312,9 @@ class StorageBackend(abc.ABC):
     Version numbers are global and monotonic (1-based); ``retrieve``
     returns ``None`` for an empty version; keyed siblings come back in
     key order from every backend, so retrievals are byte-identical
-    across backends.  ``history``/``diff`` use the keyed-path syntax of
-    :meth:`repro.core.archive.Archive.history`.
+    across backends.  Temporal questions (``history``, ``changes``) are
+    answered over the backend's archive by :meth:`db`, the
+    :class:`~repro.query.db.ArchiveDB` facade.
     """
 
     #: Manifest tag for this backend's on-disk layout.
@@ -382,14 +380,6 @@ class StorageBackend(abc.ABC):
         self, version: int, *, probes: Optional[ProbeCount] = None
     ) -> Optional[Element]:
         """Reconstruct one version (``probes`` collected when supported)."""
-
-    @abc.abstractmethod
-    def history(self, path: str) -> ElementHistory:
-        """Temporal history of the element at a keyed path."""
-
-    @abc.abstractmethod
-    def diff(self, from_version: int, to_version: int) -> ChangeReport:
-        """Element-level changes between two archived versions."""
 
     @abc.abstractmethod
     def stats(self) -> ArchiveStats:
@@ -603,37 +593,6 @@ class StorageBackend(abc.ABC):
         self.close()
 
 
-class PartitionedBackend(Protocol):
-    """A backend whose archive is stored as independently-loadable
-    parts sharing the global version numbering — the contract
-    :class:`~repro.storage.archiver.PersistentIngestor` maintains its
-    per-part key and timestamp-tree indexes against.
-    """
-
-    spec: KeySpec
-
-    @property
-    def last_version(self) -> int: ...
-
-    @property
-    def part_count(self) -> int: ...
-
-    def part_exists(self, index: int) -> bool: ...
-
-    def load_part(self, index: int) -> Archive: ...
-
-    def part_presence(self, index: int) -> Optional[VersionSet]: ...
-
-    def chunk_index_for_label(self, label) -> int: ...
-
-    def ingest_batch(
-        self,
-        documents: Iterable[Optional[Element]],
-        on_chunk: Optional[Callable[[int, Archive], None]] = None,
-        on_version: OnVersion = None,
-    ) -> MergeStats: ...
-
-
 # -- the whole-file backend ---------------------------------------------------
 
 
@@ -793,12 +752,6 @@ class FileBackend(StorageBackend):
     def scan_probe_count(self, version: int) -> int:
         """The full-scan baseline ``--probes`` reports against."""
         return self.archive.scan_probe_count(version)
-
-    def history(self, path: str) -> ElementHistory:
-        return self.archive.history(path)
-
-    def diff(self, from_version: int, to_version: int) -> ChangeReport:
-        return archive_diff(self.archive, from_version, to_version)
 
     def stats(self) -> ArchiveStats:
         stats = self.archive.stats()

@@ -50,15 +50,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..core.archive import (
     Archive,
-    ArchiveError,
     ArchiveOptions,
     ArchiveStats,
-    ElementHistory,
-    _parse_history_path,
-    missing_element_error,
 )
 from ..core.merge import Kept, MergeStats, RecordEntry, annotate_version
-from ..core.tempquery import Change, ChangeReport, _step, archive_diff
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
 from ..keys.annotate import (
@@ -171,51 +166,6 @@ def chunk_index_for_label(label, chunk_count: int) -> int:
     key label hashes to — the routing function of the partition scheme."""
     digest = hashlib.sha256(str(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") % chunk_count
-
-
-def route_to_owning_chunk(backend, attempt, path: str) -> ElementHistory:
-    """Answer a keyed-path history from the chunk(s) that can hold it.
-
-    ``attempt(index)`` returns the chunk's history of ``path``, ``None``
-    for a chunk with no stored data, and raises
-    :class:`~repro.core.archive.ArchiveError` when the element is not
-    in that chunk.
-
-    The path's second step names a top-level record, whose key label
-    hashes to exactly one chunk: that chunk alone is asked, so damage
-    to it propagates and damage elsewhere is never seen.  A path that
-    stops above the record level has no owner — the shell it names
-    lives as long as *any* chunk holds records, so the answer is the
-    union of the chunk-local existences.
-    """
-    steps = _parse_history_path(path)
-    if len(steps) >= 2:
-        label = KeyLabel(tag=steps[1][0], key=steps[1][1])
-        owned = attempt(backend.chunk_index_for_label(label))
-        if owned is None:
-            raise missing_element_error(label, path)
-        return owned
-    found: Optional[ElementHistory] = None
-    miss: Optional[ArchiveError] = None
-    for index in range(backend.part_count):
-        try:
-            part = attempt(index)
-        except IntegrityError:
-            raise  # an ArchiveError too, but damage is never a miss
-        except ArchiveError as error:  # the shell never reached this chunk
-            miss = error
-            continue
-        if part is None:
-            continue
-        if found is None:
-            found = part
-        else:
-            found.existence = found.existence.union(part.existence)
-    if found is not None:
-        return found
-    if miss is not None:
-        raise miss
-    raise ChunkedArchiverError(f"No element at {path!r} in any chunk")
 
 
 class ChunkedArchiver(StorageBackend):
@@ -594,8 +544,7 @@ class ChunkedArchiver(StorageBackend):
 
     @property
     def part_count(self) -> int:
-        """Independently-loadable parts (the ``PartitionedBackend``
-        contract the index-maintaining ingestor runs against)."""
+        """Independently-loadable parts: the chunks, stored or not."""
         return self.chunk_count
 
     def part_exists(self, index: int) -> bool:
@@ -607,6 +556,16 @@ class ChunkedArchiver(StorageBackend):
         return self._checksums.covers(self._part_name(index)) or os.path.exists(
             self._chunk_path(index)
         )
+
+    def part_stored(self, index: int) -> bool:
+        """:meth:`part_exists` for a read: an absent chunk that fsck
+        quarantined raises :class:`~repro.storage.integrity.IntegrityError`
+        (under any verify policy but ``"never"``), so no answer quietly
+        leaves its records out; a lazy one is not stored."""
+        if self.part_exists(index):
+            return True
+        self._check_absent(self._chunk_path(index))
+        return False
 
     def load_part(self, index: int) -> Archive:
         return self._load_chunk(index)
@@ -708,7 +667,6 @@ class ChunkedArchiver(StorageBackend):
     def ingest_batch(
         self,
         documents: Iterable[Optional[Element]],
-        on_chunk: Optional[Callable[[int, Archive], None]] = None,
         on_version: OnVersion = None,
     ) -> MergeStats:
         """Merge a whole sequence of versions chunk-major.
@@ -725,10 +683,7 @@ class ChunkedArchiver(StorageBackend):
         trees go to one encode call as they are made and their payloads
         are staged in chunk order once all are in hand
         (:meth:`_stage_chunks`), so a failed merge stages nothing.  No
-        tree is held afterwards.  ``on_chunk(index, archive)`` is handed
-        each merged chunk archive once that commit has published — the
-        hook the index-maintaining persistent layer uses; a batch that
-        rolls back fires it for no chunk.
+        tree is held afterwards.
 
         The chunk-major order trades memory for I/O: the whole batch's
         partitions stay in memory until their chunks are processed, so
@@ -750,7 +705,6 @@ class ChunkedArchiver(StorageBackend):
         ]
         self._held = {}  # the batch republishes every chunk it touches
         total = MergeStats()
-        trees: dict[int, Archive] = {}  # kept only for ``on_chunk``
         number = self._version_count + len(partitions)
         with ArchiveTxn(self, number) as txn:
             presence = self._carry_presence(txn)
@@ -768,16 +722,10 @@ class ChunkedArchiver(StorageBackend):
                         archive.add_versions(parts.get(index) for parts in partitions)
                     )
                     presence[str(index)] = _chunk_presence_of(archive).to_text()
-                    if on_chunk is not None:
-                        trees[index] = archive
                     yield index, archive
 
             self._stage_chunks(txn, merged())
         total.versions = len(partitions)
-        # Only now, the commit published: index caches never adopt
-        # state a failed batch rolls back.
-        for index, archive in trees.items():
-            on_chunk(index, archive)
         return total
 
     def retrieve(
@@ -800,11 +748,9 @@ class ChunkedArchiver(StorageBackend):
         def parts():
             for index in range(self.chunk_count):
                 try:
-                    if not self.part_exists(index):
-                        # Raises when fsck quarantined the chunk; silent
-                        # when lazy.  A covered chunk that went missing
-                        # raises in its load instead, unless cached.
-                        self._check_absent(self._chunk_path(index))
+                    # A covered chunk that went missing raises in its
+                    # load instead, unless cached.
+                    if not self.part_stored(index):
                         continue
                     presence = self.chunk_presence(index)
                     if presence is not None and version not in presence:
@@ -828,110 +774,6 @@ class ChunkedArchiver(StorageBackend):
             if self.part_exists(index):
                 total += self._load_chunk(index).scan_probe_count(version)
         return total
-
-    def history(self, path: str) -> ElementHistory:
-        """Route a history query to the owning chunk.
-
-        The first step of the path identifies the root; the second the
-        record, whose key value decides the chunk — the only one read.
-        A path above the record level is answered by every chunk.
-        """
-
-        def attempt(index: int):
-            if not self.part_exists(index):
-                self._check_absent(self._chunk_path(index))
-                return None
-            return self._load_chunk(index).history(path)
-
-        return route_to_owning_chunk(self, attempt, path)
-
-    def diff(self, from_version: int, to_version: int) -> ChangeReport:
-        """Element-level changes, merged across chunks.
-
-        Every chunk shares the global version numbering, so each chunk
-        archive answers for its own records; the union of the per-chunk
-        reports is the whole answer (grouped by chunk, since records
-        are hash-scattered).
-
-        One correction is needed: a chunk whose records all die (or are
-        all new) between the two versions reports its *shell* — the
-        shared document root — as deleted/added, because chunk-locally
-        it is.  Globally the shell lives as long as any chunk has
-        records, so shell-level changes are expanded into the per-record
-        changes beneath them, unless the shell really did (dis)appear
-        globally, in which case it is reported once like the in-memory
-        walk does.
-        """
-        for version in (from_version, to_version):
-            if not 1 <= version <= self._version_count:
-                raise ChunkedArchiverError(
-                    f"Version {version} not archived "
-                    f"(have 1..{self._version_count})"
-                )
-        report = ChangeReport(from_version=from_version, to_version=to_version)
-        shell_changes: list[tuple[Archive, Change]] = []
-        presence = VersionSet()
-        for index in range(self.chunk_count):
-            if not self.part_exists(index):
-                continue
-            archive = self._load_chunk(index)
-            presence = presence.union(_chunk_presence_of(archive))
-            shell_paths = {
-                "/" + _step(shell) for shell in archive.root.children
-            }
-            part = archive_diff(archive, from_version, to_version)
-            for change in part.changes:
-                if change.path in shell_paths:
-                    shell_changes.append((archive, change))
-                else:
-                    report.changes.append(change)
-        alive_from = from_version in presence
-        alive_to = to_version in presence
-        if alive_from != alive_to:
-            # The document root itself (dis)appeared: one change, like
-            # the in-memory walk reports a whole added/deleted subtree.
-            kind = "added" if alive_to else "deleted"
-            seen: set[str] = set()
-            for _, change in shell_changes:
-                if change.path not in seen:
-                    seen.add(change.path)
-                    report.changes.append(Change(kind=kind, path=change.path))
-        elif alive_from and alive_to:
-            for archive, change in shell_changes:
-                report.changes.extend(
-                    self._expand_shell_change(
-                        archive, change, from_version, to_version
-                    )
-                )
-        return report
-
-    @staticmethod
-    def _expand_shell_change(
-        archive: Archive, change: Change, from_version: int, to_version: int
-    ) -> list[Change]:
-        """Per-record changes beneath a chunk-locally flickering shell.
-
-        A *deleted* shell had its records alive at the ``from`` version;
-        an *added* shell has them at the ``to`` version.
-        """
-        version = from_version if change.kind == "deleted" else to_version
-        root_timestamp = archive.root.timestamp
-        if root_timestamp is None:
-            return []
-        expanded: list[Change] = []
-        for shell in archive.root.children:
-            if "/" + _step(shell) != change.path:
-                continue
-            shell_timestamp = shell.effective_timestamp(root_timestamp)
-            for record in shell.children:
-                if version in record.effective_timestamp(shell_timestamp):
-                    expanded.append(
-                        Change(
-                            kind=change.kind,
-                            path=f"{change.path}/{_step(record)}",
-                        )
-                    )
-        return expanded
 
     def stats(self) -> ArchiveStats:
         """Aggregated size/shape counters across the chunk archives.

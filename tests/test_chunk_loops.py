@@ -125,15 +125,18 @@ def payloads_of(path):
     return state, manifest
 
 
-def fail_on_call(monkeypatch, owner, name, at=None):
+def fail_on_call(monkeypatch, owner, name, at=None, once=None):
     """Count calls to ``owner.name``; make call ``at`` (from 0), if
-    given, raise :class:`Injected`."""
+    given, raise :class:`Injected` — once the event ``once``, if given,
+    is set."""
     original = getattr(owner, name)
     calls = []
 
     def failing(*args, **kwargs):
         calls.append(None)
         if at is not None and len(calls) == at + 1:
+            if once is not None:
+                assert once.wait(timeout=30), f"{name} waited in vain"
             raise Injected(f"{name} fails at call {at}")
         return original(*args, **kwargs)
 
@@ -391,13 +394,14 @@ def _omim_store(path, options=None):
 
 
 def _pack_spy(monkeypatch, delay=0.0):
-    """Wrap ``xbin._pack``: the thread each pack started on, and the
-    packs that finished."""
+    """Wrap ``xbin._pack``: the thread each pack started on, the packs
+    that finished, and an event set once a pack runs."""
     original = xbin._pack
-    spy: dict = {"started": [], "finished": []}
+    spy: dict = {"started": [], "finished": [], "running": threading.Event()}
 
     def packing(body, flags):
         spy["started"].append(threading.current_thread())
+        spy["running"].set()
         time.sleep(delay)
         data = original(body, flags)
         spy["finished"].append(None)
@@ -500,7 +504,13 @@ class TestTheCommitTail:
 
         spy = _pack_spy(monkeypatch, delay=0.05)
         per_chunk = len(following) if batch else 1
-        fail_on_call(monkeypatch, chunked.Archive, "add_version", 2 * per_chunk)
+        fail_on_call(
+            monkeypatch,
+            chunked.Archive,
+            "add_version",
+            2 * per_chunk,
+            once=spy["running"],
+        )
         with pytest.raises(Injected):
             write(backend)
         assert len(spy["started"]) == len(spy["finished"]) >= 1

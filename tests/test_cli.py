@@ -237,12 +237,20 @@ class TestBackends:
         assert run("log", archive, "/db/dept[name=hr]") == 1
         assert "xarch:" in capsys.readouterr().err
 
-    def test_diff(self, backend_archive, capsys):
+    def test_diff(self, backend_archive, workspace, capsys):
+        """Every backend prints the report the file backend prints,
+        byte for byte: the same changes in the same (key) order."""
         _, archive = backend_archive
         assert run("diff", archive, "3", "4") == 0
         out = capsys.readouterr().out
         assert "deleted /db/dept[name=marketing]" in out
         assert "changed" in out
+        reference = workspace / "reference.xml"
+        assert run("init", reference, "--keys", workspace / "keys.txt") == 0
+        assert run("add", reference, *(workspace / f"v{n}.xml" for n in range(1, 5))) == 0
+        capsys.readouterr()
+        assert run("diff", reference, "3", "4") == 0
+        assert capsys.readouterr().out == out
 
     def test_stats(self, backend_archive, capsys):
         kind, archive = backend_archive

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+import repro
 from repro.cli import EXIT_CORRUPT, main
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
 from repro.storage import (
@@ -237,7 +238,7 @@ class TestLostChunkCount:
         with open_archive(store) as backend:
             assert backend.chunk_count == 16
             for name in self.NAMES:
-                history = backend.history(f"/db/dept[name={name}]")
+                history = repro.open(backend).history(f"/db/dept[name={name}]")
                 assert history.existence.to_text() == "1"
 
     def test_repair_without_records_to_test_refuses(self, tmp_path):

@@ -8,13 +8,15 @@ one document, which knows nothing of archives, plans, chunks, framed
 blocks or caches.  The machine appends through a handle that holds its
 trees between appends and through fresh ones, reopens, reads one
 version once, twice and three times through one handle (the streamed
-read, the settling one and the walk), and selects keyed and dense,
-cold and warm; after every step every answer it read equalled the
-model's and ``fsck`` finds the store clean.
+read, the settling one and the walk), selects keyed and dense, cold
+and warm, and asks for histories and change reports; after every step
+every answer it read equalled the model's and ``fsck`` finds the store
+clean.
 """
 
 from __future__ import annotations
 
+import re
 import shutil
 import tempfile
 
@@ -29,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 import repro
+from repro.core.tempquery import Change, _path_within, keyed_diff
 from repro.core.versionset import VersionSet
 from repro.data import OmimGenerator
 from repro.data.omim import OMIM_KEY_TEXT, OmimChangeRates, omim_key_spec
@@ -50,6 +53,11 @@ DENSE = "/ROOT/Record/Num/text()"
 #: Enough churn that a few versions insert, modify and delete records.
 RATES = OmimChangeRates(insert_fraction=0.3, modify_fraction=0.3, delete_fraction=0.2)
 SPEC = omim_key_spec()
+#: Record fields a ``changes`` prefix may narrow to; ``AlternativeTitle``
+#: is keyed, so the bare tag covers every one of them.
+FIELDS = st.sampled_from(["Title", "Text", "AlternativeTitle"])
+#: The record a change path lies in.
+RECORD_NUM = re.compile(r"/ROOT/Record\[Num=([^\]]+)\]")
 #: One version in four is empty.
 EMPTY = st.sampled_from([False, False, False, True])
 
@@ -97,6 +105,22 @@ class Model:
 
     def nums(self, version: int) -> list[str]:
         return self.select(version, DENSE)
+
+    def changes(self, old: int, new: int, prefix) -> list:
+        before, after = self.documents[old - 1], self.documents[new - 1]
+        if before is None or after is None:
+            changes = (
+                []
+                if before is after
+                else [Change("added" if before is None else "deleted", "/ROOT")]
+            )
+        else:
+            changes = keyed_diff(before, after, SPEC).changes
+        return [
+            change
+            for change in changes
+            if prefix is None or _path_within(change.path, prefix)
+        ]
 
     def existence(self, num: str) -> str:
         return VersionSet(
@@ -252,10 +276,41 @@ class ReadOracle(RuleBasedStateMachine):
         num = data.draw(st.sampled_from(sorted(self.seen)), label="num")
         handle = open_archive(self.path, recover=False)
         try:
-            existence = handle.history(f"/ROOT/Record[Num={num}]").existence
+            existence = repro.open(handle).history(f"/ROOT/Record[Num={num}]").existence
         finally:
             handle.close()
         assert existence.to_text() == self.model.existence(num)
+
+    @precondition(lambda self: self.seen)
+    @rule(data=st.data(), narrow=st.sampled_from([None, "record", "field"]))
+    def changes(self, data, narrow) -> None:
+        """The store's change report between two drawn versions is the
+        keyed diff of the two documents, in the same order."""
+        old = self.version(data)
+        others = [v for v in range(1, len(self.model.documents) + 1) if v != old]
+        new = data.draw(st.sampled_from(others or [old]), label="new")
+        prefix = None
+        if narrow is not None:
+            # Half the time a record the two versions differ in.
+            changed = sorted(
+                {
+                    match.group(1)
+                    for change in self.model.changes(old, new, None)
+                    if (match := RECORD_NUM.match(change.path))
+                }
+            )
+            pool = changed if changed and data.draw(st.booleans()) else self.seen
+            num = data.draw(st.sampled_from(sorted(pool)), label="num")
+            prefix = f"/ROOT/Record[Num={num}]"
+            if narrow == "field":
+                prefix += "/" + data.draw(FIELDS, label="field")
+        reset_chunk_cache()
+        handle = open_archive(self.path, recover=False)
+        try:
+            found = repro.open(handle).between(old, new).changes(prefix).all()
+        finally:
+            handle.close()
+        assert found == self.model.changes(old, new, prefix)
 
     @invariant()
     def store_is_clean(self) -> None:

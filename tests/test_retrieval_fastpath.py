@@ -27,7 +27,7 @@ from repro.core.tstree import TREE_MIN_CHILDREN
 from repro.data import OmimChangeRates, OmimGenerator, omim_key_spec
 from repro.data.company import company_key_spec, company_versions
 from repro.indexes import KeyIndex, TimestampTreeIndex
-from repro.storage import ChunkedArchiver, PersistentIngestor
+from repro.storage import ChunkedArchiver
 from repro.xmltree import Element, Text
 from repro.xmltree.serializer import to_string
 
@@ -494,40 +494,6 @@ class TestChunkPruning:
                 reopened.retrieve(number), monolithic.retrieve(number), spec
             )
         assert reopened.chunks_pruned == 0
-
-    def test_persistent_ingestor_copy_content_isolates_cache(self, tmp_path):
-        """Mutating a ``copy_content=True`` retrieval must not leak into
-        the ingestor's cached chunk archives (which later flushes would
-        persist)."""
-        spec = omim_key_spec()
-        versions = self._versions()
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        document, _ = ingestor.retrieve(2, copy_content=True)
-        before = to_string(ingestor.retrieve(2)[0])
-        for node in document.iter_elements():
-            if node.tag == "Title" and node.children:
-                node.children[0].text = "VANDALIZED"
-        assert to_string(ingestor.retrieve(2)[0]) == before
-
-    def test_persistent_ingestor_prunes_unadopted_chunks(self, tmp_path):
-        spec = omim_key_spec()
-        versions = self._versions()
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=8)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        ingestor.drop_caches()  # force re-adoption through the prune gate
-        expected = sum(
-            1
-            for index in range(ingestor.backend.chunk_count)
-            if os.path.exists(ingestor.backend._chunk_path(index))
-            and 1 not in ingestor.backend.chunk_presence(index)
-        )
-        document, _ = ingestor.retrieve(1)
-        assert ingestor.chunks_pruned == expected > 0
-        monolithic = Archive(spec)
-        for version in versions:
-            monolithic.add_version(version.copy())
-        assert documents_equivalent(document, monolithic.retrieve(1), spec)
 
 
 class TestWeaveHistoryRuns:

@@ -20,6 +20,7 @@ import os
 
 import pytest
 
+import repro
 from repro.core import Archive, ArchiveError
 from repro.core.tempquery import archive_diff
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
@@ -71,6 +72,18 @@ def make_backend(kind, base, spec, chunk_count=3, codec=None):
             os.path.join(base, "chunked"), spec, chunk_count, codec=codec
         )
     return ExternalArchiver(os.path.join(base, "external"), spec, codec=codec)
+
+
+def assert_changes_match(backend, reference):
+    """Every version pair's changes through the facade equal the
+    in-memory walk's, in the same order."""
+    db = repro.open(backend)
+    last = reference.last_version
+    for old in range(1, last + 1):
+        for new in range(1, last + 1):
+            expected = archive_diff(reference, old, new).changes
+            assert db.between(old, new).report().changes == expected, (old, new)
+            assert db.between(old, new).changes().all() == expected, (old, new)
 
 
 def rendered(document):
@@ -141,7 +154,7 @@ class TestConformance:
             "/db/dept[name=marketing]",
         ):
             expected = reference.history(path)
-            actual = backend.history(path)
+            actual = repro.open(backend).history(path)
             assert actual.existence.to_text() == expected.existence.to_text()
             if expected.changes is None:
                 assert actual.changes is None
@@ -155,29 +168,24 @@ class TestConformance:
         backend = make_backend(kind, str(tmp_path), spec)
         backend.ingest_batch([v.copy() for v in versions])
         with pytest.raises(ValueError):
-            backend.history("/db/dept[name=nonexistent]")
+            repro.open(backend).history("/db/dept[name=nonexistent]")
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_diff_parity(self, kind, tmp_path, spec, versions, reference):
         backend = make_backend(kind, str(tmp_path), spec)
         backend.ingest_batch([v.copy() for v in versions])
-        expected = archive_diff(reference, 2, 4)
-        actual = backend.diff(2, 4)
-        # Chunked reports group changes by chunk; compare as sets.
-        assert sorted(map(str, actual.changes)) == sorted(map(str, expected.changes))
+        assert_changes_match(backend, reference)
 
     def test_chunked_diff_expands_shell_flicker(
         self, tmp_path, spec, versions, reference
     ):
         """With enough chunks a record sits alone in its chunk; when it
         dies, the chunk-local walk sees the shared document root die
-        with it.  The merged report must still name the record, exactly
-        like the in-memory walk."""
+        with it.  The report must still name the record, exactly like
+        the in-memory walk."""
         backend = ChunkedArchiver(str(tmp_path / "many"), spec, 16)
         backend.ingest_batch([v.copy() for v in versions])
-        expected = archive_diff(reference, 3, 4)
-        actual = backend.diff(3, 4)
-        assert sorted(map(str, actual.changes)) == sorted(map(str, expected.changes))
+        assert_changes_match(backend, reference)
 
     def test_chunked_diff_reports_globally_deleted_root_once(
         self, tmp_path, spec, versions, reference
@@ -185,9 +193,7 @@ class TestConformance:
         backend = ChunkedArchiver(str(tmp_path / "many"), spec, 16)
         backend.ingest_batch([v.copy() for v in versions] + [None])
         reference.add_version(None)
-        expected = archive_diff(reference, len(versions), len(versions) + 1)
-        actual = backend.diff(len(versions), len(versions) + 1)
-        assert sorted(map(str, actual.changes)) == sorted(map(str, expected.changes))
+        assert_changes_match(backend, reference)
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_stats(self, kind, tmp_path, spec, versions, reference):
@@ -443,30 +449,6 @@ class TestCrashRecovery:
         assert recovered.last_version == 2
         directory = path if os.path.isdir(path) else os.path.dirname(path)
         assert not any(n.endswith(".tmp") for n in os.listdir(directory))
-
-    def test_on_chunk_not_fired_for_rolled_back_batch(
-        self, tmp_path, spec, versions, monkeypatch
-    ):
-        """Index-cache hooks must only see committed state: a batch
-        that dies before publish fires no ``on_chunk``, so caches never
-        adopt versions the disk rolled back."""
-        backend = make_backend("chunked", str(tmp_path), spec)
-        backend.ingest_batch([v.copy() for v in versions[:2]])
-        seen = []
-        monkeypatch.setattr(WriteAheadLog, "publish", _crash_before_publish)
-        with pytest.raises(SimulatedCrash):
-            backend.ingest_batch(
-                [v.copy() for v in versions[2:]],
-                on_chunk=lambda index, archive: seen.append(index),
-            )
-        assert seen == []
-        monkeypatch.undo()
-        backend2 = make_backend("chunked", str(tmp_path), spec)
-        backend2.ingest_batch(
-            [v.copy() for v in versions[2:]],
-            on_chunk=lambda index, archive: seen.append(index),
-        )
-        assert seen  # committed batches still announce their chunks
 
     def test_torn_wal_record_treated_as_uncommitted(self, tmp_path, spec, versions):
         backend = make_backend("chunked", str(tmp_path), spec)

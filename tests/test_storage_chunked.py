@@ -8,7 +8,13 @@ import shutil
 import pytest
 
 import repro
-from repro.core import Archive, ArchiveError, ArchiveOptions, documents_equivalent
+from repro.core import (
+    Archive,
+    ArchiveError,
+    ArchiveOptions,
+    Change,
+    documents_equivalent,
+)
 from repro.data import OmimGenerator, omim_key_spec
 from repro.data.omim import OMIM_KEY_TEXT, OmimChangeRates
 from repro.keys import parse_key_spec
@@ -18,7 +24,6 @@ from repro.storage import (
     ChunkedArchiverError,
     CrashPoint,
     FaultInjector,
-    PersistentIngestor,
     create_archive,
     fsck_archive,
     inject,
@@ -73,7 +78,7 @@ class TestChunkedArchiver:
         # History works, which requires the record's whole lifetime to
         # live in one chunk.
         num = versions[0].find("Record").find("Num").text_content()
-        history = chunked.history(f"/ROOT/Record[Num={num}]")
+        history = repro.open(chunked).history(f"/ROOT/Record[Num={num}]")
         assert 1 in history.existence
 
     def test_persistence(self, tmp_path, versions, spec):
@@ -108,7 +113,7 @@ class TestChunkedArchiver:
         chunked = ChunkedArchiver(str(tmp_path), spec, chunk_count=2)
         chunked.add_version(versions[0].copy())
         with pytest.raises(Exception):
-            chunked.history("/ROOT/Record[Num=nonexistent]")
+            repro.open(chunked).history("/ROOT/Record[Num=nonexistent]")
 
 
 # -- the read path: key order, owner routing ----------------------------------
@@ -220,34 +225,50 @@ class TestKeyOrderRestored:
         assert document.children == before
 
 
+#: A cold read of record 2 through the facade, by the temporal question.
+COLD_READS = {
+    "history": lambda db: str(db.history("/db/rec[id=2]/val").existence),
+    "changes": lambda db: [
+        str(change) for change in db.between(3, 4).changes("/db/rec[id=2]")
+    ],
+}
+
+
 class TestHistoryRouting:
-    def test_cold_history_decodes_one_chunk(self, stores):
+    @pytest.mark.parametrize("question", sorted(COLD_READS))
+    def test_cold_read_of_one_record_decodes_one_chunk(self, stores, question):
+        ask = COLD_READS[question]
+        with repro.open(stores["file"]) as single:
+            want = ask(single)
         reset_chunk_cache()
         handle = open_archive(stores["chunked"], recover=False)
         assert _owner(handle, 2) > 0  # index-order probing would decode two
-        assert handle.history("/db/rec[id=2]/val").existence.to_text() == "1,3-4"
+        assert ask(repro.open(handle)) == want
         assert (handle.cache_misses, handle.cache_hits) == (1, 0)
 
     def test_damaged_owner_raises_integrity_error(self, stores):
         handle = open_archive(stores["chunked"])
         _flip_a_byte(handle._chunk_path(_owner(handle, 5)))
         with pytest.raises(IntegrityError):
-            open_archive(stores["chunked"]).history("/db/rec[id=5]")
+            repro.open(stores["chunked"]).history("/db/rec[id=5]")
 
-    def test_damage_elsewhere_does_not_reach_the_answer(self, stores):
+    @pytest.mark.parametrize("question", sorted(COLD_READS))
+    def test_damage_elsewhere_does_not_reach_the_answer(self, stores, question):
+        ask = COLD_READS[question]
         handle = open_archive(stores["chunked"])
-        want = handle.history("/db/rec[id=2]/val")
+        want = ask(repro.open(handle))
         for index in range(CHUNKS):
             if index != _owner(handle, 2):
                 _flip_a_byte(handle._chunk_path(index))
-        got = open_archive(stores["chunked"]).history("/db/rec[id=2]/val")
-        assert (got.existence, got.changes) == (want.existence, want.changes)
+        reset_chunk_cache()
+        with repro.open(stores["chunked"]) as db:
+            assert ask(db) == want
 
     def test_absent_key_is_a_miss_after_one_chunk(self, stores):
         reset_chunk_cache()
         handle = open_archive(stores["chunked"], recover=False)
         with pytest.raises(ArchiveError, match="never existed") as raised:
-            handle.history("/db/rec[id=999]")
+            repro.open(handle).history("/db/rec[id=999]")
         assert not isinstance(raised.value, IntegrityError)
         assert handle.cache_misses <= 1
 
@@ -258,12 +279,9 @@ class TestHistoryRouting:
         backend.add_version(_doc(1, [0]))
         absent = next(i for i in range(99) if _owner(backend, i) != _owner(backend, 0))
         with pytest.raises(ArchiveError, match="never existed"):
-            backend.history(f"/db/rec[id={absent}]")
+            repro.open(backend).history(f"/db/rec[id={absent}]")
 
-    @pytest.mark.parametrize("reader", ["chunked", "ingestor"])
-    def test_path_above_the_records_is_answered_by_every_chunk(
-        self, tmp_path, reader
-    ):
+    def test_path_above_the_records_is_answered_by_every_chunk(self, tmp_path):
         """The shell lives as long as any chunk holds records: versions
         whose records hash to chunks != 0, 0, != 0 give 1-3, not the
         first chunk's 2."""
@@ -272,24 +290,72 @@ class TestHistoryRouting:
         first = next(i for i in range(99) if _owner(backend, i) == 0)
         other = next(i for i in range(99) if _owner(backend, i) != 0)
         versions = [_doc(1, [other]), _doc(2, [first]), _doc(3, [other])]
-        if reader == "ingestor":
-            store = PersistentIngestor(backend=backend)
-            store.ingest_batch(versions)
-            store.drop_caches()
-        else:
-            store = backend
-            for version in versions:
-                store.add_version(version)
+        for version in versions:
+            backend.add_version(version)
         single = Archive(spec)
         for version in versions:
             single.add_version(version.copy())
-        history = store.history("/db")
+        db = repro.open(backend)
+        history = db.history("/db")
         assert history.existence.to_text() == "1-3"
         assert history.existence == single.history("/db").existence
         assert history.changes is None
-        assert store.history(f"/db/rec[id={first}]").existence.to_text() == "2"
+        assert db.history(f"/db/rec[id={first}]").existence.to_text() == "2"
         with pytest.raises(ArchiveError, match="never existed"):
-            store.history("/nosuch")
+            db.history("/nosuch")
+
+
+    def test_a_record_alone_in_its_chunk_changes_as_itself(self, tmp_path):
+        """The owning chunk's copy of the shell dies with its only
+        record while the document lives on: a prefix under the record
+        still reports the record, in both directions."""
+        spec = parse_key_spec(KEYS)
+        backend = ChunkedArchiver(str(tmp_path), spec, chunk_count=CHUNKS)
+        alone = next(i for i in range(99) if _owner(backend, i) == 0)
+        other = next(i for i in range(99) if _owner(backend, i) != 0)
+        backend.ingest_batch([_doc(1, [alone, other]), _doc(2, [other])])
+        db = repro.open(backend)
+        prefix = f"/db/rec[id={alone}]"
+        assert db.between(1, 2).changes(prefix).all() == [Change("deleted", prefix)]
+        assert db.between(2, 1).changes(prefix).all() == [Change("added", prefix)]
+        assert db.between(1, 2).changes(prefix + "/val").all() == []
+
+
+class TestQuarantinedChunk:
+    """After ``fsck --repair`` quarantines a chunk, no read answers
+    without it: selects and change reports raise the typed error that
+    ``retrieve`` and ``history`` raise, instead of leaving its records
+    out."""
+
+    QUARANTINED = "quarantined by fsck --repair"
+
+    @pytest.fixture
+    def repaired(self, stores):
+        handle = open_archive(stores["chunked"])
+        victim = _owner(handle, 5)
+        handle.close()
+        _flip_a_byte(os.path.join(stores["chunked"], f"chunk-{victim:04d}.xml"))
+        report = fsck_archive(stores["chunked"], repair=True)
+        assert any("quarantine" in finding.repair for finding in report.findings)
+        reset_chunk_cache()
+        return stores["chunked"]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda db: db.at(4).snapshot(), id="retrieve"),
+            pytest.param(lambda db: db.history("/db/rec[id=5]"), id="history"),
+            pytest.param(lambda db: db.at(4).select("/db/rec").all(), id="dense"),
+            pytest.param(
+                lambda db: db.at(4).select("/db/rec[id='5']").all(), id="keyed"
+            ),
+            pytest.param(lambda db: db.between(3, 4).changes().all(), id="changes"),
+        ],
+    )
+    def test_every_read_raises(self, repaired, read):
+        with repro.open(repaired) as db:
+            with pytest.raises(IntegrityError, match=self.QUARANTINED):
+                read(db)
 
 
 # -- the write path: held trees, one annotation, no copies --------------------
@@ -640,30 +706,6 @@ class TestBatch:
         # Creation is commit 1; the split store committed once more.
         assert read_manifest(str(tmp_path / "one")).generation == 2
         assert read_manifest(str(tmp_path / "two")).generation == 3
-
-    def test_on_chunk_is_handed_the_merged_tree(
-        self, tmp_path, churn, monkeypatch
-    ):
-        """The hook gets the tree the batch merged, not a decode of what
-        it published: a batch decodes each existing chunk once."""
-        path = tmp_path / "s"
-        store = self._store(path)
-        store.ingest_batch(_copy(version) for version in churn[:3])
-        decodes = _count_decodes(monkeypatch, "xbin")
-        landed = {}
-        store.ingest_batch(
-            (_copy(version) for version in churn[3:6]),
-            on_chunk=lambda index, archive: landed.__setitem__(
-                index, archive.to_xml_string()
-            ),
-        )
-        assert len(decodes) == CHUNKS
-        assert sorted(landed) == list(range(CHUNKS))
-        store.close()
-        fresh = open_archive(str(path))
-        for index, text in landed.items():
-            assert text == fresh.load_part(index).to_xml_string()
-        fresh.close()
 
     def test_workers_is_accepted_and_ignored(self, tmp_path, churn):
         """``create_archive``, ``open_archive`` and ``repro.open`` still

@@ -1,9 +1,9 @@
 """Tests for batched ingestion through the persistent layer.
 
 ``ChunkedArchiver.ingest_batch`` must flush chunk files identical to a
-per-version ``add_version`` loop while touching each chunk only once;
-``PersistentIngestor`` must keep its key/timestamp-tree indexes current
-as chunks land; ``ExternalArchiver.ingest_batch`` must match the
+per-version ``add_version`` loop while touching each chunk only once,
+and ``history``/``changes`` over the chunks it wrote must answer as the
+in-memory archive does; ``ExternalArchiver.ingest_batch`` must match the
 version-at-a-time stream merge.
 """
 
@@ -11,9 +11,11 @@ import os
 
 import pytest
 
-from repro.core import Archive, MergeStats, documents_equivalent
+import repro
+from repro.core import Archive, ArchiveError, MergeStats, documents_equivalent
+from repro.core.tempquery import archive_diff
 from repro.data import OmimChangeRates, OmimGenerator, omim_key_spec
-from repro.storage import ChunkedArchiver, ExternalArchiver, PersistentIngestor
+from repro.storage import ChunkedArchiver, ExternalArchiver
 
 
 @pytest.fixture
@@ -24,6 +26,41 @@ def versions():
 @pytest.fixture
 def spec():
     return omim_key_spec()
+
+
+@pytest.fixture
+def churn():
+    """Versions whose records are inserted, deleted and rewritten."""
+    rates = OmimChangeRates(
+        insert_fraction=0.1, modify_fraction=0.3, delete_fraction=0.1
+    )
+    return OmimGenerator(seed=13, initial_records=16, rates=rates).generate_versions(
+        5
+    )
+
+
+def in_memory(spec, versions):
+    archive = Archive(spec)
+    for version in versions:
+        archive.add_version(version.copy())
+    return archive
+
+
+def record_paths(versions):
+    nums = {
+        record.find("Num").text_content()
+        for version in versions
+        for record in version.iter_elements()
+        if record.tag == "Record"
+    }
+    return [f"/ROOT/Record[Num={num}]" for num in sorted(nums)]
+
+
+def history_text(history):
+    runs = history.changes
+    return history.existence.to_text(), runs and [
+        (versions.to_text(), content) for versions, content in runs
+    ]
 
 
 class TestChunkedIngestBatch:
@@ -91,83 +128,80 @@ class TestChunkedIngestBatch:
                 archiver.retrieve(number), monolithic.retrieve(number), spec
             )
 
-    def test_on_chunk_hook_fires_per_flushed_chunk(self, tmp_path, versions, spec):
-        archiver = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
-        seen = []
-        archiver.ingest_batch(
-            [v.copy() for v in versions[:2]],
-            on_chunk=lambda index, archive: seen.append(
-                (index, archive.version_count)
-            ),
-        )
-        touched = [
-            index
-            for index in range(4)
-            if os.path.exists(archiver._chunk_path(index))
+
+class TestTemporalReadsOfABatch:
+    """``history`` and ``changes`` over the chunks a batch wrote, through
+    the query facade, equal the in-memory archive's."""
+
+    @pytest.mark.parametrize("chunk_count", [1, 4, 16])
+    def test_history_includes_content_changes(
+        self, tmp_path, churn, spec, chunk_count
+    ):
+        """Existence and the content runs of every record and its
+        rewritten ``Text`` field, with one chunk, a few, and enough that
+        records sit alone in theirs."""
+        backend = ChunkedArchiver(str(tmp_path), spec, chunk_count=chunk_count)
+        backend.ingest_batch([v.copy() for v in churn])
+        reference = in_memory(spec, churn)
+        db = repro.open(backend)
+        rewritten = 0
+        for record in record_paths(churn):
+            for path in (record, f"{record}/Text"):
+                expected = reference.history(path)
+                assert history_text(db.history(path)) == history_text(expected)
+                rewritten += len(expected.changes or ()) > 1
+        assert rewritten > 0
+
+    def test_one_handle_follows_across_batches(self, tmp_path, churn, spec):
+        backend = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
+        backend.ingest_batch([v.copy() for v in churn[:2]])
+        db = repro.open(backend)
+        [record, *_] = [
+            path
+            for path in record_paths(churn[:1])
+            if all(path in record_paths([version]) for version in churn)
         ]
-        assert [index for index, _ in seen] == touched
-        assert all(count == 2 for _, count in seen)
+        assert db.history(record).existence.to_text() == "1-2"
+        early = in_memory(spec, churn[:2])
+        assert db.between(1, 2).changes().all() == archive_diff(early, 1, 2).changes
+        backend.ingest_batch([v.copy() for v in churn[2:]])
+        assert db.history(record).existence.to_text() == f"1-{len(churn)}"
+        reference = in_memory(spec, churn)
+        last = len(churn)
+        assert db.between(2, last).changes().all() == (
+            archive_diff(reference, 2, last).changes
+        )
 
-
-class TestPersistentIngestor:
-    def test_indexed_retrieval_matches_originals(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        for number, original in enumerate(versions, start=1):
-            document, probes = ingestor.retrieve(number)
-            assert documents_equivalent(document, original, spec)
-            assert probes.total() > 0
-
-    def test_indexes_follow_across_batches(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions[:2]])
-        num = versions[0].find("Record").find("Num").text_content()
-        before = ingestor.history(f"/ROOT/Record[Num={num}]")
-        assert before.existence.max_version() == 2
-        ingestor.ingest_batch([v.copy() for v in versions[2:]])
-        after = ingestor.history(f"/ROOT/Record[Num={num}]")
-        assert after.existence.max_version() == len(versions)
-
-    def test_history_includes_content_changes(self, tmp_path, versions, spec):
-        """Parity with ChunkedArchiver.history: the ``changes`` runs of
-        a frontier element must come back, not just existence."""
-        from repro.storage import ChunkedArchiver
-
-        ingestor = PersistentIngestor(str(tmp_path / "ing"), spec, chunk_count=4)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        chunked = ChunkedArchiver(str(tmp_path / "ref"), spec, chunk_count=4)
-        for version in versions:
-            chunked.add_version(version.copy())
-        num = versions[0].find("Record").find("Num").text_content()
-        path = f"/ROOT/Record[Num={num}]/Title"
-        indexed = ingestor.history(path)
-        reference = chunked.history(path)
-        assert indexed.changes is not None
-        assert [
-            (ts.to_text(), content) for ts, content in indexed.changes
-        ] == [(ts.to_text(), content) for ts, content in reference.changes]
-
-    def test_drop_caches_readopts_lazily(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=3)
-        ingestor.ingest_batch([v.copy() for v in versions])
-        ingestor.drop_caches()
-        assert not ingestor._key_indexes
-        document, _ = ingestor.retrieve(len(versions))
-        assert documents_equivalent(document, versions[-1], spec)
-
-    def test_restart_adopts_chunks_lazily(self, tmp_path, versions, spec):
-        first = PersistentIngestor(str(tmp_path), spec, chunk_count=3)
-        first.ingest_batch([v.copy() for v in versions])
-        second = PersistentIngestor(str(tmp_path), spec, chunk_count=3)
-        assert second.last_version == len(versions)
-        document, _ = second.retrieve(len(versions))
-        assert documents_equivalent(document, versions[-1], spec)
+    def test_a_reopened_store_answers_from_its_files(self, tmp_path, churn, spec):
+        """A second handle, which holds none of the batch's trees, gives
+        every version pair's changes, in the same order, and every
+        record's history."""
+        ChunkedArchiver(str(tmp_path), spec, chunk_count=4).ingest_batch(
+            [v.copy() for v in churn]
+        )
+        backend = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
+        assert backend.last_version == len(churn)
+        reference = in_memory(spec, churn)
+        with repro.open(backend) as db:
+            for old in range(1, len(churn) + 1):
+                for new in range(1, len(churn) + 1):
+                    expected = archive_diff(reference, old, new).changes
+                    assert db.between(old, new).changes().all() == expected
+            for record in record_paths(churn):
+                assert history_text(db.history(record)) == history_text(
+                    reference.history(record)
+                )
 
     def test_unknown_version_rejected(self, tmp_path, versions, spec):
-        ingestor = PersistentIngestor(str(tmp_path), spec, chunk_count=2)
-        ingestor.ingest_batch([versions[0].copy()])
+        backend = ChunkedArchiver(str(tmp_path), spec, chunk_count=2)
+        backend.ingest_batch([versions[0].copy()])
+        db = repro.open(backend)
+        with pytest.raises(ArchiveError):
+            db.between(1, 2).changes()
+        with pytest.raises(ArchiveError):
+            db.at(2).select("/ROOT/Record")
         with pytest.raises(ValueError):
-            ingestor.retrieve(2)
+            backend.retrieve(2)
 
 
 class TestExternalIngestBatch:

@@ -348,7 +348,7 @@ def answers(store: str) -> dict:
             found["select", version, expression] = (items, vars(query.stats))
     for num in records:
         for path in (f"/ROOT/Record[Num={num}]", f"/ROOT/Record[Num={num}]/Title"):
-            history = handle.history(path)
+            history = db.history(path)
             found["history", path] = (
                 history.existence.to_text(),
                 [
