@@ -56,8 +56,8 @@ from ..storage.events import (
     NodeEvent,
     PeekableEvents,
 )
-from ..xmltree.model import Element
-from ..xmltree.xpath import CHILD_VALUE, apply_steps, virtual_shell
+from ..xmltree.model import Element, Text
+from ..xmltree.xpath import apply_steps, virtual_shell
 from .plan import (
     PUSH_ATTRIBUTE,
     PUSH_KEY,
@@ -97,6 +97,7 @@ class Cursor:
     __slots__ = ()
     supports_lookup = False
     tag: str
+    stats: QueryStats
 
     def attribute(self, name: str) -> Optional[str]:
         raise NotImplementedError
@@ -180,6 +181,10 @@ class MemoryCursor(Cursor):
     @property
     def tag(self) -> str:  # type: ignore[override]
         return self.node.label.tag
+
+    @property
+    def stats(self) -> QueryStats:  # type: ignore[override]
+        return self.run.stats
 
     def attribute(self, name: str) -> Optional[str]:
         for attr_name, value in self.node.attributes:
@@ -373,6 +378,20 @@ class StreamCursor(Cursor):
 # -- predicate checking -------------------------------------------------------
 
 
+def label_text(cursor: Cursor, key_path: str) -> Optional[str]:
+    """The cursor's stored key component at ``key_path`` when it stands
+    for the text that path selects, else ``None``: it must be stored, a
+    :func:`_plain_value` (its canonical form is its ``text_content``), and
+    the node must have no attribute of that name (``navigate`` keys on
+    one where no such child exists; an XPath child step never sees it)."""
+    stored = cursor.key_component(key_path)
+    if stored is None or not _plain_value(stored):
+        return None
+    if cursor.attribute(key_path) is not None:
+        return None
+    return stored
+
+
 def check_predicates(
     cursor: Cursor, step: PlannedStep, position: Optional[int]
 ) -> str:
@@ -394,13 +413,8 @@ def check_predicates(
             if cursor.attribute(predicate.name or "") != predicate.value:
                 return FAIL
         elif planned.mode == PUSH_KEY:
-            stored = cursor.key_component(planned.key_path or "")
-            if stored is None or not _plain_value(stored):
-                needs = True
-            elif (
-                predicate.kind == CHILD_VALUE
-                and cursor.attribute(predicate.name or "") is not None
-            ):
+            stored = label_text(cursor, planned.key_path or "")
+            if stored is None:
                 needs = True
             elif stored != predicate.value:
                 return FAIL
@@ -472,6 +486,12 @@ def _eval(
         element = cursor.materialize()
         return () if element is None else [(anchor, element)]
     step = steps[at]
+    if step.projection:
+        text = label_text(cursor, step.name)
+        if text is not None:  # else the lookup and scan below decide
+            cursor.stats.nodes_materialized += 2 if text else 1
+            children = [Text.assemble(text)] if text else []
+            return [(anchor, Element.assemble(step.name, (), children))]
     if step.axis == "descendant":
         return _descend(cursor, plan, at, depth, anchor)
     if step.lookup_label is not None and cursor.supports_lookup:

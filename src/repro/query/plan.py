@@ -7,6 +7,13 @@ into the archive's own structures instead of a materialized snapshot:
   of the step's key (per the archive's :class:`~repro.keys.spec.KeySpec`)
   compiles to a binary-search lookup over the sorted child lists — the
   Sec. 7.2 index machinery — instead of a sibling scan;
+* **key projection** — a trailing child step without predicates that
+  names a one-step key path of its parent's key (``/ROOT/Record/Num``,
+  ``…/emp/fn/text()``) is answered from the parent's key label, which
+  Annotate Keys stored there (Sec. 4.1): the parent's children are never
+  looked up or scanned.  The executor falls back to the lookup and scan
+  when the stored value is not a :func:`_plain_value` or the parent has
+  an attribute of that name;
 * **pushable predicates** — key-component equality, attribute equality
   and positional tests are decided on archive nodes directly (key
   values and attributes are stored on the node label);
@@ -110,6 +117,9 @@ class PlannedStep:
     #: When set, the step is answered by one binary-search lookup with
     #: this key value instead of a child scan.
     lookup: Optional[KeyValue] = None
+    #: When set, the step is a key projection: its text is the parent's
+    #: key component of this name, when the executor may trust it.
+    projection: bool = False
     #: ``lookup`` as a label: built with the step, not per node it is tried at.
     lookup_label: Optional[KeyLabel] = field(init=False, default=None, compare=False)
     #: ``step.axis`` and ``step.name``, one attribute load away.
@@ -137,7 +147,7 @@ class PlannedStep:
             pinned = _pinned(predicates)
             lookup = tuple([(path, pinned[path]) for path, _ in lookup])
         step = Step(self.axis, self.name, tuple([p.predicate for p in predicates]))
-        return PlannedStep(step, predicates, self.spec_path, lookup)
+        return PlannedStep(step, predicates, self.spec_path, lookup, self.projection)
 
     def residuals(self) -> list[PlannedPredicate]:
         return [p for p in self.predicates if p.mode == RESIDUAL]
@@ -145,7 +155,9 @@ class PlannedStep:
     def describe(self) -> str:
         marker = "//" if self.axis == "descendant" else "/"
         preds = "".join(str(p.predicate) for p in self.predicates)
-        if self.lookup is not None:
+        if self.projection:
+            how = "key projection (parent's key label)"
+        elif self.lookup is not None:
             how = "key lookup (sorted child index)"
         elif self.axis == "descendant":
             how = "descendant walk, version-pruned"
@@ -284,6 +296,12 @@ def _lookup_value(
     return tuple([(path, pinned[path]) for path in paths])
 
 
+def _projects(spec: KeySpec, parent_path: Optional[Path], name: str) -> bool:
+    """Whether ``name`` is a one-step key path of the key at ``parent_path``."""
+    key = spec.key_for(parent_path) if parent_path is not None else None
+    return key is not None and (name,) in key.key_paths
+
+
 class _Plans(dict):
     """One specification's compiled plans by shape.  It sits in the
     specification's ``__dict__`` — it lives as long, and every holder of
@@ -337,10 +355,18 @@ def _compile(expression: str, spec: KeySpec) -> QueryPlan:
         known_path = spec_path if spec_path and spec.is_keyed_path(spec_path) else None
         planned = [_classify(pred, spec, known_path) for pred in step.predicates]
         lookup = None
+        projection = False
         if index > 0 and step.axis == "child" and step.name != "*":
             # The first step anchors at the document root — there is
             # nothing to look up in; later child steps are candidates.
             lookup = _lookup_value(planned, spec, known_path)
-        planned_steps.append(PlannedStep(step, tuple(planned), known_path, lookup))
+            projection = (
+                index == len(steps) - 1
+                and not planned
+                and _projects(spec, planned_steps[-1].spec_path, step.name)
+            )
+        planned_steps.append(
+            PlannedStep(step, tuple(planned), known_path, lookup, projection)
+        )
     plan = QueryPlan(expression, tuple(planned_steps), want_text)
     return replace(plan, fallbacks=_fallbacks(plan))

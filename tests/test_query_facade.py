@@ -15,7 +15,8 @@ from repro.query import ArchiveDB, compile_plan
 from repro.query import db as query_db
 from repro.query import plan as query_plan
 from repro.query.plan import stored_plans
-from repro.query.exec import NO_ANCHOR, node_count
+from repro.query.exec import NO_ANCHOR, ElementCursor, label_text, node_count
+from repro.query.result import QueryStats
 from repro.storage import create_archive, open_archive
 from repro.xmltree import parse_document, to_string
 from repro.xmltree.xpath import XPathError, evaluate
@@ -389,12 +390,20 @@ class TestPlanner:
         store = create_archive(path, KEYS)
         store.ingest_batch(parse_document(source) for source in VERSIONS)
         for db in (repro.open(archive), store.db()):
+            # ``sal`` is no key field: each emp looks it up.
+            whole = db.at(4).select("/db/dept/emp/sal/text()")
+            assert whole.all() == ["95K", "95K"]
+            one = db.at(4).select("/db/dept/emp/sal/text()")
+            assert one.first() == "95K"
+            assert 0 < one.stats.nodes_materialized < whole.stats.nodes_materialized
+            assert one.stats.index_lookups < whole.stats.index_lookups
+            # ``fn`` is on each emp's key label: nothing is looked up.
             whole = db.at(4).select("/db/dept/emp/fn/text()")
             assert whole.all() == ["Jane", "John"]
             one = db.at(4).select("/db/dept/emp/fn/text()")
             assert one.first() == "Jane"
             assert 0 < one.stats.nodes_materialized < whole.stats.nodes_materialized
-            assert one.stats.index_lookups < whole.stats.index_lookups
+            assert one.stats.index_lookups == whole.stats.index_lookups == 0
         store.close()
 
     def test_threads_sharing_one_shape_answer_as_serial(self, monkeypatch):
@@ -462,6 +471,8 @@ class TestPlanner:
         db = backend.db()
         lines = "\n".join(db.explain("/db/dept[name='x']/emp"))
         assert "key lookup" in lines
+        projected = db.explain("/db/dept/emp/fn/text()")
+        assert projected[-2] == "  /fn -> key projection (parent's key label)"
         fallback_lines = "\n".join(db.explain("/db"))
         if backend.kind == "chunked":
             assert "snapshot fallback" in fallback_lines
@@ -490,6 +501,97 @@ class TestPlanner:
             assert result.stats.chunks_pruned + result.stats.tree_probes > 0
         if backend.kind == "external":
             assert result.stats.events_skipped > 0
+
+
+#: Employees whose ``fn`` key label cannot stand for the ``fn`` child,
+#: one kind per case; each sits beside a plain one, which it can.
+PROJECTION_CASES = {
+    "not-plain": "<emp><fn>a&amp;b</fn><ln>1</ln></emp><emp><fn>o\"k</fn><ln>2</ln></emp>",
+    "attribute-only": '<emp fn="x"><ln>3</ln></emp>',
+    "attribute-and-child": '<emp fn="y"><fn>z</fn><ln>4</ln></emp>',
+    "empty": "<emp><fn/><ln>5</ln></emp>",
+    "spaced": "<emp><fn>  s p </fn><ln>6</ln></emp>",
+}
+
+
+class TestKeyProjection:
+    """A trailing key field answers from its parent's key label, and
+    falls back to the lookup and scan wherever the label is not the
+    field's text; either way it answers as the snapshot does."""
+
+    @pytest.fixture(params=["memory", *BACKENDS])
+    def open_db(self, request, tmp_path):
+        stores = []
+
+        def open_db(sources):
+            documents = [parse_document(source) for source in sources]
+            if request.param == "memory":
+                archive = Archive(parse_key_spec(KEYS))
+                for document in documents:
+                    archive.add_version(document)
+                return repro.open(archive), archive.retrieve
+            path = str(tmp_path / ("a.xml" if request.param == "file" else "a"))
+            store = create_archive(path, KEYS, kind=request.param, chunk_count=2)
+            store.ingest_batch(documents)
+            stores.append(store)
+            return store.db(), store.retrieve
+
+        yield open_db
+        for store in stores:
+            store.close()
+
+    @pytest.mark.parametrize("case", sorted(PROJECTION_CASES))
+    def test_answers_as_the_snapshot(self, open_db, case):
+        plain = "<dept><name>d</name><emp><fn>Ann</fn><ln>0</ln></emp>"
+        sources = [
+            f"<db>{plain}{PROJECTION_CASES[case]}</dept></db>",
+            f"<db>{plain}</dept></db>",  # the case's employees die ...
+            f"<db>{plain}{PROJECTION_CASES[case]}</dept></db>",  # ... and return
+        ]
+        db, retrieve = open_db(sources)
+        for version in (1, 2, 3):
+            snapshot = retrieve(version)
+            for expression in ("/db/dept/emp/fn/text()", "/db/dept/emp/fn"):
+                result = db.at(version).select(expression)
+                got = result.all()
+                assert _rendered(got) == _rendered(evaluate(snapshot, expression).items)
+                if result.kind == "elements":  # counted as if materialized
+                    built = sum(node_count(element) for element in got)
+                    assert result.stats.nodes_materialized == built
+        assert db.plan("/db/dept/emp/fn").steps[-1].projection
+
+    def test_plain_fields_look_nothing_up(self, open_db):
+        db, _ = open_db([VERSIONS[-1]])
+        for expression in ("/db/dept/emp/fn/text()", "/db/dept/emp/ln", "/db/dept/name"):
+            result = db.at(1).select(expression)
+            assert result.all() and result.stats.index_lookups == 0
+
+    def test_only_a_trailing_plain_one_step_key_field_projects(self):
+        spec = parse_key_spec(KEYS)
+        for expression in (
+            "/db/dept/emp/fn/text()",
+            "/db/dept/name",
+            "/db/dept/emp[fn='a']/ln/text()",  # predicates above are fine
+        ):
+            plan = compile_plan(expression, spec)
+            assert [step.projection for step in plan.steps[:-1]] == [False] * (
+                len(plan.steps) - 1
+            )
+            assert plan.steps[-1].projection, expression
+        for expression in (
+            "/db/dept/emp/sal",  # keyed, but no key field of emp
+            "/db/dept/emp/fn[1]",  # a predicate
+            "/db/dept/emp//fn",  # not the child axis
+            "/db/dept/*/fn",  # the parent's path is lost
+            "/db/dept/emp/tel",  # a content key is not a one-step path
+            "/db/dept/emp/fn/x",  # not the last step
+        ):
+            plan = compile_plan(expression, spec)
+            assert not any(step.projection for step in plan.steps), expression
+
+    def test_an_element_cursor_has_no_label(self):
+        element = parse_document('<emp a="1"><fn>x</fn></emp>')
+        assert label_text(ElementCursor(element, QueryStats()), "fn") is None
 
 
 class TestOpen:
@@ -625,6 +727,8 @@ class TestCLIQuery:
         capsys.readouterr()  # drop the ingest chatter
         assert main(["query", path, "/db/dept[name='x']", "--explain"]) == 0
         assert "key lookup" in capsys.readouterr().out
+        assert main(["query", path, "/db/dept/emp/fn/text()", "--explain"]) == 0
+        assert "/fn -> key projection (parent's key label)" in capsys.readouterr().out
         assert main(["query", path, "//tel", "--at", "4", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "planned over the archive tree" in captured.err

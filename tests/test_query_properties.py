@@ -3,8 +3,9 @@
 Random version sequences are archived under every configuration axis —
 compaction × fingerprinting × storage backend — and random expressions
 from the supported XPath fragment (key-equality lookups, partial keys,
-residual/unindexed predicates that exercise the scan fallback,
-descendant walks, text()) are evaluated both ways.  The answers must be
+residual/unindexed predicates that exercise the scan fallback, key
+projections and their fallback on a name that is not plain, descendant
+walks, text()) are evaluated both ways.  The answers must be
 identical: same cardinality, same order, byte-identical serialized
 elements.
 
@@ -40,7 +41,8 @@ KEYS_TEXT = """
 (/db/dept/emp, (tel, {.}))
 """
 
-_names = st.sampled_from(["ann", "bob", "cat"])
+#: ``a&b`` is no plain value: a key label cannot stand for its text.
+_names = st.sampled_from(["ann", "bob", "cat", "a&b"])
 _salaries = st.sampled_from(["10K", "20K"])
 _tels = st.sets(st.sampled_from(["111", "222", "333"]), max_size=2)
 
@@ -103,6 +105,11 @@ _expressions = st.sampled_from(
         "/db/dept[2]",
         "/db/*/emp/tel",
         "/db/dept/name/text()",
+        # Key projections: the parent's label, or the lookup where the
+        # label cannot stand for the text.
+        "/db/dept/emp/fn/text()",
+        "/db/dept/emp/ln",
+        "/db/dept[name='dx']/emp/fn/text()",
         "//tel",
         "//tel[text()='111']",
         "//emp[sal='20K']/fn/text()",

@@ -37,6 +37,8 @@ from repro.xmltree import Element, Text, to_pretty_string, to_string
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1")
 DENSE = "/ROOT/Record/Num/text()"
+#: A dense select of a field that is not on the record's key label.
+TITLES = "/ROOT/Record/Title/text()"
 
 
 def omim_versions(count: int = 4, records: int = 12, seed: int = 15):
@@ -117,13 +119,26 @@ class TestAReadDecodesWhatItTouches:
     def test_dense_select_leaves_every_contributors_block_pending(self, store):
         path, versions = store
         handle = open_archive(path, recover=False)
+        answer = repro.open(handle).at(4).select(TITLES).all()
+        in_key_order = sorted(
+            versions[3].children, key=lambda record: record.find("Num").text_content()
+        )
+        assert answer == [record.find("Title").text_content() for record in in_key_order]
+        for index in range(handle.part_count):
+            settled, pending = census(handle.load_part(index))
+            assert settled["Record"] and not pending["Record"]
+            assert settled["Title"] == settled["Record"]
+            assert pending["Contributors"] and not settled["Contributors"]
+        handle.close()
+
+    def test_dense_key_projection_settles_no_record(self, store):
+        path, versions = store
+        handle = open_archive(path, recover=False)
         answer = repro.open(handle).at(4).select(DENSE).all()
         assert answer == sorted(nums(versions[3]))
         for index in range(handle.part_count):
             settled, pending = census(handle.load_part(index))
-            assert settled["Record"] and not pending["Record"]
-            assert settled["Num"] == settled["Record"]
-            assert pending["Contributors"] and not settled["Contributors"]
+            assert not settled["Record"] and pending["Record"]
         handle.close()
 
     def test_first_retrieve_settles_nothing_it_streams(self, store):
@@ -155,7 +170,7 @@ class TestAReadDecodesWhatItTouches:
         path, versions = store
         handle = open_archive(path, recover=False)
         db = repro.open(handle)
-        db.at(4).select(DENSE).all()  # settles records, not Contributors
+        db.at(4).select(TITLES).all()  # settles records, not Contributors
         before = [census(handle.load_part(index)) for index in range(2)]
         document = handle.retrieve(4)
         assert [census(handle.load_part(index)) for index in range(2)] == before
@@ -214,7 +229,7 @@ class TestAMalformedBlockInAValidChunk:
         with pytest.raises(CodecError, match="name id 127"):
             db.at(4).select(f"/ROOT/Record[Num='{victim}']").all()
         with pytest.raises(CodecError, match="name id 127"):
-            db.at(4).select(DENSE).all()
+            db.at(4).select(TITLES).all()
         with pytest.raises(CodecError, match="name id 127"):
             db.history(f"/ROOT/Record[Num={victim}]/Title")
         handle.close()
@@ -249,7 +264,8 @@ class TestAMalformedBlockInAValidChunk:
         for num in neighbours:
             (element,) = db.at(4).select(f"/ROOT/Record[Num='{num}']").all()
             assert element.find("Num").text_content() == num
-        # The victim's own existence is on its head.
+        # The victim's own ``Num``, and its existence, are on its head.
+        assert victim in db.at(4).select(DENSE).all()
         assert db.history(f"/ROOT/Record[Num={victim}]").existence.to_text()
         handle.close()
 
