@@ -3,8 +3,8 @@
 The server's concurrency claim (snapshot-isolated readers, single
 writer) is only worth having if reads stay cheap while a writer
 publishes: every request re-pins a recovery-free snapshot, so the cost
-under contention is the pin (manifest + checksum sidecar) plus the
-query itself, never a lock wait.
+under contention is the pin (one manifest read, its checksum table
+included) plus the query itself, never a lock wait.
 
 The drill here: K reader threads hammer one chunked archive over HTTP
 while one writer ingests version after version through the same

@@ -9,9 +9,10 @@ The concurrency model ``xarchd`` promises:
 
 * **Snapshot-isolated readers.**  A read request *pins* the archive by
   opening a private, recovery-free backend (``open_archive(...,
-  recover=False)``): the manifest read at open fixes the generation and
-  version count, and the checksum sidecar read at open fixes the byte
-  view every subsequent payload read is verified against.  The store is
+  recover=False)``): the manifest read at open fixes the generation, the
+  version count and, through the checksum table it carries, the byte
+  view every subsequent payload read is verified against — one file
+  read, so the three always belong to one commit.  The store is
   append-mostly — a published generation only extends timestamps and
   appends content — so an answer at any version the pin covers is
   byte-identical in every later generation.  Torn *logical* reads are
@@ -156,10 +157,10 @@ class _PinCache:
     """Refcounted LRU of open snapshot backends, one per
     ``(archive, generation)``.
 
-    PR 9's reader path re-opened the archive — manifest, checksum
-    sidecar, WAL probe — on *every* request, even when the pinned
-    generation had not moved.  Concurrent readers at one generation now
-    share a single open backend (safe: snapshot backends are read-only,
+    Re-opening the archive — manifest read, WAL probe — on *every*
+    request would pay an open even when the pinned generation has not
+    moved.  Concurrent readers at one generation instead share a single
+    open backend (safe: snapshot backends are read-only,
     and their decoded state is idempotent under the GIL), so repeat
     reads skip the open cost entirely and share decoded chunks through
     the process-wide cache.
@@ -442,7 +443,7 @@ class ArchiveService:
         """
         for attempt in range(_RECONCILE_ATTEMPTS):
             try:
-                # The pin itself can race a publish too (sidecar read,
+                # The pin itself can race a publish too (manifest read,
                 # then a payload verified during open), so it sits
                 # inside the retried block alongside the callback.
                 return self._read_once(name, fn)
@@ -453,7 +454,7 @@ class ArchiveService:
                 self._published.pop(name, None)
                 self.pins.evict(name)
                 # Let an in-flight publish finish renaming before the
-                # next pin re-reads manifest + checksums + payloads.
+                # next pin re-reads manifest and payloads.
                 time.sleep(0.005 * (attempt + 1))
         # A writer publishing continuously can outrun every lock-free
         # retry.  The last resort holds the writer lock across the pin

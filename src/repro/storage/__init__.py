@@ -7,8 +7,9 @@ key-hash :class:`ChunkedArchiver` (Sec. 5) and the event-stream
 :class:`ExternalArchiver` (Sec. 6) — behind a self-describing manifest
 (:func:`open_archive` reads backend and codec from it).  Every write of
 every backend, creation included, is one :class:`ArchiveTxn`
-(``txn.py``) over the write-ahead commit log of ``wal.py``: payloads,
-manifest and checksum table publish together or not at all.  The
+(``txn.py``) over the write-ahead commit log of ``wal.py``: payloads
+and the manifest, which carries their checksum table, publish together
+or not at all.  The
 external-memory machinery keeps its own modules: event-stream files
 with I/O accounting, bounded-memory sorted runs with k-way merging and
 the one-pass stream merge.

@@ -69,7 +69,7 @@ from .integrity import IntegrityError, validate_policy, verify_file
 from .txn import ArchiveTxn
 
 #: The event stream's name inside the archive directory (and its key
-#: in the checksum sidecar).
+#: in the checksum table).
 STREAM_NAME = "archive.jsonl"
 
 #: Intermediate files of an interrupted annotate/sort/merge pass.
@@ -127,7 +127,7 @@ class ExternalArchiver(StorageBackend):
         #: Read-only handles cache the materialized stream (the
         #: :meth:`to_archive` product ``changes`` and fallback queries pay
         #: for) in the process-wide decoded-chunk cache, keyed by the
-        #: stream's sidecar checksum; writers never do.
+        #: stream's recorded checksum; writers never do.
         self.cache_reads = cache_reads
         self._load_state(codec, _manifest)
 
@@ -205,7 +205,7 @@ class ExternalArchiver(StorageBackend):
     def add_version(self, document: Optional[Element]) -> MergeStats:
         """Annotate, sort and merge the next version (Sec. 6).
 
-        The merged stream, the manifest and the checksum sidecar
+        The merged stream and the manifest, which carries its checksum,
         publish together behind one WAL record — a crash at any point
         recovers to the pre-version or post-version archive, never a
         stream whose checksum (or manifest) belongs to the other side.

@@ -17,17 +17,18 @@ right backend without being told — and refuses a path that has lost its
 manifest rather than guess (``xarch fsck --repair`` rebuilds one).
 
 Every write of every backend, archive creation included, is one
-:class:`~repro.storage.txn.ArchiveTxn`: payloads, manifest and checksum
-table publish together behind one write-ahead record, and in-memory
-state moves only once that has landed.  Every open settles an
-interrupted commit first, through the one :func:`settle` below.  A
-crash at any point leaves the archive readable at a version-count
-boundary, never a torn mix of files.
+:class:`~repro.storage.txn.ArchiveTxn`: the payloads and the manifest,
+which carries their checksum table, publish together behind one
+write-ahead record, and in-memory state moves only once that has
+landed.  Every open settles an interrupted commit first, through the
+one :func:`settle` below.  A crash at any point leaves the archive
+readable at a version-count boundary, never a torn mix of files.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
 import functools
 import hashlib
 import json
@@ -85,11 +86,19 @@ class Manifest:
     versions the pinned generation already held never change under
     later publications.
 
+    ``checksums`` and ``quarantined`` are the commit's checksum table
+    (:class:`~repro.storage.integrity.ChecksumSidecar`): the recorded
+    ``{"sha256", "bytes"}`` of every payload file, and the names fsck
+    moved aside.  The manifest is thus the one record of a commit, and
+    its self-checksum covers the table.  ``checksums`` is ``None`` on a
+    store written before the manifest carried it
+    (:func:`recorded_checksums` reads such a store's table where it was
+    kept, until its next commit moves it here).
+
     ``extra`` holds what only one layout needs, and whatever it holds
     is therefore as atomic and as checksummed as the manifest: the
-    whole-file layout's one checksum entry (``payload``); the chunked
-    layout's ``chunk_count`` and ``presence`` — chunk index to the
-    versions at which the chunk has records, which with
+    chunked layout's ``chunk_count`` and ``presence`` — chunk index to
+    the versions at which the chunk has records, which with
     ``version_count`` is everything a chunked read needs before it
     opens a chunk (a store written before the map keeps both in
     sidecar files, and has no ``presence`` here until its next commit).
@@ -102,10 +111,8 @@ class Manifest:
     generation: int = 0
     format_version: int = MANIFEST_FORMAT
     extra: dict = field(default_factory=dict)
-    #: SHA-256 of the bytes this manifest was read from (``None`` for
-    #: one built in memory): what a checksum table of the same commit
-    #: records for it.
-    digest: Optional[str] = field(default=None, compare=False, repr=False)
+    checksums: Optional[dict] = None
+    quarantined: list = field(default_factory=list)
 
     def to_json(self) -> str:
         record = {
@@ -118,6 +125,9 @@ class Manifest:
         }
         if self.extra:
             record["extra"] = self.extra
+        if self.checksums is not None:
+            record["checksums"] = self.checksums
+            record["quarantined"] = sorted(self.quarantined)
         # Self-checksum: a flipped bit in the manifest is detected as a
         # typed IntegrityError, not trusted as different metadata.
         record["sha256"] = _self_digest(record)
@@ -149,6 +159,8 @@ class Manifest:
             generation=int(record.get("generation", 0)),
             format_version=int(record.get("format", MANIFEST_FORMAT)),
             extra=record.get("extra", {}),
+            checksums=record.get("checksums"),
+            quarantined=list(record.get("quarantined", ())),
         )
 
 
@@ -261,9 +273,32 @@ def read_manifest(path: str) -> Optional[Manifest]:
             f"Archive manifest {location!r} is not valid UTF-8 "
             f"(corrupt manifest): {error}"
         )
-    manifest = Manifest.from_json(text)
-    manifest.digest = hashlib.sha256(raw).hexdigest()
-    return manifest
+    return Manifest.from_json(text)
+
+
+def recorded_checksums(
+    path: str, manifest: Optional[Manifest]
+) -> Optional[ChecksumSidecar]:
+    """The checksum table of the archive at ``path``, whose manifest is
+    ``manifest``; ``None`` when none is recorded (a pre-integrity store).
+
+    The manifest carries it.  A store written before it did kept the
+    table in ``checksums.json`` beside a directory layout's manifest,
+    or the one payload's entry as a whole-file manifest's
+    ``extra["payload"]``; it is read there until the store's first
+    commit moves it into the manifest.
+    """
+    if manifest is not None and manifest.checksums is not None:
+        return ChecksumSidecar(manifest.checksums, manifest.quarantined)
+    if os.path.isdir(path):
+        table = ChecksumSidecar.load(os.path.join(path, CHECKSUMS_NAME))
+        if table is not None:
+            # The sidecar recorded the manifest too; a manifest that
+            # carries the table cannot record itself.
+            table.forget(MANIFEST_NAME)
+        return table
+    payload = manifest.extra.get("payload") if manifest is not None else None
+    return ChecksumSidecar({os.path.basename(path): payload}) if payload else None
 
 
 # -- the storage contract -----------------------------------------------------
@@ -328,16 +363,17 @@ class StorageBackend(abc.ABC):
     #: nothing), and manifest placement and cache keys derive from it.
     storage_root: str
     #: At-rest encoding of the archive's payload files (recorded in the
-    #: manifest; the plain files — keys, manifest, checksum table —
-    #: are never encoded): the constructor's explicit codec, else the
+    #: manifest; the plain files — keys and manifest — are never
+    #: encoded): the constructor's explicit codec, else the
     #: manifest's, else raw.
     codec: Codec = RAW
     #: Publication counter: +1 per commit.  Loaded from the manifest at
     #: open, written back inside every commit — the snapshot pin
     #: concurrent readers anchor to.
     generation: int = 0
-    #: Recorded SHA-256 and size of every payload file, by file name;
-    #: replaced as a whole when a commit lands.
+    #: Recorded SHA-256 and size of every payload file, by file name,
+    #: as the manifest carries them; replaced as a whole when a commit
+    #: lands.
     _checksums: ChecksumSidecar
     #: Names verified so far, for the ``verify="open"`` policy.
     _verified: set[str]
@@ -408,10 +444,12 @@ class StorageBackend(abc.ABC):
             version_count=version_count,
             codec=codec.name,
             generation=self.generation + 1,
-            extra=self._manifest_extra(checksums),
+            extra=self._manifest_extra(),
+            checksums=dict(checksums.entries),
+            quarantined=sorted(checksums.quarantined),
         )
 
-    def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
+    def _manifest_extra(self) -> dict:
         return {}
 
     def manifest_path(self) -> str:
@@ -419,7 +457,7 @@ class StorageBackend(abc.ABC):
 
     def _create(self, spec_text: Optional[str] = None) -> None:
         """Publish the empty archive — keys file, what :meth:`_bootstrap`
-        stages, manifest and checksum table — as one transaction."""
+        stages and the manifest — as one transaction."""
         with ArchiveTxn(self, 0) as txn:
             if spec_text is not None:
                 txn.put_uncovered(keys_location(self.storage_root), spec_text)
@@ -434,13 +472,20 @@ class StorageBackend(abc.ABC):
         commit of this handle has just published.  The checksum table
         is in place by then."""
         self.generation = manifest.generation if manifest is not None else 0
+        if self._recover and manifest is not None and manifest.checksums is not None:
+            # The commit that moved the table into the manifest — this
+            # handle's, or one it has just rolled forward — left the old
+            # sidecar behind; nothing reads it any more.  (A whole-file
+            # archive has no directory to keep one in.)
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+                os.remove(os.path.join(self.storage_root, CHECKSUMS_NAME))
 
     def _load_state(
         self, codec: CodecLike = None, manifest: Optional[Manifest] = None
     ) -> None:
         """(Re)read every piece of in-memory state from what is durable:
         drop the decoded trees, settle an interrupted commit (on handles
-        that write), read the manifest and the checksum table.
+        that write), read the manifest, which carries the checksum table.
 
         Constructors call it once, with their explicit codec if any (and
         the manifest :func:`open_archive` has read, unless settling moves
@@ -454,7 +499,6 @@ class StorageBackend(abc.ABC):
         if manifest is None:
             manifest = read_manifest(self.storage_root)
         self._checksums = self._load_checksums(manifest)
-        self._check_one_commit(manifest)
         self._verified = set()
         self._adopt(manifest)
         if codec is None and manifest is not None:
@@ -463,33 +507,10 @@ class StorageBackend(abc.ABC):
             self.codec = get_codec(codec)
 
     def _load_checksums(self, manifest: Optional[Manifest]) -> ChecksumSidecar:
-        """The checksum table as persisted: the ``checksums.json``
-        sidecar of the directory layouts."""
-        return ChecksumSidecar.load(
-            os.path.join(self.storage_root, CHECKSUMS_NAME)
-        )
-
-    def _check_one_commit(self, manifest: Optional[Manifest]) -> None:
-        """Refuse a manifest and a checksum sidecar of different commits.
-
-        A commit renames the manifest into place before the sidecar, so
-        an open racing it can read the new manifest beside the old
-        table.  Cache keys come from the table alone (:meth:`_cached`),
-        so such a handle would be handed the old trees as the new
-        generation's; the sidecar records the manifest's own bytes, and
-        a mismatch is raised here instead, as the race it is (a
-        snapshot reader re-pins) or damage (``fsck`` reports it)."""
-        if manifest is None or manifest.digest is None:
-            return
-        recorded = self._checksums.entry(MANIFEST_NAME)
-        if self._checksums.path is None or recorded is None:
-            return
-        if recorded.get("sha256") != manifest.digest:
-            raise ManifestInconsistent(
-                f"The manifest of {self.storage_root!r} is not the one its "
-                f"checksum sidecar records (a commit publishing meanwhile, "
-                f"or damage): reopen the archive"
-            )
+        """The checksum table the manifest carries (or, on a store from
+        before it did, where that store kept it)."""
+        table = recorded_checksums(self.storage_root, manifest)
+        return table if table is not None else ChecksumSidecar()
 
     # -- the decoded-chunk cache ---------------------------------------------
 
@@ -636,17 +657,6 @@ class FileBackend(StorageBackend):
     def _part_name(self, part=0) -> str:
         return os.path.basename(self.path)
 
-    def _load_checksums(self, manifest: Optional[Manifest]) -> ChecksumSidecar:
-        # One payload, so no sidecar: its checksum rides in the manifest.
-        table = ChecksumSidecar(None)
-        if manifest is not None and manifest.extra.get("payload"):
-            table.entries[self._part_name()] = manifest.extra["payload"]
-        return table
-
-    def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
-        payload = checksums.entry(self._part_name())
-        return {"payload": payload} if payload is not None else {}
-
     def _bootstrap(self, txn: ArchiveTxn) -> None:
         txn.put(self.path, self.codec.encode_archive(self.archive))
 
@@ -654,9 +664,9 @@ class FileBackend(StorageBackend):
         """The verified at-rest bytes (``None`` when nothing is stored),
         and whether this read hashed them.
 
-        The payload is verified against the manifest's recorded
-        checksum under the backend's ``verify`` policy before the codec
-        touches it — corruption surfaces as a typed
+        The payload is verified against its recorded checksum under the
+        backend's ``verify`` policy before the codec touches it —
+        corruption surfaces as a typed
         :class:`~repro.storage.integrity.IntegrityError`, not a decode
         failure."""
         try:
@@ -961,7 +971,6 @@ def _abandoned_creation(directory: str) -> bool:
         os.path.basename(keys_location(directory)),
         os.path.basename(wal_location(directory)),
         MANIFEST_NAME,
-        CHECKSUMS_NAME,
         STREAM_NAME,
     }
     return all(
@@ -984,7 +993,7 @@ def create_archive(
     """Create an empty archive of the given backend kind at ``path``.
 
     One transaction publishes the keys sidecar, the manifest (recording
-    the chosen at-rest ``codec``), the checksum table and whatever
+    the chosen at-rest ``codec`` and the checksum table) and whatever
     payload the kind holds while empty — so a creation that is
     interrupted leaves either nothing or the whole empty archive, and
     every later :func:`open_archive` needs only the path.  ``workers``

@@ -34,12 +34,13 @@ annotate and merge — as does any version in which every record changed
 ``benchmarks/results/e2e_kept_memo_pr22.txt``).
 
 Beside the chunk files the directory holds the manifest, which carries
-the version count and, per chunk, the versions at which the chunk has
-records (*presence*: retrieval prunes on it before opening a chunk),
-and the checksum table.  Stores written before the manifest carried
-the map keep presence in ``chunk-NNNN.presence`` sidecars and the count
-in ``versions.txt``; they are read as they are, and their first commit
-through this code moves both into the manifest and unlinks the files.
+the version count, the checksum table and, per chunk, the versions at
+which the chunk has records (*presence*: retrieval prunes on it before
+opening a chunk).  Stores written before the manifest carried the map
+keep presence in ``chunk-NNNN.presence`` sidecars and the count in
+``versions.txt``, and older stores the table in ``checksums.json``;
+they are read as they are, and their first commit through this code
+moves all of it into the manifest and unlinks the files.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .backend import (
 from .cache import chunk_cache
 from .codec import CodecError, CodecLike, get_codec
 from .integrity import (
-    ChecksumSidecar,
     IntegrityError,
     ManifestInconsistent,
     validate_policy,
@@ -177,8 +177,8 @@ class ChunkedArchiver(StorageBackend):
     elements).
 
     Every mutation is one :class:`~repro.storage.txn.ArchiveTxn`: chunk
-    files, the manifest (version count and presence map) and the
-    checksum sidecar publish together — a crash mid-batch recovers to
+    files and the manifest (version count, presence map and checksum
+    table) publish together — a crash mid-batch recovers to
     the pre-batch archive (or, if publication had begun, completes it)
     instead of a torn mix.
 
@@ -187,7 +187,7 @@ class ChunkedArchiver(StorageBackend):
     the chunk's bytes, and on the tree (``Archive.kept``) the encoded
     bytes of every framed children block the ``xbin`` encoder wrote.
     The next ``add_version`` still reads every chunk file and verifies
-    it against the sidecar; it skips the decode, and only when the
+    it against the checksum table; it skips the decode, and only when the
     verified checksum is the held one.  Nested Merge then drops the
     kept block of every node it changes anything beneath, and the
     encoder copies the blocks that are left (:mod:`repro.storage.xbin`):
@@ -311,16 +311,16 @@ class ChunkedArchiver(StorageBackend):
         return paths + [self._meta_path()]
 
     def _verify_payload(self, path: str, data: bytes) -> bool:
-        """Check one read against the sidecar under the verify policy;
-        whether it hashed the bytes."""
+        """Check one read against the checksum table under the verify
+        policy; whether it hashed the bytes."""
         return self._checksums.verify(
             os.path.basename(path), data, self.verify, self._verified
         )
 
     def _check_absent(self, path: str) -> None:
         """A file is missing: fine for legacy/lazy files, a typed error
-        when the checksum sidecar says it should exist (or fsck moved
-        it to quarantine)."""
+        when the checksum table says it should exist (or fsck moved it
+        to quarantine)."""
         if self.verify != "never":
             self._refuse_absent(path)
 
@@ -334,7 +334,7 @@ class ChunkedArchiver(StorageBackend):
             )
         if self._checksums.covers(name):
             raise ManifestInconsistent(
-                f"Payload {name!r} is recorded in the checksum sidecar "
+                f"Payload {name!r} is recorded in the checksum table "
                 f"but missing on disk"
             )
 
@@ -351,7 +351,7 @@ class ChunkedArchiver(StorageBackend):
     def read_part_payload(self, index: int) -> Optional[bytes]:
         """Verified at-rest bytes of a stored chunk (``None`` when absent).
 
-        The raw bytes verify against the checksum sidecar *before*
+        The raw bytes verify against the checksum table *before*
         anything decodes them, so corruption surfaces as a typed
         :class:`~repro.storage.integrity.IntegrityError`, never a
         confusing decode failure.  Every decode of a stored chunk starts
@@ -419,7 +419,7 @@ class ChunkedArchiver(StorageBackend):
             return held[1]
         return self.codec.decode_archive(data, self.spec, self.options)
 
-    def _manifest_extra(self, checksums: ChecksumSidecar) -> dict:
+    def _manifest_extra(self) -> dict:
         extra: dict = {"chunk_count": self.chunk_count}
         if self._presence is not None:  # every commit carries the map on
             extra["presence"] = {
@@ -440,7 +440,7 @@ class ChunkedArchiver(StorageBackend):
         leave the checksum table (and, once it has landed, the
         directory: :meth:`_adopt`).
         """
-        carried = self._manifest_extra(txn.checksums).get("presence")
+        carried = self._manifest_extra().get("presence")
         if carried is None:
             carried = {}
             for index in range(self.chunk_count):

@@ -3,26 +3,28 @@
 The scrub works at the *file* level — it never goes through
 :func:`~repro.storage.backend.open_archive`, whose constructor would
 silently run WAL recovery and hide exactly the states fsck exists to
-report.  It walks manifest ↔ payload files ↔ checksum sidecar ↔ WAL
-state ↔ key-spec fingerprint and cross-checks the manifest's chunk →
-presence map (on a store from before the map: the ``.presence``
-sidecars) against actual chunk contents, emitting one structured
-:class:`Finding` per problem.
+report.  It walks manifest ↔ the checksum table the manifest carries ↔
+payload files ↔ WAL state ↔ key-spec fingerprint and cross-checks the
+manifest's chunk → presence map (on a store from before the map: the
+``.presence`` sidecars) against actual chunk contents, emitting one
+structured :class:`Finding` per problem.
 
 Repair (``--repair``) follows one rule: **rebuild everything
 derivable, quarantine — never delete — everything that is not**.
 
 * WAL state (pending or torn records, stray ``*.tmp``) → run the
   deterministic recovery of :class:`~repro.storage.wal.WriteAheadLog`;
-* the presence map, the manifest and the checksum sidecar are all
+* the presence map, the manifest and the checksum table are all
   derivable from healthy payloads → rebuilt (the map through an
   :class:`~repro.storage.txn.ArchiveTxn`, which on a store from before
-  the map also retires its sidecars and ``versions.txt``); a sidecar
-  left beside a manifest that carries the map is debris → deleted;
+  the map also retires its sidecars and ``versions.txt``); every
+  repair of the table rewrites the manifest that carries it; a sidecar
+  left beside a manifest that carries what it held is debris →
+  deleted;
 * payload files (chunks, the whole-file archive, the event stream)
   are *not* derivable → a payload that fails its checksum but still
   decodes is re-recorded (stale checksum), one that does not decode is
-  moved into ``quarantine/`` and remembered in the sidecar so reads
+  moved into ``quarantine/`` and remembered in the table so reads
   raise a typed error instead of serving garbage.
 
 ``--deep`` additionally decodes and parses every payload (XML parse
@@ -47,6 +49,8 @@ from .backend import (
     key_spec_fingerprint,
     keys_location,
     manifest_location,
+    read_manifest,
+    recorded_checksums,
 )
 from .codec import GZIP, RAW, XBIN, XMILL, Codec, CodecError, get_codec
 from .integrity import (
@@ -67,16 +71,17 @@ FINDING_CODES = {
     "manifest-corrupt": "the manifest fails to parse or self-verify",
     "manifest-inconsistent": "the manifest contradicts the files on disk",
     "key-spec-mismatch": "the keys file does not match the manifest fingerprint",
-    "checksums-missing": "payloads exist but no checksum sidecar covers them",
-    "checksums-corrupt": "the checksum sidecar fails to parse or self-verify",
+    "checksums-missing": "payloads exist but no checksum table covers them",
+    "checksums-corrupt": "the checksums.json of a store from before the "
+    "manifest carried the table fails to parse or self-verify",
     "missing-payload": "a checksummed payload is missing on disk",
     "checksum-mismatch": "a payload's bytes do not match their recorded checksum",
     "truncated-payload": "a payload is shorter than its recorded size",
     "unchecksummed": "a payload exists with no recorded checksum",
     "undecodable": "a payload fails to decode or parse",
     "presence-mismatch": "a chunk's recorded presence disagrees with its contents",
-    "leftover-sidecar": "a .presence or versions.txt file beside a manifest "
-    "that carries the presence map",
+    "leftover-sidecar": "a .presence, versions.txt or checksums.json file "
+    "beside a manifest that carries what it held",
     "quarantined": "a payload was previously quarantined by fsck --repair",
 }
 
@@ -198,7 +203,7 @@ def _sniff_kind(path: str) -> str:
     if os.path.exists(os.path.join(path, "archive.jsonl")):
         return "external"
     if (
-        os.path.exists(os.path.join(path, CHECKSUMS_NAME))
+        os.path.exists(keys_location(path))
         or os.path.exists(os.path.join(path, "versions.txt"))
         # A pending commit log means a chunked archive crashed
         # mid-publish before its manifest landed.
@@ -318,14 +323,13 @@ class _Scrubber:
         self.directory = path if os.path.isdir(path) else os.path.dirname(path)
         self.is_dir = os.path.isdir(path)
         self.manifest: Optional[Manifest] = None
-        self.sidecar: Optional[ChecksumSidecar] = None
+        #: The checksum table (``None`` while none is recorded anywhere).
+        self.table: Optional[ChecksumSidecar] = None
         self.codec = None
         #: ``(name, Codec)`` cache behind :meth:`_payload_codec` — the
         #: registry is consulted once per codec name, not once per
         #: payload decoded.
         self._resolved_codec = None
-        #: Set when a repair changed the sidecar; it republishes once.
-        self._sidecar_dirty = False
 
     # -- helpers -----------------------------------------------------------
 
@@ -381,9 +385,9 @@ class _Scrubber:
             suffix += 1
             target = os.path.join(quarantine, f"{name}.{suffix}")
         os.replace(full, target)
-        if self.sidecar is not None:
-            self.sidecar.quarantine(name)
-            self._sidecar_dirty = True
+        if self.table is not None:
+            self.table.quarantine(name)
+            self._record_table()
         finding.repaired = True
         finding.repair = f"moved to {os.path.relpath(target, self.directory)}"
 
@@ -430,14 +434,14 @@ class _Scrubber:
             # No (usable) manifest: fall back to payload magic bytes so
             # decode checks don't misclassify healthy encoded payloads.
             self.codec = self._sniff_codec()
-        self._load_sidecar()
+        self._load_table()
         self._scrub_key_spec()
         self._scrub_payloads()
+        self._scrub_leftovers()
         if self.kind == "chunked":
             self._scrub_chunked()
         if self.kind == "external":
             self._scrub_external()
-        self._flush_sidecar()
 
     def _scrub_wal(self) -> None:
         wal, stray_tmps = commit_log(self.path)
@@ -469,7 +473,7 @@ class _Scrubber:
                 outcome = wal.recover(stray_tmps=stray_tmps)
                 finding.repaired = True
                 finding.repair = f"recovered ({outcome})"
-                # The manifest/sidecar may have just changed on disk.
+                # The manifest may have just changed on disk.
         if record is None and not torn:
             for tmp in stray_tmps:
                 if not os.path.exists(tmp):
@@ -552,22 +556,22 @@ class _Scrubber:
                 str(index): _chunk_presence_of(archive).to_text()
                 for index, archive in self._chunk_archives(spec)
             }
-        manifest = Manifest(
+        self.manifest = Manifest(
             kind=self.kind,
             key_spec_hash=spec_hash,
             version_count=version_count,
             codec=codec,
             extra=extra,
         )
-        text = manifest.to_json()
-        atomic_write_text(manifest_location(self.path), text)
-        self.manifest = manifest
-        self.codec = codec
-        if self.sidecar is not None:
-            self.sidecar.record(MANIFEST_NAME, text.encode("utf-8"))
-            self._sidecar_dirty = True
-        else:
-            self._sidecar_dirty = True  # flushed after the sidecar loads
+        # The table went with the manifest, unless the store is from
+        # before the manifest carried it.
+        try:
+            self.table = recorded_checksums(self.path, None)
+        except IntegrityError:
+            self.table = None
+        if self.table is None:
+            self.table = self._table_of_payloads()
+        self._record_table()
         finding.repaired = True
         finding.repair = f"rebuilt ({self.kind}, {version_count} version(s))"
 
@@ -616,52 +620,65 @@ class _Scrubber:
         except (OSError, ValueError, EOFError, StopIteration):
             return None
 
-    def _load_sidecar(self) -> None:
-        if self.kind == "file":
-            return  # the whole-file backend records its checksum in the manifest
-        location = os.path.join(self.path, CHECKSUMS_NAME)
+    def _load_table(self) -> None:
+        """The checksum table the manifest carries — or, on a store
+        from before it did, the one that store kept."""
         try:
-            self.sidecar = ChecksumSidecar.load(location)
+            self.table = recorded_checksums(self.path, self.manifest)
         except IntegrityError as error:
             finding = self.report.add(
                 "checksums-corrupt",
-                self._rel(location),
+                CHECKSUMS_NAME,
                 str(error),
                 repair="rebuild from the payloads on disk",
             )
-            self.sidecar = ChecksumSidecar(location)
             if self.repair:
-                self._rebuild_sidecar(finding)
+                self._rebuild_table(finding)
             return
-        if not self.sidecar.present and self._payload_files():
+        if self.table is None and self.manifest is not None and self._payload_files():
             finding = self.report.add(
                 "checksums-missing",
-                self._rel(location),
-                "payloads exist with no checksum sidecar (pre-integrity "
+                self._rel(manifest_location(self.path)),
+                "payloads exist with no checksum table (pre-integrity "
                 "archive)",
-                repair="build the sidecar from the payloads on disk",
+                repair="record the table in the manifest, from the payloads "
+                "on disk",
             )
             if self.repair:
-                self._rebuild_sidecar(finding)
+                self._rebuild_table(finding)
 
-    def _rebuild_sidecar(self, finding: Finding) -> None:
-        assert self.sidecar is not None
-        rebuilt = 0
+    def _table_of_payloads(self) -> ChecksumSidecar:
+        """A table covering every payload on disk that decodes."""
+        table = ChecksumSidecar()
         for full in self._payload_files():
             if self._decodes(full):
-                digest, size = hash_file(full)
-                self.sidecar.entries[os.path.basename(full)] = {
-                    "sha256": digest,
-                    "bytes": size,
-                }
-                rebuilt += 1
-        location = manifest_location(self.path)
-        if os.path.exists(location):
-            with open(location, "rb") as handle:
-                self.sidecar.record(MANIFEST_NAME, handle.read())
-        self._sidecar_dirty = True
-        finding.repaired = True
-        finding.repair = f"rebuilt covering {rebuilt} payload(s)"
+                table.record_file(os.path.basename(full), full)
+        return table
+
+    def _rebuild_table(self, finding: Finding) -> None:
+        self.table = self._table_of_payloads()
+        if self._record_table():
+            finding.repaired = True
+            finding.repair = f"rebuilt covering {len(self.table.entries)} payload(s)"
+
+    def _record_table(self) -> bool:
+        """Write the table into the manifest, as every repair of it
+        does; whether there was a manifest to carry it.  (On a store
+        from before the manifest carried it, the old ``checksums.json``
+        is left to :meth:`_scrub_leftovers`.)"""
+        if self.manifest is None or self.table is None:
+            return False
+        self.manifest.checksums = dict(self.table.entries)
+        self.manifest.quarantined = sorted(self.table.quarantined)
+        self.manifest.extra.pop("payload", None)
+        atomic_write_text(manifest_location(self.path), self.manifest.to_json())
+        return True
+
+    def _rerecord(self, name: str, full: str) -> bool:
+        """Record what a payload that decodes hashes to now."""
+        assert self.table is not None
+        self.table.record_file(name, full)
+        return self._record_table()
 
     def _scrub_key_spec(self) -> None:
         if self.manifest is None or not self.manifest.key_spec_hash:
@@ -693,63 +710,50 @@ class _Scrubber:
         """Hash every payload against its recorded checksum."""
         on_disk = {os.path.basename(full): full for full in self._payload_files()}
         entries: dict[str, dict] = {}
-        if self.kind == "file":
-            if self.manifest is not None and self.manifest.extra.get("payload"):
-                entries = {
-                    os.path.basename(self.path): self.manifest.extra["payload"]
-                }
-        elif self.sidecar is not None:
+        if self.table is not None:
             entries = {
                 name: entry
-                for name, entry in self.sidecar.entries.items()
-                if name != MANIFEST_NAME
-                and not (self._mapped and _is_sidecar(name))
+                for name, entry in self.table.entries.items()
+                if not (self._mapped and _is_sidecar(name))
             }
-            for name in sorted(self.sidecar.quarantined):
+            for name in sorted(self.table.quarantined):
                 self.report.add(
                     "quarantined",
                     name,
                     "payload was moved aside by an earlier fsck --repair",
                 )
-            self._scrub_manifest_entry()
         for name in sorted(set(entries) | set(on_disk)):
             full = on_disk.get(name)
             expected = entries.get(name)
             if expected is None:
-                if self.sidecar is not None and self.sidecar.present:
-                    self.report.add(
+                if self.table is not None:
+                    finding = self.report.add(
                         "unchecksummed",
                         name,
                         "payload has no recorded checksum",
                         repair="record its checksum (after verifying it decodes)",
                     )
-                    if self.repair:
-                        finding = self.report.findings[-1]
-                        if self._decodes(full):
-                            digest, size = hash_file(full)
-                            self.sidecar.entries[name] = {
-                                "sha256": digest,
-                                "bytes": size,
-                            }
-                            self._sidecar_dirty = True
-                            finding.repaired = True
-                            finding.repair = "checksum recorded"
-                        else:
-                            self._quarantine(full, finding)
+                    if not self.repair:
+                        continue
+                    if not self._decodes(full):
+                        self._quarantine(full, finding)
+                    elif self._rerecord(name, full):
+                        finding.repaired = True
+                        finding.repair = "checksum recorded"
                 continue
             if full is None:
                 finding = self.report.add(
                     "missing-payload",
                     name,
-                    "recorded in the checksum sidecar but missing on disk "
+                    "recorded in the checksum table but missing on disk "
                     "(deleted or lost)",
                     repair="forget the entry (the data itself is unrecoverable)",
                 )
-                if self.repair and self.sidecar is not None:
-                    self.sidecar.forget(name)
-                    self._sidecar_dirty = True
-                    finding.repaired = True
-                    finding.repair = "entry forgotten; payload remains lost"
+                if self.repair and self.table is not None:
+                    self.table.forget(name)
+                    if self._record_table():
+                        finding.repaired = True
+                        finding.repair = "entry forgotten; payload remains lost"
                 continue
             digest, size = hash_file(full)
             if digest == expected.get("sha256"):
@@ -784,65 +788,11 @@ class _Scrubber:
                 continue
             if name.endswith(".presence"):
                 continue  # derivable: rebuilt by the chunked cross-check
-            if self._decodes(full):
-                self._record_checksum(name, full)
+            if not self._decodes(full):
+                self._quarantine(full, finding)
+            elif self._rerecord(name, full):
                 finding.repaired = True
                 finding.repair = "payload decodes; checksum re-recorded"
-            else:
-                self._quarantine(full, finding)
-
-    def _scrub_manifest_entry(self) -> None:
-        """The sidecar's record of the manifest itself."""
-        assert self.sidecar is not None
-        expected = self.sidecar.entry(MANIFEST_NAME)
-        if expected is None:
-            return
-        location = manifest_location(self.path)
-        if not os.path.exists(location):
-            # A bare missing manifest was already reported by the load.
-            if not any(
-                finding.code == "manifest-missing"
-                for finding in self.report.findings
-            ):
-                finding = self.report.add(
-                    "missing-payload",
-                    MANIFEST_NAME,
-                    "recorded in the checksum sidecar but missing on disk",
-                    repair="rebuild the manifest",
-                )
-                if self.repair:
-                    self._rebuild_manifest(finding)
-            return
-        digest, _size = hash_file(location)
-        if digest != expected.get("sha256"):
-            finding = self.report.add(
-                "checksum-mismatch",
-                MANIFEST_NAME,
-                "manifest bytes differ from the sidecar's record",
-                repair="re-record if it parses, rebuild otherwise",
-            )
-            if not self.repair:
-                return
-            if self.manifest is not None:
-                with open(location, "rb") as handle:
-                    self.sidecar.record(MANIFEST_NAME, handle.read())
-                self._sidecar_dirty = True
-                finding.repaired = True
-                finding.repair = "manifest parses; checksum re-recorded"
-            else:
-                self._rebuild_manifest(finding)
-
-    def _record_checksum(self, name: str, full: str) -> None:
-        digest, size = hash_file(full)
-        if self.kind == "file":
-            if self.manifest is not None:
-                self.manifest.extra["payload"] = {"sha256": digest, "bytes": size}
-                text = self.manifest.to_json()
-                atomic_write_text(manifest_location(self.path), text)
-        elif self.sidecar is not None:
-            self.sidecar.entries[name] = {"sha256": digest, "bytes": size}
-            self.sidecar.quarantined.discard(name)
-            self._sidecar_dirty = True
 
     # -- backend-specific cross-checks -------------------------------------
 
@@ -868,8 +818,6 @@ class _Scrubber:
         if spec is None or self.manifest is None:
             return
         mapped = self.manifest.extra.get("presence")
-        if mapped is not None:
-            self._scrub_leftovers()
         presence = dict(mapped or {})  # what a repair records
         stale = []
         for index, archive in self._chunk_archives(spec):
@@ -905,17 +853,26 @@ class _Scrubber:
             return "unparsable"
 
     def _scrub_leftovers(self) -> None:
-        """Sidecars beside a manifest that carries the map: a commit
-        that moved the map retired them, so nothing reads them."""
-        assert self.sidecar is not None
-        names = {name for name in os.listdir(self.path) if _is_sidecar(name)}
-        names.update(name for name in self.sidecar.entries if _is_sidecar(name))
+        """Files of an older layout beside a manifest that carries what
+        they held — the presence map and the version count, or the
+        checksum table: the commit that moved it retired them, so
+        nothing reads them."""
+        if self.manifest is None or not self.is_dir:
+            return
+        names = set()
+        if self._mapped:
+            names.update(name for name in os.listdir(self.path) if _is_sidecar(name))
+            if self.table is not None:
+                names.update(name for name in self.table.entries if _is_sidecar(name))
+        if self.manifest.checksums is not None and os.path.exists(
+            os.path.join(self.path, CHECKSUMS_NAME)
+        ):
+            names.add(CHECKSUMS_NAME)
         for name in sorted(names):
             finding = self.report.add(
                 "leftover-sidecar",
                 name,
-                "the manifest carries the presence map and the version "
-                "count; nothing reads this file",
+                "the manifest carries what this file held; nothing reads it",
                 repair="delete it",
             )
             if not self.repair:
@@ -923,9 +880,9 @@ class _Scrubber:
             full = os.path.join(self.path, name)
             if os.path.exists(full):
                 os.remove(full)
-            if self.sidecar.covers(name):
-                self.sidecar.forget(name)
-                self._sidecar_dirty = True
+            if self.table is not None and self.table.covers(name):
+                self.table.forget(name)
+                self._record_table()
             finding.repaired = True
             finding.repair = "deleted"
 
@@ -933,12 +890,10 @@ class _Scrubber:
         """Publish ``presence`` as the manifest's map, in one commit
         that also retires the sidecars of a store from before the map
         (the handle unlinks them once it has landed)."""
-        from .backend import read_manifest
         from .chunked import ChunkedArchiver
         from .txn import ArchiveTxn
 
         assert self.manifest is not None
-        self._flush_sidecar()  # the commit starts from the table on disk
         backend = ChunkedArchiver(
             self.path, spec, int(self.manifest.extra["chunk_count"]), verify="never"
         )
@@ -948,8 +903,7 @@ class _Scrubber:
                 if _is_sidecar(name):
                     txn.checksums.forget(name)
         self.manifest = read_manifest(self.path)
-        self.sidecar = ChecksumSidecar.load(os.path.join(self.path, CHECKSUMS_NAME))
-        self._sidecar_dirty = False
+        self.table = recorded_checksums(self.path, self.manifest)
         for finding in findings:
             finding.repaired = True
             finding.repair = "presence map rewritten from the chunks' contents"
@@ -986,12 +940,6 @@ class _Scrubber:
                 "undecodable", self._rel(stream), str(error),
                 repair="quarantine the stream",
             )
-
-    def _flush_sidecar(self) -> None:
-        if self.sidecar is not None and self._sidecar_dirty and self.repair:
-            atomic_write_text(self.sidecar.path, self.sidecar.to_json())
-            self.sidecar.present = True
-
 
 #: Callable other modules may monkeypatch in tests.
 FsckRunner = Callable[..., FsckReport]

@@ -6,11 +6,11 @@ confusing :class:`~repro.storage.codec.CodecError`, an XML parse error,
 or (worst) a silently wrong answer from a stale sidecar.  The integrity
 plane closes that gap:
 
-* every payload written through a backend gets a recorded SHA-256 —
-  in the manifest for whole-file archives, in a per-backend
-  ``checksums.json`` sidecar (:class:`ChecksumSidecar`) for directory
-  backends — published through the same WAL commit as the payload
-  itself, so checksums and bytes are never torn apart;
+* every payload written through a backend gets a recorded SHA-256 in
+  the archive's checksum table (:class:`ChecksumSidecar`), which the
+  manifest carries on every layout — so the table publishes by the
+  same rename as the commit it describes, and checksums and bytes are
+  never torn apart;
 * reads verify under a configurable policy (``verify="always"``:
   every byte that is decoded is hashed first, the default; ``"open"``:
   once per file per backend instance; ``"never"``: trust the disk).
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Optional
 
 from ..core.archive import ArchiveError
@@ -43,10 +42,8 @@ from ..core.archive import ArchiveError
 #: Read-verification policies accepted by every backend.
 VERIFY_POLICIES = ("always", "open", "never")
 
-#: On-disk format tag of the ``checksums.json`` sidecar.
-CHECKSUMS_FORMAT = 1
-
-#: Conventional name of the sidecar inside directory archives.
+#: Where a directory archive written before the manifest carried the
+#: checksum table kept it.
 CHECKSUMS_NAME = "checksums.json"
 
 #: Subdirectory fsck's ``--repair`` moves undecodable payloads into.
@@ -139,7 +136,7 @@ def verify_file(name: str, path: str, expected: Optional[dict]) -> None:
         digest, size = hash_file(path)
     except FileNotFoundError:
         raise ManifestInconsistent(
-            f"Payload {name!r} is recorded in the checksum sidecar but "
+            f"Payload {name!r} is recorded in the checksum table but "
             f"missing on disk"
         )
     recorded = expected.get("sha256")
@@ -158,47 +155,42 @@ def verify_file(name: str, path: str, expected: Optional[dict]) -> None:
 
 
 def _self_digest(body: dict) -> str:
-    """Deterministic hash of a sidecar/WAL record body (sans its hash)."""
+    """Deterministic hash of a manifest/WAL record body (sans its hash)."""
     return sha256_hex(
         json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
     )
 
 
 class ChecksumSidecar:
-    """``checksums.json``: one directory archive's payload checksums.
+    """One archive's checksum table.
 
     Maps payload name (relative to the archive root) to
     ``{"sha256", "bytes"}`` and carries the names fsck has quarantined.
-    The sidecar is self-checksummed — a flipped bit in the sidecar
-    itself is detected, not silently trusted — and is staged through
-    the same WAL commit as the payloads it describes, so the two are
-    never torn apart by a crash.
+    The manifest carries the table (``Manifest.checksums`` and
+    ``.quarantined``), so its self-checksum covers it and one rename
+    publishes it with the rest of the commit.
 
-    A missing sidecar (``present`` is ``False``) means a pre-integrity
-    archive: verification is skipped for every file and ``fsck``
-    reports the archive as unchecksummed (repairable).
-
-    The whole-file layout has one payload and keeps its entry in the
-    manifest instead: its table has no ``path`` and is never written
-    out as a sidecar.
+    A store written before that kept the table in a ``checksums.json``
+    sidecar beside a directory layout's manifest (:meth:`load`), or the
+    one payload's entry in the whole-file manifest's ``extra``; its
+    first commit moves the table into the manifest.  A store with no
+    table anywhere is a pre-integrity archive: verification is skipped
+    for every file and ``fsck`` reports it (repairable).
     """
 
-    def __init__(self, path: Optional[str]) -> None:
-        self.path = os.path.abspath(path) if path is not None else None
-        self.entries: dict[str, dict] = {}
-        self.quarantined: set[str] = set()
-        self.present = False
+    def __init__(self, entries: Optional[dict] = None, quarantined=()) -> None:
+        self.entries: dict[str, dict] = dict(entries or {})
+        self.quarantined: set[str] = set(quarantined)
 
     @classmethod
-    def load(cls, path: str) -> "ChecksumSidecar":
-        """Read and self-verify the sidecar (missing → empty/legacy)."""
-        sidecar = cls(path)
+    def load(cls, path: str) -> Optional["ChecksumSidecar"]:
+        """Read and self-verify a ``checksums.json`` sidecar (``None``
+        when there is none)."""
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
-            return sidecar
-        sidecar.present = True
+            return None
         try:
             record = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:
@@ -223,32 +215,21 @@ class ChecksumSidecar:
                 f"Checksum sidecar {path!r} fails its own checksum "
                 f"(corrupt sidecar)"
             )
-        sidecar.entries = dict(record["entries"])
-        sidecar.quarantined = set(record.get("quarantined", ()))
-        return sidecar
+        return cls(record["entries"], record.get("quarantined", ()))
 
     def copy(self) -> "ChecksumSidecar":
-        duplicate = ChecksumSidecar(self.path)
-        duplicate.entries = dict(self.entries)
-        duplicate.quarantined = set(self.quarantined)
-        duplicate.present = self.present
-        return duplicate
-
-    def to_json(self) -> str:
-        body = {
-            "format": CHECKSUMS_FORMAT,
-            "entries": {name: self.entries[name] for name in sorted(self.entries)},
-            "quarantined": sorted(self.quarantined),
-        }
-        body["sha256"] = _self_digest(
-            {key: body[key] for key in body if key != "sha256"}
-        )
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return ChecksumSidecar(self.entries, self.quarantined)
 
     # -- bookkeeping -------------------------------------------------------
 
     def record(self, name: str, data: bytes) -> None:
         self.entries[name] = checksum_entry(data)
+        self.quarantined.discard(name)
+
+    def record_file(self, name: str, path: str) -> None:
+        """:meth:`record` of the bytes at ``path``, streamed."""
+        digest, size = hash_file(path)
+        self.entries[name] = {"sha256": digest, "bytes": size}
         self.quarantined.discard(name)
 
     def forget(self, name: str) -> None:

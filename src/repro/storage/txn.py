@@ -16,10 +16,8 @@ over.  Leaving it cleanly runs the commit:
    by :meth:`ArchiveTxn.adopt`), its SHA-256 recorded in a pending copy
    of the backend's checksum table;
 2. the manifest — next generation, the given version count and codec,
-   and whatever the write put in :attr:`ArchiveTxn.extra` — is staged,
-   then the checksum table last: as the ``checksums.json`` sidecar,
-   which also covers the manifest, or inside the manifest for the
-   one-payload file layout (a table without a ``path``);
+   the checksum table, and whatever the write put in
+   :attr:`ArchiveTxn.extra` — is staged last;
 3. the write-ahead record is appended and the staged files are renamed
    into place (:mod:`repro.storage.wal`);
 4. only then does in-memory state move: the backend receives the new
@@ -29,11 +27,11 @@ over.  Leaving it cleanly runs the commit:
    verified of the rewritten files, and drops its entries from the
    decoded-chunk cache.
 
-So a commit stages what changed and two files that describe it.  An
-append to an 8-chunk archive is 10 staged files (8 chunks, manifest,
-checksum table) and 14 syncs: one per staged file, one for the
-write-ahead record, and three of the directory (record in, files
-published, record out).  ``tests/test_storage_txn.py`` pins both counts.
+So a commit stages what changed and the one file that describes it.
+An append to an 8-chunk archive is 9 staged files (8 chunks and the
+manifest) and 13 syncs: one per staged file, one for the write-ahead
+record, and three of the directory (record in, files published, record
+out).  ``tests/test_storage_txn.py`` pins both counts.
 
 An exception before step 3 removes what was staged and leaves disk and
 handle as they were.  A failure *during* step 3 removes nothing: a
@@ -50,7 +48,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .cache import chunk_cache
 from .codec import Codec
-from .integrity import ChecksumSidecar, hash_file
+from .integrity import ChecksumSidecar
 from .wal import WriteAheadLog, wal_location
 
 if TYPE_CHECKING:
@@ -108,23 +106,16 @@ class ArchiveTxn:
     def adopt(self, path: str) -> None:
         """Take in the finished file at ``staging(path)``."""
         self._commit.adopt(path)
-        digest, size = hash_file(os.path.abspath(path) + ".tmp")
         name = os.path.basename(path)
-        self.checksums.entries[name] = {"sha256": digest, "bytes": size}
-        self.checksums.quarantined.discard(name)
+        self.checksums.record_file(name, os.path.abspath(path) + ".tmp")
         self._rewritten.add(name)
 
     def _seal(self) -> "Manifest":
-        """Stage the manifest, then the checksum table."""
+        """Stage the manifest, which carries the checksum table."""
         backend = self.backend
         manifest = backend.manifest(self.version_count, self.codec, self.checksums)
         manifest.extra.update(self.extra)
-        text = manifest.to_json()
-        location = backend.manifest_path()
-        self._commit.stage(location, text)
-        if self.checksums.path is not None:
-            self.checksums.record(os.path.basename(location), text.encode("utf-8"))
-            self._commit.stage(self.checksums.path, self.checksums.to_json())
+        self._commit.stage(backend.manifest_path(), manifest.to_json())
         return manifest
 
     def _abort(self) -> None:

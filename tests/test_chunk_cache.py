@@ -27,11 +27,13 @@ from repro.storage import (
     ExternalArchiver,
     FaultInjector,
     FileBackend,
+    IntegrityError,
     ManifestInconsistent,
     create_archive,
     fsck_archive,
     inject,
     open_archive,
+    read_manifest,
 )
 from repro.storage.cache import (
     DecodedChunkCache,
@@ -534,41 +536,70 @@ class TestAWarmReadTouchesNoFile:
             finding.code for finding in report.findings if victim in finding.path
         ] == ["checksum-mismatch"]
 
-    def test_an_open_between_manifest_and_table_renames_is_refused(
+    def test_an_open_at_every_rename_of_an_append_pins_its_manifest(
         self, omim_store
     ):
-        """A commit renames the manifest before the checksum sidecar.
-        An open in between holds the new generation's manifest beside
-        the old table, whose trees the cache still holds: it must raise
-        (a snapshot reader re-pins), not answer the new version with
-        the old generation's trees."""
+        """The manifest carries the checksum table, so an open racing a
+        commit reads one commit's record whichever rename it lands
+        beside: it succeeds and pins the generation its manifest names.
+        What it can still meet is a chunk republished under it, in
+        place: a miss on one raises ChecksumMismatch (a snapshot reader
+        re-pins), never ManifestInconsistent."""
         from repro.data import OmimGenerator
 
-        path, nums = omim_store
-        warm = open_archive(path, recover=False)
-        cycle(warm, nums)
-        warm.close()
-        table = os.path.join(path, "checksums.json")
-        with open(table, "rb") as handle:
-            old_table = handle.read()
-        documents = OmimGenerator(seed=1, initial_records=40).generate_versions(
+        path, _ = omim_store
+        document = OmimGenerator(seed=1, initial_records=40).generate_versions(
             OMIM_VERSIONS + 1
-        )
+        )[-1]
+        stored = [f"chunk-{index:04d}.xml" for index in range(4)]
+        assert all(os.path.exists(os.path.join(path, name)) for name in stored)
+        seen = []  # per open: generation on disk, pinned, what each load did
+
+        def open_and_read(republished):
+            generation = read_manifest(path).generation
+            reader = open_archive(path, recover=False, cache_reads=False)
+            loads = {}
+            for index, name in enumerate(stored):
+                try:
+                    reader.load_part(index)
+                    loads[name] = "answered", name in republished
+                except IntegrityError as error:
+                    loads[name] = type(error).__name__, name in republished
+            seen.append((generation, reader.generation, loads))
+            reader.close()
+
+        class OpenAtEveryRename(FaultInjector):
+            def before_op(self, kind, target):
+                super().before_op(kind, target)
+                if kind == "replace" or target.endswith("wal.json"):
+                    open_and_read(
+                        {
+                            os.path.basename(name)
+                            for done, name in self.log[:-1]
+                            if done == "replace"
+                        }
+                    )
+
         writer = open_archive(path)
-        writer.add_version(list(documents)[-1])
+        before = writer.generation
+        with inject(OpenAtEveryRename()):
+            writer.add_version(document)
         writer.close()
-        with open(table, "rb") as handle:
-            new_table = handle.read()
-        with open(table, "wb") as handle:
-            handle.write(old_table)  # the sidecar rename has not landed
-        with pytest.raises(ManifestInconsistent):
-            open_archive(path, recover=False)
-        with open(table, "wb") as handle:
-            handle.write(new_table)
-        reader = open_archive(path, recover=False)
-        db = repro.open(reader)
-        assert len(db.at(OMIM_VERSIONS + 1).select(DENSE).all()) > 0
-        reader.close()
+        # Before the record's rename, each chunk's and the manifest's,
+        # and the record's removal.
+        assert len(seen) == 1 + len(stored) + 1 + 1
+        assert [pinned for _, pinned, _ in seen] == [before] * 6 + [before + 1]
+        for generation, pinned, loads in seen:
+            assert pinned == generation
+            for name, (outcome, republished) in loads.items():
+                if republished and pinned == before:
+                    assert outcome == "ChecksumMismatch", (pinned, name)
+                else:
+                    assert outcome == "answered", (pinned, name)
+        assert sum(
+            outcome == "ChecksumMismatch" for _, _, loads in seen
+            for outcome, _ in loads.values()
+        ) == 1 + 2 + 3 + 4  # a chunk more republished at each later rename
 
     def test_each_decode_is_one_miss(self, omim_store):
         path, _ = omim_store

@@ -111,8 +111,8 @@ def files_of(path):
 
 def payloads_of(path):
     """What must not depend on how the versions arrived: every payload
-    byte, and the manifest without its commit count and self-checksum
-    (the checksum table covers the manifest, so it moves with them)."""
+    byte, and the manifest — checksum table included — without its
+    commit count and self-checksum."""
     state = files_of(path)
     manifest = None
     for name in list(state):
@@ -120,7 +120,7 @@ def payloads_of(path):
             manifest = json.loads(state.pop(name))
             manifest.pop("generation")
             manifest.pop("sha256")
-        elif name == "checksums.json" or name.endswith((".wal", "wal.json")):
+        elif name.endswith((".wal", "wal.json")):
             state.pop(name)
     return state, manifest
 
@@ -336,6 +336,10 @@ class TestFailureStagesNothing:
         run(backend)
         backend.close()
         store, reference = payloads_of(paths["store"]), payloads_of(paths["reference"])
+        # The table names the one payload by its file name.
+        assert store[1].pop("checksums") == {
+            "store.xml": reference[1].pop("checksums")["reference.xml"]
+        }
         assert store[1] == reference[1]
         assert store[0]["store.xml"] == reference[0]["reference.xml"]
 
@@ -461,8 +465,9 @@ class TestTheCommitTail:
 
     def test_the_seam_sees_one_append_in_chunk_order(self, tmp_path):
         """The seam's ``(kind, path)`` log of one append, in order: the
-        chunks staged in index order, the manifest, the checksum table,
-        the write-ahead record, the publishing renames, the record out.
+        chunks staged in index order, the manifest (which carries their
+        checksums), the write-ahead record, the publishing renames, the
+        record out.
         The crash-at-every-op drill enumerates exactly these states."""
         backend = _omim_store(tmp_path / "store")
         backend.ingest_batch(v.copy() for v in OMIM[:2])
@@ -472,7 +477,7 @@ class TestTheCommitTail:
         backend.close()
         log = [(kind, os.path.basename(target)) for kind, target in seam.log]
         staged = [f"chunk-{index:04d}.xml" for index in range(OMIM_CHUNKS)]
-        staged += ["manifest.json", "checksums.json"]
+        staged += ["manifest.json"]
         expected = []
         for name in staged + ["wal.json"]:
             expected += [("write", f"{name}.tmp"), ("fsync", f"{name}.tmp")]

@@ -15,6 +15,7 @@ record is classified and discarded, never replayed.
 """
 
 import errno
+import itertools
 import os
 import shutil
 
@@ -22,11 +23,13 @@ import pytest
 
 from repro.core import Archive, ArchiveError
 from repro.core.merge import AttributeChangeError
+from repro.data import OmimGenerator
 from repro.data.company import (
     COMPANY_KEY_TEXT,
     company_key_spec,
     company_versions,
 )
+from repro.data.omim import omim_key_spec
 from repro.keys.annotate import KeyViolationError
 from repro.storage import (
     ChecksumMismatch,
@@ -49,6 +52,10 @@ BACKENDS = ["file", "chunked", "external"]
 CODECS = ["raw", "gzip", "xmill", "xbin"]
 #: Recode target per source codec (each pair exercised per backend).
 RECODE_TARGET = {"raw": "gzip", "gzip": "xmill", "xmill": "xbin", "xbin": "raw"}
+#: The committed store of four versions whose checksum table sits in
+#: ``checksums.json`` and presence in ``.presence`` sidecars; its first
+#: append moves both into the manifest (see the fixture's README).
+V1_STORE = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1", "chunked")
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +106,14 @@ def describe_difference(state, pre, post):
     return f"vs pre: {diff(state, pre)}; vs post: {diff(state, post)}"
 
 
-def drill(tmp_path, kind, versions, operate):
+def drill(tmp_path, kind, versions, operate, recovered=None):
     """Kill ``operate`` before every counted op; archive must recover.
 
     ``operate(path)`` runs the mutation under test against the archive
     at ``path``.  The pre-state lives in ``tmp_path/pre``; the dry run
     (no crash) sizes the enumeration and captures the post-state.
+    ``recovered(path)``, when given, checks each recovered archive
+    further.
     """
     pre_base = os.path.join(tmp_path, "pre")
     pre = snapshot(pre_base)
@@ -131,32 +140,64 @@ def drill(tmp_path, kind, versions, operate):
         assert crashed, f"op {index} of {total_ops} did not fire"
         # Reopen: constructor-time WAL recovery settles the directory.
         open_archive(path).close()
-        report = fsck_archive(path)
+        report = fsck_archive(path, deep=True)
         assert report.clean, f"fsck after crash at op {index}:\n{report}"
         state = snapshot(work_base)
         assert state == pre or state == post, (
             f"crash at op {index}/{total_ops} left a torn state: "
             f"{describe_difference(state, pre, post)}"
         )
+        if recovered is not None:
+            recovered(path)
+
+
+def answers_as_v1_store_or_its_append(path):
+    """The version 1 store recovered from a crash in its first append
+    answers as it did (four versions) or as the append left it (five),
+    and once it holds the fifth no ``checksums.json`` remains."""
+    documents = OmimGenerator(seed=15, initial_records=8).generate_versions(5)
+    model = Archive(omim_key_spec())
+    for document in documents:
+        model.add_version(document)
+    with open_archive(path, recover=False) as handle:
+        assert handle.last_version in (4, 5)
+        for number in range(1, handle.last_version + 1):
+            assert to_pretty_string(handle.retrieve(number)) == to_pretty_string(
+                model.retrieve(number)
+            )
+        if handle.last_version == 5:
+            assert not os.path.exists(os.path.join(path, "checksums.json"))
 
 
 class TestCrashDrill:
-    @pytest.mark.parametrize("codec", CODECS)
-    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize(
+        "kind, codec",
+        [*itertools.product(BACKENDS, CODECS), ("chunked", "xbin_v1")],
+    )
     def test_ingest_survives_crash_at_every_op(
         self, tmp_path, kind, codec, versions
     ):
+        """``xbin_v1``: the first append to a copy of the committed
+        version 1 store, whose sidecars that append retires."""
         tmp_path = str(tmp_path)
-        build_archive(os.path.join(tmp_path, "pre"), kind, codec, versions)
+        pre = os.path.join(tmp_path, "pre")
+        recovered = None
+        if codec == "xbin_v1":
+            shutil.copytree(V1_STORE, archive_path(pre, kind))
+            appended = OmimGenerator(seed=15, initial_records=8).generate_versions(5)[4]
+            recovered = answers_as_v1_store_or_its_append
+        else:
+            build_archive(pre, kind, codec, versions)
+            appended = versions[2]
 
         def operate(path):
             backend = open_archive(path)
             try:
-                backend.ingest_batch([versions[2].copy()])
+                backend.ingest_batch([appended.copy()])
             finally:
                 backend.close()
 
-        drill(tmp_path, kind, versions, operate)
+        drill(tmp_path, kind, versions, operate, recovered)
 
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("kind", BACKENDS)

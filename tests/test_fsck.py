@@ -20,12 +20,16 @@ from repro.cli import EXIT_CORRUPT, main
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
 from repro.storage import (
     QUARANTINE_DIR,
+    ChecksumMismatch,
     IntegrityError,
     WriteAheadLog,
     create_archive,
     fsck_archive,
+    manifest_location,
     open_archive,
+    read_manifest,
 )
+from repro.storage.integrity import _self_digest, checksum_entry
 from repro.xmltree.serializer import to_pretty_string
 
 BACKENDS = ["file", "chunked", "external"]
@@ -63,25 +67,56 @@ def codes(report):
     return {finding.code for finding in report.findings}
 
 
+def write_manifest(path, manifest):
+    with open(manifest_location(path), "w", encoding="utf-8") as handle:
+        handle.write(manifest.to_json())
+
+
 def record_presence(path, chunk, text):
     """Make the manifest's map say ``text`` for one chunk (``None``:
-    nothing) the way a wrong writer would: a manifest that verifies,
-    recorded in the checksum table."""
-    from repro.storage import ChecksumSidecar
-    from repro.storage.backend import read_manifest
-
+    nothing) the way a wrong writer would: a manifest that verifies."""
     manifest = read_manifest(path)
     if text is None:
         del manifest.extra["presence"][str(chunk)]
     else:
         manifest.extra["presence"][str(chunk)] = text
-    encoded = manifest.to_json().encode("utf-8")
-    with open(os.path.join(path, "manifest.json"), "wb") as handle:
-        handle.write(encoded)
-    table = ChecksumSidecar.load(os.path.join(path, "checksums.json"))
-    table.record("manifest.json", encoded)
-    with open(table.path, "w", encoding="utf-8") as handle:
-        handle.write(table.to_json())
+    write_manifest(path, manifest)
+
+
+def payload_table(path):
+    """What each payload file of the archive hashes to now."""
+    if os.path.isfile(path):
+        payloads = {os.path.basename(path): path}
+    else:
+        payloads = {
+            name: os.path.join(path, name)
+            for name in os.listdir(path)
+            if name.startswith("chunk-") or name == "archive.jsonl"
+        }
+    table = {}
+    for name, full in payloads.items():
+        with open(full, "rb") as handle:
+            table[name] = checksum_entry(handle.read())
+    return table
+
+
+def keep_the_table_beside(path):
+    """Rewrite a directory store as one written before the manifest
+    carried the checksum table: the table in a self-checksummed
+    ``checksums.json``, which also records the manifest."""
+    manifest = read_manifest(path)
+    table = {
+        "format": 1,
+        "entries": dict(manifest.checksums),
+        "quarantined": manifest.quarantined,
+    }
+    manifest.checksums, manifest.quarantined = None, []
+    write_manifest(path, manifest)
+    with open(manifest_location(path), "rb") as handle:
+        table["entries"]["manifest.json"] = checksum_entry(handle.read())
+    table["sha256"] = _self_digest(table)
+    with open(os.path.join(path, "checksums.json"), "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(table, sort_keys=True, indent=2) + "\n")
 
 
 class TestCleanArchives:
@@ -153,8 +188,11 @@ class TestDerivableRepairs:
         assert renderings(path) == reference
 
     def test_corrupt_checksum_sidecar_is_rebuilt(self, tmp_path, versions):
+        """On a store from before the manifest carried the table."""
         path = build(str(tmp_path), "external", versions)
         reference = renderings(path)
+        keep_the_table_beside(path)
+        assert fsck_archive(path).clean and renderings(path) == reference
         with open(os.path.join(path, "checksums.json"), "w") as handle:
             handle.write("{ torn")
         repaired = fsck_archive(path, repair=True)
@@ -162,6 +200,63 @@ class TestDerivableRepairs:
         assert not repaired.unrepaired, str(repaired)
         assert fsck_archive(path).clean
         assert renderings(path) == reference
+        assert read_manifest(path).checksums
+        assert not os.path.exists(os.path.join(path, "checksums.json"))
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_missing_table_is_written_into_the_manifest(
+        self, tmp_path, versions, kind
+    ):
+        """A pre-integrity store — no table in the manifest, beside it
+        or in its ``extra`` — is reported, and ``--repair`` records the
+        table in the manifest: reads verify against it from then on."""
+        path = build(str(tmp_path), kind, versions)
+        reference = renderings(path)
+        manifest = read_manifest(path)
+        manifest.checksums, manifest.quarantined = None, []
+        write_manifest(path, manifest)
+        report = fsck_archive(path)
+        assert codes(report) == {"checksums-missing"}
+        repaired = fsck_archive(path, repair=True)
+        assert not repaired.unrepaired, str(repaired)
+        recorded = read_manifest(path).checksums
+        assert recorded and recorded == payload_table(path)
+        assert fsck_archive(path, deep=True).clean
+        assert renderings(path) == reference
+        payload = path if kind == "file" else os.path.join(path, sorted(recorded)[0])
+        with open(payload, "r+b") as handle:
+            first = handle.read(1)
+            handle.seek(0)
+            handle.write(bytes([first[0] ^ 0x01]))
+        with pytest.raises(ChecksumMismatch):
+            renderings(path)
+
+    @pytest.mark.parametrize("kind", ["chunked", "external"])
+    def test_a_checksums_json_beside_the_table_is_debris(
+        self, tmp_path, versions, kind
+    ):
+        """Nothing reads a ``checksums.json`` beside a manifest that
+        carries the table: ``fsck`` names it, ``--repair`` deletes it,
+        as the next write-capable open would."""
+        path = build(str(tmp_path), kind, versions)
+        reference = renderings(path)
+        table = os.path.join(path, "checksums.json")
+        with open(table, "w") as handle:
+            handle.write("{ torn")  # what it says does not matter
+        with open_archive(path, recover=False) as reader:  # a reader leaves it
+            assert reader.retrieve(3) is not None
+        report = fsck_archive(path)
+        assert [(f.code, f.path) for f in report.findings] == [
+            ("leftover-sidecar", "checksums.json")
+        ]
+        repaired = fsck_archive(path, repair=True)
+        assert not repaired.unrepaired, str(repaired)
+        assert not os.path.exists(table)
+        assert fsck_archive(path).clean and renderings(path) == reference
+        with open(table, "w") as handle:
+            handle.write("{ torn")
+        open_archive(path).close()
+        assert not os.path.exists(table)
 
     def test_stale_checksum_rerecorded_when_payload_decodes(
         self, tmp_path, versions

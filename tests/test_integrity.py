@@ -33,10 +33,16 @@ from repro.xmltree.serializer import to_pretty_string
 #: Archive-state files fair game for corruption, per backend layout.
 TARGETS = {
     "file": ["archive.xml", "archive.xml.manifest.json"],
-    "chunked": ["chunk-0000.xml", "manifest.json", "checksums.json"],
-    # A store from before the manifest carried presence and the count.
-    "chunked-v1": ["chunk-0000.presence", "versions.txt", "manifest.json"],
-    "external": ["archive.jsonl", "manifest.json", "checksums.json"],
+    "chunked": ["chunk-0000.xml", "manifest.json"],
+    # A store from before the manifest carried presence, the count and
+    # the checksum table.
+    "chunked-v1": [
+        "chunk-0000.presence",
+        "versions.txt",
+        "manifest.json",
+        "checksums.json",
+    ],
+    "external": ["archive.jsonl", "manifest.json"],
 }
 #: Codec per backend — compressed containers make offsets interesting.
 BUILD_CODEC = {"file": "gzip", "chunked": "gzip", "external": "xmill"}
@@ -319,7 +325,10 @@ class TestSelfChecksumKeyDamage:
     def test_sidecar_without_its_self_checksum(self, tmp_path, kind):
         from repro.storage import ManifestInconsistent
 
+        from test_fsck import keep_the_table_beside
+
         path = self.build(tmp_path, kind)
+        keep_the_table_beside(path)  # a store from before the manifest held it
         self.disable_self_checksum(
             os.path.join(path, "checksums.json"), lambda text: text
         )

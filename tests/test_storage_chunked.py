@@ -390,15 +390,15 @@ def _files(directory):
 
 
 def _payloads(directory):
-    """Chunk files, what the checksum sidecar records for them and the
+    """Chunk files, what the checksum table records for them and the
     manifest's presence map — what must not depend on how versions
     arrived."""
     files = _files(directory)
     state = {
         name: data for name, data in files.items() if name.startswith("chunk-")
     }
-    recorded = json.loads(files["checksums.json"])["entries"]
-    presence = json.loads(files["manifest.json"])["extra"]["presence"]
+    manifest = json.loads(files["manifest.json"])
+    recorded, presence = manifest["checksums"], manifest["extra"]["presence"]
     return state, {name: recorded[name] for name in state}, presence
 
 
@@ -767,8 +767,8 @@ class TestStoreFromBeforeThePresenceMap:
 
     @staticmethod
     def assert_moved(path):
-        """The map is in the manifest; the sidecars are in neither the
-        directory nor the checksum table."""
+        """The map and the checksum table are in the manifest; the
+        sidecars are in neither the directory nor the table."""
         manifest = read_manifest(path)
         with open_archive(path, recover=False) as handle:
             for index in range(handle.chunk_count):
@@ -776,8 +776,8 @@ class TestStoreFromBeforeThePresenceMap:
                 assert manifest.extra["presence"][str(index)] == derived.to_text()
                 assert handle.part_presence(index) == derived
             assert manifest.version_count == handle.last_version
-        assert not V1_SIDECARS & set(os.listdir(path))
-        assert not V1_SIDECARS & set(_recorded(path))
+        assert not (V1_SIDECARS | {"checksums.json"}) & set(os.listdir(path))
+        assert not V1_SIDECARS & set(manifest.checksums)
         report = fsck_archive(path, deep=True)
         assert report.clean, str(report)
 
@@ -836,12 +836,13 @@ class TestStoreFromBeforeThePresenceMap:
         self.assert_holds(old, documents[:5])
 
     def test_sidecars_that_come_back_are_debris(self, old, documents):
-        """Beside a manifest that carries the map nothing reads them: a
-        reader leaves them alone, ``fsck`` names them and ``--repair``
-        deletes them — as the next write-capable open would."""
+        """Beside a manifest that carries the map and the table nothing
+        reads them: a reader leaves them alone, ``fsck`` names them and
+        ``--repair`` deletes them — as the next write-capable open
+        would."""
         with open_archive(old) as handle:
             handle.add_version(_copy(documents[4]))
-        left = {"chunk-0000.presence", "versions.txt"}
+        left = {"chunk-0000.presence", "versions.txt", "checksums.json"}
         for name in left:
             shutil.copy(os.path.join(V1_STORE, name), os.path.join(old, name))
         self.assert_holds(old, documents[:5])  # versions.txt says 4
@@ -866,8 +867,3 @@ class TestStoreFromBeforeThePresenceMap:
         assert not repaired.unrepaired, str(repaired)
         self.assert_moved(old)
         self.assert_holds(old, documents[:4])
-
-
-def _recorded(path):
-    with open(os.path.join(path, "checksums.json"), encoding="utf-8") as handle:
-        return json.load(handle)["entries"]

@@ -7,7 +7,6 @@ half checks the transaction's own two failure rules.
 """
 
 import hashlib
-import json
 import os
 
 import pytest
@@ -29,8 +28,9 @@ from repro.storage import (
 
 BACKENDS = ["file", "chunked", "external"]
 OPERATIONS = ["create_archive", "add_version", "ingest_batch", "recode"]
-#: Files a directory archive keeps outside its checksum table.
-UNCOVERED = {"checksums.json", "archive.keys"}
+#: What an archive keeps outside its checksum table: the manifest that
+#: carries the table, and the key specification.
+UNCOVERED = ("manifest.json", ".keys")
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +71,14 @@ def assert_committed(path, backend, generation):
         name for name in files if name.endswith((".tmp", ".wal")) or name == "wal.json"
     ]
     assert not leftovers, f"staging files or a WAL record remain: {leftovers}"
-    if os.path.isdir(path):
-        with open(files["checksums.json"], encoding="utf-8") as handle:
-            table = json.load(handle)["entries"]
-        for name, full in files.items():
-            if name not in UNCOVERED:
-                assert table[name]["sha256"] == sha256_of(full), name
-    else:
-        assert manifest.extra["payload"]["sha256"] == sha256_of(path)
+    # The manifest carries the table, on every layout, and covers
+    # exactly the payload files.
+    assert "checksums.json" not in files and "payload" not in manifest.extra
+    assert {name: entry["sha256"] for name, entry in manifest.checksums.items()} == {
+        name: sha256_of(full)
+        for name, full in files.items()
+        if not name.endswith(UNCOVERED)
+    }
     report = fsck_archive(path, deep=True)
     assert report.clean, str(report)
 
@@ -186,12 +186,12 @@ class TestTransaction:
 
 class TestWhatAnAppendStages:
     """The cost of durability is a count, and the count is part of the
-    contract: an append stages the chunks it merged and the two files
-    that describe them, and syncs each once."""
+    contract: an append stages the chunks it merged and the manifest
+    that describes them, and syncs each once."""
 
     CHUNKS = 8
 
-    def test_ten_files_and_fourteen_syncs(self, tmp_path):
+    def test_nine_files_and_thirteen_syncs(self, tmp_path):
         versions = OmimGenerator(seed=3, initial_records=40).generate_versions(3)
         root = str(tmp_path / "store")
         backend = create_archive(
@@ -209,12 +209,12 @@ class TestWhatAnAppendStages:
         )
         assert staged == sorted(
             [f"chunk-{index:04d}.xml.tmp" for index in range(self.CHUNKS)]
-            + ["manifest.json.tmp", "checksums.json.tmp"]
+            + ["manifest.json.tmp"]
         )
         syncs = [(kind, name) for kind, name in log if kind in ("fsync", "dirsync")]
         # Each staged file and the write-ahead record; the directory
         # when the record is in, the files are published, the record out.
-        assert len([kind for kind, _ in syncs if kind == "fsync"]) == 11
+        assert len([kind for kind, _ in syncs if kind == "fsync"]) == 10
         assert len([kind for kind, _ in syncs if kind == "dirsync"]) == 3
         assert not [
             name for _, name in log if ".presence" in name or "versions.txt" in name

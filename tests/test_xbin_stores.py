@@ -32,7 +32,12 @@ from repro.server.http import make_server, run_in_thread
 from repro.storage import create_archive, fsck_archive, open_archive, xbin
 from repro.storage.cache import reset_chunk_cache
 from repro.storage.codec import CodecError
-from repro.storage.integrity import ChecksumSidecar
+from repro.storage.backend import (
+    manifest_location,
+    read_manifest,
+    recorded_checksums,
+)
+from repro.storage.integrity import ChecksumMismatch
 from repro.xmltree import Element, Text, to_pretty_string, to_string
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1")
@@ -182,15 +187,21 @@ class TestAReadDecodesWhatItTouches:
 
 
 def republish(store: str, name: str, payload: bytes) -> None:
-    """Put ``payload`` at ``store/name`` with a matching checksum entry:
-    what a writer with a bug (or a forger) leaves — every checksum
-    holds, and the damage is inside."""
+    """Put ``payload`` at ``store/name`` with a matching checksum entry
+    in the manifest: what a writer with a bug (or a forger) leaves —
+    every checksum holds, and the damage is inside.  A store from
+    before the manifest carried the table has it moved there, as by a
+    commit."""
     with open(os.path.join(store, name), "wb") as handle:
         handle.write(payload)
-    sidecar = ChecksumSidecar.load(os.path.join(store, "checksums.json"))
-    sidecar.record(name, payload)
-    with open(sidecar.path, "w", encoding="utf-8") as handle:
-        handle.write(sidecar.to_json())
+    manifest = read_manifest(store)
+    table = recorded_checksums(store, manifest)
+    table.record(name, payload)
+    manifest.checksums = table.entries
+    with open(manifest_location(store), "w", encoding="utf-8") as handle:
+        handle.write(manifest.to_json())
+    if os.path.exists(os.path.join(store, "checksums.json")):
+        os.remove(os.path.join(store, "checksums.json"))
 
 
 def break_one_record(store: str, index: int) -> str:
@@ -400,17 +411,33 @@ class TestVersion1Stores:
         assert {magic_of(name) for name in payload_files(old)} == {b"XB\x01\x00"}
 
     def test_fsck_sniffs_the_codec_of_a_store_that_lost_its_manifest(self, old):
-        manifest = (
-            old + ".manifest.json"
-            if os.path.isfile(old)
-            else os.path.join(old, "manifest.json")
-        )
-        os.remove(manifest)
+        """The rebuilt manifest carries the checksum table — the old
+        sidecar's, or one taken from the payloads where the table went
+        with the manifest — and reads verify against it."""
+        os.remove(manifest_location(old))
         report = fsck_archive(old, repair=True)
         assert "manifest-missing" in {finding.code for finding in report.findings}
         assert not report.unrepaired
         handle = open_archive(old)
         assert handle.codec.name == "xbin" and handle.last_version == 4
+        handle.close()
+        rebuilt = read_manifest(old)
+        assert {os.path.basename(name) for name in payload_files(old)} <= set(
+            rebuilt.checksums
+        )
+        assert "payload" not in rebuilt.extra
+        assert not os.path.exists(os.path.join(old, "checksums.json"))
+        assert fsck_archive(old, deep=True).clean
+        victim = payload_files(old)[0]
+        with open(victim, "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)
+            handle.seek(100)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        reset_chunk_cache()
+        handle = open_archive(old, recover=False)
+        with pytest.raises(ChecksumMismatch):
+            handle.retrieve(4)
         handle.close()
 
     def test_answers_equal_the_store_reencoded_as_version_2(self, old):
@@ -432,6 +459,13 @@ class TestVersion1Stores:
         handle.close()
         assert {magic_of(name) for name in payload_files(old)} == {b"XB\x02\x00"}
         assert fsck_archive(old, deep=True).clean
+        # The table moved into the manifest, and nothing else holds it.
+        manifest = read_manifest(old)
+        assert {os.path.basename(name) for name in payload_files(old)} <= set(
+            manifest.checksums
+        )
+        assert "payload" not in manifest.extra
+        assert not os.path.exists(os.path.join(old, "checksums.json"))
         after = answers(old)
         for version in range(1, 5):
             assert after["retrieve", version][0] == before["retrieve", version][0]
