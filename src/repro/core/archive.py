@@ -62,21 +62,22 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ..keys.annotate import (
     AnnotatedDocument,
     KeyLabel,
-    KeyValue,
     annotate_keys,
     compute_key_value,
 )
-from ..keys.paths import Path, format_path, parse_path, value_at
+from ..keys.paths import Path, format_path, value_at
 from ..keys.spec import KeySpec
+from ..keys.steplabel import step_label
 from ..xmltree.canonical import canonical_form
 from ..xmltree.model import Attribute, Element, Text
 from ..xmltree.parser import parse_document
 from ..xmltree.serializer import to_pretty_string, to_string
+from ..xmltree.xpath import XPathError, parse_steps
 from .compaction import lines_to_content, weave_content_at
 from .fingerprint import Fingerprinter
 from .merge import Kept, MergeOptions, MergeStats, annotate_version, nested_merge
@@ -904,44 +905,38 @@ def _emit(node: ArchiveNode, parent: Element) -> None:
         _emit(child, element)
 
 
-def _parse_history_path(path: str) -> list[tuple[str, KeyValue]]:
-    """Parse ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` steps."""
+def key_path_labels(
+    path: str, spec: KeySpec, open_last: bool = False
+) -> list[Union[KeyLabel, str]]:
+    """The label each step of a key path names (``/``: none, the root),
+    read by the one grammar (:func:`~repro.xmltree.xpath.parse_steps`)
+    and label rule (:func:`~repro.keys.steplabel.step_label`).  A step
+    whose predicates do not pin each path of its key once and nothing
+    else raises :class:`ArchiveError` naming it.  With ``open_last`` a
+    last step without predicates stays a bare tag covering every key of
+    it (a ``changes`` prefix: ``/db/dept``)."""
     text = path.strip()
     if not text.startswith("/"):
-        raise ArchiveError(f"History path must be absolute: {path!r}")
-    steps: list[tuple[str, KeyValue]] = []
-    for raw_step in _split_steps(text[1:]):
-        bracket = raw_step.find("[")
-        if bracket == -1:
-            steps.append((raw_step, ()))
-            continue
-        if not raw_step.endswith("]"):
-            raise ArchiveError(f"Malformed step {raw_step!r} in {path!r}")
-        tag = raw_step[:bracket]
-        inner = raw_step[bracket + 1 : -1]
-        components: list[tuple[str, str]] = []
-        for pair in inner.split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            if "=" not in pair:
-                raise ArchiveError(f"Malformed predicate {pair!r} in {path!r}")
-            name, value = pair.split("=", 1)
-            key_path = parse_path(name.strip())
-            components.append((format_path(key_path, absolute=False), value.strip()))
-        components.sort(key=lambda item: item[0])
-        steps.append((tag, tuple(components)))
-    return steps
-
-
-def _split_steps(text: str) -> list[str]:
-    """Split on ``/`` outside brackets (key values may contain ``/``)."""
-    steps: list[str] = []
-    depth = 0  # of the brackets open before the ``/`` at hand
-    for piece in text.split("/"):
-        if depth:
-            steps[-1] += "/" + piece
+        raise ArchiveError(f"Key path must be absolute: {path!r}")
+    try:
+        steps = parse_steps(text.rstrip("/")) if text.strip("/") else []
+    except XPathError as error:
+        raise ArchiveError(f"Malformed key path {path!r}: {error}") from None
+    labels: list[Union[KeyLabel, str]] = []
+    spec_path: Path = ()
+    for step in steps:
+        spec_path += (step.name,)
+        key = spec.key_for(spec_path)
+        child = step.axis == "child"
+        label = step_label(step, key) if child else None
+        if label is not None and len(label.key) == len(step.predicates):
+            labels.append(label)
+        elif open_last and child and step is steps[-1] and not step.predicates:
+            labels.append(step.name)
         else:
-            steps.append(piece)
-        depth += piece.count("[") - piece.count("]")
-    return [step for step in steps if step]
+            paths = ", ".join(name for _, name in key.rendered_paths) if key else ""
+            raise ArchiveError(
+                f"Step {str(step).lstrip('/')!r} of {path!r} names no keyed element: "
+                f"its predicates must pin each path of its key {{{paths}}} once"
+            )
+    return labels

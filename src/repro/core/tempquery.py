@@ -18,6 +18,10 @@ with one walk:
 * :func:`keyed_diff` — the report computed directly from two documents
   (the DeltaXML-style keyed comparison of Sec. 8).
 
+Paths are key paths (:func:`~repro.core.archive.key_path_labels`: the
+grammar and label rule ``select`` uses), matched label by label as the
+walk descends; :class:`Change` paths keep the paper's rendering.
+
 The walk runs over a list of *part* archives that share the global
 version numbering: one archive, or the chunks of a key-hash partitioned
 store (Sec. 5).  At every level it carries the *group* of same-label
@@ -33,7 +37,6 @@ place, with no merge.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,7 +49,7 @@ from .archive import (
     Archive,
     ArchiveError,
     ElementHistory,
-    _parse_history_path,
+    key_path_labels,
     missing_element_error,
 )
 from .nodes import Alternative, ArchiveNode, Weave
@@ -54,8 +57,6 @@ from .versionset import VersionSet
 
 #: One node of one part, beside its effective timestamp.
 Member = tuple[Archive, ArchiveNode, VersionSet]
-
-_QUOTED_VALUE = re.compile(r"=\s*(['\"])(.*?)\1")
 
 
 @dataclass
@@ -80,6 +81,8 @@ class ChangeReport:
     from_version: int
     to_version: int
     changes: list[Change] = field(default_factory=list)
+    #: Archive nodes the walk looked at (one per part holding the element).
+    nodes_visited: int = field(default=0, compare=False)
 
     def added(self) -> list[Change]:
         return [c for c in self.changes if c.kind == "added"]
@@ -107,30 +110,6 @@ def render_step(label: KeyLabel) -> str:
     inner = ", ".join(f"{path}={value}" for path, value in label.key)
     return f"{label.tag}[{inner}]"
 
-
-def normalize_prefix(prefix: str) -> str:
-    """A path prefix in the form :class:`Change` paths render: quoted
-    predicate values (``[name='finance']``, the ``select`` grammar)
-    unquoted, no trailing ``/``."""
-    return _QUOTED_VALUE.sub(r"=\2", prefix).rstrip("/") or "/"
-
-
-def _path_within(path: str, prefix: str) -> bool:
-    """Step-boundary prefix match on keyed paths (``prefix`` normalized:
-    :func:`normalize_prefix`).
-
-    ``path`` is within ``prefix`` when it is the prefix itself, a
-    descendant step (``prefix + '/...'``), or the prefix with a key
-    predicate appended (``/db/dept`` covers ``/db/dept[name=x]``) — a
-    plain ``startswith`` would also leak sibling tags that merely
-    extend the name (``.../sal`` matching ``.../salx``).
-    """
-    if prefix == "/":
-        return True
-    if not path.startswith(prefix):
-        return False
-    remainder = path[len(prefix) :]
-    return remainder == "" or remainder[0] in "/["
 
 # -- the walk ------------------------------------------------------------------------
 
@@ -213,10 +192,13 @@ def changes_in(
     Subtrees of added/deleted elements are reported as one change (the
     element itself), matching how a curator thinks about it.
 
-    ``prefix`` keeps the changes at or beneath one keyed path
-    (:func:`_path_within`) and prunes the walk to the groups on the way
-    there; an element added or deleted above the prefix is one change
-    outside it, so nothing beneath it is reported.
+    ``prefix`` keeps the changes at or beneath one key path and prunes
+    the walk to the groups on the way there.  Its steps name labels as a
+    ``history`` path's do (:func:`~repro.core.archive.key_path_labels`),
+    except that a last step without predicates covers every key of its
+    tag (``/db/dept`` covers ``/db/dept[name=x]``); an element added or
+    deleted above the prefix is one change outside it, so nothing
+    beneath it is reported.
     """
     versions = (from_version, to_version)
     roots = _roots(parts)
@@ -224,17 +206,25 @@ def changes_in(
         for version in versions:
             if version not in timestamp:
                 raise ArchiveError(f"Version {version} is not in the archive")
-    scope = "/" if prefix is None else normalize_prefix(prefix)
+    scope = (
+        key_path_labels(prefix, parts[0].spec, open_last=True)
+        if prefix is not None and parts
+        else []
+    )
     report = ChangeReport(from_version=from_version, to_version=to_version)
     changes = report.changes
 
-    def walk(group: list[Member], parent: str, inside: bool) -> None:
-        node = group[0][1]
-        here = f"{parent}/{render_step(node.label)}"
-        if not inside:
-            inside = _path_within(here, scope)
-            if not inside and not _path_within(scope, here):
+    def walk(group: list[Member], parent: str, depth: int) -> None:
+        report.nodes_visited += len(group)
+        label = group[0][1].label
+        if depth < len(scope):
+            step = scope[depth]  # a label, or a bare tag covering its keys
+            if label != step and label.tag != step:
                 return
+            depth += 1
+        inside = depth == len(scope)
+        node = group[0][1]
+        here = f"{parent}/{render_step(label)}"
         existence = _existence(group)
         in_old = from_version in existence
         in_new = to_version in existence
@@ -257,29 +247,30 @@ def changes_in(
                     )
             return
         for child_group in _child_groups(group, versions):
-            walk(child_group, here, inside)
+            walk(child_group, here, depth)
 
     if roots:
         for group in _child_groups(roots, versions):
-            walk(group, "", scope == "/")
+            walk(group, "", 0)
     return report
 
 
 def history_in(parts: Sequence[Archive], path: str) -> ElementHistory:
     """History of the element at a keyed path, across the parts.
 
-    Path syntax matches the paper's examples:
-    ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` — each step is a
-    tag plus the key-path/value pairs identifying the node among its
-    siblings; steps with singleton keys take no predicate
-    (``.../emp[fn=John, ln=Doe]/sal``).  Each step is one binary search
-    per member (:meth:`Archive.find_child
+    The path is a key path (:func:`~repro.core.archive.key_path_labels`):
+    ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` in the paper's
+    spelling or ``[fn='John'][ln='Doe']`` in the ``select`` one — each step
+    a tag plus the value of every path of its key; steps under an empty
+    key take no predicate (``.../emp[fn=John, ln=Doe]/sal``).  Each step
+    is one binary search per member (:meth:`Archive.find_child
     <repro.core.archive.Archive.find_child>`); the element's existence
     is the union of its group's effective timestamps.
     """
+    if not parts:
+        raise ArchiveError(f"No element at {path!r}: no part holds one, it never existed")
     group = _roots(parts)
-    for tag, key_value in _parse_history_path(path):
-        label = KeyLabel(tag=tag, key=key_value)
+    for label in key_path_labels(path, parts[0].spec):
         found = []
         for archive, node, timestamp in group:
             child = archive.find_child(node, label)
@@ -288,8 +279,6 @@ def history_in(parts: Sequence[Archive], path: str) -> ElementHistory:
         if not found:
             raise missing_element_error(label, path)
         group = found
-    if not group:
-        raise ArchiveError(f"No element at {path!r}: the archive is empty")
     _, node, timestamp = group[0]
     return ElementHistory(
         path=path,

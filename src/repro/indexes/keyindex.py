@@ -17,7 +17,7 @@ from typing import Optional
 from ..core.archive import (
     Archive,
     ArchiveError,
-    _parse_history_path,
+    key_path_labels,
     missing_element_error,
 )
 from ..core.nodes import ArchiveNode
@@ -118,14 +118,13 @@ class KeyIndex:
         claims.  Path syntax matches :meth:`Archive.history`.
         """
         self._ensure_fresh()
-        steps = _parse_history_path(path)
-        if not steps:
+        labels = key_path_labels(path, self.archive.spec)
+        if not labels:
             raise ArchiveError(f"Empty history path {path!r}")
         comparisons = [0]
         current = self._root_list
         record: Optional[IndexRecord] = None
-        for tag, key_value in steps:
-            label = KeyLabel(tag=tag, key=key_value)
+        for label in labels:
             if current is None:
                 raise missing_element_error(label, path)
             record = current.find(label, comparisons)

@@ -33,20 +33,8 @@ import os
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from ..core.archive import (
-    Archive,
-    ArchiveError,
-    ElementHistory,
-    _parse_history_path,
-    _split_steps,
-)
-from ..core.tempquery import (
-    ChangeReport,
-    changes_in,
-    history_in,
-    normalize_prefix,
-    render_step,
-)
+from ..core.archive import Archive, ArchiveError, ElementHistory, key_path_labels
+from ..core.tempquery import ChangeReport, changes_in, history_in
 from ..core.versionset import VersionSet
 from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
@@ -150,14 +138,21 @@ class ArchiveDB:
     def history(self, path: str) -> ElementHistory:
         """Temporal history of the element at a keyed path.
 
-        The external stream answers in one pass in memory bounded by
-        the tree's height; every other source walks its parts
+        ``path`` is a key path in either spelling — the paper's
+        ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` or ``select``'s
+        ``/db/dept[name='finance']/emp[fn='John'][ln='Doe']`` — read by
+        the one path grammar and label rule; a value containing ``,`` or
+        ``]`` is written quoted.  A step whose predicates do not pin its
+        whole key, or test anything else, raises :class:`ArchiveError`
+        naming it.  The external stream answers in one pass in memory
+        bounded by the tree's height; every other source walks its parts
         (:func:`~repro.core.tempquery.history_in`), on ``chunked`` the
         record's owning chunk alone (:meth:`_route`).
         """
         if isinstance(self.backend, ExternalArchiver):
             return self.backend.history(path)
-        return history_in(self._parts(QueryStats(), self._route(path)), path)
+        stats = QueryStats()
+        return history_in(self._parts(stats, self._route(path, stats)), path)
 
     def first_appearance(self, path: str) -> int:
         """The version in which the element at ``path`` first existed.
@@ -256,8 +251,10 @@ class ArchiveDB:
         stats: QueryStats,
     ) -> ChangeReport:
         versions = (from_version, to_version)
-        parts = self._parts(stats, self._route(prefix, versions), versions)
-        return changes_in(parts, from_version, to_version, prefix)
+        parts = self._parts(stats, self._route(prefix, stats, versions), versions)
+        report = changes_in(parts, from_version, to_version, prefix)
+        stats.archive_nodes_visited += report.nodes_visited
+        return report
 
     def _parts(
         self,
@@ -302,40 +299,29 @@ class ArchiveDB:
         return parts
 
     def _route(
-        self, path: Optional[str], versions: tuple[int, ...] = ()
+        self,
+        path: Optional[str],
+        stats: QueryStats,
+        versions: tuple[int, ...] = (),
     ) -> Optional[list[int]]:
-        """The one chunk that answers for a keyed ``path`` — or for a
+        """The one chunk that answers for a key ``path`` — or for a
         ``changes`` prefix between two ``versions`` — or ``None`` for
-        every chunk.
-
-        The path's record step (its second) names one record, whose key
-        label hashes to one chunk, when it parses and renders back to
-        the same text and carries a predicate (or the spec keys the
-        record by its tag alone); any other text reaches records in
-        other chunks too.  A prefix routes only while the owner holds
-        records at both versions or at neither: otherwise its copy of
-        the document shell flips where the document's may not, and
+        every chunk.  The record step (the second) names one record's
+        label (:func:`~repro.core.archive.key_path_labels`), hashed to its
+        chunk as a keyed ``select`` hashes ``plan.steps[1]``'s; a bare tag
+        there reaches every chunk.  A prefix routes only while the owner
+        holds records at both versions or at neither: otherwise its copy
+        of the document shell flips where the document's may not, and
         every chunk is walked.
         """
         backend = self.backend
         if path is None or not isinstance(backend, ChunkedArchiver):
             return None
-        text = normalize_prefix(path).strip()
-        steps = _split_steps(text[1:])
-        if not text.startswith("/") or len(steps) < 2:
+        labels = key_path_labels(path, backend.spec, open_last=bool(versions))
+        record = labels[1] if len(labels) > 1 else None
+        if not isinstance(record, KeyLabel):
             return None
-        try:
-            [(tag, key)] = _parse_history_path("/" + steps[1])
-        except ArchiveError:
-            return None
-        label = KeyLabel(tag=tag, key=key)
-        if render_step(label) != steps[1]:
-            return None
-        if not key:
-            record_key = backend.spec.key_for((steps[0], tag))
-            if record_key is None or record_key.key_paths:
-                return None
-        owner = backend.chunk_index_for_label(label)
+        owner = backend.chunk_index_for_label(record)
         if versions:
             mine = backend.part_presence(owner)
             if mine is None:
@@ -343,6 +329,7 @@ class ArchiveDB:
                     return None  # stored, presence unknown
             elif len({version in mine for version in versions}) > 1:
                 return None
+        stats.chunks_routed_past += backend.part_count - 1
         return [owner]
 
     def _fallback_reason(self, plan: QueryPlan) -> Optional[str]:
@@ -521,10 +508,12 @@ class RangeScope:
         deleted / changed, identified by key path) in key order on every
         backend, computed by the timestamp-tree-guided walk
         (:func:`~repro.core.tempquery.changes_in`).  ``path_prefix``
-        keeps the changes at or beneath one keyed path (whole path
-        steps: ``.../sal`` does not match a sibling ``.../salx``) and
-        prunes the walk to it: on ``chunked`` a prefix under one record
-        opens the record's owning chunk alone.
+        keeps the changes at or beneath one key path, matched label by
+        label (``.../sal`` does not match a sibling ``.../salx``; a last
+        step without predicates covers every key of its tag), and prunes
+        the walk to it: on ``chunked`` a prefix under one record opens
+        the record's owning chunk alone.  Its steps are read as a
+        :meth:`ArchiveDB.history` path's, refusals included.
         """
         self.db._check_version(self.from_version)
         self.db._check_version(self.to_version)

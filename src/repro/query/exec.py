@@ -50,6 +50,7 @@ from ..core.nodes import ArchiveNode
 from ..core.tstree import ProbeCount
 from ..core.versionset import VersionSet
 from ..keys.annotate import KeyLabel
+from ..keys.steplabel import plain_value
 from ..storage.events import (
     ExitEvent,
     FrontierEvent,
@@ -64,7 +65,6 @@ from .plan import (
     PUSH_POSITION,
     PlannedStep,
     QueryPlan,
-    _plain_value,
 )
 from .result import QueryStats
 
@@ -381,11 +381,12 @@ class StreamCursor(Cursor):
 def label_text(cursor: Cursor, key_path: str) -> Optional[str]:
     """The cursor's stored key component at ``key_path`` when it stands
     for the text that path selects, else ``None``: it must be stored, a
-    :func:`_plain_value` (its canonical form is its ``text_content``), and
+    :func:`~repro.keys.steplabel.plain_value` (its canonical form is its
+    ``text_content``), and
     the node must have no attribute of that name (``navigate`` keys on
     one where no such child exists; an XPath child step never sees it)."""
     stored = cursor.key_component(key_path)
-    if stored is None or not _plain_value(stored):
+    if stored is None or not plain_value(stored):
         return None
     if cursor.attribute(key_path) is not None:
         return None

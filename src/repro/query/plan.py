@@ -5,14 +5,19 @@ into the archive's own structures instead of a materialized snapshot:
 
 * **key lookup** — a child step whose predicates equate every key path
   of the step's key (per the archive's :class:`~repro.keys.spec.KeySpec`)
-  compiles to a binary-search lookup over the sorted child lists — the
-  Sec. 7.2 index machinery — instead of a sibling scan;
+  with a :func:`~repro.keys.steplabel.plain_value` compiles to a
+  binary-search lookup over the sorted child lists — the Sec. 7.2 index
+  machinery — instead of a sibling scan.  The label looked up is the one
+  :func:`~repro.keys.steplabel.step_label` names, the rule ``history``,
+  ``changes`` prefixes and chunk routing read a key path by, so
+  ``[fn='John'][ln='Doe']`` and the paper's ``[fn=John, ln=Doe]`` look up
+  one label;
 * **key projection** — a trailing child step without predicates that
   names a one-step key path of its parent's key (``/ROOT/Record/Num``,
   ``…/emp/fn/text()``) is answered from the parent's key label, which
   Annotate Keys stored there (Sec. 4.1): the parent's children are never
   looked up or scanned.  The executor falls back to the lookup and scan
-  when the stored value is not a :func:`_plain_value` or the parent has
+  when the stored value is not a plain value or the parent has
   an attribute of that name;
 * **pushable predicates** — key-component equality, attribute equality
   and positional tests are decided on archive nodes directly (key
@@ -31,14 +36,15 @@ the key specification.  So what it compiles is kept *with* the
 specification (:class:`_Plans`: owned by this module, at most
 :data:`PLAN_STORE_LIMIT` entries, oldest out first) and serves every
 facade, handle and server pin sharing it, on any backend; two
-specifications never share a plan.  An entry is a **shape**: the expression with the contents of its
-quoted literals lifted out, plus one bit per literal — whether it is a
-:func:`_plain_value`, all the planner ever asks of one.
-``/ROOT/Record[Num='100']`` and ``[Num='207']`` are one shape,
-``[Num='a&b']`` another (a residual).  The first expression of a shape
-is parsed and classified; a later one is **bound**: the steps that carry
-a literal are rebuilt around the new values (``lookup``/``lookup_label``
-with them), the rest is the stored plan's.  Plans are immutable, so
+specifications never share a plan.  An entry is a **shape**: the
+expression with its predicate literals — quoted or bare — lifted out,
+plus one bit per literal — whether it is a plain value, all the planner
+ever asks of one.  ``/ROOT/Record[Num='100']`` and ``[Num='207']`` are
+one shape, ``[Num=100]`` and ``[Num=207]`` another, ``[Num='a&b']`` a
+third (a residual).  The first expression of a shape is parsed and
+classified; a later one is **bound**: the steps that carry a literal are
+rebuilt around the new values (their lookup label named again by the
+label rule), the rest is the stored plan's.  Plans are immutable, so
 sharing them across calls and threads is safe.  An expression whose
 quotes the XPath parser reads another way than the lifting (a quote in a
 step name) is compiled as ever and not kept; one that does not parse
@@ -54,24 +60,25 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from ..keys.annotate import KeyLabel, KeyValue
-from ..keys.paths import Path, format_path
-from ..keys.spec import KeySpec
+from ..keys.paths import Path
+from ..keys.spec import Key, KeySpec
+from ..keys.steplabel import key_component, plain_value, step_label
 from ..xmltree.xpath import (
     ATTRIBUTE,
-    CHILD_VALUE,
     POSITION,
     Predicate,
     Step,
-    TEXT_VALUE,
     parse_steps,
     split_text_step,
 )
 
 #: Shapes kept per key specification.
 PLAN_STORE_LIMIT = 128
-#: ``= 'literal'`` as the XPath parser reads it inside a predicate.
-_LITERAL = re.compile(r"""(=\s*)(['"])([^\[\]]*?)\2""")
-_MARKUP = re.compile(r"""[<>&"@]""")
+#: ``= 'literal'`` or ``= bare`` as the XPath parser reads it inside a
+#: predicate (a bare one ends at ``,`` or ``]``).
+_LITERAL = re.compile(
+    r"""(=\s*)(['"])?((?(2)[^\[\]]*?|[^'"\s\[\],][^\[\],]*?))(?(2)\2|(?=\s*[,\]]))"""
+)
 _STORE_LOCK = threading.Lock()  # misses only; a hit is one ``dict.get``
 
 #: Predicate evaluation modes assigned by the planner.
@@ -79,14 +86,6 @@ PUSH_POSITION = "position"  # decided while scanning siblings
 PUSH_ATTRIBUTE = "attribute"  # decided on the archive node's attributes
 PUSH_KEY = "key"  # decided on the archive node's key label
 RESIDUAL = "residual"  # needs the materialized element
-
-
-def _plain_value(value: str) -> bool:
-    """``True`` when ``value`` compares identically as canonical form
-    and as ``text_content`` — no markup, no XML-escaped characters, no
-    attribute encoding.  Key-equality pushdown is only sound for such
-    values; others fall back to a residual (materialized) check."""
-    return _MARKUP.search(value) is None
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,16 @@ class PlannedStep:
     #: The keyed spec path this step lands on, when statically known
     #: (child-axis chains from the root; lost after ``//`` or ``*``).
     spec_path: Optional[Path] = None
-    #: When set, the step is answered by one binary-search lookup with
-    #: this key value instead of a child scan.
-    lookup: Optional[KeyValue] = None
+    #: The key at ``spec_path`` when the step is looked up (``None``: it
+    #: is scanned); a bound step names its label by it again.
+    key: Optional[Key] = field(default=None, compare=False)
     #: When set, the step is a key projection: its text is the parent's
     #: key component of this name, when the executor may trust it.
     projection: bool = False
+    #: When set, the step is answered by one binary-search lookup with
+    #: this key value instead of a child scan: the step's
+    #: :func:`~repro.keys.steplabel.step_label`, every value plain.
+    lookup: Optional[KeyValue] = field(init=False, default=None)
     #: ``lookup`` as a label: built with the step, not per node it is tried at.
     lookup_label: Optional[KeyLabel] = field(init=False, default=None, compare=False)
     #: ``step.axis`` and ``step.name``, one attribute load away.
@@ -130,8 +133,10 @@ class PlannedStep:
         fill = object.__setattr__  # frozen: nothing else ever writes
         fill(self, "axis", self.step.axis)
         fill(self, "name", self.step.name)
-        if self.lookup is not None:
-            fill(self, "lookup_label", KeyLabel(tag=self.name, key=self.lookup))
+        label = step_label(self.step, self.key) if self.key is not None else None
+        if label is not None:
+            fill(self, "lookup", label.key)
+            fill(self, "lookup_label", label)
 
     def bind(self, values: Iterator[str]) -> "PlannedStep":
         """This step with the next of ``values`` in place of each
@@ -142,12 +147,8 @@ class PlannedStep:
                 for p in self.predicates
             ]
         )
-        lookup = self.lookup
-        if lookup:
-            pinned = _pinned(predicates)
-            lookup = tuple([(path, pinned[path]) for path, _ in lookup])
         step = Step(self.axis, self.name, tuple([p.predicate for p in predicates]))
-        return PlannedStep(step, predicates, self.spec_path, lookup, self.projection)
+        return PlannedStep(step, predicates, self.spec_path, self.key, self.projection)
 
     def residuals(self) -> list[PlannedPredicate]:
         return [p for p in self.predicates if p.mode == RESIDUAL]
@@ -251,49 +252,15 @@ def _fallbacks(plan: QueryPlan) -> tuple[Optional[str], Optional[str]]:
     return everywhere, partitioned
 
 
-def _classify(
-    predicate: Predicate, spec: KeySpec, spec_path: Optional[Path]
-) -> PlannedPredicate:
+def _classify(predicate: Predicate, key: Optional[Key]) -> PlannedPredicate:
     if predicate.kind == POSITION:
         return PlannedPredicate(predicate, PUSH_POSITION)
     if predicate.kind == ATTRIBUTE:
         return PlannedPredicate(predicate, PUSH_ATTRIBUTE)
-    key = spec.key_for(spec_path) if spec_path is not None else None
-    if key is not None and _plain_value(predicate.value):
-        component_paths = {
-            format_path(key_path, absolute=False) for key_path in key.key_paths
-        }
-        if predicate.kind == CHILD_VALUE and predicate.name in component_paths:
-            return PlannedPredicate(predicate, PUSH_KEY, key_path=predicate.name)
-        if predicate.kind == TEXT_VALUE and "." in component_paths:
-            # A content key — ``(tel, {.})`` — stores the node's own
-            # canonical content as its key value.
-            return PlannedPredicate(predicate, PUSH_KEY, key_path=".")
+    path = key_component(predicate, key) if key is not None else None
+    if path is not None and plain_value(predicate.value):
+        return PlannedPredicate(predicate, PUSH_KEY, key_path=path)
     return PlannedPredicate(predicate, RESIDUAL)
-
-
-def _pinned(planned) -> dict[Optional[str], str]:
-    """Key path → the value of the first predicate that pins it."""
-    return {
-        p.key_path: p.predicate.value for p in reversed(planned) if p.mode == PUSH_KEY
-    }
-
-
-def _lookup_value(
-    planned: list[PlannedPredicate], spec: KeySpec, spec_path: Optional[Path]
-) -> Optional[KeyValue]:
-    """The full key value when the predicates pin every key component."""
-    key = spec.key_for(spec_path) if spec_path is not None else None
-    if key is None:
-        return None
-    if any(p.mode == PUSH_POSITION for p in planned):
-        # A positional predicate needs the sibling scan anyway.
-        return None
-    pinned = _pinned(planned)
-    paths = sorted(format_path(key_path, absolute=False) for key_path in key.key_paths)
-    if any(path not in pinned for path in paths):
-        return None
-    return tuple([(path, pinned[path]) for path in paths])
 
 
 def _projects(spec: KeySpec, parent_path: Optional[Path], name: str) -> bool:
@@ -328,7 +295,7 @@ def compile_plan(expression: str, spec: KeySpec) -> QueryPlan:
     parts = _LITERAL.split(expression)
     literals = parts[3::4]
     del parts[3::4]
-    shape = (tuple(parts), tuple([_plain_value(value) for value in literals]))
+    shape = (tuple(parts), tuple([plain_value(value) for value in literals]))
     plans = stored_plans(spec)
     stored = plans.get(shape)
     if stored is not None:
@@ -353,20 +320,23 @@ def _compile(expression: str, spec: KeySpec) -> QueryPlan:
         else:
             spec_path = None  # '//' and '*' lose the static path
         known_path = spec_path if spec_path and spec.is_keyed_path(spec_path) else None
-        planned = [_classify(pred, spec, known_path) for pred in step.predicates]
-        lookup = None
-        projection = False
-        if index > 0 and step.axis == "child" and step.name != "*":
-            # The first step anchors at the document root — there is
-            # nothing to look up in; later child steps are candidates.
-            lookup = _lookup_value(planned, spec, known_path)
-            projection = (
-                index == len(steps) - 1
-                and not planned
-                and _projects(spec, planned_steps[-1].spec_path, step.name)
-            )
+        key = spec.key_for(known_path) if known_path is not None else None
+        planned = [_classify(pred, key) for pred in step.predicates]
+        projection = (
+            index > 0
+            and index == len(steps) - 1
+            and step.axis == "child"
+            and not planned
+            and _projects(spec, planned_steps[-1].spec_path, step.name)
+        )
+        # The first step anchors at the document root — there is nothing
+        # to look up in.  A later step is looked up when it names a label
+        # whose values are plain, as every binding of its shape does.
+        label = step_label(step, key) if index and key is not None else None
+        if label is None or not all([plain_value(value) for _, value in label.key]):
+            key = None
         planned_steps.append(
-            PlannedStep(step, tuple(planned), known_path, lookup, projection)
+            PlannedStep(step, tuple(planned), known_path, key, projection)
         )
     plan = QueryPlan(expression, tuple(planned_steps), want_text)
     return replace(plan, fallbacks=_fallbacks(plan))

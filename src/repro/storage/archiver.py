@@ -31,7 +31,7 @@ from ..core.archive import (
     ArchiveStats,
     ElementHistory,
     ROOT_TAG,
-    _parse_history_path,
+    key_path_labels,
     missing_element_error,
 )
 from ..core.merge import MergeStats
@@ -337,8 +337,8 @@ class ExternalArchiver(StorageBackend):
         order, draining unmatched subtrees without building anything —
         memory stays proportional to tree height, never archive size.
         """
-        steps = _parse_history_path(path)
-        if not steps:
+        labels = key_path_labels(path, self.spec)
+        if not labels:
             raise ArchiveError(f"Empty history path {path!r}")
         events = PeekableEvents(self._events(self.io_stats))
         root = events.next()
@@ -346,8 +346,8 @@ class ExternalArchiver(StorageBackend):
             raise ArchiveError("Archive stream carries no root timestamp")
         inherited = root.timestamp
         found = None
-        for position, (tag, key_value) in enumerate(steps):
-            target = KeyLabel(tag=tag, key=key_value).sort_token()
+        for position, label in enumerate(labels):
+            target = label.sort_token()
             found = None
             while True:
                 head = events.peek()
@@ -371,14 +371,9 @@ class ExternalArchiver(StorageBackend):
                         elif isinstance(skipped, ExitEvent):
                             depth -= 1
             if found is None:
-                raise missing_element_error(
-                    KeyLabel(tag=tag, key=key_value), path
-                )
-            if position < len(steps) - 1 and not isinstance(found, NodeEvent):
-                raise missing_element_error(
-                    KeyLabel(tag=steps[position + 1][0], key=steps[position + 1][1]),
-                    path,
-                )
+                raise missing_element_error(label, path)
+            if position < len(labels) - 1 and not isinstance(found, NodeEvent):
+                raise missing_element_error(labels[position + 1], path)
         changes = None
         if isinstance(found, FrontierEvent):
             changes = alternative_runs(found.alternatives, inherited)

@@ -15,7 +15,9 @@ users actually write:
 * ``/db/dept[2]``          — positional predicates (1-based);
 * ``text()`` final step    — string values instead of nodes.
 
-Predicates may be chained (``emp[fn='John'][ln='Doe']``).
+Predicates may be chained (``emp[fn='John'][ln='Doe']``) or listed in one
+bracket as the paper writes key paths (``emp[fn=John, ln=Doe]``); a value
+containing ``,`` or ``]`` is quoted, any other may be bare.
 
 Expressions parse into structured :class:`Step` and :class:`Predicate`
 values rather than opaque closures, so other evaluators — notably the
@@ -28,7 +30,9 @@ callable, kept as a shim returning the bare list.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .model import Element
@@ -38,6 +42,10 @@ POSITION = "position"  # [2] — 1-based position among the step's candidates
 ATTRIBUTE = "attribute"  # [@id='x'] — attribute equality
 CHILD_VALUE = "child"  # [name='x'] — child element text equality
 TEXT_VALUE = "text"  # [text()='x'] — own text equality
+
+#: Distinct expression texts whose parse is kept (a key path is read on
+#: every ``history``; the planner parses once per shape).
+PARSE_CACHE = 1024
 
 
 class XPathError(ValueError):
@@ -96,62 +104,42 @@ class Step:
         return prefix + self.name + "".join(str(p) for p in self.predicates)
 
 
-def _parse_predicate(text: str) -> Predicate:
-    body = text.strip()
-    if body.isdigit():
-        position = int(body)
-        if position < 1:
-            raise XPathError(f"Positional predicate must be >= 1: [{body}]")
-        return Predicate(kind=POSITION, position=position)
-    if "=" not in body:
-        raise XPathError(f"Unsupported predicate [{body}]")
-    left, right = body.split("=", 1)
-    left = left.strip()
-    right = right.strip()
-    if not (
-        (right.startswith("'") and right.endswith("'"))
-        or (right.startswith('"') and right.endswith('"'))
-    ):
-        raise XPathError(f"Predicate value must be quoted: [{body}]")
-    value = right[1:-1]
-    if left.startswith("@"):
-        return Predicate(kind=ATTRIBUTE, name=left[1:], value=value)
-    if left == "text()":
+#: One location step: its axis and its name test.
+_STEP = re.compile(r"(//?)([^/\[\]]*)")
+#: One item of a predicate — a position, or ``name = value`` — and what
+#: ends it (``,`` or ``]``).  A quoted value closes at the first matching
+#: quote followed by that end; a bare one runs to it.
+_ITEM = re.compile(
+    r"""\s*(?:(\d+)|([^=\[\],]*?)\s*=\s*"""
+    r"""(?:(['"])(.*?)\3|([^'"\[\],][^\[\],]*?)?))\s*([,\]])"""
+)
+
+
+def _predicate(number: str | None, name: str, value: str) -> Predicate:
+    if number is not None:
+        if int(number) < 1:
+            raise XPathError(f"Positional predicate must be >= 1: [{number}]")
+        return Predicate(kind=POSITION, position=int(number))
+    if name.startswith("@"):
+        return Predicate(kind=ATTRIBUTE, name=name[1:], value=value)
+    if name == "text()":
         return Predicate(kind=TEXT_VALUE, value=value)
-    return Predicate(kind=CHILD_VALUE, name=left, value=value)
-
-
-def _split_predicates(step_text: str) -> tuple[str, tuple[Predicate, ...]]:
-    name_end = step_text.find("[")
-    if name_end == -1:
-        return step_text, ()
-    name = step_text[:name_end]
-    predicates: list[Predicate] = []
-    rest = step_text[name_end:]
-    while rest:
-        if not rest.startswith("["):
-            raise XPathError(f"Malformed predicates in step {step_text!r}")
-        depth = 0
-        for position, char in enumerate(rest):
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-                if depth == 0:
-                    predicates.append(_parse_predicate(rest[1:position]))
-                    rest = rest[position + 1 :]
-                    break
-        else:
-            raise XPathError(f"Unbalanced predicate in step {step_text!r}")
-    return name, tuple(predicates)
+    return Predicate(kind=CHILD_VALUE, name=name, value=value)
 
 
 def parse_steps(expression: str) -> list[Step]:
-    """Parse an expression into its location steps.
-
-    Shared by :func:`evaluate` and the query planner; raises
+    """Parse an expression into its location steps: the one path grammar,
+    read by :func:`evaluate`, the query planner and every key path
+    (``history``, ``changes`` prefixes, chunk routing).  A bracket lists
+    one or more items, so the paper's ``emp[fn=John, ln=Doe]`` is the two
+    predicates of ``emp[fn='John'][ln='Doe']``.  Raises
     :class:`XPathError` on relative paths or malformed steps.
     """
+    return list(_parsed(expression))
+
+
+@lru_cache(maxsize=PARSE_CACHE)  # steps are immutable: one parse per text
+def _parsed(expression: str) -> tuple[Step, ...]:
     text = expression.strip()
     if not text.startswith("/"):
         raise XPathError(f"Only absolute paths are supported: {expression!r}")
@@ -159,31 +147,27 @@ def parse_steps(expression: str) -> list[Step]:
     index = 0
     length = len(text)
     while index < length:
-        if text.startswith("//", index):
-            axis = "descendant"
-            index += 2
-        elif text.startswith("/", index):
-            axis = "child"
-            index += 1
-        else:
+        match = _STEP.match(text, index)
+        if match is None:
             raise XPathError(f"Expected '/' at offset {index} in {expression!r}")
-        depth = 0
-        start = index
-        while index < length:
-            char = text[index]
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-            elif char == "/" and depth == 0:
-                break
-            index += 1
-        step_text = text[start:index]
-        if not step_text:
+        marker, name = match.groups()
+        if not name:
             raise XPathError(f"Empty step in {expression!r}")
-        name, predicates = _split_predicates(step_text)
-        steps.append(Step(axis=axis, name=name, predicates=predicates))
-    return steps
+        index = match.end()
+        predicates: list[Predicate] = []
+        while index < length and text[index] == "[":
+            end = ","
+            while end == ",":  # ``index`` is at the ``[`` or ``,`` before an item
+                item = _ITEM.match(text, index + 1)
+                if item is None or item.group(2) == "":
+                    raise XPathError(f"Malformed predicate at {index} in {expression!r}")
+                number, left, quote, quoted, bare, end = item.groups()
+                predicates.append(_predicate(number, left, quoted if quote else bare or ""))
+                index = item.end() - 1
+            index += 1
+        axis = "descendant" if marker == "//" else "child"
+        steps.append(Step(axis=axis, name=name, predicates=tuple(predicates)))
+    return tuple(steps)
 
 
 def match_name(node: Element, name: str) -> bool:

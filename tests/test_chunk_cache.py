@@ -16,10 +16,9 @@ import os
 import pytest
 
 import repro
-from repro.core.archive import _parse_history_path
+from repro.core.archive import key_path_labels
 from repro.core.tstree import ProbeCount
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
-from repro.keys.annotate import KeyLabel
 from repro.storage import (
     ChecksumMismatch,
     ChunkedArchiver,
@@ -427,8 +426,9 @@ def oracle(path, nums):
 
 def owner(handle, num):
     """The chunk a record's key hashes to."""
-    step = _parse_history_path(record_path(num))[1]
-    return handle.chunk_index_for_label(KeyLabel(tag=step[0], key=step[1]))
+    return handle.chunk_index_for_label(
+        key_path_labels(record_path(num), handle.spec)[1]
+    )
 
 
 def refuse(monkeypatch, cls, *names):

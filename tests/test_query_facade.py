@@ -1,5 +1,6 @@
 """The ArchiveDB facade: one queryable surface over every backend."""
 
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, asdict
@@ -18,6 +19,7 @@ from repro.query.plan import stored_plans
 from repro.query.exec import NO_ANCHOR, ElementCursor, label_text, node_count
 from repro.query.result import QueryStats
 from repro.storage import create_archive, open_archive
+from repro.storage.cache import reset_chunk_cache
 from repro.xmltree import parse_document, to_string
 from repro.xmltree.xpath import XPathError, evaluate
 
@@ -238,6 +240,147 @@ class TestMissingPathErrors:
             db.first_appearance(self.PATH)
 
 
+#: Versions whose keys need every part of the one key path grammar: a
+#: composite key, a value containing ``,``, one containing ``/`` and one
+#: that is not plain (``a&b``, stored as ``a&amp;b``).
+SPELLED_VERSIONS = [
+    """<db><dept><name>finance</name>
+         <emp><fn>John</fn><ln>Doe</ln><sal>90K</sal></emp>
+         <emp><fn>John</fn><ln>Doe, Jr</ln><sal>10K</sal></emp></dept>
+        <dept><name>a/b</name>
+         <emp><fn>a&amp;b</fn><ln>1</ln><sal>1</sal></emp></dept></db>""",
+    """<db><dept><name>finance</name>
+         <emp><fn>John</fn><ln>Doe</ln><sal>95K</sal></emp>
+         <emp><fn>John</fn><ln>Doe, Jr</ln><sal>11K</sal></emp></dept>
+        <dept><name>a/b</name>
+         <emp><fn>a&amp;b</fn><ln>1</ln><sal>2</sal></emp></dept></db>""",
+    """<db><dept><name>finance</name>
+         <emp><fn>John</fn><ln>Doe</ln><sal>95K</sal></emp></dept>
+        <dept><name>a/b</name>
+         <emp><fn>a&amp;b</fn><ln>1</ln><sal>3</sal></emp></dept></db>""",
+]
+
+#: The paper's spelling beside the ``select`` one, with the existence
+#: both must report.
+SPELLINGS = {
+    "dept": ("/db/dept[name=finance]", "/db/dept[name='finance']", "1-3"),
+    "emp": (
+        "/db/dept[name=finance]/emp[fn=John, ln=Doe]",
+        "/db/dept[name='finance']/emp[fn='John'][ln='Doe']",
+        "1-3",
+    ),
+    "sal": (
+        "/db/dept[name=finance]/emp[fn=John, ln=Doe]/sal",
+        '/db/dept[name="finance"]/emp[ln="Doe"][fn="John"]/sal',
+        "1-3",
+    ),
+    "comma": (
+        "/db/dept[name=finance]/emp[fn=John, ln='Doe, Jr']/sal",
+        "/db/dept[name='finance']/emp[fn='John'][ln='Doe, Jr']/sal",
+        "1-2",
+    ),
+    "slash": ("/db/dept[name=a/b]", "/db/dept[name='a/b']", "1-3"),
+    "not-plain": (
+        "/db/dept[name=a/b]/emp[fn=a&amp;b, ln=1]/sal",
+        "/db/dept[name='a/b']/emp[fn='a&amp;b'][ln='1']/sal",
+        "1-3",
+    ),
+}
+
+#: Key path steps that name no keyed element, by the step named.
+REFUSED = {
+    "position": (lambda db: db.history("/db/dept[1]"), "dept[1]"),
+    "half-key": (
+        lambda db: db.history("/db/dept[name=finance]/emp[fn='John']"),
+        "emp[fn='John']",
+    ),
+    "non-key": (
+        lambda db: db.between(1, 2).changes("/db/dept[name=finance]/emp[sal='90K']").all(),
+        "emp[sal='90K']",
+    ),
+    "bare-inner-step": (
+        lambda db: db.between(1, 2).changes("/db/dept/emp").all(), "'dept'"
+    ),
+}
+
+
+class TestOneKeyPath:
+    """``history``, its shortcuts and ``changes`` read a key path through
+    the one grammar and label rule ``select`` uses: both spellings name
+    one element on every backend, and a step naming no keyed element is
+    refused by name."""
+
+    @pytest.fixture(params=BACKENDS)
+    def db(self, request, tmp_path):
+        kind = request.param
+        path = str(tmp_path / ("arch.xml" if kind == "file" else "arch"))
+        store = create_archive(path, KEYS, kind=kind, chunk_count=4)
+        store.ingest_batch(parse_document(source) for source in SPELLED_VERSIONS)
+        yield store.db()
+        store.close()
+
+    @staticmethod
+    def answers(db, path):
+        history = db.history(path)
+        return (
+            history.existence.to_text(),
+            history.changes,
+            db.first_appearance(path),
+            db.last_change(path),
+            [
+                db.between(old, new).changes(path).all()
+                for old, new in [(1, 2), (2, 3), (1, 3), (3, 1)]
+            ],
+        )
+
+    @pytest.mark.parametrize("case", sorted(SPELLINGS))
+    def test_both_spellings_answer_alike(self, db, case):
+        paper, select, existence = SPELLINGS[case]
+        answers = self.answers(db, paper)
+        assert answers == self.answers(db, select)
+        assert answers[0] == existence
+        assert any(answers[4]), "the element changes between some pair"
+
+    def test_the_record_reached_by_select_has_a_history(self, db):
+        path = "/db/dept[name='finance']/emp[fn='John'][ln='Doe, Jr']"
+        assert db.at(2).select(path + "/sal/text()").all() == ["11K"]
+        assert db.history(path).existence.to_text() == "1-2"
+        changed = db.between(1, 2).changes(path).all()
+        assert [change.path for change in changed] == [
+            "/db/dept[name=finance]/emp[fn=John, ln=Doe, Jr]/sal"
+        ]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_a_step_naming_no_keyed_element_is_refused(self, db, case):
+        ask, step = REFUSED[case]
+        with pytest.raises(ArchiveError, match=re.escape(step)) as raised:
+            ask(db)
+        assert "never existed" not in str(raised.value)
+
+    def test_a_routed_prefix_opens_one_chunk_and_counts_its_walk(self, tmp_path):
+        path = str(tmp_path / "arch")
+        create_archive(path, KEYS, kind="chunked", chunk_count=4).ingest_batch(
+            parse_document(source) for source in VERSIONS
+        )
+        reset_chunk_cache()
+        handle = open_archive(path, recover=False)
+        try:
+            # The owner of finance holds records at versions 3 and 4: its
+            # shell does not flip, so the prefix opens that chunk alone.
+            result = handle.db().between(3, 4).changes("/db/dept[name=finance]")
+            assert result.all()
+            assert (handle.cache_misses, handle.cache_hits) == (1, 0)
+            assert result.stats.chunks_routed_past == handle.part_count - 1
+            routed = result.stats.archive_nodes_visited
+            everything = handle.db().between(3, 4).changes()
+            everything.all()
+            assert 0 < routed < everything.stats.archive_nodes_visited
+            assert everything.stats.chunks_routed_past == 0
+        finally:
+            handle.close()
+            reset_chunk_cache()
+
+
 class TestPlanner:
     def test_key_equality_becomes_lookup(self):
         plan = compile_plan(
@@ -281,6 +424,18 @@ class TestPlanner:
         assert bound.steps[2].lookup == (("fn", "Jane"), ("ln", "Smith"))
         assert bound.steps[0] is first.steps[0]  # no literal: the stored step
         assert first.steps[1].lookup == (("name", "finance"),)  # and untouched
+
+    def test_the_papers_spelling_is_a_shape_of_its_own(self):
+        spec = parse_key_spec(KEYS)
+        first = compile_plan("/db/dept[name=finance]/emp[fn=John, ln=Doe]", spec)
+        bound = compile_plan("/db/dept[name=hr]/emp[fn=Jane, ln=Roe]", spec)
+        assert len(stored_plans(spec)) == 1
+        assert bound == query_plan._compile(bound.expression, spec)
+        assert bound.steps[2].lookup == (("fn", "Jane"), ("ln", "Roe"))
+        quoted = compile_plan("/db/dept[name='finance']/emp[fn='John'][ln='Doe']", spec)
+        assert [step.lookup_label for step in first.steps] == [
+            step.lookup_label for step in quoted.steps
+        ]
 
     def test_first_predicate_on_a_key_path_still_supplies_the_lookup(self):
         spec = parse_key_spec(KEYS)
@@ -345,7 +500,7 @@ class TestPlanner:
         db = repro.open(archive)
         for _ in range(2):
             with pytest.raises(XPathError):
-                db.at(1).select("/db/dept[name=finance]")
+                db.at(1).select("/db/dept[name='finance]")
             with pytest.raises(XPathError):
                 db.explain("db/dept")
         assert stored_plans(archive.spec) == {}

@@ -86,7 +86,7 @@ class TestErrors:
         "expression",
         [
             "dept/emp",             # relative
-            "/db/dept[name=finance]",  # unquoted value
+            "/db/dept[name='finance]",  # unclosed quote
             "/db/dept[",            # unbalanced
             "/db//",                # empty step
             "/text()",              # text() with no element step
@@ -146,6 +146,13 @@ class TestStructuredSteps:
         kinds = [p.kind for p in steps[2].predicates]
         assert kinds == [POSITION, ATTRIBUTE, "text"]
         assert steps[2].predicates[0].position == 2
+
+    def test_the_papers_key_spelling_parses_as_chained_predicates(self):
+        assert parse_steps("/db/emp[fn=John, ln=Doe]") == parse_steps(
+            "/db/emp[fn='John'][ln='Doe']"
+        )
+        (step,) = parse_steps("/e[ln='Doe, Jr'][k=a/b][q = 'a]b' ][r=o\"k]")
+        assert [p.value for p in step.predicates] == ["Doe, Jr", "a/b", "a]b", 'o"k']
 
     def test_steps_render_back(self):
         steps = parse_steps("/db//emp[fn='John']")
