@@ -104,24 +104,17 @@ def cmd_init(args: argparse.Namespace) -> int:
 def cmd_add(args: argparse.Namespace) -> int:
     backend = _open(args)
     base = backend.last_version
-    per_version: dict[int, object] = {}
-    backend.ingest_batch(
-        (parse_file(path) for path in args.versions),
-        on_version=lambda number, stats: per_version.__setitem__(number, stats),
-    )
-    for offset, version_path in enumerate(args.versions, start=1):
-        number = base + offset
-        stats = per_version.get(number)
-        if stats is not None:
-            print(
-                f"merged {version_path} as version {number} "
-                f"(matched {stats.nodes_matched}, "
-                f"{stats.nodes_kept} of them in {stats.records_kept} kept "
-                f"records, inserted {stats.nodes_inserted}, "
-                f"content changes {stats.frontier_content_changes})"
-            )
-        else:
-            print(f"merged {version_path} as version {number}")
+
+    def report(number: int, stats) -> None:
+        print(
+            f"merged {args.versions[number - base - 1]} as version {number} "
+            f"(matched {stats.nodes_matched}, "
+            f"{stats.nodes_kept} of them in {stats.records_kept} kept "
+            f"records, inserted {stats.nodes_inserted}, "
+            f"content changes {stats.frontier_content_changes})"
+        )
+
+    backend.ingest_batch((parse_file(path) for path in args.versions), report)
     backend.close()
     return 0
 
@@ -190,22 +183,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             codec=args.codec,
         )
     base = backend.last_version
-    per_version: dict[int, object] = {}
-    total = backend.ingest_batch(
-        (parse_file(path) for path in files),
-        on_version=lambda number, stats: per_version.__setitem__(number, stats),
-    )
-    for offset, version_path in enumerate(files, start=1):
-        number = base + offset
-        stats = per_version.get(number)
-        if stats is not None:
-            print(
-                f"merged {version_path} as version {number} "
-                f"(visited {stats.nodes_visited()}, "
-                f"kept {stats.records_kept} records / {stats.nodes_kept} nodes)"
-            )
-        else:
-            print(f"merged {version_path} as version {number}")
+
+    def report(number: int, stats) -> None:
+        print(
+            f"merged {files[number - base - 1]} as version {number} "
+            f"(visited {stats.nodes_visited()}, "
+            f"kept {stats.records_kept} records / {stats.nodes_kept} nodes)"
+        )
+
+    total = backend.ingest_batch((parse_file(path) for path in files), report)
     print(
         f"ingested {total.versions} versions: {total.nodes_visited()} node visits, "
         f"{total.nodes_inserted} inserted, "

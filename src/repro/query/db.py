@@ -39,7 +39,7 @@ from ..core.versionset import VersionSet
 from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
 from ..storage.archiver import ExternalArchiver
-from ..storage.backend import FileBackend, StorageBackend, open_archive
+from ..storage.backend import StorageBackend, open_archive
 from ..storage.chunked import ChunkedArchiver
 from ..storage.events import NodeEvent, PeekableEvents, read_events
 from ..xmltree.model import Element
@@ -264,8 +264,8 @@ class ArchiveDB:
     ) -> list[Archive]:
         """The archives a query walks.
 
-        One archive in memory, on ``file`` and (materialized) on
-        ``external``; on ``chunked``, the stored chunks among
+        One archive in memory (materialized) on ``external``; on
+        ``chunked`` and ``file`` (its one chunk), the stored chunks among
         ``indices`` (every chunk when ``None``) whose presence holds
         one of ``versions`` (when given; the others are counted pruned),
         loaded through the decoded-chunk cache.  An absent chunk that
@@ -276,8 +276,6 @@ class ArchiveDB:
         if self._archive is not None:
             return [self._archive]
         backend = self.backend
-        if isinstance(backend, FileBackend):
-            return [self._counting_cache(stats, lambda: backend.archive)]
         if isinstance(backend, ExternalArchiver):
             return [self._counting_cache(stats, backend.to_archive)]
         assert isinstance(backend, ChunkedArchiver)
@@ -298,6 +296,14 @@ class ArchiveDB:
             )
         return parts
 
+    def _partitioned(self) -> Optional[ChunkedArchiver]:
+        """The backend, when it splits records over several chunks: one
+        chunk (the whole-file layout) has nothing to route or merge."""
+        backend = self.backend
+        if isinstance(backend, ChunkedArchiver) and backend.part_count > 1:
+            return backend
+        return None
+
     def _route(
         self,
         path: Optional[str],
@@ -314,8 +320,8 @@ class ArchiveDB:
         of the document shell flips where the document's may not, and
         every chunk is walked.
         """
-        backend = self.backend
-        if path is None or not isinstance(backend, ChunkedArchiver):
+        backend = self._partitioned()
+        if path is None or backend is None:
             return None
         labels = key_path_labels(path, backend.spec, open_last=bool(versions))
         record = labels[1] if len(labels) > 1 else None
@@ -335,7 +341,7 @@ class ArchiveDB:
     def _fallback_reason(self, plan: QueryPlan) -> Optional[str]:
         """Why this plan cannot run over the archive tree here."""
         everywhere, partitioned = plan.fallbacks
-        if everywhere is None and isinstance(self.backend, ChunkedArchiver):
+        if everywhere is None and self._partitioned() is not None:
             return partitioned
         return everywhere
 
@@ -388,7 +394,7 @@ class ArchiveDB:
         except under a fingerprinter — chunk order is then fingerprint
         order, not key order, so results are collected and sorted once.
         """
-        chunked = self.backend if isinstance(self.backend, ChunkedArchiver) else None
+        chunked = self._partitioned()
 
         def part_stream(
             position: int, archive: Archive

@@ -1,15 +1,15 @@
-"""Persistent archive storage: one protocol, three backends, one
-transaction.
+"""Persistent archive storage: one protocol, two engines, three
+backend kinds, one transaction.
 
 :class:`StorageBackend` (``backend.py``) is the contract every
-persistence path implements — the whole-file :class:`FileBackend`, the
-key-hash :class:`ChunkedArchiver` (Sec. 5) and the event-stream
-:class:`ExternalArchiver` (Sec. 6) — behind a self-describing manifest
-(:func:`open_archive` reads backend and codec from it).  Every write of
-every backend, creation included, is one :class:`ArchiveTxn`
-(``txn.py``) over the write-ahead commit log of ``wal.py``: payloads
-and the manifest, which carries their checksum table, publish together
-or not at all.  The
+persistence path implements — the key-hash :class:`ChunkedArchiver`
+(Sec. 5), whose one-chunk layout is the whole-file
+:class:`FileBackend`, and the event-stream :class:`ExternalArchiver`
+(Sec. 6) — behind a self-describing manifest (:func:`open_archive`
+reads backend and codec from it).  Every write of every backend,
+creation included, is one :class:`ArchiveTxn` (``txn.py``) over the
+write-ahead commit log of ``wal.py``: payloads and the manifest, which
+carries their checksum table, publish together or not at all.  The
 external-memory machinery keeps its own modules: event-stream files
 with I/O accounting, bounded-memory sorted runs with k-way merging and
 the one-pass stream merge.
@@ -18,7 +18,6 @@ the one-pass stream merge.
 from .archiver import ExternalArchiver, archive_to_stream
 from .backend import (
     BACKEND_KINDS,
-    FileBackend,
     Manifest,
     RecodeReport,
     StorageBackend,
@@ -30,7 +29,12 @@ from .backend import (
     open_archive,
     read_manifest,
 )
-from .chunked import ChunkedArchiver, ChunkedArchiverError, restore_key_order
+from .chunked import (
+    ChunkedArchiver,
+    ChunkedArchiverError,
+    FileBackend,
+    restore_key_order,
+)
 from .codec import (
     CODEC_NAMES,
     CODECS,

@@ -1,10 +1,12 @@
 """The unified storage contract: one read/write surface per archive.
 
-Three persistence strategies grew out of the paper's sections — the
-whole-file archive the CLI speaks (Fig. 5 XML on disk), the key-hash
-:class:`~repro.storage.chunked.ChunkedArchiver` (Sec. 5) and the
-event-stream :class:`~repro.storage.archiver.ExternalArchiver`
-(Sec. 6).  :class:`StorageBackend` is the protocol they all implement,
+Two engines write archives.  The key-hash
+:class:`~repro.storage.chunked.ChunkedArchiver` (Sec. 5) merges every
+version into per-chunk trees in one loop; the whole-file archive the CLI
+speaks (Fig. 5 XML on disk, :class:`~repro.storage.chunked.FileBackend`)
+is its layout with one chunk.  The event-stream
+:class:`~repro.storage.archiver.ExternalArchiver` (Sec. 6) merges a
+stream instead.  :class:`StorageBackend` is the protocol they implement,
 so ingestion, retrieval, temporal queries and the CLI are written once
 against the contract and every future backend (sharded, cached,
 service-fronted) plugs into the same seam.
@@ -42,7 +44,7 @@ from ..core.archive import (
     ArchiveOptions,
     ArchiveStats,
 )
-from ..core.merge import Kept, MergeStats
+from ..core.merge import MergeStats
 from ..core.tstree import ProbeCount
 from ..keys.spec import KeySpec
 from ..xmltree.model import Element
@@ -53,7 +55,6 @@ from .integrity import (
     ChecksumSidecar,
     ManifestInconsistent,
     _self_digest,
-    validate_policy,
 )
 from .txn import ArchiveTxn
 from .wal import WriteAheadLog, wal_location
@@ -400,8 +401,8 @@ class StorageBackend(abc.ABC):
         self, documents: Iterable[Optional[Element]], on_version: OnVersion = None
     ) -> MergeStats:
         """Merge a sequence of versions; ``on_version(number, stats)``
-        fires per landed version where the backend merges
-        version-at-a-time (batch-oriented backends may skip it)."""
+        fires once per version, in order, once the commit holding it has
+        landed.  Here: one commit per version."""
         total = MergeStats()
         for document in documents:
             stats = self.add_version(document)
@@ -614,188 +615,6 @@ class StorageBackend(abc.ABC):
         self.close()
 
 
-# -- the whole-file backend ---------------------------------------------------
-
-
-class FileBackend(StorageBackend):
-    """The CLI's original persistence path behind the protocol: one
-    Fig. 5 ``<T>``-tagged XML file holding the whole archive.
-
-    The archive is loaded lazily and published after every mutation as
-    one transaction — the XML and the manifest sidecar land together,
-    so a crash leaves both at the same version count.  The simplest
-    backend, and the fastest for archives that fit in memory; the
-    chunked and external backends take over beyond that.
-    """
-
-    kind = "file"
-    supports_probes = True
-
-    def __init__(
-        self,
-        path: "str | os.PathLike",
-        spec: KeySpec,
-        options: Optional[ArchiveOptions] = None,
-        codec: CodecLike = None,
-        verify: str = "always",
-        recover: bool = True,
-        cache_reads: bool = False,
-        _manifest: Optional[Manifest] = None,
-    ) -> None:
-        self.path = os.path.abspath(os.fspath(path))
-        self.storage_root = self.path
-        self.spec = spec
-        self.options = options or ArchiveOptions()
-        self.verify = validate_policy(verify)
-        self._recover = recover
-        #: Read-only handles share the decoded archive through the
-        #: process-wide decoded-chunk cache; write paths always work on
-        #: a privately-owned instance (see ``_ensure_private_archive``).
-        self.cache_reads = cache_reads
-        self._load_state(codec, _manifest)
-
-    def _part_name(self, part=0) -> str:
-        return os.path.basename(self.path)
-
-    def _bootstrap(self, txn: ArchiveTxn) -> None:
-        txn.put(self.path, self.codec.encode_archive(self.archive))
-
-    def _read_payload(self) -> tuple[Optional[bytes], bool]:
-        """The verified at-rest bytes (``None`` when nothing is stored),
-        and whether this read hashed them.
-
-        The payload is verified against its recorded checksum under the
-        backend's ``verify`` policy before the codec touches it —
-        corruption surfaces as a typed
-        :class:`~repro.storage.integrity.IntegrityError`, not a decode
-        failure."""
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return None, False
-        hashed = self._checksums.verify(
-            self._part_name(), data, self.verify, self._verified
-        )
-        return data, hashed
-
-    def _decode(self, data: Optional[bytes]) -> Archive:
-        if data is None:
-            return Archive(self.spec, self.options)
-        return self.codec.decode_archive(data, self.spec, self.options)
-
-    def _load(self) -> Loaded:
-        data, hashed = self._read_payload()
-        return self._decode(data), None if data is None else len(data), hashed
-
-    @property
-    def archive(self) -> Archive:
-        """The in-memory archive, loaded from disk on first use.
-
-        Read-caching handles may hand back an instance shared with
-        other handles through the decoded-chunk cache — fine for every
-        read (retrieval copy-on-writes content out), never for
-        mutation, which goes through :meth:`_ensure_private_archive`.
-        """
-        if self._archive is None:
-            self._archive = self._cached(0, self._load)
-            self._archive_shared = self._cache_key(0) is not None
-        return self._archive
-
-    def _ensure_private_archive(self) -> Archive:
-        """A privately-owned archive instance, for mutation.
-
-        Writers mutate the decoded archive in place, which must never
-        touch an instance other readers share through the cache — so a
-        shared (or not-yet-loaded) archive is decoded fresh, bypassing
-        the cache entirely."""
-        if self._archive is None or self._archive_shared:
-            self._archive = self._decode(self._read_payload()[0])
-            self._archive_shared = False
-        if self._archive.kept is None and chunk_cache().enabled:
-            # A tree a writer holds keeps the blocks it encodes and the
-            # memo of its records (a fraction of the tree, which this
-            # layout has always held).
-            self._archive.kept = Kept()
-        return self._archive
-
-    def drop_caches(self) -> None:
-        self._archive: Optional[Archive] = None
-        self._archive_shared = False
-
-    @property
-    def last_version(self) -> int:
-        return self.archive.last_version
-
-    @mutation
-    def add_version(self, document: Optional[Element]) -> MergeStats:
-        archive = self._ensure_private_archive()
-        stats = archive.add_version(document)
-        with ArchiveTxn(self, archive.last_version) as txn:
-            txn.put(self.path, self.codec.encode_archive(archive))
-        return stats
-
-    @mutation
-    def ingest_batch(
-        self, documents: Iterable[Optional[Element]], on_version: OnVersion = None
-    ) -> MergeStats:
-        """A loop over ``add_version`` on the tree this handle holds —
-        which keeps records unless the handle keeps nothing, so a record
-        a version brings back unchanged is confirmed, not descended —
-        and one publish at the end."""
-        archive = self._ensure_private_archive()
-        total = MergeStats()
-        for document in documents:
-            stats = archive.add_version(document)
-            total.accumulate(stats)
-            if on_version is not None:
-                on_version(archive.last_version, stats)
-        with ArchiveTxn(self, archive.last_version) as txn:
-            txn.put(self.path, self.codec.encode_archive(archive))
-        return total
-
-    def retrieve(
-        self, version: int, *, probes: Optional[ProbeCount] = None
-    ) -> Optional[Element]:
-        return self.archive.retrieve(version, probes=probes)
-
-    def scan_probe_count(self, version: int) -> int:
-        """The full-scan baseline ``--probes`` reports against."""
-        return self.archive.scan_probe_count(version)
-
-    def stats(self) -> ArchiveStats:
-        stats = self.archive.stats()
-        stats.raw_bytes = stats.serialized_bytes
-        try:
-            stats.disk_bytes = os.path.getsize(self.path)
-        except OSError:
-            stats.disk_bytes = stats.raw_bytes  # never persisted yet
-        return self._handle_counters(stats)
-
-    @mutation
-    def recode(self, codec: CodecLike) -> RecodeReport:
-        """Re-encode the archive file in place (one verified commit)."""
-        target = get_codec(codec)
-        old = self.codec
-        before = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        # The in-memory archive (loaded under the old codec) is
-        # unchanged by this; only the at-rest encoding moves.
-        archive = self.archive
-        encoded = target.encode_archive(archive)
-        verify_recoded_document(archive.to_xml_string(), encoded, target)
-        with ArchiveTxn(self, archive.last_version, codec=target) as txn:
-            txn.put(self.path, encoded)
-        return RecodeReport(
-            path=self.path,
-            kind=self.kind,
-            old_codec=old.name,
-            new_codec=target.name,
-            files=1,
-            disk_bytes_before=before,
-            disk_bytes_after=os.path.getsize(self.path),
-        )
-
-
 # -- opening and creating archives --------------------------------------------
 
 BACKEND_KINDS = ("file", "chunked", "external")
@@ -875,7 +694,7 @@ def open_archive(
     decoded chunks, recovery-running opens are write-capable and don't.
     """
     from .archiver import ExternalArchiver  # local: avoids an import cycle
-    from .chunked import ChunkedArchiver
+    from .chunked import ChunkedArchiver, FileBackend
 
     path = os.fspath(path)
     manifest = read_manifest(path)
@@ -1002,7 +821,7 @@ def create_archive(
     from ..keys.keyparser import parse_key_spec
 
     from .archiver import ExternalArchiver  # local: avoids an import cycle
-    from .chunked import ChunkedArchiver
+    from .chunked import ChunkedArchiver, FileBackend
 
     path = os.fspath(path)
     if kind not in BACKEND_KINDS:

@@ -41,12 +41,11 @@ mutates its archive in place, which must not leak into other readers'
 views) and never install into it.  Backends opt in per handle via
 ``cache_reads=True`` — set by snapshot opens (``open_archive(...,
 recover=False)``) — and bypass the cache on their write paths even
-then.  What a writer keeps for itself between appends — the whole-file
-backend's one archive, the chunked backend's held trees — is private to
-its handle; the chunked backend costs its held trees against this
-cache's ``max_bytes`` (so ``REPRO_CHUNK_CACHE_BYTES=0`` turns both
-off), but in an account of its own: they are not entries here and
-evict nothing.
+then.  What a writer keeps for itself between writes — the held chunk
+trees of a chunked or whole-file archive — is private to its handle and
+costed against this cache's ``max_bytes`` (so
+``REPRO_CHUNK_CACHE_BYTES=0`` turns both off), but in an account of its
+own: held trees are not entries here and evict nothing.
 
 Knobs: ``REPRO_CHUNK_CACHE_BYTES`` caps the budget (approximate: an
 entry costs its at-rest payload size plus the decoded container body

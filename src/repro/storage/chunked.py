@@ -1,4 +1,5 @@
-"""The chunked archiver — the paper's own memory workaround (Sec. 5).
+"""The chunked archiver — the paper's own memory workaround (Sec. 5),
+and the one engine every archive but the event stream is written by.
 
 Before building the full external-memory machinery of Sec. 6, the
 paper's experiments coped with 256 MB of RAM by *hashing the data into
@@ -12,15 +13,36 @@ concatenating the results."
 :class:`ChunkedArchiver` reproduces that scheme: top-level records are
 partitioned by a hash of their key value into ``chunk_count`` buckets,
 each bucket is archived independently (one on-disk XML archive per
-chunk), and queries fan out to the owning chunk.  A read holds one
-chunk at a time plus one version's worth of records; a write-capable
-handle that appends version after version also keeps the chunk trees it
-last published, the encoded blocks of what stood still in them and a
-memo of the records alive in them, up to the decoded-chunk cache budget
-(``REPRO_CHUNK_CACHE_BYTES``; ``0`` keeps none and restores the
-largest-chunk bound), so the next append decodes nothing it encoded
+chunk), and queries fan out to the owning chunk.  The whole-file
+archive (:class:`FileBackend`) is the same scheme with one chunk, whose
+payload is the archive file itself: with nothing to route, the one
+chunk takes every version whole.
+
+There is one merge loop (:meth:`ChunkedArchiver.ingest_batch`;
+``add_version`` is that loop over one document).  It walks the versions
+in order: each is digested against the record memos of the chunk trees
+the call holds, annotated where no memo confirms a record, routed, and
+merged into every chunk it touches; one commit publishes them all.  A
+version whose root holds no records goes whole to chunk 0, so every
+version's document shell is stored somewhere.
+
+A read holds one chunk at a time plus one version's worth of records.
+A write holds the tree of every chunk its versions touch until its
+commit, an append and a batch alike: a batch reads a generator one
+document at a time, so its peak is those trees plus one version's
+records, whatever its length, and the one-chunk-at-a-time bound of
+Sec. 5 is a bound on reads, not writes.  A stored chunk no version
+touched is padded with empty versions at the commit, one at a time.
+Afterwards a write-capable handle keeps the chunk trees it last
+published, the encoded blocks of what stood still in them and a memo of
+the records alive in them, up to the decoded-chunk cache budget
+(``REPRO_CHUNK_CACHE_BYTES``; ``0`` keeps none, and each tree goes once
+its payload is encoded), so the next write decodes nothing it encoded
 itself, annotates and merges only the records that arrive changed, and
-re-encodes only what it changed.
+re-encodes only what it changed.  A one-chunk store's tree is the whole
+archive, which every read decodes whole: its handle keeps it whatever
+the budget — the tree its last write published or, before one, the one
+a read decoded for itself — and its reads answer from it.
 
 The memo knows *records* — the children of the document root, the
 level this module partitions at (OMIM's and Swiss-Prot's ``Record``
@@ -40,7 +62,9 @@ opening a chunk).  Stores written before the manifest carried the map
 keep presence in ``chunk-NNNN.presence`` sidecars and the count in
 ``versions.txt``, and older stores the table in ``checksums.json``;
 they are read as they are, and their first commit through this code
-moves all of it into the manifest and unlinks the files.
+moves all of it into the manifest and unlinks the files.  The
+whole-file layout records no presence map: its manifest is the one it
+has always written, and nothing of it is pruned.
 """
 
 from __future__ import annotations
@@ -51,6 +75,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..core.archive import (
     Archive,
+    ArchiveError,
     ArchiveOptions,
     ArchiveStats,
 )
@@ -61,7 +86,6 @@ from ..keys.annotate import (
     AnnotatedDocument,
     KeyLabel,
     KeyViolationError,
-    annotate_keys,
     compute_key_value,
 )
 from ..keys.spec import KeySpec
@@ -89,7 +113,7 @@ from .xbin import kept_bytes
 ON_CORRUPT_POLICIES = ("raise", "skip")
 
 
-class ChunkedArchiverError(ValueError):
+class ChunkedArchiverError(ArchiveError):
     """Raised on misconfiguration or unusable documents."""
 
 
@@ -182,35 +206,36 @@ class ChunkedArchiver(StorageBackend):
     the pre-batch archive (or, if publication had begun, completes it)
     instead of a torn mix.
 
-    **Writer-held trees.**  After ``add_version`` publishes, the handle
-    keeps each merged chunk tree under the SHA-256 it just recorded for
-    the chunk's bytes, and on the tree (``Archive.kept``) the encoded
-    bytes of every framed children block the ``xbin`` encoder wrote.
-    The next ``add_version`` still reads every chunk file and verifies
-    it against the checksum table; it skips the decode, and only when the
-    verified checksum is the held one.  Nested Merge then drops the
+    **Writer-held trees.**  After a write publishes, the handle keeps
+    each merged chunk tree under the SHA-256 it just recorded for the
+    chunk's bytes, and on the tree (``Archive.kept``) the encoded bytes
+    of every framed children block the ``xbin`` encoder wrote.  The
+    next write still reads every chunk file it merges into and verifies
+    it against the checksum table; it skips the decode, and only when
+    the verified checksum is the held one.  Nested Merge then drops the
     kept block of every node it changes anything beneath, and the
     encoder copies the blocks that are left (:mod:`repro.storage.xbin`):
     the chunk's bytes are those a fresh handle would write.
 
-    Beside the blocks each held tree keeps its *record memo*
-    (:class:`~repro.core.merge.Kept`): the next ``add_version`` digests
-    the incoming records before Annotate Keys and asks the memos of the
-    trees it is about to be handed; a record one of them confirmed at
-    the last version goes to that tree's chunk unannotated and is
-    merged by extending the timestamps the memo names.  A tree decoded
-    afresh has no memo, merges in full and fills one.  ``ingest_batch``
-    gives each chunk's tree a memo of its own for the length of the
-    batch.
+    Beside the blocks each tree keeps its *record memo*
+    (:class:`~repro.core.merge.Kept`): every version is digested before
+    Annotate Keys and asks the memos of the trees the write holds; a
+    record one of them confirmed at the version before goes to that
+    tree's chunk unannotated and is merged by extending the timestamps
+    the memo names.  A tree decoded afresh has no memo, merges in full
+    and fills one for the rest of the write.
 
     Held trees are private to the handle — they never enter the shared
     :func:`~repro.storage.cache.chunk_cache`, and reads through this
     handle do not use them — are costed like its entries (at-rest size
     plus the encoded body), their kept blocks by their length and their
     memo by its entries against that cache's budget, and are dropped,
-    blocks, memo and all, by ``close()``, ``drop_caches()``,
-    ``ingest_batch``, ``recode`` and any failed write (see
-    :func:`~repro.storage.backend.mutation`).
+    blocks, memo and all, by ``close()``, ``drop_caches()``, ``recode``
+    and any failed write (see :func:`~repro.storage.backend.mutation`).
+    One chunk is the exception: its tree is the whole archive, held
+    whatever the budget (without blocks or memo at ``0``), reads answer
+    from it, and a read that decodes it outside the shared cache holds
+    it for the next read and write.
     """
 
     kind = "chunked"
@@ -236,9 +261,8 @@ class ChunkedArchiver(StorageBackend):
                 f"Unknown on_corrupt policy {on_corrupt!r} "
                 f"(choose from {', '.join(ON_CORRUPT_POLICIES)})"
             )
-        directory = os.path.abspath(os.fspath(directory))
-        self.directory = directory
-        self.storage_root = directory
+        self.storage_root = os.path.abspath(os.fspath(directory))
+        self._open_root(self.storage_root)
         self.spec = spec
         self.chunk_count = chunk_count
         self.options = options or ArchiveOptions()
@@ -259,9 +283,13 @@ class ChunkedArchiver(StorageBackend):
         #: place, which must not leak into other readers' views (what
         #: it keeps between appends lives in ``_held``, its own).
         self.cache_reads = cache_reads
-        os.makedirs(directory, exist_ok=True)
         self._recover = recover
         self._load_state(codec, _manifest)
+
+    def _open_root(self, root: str) -> None:
+        """Take ``root`` as the chunk directory, made if missing."""
+        self.directory = root
+        os.makedirs(root, exist_ok=True)
 
     def _adopt(self, manifest: Optional[Manifest]) -> None:
         super()._adopt(manifest)
@@ -271,7 +299,7 @@ class ChunkedArchiver(StorageBackend):
         #: it did, whose sidecars and ``versions.txt`` are read instead.
         self._presence: Optional[dict[int, VersionSet]] = None
         if recorded is None:
-            self._version_count = self._load_version_count()
+            self._version_count = self._unmapped_version_count(manifest)
             return
         self._presence = {
             int(index): VersionSet.parse(text) for index, text in recorded.items()
@@ -338,7 +366,9 @@ class ChunkedArchiver(StorageBackend):
                 f"but missing on disk"
             )
 
-    def _load_version_count(self) -> int:
+    def _unmapped_version_count(self, manifest: Optional[Manifest]) -> int:
+        """The version count of a store whose manifest carries no
+        presence map: ``versions.txt``, where such a store kept it."""
         try:
             with open(self._meta_path(), "rb") as handle:
                 data = handle.read()
@@ -406,17 +436,38 @@ class ChunkedArchiver(StorageBackend):
         archive = self.codec.decode_archive(data, self.spec, self.options)
         return archive, len(data), hashed
 
+    def _holding(self, index: int) -> Optional[Archive]:
+        """The tree this handle holds for chunk ``index``, if it is the
+        one the checksum table names."""
+        held = self._held.get(index)
+        if held is None or held[0] != self._cache_token(index):
+            return None
+        return held[1]
+
     def _load_chunk(self, index: int, for_write: bool = False) -> Archive:
         if not for_write:
-            return self._cached(index, lambda: self._decode_chunk(index))
+            if self.chunk_count > 1:
+                return self._cached(index, lambda: self._decode_chunk(index))
+            # One chunk is the whole archive, which every read decodes
+            # whole: a read answers from the tree the handle holds, and
+            # the handle holds what a read decodes for itself.
+            tree = self._holding(index)
+            if tree is None:
+                if self._cache_key(index) is not None:
+                    return self._cached(index, lambda: self._decode_chunk(index))
+                tree, size, _ = self._decode_chunk(index)
+                if size is not None:
+                    self._held[index] = (self._cache_token(index), tree)
+            return tree
         data = self._read_for_write(index)
         if data is None:
             return self._empty_chunk()
         # Checked out, not peeked at: the writer merges into the tree
         # in place, so from here on it is held by nobody.
-        held = self._held.pop(index, None)
-        if held is not None and held[0] == self._cache_token(index):
-            return held[1]
+        tree = self._holding(index)
+        self._held.pop(index, None)
+        if tree is not None:
+            return tree
         return self.codec.decode_archive(data, self.spec, self.options)
 
     def _manifest_extra(self) -> dict:
@@ -503,32 +554,33 @@ class ChunkedArchiver(StorageBackend):
     def _partition(
         self,
         document: Element,
-        memos: Optional[list[dict[int, RecordEntry]]] = None,
+        memos: Iterable[dict[int, RecordEntry]] = (),
+        last_version: int = 0,
     ) -> dict[int, AnnotatedDocument]:
         """One version's records, split by owning chunk.
 
-        *Annotate Keys* runs here, once, over the whole version — every
-        key-violation, coverage and sibling-uniqueness error is raised
-        before a chunk is loaded or a byte staged — and each chunk gets
-        a shell over the caller's own record nodes under that one label
-        table: no second scan per chunk, and no copies (Nested Merge
-        copies what it keeps; the caller's document is left as it was).
-
-        With ``memos`` — the record memos of the trees this handle
-        holds, or none for a batch — the version is digested first and
-        only the records no memo confirms are annotated
-        (:func:`~repro.core.merge.annotate_version`); a confirmed record
-        is routed by the label its archive node carries, which is the
+        The version is digested and *Annotate Keys* runs here, once,
+        over the whole of it (:func:`~repro.core.merge.annotate_version`)
+        — every key-violation, coverage and sibling-uniqueness error is
+        raised before a chunk is loaded or a byte staged — and each
+        chunk gets a shell over the caller's own record nodes under that
+        one label table: no second scan per chunk, and no copies (Nested
+        Merge copies what it keeps; the caller's document is left as it
+        was).  A record one of ``memos`` — the record memos of the trees
+        the write holds — confirmed at ``last_version`` is not annotated:
+        it is routed by the label its archive node carries, which is the
         one that routed it there.
+
+        With one chunk there is nothing to route, and a version whose
+        root holds no records has nothing to route by: either goes
+        whole to chunk 0, which so stores every version's shell.
         """
-        if memos is None:
-            annotated = annotate_keys(document, self.spec)
-        else:
-            annotated = annotate_version(
-                document, self.spec, memos, self._version_count
-            )
+        annotated = annotate_version(document, self.spec, list(memos), last_version)
+        records = list(document.element_children())
+        if self.chunk_count == 1 or not records:
+            return {0: annotated}
         parts: dict[int, AnnotatedDocument] = {}
-        for record in document.element_children():
+        for record in records:
             index = self._chunk_of(record, annotated)
             part = parts.get(index)
             if part is None:
@@ -609,59 +661,9 @@ class ChunkedArchiver(StorageBackend):
             for index, payload in zip(indexes, payloads)
         }
 
-    @mutation
     def add_version(self, document: Optional[Element]) -> MergeStats:
-        """Partition the version, merge every chunk it touches, encode
-        them in one call and stage the payloads in chunk order
-        (:meth:`_stage_chunks`); all chunk files publish atomically
-        behind one WAL record.
-
-        Chunks with no records this version still advance their version
-        counter (as an empty version) so timestamps align.  Whether a
-        chunk is stored is the checksum table's word
-        (:meth:`part_exists`): a covered chunk whose file has gone
-        raises :class:`~repro.storage.integrity.ManifestInconsistent`
-        before anything is staged, under every verify policy.
-        """
-        total = MergeStats()
-        # What the held trees and what they keep may cost.
-        room = chunk_cache().max_bytes
-        memos = None
-        if room > 0:
-            # Of the trees ``_load_chunk`` is going to hand out.
-            memos = [
-                tree.kept.records
-                for index, (sha256, tree) in self._held.items()
-                if tree.kept is not None and sha256 == self._cache_token(index)
-            ]
-        parts = self._partition(document, memos) if document is not None else {}
-        trees: dict[int, Archive] = {}
-        number = self._version_count + 1
-        with ArchiveTxn(self, number) as txn:
-            presence = self._carry_presence(txn)
-
-            def merged() -> Iterator[tuple[int, Archive]]:
-                for index in range(self.chunk_count):
-                    part = parts.get(index)
-                    if part is None and not self.part_exists(index):
-                        continue  # nothing stored, nothing new: stay lazy
-                    archive = self._load_chunk(index, for_write=True)
-                    if room > 0 and archive.kept is None:
-                        archive.kept = Kept()  # a tree that may be held keeps
-                    total.accumulate(archive.add_version(part))
-                    presence[str(index)] = _chunk_presence_of(archive).to_text()
-                    trees[index] = archive
-                    yield index, archive
-
-            staged = self._stage_chunks(txn, merged())
-        held: dict[int, tuple[str, Archive]] = {}
-        for index, archive in trees.items():
-            room -= staged[index]["bytes"] + archive.body_bytes + kept_bytes(archive)
-            if room >= 0:
-                held[index] = (staged[index]["sha256"], archive)
-        self._held = held
-        total.versions = 1
-        return total
+        """:meth:`ingest_batch` over one document."""
+        return self.ingest_batch((document,))
 
     @mutation
     def ingest_batch(
@@ -669,63 +671,111 @@ class ChunkedArchiver(StorageBackend):
         documents: Iterable[Optional[Element]],
         on_version: OnVersion = None,
     ) -> MergeStats:
-        """Merge a whole sequence of versions chunk-major.
+        """Merge versions in order and publish them in one commit — the
+        one merge loop of every chunked and whole-file archive.
 
-        Where a loop over :meth:`add_version` loads, re-parses and
-        re-serializes every chunk *per version*, the batch path digests,
-        annotates and partitions all versions up front (every key error
-        is raised before a chunk loads), then touches each chunk exactly
-        once: read and verify, decode, merge the chunk's slice of every
-        version through :meth:`Archive.add_versions
-        <repro.core.archive.Archive.add_versions>` — a loop under a
-        record memo that lives for the batch, so a record a version
-        brings back unchanged is confirmed, not descended.  The merged
-        trees go to one encode call as they are made and their payloads
-        are staged in chunk order once all are in hand
-        (:meth:`_stage_chunks`), so a failed merge stages nothing.  No
-        tree is held afterwards.
+        ``documents`` is read one at a time.  Each version is digested
+        against the record memos of the chunk trees the call holds,
+        annotated and routed (:meth:`_partition`), and merged into each
+        chunk it touches.  A chunk is loaded the first time the call
+        needs it — its held tree when the handle holds one — and keeps
+        a record memo for the rest of the call; versions that brought it
+        no records are merged in as empty versions before its next one,
+        so timestamps stay globally aligned.  The last version merges as
+        :meth:`_stage_chunks` asks for the trees, so encoding one chunk
+        overlaps merging the next.  Every chunk stored or touched is
+        staged, and one :class:`~repro.storage.txn.ArchiveTxn` publishes
+        them with the manifest; a failure anywhere stages nothing (see
+        :func:`~repro.storage.backend.mutation`).  Whether a chunk is
+        stored is the checksum table's word (:meth:`part_exists`): a
+        covered chunk whose file has gone raises
+        :class:`~repro.storage.integrity.ManifestInconsistent` before
+        anything is staged, under every verify policy.
 
-        The chunk-major order trades memory for I/O: the whole batch's
-        partitions stay in memory until their chunks are processed, so
-        peak memory is one chunk tree, the bodies the pool has yet to
-        deflate and the payloads it has, plus the *batch's* records,
-        rather than the single version the per-version loop holds.
-        Callers on the paper's 256 MB budget bound it by ingesting in
-        slices —
-        consecutive ``ingest_batch`` calls produce chunk files identical
-        to one big batch (and to a per-version loop).
-
-        ``on_version`` is accepted for protocol uniformity but never
-        fires: the chunk-major order merges each version's records
-        chunk by chunk, so no per-version stats exist to report.
+        Afterwards the handle holds the trees it staged, in chunk order,
+        while they fit the decoded-chunk cache budget (with a budget of
+        ``0`` it holds none — each goes once encoded — and the encoder
+        keeps no block; one chunk's tree is held all the same).
+        ``on_version(number, stats)`` then fires once per version, in
+        order, with that version's :class:`MergeStats` summed over the
+        chunks it touched.
         """
-        partitions = [
-            self._partition(document, []) if document is not None else {}
-            for document in documents
-        ]
-        self._held = {}  # the batch republishes every chunk it touches
-        total = MergeStats()
-        number = self._version_count + len(partitions)
+        room = chunk_cache().max_bytes
+        # Trees whose memos route records: the held trees ``_load_chunk``
+        # is going to hand out, then every tree the call loads.
+        memo_trees: dict[int, Archive] = {}
+        if room > 0:
+            memo_trees = {
+                index: tree
+                for index, (sha256, tree) in self._held.items()
+                if tree.kept is not None and sha256 == self._cache_token(index)
+            }
+        trees: dict[int, Archive] = {}
+        merges: list[MergeStats] = []
+        number = self._version_count
+        parts: dict[int, AnnotatedDocument] = {}  # the last version's, unmerged
+
+        def tree(index: int, upto: int) -> Archive:
+            """Chunk ``index``'s tree for this call, holding every
+            version up to ``upto``."""
+            archive = trees.get(index)
+            if archive is None:
+                archive = self._load_chunk(index, for_write=True)
+                if archive.kept is None:
+                    archive.kept = Kept()
+                trees[index] = archive
+            for _ in range(archive.last_version, upto):
+                archive.add_version(None)
+            return archive
+
+        def merge(index: int, part: AnnotatedDocument) -> Archive:
+            archive = tree(index, number - 1)
+            merges[-1].accumulate(archive.add_version(part))
+            return archive
+
+        for document in documents:
+            for index, part in parts.items():
+                merge(index, part)
+            parts = {}
+            if document is not None:
+                held = {**memo_trees, **trees}.values()
+                memos = [archive.kept.records for archive in held]
+                parts = self._partition(document, memos, number)
+            number += 1
+            merges.append(MergeStats())
         with ArchiveTxn(self, number) as txn:
             presence = self._carry_presence(txn)
 
             def merged() -> Iterator[tuple[int, Archive]]:
                 for index in range(self.chunk_count):
-                    if not self.part_exists(index) and not any(
-                        index in parts for parts in partitions
-                    ):
-                        continue  # never stored, never mentioned: stay lazy
-                    archive = self._load_chunk(index, for_write=True)
-                    # Versions without records for this chunk are empty
-                    # versions locally, keeping timestamps globally aligned.
-                    total.accumulate(
-                        archive.add_versions(parts.get(index) for parts in partitions)
-                    )
+                    part = parts.get(index)
+                    if part is not None:
+                        archive = merge(index, part)
+                    elif index in trees or self.part_exists(index):
+                        archive = tree(index, number)
+                    else:
+                        continue  # nothing stored, nothing new: stay lazy
                     presence[str(index)] = _chunk_presence_of(archive).to_text()
+                    if room <= 0:
+                        archive.kept = None  # nothing is kept: encode keeps no block
+                        if self.chunk_count > 1:
+                            del trees[index]  # nor held: it goes once encoded
                     yield index, archive
 
-            self._stage_chunks(txn, merged())
-        total.versions = len(partitions)
+            staged = self._stage_chunks(txn, merged())
+        self._held = {}
+        for index in sorted(trees):
+            archive = trees[index]
+            room -= staged[index]["bytes"] + archive.body_bytes + kept_bytes(archive)
+            if room >= 0 or self.chunk_count == 1:
+                self._held[index] = (staged[index]["sha256"], archive)
+        total = MergeStats()
+        first = number - len(merges) + 1
+        for offset, stats in enumerate(merges):
+            stats.versions = 1
+            total.accumulate(stats)
+            if on_version is not None:
+                on_version(first + offset, stats)
         return total
 
     def retrieve(
@@ -737,8 +787,9 @@ class ChunkedArchiver(StorageBackend):
         before their XML is parsed (counted in ``chunks_pruned``); the
         chunks that do load reconstruct tree-guided via
         :meth:`Archive.retrieve`, accumulating into ``probes`` when
-        given.  The concatenation is re-sorted into key order so the
-        result is byte-identical to the other backends'.
+        given.  The concatenation of several chunks is re-sorted into
+        key order so the result is byte-identical to the other
+        backends'; one chunk's reconstruction is the answer as it is.
         """
         if not 1 <= version <= self._version_count:
             raise ChunkedArchiverError(
@@ -765,6 +816,8 @@ class ChunkedArchiver(StorageBackend):
                     raise
                 yield part
 
+        if self.chunk_count == 1:
+            return next(parts(), None)
         return restore_key_order(concatenate_parts(parts()), self.spec)
 
     def scan_probe_count(self, version: int) -> int:
@@ -863,7 +916,7 @@ class ChunkedArchiver(StorageBackend):
             self._carry_presence(txn)  # an old store's recode moves it too
             staged = self._stage_chunks(txn, decoded(), check)
         return RecodeReport(
-            path=self.directory,
+            path=self.storage_root,
             kind=self.kind,
             old_codec=old.name,
             new_codec=target.name,
@@ -871,3 +924,75 @@ class ChunkedArchiver(StorageBackend):
             disk_bytes_before=before,
             disk_bytes_after=self.total_bytes(),
         )
+
+
+class FileBackend(ChunkedArchiver):
+    """The whole-file archive: the chunked layout with one chunk.
+
+    Chunk 0's payload is the archive file at ``path`` itself — one
+    Fig. 5 ``<T>``-tagged document in the archive's codec — with the
+    manifest, the key specification and the write-ahead log beside it
+    (``path.manifest.json``, ``path.keys``, ``path.wal``).  Merge,
+    commit, reads, stats and recode are :class:`ChunkedArchiver`'s; this
+    class says where the files live and reads the manifest this layout
+    has always written, which carries no presence map and no chunk
+    count: the version count is the manifest's, and nothing is pruned.
+    """
+
+    kind = "file"
+
+    def __init__(
+        self,
+        path: "str | os.PathLike",
+        spec: KeySpec,
+        options: Optional[ArchiveOptions] = None,
+        codec: CodecLike = None,
+        verify: str = "always",
+        recover: bool = True,
+        cache_reads: bool = False,
+        _manifest: Optional[Manifest] = None,
+    ) -> None:
+        super().__init__(
+            path,
+            spec,
+            1,
+            options,
+            codec,
+            verify,
+            recover=recover,
+            cache_reads=cache_reads,
+            _manifest=_manifest,
+        )
+
+    # -- where the files live ----------------------------------------------------
+
+    def _open_root(self, root: str) -> None:
+        self.path = root
+
+    def _chunk_path(self, index: int) -> str:
+        return self.path
+
+    def _part_name(self, part) -> str:
+        return os.path.basename(self.path)
+
+    def _bootstrap(self, txn: ArchiveTxn) -> None:
+        txn.put(self.path, self.codec.encode_archive(self._empty_chunk()))
+
+    # -- the manifest it has always written --------------------------------------
+
+    def _unmapped_version_count(self, manifest: Optional[Manifest]) -> int:
+        if manifest is not None:
+            return manifest.version_count
+        if not os.path.exists(self.path):
+            return 0
+        # A file without its manifest counts the versions it holds.
+        return self.load_part(0).last_version
+
+    def _manifest_extra(self) -> dict:
+        return {}
+
+    def _carry_presence(self, txn: ArchiveTxn) -> dict[str, str]:
+        return {}  # recorded nowhere
+
+    def chunk_presence(self, index: int) -> Optional[VersionSet]:
+        return None

@@ -5,7 +5,7 @@ independently compressed snapshots because XMill groups like content
 across versions — is a claim about the storage format, not about a
 post-processing step.  This module makes compression a storage-format
 concern: a :class:`Codec` sits between every backend and the bytes it
-publishes, so archive files (:class:`~repro.storage.backend.FileBackend`),
+publishes, so archive files (:class:`~repro.storage.chunked.FileBackend`),
 chunk files (:class:`~repro.storage.chunked.ChunkedArchiver`) and the
 external event stream (:class:`~repro.storage.archiver.ExternalArchiver`)
 can all be kept compressed on disk and reopened transparently.

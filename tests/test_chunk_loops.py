@@ -266,9 +266,10 @@ class TestFailureStagesNothing:
         backend = _chunked_store(path, self.FIRST)
         before = files_of(path)
         if step == "merge":
-            # The chunk's last version, after the others merged into its tree.
-            per_chunk = len(self.SECOND)
-            at = chunk * per_chunk + per_chunk - 1
+            # The chunk's last version, after the others merged into its
+            # tree: versions merge in order, each into every chunk (the
+            # records are dense).
+            at = (len(self.SECOND) - 1) * CHUNKS + chunk
             calls = fail_on_call(monkeypatch, chunked.Archive, "add_version", at)
         else:
             calls = fail_on_call(monkeypatch, get_codec("gzip"), "encode_archive", chunk)
@@ -508,12 +509,15 @@ class TestTheCommitTail:
                 handle.add_version(following[0].copy())
 
         spy = _pack_spy(monkeypatch, delay=0.05)
-        per_chunk = len(following) if batch else 1
+        # The last version merges as the encoder asks for each chunk:
+        # fail at its third chunk, the versions before it merged into
+        # every chunk (the records are dense).
+        earlier = len(following) - 1 if batch else 0
         fail_on_call(
             monkeypatch,
             chunked.Archive,
             "add_version",
-            2 * per_chunk,
+            earlier * CHUNKS + 2,
             once=spy["running"],
         )
         with pytest.raises(Injected):

@@ -252,6 +252,36 @@ class TestBackends:
         assert run("diff", reference, "3", "4") == 0
         assert capsys.readouterr().out == out
 
+    @pytest.mark.parametrize("kind", ["file", "chunked", "external"])
+    def test_every_backend_reports_each_version_merged(
+        self, workspace, capsys, kind
+    ):
+        """``add`` and ``ingest`` print one line of merge stats per
+        version, in order, on every backend."""
+        archive = workspace / ("reported.xml" if kind == "file" else "reported.d")
+        versions = [workspace / f"v{n}.xml" for n in (1, 2, 3, 3)]
+        code = run(
+            "ingest", archive, *versions[:2],
+            "--keys", workspace / "keys.txt", "--backend", kind,
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[2].startswith("ingested 2 versions")
+        for number, line in enumerate(lines[:2], start=1):
+            assert line.startswith(
+                f"merged {versions[number - 1]} as version {number} (visited "
+            )
+        assert run("add", archive, *versions[2:]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            f"merged {versions[2]} as version 3",
+            f"merged {versions[3]} as version 4",
+        ]
+        assert "(matched " in lines[0]
+        assert lines[1].endswith(", inserted 0, content changes 0)")
+        if kind != "external":  # the record memo confirms both departments
+            assert " of them in 2 kept records, " in lines[1]
+
     def test_stats(self, backend_archive, capsys):
         kind, archive = backend_archive
         assert run("stats", archive) == 0

@@ -192,8 +192,6 @@ class TestEveryEncodeIsTheFullWalk:
 
 def kept_of(handle):
     """The kept-block dicts of the trees a handle holds, in chunk order."""
-    if handle.kind == "file":
-        return [handle._archive.kept] if handle._archive is not None else []
     return [handle._held[index][1].kept for index in sorted(handle._held)]
 
 
@@ -333,12 +331,13 @@ class TestWhoHoldsABlock:
         handle = create_archive(path, OMIM_KEY_TEXT, kind="file", codec="xbin")
         for version in churn[:3]:
             handle.add_version(_copy(version))
-        assert xbin.kept_bytes(handle._archive) > 0
-        assert handle._archive.kept.records
+        (_sha, tree), = handle._held.values()
+        assert xbin.kept_bytes(tree) > 0
+        assert tree.kept.records
         with inject(FaultInjector().crash_at_op(1)):
             with pytest.raises(CrashPoint):
                 handle.add_version(_copy(churn[3]))
-        assert handle._archive is None and handle.last_version == 3
+        assert handle._held == {} and handle.last_version == 3
         assert handle.add_version(_copy(churn[3])).records_kept == 0
         assert handle.add_version(_copy(churn[3])).records_kept > 0
         handle.close()
@@ -383,7 +382,8 @@ class TestWhoHoldsABlock:
             handle = create_archive(path, OMIM_KEY_TEXT, kind="file", codec="xbin")
             for version in churn[:3]:
                 stats = handle.add_version(_copy(version))
-                assert handle._archive.kept is None  # no block, no memo
+                (_sha, tree), = handle._held.values()
+                assert tree.kept is None  # no block, no memo
                 assert stats.records_kept == 0
             handle.close()
         finally:

@@ -353,13 +353,9 @@ class TestStoresAreTheSameFiles:
         assert kept == [0, 4, 4, 3, 4, 3, 4]
         batch = held.ingest_batch([_copy(busy), _copy(busy)])
         kept = [held.add_version(_copy(busy)).records_kept for _ in range(3)]
-        if kind == "chunked":
-            # A chunked batch decodes every tree afresh (its first
-            # version confirms nothing) and holds none afterwards.
-            assert batch.records_kept == 4 and kept == [0, 4, 4]
-        else:
-            # The file backend batches on the tree it holds, memo and all.
-            assert batch.records_kept == 3 + 4 and kept == [4, 4, 4]
+        # A batch merges into the trees the handle holds, memos and
+        # all, and holds them afterwards, as an append does.
+        assert batch.records_kept == 3 + 4 and kept == [4, 4, 4]
         held.close()
 
         fresh = store("fresh")

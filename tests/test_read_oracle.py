@@ -5,8 +5,10 @@ answers what a naive evaluator gives over the documents themselves.
 The model is nothing but the list of ingested documents (``None`` for
 an empty version) and the naive evaluator below: ``xmltree.xpath`` over
 one document, which knows nothing of archives, plans, chunks, framed
-blocks or caches.  The machine appends through a handle that holds its
-trees between appends and through fresh ones, reopens, reads one
+blocks or caches.  The store is a whole-file archive or a chunked one
+of one to three chunks.  The machine appends and ingests batches
+(versions without records among them) through a handle that holds its
+trees between writes and through fresh ones, reopens, reads one
 version once, twice and three times through one handle (the streamed
 read, the settling one and the walk), selects keyed and dense, cold
 and warm, and asks for histories and change reports; after every step
@@ -38,7 +40,7 @@ from repro.data.omim import OMIM_KEY_TEXT, OmimChangeRates, omim_key_spec
 from repro.keys import annotate_keys
 from repro.storage import create_archive, fsck_archive, open_archive
 from repro.storage.cache import reset_chunk_cache
-from repro.xmltree import to_pretty_string, to_string, xpath
+from repro.xmltree import parse_document, to_pretty_string, to_string, xpath
 
 #: Bounded so the machine costs Tier-1 well under 15 s on two cores.
 settings.register_profile(
@@ -61,8 +63,9 @@ SPEC = omim_key_spec()
 FIELDS = st.sampled_from(["Title", "Text", "AlternativeTitle"])
 #: The record a change path lies in.
 RECORD_NUM = re.compile(r"/ROOT/Record\[Num=([^\]]+)\]")
-#: One version in four is empty.
-EMPTY = st.sampled_from([False, False, False, True])
+#: What a version is: a document, an empty version (one in five), or a
+#: root without records (one in five; a version all the same).
+SHAPES = st.sampled_from(["document", "document", "document", "empty", "recordless"])
 #: A record step in either spelling: the paper's bare value, or quoted
 #: as a ``select`` writes it.
 SPELLINGS = st.sampled_from(["[Num={}]", "[Num='{}']"])
@@ -162,14 +165,18 @@ class ReadOracle(RuleBasedStateMachine):
         self.seen: set[str] = set()  # every Num ever ingested
         reset_chunk_cache()
 
-    @initialize(seed=st.integers(0, 2**16), chunks=st.integers(1, 3))
-    def create(self, seed: int, chunks: int) -> None:
+    @initialize(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["file", "chunked"]),
+        chunks=st.integers(1, 3),
+    )
+    def create(self, seed: int, kind: str, chunks: int) -> None:
         create_archive(
-            self.path, OMIM_KEY_TEXT, kind="chunked", chunk_count=chunks, codec="xbin"
+            self.path, OMIM_KEY_TEXT, kind=kind, chunk_count=chunks, codec="xbin"
         ).close()
         self.generator = OmimGenerator(seed=seed, initial_records=5, rates=RATES)
         self.last = None
-        self.add_version_fresh(empty=False)  # so that every read rule applies
+        self.add_version_fresh("document")  # so that every read rule applies
 
     def teardown(self) -> None:
         try:
@@ -184,9 +191,11 @@ class ReadOracle(RuleBasedStateMachine):
 
     # -- writes --------------------------------------------------------------------
 
-    def next_document(self, empty: bool):
-        if empty:
+    def next_document(self, shape: str):
+        if shape == "empty":
             return None
+        if shape == "recordless":
+            return parse_document("<ROOT/>")
         self.last = (
             self.generator.initial_version()
             if self.last is None
@@ -204,17 +213,17 @@ class ReadOracle(RuleBasedStateMachine):
             self.reader.close()
             self.reader = None
 
-    @rule(empty=EMPTY)
-    def add_version_held(self, empty: bool) -> None:
-        document = self.next_document(empty)
+    @rule(shape=SHAPES)
+    def add_version_held(self, shape: str) -> None:
+        document = self.next_document(shape)
         if self.writer is None:
             self.writer = open_archive(self.path)
         self.writer.add_version(None if document is None else document.copy())
         self.appended(document)
 
-    @rule(empty=EMPTY)
-    def add_version_fresh(self, empty: bool) -> None:
-        document = self.next_document(empty)
+    @rule(shape=SHAPES)
+    def add_version_fresh(self, shape: str) -> None:
+        document = self.next_document(shape)
         if self.writer is not None:  # one writer at a time
             self.writer.close()
             self.writer = None
@@ -222,6 +231,26 @@ class ReadOracle(RuleBasedStateMachine):
         handle.add_version(None if document is None else document.copy())
         handle.close()
         self.appended(document)
+
+    @rule(shapes=st.lists(SHAPES, min_size=1, max_size=4), held=st.booleans())
+    def ingest_batch(self, shapes: list, held: bool) -> None:
+        documents = [self.next_document(shape) for shape in shapes]
+        if held:
+            if self.writer is None:
+                self.writer = open_archive(self.path)
+            handle = self.writer
+        else:
+            if self.writer is not None:  # one writer at a time
+                self.writer.close()
+                self.writer = None
+            handle = open_archive(self.path)
+        handle.ingest_batch(
+            None if document is None else document.copy() for document in documents
+        )
+        if not held:
+            handle.close()
+        for document in documents:
+            self.appended(document)
 
     @precondition(lambda self: self.writer is not None)
     @rule()

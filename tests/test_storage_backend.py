@@ -21,9 +21,12 @@ import os
 import pytest
 
 import repro
-from repro.core import Archive, ArchiveError
+from repro.core import Archive, ArchiveError, ArchiveOptions
+from repro.core.fingerprint import Fingerprinter
 from repro.core.tempquery import archive_diff
+from repro.data import OmimGenerator
 from repro.data.company import COMPANY_KEY_TEXT, company_versions
+from repro.data.omim import OMIM_KEY_TEXT
 from repro.keys.keyparser import parse_key_spec
 from repro.storage import (
     ChunkedArchiver,
@@ -38,8 +41,9 @@ from repro.storage import (
     open_archive,
     read_manifest,
 )
+from repro.storage.chunked import restore_key_order
 from repro.storage.wal import WriteAheadLog
-from repro.xmltree import to_pretty_string
+from repro.xmltree import parse_document, to_pretty_string
 
 BACKENDS = ["file", "chunked", "external"]
 CODECS = ["raw", "gzip", "xmill"]
@@ -136,6 +140,73 @@ class TestConformance:
         assert backend.last_version == 3
         assert backend.retrieve(2) is None
         assert backend.retrieve(3) is not None
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "append"])
+    @pytest.mark.parametrize(
+        "kind, chunks",
+        [("file", 1), ("chunked", 1), ("chunked", 8), ("external", 1)],
+    )
+    def test_a_version_without_records_comes_back_as_ingested(
+        self, kind, chunks, batch, tmp_path, spec, versions
+    ):
+        """A root with no records is a version of its own, not an empty
+        one: every backend hands back ``<db/>`` (the chunked layouts
+        store its shell in chunk 0, which presence then names)."""
+        backend = make_backend(kind, str(tmp_path), spec, chunk_count=chunks)
+        sequence = [versions[0], parse_document("<db/>"), None, versions[1]]
+        memory = Archive(spec)
+        if batch:
+            backend.ingest_batch(v and v.copy() for v in sequence)
+        for version in sequence:
+            if not batch:
+                backend.add_version(version and version.copy())
+            memory.add_version(version and version.copy())
+        backend.close()
+        backend = open_archive(backend.storage_root, spec)
+        for number in range(1, len(sequence) + 1):
+            assert rendered(backend.retrieve(number)) == rendered(
+                memory.retrieve(number)
+            ), number
+        assert rendered(backend.retrieve(2)) == "<db/>\n"
+        assert repro.open(backend).at(2).select("/db").all() != []
+        if kind == "chunked":
+            assert 2 in backend.chunk_presence(0)
+        assert fsck_archive(backend.storage_root, deep=True).clean
+
+    @pytest.mark.parametrize(
+        "kind, chunks", [("file", 1), ("chunked", 1), ("chunked", 4)]
+    )
+    def test_a_fingerprinter_keeps_one_chunk_in_the_archives_order(
+        self, kind, chunks, tmp_path
+    ):
+        """Under a fingerprinter keyed siblings are stored in fingerprint
+        order.  One chunk hands its records back in that order, as the
+        in-memory archive does (``file`` always has; a one-chunk
+        ``chunked`` store re-sorted them into key order before it was
+        the same layout); several chunks are concatenated and re-sorted
+        into key order.  A select agrees with the retrieval either way."""
+        spec = parse_key_spec(OMIM_KEY_TEXT)
+        options = ArchiveOptions(fingerprinter=Fingerprinter(bits=64))
+        documents = list(
+            OmimGenerator(seed=3, initial_records=30).generate_versions(3)
+        )
+        if kind == "file":
+            backend = FileBackend(str(tmp_path / "a.xml"), spec, options)
+        else:
+            backend = ChunkedArchiver(str(tmp_path / "c"), spec, chunks, options)
+        backend.ingest_batch(document.copy() for document in documents)
+        memory = Archive(spec, options)
+        for document in documents:
+            memory.add_version(document.copy())
+        stored = memory.retrieve(3)
+        by_key = restore_key_order(memory.retrieve(3), spec)
+        assert rendered(stored) != rendered(by_key)  # the orders differ
+        got = backend.retrieve(3)
+        assert rendered(got) == rendered(stored if chunks == 1 else by_key)
+        selected = repro.open(backend).at(3).select("/ROOT/Record").all()
+        assert [rendered(record) for record in selected] == [
+            rendered(record) for record in got.element_children()
+        ]
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_unknown_version_rejected(self, kind, tmp_path, spec, versions):
@@ -356,8 +427,85 @@ class TestOpenArchive:
         monkeypatch.setattr(chunk_cache(), "max_bytes", 0)
         assert not chunk_cache().enabled
         handle = FileBackend(path, spec, cache_reads=True)
-        tree = handle.archive
-        assert handle._ensure_private_archive() is tree
+        decodes = count_decodes(monkeypatch, handle.codec)
+        tree = handle.load_part(0)
+        handle.add_version(versions[1].copy())
+        assert handle.load_part(0) is tree and tree.last_version == 2
+        assert len(decodes) == 1
+
+    def test_a_write_leaves_a_shared_read_tree_alone(
+        self, tmp_path, spec, versions
+    ):
+        # A read-caching handle's read tree may be shared with other
+        # readers through the cache: its write merges into a tree of its
+        # own, and the shared one stays as the read decoded it.
+        path = str(tmp_path / "arch.xml")
+        create_archive(path, COMPANY_KEY_TEXT).add_version(versions[0].copy())
+        handle = FileBackend(path, spec, cache_reads=True)
+        tree = handle.load_part(0)
+        assert handle.load_part(0) is tree  # a hit: the shared tree
+        before = tree.to_xml_string()
+        handle.add_version(versions[1].copy())
+        assert tree.to_xml_string() == before
+        assert handle.load_part(0) is not tree
+        assert (tree.last_version, handle.last_version) == (1, 2)
+
+    def test_a_file_handle_decodes_once_for_its_reads_and_writes(
+        self, tmp_path, spec, versions, monkeypatch
+    ):
+        # A handle that shares nothing keeps the whole-file tree, as
+        # the one-file layout always has: reads before and after a
+        # write, and the write between them, decode the file once.
+        path = str(tmp_path / "arch.xml")
+        create_archive(path, COMPANY_KEY_TEXT).add_version(versions[0].copy())
+        handle = FileBackend(path, spec)
+        decodes = count_decodes(monkeypatch, handle.codec)
+        first = rendered(handle.retrieve(1))
+        assert rendered(handle.retrieve(1)) == first
+        handle.add_version(versions[1].copy())
+        assert rendered(handle.retrieve(1)) == first
+        assert handle.retrieve(2) is not None
+        assert repro.open(handle).at(2).select("/db/dept").all()
+        assert handle.scan_probe_count(2) > 0
+        assert len(decodes) == 1
+
+    def test_a_file_without_its_manifest_appends_after_its_versions(
+        self, tmp_path, spec, versions
+    ):
+        # The file still holds every version; a handle opened on it
+        # counts them from the archive, so an append is the next one.
+        path = str(tmp_path / "arch.xml")
+        store = create_archive(path, COMPANY_KEY_TEXT)
+        for version in versions[:3]:
+            store.add_version(version.copy())
+        store.close()
+        os.remove(manifest_location(path))
+        handle = FileBackend(path, spec)
+        assert handle.last_version == 3
+        handle.add_version(versions[3].copy())
+        handle.close()
+        reopened = open_archive(path, spec)
+        assert reopened.last_version == 4
+        memory = Archive(spec)
+        for version in versions[:4]:
+            memory.add_version(version.copy())
+        for number in range(1, 5):
+            assert rendered(reopened.retrieve(number)) == rendered(
+                memory.retrieve(number)
+            ), number
+
+
+def count_decodes(monkeypatch, codec):
+    """Count ``decode_archive`` calls on the (shared) codec instance."""
+    calls = []
+    original = codec.decode_archive
+
+    def counting(data, spec, options=None):
+        calls.append(len(data))
+        return original(data, spec, options)
+
+    monkeypatch.setattr(codec, "decode_archive", counting)
+    return calls
 
 
 class SimulatedCrash(RuntimeError):

@@ -467,16 +467,16 @@ class TestAppendsOnOneHandle:
             chunk_count=CHUNKS, codec="xbin",
         )
         handle.ingest_batch(_copy(version) for version in churn[:3])
+        assert len(handle._held) == CHUNKS  # a batch holds, as an append does
         decodes = _count_decodes(monkeypatch, "xbin")
-        handle.add_version(_copy(churn[3]))  # the batch left nothing held
-        assert len(decodes) == CHUNKS
+        handle.add_version(_copy(churn[3]))
         handle.add_version(_copy(churn[4]))
         handle.add_version(_copy(churn[5]))
-        assert len(decodes) == CHUNKS
+        assert len(decodes) == 0
         # Reads through the writer never see (or share) a held tree.
         held = {id(tree) for _sha, tree in handle._held.values()}
         assert id(handle.load_part(0)) not in held
-        assert len(decodes) == CHUNKS + 1
+        assert len(decodes) == 1
 
     def test_every_chunk_file_is_still_hashed_before_use(
         self, tmp_path, churn
@@ -597,15 +597,17 @@ class TestAppendsOnOneHandle:
             alone.add_version(_copy(version))
         assert _files(path) == _files(tmp_path / "alone")
 
-    def test_batch_and_recode_drop_held_trees(self, tmp_path, churn):
+    def test_a_batch_holds_trees_and_recode_drops_them(self, tmp_path, churn):
         handle = create_archive(
             str(tmp_path / "s"), OMIM_KEY_TEXT, kind="chunked",
             chunk_count=CHUNKS, codec="xbin",
         )
         handle.add_version(_copy(churn[0]))
-        assert handle._held
+        held = {index: tree for index, (_sha, tree) in handle._held.items()}
+        assert held
         handle.ingest_batch([_copy(churn[1])])
-        assert handle._held == {}
+        # The batch merged into the held trees, and holds them again.
+        assert {index: tree for index, (_sha, tree) in handle._held.items()} == held
         handle.add_version(_copy(churn[2]))
         assert handle._held
         handle.recode("gzip")

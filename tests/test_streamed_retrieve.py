@@ -66,14 +66,15 @@ def pending(archive):
 def reference(handle, version):
     """``guided=False`` through the handle's trees: the scan that asks
     neither a timestamp tree nor a block reader."""
-    if handle.kind == "file":
-        return handle.archive.retrieve(version, guided=False)
     parts = (
         handle.load_part(index).retrieve(version, guided=False)
         for index in range(handle.part_count)
         if handle.part_exists(index)
     )
-    return restore_key_order(concatenate_parts(parts), handle.spec)
+    document = concatenate_parts(parts)
+    if handle.part_count == 1:  # one chunk: stored order is the reader's
+        return document
+    return restore_key_order(document, handle.spec)
 
 
 def three_ways(path, version, options=None):
@@ -157,11 +158,7 @@ class TestEveryVersionOfAStore:
         path = build(tmp_path, kind, lifecycle())
         reset_chunk_cache()
         handle = open_archive(path, recover=False)
-        trees = (
-            [handle.archive]
-            if kind == "file"
-            else [handle.load_part(index) for index in range(handle.part_count)]
-        )
+        trees = [handle.load_part(index) for index in range(handle.part_count)]
         before = [pending(tree) for tree in trees]
         assert all(count == {"ROOT": 1} for count in before)
         handle.retrieve(6)

@@ -715,3 +715,53 @@ def test_an_empty_name_in_the_table_fails_typed():
         xbin.decode_archive(data, company_key_spec())
     with pytest.raises(CodecError, match="empty name"):
         xbin.decode_document_text(data)
+
+
+FILE_V1 = os.path.join(os.path.dirname(__file__), "fixtures", "file_v1")
+
+
+class TestWholeFileStoreFromBeforeTheOneLoop:
+    """``tests/fixtures/file_v1``: a whole-file store its own engine
+    wrote, before the one-chunk layout took over."""
+
+    @staticmethod
+    def documents():
+        versions = list(
+            OmimGenerator(seed=16, initial_records=8).generate_versions(4)
+        )
+        return [versions[0], None, versions[1], versions[2]], versions[3]
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        shutil.copytree(FILE_V1, tmp_path / "store")
+        return str(tmp_path / "store" / "archive.xml")
+
+    def test_every_version_retrieves_as_its_document(self, old):
+        documents, _ = self.documents()
+        handle = open_archive(old)
+        assert handle.kind == "file" and handle.last_version == 4
+        spec = handle.spec
+        for number, document in enumerate(documents, start=1):
+            found = handle.retrieve(number)
+            if document is None:
+                assert found is None
+            else:
+                assert repro.documents_equivalent(found, document, spec), number
+        handle.close()
+        assert fsck_archive(old, deep=True).clean
+
+    def test_takes_an_append_that_writes_what_a_fresh_store_writes(
+        self, old, tmp_path
+    ):
+        documents, fifth = self.documents()
+        handle = open_archive(old)
+        handle.add_version(fifth.copy())
+        handle.close()
+        assert fsck_archive(old, deep=True).clean
+        fresh = str(tmp_path / "fresh.xml")
+        backend = create_archive(fresh, OMIM_KEY_TEXT, kind="file", codec="xbin")
+        backend.ingest_batch(d and d.copy() for d in documents + [fifth])
+        backend.close()
+        with open(old, "rb") as ours, open(fresh, "rb") as theirs:
+            assert ours.read() == theirs.read()
+        assert read_manifest(old).version_count == 5
