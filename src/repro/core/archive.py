@@ -628,7 +628,7 @@ class Archive:
         (:func:`~repro.core.tempquery.history_in` over this archive)."""
         from .tempquery import history_in  # the walk builds on this module
 
-        return history_in([self], path)
+        return history_in([self], path, key_path_labels(path, self.spec))
 
     # -- XML representation (Fig. 5) -------------------------------------------------
 

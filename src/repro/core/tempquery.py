@@ -18,9 +18,10 @@ with one walk:
 * :func:`keyed_diff` — the report computed directly from two documents
   (the DeltaXML-style keyed comparison of Sec. 8).
 
-Paths are key paths (:func:`~repro.core.archive.key_path_labels`: the
-grammar and label rule ``select`` uses), matched label by label as the
-walk descends; :class:`Change` paths keep the paper's rendering.
+Paths are key paths, which the caller reads into labels once
+(:func:`~repro.core.archive.key_path_labels`: the grammar and label rule
+``select`` uses); the walk matches them label by label as it descends.
+:class:`Change` paths keep the paper's rendering.
 
 The walk runs over a list of *part* archives that share the global
 version numbering: one archive, or the chunks of a key-hash partitioned
@@ -38,7 +39,7 @@ place, with no merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ..keys.annotate import KeyLabel
 from ..keys.spec import KeySpec
@@ -49,7 +50,6 @@ from .archive import (
     Archive,
     ArchiveError,
     ElementHistory,
-    key_path_labels,
     missing_element_error,
 )
 from .nodes import Alternative, ArchiveNode, Weave
@@ -179,7 +179,7 @@ def changes_in(
     parts: Sequence[Archive],
     from_version: int,
     to_version: int,
-    prefix: Optional[str] = None,
+    scope: Sequence[Union[KeyLabel, str]] = (),
 ) -> ChangeReport:
     """Element-level changes between two versions of the parts' archive.
 
@@ -192,13 +192,14 @@ def changes_in(
     Subtrees of added/deleted elements are reported as one change (the
     element itself), matching how a curator thinks about it.
 
-    ``prefix`` keeps the changes at or beneath one key path and prunes
-    the walk to the groups on the way there.  Its steps name labels as a
-    ``history`` path's do (:func:`~repro.core.archive.key_path_labels`),
-    except that a last step without predicates covers every key of its
-    tag (``/db/dept`` covers ``/db/dept[name=x]``); an element added or
-    deleted above the prefix is one change outside it, so nothing
-    beneath it is reported.
+    ``scope`` — a prefix key path's labels,
+    ``key_path_labels(prefix, spec, open_last=True)``
+    (:func:`~repro.core.archive.key_path_labels`) — keeps the changes at
+    or beneath that path and prunes the walk to the groups on the way
+    there.  A last step without predicates is a bare tag covering every
+    key of it (``/db/dept`` covers ``/db/dept[name=x]``); an element
+    added or deleted above the prefix is one change outside it, so
+    nothing beneath it is reported.
     """
     versions = (from_version, to_version)
     roots = _roots(parts)
@@ -206,11 +207,6 @@ def changes_in(
         for version in versions:
             if version not in timestamp:
                 raise ArchiveError(f"Version {version} is not in the archive")
-    scope = (
-        key_path_labels(prefix, parts[0].spec, open_last=True)
-        if prefix is not None and parts
-        else []
-    )
     report = ChangeReport(from_version=from_version, to_version=to_version)
     changes = report.changes
 
@@ -255,14 +251,17 @@ def changes_in(
     return report
 
 
-def history_in(parts: Sequence[Archive], path: str) -> ElementHistory:
+def history_in(
+    parts: Sequence[Archive], path: str, labels: Sequence[Union[KeyLabel, str]]
+) -> ElementHistory:
     """History of the element at a keyed path, across the parts.
 
-    The path is a key path (:func:`~repro.core.archive.key_path_labels`):
-    ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` in the paper's
-    spelling or ``[fn='John'][ln='Doe']`` in the ``select`` one — each step
-    a tag plus the value of every path of its key; steps under an empty
-    key take no predicate (``.../emp[fn=John, ln=Doe]/sal``).  Each step
+    ``labels`` are the path's, as :func:`~repro.core.archive.key_path_labels`
+    reads it: ``/db/dept[name=finance]/emp[fn=John, ln=Doe]`` in the
+    paper's spelling or ``[fn='John'][ln='Doe']`` in the ``select`` one —
+    each step a tag plus the value of every path of its key; steps under
+    an empty key take no predicate (``.../emp[fn=John, ln=Doe]/sal``).
+    ``path`` names the element in the answer and in errors.  Each step
     is one binary search per member (:meth:`Archive.find_child
     <repro.core.archive.Archive.find_child>`); the element's existence
     is the union of its group's effective timestamps.
@@ -270,7 +269,7 @@ def history_in(parts: Sequence[Archive], path: str) -> ElementHistory:
     if not parts:
         raise ArchiveError(f"No element at {path!r}: no part holds one, it never existed")
     group = _roots(parts)
-    for label in key_path_labels(path, parts[0].spec):
+    for label in labels:
         found = []
         for archive, node, timestamp in group:
             child = archive.find_child(node, label)

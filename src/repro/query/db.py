@@ -152,7 +152,8 @@ class ArchiveDB:
         if isinstance(self.backend, ExternalArchiver):
             return self.backend.history(path)
         stats = QueryStats()
-        return history_in(self._parts(stats, self._route(path, stats)), path)
+        labels = key_path_labels(path, self.spec)
+        return history_in(self._parts(stats, self._route(labels, stats)), path, labels)
 
     def first_appearance(self, path: str) -> int:
         """The version in which the element at ``path`` first existed.
@@ -251,8 +252,13 @@ class ArchiveDB:
         stats: QueryStats,
     ) -> ChangeReport:
         versions = (from_version, to_version)
-        parts = self._parts(stats, self._route(prefix, stats, versions), versions)
-        report = changes_in(parts, from_version, to_version, prefix)
+        scope = (
+            key_path_labels(prefix, self.spec, open_last=True)
+            if prefix is not None
+            else []
+        )
+        parts = self._parts(stats, self._route(scope, stats, versions), versions)
+        report = changes_in(parts, from_version, to_version, scope)
         stats.archive_nodes_visited += report.nodes_visited
         return report
 
@@ -306,24 +312,24 @@ class ArchiveDB:
 
     def _route(
         self,
-        path: Optional[str],
+        labels: list[Union[KeyLabel, str]],
         stats: QueryStats,
         versions: tuple[int, ...] = (),
     ) -> Optional[list[int]]:
-        """The one chunk that answers for a key ``path`` — or for a
-        ``changes`` prefix between two ``versions`` — or ``None`` for
-        every chunk.  The record step (the second) names one record's
-        label (:func:`~repro.core.archive.key_path_labels`), hashed to its
-        chunk as a keyed ``select`` hashes ``plan.steps[1]``'s; a bare tag
-        there reaches every chunk.  A prefix routes only while the owner
-        holds records at both versions or at neither: otherwise its copy
-        of the document shell flips where the document's may not, and
-        every chunk is walked.
+        """The one chunk that answers for a key path's ``labels``
+        (:func:`~repro.core.archive.key_path_labels`) — or for a
+        ``changes`` prefix's between two ``versions``, ``[]`` for none —
+        or ``None`` for every chunk.  The record step (the second) names
+        one record's label, hashed to its chunk as a keyed ``select``
+        hashes ``plan.steps[1]``'s; a bare tag there reaches every
+        chunk.  A prefix routes only while the owner holds records at
+        both versions or at neither: otherwise its copy of the document
+        shell flips where the document's may not, and every chunk is
+        walked.
         """
         backend = self._partitioned()
-        if path is None or backend is None:
+        if backend is None:
             return None
-        labels = key_path_labels(path, backend.spec, open_last=bool(versions))
         record = labels[1] if len(labels) > 1 else None
         if not isinstance(record, KeyLabel):
             return None

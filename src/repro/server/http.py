@@ -74,11 +74,15 @@ MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
 
 NDJSON = "application/x-ndjson"
+#: ``json.dumps(item, ensure_ascii=False)`` without building an encoder
+#: per call (a ``str`` item goes straight to the string escaper).
+_encode_item = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class XarchdServer(socketserver.ThreadingTCPServer):
     """One thread per connection; the service carries the shared state
-    (writer locks), so handler threads stay stateless."""
+    (writer locks, held writers, pins), so handler threads stay
+    stateless.  Closing the server closes what the service holds."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -88,6 +92,10 @@ class XarchdServer(socketserver.ThreadingTCPServer):
         self.service = service
         self.quiet = quiet
         self._date = (0, "")
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.service.pins.clear()  # closes the held writers too
 
     def http_date(self) -> str:
         """The ``Date`` header value, formatted once per second."""
@@ -234,10 +242,10 @@ class XarchdHandler(socketserver.StreamRequestHandler):
     def _stream_ndjson(
         self, snapshot: Snapshot, kind: str, items: list, done: dict
     ) -> None:
-        """Sized NDJSON: one line per item, then the done line."""
-        lines = [
-            json.dumps({"item": item}, ensure_ascii=False) for item in items
-        ]
+        """Sized NDJSON: one line per item, then the done line.  An item
+        line is what ``json.dumps({"item": item}, ensure_ascii=False)``
+        writes, spelt out around the one encoder call."""
+        lines = [f'{{"item": {_encode_item(item)}}}' for item in items]
         done_record = dict(done)
         done_record.setdefault("count", len(items))
         done_record.setdefault("generation", snapshot.generation)

@@ -5,7 +5,19 @@ The concurrency model ``xarchd`` promises:
 * **Single writer.**  Every ingest against one archive serializes
   through a per-archive :class:`threading.Lock` and publishes through
   the backend's existing WAL commit point, so at most one generation is
-  ever in flight.
+  ever in flight.  The write handle outlives the request: the next
+  ingest finds the trees, encoded blocks and record memo the last one
+  left, so it annotates, merges and re-encodes only what changed.
+  Before reusing it the writer settles an interrupted commit, as every
+  write-capable open does, and reads the published manifest; if
+  settling did anything, or the manifest is not the one the handle
+  published (another handle, ``xarch add`` or another process has
+  committed since, or ``fsck --repair`` rewrote it in place), the
+  handle is closed and the archive opened afresh.
+  A write that fails closes its handle, so the next ingest opens with
+  recovery.  At most ``pin_cache_size`` handles are held, the least
+  recently written closing first (``0`` holds none); evicting an
+  archive's pins closes its handle too.
 
 * **Snapshot-isolated readers.**  A read request *pins* the archive by
   opening a private, recovery-free backend (``open_archive(...,
@@ -76,10 +88,11 @@ from ..storage.backend import (
     manifest_location,
     open_archive,
     read_manifest,
+    settle,
 )
 from ..storage.integrity import IntegrityError, ManifestInconsistent
 from ..xmltree.model import Element
-from .errors import ApiError
+from .errors import ApiError, classify_exception
 
 T = TypeVar("T")
 
@@ -171,6 +184,10 @@ class _PinCache:
     Eviction calls the backend's ``drop_caches()`` before ``close()``
     so reader memory stays bounded by ``capacity`` live generations
     plus whatever the byte-budgeted decoded-chunk cache holds.
+
+    Beside the pins it holds each archive's idle write handle, at most
+    ``capacity`` of them, least recently written first out.  A writer
+    is taken out while it writes, so only idle ones are ever closed.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -178,6 +195,10 @@ class _PinCache:
         self._lock = threading.Lock()
         #: ``(name, generation) -> [backend, db, refs]``
         self._entries: "OrderedDict[tuple[str, int], list]" = OrderedDict()
+        #: ``name -> (backend, the manifest its last commit published)``
+        self._writers: "OrderedDict[str, tuple[StorageBackend, Manifest]]" = (
+            OrderedDict()
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -241,8 +262,27 @@ class _PinCache:
                 return
             self._trim()
 
+    def take_writer(
+        self, name: str
+    ) -> Optional[tuple[StorageBackend, Manifest]]:
+        """The archive's idle write handle and the manifest it last
+        published, taken out of the cache (``None`` when none is held)."""
+        with self._lock:
+            return self._writers.pop(name, None)
+
+    def keep_writer(
+        self, name: str, backend: StorageBackend, manifest: Manifest
+    ) -> None:
+        """Hold an idle write handle for the archive's next write."""
+        with self._lock:
+            self._writers[name] = (backend, manifest)
+            while len(self._writers) > self.capacity:
+                _, (victim, _) = self._writers.popitem(last=False)
+                victim.close()
+
     def evict(self, name: str) -> None:
-        """Drop every cached pin of one archive (reconcile path)."""
+        """Drop every cached pin of one archive (reconcile path), and
+        its idle writer."""
         with self._lock:
             doomed = [key for key in self._entries if key[0] == name]
             for key in doomed:
@@ -251,6 +291,9 @@ class _PinCache:
                 if entry[2] == 0:
                     self._close(entry)
                 # else: release() closes it when the refcount drains.
+            writer = self._writers.pop(name, None)
+            if writer is not None:
+                writer[0].close()
 
     def clear(self) -> None:
         with self._lock:
@@ -258,6 +301,9 @@ class _PinCache:
                 if entry[2] == 0:
                     self._close(entry)
             self._entries.clear()
+            for backend, _ in self._writers.values():
+                backend.close()
+            self._writers.clear()
 
 
 class ArchiveService:
@@ -320,13 +366,19 @@ class ArchiveService:
         return os.path.exists(path) and os.path.exists(manifest_location(path))
 
     def list_archives(self) -> list[dict]:
-        """Name, kind and published generation of every served archive."""
+        """Name, kind and published generation of every served archive;
+        one whose manifest does not read is listed by name beside the
+        error code its own routes answer with."""
         records = []
         for entry in sorted(os.listdir(self.root)):
             path = os.path.join(self.root, entry)
             if not self._is_archive(path):
                 continue
-            manifest = read_manifest(path)
+            try:
+                manifest = read_manifest(path)
+            except IntegrityError as error:
+                records.append({"name": entry, "error": classify_exception(error)[0]})
+                continue
             if manifest is None:
                 continue  # removed since the listing
             records.append(
@@ -472,15 +524,31 @@ class ArchiveService:
                 lock = self._writer_locks[name] = threading.Lock()
             return lock
 
+    def _writer(self, name: str, path: str) -> StorageBackend:
+        """The write handle for one ingest: the one the archive's last
+        ingest left, if nothing has moved since, else a fresh open.
+        Called under the archive's writer lock."""
+        held = self.pins.take_writer(name)
+        if held is not None:
+            backend, published = held
+            if settle(path) == "clean" and read_manifest(path) == published:
+                return backend
+            backend.close()
+        return open_archive(path)
+
     def ingest(
         self, name: str, documents: Iterable[Optional[Element]]
     ) -> dict:
         """Merge a sequence of version documents under the writer lock.
 
-        The backend opens with recovery enabled (the lock guarantees no
-        other writer's commit can be in flight) and publishes the whole
-        batch through one WAL commit, so concurrent readers observe the
-        generation either entirely before or entirely after it.
+        The write handle is the one the archive's last ingest left, when
+        nothing has settled or published since (module docstring), else
+        a fresh open with recovery (the lock guarantees no other
+        writer's commit of this server can be in flight).  It publishes
+        the whole batch through one WAL commit, so concurrent readers
+        observe the generation either entirely before or entirely after
+        it.  Afterwards it is held for the next ingest beside the
+        manifest it published; a write that fails closes it instead.
         """
         documents = list(documents)
         if not documents:
@@ -489,22 +557,32 @@ class ArchiveService:
             )
         path = self._resolve(name)
         with self._writer_lock(name):
-            backend = open_archive(path)
+            backend = self._writer(name, path)
             try:
                 base = backend.last_version
                 stats = backend.ingest_batch(iter(documents))
-                return {
-                    "ingested": stats.versions,
-                    "base_version": base,
-                    "last_version": backend.last_version,
-                    "generation": backend.generation,
-                    "merge": {
-                        "nodes_matched": stats.nodes_matched,
-                        "nodes_inserted": stats.nodes_inserted,
-                        "frontier_content_changes": stats.frontier_content_changes,
-                        "records_kept": stats.records_kept,
-                        "nodes_kept": stats.nodes_kept,
-                    },
-                }
-            finally:
+            except BaseException:
                 backend.close()
+                raise
+            report = {
+                "ingested": stats.versions,
+                "base_version": base,
+                "last_version": backend.last_version,
+                "generation": backend.generation,
+                "merge": {
+                    "nodes_matched": stats.nodes_matched,
+                    "nodes_inserted": stats.nodes_inserted,
+                    "frontier_content_changes": stats.frontier_content_changes,
+                    "records_kept": stats.records_kept,
+                    "nodes_kept": stats.nodes_kept,
+                },
+            }
+            try:
+                published = read_manifest(path)
+            except IntegrityError:
+                published = None  # the commit landed; the handle is not kept
+            if published is not None and published.generation == backend.generation:
+                self.pins.keep_writer(name, backend, published)
+            else:
+                backend.close()  # another writer published straight after
+            return report

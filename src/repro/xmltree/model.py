@@ -245,6 +245,11 @@ class Element(Node):
 
     def text_content(self) -> str:
         """Concatenated text of all descendant T-nodes, in document order."""
+        children = self.children
+        if not children:
+            return ""
+        if len(children) == 1 and isinstance(children[0], Text):
+            return children[0].text
         parts: list[str] = []
         for node in self.iter():
             if isinstance(node, Text):

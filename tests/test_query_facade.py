@@ -357,6 +357,25 @@ class TestOneKeyPath:
             ask(db)
         assert "never existed" not in str(raised.value)
 
+    def test_history_and_a_prefix_read_their_path_once(self, db, monkeypatch):
+        from repro.core import archive, tempquery
+        from repro.storage import archiver
+
+        reads = []
+
+        def counting(path, spec, open_last=False):
+            reads.append(path)
+            return archive.key_path_labels(path, spec, open_last)
+
+        # Wherever the reading has lived: the facade, the walk, the stream.
+        for module in (query_db, tempquery, archiver):
+            monkeypatch.setattr(module, "key_path_labels", counting, raising=False)
+        path = "/db/dept[name=finance]/emp[fn=John, ln=Doe]"
+        assert db.history(path).existence
+        assert reads == [path]
+        db.between(1, 2).changes("/db/dept[name=finance]").all()
+        assert reads == [path, "/db/dept[name=finance]"]
+
     def test_a_routed_prefix_opens_one_chunk_and_counts_its_walk(self, tmp_path):
         path = str(tmp_path / "arch")
         create_archive(path, KEYS, kind="chunked", chunk_count=4).ingest_batch(

@@ -26,6 +26,7 @@ import pytest
 from repro.client import RemoteError, connect
 from repro.cli import main as xarch_main
 from repro.core.tempquery import Change
+from repro.keys.annotate import KeyViolationError
 from repro.query.db import open_db
 from repro.query.result import QueryStats
 from repro.server.errors import ERROR_CODES, classify_exception
@@ -34,6 +35,9 @@ from repro.server.service import ArchiveService
 from repro.storage import create_archive, open_archive
 from repro.storage.backend import manifest_location, read_manifest
 from repro.storage.cache import reset_chunk_cache
+from repro.storage.codec import get_codec
+from repro.storage.faults import CrashPoint, FaultInjector, inject
+from repro.storage.fsck import fsck_archive
 from repro.storage.integrity import IntegrityError
 from repro.xmltree import to_string
 from repro.xmltree.model import Element
@@ -209,6 +213,44 @@ def test_wire_format_streams_items_then_done(served):
     assert done["generation"] == generation
     assert done["last_version"] == 2
     assert done["stats"]["archive_nodes_visited"] > 0
+
+
+def test_an_item_line_is_what_json_dumps_writes(served):
+    """Item lines are spelt out around one encoder call: each must be
+    the bytes ``json.dumps({"item": item}, ensure_ascii=False)`` writes,
+    for strings, serialized elements and records alike."""
+    root, base = served
+    path = os.path.join(root, "odd")
+    backend = create_archive(path, KEYS, kind="chunked", chunk_count=4)
+    for stamp in (1, 2):
+        backend.add_version(
+            parse_document(
+                "<db><rec><id>0</id><val>q\"uote \\ back\tslash"
+                f"\n&lt;é😀  {stamp}</val></rec>"
+                f"<rec><id>1</id><val>{stamp}</val></rec></db>"
+            )
+        )
+    backend.close()
+    routes = [
+        "at/2/select?xpath=//val/text()",
+        "at/2/select?xpath=/db/rec",
+        "between/1/2/changes",
+        "history?path=/db/rec[id=0]/val",
+        "stats",
+    ]
+    for route in routes:
+        with urllib.request.urlopen(f"{base}/archives/odd/{route}") as response:
+            lines = response.read().decode("utf-8").split("\n")
+        items = [line for line in lines if line.startswith('{"item"')]
+        assert items, route
+        for line in items:
+            item = json.loads(line)["item"]
+            assert line == json.dumps({"item": item}, ensure_ascii=False)
+    with urllib.request.urlopen(
+        f"{base}/archives/odd/at/1/select?xpath=//val/text()"
+    ) as response:
+        first = json.loads(response.read().splitlines()[0])["item"]
+    assert first == 'q"uote \\ back\tslash\n<é😀  1'
 
 
 def test_back_to_back_requests_on_one_connection_do_not_stall(served):
@@ -789,6 +831,24 @@ def test_healthz_and_listing(served):
     assert not any(name.endswith((".keys", ".manifest.json")) for name in by_name)
 
 
+def test_one_damaged_manifest_leaves_healthz_and_the_listing_up(served):
+    """An archive whose manifest does not read is listed by name and
+    error code; the server and the other archives stay up."""
+    root, base = served
+    name = seed_archive(root, "chunked")
+    shutil.copytree(os.path.join(root, name), os.path.join(root, "damaged"))
+    with open(manifest_location(os.path.join(root, "damaged")), "wb") as handle:
+        handle.write(b"not a manifest")
+    assert fetch_json(f"{base}/healthz") == {"status": "ok", "archives": 2}
+    listing = fetch_json(f"{base}/archives")["archives"]
+    assert listing[0] == {"name": "damaged", "error": "corruption-detected"}
+    assert listing[1]["name"] == name and listing[1]["versions"] == 2
+    with connect(f"{base}/archives/damaged") as db:
+        expect_error(lambda: db.versions(), "corruption-detected")
+    with connect(f"{base}/archives/{name}") as db:
+        assert db.last_version == 2
+
+
 # -- the error taxonomy ------------------------------------------------------
 
 
@@ -919,6 +979,247 @@ def test_snapshot_open_skips_recovery_sweeps(tmp_path):
     writer = open_archive(path)  # recover=True is the default
     writer.close()
     assert not os.path.exists(stray)
+
+
+# -- the held writer -----------------------------------------------------------
+
+
+def store_files(root: str) -> dict:
+    """Every file under ``root`` (payloads, manifests, keys) by relative path."""
+    files = {}
+    for directory, _, names in os.walk(root):
+        for entry in names:
+            full = os.path.join(directory, entry)
+            with open(full, "rb") as handle:
+                files[os.path.relpath(full, root)] = handle.read()
+    return files
+
+
+def fresh_per_version(root: str, kind: str, documents) -> dict:
+    """The files of a store seeded as ``seed_archive`` seeds it, then
+    given each of ``documents`` through a handle opened for it alone."""
+    path = os.path.join(root, seed_archive(root, kind))
+    for document in documents:
+        backend = open_archive(path)
+        backend.add_version(document)
+        backend.close()
+    return store_files(root)
+
+
+def held_writer(service: ArchiveService, name: str):
+    """The write handle the service holds for ``name`` (``None``: none)."""
+    held = service.pins._writers.get(name)
+    return None if held is None else held[0]
+
+
+class DeadFrom(FaultInjector):
+    """A process that dies before the ``index``-th counted operation and
+    does nothing after it: every later operation crashes too, so not
+    even the failed handle's reload settles what the death left."""
+
+    def __init__(self, index):
+        super().__init__()
+        self.crash_at = index
+
+    def before_op(self, kind, path):
+        if self.op_count >= self.crash_at:
+            self.crash_at = self.op_count
+        super().before_op(kind, path)
+
+
+def test_the_second_post_decodes_no_chunk(tmp_path, monkeypatch):
+    name = seed_archive(str(tmp_path), "chunked")
+    service = ArchiveService(str(tmp_path))
+    service.ingest(name, [version_doc(3)])
+    codec = get_codec(read_manifest(os.path.join(str(tmp_path), name)).codec)
+    decodes = []
+    decode = codec.decode_archive
+    monkeypatch.setattr(
+        codec,
+        "decode_archive",
+        lambda data, *args: decodes.append(len(data)) or decode(data, *args),
+    )
+    report = service.ingest(name, [version_doc(4)])
+    assert report["last_version"] == 4
+    assert decodes == []
+    service.pins.clear()
+    assert held_writer(service, name) is None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_held_writer_lands_after_other_writers(tmp_path, kind):
+    """The held writer notices every commit it did not make and writes
+    the bytes a handle opened per version writes."""
+    root = str(tmp_path / "held")
+    os.makedirs(root)
+    name = seed_archive(root, kind)
+    path = os.path.join(root, name)
+    service = ArchiveService(root)
+    text = "<db><rec><id>0</id><val>v5-0</val></rec></db>"
+    snapshot = tmp_path / "v5.xml"
+    snapshot.write_text(text)
+    assert service.ingest(name, [version_doc(3)])["last_version"] == 3
+    backend = open_archive(path)
+    backend.add_version(version_doc(4))
+    backend.close()
+    assert xarch_main(["add", path, str(snapshot)]) == 0
+    held = held_writer(service, name)
+    assert held is not None
+    report = service.ingest(name, [version_doc(6)])
+    assert (report["base_version"], report["last_version"]) == (5, 6)
+    assert held_writer(service, name) is not held  # reopened
+    # No one else wrote: the next POST keeps the handle.
+    held = held_writer(service, name)
+    assert service.ingest(name, [version_doc(7)])["last_version"] == 7
+    assert held_writer(service, name) is held
+    service.pins.clear()
+    fresh = str(tmp_path / "fresh")
+    os.makedirs(fresh)
+    documents = [version_doc(3), version_doc(4), parse_document(text)]
+    documents += [version_doc(6), version_doc(7)]
+    assert store_files(root) == fresh_per_version(fresh, kind, documents)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_rejected_post_closes_the_held_writer(tmp_path, kind):
+    root = str(tmp_path / "held")
+    os.makedirs(root)
+    name = seed_archive(root, kind)
+    service = ArchiveService(root)
+    service.ingest(name, [version_doc(3)])
+    assert held_writer(service, name) is not None
+    duplicate = parse_document(
+        "<db><rec><id>0</id><val>a</val></rec><rec><id>0</id><val>b</val></rec></db>"
+    )
+    with pytest.raises(KeyViolationError):
+        service.ingest(name, [duplicate])
+    assert held_writer(service, name) is None
+    assert service.ingest(name, [version_doc(4)])["last_version"] == 4
+    service.pins.clear()
+    fresh = str(tmp_path / "fresh")
+    os.makedirs(fresh)
+    expected = fresh_per_version(fresh, kind, [version_doc(3), version_doc(4)])
+    assert store_files(root) == expected
+
+
+def outcome(write):
+    """What ``write()`` returned, or the type and text of what it raised."""
+    try:
+        return write()
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+@pytest.mark.parametrize("damage", [b"\x00", b"X"])
+def test_a_repair_between_two_posts_is_noticed(tmp_path, damage):
+    """``fsck --repair`` rewrites the manifest without a new generation
+    (here it quarantines a chunk that no longer decodes, or records the
+    checksum of one that still does): the next POST must meet the
+    repaired store as a fresh open does."""
+    root = str(tmp_path / "held")
+    os.makedirs(root)
+    name = seed_archive(root, "chunked")
+    path = os.path.join(root, name)
+    service = ArchiveService(root)
+    service.ingest(name, [version_doc(3)])
+    generation = read_manifest(path).generation
+    with open(os.path.join(path, "chunk-0000.xml"), "r+b") as handle:
+        handle.seek(10)
+        handle.write(damage)
+    assert not fsck_archive(path, repair=True).clean
+    assert read_manifest(path).generation == generation
+    twin = str(tmp_path / "twin")
+    shutil.copytree(root, twin)
+    fresh = open_archive(os.path.join(twin, name))
+
+    def fresh_write():
+        fresh.add_version(version_doc(4))
+        return fresh.last_version
+
+    got = outcome(lambda: service.ingest(name, [version_doc(4)])["last_version"])
+    assert got == outcome(fresh_write)
+    assert store_files(root) == store_files(twin)
+
+
+def crash_drill(tmp_path, kind, crash):
+    """Seed a store and POST version 3 through a service, so it holds
+    its writer; run ``crash(service, name, path)``, which writes version
+    4, under a crash at each operation the dry run counts; then POST
+    version 5.  That POST must land on the
+    settled state, as the version after the last one that landed, in
+    the bytes a handle opened per version writes, and scrub clean."""
+    pre = str(tmp_path / "pre")
+    os.makedirs(pre)
+    name = seed_archive(pre, kind)
+    references = {}
+    for landed in (3, 4):
+        fresh = str(tmp_path / f"fresh{landed}")
+        os.makedirs(fresh)
+        documents = [version_doc(v) for v in range(3, landed + 1)]
+        documents.append(version_doc(5))
+        references[landed] = fresh_per_version(fresh, kind, documents)
+    work = str(tmp_path / "work")
+    shutil.copytree(pre, work)
+    counter = FaultInjector()
+    service = ArchiveService(work)
+    service.ingest(name, [version_doc(3)])
+    with inject(counter):
+        crash(service, name, os.path.join(work, name))
+    assert counter.op_count > 0
+    for index in range(counter.op_count):
+        shutil.rmtree(work)
+        shutil.copytree(pre, work)
+        service = ArchiveService(work)
+        service.ingest(name, [version_doc(3)])
+        path = os.path.join(work, name)
+        with pytest.raises(CrashPoint):
+            with inject(DeadFrom(index)):
+                crash(service, name, path)
+        report = service.ingest(name, [version_doc(5)])
+        landed = report["base_version"]
+        assert landed in (3, 4) and report["last_version"] == landed + 1
+        service.pins.clear()
+        assert store_files(work) == references[landed], f"crash at op {index}"
+        assert fsck_archive(path, deep=True).clean, f"crash at op {index}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_crash_in_a_post_then_the_next_post(tmp_path, kind):
+    def post(service, name, path):
+        service.ingest(name, [version_doc(4)])
+        assert held_writer(service, name) is not None
+
+    crash_drill(tmp_path, kind, post)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_crash_in_another_handle_between_two_posts(tmp_path, kind):
+    def other(service, name, path):
+        backend = open_archive(path)
+        backend.add_version(version_doc(4))
+        backend.close()
+
+    crash_drill(tmp_path, kind, other)
+
+
+def test_pin_cache_size_zero_holds_no_writer(tmp_path):
+    name = seed_archive(str(tmp_path), "chunked")
+    service = ArchiveService(str(tmp_path), pin_cache_size=0)
+    for stamp in (3, 4):
+        assert service.ingest(name, [version_doc(stamp)])["last_version"] == stamp
+        assert held_writer(service, name) is None
+
+
+def test_held_writers_are_bounded_by_the_pin_cache(tmp_path):
+    names = [seed_archive(str(tmp_path), kind) for kind in KINDS]
+    service = ArchiveService(str(tmp_path), pin_cache_size=2)
+    for name in names:
+        service.ingest(name, [version_doc(3)])
+    assert list(service.pins._writers) == names[1:]  # least recently written out
+    service.ingest(names[1], [version_doc(4)])
+    assert list(service.pins._writers) == [names[2], names[1]]
+    service.pins.evict(names[1])
+    assert list(service.pins._writers) == [names[2]]
 
 
 # -- the concurrency drill ---------------------------------------------------

@@ -79,6 +79,11 @@ class TestElement:
     def test_text_content_concatenates_in_document_order(self):
         node = element("a", "1", element("b", "2"), "3")
         assert node.text_content() == "123"
+        # The shapes answered without a walk: no child, one text child,
+        # and one element child (walked: its text counts).
+        assert element("a").text_content() == ""
+        assert element("a", "x").text_content() == "x"
+        assert element("a", element("b", "y")).text_content() == "y"
 
     def test_iter_is_preorder(self):
         tree = element("a", element("b", element("c")), element("d"))
