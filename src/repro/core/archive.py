@@ -505,8 +505,8 @@ class Archive:
                         break
                 if not copy_content:
                     # Copy-on-write share: merges append alternatives,
-                    # never edit them, so stored content is referenced —
-                    # not copied, not adopted: its ``parent`` stays.
+                    # never edit them, so stored content is referenced,
+                    # not copied.
                     element = assemble(tag, node.attributes, [])
                     element.children.extend(content)
                     return element

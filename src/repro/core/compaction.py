@@ -61,7 +61,6 @@ def lines_to_content(lines: list[str]) -> list[ContentNode]:
     scratch = parse_document(f"<weave-scratch>{body}</weave-scratch>")
     content: list[ContentNode] = []
     for child in scratch.children:
-        child.parent = None
         if isinstance(child, Text):
             if not child.text.strip():
                 continue  # joining artifact next to elements

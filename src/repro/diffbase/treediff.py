@@ -89,10 +89,8 @@ def _emit_skip(target: Element, count: int) -> None:
 
 def _emit_insert(target: Element, nodes) -> None:
     op = target.append(Element("i"))
-    for node in nodes:
-        copied = node.copy()
-        copied.parent = op
-        op.children.append(copied)  # positional: keep text nodes distinct
+    # Positional, not ``append``: keep text nodes distinct.
+    op.children.extend(node.copy() for node in nodes)
 
 
 def _emit_patch_ops(old: Element, new: Element, target: Element) -> None:
@@ -167,6 +165,9 @@ def _apply_ops(old: Element, ops) -> Element:
     result = Element(old.tag)
     for attr in old.attributes:
         result.set_attribute(attr.name, attr.value)
+    # Positional appends that never coalesce adjacent text nodes: delta
+    # application must preserve exact child counts.
+    splice = result.children.append
     cursor = 0
     for op in ops:
         if not isinstance(op, Element):
@@ -174,34 +175,27 @@ def _apply_ops(old: Element, ops) -> Element:
         if op.tag == "c":
             count = int(op.get_attribute("n") or "0")
             for child in old.children[cursor : cursor + count]:
-                _splice(result, child.copy())
+                splice(child.copy())
             cursor += count
         elif op.tag == "s":
             cursor += int(op.get_attribute("n") or "0")
         elif op.tag == "i":
             for child in op.children:
-                _splice(result, child.copy())
+                splice(child.copy())
         elif op.tag == "p":
             old_child = old.children[cursor]
             if not isinstance(old_child, Element):
                 raise TreeDiffError("Patch op targets a text node")
-            _splice(result, _apply_ops(old_child, op.children))
+            splice(_apply_ops(old_child, op.children))
             cursor += 1
         elif op.tag == "t":
-            _splice(result, Text(op.text_content()))
+            splice(Text(op.text_content()))
             cursor += 1
         else:
             raise TreeDiffError(f"Unknown delta op <{op.tag}>")
     if cursor > len(old.children):
         raise TreeDiffError("Delta consumed more children than exist")
     return result
-
-
-def _splice(parent: Element, child) -> None:
-    """Positional append that never coalesces adjacent text nodes —
-    delta application must preserve exact child counts."""
-    child.parent = parent
-    parent.children.append(child)
 
 
 def tree_delta_size(old: Element, new: Element) -> int:

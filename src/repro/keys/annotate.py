@@ -92,10 +92,9 @@ class AnnotatedDocument:
         """A childless twin of the root, under this document's own tables.
 
         The caller fills ``shell().root.children`` with some of this
-        root's children *by reference* (not through ``append``, which
-        would re-parent them): everything below them is annotated here
-        already, so a slice of the document costs no second scan and no
-        copy, and the caller's tree stays as it was.
+        root's children *by reference*: everything below them is
+        annotated here already, so a slice of the document costs no
+        second scan and no copy, and the caller's tree stays as it was.
         """
         shell = Element(self.root.tag)
         shell.attributes = [attr.copy() for attr in self.root.attributes]

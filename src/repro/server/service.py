@@ -12,7 +12,7 @@ The concurrency model ``xarchd`` promises:
   write-capable open does, and reads the published manifest; if
   settling did anything, or the manifest is not the one the handle
   published (another handle, ``xarch add`` or another process has
-  committed since, or ``fsck --repair`` rewrote it in place), the
+  committed since, or ``fsck --repair`` rewrote it), the
   handle is closed and the archive opened afresh.
   A write that fails closes its handle, so the next ingest opens with
   recovery.  At most ``pin_cache_size`` handles are held, the least
@@ -50,7 +50,8 @@ The concurrency model ``xarchd`` promises:
   ``(archive, generation)`` LRU (:class:`_PinCache`) instead of
   re-opening per request; snapshot opens also share decoded chunks
   through the process-wide cache of :mod:`repro.storage.cache`.  A
-  publish moves the generation, so new requests stop acquiring the old
+  publish, and an ``fsck --repair`` that rewrites the manifest, moves
+  the generation, so new requests stop acquiring the old
   pin immediately; eviction waits for in-flight readers, then drops
   the backend's caches and closes it.  Which generation is published is
   itself remembered, per archive name, beside the ``(st_ino,

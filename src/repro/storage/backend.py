@@ -80,9 +80,10 @@ class Manifest:
 
     ``generation`` is the archive's publication counter: it advances by
     one with every WAL commit that publishes new state (ingest batch,
-    single version, recode), and the manifest carrying it publishes
-    inside that same commit — so a manifest read *is* a consistent
-    snapshot pin.  Readers that capture a generation can stream against
+    single version, recode) and with every manifest ``fsck --repair``
+    rewrites, and the manifest carrying it publishes inside that same
+    commit — so a manifest read *is* a consistent snapshot pin.
+    Readers that capture a generation can stream against
     it to completion: the store is append-mostly, so answers about
     versions the pinned generation already held never change under
     later publications.

@@ -663,7 +663,9 @@ class _Scrubber:
 
     def _record_table(self) -> bool:
         """Write the table into the manifest, as every repair of it
-        does; whether there was a manifest to carry it.  (On a store
+        does, under the next generation: a reader pinned to the one
+        before must not be handed the repaired store under the same
+        key.  Whether there was a manifest to carry it.  (On a store
         from before the manifest carried it, the old ``checksums.json``
         is left to :meth:`_scrub_leftovers`.)"""
         if self.manifest is None or self.table is None:
@@ -671,6 +673,7 @@ class _Scrubber:
         self.manifest.checksums = dict(self.table.entries)
         self.manifest.quarantined = sorted(self.table.quarantined)
         self.manifest.extra.pop("payload", None)
+        self.manifest.generation += 1
         atomic_write_text(manifest_location(self.path), self.manifest.to_json())
         return True
 

@@ -32,18 +32,14 @@ def too_deep(action: str) -> ValueError:
 class Node:
     """Base class for all tree nodes.
 
-    Nodes carry a ``parent`` back-pointer maintained by
-    :meth:`Element.append`; it is informational only and never serialized
-    — not into XML, and not into a pickle either: a pickled (or
-    deep-copied) subtree carries what is below its root and nothing
-    above, so one record never drags the document it was cut from
-    along.
+    A node points only down, to its children: every walk runs from the
+    root, so no node knows its parent.  A tree is therefore acyclic and
+    freed by reference counting the moment its last holder drops it,
+    and a pickled (or deep-copied) subtree carries what is below its
+    root and nothing above.
     """
 
-    __slots__ = ("parent",)
-
-    def __init__(self) -> None:
-        self.parent: Optional["Element"] = None
+    __slots__ = ()
 
     def copy(self) -> "Node":
         """Return a deep copy of the subtree rooted at this node."""
@@ -56,7 +52,6 @@ class Text(Node):
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
-        super().__init__()
         if not isinstance(text, str):
             raise TypeError(f"Text content must be str, got {type(text).__name__}")
         if not text:
@@ -72,18 +67,10 @@ class Text(Node):
         ``text`` is a non-empty ``str``, not checked."""
         node = cls.__new__(cls)
         node.text = text
-        node.parent = None
         return node
 
     def copy(self) -> "Text":
         return Text(self.text)
-
-    def __getstate__(self) -> tuple:
-        return (self.text,)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.text,) = state
-        self.parent = None
 
     def __repr__(self) -> str:
         preview = self.text if len(self.text) <= 24 else self.text[:21] + "..."
@@ -138,7 +125,6 @@ class Element(Node):
         children: Optional[Iterable[Child]] = None,
         attributes: Optional[Iterable[Attribute]] = None,
     ) -> None:
-        super().__init__()
         if not tag:
             raise ValueError("Element tag must be non-empty")
         self.tag = tag
@@ -162,17 +148,14 @@ class Element(Node):
         readers): nothing is checked.  ``pairs`` are attributes with
         distinct non-empty names, kept in order; ``children`` is a list
         built for this element (E/T nodes, no two ``Text`` neighbours),
-        kept as is, each child's ``parent`` set.  Outside input goes
-        through ``__init__``/``append``/``set_attribute``, which check."""
+        kept as is.  Outside input goes through
+        ``__init__``/``append``/``set_attribute``, which check."""
         element = cls.__new__(cls)
         element.tag = tag
-        element.parent = None
         element.attributes = (  # mostly none: no comprehension frame
             [Attribute(name, value) for name, value in pairs] if pairs else []
         )
         element.children = children
-        for child in children:
-            child.parent = element
         return element
 
     def append(self, child: Child) -> Child:
@@ -195,7 +178,6 @@ class Element(Node):
             merged = self.children[-1]
             merged.text += child.text
             return merged
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -309,15 +291,6 @@ class Element(Node):
         except RecursionError:
             raise too_deep("copy") from None
         return clone
-
-    def __getstate__(self) -> tuple:
-        return (self.tag, self.children, self.attributes)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.tag, self.children, self.attributes = state
-        self.parent = None
-        for child in self.children:
-            child.parent = self
 
     def __repr__(self) -> str:
         return (

@@ -68,13 +68,6 @@ def _bad_name_start(name: str) -> bool:
     return not (name.isascii() or name[0].isalpha() or name[0] in "_:")
 
 
-def _attach(child: "Element | Text", node: Element) -> None:
-    # ``Element.append`` minus its type check and its text coalescing: two
-    # text runs never meet in the token loop, they are joined before this.
-    child.parent = node
-    node.children.append(child)
-
-
 class _Parser:
     """Token-loop parser over a source string."""
 
@@ -219,10 +212,12 @@ class _Parser:
                 if _bad_name_start(name):
                     raise self._fail("Expected a name", match.start(3))
                 # Whitespace-only text before an element is ignorable.
+                # ``children.append``, not ``Element.append``: two text
+                # runs never meet here, they were joined above.
                 if text and not text.isspace():
-                    _attach(Text(text), node)
+                    children.append(Text(text))
                 child = Element(name)
-                _attach(child, node)
+                children.append(child)
                 if end is None:
                     pos, end = self._attributes(child, pos)
                 if end == ">":
@@ -234,7 +229,7 @@ class _Parser:
             # Whitespace-only text is ignorable beside element siblings
             # (any child here is, or stands before, an element).
             if text and not (children and text.isspace()):
-                _attach(Text(text), node)
+                children.append(Text(text))
             if not stack:
                 return pos
             node = stack.pop()

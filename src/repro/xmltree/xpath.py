@@ -342,14 +342,9 @@ def evaluate(root: Element, expression: str) -> XPathResult:
 
 
 def virtual_shell(root: Element) -> Element:
-    """A throwaway document node above ``root``.
-
-    Makes descendant-or-self axes include the root itself without
-    re-parenting it (the shell bypasses :meth:`Element.append`).
-    """
-    shell = Element("#document")
-    shell.children = [root]  # no re-parenting; shell is throwaway
-    return shell
+    """A throwaway document node above ``root``: makes
+    descendant-or-self axes include the root itself."""
+    return Element("#document", [root])
 
 
 def xpath(root: Element, expression: str) -> Union[list[Element], list[str]]:

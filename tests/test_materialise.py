@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_core_properties import _configurations, _state, _state_to_document
+from test_xmltree_model import assert_acyclic
 
 from repro.core import Archive, ArchiveOptions, ProbeCount
 from repro.core.tstree import (
@@ -356,7 +357,7 @@ def test_shape_of_a_walked_version(name, copy_content):
         document = archive.retrieve(version, copy_content=copy_content)
         if document is None:
             continue
-        assert document.parent is None
+        assert_acyclic(document)
         keyed_attributes = []
         shared = 0
         stack = [document]
@@ -366,9 +367,8 @@ def test_shape_of_a_walked_version(name, copy_content):
                 assert not (isinstance(before, Text) and isinstance(after, Text))
             for child in reversed(element.children):
                 if id(child) in stored:
-                    shared += 1  # the archive's own object: not adopted, not walked
+                    shared += 1  # the archive's own object: not walked
                     continue
-                assert child.parent is element
                 if isinstance(child, Element):
                     stack.append(child)
             keyed_attributes.append(
@@ -394,12 +394,13 @@ def test_assemble_keeps_what_it_is_given():
     children = [child, words]
     built = Element.assemble("e", (("b", "2"), ("a", '1"')), children)
     assert built.children is children
-    assert child.parent is built and words.parent is built and built.parent is None
+    assert_acyclic(built)
     assert [(a.name, a.value) for a in built.attributes] == [("b", "2"), ("a", '1"')]
     assert to_string(built) == '<e b="2" a="1&quot;"><c/>t</e>'
     clone = built.copy()
     assert to_string(clone) == to_string(built)
-    assert clone.children[0] is not child and clone.children[0].parent is clone
+    assert clone.children[0] is not child
+    assert_acyclic(clone)
 
 
 # -- (d) the search needs no sort; depth fails with a message --------------------------

@@ -1112,10 +1112,10 @@ def outcome(write):
 
 @pytest.mark.parametrize("damage", [b"\x00", b"X"])
 def test_a_repair_between_two_posts_is_noticed(tmp_path, damage):
-    """``fsck --repair`` rewrites the manifest without a new generation
-    (here it quarantines a chunk that no longer decodes, or records the
-    checksum of one that still does): the next POST must meet the
-    repaired store as a fresh open does."""
+    """``fsck --repair`` rewrites the manifest (here it quarantines a
+    chunk that no longer decodes, or records the checksum of one that
+    still does): the next POST must meet the repaired store as a fresh
+    open does."""
     root = str(tmp_path / "held")
     os.makedirs(root)
     name = seed_archive(root, "chunked")
@@ -1127,7 +1127,7 @@ def test_a_repair_between_two_posts_is_noticed(tmp_path, damage):
         handle.seek(10)
         handle.write(damage)
     assert not fsck_archive(path, repair=True).clean
-    assert read_manifest(path).generation == generation
+    assert read_manifest(path).generation > generation
     twin = str(tmp_path / "twin")
     shutil.copytree(root, twin)
     fresh = open_archive(os.path.join(twin, name))
@@ -1139,6 +1139,46 @@ def test_a_repair_between_two_posts_is_noticed(tmp_path, damage):
     got = outcome(lambda: service.ingest(name, [version_doc(4)])["last_version"])
     assert got == outcome(fresh_write)
     assert store_files(root) == store_files(twin)
+
+
+def test_the_read_after_a_repair_misses_the_pin_without_a_retry(
+    tmp_path, monkeypatch
+):
+    """A repair that re-records a chunk's checksum publishes the next
+    generation, so the next read misses the pin cache and opens the
+    repaired store: it is not handed the pre-repair pin, whose first
+    load would fail its checksum, sleep and re-pin."""
+    name = seed_archive(str(tmp_path), "chunked")
+    path = os.path.join(str(tmp_path), name)
+    service = ArchiveService(str(tmp_path))
+
+    def latest(pinned):
+        return latest_values(pinned.db)
+
+    snapshot, expected = service.read(name, latest)
+    generation = snapshot.generation
+    chunk = os.path.join(path, "chunk-0000.xml")
+    with open(chunk, "rb") as handle:
+        payload = handle.read()
+    at = payload.index(b"<root>\n") + len(b"<root>")
+    with open(chunk, "r+b") as handle:  # the same content, other bytes
+        handle.seek(at)
+        handle.write(b" ")
+    assert not fsck_archive(path, repair=True).clean
+    assert read_manifest(path).generation == generation + 1
+    reset_chunk_cache()
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    pins = service.pins
+    before = (pins.hits, pins.misses, pins.evictions)
+    snapshot, items = service.read(name, latest)
+    assert items == expected
+    assert snapshot.generation == generation + 1 and not snapshot.cached
+    assert (pins.hits, pins.misses, pins.evictions) == (
+        before[0], before[1] + 1, before[2]
+    )
+    assert sleeps == []
+    pins.clear()
 
 
 def crash_drill(tmp_path, kind, crash):

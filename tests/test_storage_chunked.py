@@ -6,6 +6,7 @@ import os
 import shutil
 
 import pytest
+from test_xmltree_model import assert_acyclic
 
 import repro
 from repro.core import (
@@ -682,11 +683,14 @@ class TestPartition:
             record for index in sorted(parts) for record in parts[index].root.children
         ]
         assert sorted(map(id, sliced)) == sorted(map(id, records))  # no copies
-        assert all(record.parent is document for record in records)
+        assert_acyclic(document)
+        for part in parts.values():
+            assert_acyclic(part.root)
         assert document.children == records and to_string(document) == before
         backend.add_version(document)
         assert to_string(document) == before
-        assert all(record.parent is document for record in records)
+        assert document.children == records
+        assert_acyclic(document)
 
 
 class TestBatch:

@@ -1,8 +1,59 @@
 """Unit tests for the XML data model (repro.xmltree.model)."""
 
+import copy
+import gc
+import pickle
+from contextlib import contextmanager
+
 import pytest
 
-from repro.xmltree import Attribute, Element, Text, element
+import repro
+from repro.core import Archive
+from repro.keys import parse_key_spec
+from repro.xmltree import Attribute, Element, Text, element, parse_document
+
+#: What a tree is made of: a walk of references from a root follows these.
+TREE_PARTS = (Element, Text, Attribute, list, tuple, dict)
+
+
+def assert_acyclic(root) -> None:
+    """No reference cycle runs through ``root``'s tree: a depth-first walk
+    of what its nodes, child lists and attributes refer to (every slot
+    and list item ``gc.get_referents`` reports, whatever its name) never
+    comes back to an object still on the walk's path."""
+    on_path, done = {id(root)}, set()
+    stack = [(root, iter(gc.get_referents(root)))]
+    while stack:
+        here, referents = stack[-1]
+        for target in referents:
+            if not isinstance(target, TREE_PARTS) or id(target) in done:
+                continue
+            assert id(target) not in on_path, f"{target!r} refers back up the tree"
+            on_path.add(id(target))
+            stack.append((target, iter(gc.get_referents(target))))
+            break
+        else:
+            stack.pop()
+            on_path.discard(id(here))
+            done.add(id(here))
+
+
+@contextmanager
+def cyclic_garbage():
+    """Collect what the block leaves for the cycle collector: the
+    ``Element`` and ``Text`` objects no reference count freed, which only
+    a collection (automatic or the one at the end) found unreachable."""
+    gc.collect()
+    flags, start = gc.get_debug(), len(gc.garbage)
+    found: list = []
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        yield found
+        gc.collect()
+        found.extend(o for o in gc.garbage[start:] if isinstance(o, (Element, Text)))
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
 
 
 class TestText:
@@ -40,10 +91,10 @@ class TestAttribute:
 
 
 class TestElement:
-    def test_append_sets_parent(self):
+    def test_append_keeps_the_tree_acyclic(self):
         parent = Element("db")
         child = parent.append(Element("dept"))
-        assert child.parent is parent
+        assert_acyclic(parent)
         assert parent.children == [child]
 
     def test_rejects_bad_child(self):
@@ -115,16 +166,12 @@ class TestElement:
 
 
     def test_pickle_and_deepcopy_stop_at_the_subtree_root(self):
-        import copy
-        import pickle
-
         tree = element("a", element("b", element("c", "text"), id="1"), element("d"))
         b = tree.find("b")
         for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
-            assert clone.parent is None  # nothing above the root came along
+            assert_acyclic(clone)
             assert clone.get_attribute("id") == "1"
             c = clone.find("c")
-            assert c.parent is clone and c.children[0].parent is c
             assert c.text_content() == "text"
         assert len(pickle.dumps(b)) < len(pickle.dumps(tree))
 
@@ -137,3 +184,82 @@ class TestElementBuilder:
     def test_kwargs_become_attributes(self):
         node = element("item", id="item1")
         assert node.get_attribute("id") == "item1"
+
+
+# -- every tree dies by reference count ------------------------------------------
+
+CENSUS_KEYS = """
+(/, (db, {}))
+(/db, (dept, {name}))
+(/db/dept, (emp, {fn, ln}))
+(/db/dept/emp, (sal, {}))
+(/db/dept/emp, (note, {}))
+"""
+
+CENSUS_VERSIONS = [
+    "<db><dept><name>finance</name><emp><fn>Jane</fn><ln>Smith</ln></emp></dept></db>",
+    """<db><dept><name>finance</name>
+         <emp><fn>John</fn><ln>Doe</ln><sal>90K</sal></emp>
+         <emp><fn>Jane</fn><ln>Smith</ln><note>a<b/>c</note></emp></dept>
+       <dept><name>marketing</name><emp><fn>Ann</fn><ln>Lee</ln></emp></dept></db>""",
+]
+
+
+def census_archive() -> Archive:
+    archive = Archive(parse_key_spec(CENSUS_KEYS))
+    for source in CENSUS_VERSIONS:
+        archive.add_version(parse_document(source))
+    return archive
+
+
+def build_by_hand() -> None:
+    root = element("db", element("dept", element("name", "finance")), id="1")
+    root.append(Text("x"))
+    root.extend([Text("y"), element("dept")])
+
+
+def warm_retrieve(archive) -> None:
+    for version in (1, 2):
+        archive.retrieve(version)
+
+
+def select_answer(archive) -> None:
+    db = repro.open(archive)
+    db.at(2).select("/db/dept[name='finance']/emp").all()
+    db.at(2).select("//emp/note").all()
+
+
+CENSUS = {
+    "parse_document": lambda tree, archive: parse_document(CENSUS_VERSIONS[1]),
+    "element-append-extend": lambda tree, archive: build_by_hand(),
+    "copy": lambda tree, archive: tree.copy(),
+    "pickle": lambda tree, archive: pickle.loads(pickle.dumps(tree)),
+    "deepcopy": lambda tree, archive: copy.deepcopy(tree),
+    "assemble": lambda tree, archive: Element.assemble(
+        "e", (("a", "1"),), [Element.assemble("c", (), [Text.assemble("t")])]
+    ),
+    "warm-retrieve": lambda tree, archive: warm_retrieve(archive),
+    "select": lambda tree, archive: select_answer(archive),
+}
+
+
+class TestNoTreeNeedsTheCycleCollector:
+    """Nothing the library builds is a reference cycle: a tree dropped by
+    its caller is freed by reference counting, and no collection ever
+    finds an ``Element`` or ``Text`` to free."""
+
+    @pytest.mark.parametrize("operation", sorted(CENSUS))
+    def test_census(self, operation):
+        tree, archive = parse_document(CENSUS_VERSIONS[1]), census_archive()
+        warm_retrieve(archive)  # the timestamp trees, built and kept
+        with cyclic_garbage() as found:
+            for _ in range(3):
+                CENSUS[operation](tree, archive)
+        assert found == []
+
+    def test_the_census_sees_a_cycle(self):
+        with cyclic_garbage() as found:
+            loop = [Element("a")]
+            loop[0].children.append(loop)
+            del loop
+        assert len(found) == 1

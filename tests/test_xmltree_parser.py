@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_xmltree_model import assert_acyclic
 
 from repro.xmltree import (
     Element,
@@ -229,11 +230,11 @@ class TestAcceptedLanguage:
         )
         assert parse_document(source).tag == "a"
 
-    def test_parent_pointers_follow_the_tree(self):
+    def test_a_parsed_tree_is_acyclic(self):
         root = parse_document("<a>t<b><c/></b></a>")
         text, b = root.children
-        assert text.parent is root and b.parent is root
-        assert b.children[0].parent is b and root.parent is None
+        assert text.text == "t" and b.children[0].tag == "c"
+        assert_acyclic(root)
 
 
 # -- generated trees ---------------------------------------------------------------
