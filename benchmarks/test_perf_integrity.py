@@ -1,34 +1,28 @@
 """TIME-INTEGRITY — what the integrity plane costs.
 
-Three numbers the trajectory tracks (committed as
+Two numbers the trajectory tracks (committed as
 ``benchmarks/results/BENCH_integrity.json``):
 
 * ingest throughput with checksumming on (it cannot be turned off at
   write time — every staged payload is hashed before publish);
-* the verify-on-read delta: the same sparse retrieval under
-  ``verify="always"`` vs ``verify="never"``, min-of-N on both sides so
-  scheduler noise cancels.  The recorded ``verify_delta`` is the
-  headline claim — hashing is small against XML parsing, so the
-  overhead stays in the low single digits;
 * ``fsck`` scrub throughput (bytes of archive state per second).
 
-Correctness rides along: every benchmark round asserts the retrieval
-succeeded and the scrub came back clean, so the integrity plane cannot
-get faster by checking less.
+Every read hashes what it decodes, so there is no read-side switch to
+time here; ``integrity.verify_ms`` in ``benchmarks/e2e`` measures that
+hash per chunk.  Correctness rides along: every benchmark round asserts
+the ingest landed and the scrub came back clean, so the integrity plane
+cannot get faster by checking less.
 """
 
 import os
-import time
 
 import pytest
 
 from repro.data import OmimGenerator, omim_key_spec
-from repro.storage import ChunkedArchiver, fsck_archive, open_archive
+from repro.storage import ChunkedArchiver, fsck_archive
 
 VERSIONS = 10
 RECORDS = 16
-#: Manual-timing repetitions for the verify delta (min-of-N).
-TIMING_RUNS = 9
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +39,7 @@ def spec():
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory, sequence, spec):
-    """One chunked archive, ingested once, read by every benchmark."""
+    """One chunked archive, ingested once, for the scrub to read."""
     base = tmp_path_factory.mktemp("integrity-store")
     path = str(base / "store")
     backend = ChunkedArchiver(path, spec, chunk_count=4)
@@ -78,45 +72,6 @@ def test_ingest_throughput_with_checksums(
         backend.close()
 
     benchmark.pedantic(ingest, setup=setup, rounds=3, iterations=1)
-
-
-def test_sparse_retrieval_verify_delta(benchmark, store, spec):
-    """The verify-on-read cost: one mid-sequence retrieval, policy
-    ``"always"`` (benchmark) against ``"never"`` (manual min-of-N)."""
-    target = VERSIONS // 2
-
-    def read(policy):
-        backend = open_archive(store, spec, verify=policy)
-        try:
-            assert backend.retrieve(target) is not None
-        finally:
-            backend.close()
-
-    def timed(policy):
-        start = time.perf_counter()
-        read(policy)
-        return time.perf_counter() - start
-
-    # Warm up each side, then time the two in alternation so cache
-    # state and a burst of load from elsewhere fall on both sides.
-    read("never")
-    read("always")
-    never_s = always_s = float("inf")
-    for _ in range(TIMING_RUNS):
-        never_s = min(never_s, timed("never"))
-        always_s = min(always_s, timed("always"))
-    delta = (always_s - never_s) / never_s if never_s else 0.0
-
-    benchmark.extra_info["verify_always_min_s"] = round(always_s, 6)
-    benchmark.extra_info["verify_never_min_s"] = round(never_s, 6)
-    benchmark.extra_info["verify_delta"] = round(delta, 4)
-    # Loose tripwire only — the committed number is the claim; a hard
-    # 5% assert would flake on shared CI runners.
-    assert delta < 0.50, (
-        f"verify-on-read overhead {delta:.1%} is far beyond the "
-        f"expected low single digits"
-    )
-    benchmark.pedantic(read, args=("always",), rounds=3, iterations=1)
 
 
 def test_fsck_scrub_throughput(benchmark, store):

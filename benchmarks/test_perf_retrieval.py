@@ -107,7 +107,7 @@ def test_repeat_read_cache(benchmark, tmp_path):
     writer.ingest_batch(list(generator.generate_versions(10)))
     writer.close()
 
-    handle = open_archive(path, cache_reads=True)
+    handle = open_archive(path, recover=False)
 
     def timed_read():
         start = time.perf_counter()
@@ -168,7 +168,7 @@ def test_repeat_read_cache(benchmark, tmp_path):
 
 def timed_warm_read_factory(path):
     """A self-contained warm-read callable for the benchmark timer."""
-    handle = open_archive(path, cache_reads=True)
+    handle = open_archive(path, recover=False)
     handle.retrieve(1)  # warm the cache outside the timed region
 
     def warm_read():

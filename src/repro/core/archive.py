@@ -36,8 +36,7 @@ against it once and hands it down as what its own children inherit.
 Retrieval shares frontier content copy-on-write style: the elements it
 returns reference the archive's stored content nodes directly (the
 merge never mutates stored content in place, so the shared subtrees are
-stable), and a deep copy happens only when a caller that intends to
-mutate asks for one with ``copy_content=True``.
+stable); a caller that intends to mutate the result ``copy()``s it.
 
 A tree that came from a decoder may hold nodes whose children are still
 encoded (:meth:`~repro.core.nodes.ArchiveNode.children_at`).  The
@@ -437,7 +436,6 @@ class Archive:
         version: int,
         *,
         guided: bool = True,
-        copy_content: bool = False,
         probes: Optional[ProbeCount] = None,
     ) -> Optional[Element]:
         """Reconstruct version ``version``; ``None`` for an empty version.
@@ -449,8 +447,7 @@ class Archive:
         ``guided=False`` is the reference scan over every child, kept
         for equivalence testing and benchmarking.  ``probes`` collects
         probe counts when supplied.  The result shares frontier content
-        with the archive unless ``copy_content=True`` (see the module
-        docstring).
+        with the archive (see the module docstring).
 
         The first guided call on a tree reads children that are still
         encoded straight into elements (module docstring); each list
@@ -467,7 +464,7 @@ class Archive:
         self._retrieved = True
         if not guided:
             scanned = (
-                self._scan(child, version, root_timestamp, copy_content, probes)
+                self._scan(child, version, root_timestamp, probes)
                 for child in self.root.children
             )
             return next((found for found in scanned if found is not None), None)
@@ -475,13 +472,12 @@ class Archive:
         if not alive:
             return None
         child = self.root.children[alive[0]]
-        build = self._walk(version, copy_content, probes, stream)
+        build = self._walk(version, probes, stream)
         return build(child, child.effective_timestamp(root_timestamp))
 
     def _walk(
         self,
         version: int,
-        copy_content: bool,
         probes: Optional[ProbeCount],
         stream: bool,
     ) -> Callable[[ArchiveNode, VersionSet], Element]:
@@ -503,14 +499,9 @@ class Archive:
                     if stamp is None or version in stamp:
                         content = alternative.content
                         break
-                if not copy_content:
-                    # Copy-on-write share: merges append alternatives,
-                    # never edit them, so stored content is referenced,
-                    # not copied.
-                    element = assemble(tag, node.attributes, [])
-                    element.children.extend(content)
-                    return element
-                built = [item.copy() for item in content]
+                # Copy-on-write share: merges append alternatives, never
+                # edit them, so stored content is referenced, not copied.
+                built = list(content)
             else:
                 built = node.children_at(version, probes) if stream else None
             if built is None:
@@ -542,7 +533,6 @@ class Archive:
         node: ArchiveNode,
         version: int,
         inherited: VersionSet,
-        copy_content: bool,
         probes: Optional[ProbeCount],
     ) -> Optional[Element]:
         """``guided=False``: the reference.  Every node is counted and
@@ -560,13 +550,10 @@ class Archive:
         elif node.alternatives is not None:
             alternative = node.alternative_at(version)
             content = alternative.content if alternative is not None else []
-            if copy_content:
-                element.extend(item.copy() for item in content)
-            else:
-                element.children.extend(content)
+            element.children.extend(content)
         else:
             for child in node.children:
-                found = self._scan(child, version, timestamp, copy_content, probes)
+                found = self._scan(child, version, timestamp, probes)
                 if found is not None:
                     element.append(found)
         return element

@@ -289,7 +289,7 @@ def _content_equal(a: list[ContentNode], b: list[ContentNode]) -> bool:
     return True
 
 
-def _copy_content(nodes: list[ContentNode]) -> list[ContentNode]:
+def _copies(nodes: list[ContentNode]) -> list[ContentNode]:
     return [node.copy() for node in nodes]
 
 
@@ -332,7 +332,7 @@ def build_archive_subtree(
             )
         else:
             archive_node.alternatives = [
-                Alternative(timestamp=None, content=_copy_content(node.children))
+                Alternative(timestamp=None, content=_copies(node.children))
             ]
         return archive_node
     token = options.sort_token()
@@ -579,7 +579,7 @@ def merge_alternatives(
         old = alternatives[0]
         old.timestamp = current.without(version)
         alternatives.append(
-            Alternative(timestamp=VersionSet([version]), content=_copy_content(content))
+            Alternative(timestamp=VersionSet([version]), content=_copies(content))
         )
         return True
     # All children are timestamp nodes.
@@ -589,6 +589,6 @@ def merge_alternatives(
             alternative.timestamp.add(version)
             return False
     alternatives.append(
-        Alternative(timestamp=VersionSet([version]), content=_copy_content(content))
+        Alternative(timestamp=VersionSet([version]), content=_copies(content))
     )
     return True

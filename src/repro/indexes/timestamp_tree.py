@@ -57,19 +57,15 @@ class TimestampTreeIndex:
         tree first so the count covers the whole archive."""
         return self.archive.warm_timestamp_trees()
 
-    def retrieve(
-        self, version: int, *, copy_content: bool = False
-    ) -> tuple[Optional[Element], ProbeCount]:
+    def retrieve(self, version: int) -> tuple[Optional[Element], ProbeCount]:
         """Version reconstruction guided by the timestamp trees.
 
         Shares frontier content with the archive like
-        :meth:`Archive.retrieve`; pass ``copy_content=True`` before
-        mutating the returned document.
+        :meth:`Archive.retrieve`; ``copy()`` the returned document
+        before mutating it.
         """
         probes = ProbeCount()
-        document = self.archive.retrieve(
-            version, guided=True, copy_content=copy_content, probes=probes
-        )
+        document = self.archive.retrieve(version, guided=True, probes=probes)
         return document, probes
 
     def naive_probe_count(self, version: int) -> int:

@@ -144,7 +144,7 @@ class _Run:
         self.stats = stats
         self.probes = ProbeCount()
         self.seen = 0  # of ``probes``, already in ``stats``
-        self.build = archive._walk(version, False, self.probes, False)
+        self.build = archive._walk(version, self.probes, False)
 
     def fold_probes(self) -> None:
         total = self.probes.total()

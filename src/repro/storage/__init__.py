@@ -64,7 +64,6 @@ from .fsck import FINDING_CODES, Finding, FsckReport, fsck_archive
 from .integrity import (
     CHECKSUMS_NAME,
     QUARANTINE_DIR,
-    VERIFY_POLICIES,
     ChecksumMismatch,
     ChecksumSidecar,
     IntegrityError,
@@ -100,7 +99,6 @@ __all__ = [
     "RawCodec",
     "RecodeReport",
     "TruncatedPayload",
-    "VERIFY_POLICIES",
     "XMillCodec",
     "EventWriter",
     "ExitEvent",

@@ -65,7 +65,7 @@ from .events import (
 from .codec import CodecLike, get_codec
 from .extmerge import merge_archive_stream
 from .extsort import sort_version
-from .integrity import IntegrityError, validate_policy, verify_file
+from .integrity import IntegrityError, verify_file
 from .txn import ArchiveTxn
 
 #: The event stream's name inside the archive directory (and its key
@@ -97,38 +97,33 @@ class ExternalArchiver(StorageBackend):
         fan_in: int = 8,
         page_size: int = DEFAULT_PAGE_SIZE,
         codec: CodecLike = None,
-        verify: str = "always",
         recover: bool = True,
-        cache_reads: bool = False,
         _manifest: Optional[Manifest] = None,
     ) -> None:
         """``memory_budget`` is the node budget of one sorted run — the
         paper's ``M``; ``fan_in`` models ``(M/B) - 1`` merge arity.
         ``codec`` encodes the event stream (and its scratch runs) at
         rest — framed gzip under the compressing codecs, so every pass
-        still streams in bounded memory.  ``verify`` sets the stream's
-        checksum policy for reads.  ``recover=False``
-        skips WAL recovery and the scratch sweep — for read-only
-        snapshot opens running next to a live writer, whose in-flight
-        staged commit and scratch files must not be touched.  A
-        directory that holds no stream yet is the empty archive; the
-        first commit writes one."""
+        still streams in bounded memory.  ``recover=False`` skips WAL
+        recovery and the scratch sweep — for read-only snapshot opens
+        running next to a live writer, whose in-flight staged commit and
+        scratch files must not be touched.  A directory that holds no
+        stream yet is the empty archive; the first commit writes one."""
         directory = os.path.abspath(os.fspath(directory))
         self.directory = directory
         self.storage_root = directory
         self.spec = spec
         self.memory_budget = memory_budget
         self.fan_in = fan_in
-        self.verify = validate_policy(verify)
         self.io_stats = IOStats(page_size=page_size)
         os.makedirs(directory, exist_ok=True)
         self.archive_path = os.path.join(directory, STREAM_NAME)
+        #: Snapshot handles (``recover=False``) cache the materialized
+        #: stream (the :meth:`to_archive` product ``changes`` and
+        #: fallback queries pay for) in the process-wide decoded-chunk
+        #: cache, keyed by the stream's recorded checksum; writers never
+        #: do.
         self._recover = recover
-        #: Read-only handles cache the materialized stream (the
-        #: :meth:`to_archive` product ``changes`` and fallback queries pay
-        #: for) in the process-wide decoded-chunk cache, keyed by the
-        #: stream's recorded checksum; writers never do.
-        self.cache_reads = cache_reads
         self._load_state(codec, _manifest)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -159,14 +154,9 @@ class ExternalArchiver(StorageBackend):
     def _part_name(self, part=STREAM_NAME) -> str:
         return STREAM_NAME
 
-    def _verify_stream(self) -> bool:
-        """Check the event stream against its recorded checksum under
-        the read policy, before any parse touches it; whether it hashed
-        the stream."""
-        if self.verify == "never":
-            return False
-        if self.verify == "open" and STREAM_NAME in self._verified:
-            return False
+    def _verify_stream(self) -> None:
+        """Check the event stream against its recorded checksum before
+        any parse touches it."""
         if STREAM_NAME in self._checksums.quarantined:
             raise IntegrityError(
                 f"Event stream {STREAM_NAME!r} was quarantined by fsck "
@@ -174,13 +164,10 @@ class ExternalArchiver(StorageBackend):
             )
         expected = self._checksums.entry(STREAM_NAME)
         verify_file(STREAM_NAME, self.archive_path, expected)
-        self._verified.add(STREAM_NAME)
-        return expected is not None
 
     def _events(self, stats: IOStats) -> Iterator[Event]:
-        """The stream's events, verified under the read policy before
-        any parse touches it; the empty archive's while no stream is
-        stored."""
+        """The stream's events, verified before any parse touches it;
+        the empty archive's while no stream is stored."""
         self._verify_stream()
         return self._stored_events(stats)
 
@@ -432,7 +419,7 @@ class ExternalArchiver(StorageBackend):
 
         Used by ``changes`` (``repro.open(...).between(a, b)``) and the
         equivalence tests; defeats the bounded-memory purpose otherwise —
-        which is exactly why read-caching handles keep the materialized
+        which is exactly why snapshot handles keep the materialized
         product in the decoded-chunk cache instead of paying the full
         stream pass per request (non-default ``options`` always
         materialize fresh: the options shape the product).
@@ -443,10 +430,9 @@ class ExternalArchiver(StorageBackend):
 
     def _load(self) -> Loaded:
         """One cold materialization: verify, then read the stream once."""
-        hashed = self._verify_stream()
+        self._verify_stream()
         size = self.archive_bytes()
-        archive = self._materialize(self._stored_events(self.io_stats))
-        return archive, size, hashed
+        return self._materialize(self._stored_events(self.io_stats)), size
 
     def _materialize(
         self, stream: Iterator[Event], options: Optional[ArchiveOptions] = None

@@ -66,9 +66,8 @@ MANIFEST_FORMAT = 1
 OnVersion = Optional[Callable[[int, MergeStats], None]]
 
 #: What a decoded-chunk cache miss loads (:meth:`StorageBackend._cached`):
-#: the decoded tree, its at-rest bytes (``None`` when nothing is stored)
-#: and whether the read hashed them against the recorded checksum.
-Loaded = tuple[Archive, Optional[int], bool]
+#: the decoded tree and its at-rest bytes (``None`` when nothing is stored).
+Loaded = tuple[Archive, Optional[int]]
 
 
 # -- the manifest -------------------------------------------------------------
@@ -377,15 +376,12 @@ class StorageBackend(abc.ABC):
     #: as the manifest carries them; replaced as a whole when a commit
     #: lands.
     _checksums: ChecksumSidecar
-    #: Names verified so far, for the ``verify="open"`` policy.
-    _verified: set[str]
-    #: Whether the handle may write: it settles interrupted commits
-    #: when it (re)loads.  Read-only snapshot handles never touch disk.
+    #: Whether the handle settles interrupted commits when it (re)loads.
+    #: Snapshot handles (``False``) write nothing when they open, and
+    #: they alone read through the process-wide decoded-chunk cache.
     _recover: bool
-    #: Whether reads go through the process-wide decoded-chunk cache,
-    #: and the traffic that produced through *this handle* (cumulative;
+    #: The decoded-chunk cache traffic of *this handle* (cumulative;
     #: query execution reads the counters as before/after deltas).
-    cache_reads: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -501,7 +497,6 @@ class StorageBackend(abc.ABC):
         if manifest is None:
             manifest = read_manifest(self.storage_root)
         self._checksums = self._load_checksums(manifest)
-        self._verified = set()
         self._adopt(manifest)
         if codec is None and manifest is not None:
             codec = manifest.codec
@@ -526,8 +521,8 @@ class StorageBackend(abc.ABC):
         The recorded sha256 is the precise token — a commit that
         republishes the part rewrites its checksum, and only bytes
         hashed against this very checksum are ever filed under it
-        (:meth:`_cached`), so a hit hands back exactly what a verified
-        read of this handle would have decoded.  Layouts without a
+        (:meth:`_cached`), so a hit hands back exactly what a read of
+        this handle would have decoded.  Layouts without a
         recorded checksum fall back to the manifest generation (coarser:
         any commit invalidates the whole archive's entries); with
         neither, the part is not cached.
@@ -541,8 +536,9 @@ class StorageBackend(abc.ABC):
 
     def _cache_key(self, part):
         """The decoded-chunk cache key of a part, or ``None`` when this
-        handle's read of it does not go through the cache."""
-        if not self.cache_reads or not chunk_cache().enabled:
+        handle's read of it does not go through the cache: a handle that
+        settles commits may write, and never shares what it decodes."""
+        if self._recover or not chunk_cache().enabled:
             return None
         token = self._cache_token(part)
         if token is None:
@@ -555,18 +551,13 @@ class StorageBackend(abc.ABC):
 
         The key comes from what the handle holds (:meth:`_cache_key`),
         so a hit costs a dict lookup: no stat, no read, no hash.  A miss
-        runs ``load`` — the backend's read, verified under its policy,
-        then its decode — which returns the tree, its at-rest size
-        (``None`` when nothing is stored) and whether that read hashed
-        the bytes against the recorded checksum.  The tree is installed,
-        costed at its size plus the decoded body it keeps alive
-        (``Archive.body_bytes``), only if that read hashed it against
-        the checksum it is filed under — a ``verify="never"`` handle, or
-        an ``"open"`` one re-reading a file, answers its own read but
-        shares nothing — or if it is filed under the generation (an
-        uncovered payload: nothing to hash against).  What comes back
-        may be shared with other readers: fine for every read, never for
-        mutation."""
+        runs ``load`` — the backend's read, hashed against the checksum
+        the tree is filed under, then its decode — which returns the
+        tree and its at-rest size (``None`` when nothing is stored).
+        What was stored is installed, costed at its size plus the
+        decoded body it keeps alive (``Archive.body_bytes``).  What
+        comes back may be shared with other readers: fine for every
+        read, never for mutation."""
         key = self._cache_key(part)
         if key is None:
             return load()[0]
@@ -576,9 +567,8 @@ class StorageBackend(abc.ABC):
             self.cache_hits += 1
             return archive
         self.cache_misses += 1
-        archive, size, hashed = load()
-        # The token is a recorded sha256 (str) or a generation (tuple).
-        if size is not None and (hashed or not isinstance(key[2], str)):
+        archive, size = load()
+        if size is not None:
             cache.put(key, archive, size + archive.body_bytes)
         return archive
 
@@ -664,11 +654,9 @@ def open_archive(
     *,
     keys_file: "Optional[str | os.PathLike]" = None,
     options: Optional[ArchiveOptions] = None,
-    verify: str = "always",
     on_corrupt: str = "raise",
     workers: int = 1,
     recover: bool = True,
-    cache_reads: Optional[bool] = None,
 ) -> StorageBackend:
     """Open an existing archive; its manifest names backend and codec.
 
@@ -677,22 +665,20 @@ def open_archive(
     fingerprint the manifest records, so a wrong keys file fails loudly
     instead of mis-merging.
 
-    ``verify`` sets the checksum policy for reads (``"always"`` — every
-    byte that is decoded is hashed first —, ``"open"`` — once per file
-    per handle — or ``"never"``); a decoded-chunk cache hit decodes
-    nothing and so reads and hashes nothing, under every policy, and
-    only trees decoded from hashed bytes are shared through the cache;
-    ``on_corrupt`` sets the chunked backend's per-chunk degradation
-    policy (``"raise"`` or ``"skip"`` corrupt chunks during retrieval).
+    Every read hashes a covered payload before it decodes it, and a
+    covered payload that is missing raises; a decoded-chunk cache hit
+    decodes nothing and so reads and hashes nothing.  ``on_corrupt``
+    sets the chunked backend's per-chunk degradation policy
+    (``"raise"`` or ``"skip"`` corrupt chunks during retrieval): ``"skip"``
+    is the way to read a damaged store before ``xarch fsck --repair``.
     ``workers`` is accepted and ignored: every chunk loop runs serially.
     ``recover=False`` opens without running WAL recovery — required for
     read-only snapshot opens that run concurrently with a live writer,
     where replaying (or rolling back) the writer's in-flight staged
     commit from a reader thread would corrupt the publication protocol.
-    ``cache_reads`` opts the handle into the process-wide decoded-chunk
-    cache (:mod:`repro.storage.cache`); the default follows ``recover``
-    — snapshot opens (``recover=False``) are read handles and share
-    decoded chunks, recovery-running opens are write-capable and don't.
+    Snapshot opens are read handles and share decoded chunks through the
+    process-wide cache (:mod:`repro.storage.cache`); recovery-running
+    opens are write-capable and don't.
     """
     from .archiver import ExternalArchiver  # local: avoids an import cycle
     from .chunked import ChunkedArchiver, FileBackend
@@ -721,10 +707,7 @@ def open_archive(
             f"Key specification does not match the one {path!r} was "
             f"created with (manifest fingerprint mismatch)"
         )
-    if cache_reads is None:
-        cache_reads = not recover
-    shared = dict(verify=verify, recover=recover)
-    shared.update(cache_reads=cache_reads, _manifest=manifest)
+    shared = dict(recover=recover, _manifest=manifest)
     if kind == "file":
         return FileBackend(path, spec, options, **shared)
     if kind == "chunked":

@@ -17,31 +17,26 @@ keep its token — so readers across generations share one decode and a
 publish invalidates exactly the republished chunks.  The key is built
 from what the handle already holds, so the cache is asked *first*: a
 hit costs a dict lookup and touches no file — no stat, no read, no
-SHA-256.  Only a miss reads, verifies under the handle's policy and
-decodes (:meth:`~repro.storage.backend.StorageBackend._cached`).  An
-entry is therefore a promise about bytes, and a miss installs its tree
-only if that very read hashed the bytes against the checksum it files
-them under: a ``verify="never"`` handle, or a ``verify="open"`` one
-re-reading a file after eviction, answers its own read and shares
-nothing.  A crashed commit never poisons the cache either: tokens come
-from the sidecar state the reader verified its bytes against.  Since a
-hit trusts that sidecar without reading a byte, an open refuses a
-sidecar of another commit than its manifest (one racing a publish,
-which renames the manifest first).  Chunks
-without a recorded checksum (legacy layouts) fall back to the manifest
-generation as token — there is nothing to hash against, and they are
-installed as read — and are simply not cached when there is no
-generation either.  Damage that lands on disk after a verified decode
-is reported by the next miss (or by ``fsck``); until then a hit answers
-with the verified tree from before it.
+SHA-256.  Only a miss reads, hashes and decodes
+(:meth:`~repro.storage.backend.StorageBackend._cached`), and every read
+hashes a covered payload against the checksum it files the tree under,
+so an entry is a promise about bytes.  A crashed commit never poisons
+the cache either: tokens come from the checksum table the reader
+hashed its bytes against, and the manifest carries that table, so one
+rename publishes both.  Chunks without a recorded checksum (legacy
+layouts) fall back to the manifest generation as token — there is
+nothing to hash against, and they are installed as read — and are
+simply not cached when there is no generation either.  Damage that
+lands on disk after a decode is reported by the next miss (or by
+``fsck``); until then a hit answers with the tree from before it.
 
 **Sharing discipline.**  Cached archives are shared read-only across
-handles and threads; writers never consult *this* cache (a writer
-mutates its archive in place, which must not leak into other readers'
-views) and never install into it.  Backends opt in per handle via
-``cache_reads=True`` — set by snapshot opens (``open_archive(...,
-recover=False)``) — and bypass the cache on their write paths even
-then.  What a writer keeps for itself between writes — the held chunk
+handles and threads.  A handle reads through the cache exactly when it
+is a snapshot reader (``open_archive(..., recover=False)``), and even
+then not on its write paths.  A handle that settles commits may write:
+it mutates its archive in place, which must not leak into other
+readers' views, so it never consults or fills this cache.  What a
+writer keeps for itself between writes — the held chunk
 trees of a chunked or whole-file archive — is private to its handle and
 costed against this cache's ``max_bytes`` (so
 ``REPRO_CHUNK_CACHE_BYTES=0`` turns both off), but in an account of its

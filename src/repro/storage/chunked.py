@@ -101,11 +101,7 @@ from .backend import (
 )
 from .cache import chunk_cache
 from .codec import CodecError, CodecLike, get_codec
-from .integrity import (
-    IntegrityError,
-    ManifestInconsistent,
-    validate_policy,
-)
+from .integrity import IntegrityError, ManifestInconsistent
 from .txn import ArchiveTxn
 from .xbin import kept_bytes
 
@@ -195,10 +191,9 @@ def chunk_index_for_label(label, chunk_count: int) -> int:
 class ChunkedArchiver(StorageBackend):
     """Archive per key-hash chunk; concatenate for the full picture.
 
-    ``record_depth`` selects the partitioning level: 1 partitions the
-    children of the document root (the paper's record level for OMIM
-    and Swiss-Prot, whose roots hold a flat list of ``Record``
-    elements).
+    ``chunk_count`` is how many chunks the children of the document
+    root hash into (the paper's record level for OMIM and Swiss-Prot,
+    whose roots hold a flat list of ``Record`` elements).
 
     Every mutation is one :class:`~repro.storage.txn.ArchiveTxn`: chunk
     files and the manifest (version count, presence map and checksum
@@ -248,10 +243,8 @@ class ChunkedArchiver(StorageBackend):
         chunk_count: int = 8,
         options: Optional[ArchiveOptions] = None,
         codec: CodecLike = None,
-        verify: str = "always",
         on_corrupt: str = "raise",
         recover: bool = True,
-        cache_reads: bool = False,
         _manifest: Optional[Manifest] = None,
     ) -> None:
         if chunk_count < 1:
@@ -266,7 +259,6 @@ class ChunkedArchiver(StorageBackend):
         self.spec = spec
         self.chunk_count = chunk_count
         self.options = options or ArchiveOptions()
-        self.verify = validate_policy(verify)
         #: What :meth:`retrieve` does with a chunk that fails integrity
         #: or decode checks: ``"raise"`` propagates, ``"skip"`` serves
         #: the healthy chunks and counts the skip.
@@ -276,13 +268,12 @@ class ChunkedArchiver(StorageBackend):
         self.chunks_pruned = 0
         #: Chunks retrieval skipped as corrupt under ``on_corrupt="skip"``.
         self.chunks_skipped_corrupt = 0
-        #: Read-only handles (``open_archive(..., recover=False)``) share
+        #: Snapshot handles (``open_archive(..., recover=False)``) share
         #: decoded chunks through the process-wide
         #: :func:`~repro.storage.cache.chunk_cache`; write-capable
         #: handles never do — a writer mutates its decoded archive in
         #: place, which must not leak into other readers' views (what
         #: it keeps between appends lives in ``_held``, its own).
-        self.cache_reads = cache_reads
         self._recover = recover
         self._load_state(codec, _manifest)
 
@@ -338,22 +329,14 @@ class ChunkedArchiver(StorageBackend):
         paths = [self._presence_path(index) for index in range(self.chunk_count)]
         return paths + [self._meta_path()]
 
-    def _verify_payload(self, path: str, data: bytes) -> bool:
-        """Check one read against the checksum table under the verify
-        policy; whether it hashed the bytes."""
-        return self._checksums.verify(
-            os.path.basename(path), data, self.verify, self._verified
-        )
+    def _verify_payload(self, path: str, data: bytes) -> None:
+        """Check one read against the checksum table."""
+        self._checksums.verify(os.path.basename(path), data)
 
     def _check_absent(self, path: str) -> None:
         """A file is missing: fine for legacy/lazy files, a typed error
         when the checksum table says it should exist (or fsck moved it
         to quarantine)."""
-        if self.verify != "never":
-            self._refuse_absent(path)
-
-    def _refuse_absent(self, path: str) -> None:
-        """:meth:`_check_absent` whatever the verify policy."""
         name = os.path.basename(path)
         if name in self._checksums.quarantined:
             raise IntegrityError(
@@ -385,29 +368,18 @@ class ChunkedArchiver(StorageBackend):
         anything decodes them, so corruption surfaces as a typed
         :class:`~repro.storage.integrity.IntegrityError`, never a
         confusing decode failure.  Every decode of a stored chunk starts
-        from these bytes.
+        from these bytes.  A missing chunk the checksum table covers (or
+        fsck quarantined) raises, so neither a read nor a write skips or
+        recreates a chunk whose history it cannot read.
         """
-        return self._read_part(index)[0]
-
-    def _read_part(self, index: int) -> tuple[Optional[bytes], bool]:
-        """:meth:`read_part_payload`, and whether the read hashed."""
         path = self._chunk_path(index)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
             self._check_absent(path)
-            return None, False
-        return data, self._verify_payload(path, data)
-
-    def _read_for_write(self, index: int) -> Optional[bytes]:
-        """:meth:`read_part_payload` for a write, which must neither
-        skip nor recreate a chunk whose history it cannot read: a
-        missing chunk the checksum table covers (or fsck quarantined)
-        raises under every verify policy."""
-        data = self.read_part_payload(index)
-        if data is None:
-            self._refuse_absent(self._chunk_path(index))
+            return None
+        self._verify_payload(path, data)
         return data
 
     def _read_chunk_text(self, index: int) -> Optional[str]:
@@ -430,11 +402,11 @@ class ChunkedArchiver(StorageBackend):
 
     def _decode_chunk(self, index: int) -> Loaded:
         """One cold load of a stored chunk: read, verify, decode."""
-        data, hashed = self._read_part(index)
+        data = self.read_part_payload(index)
         if data is None:
-            return self._empty_chunk(), None, False
+            return self._empty_chunk(), None
         archive = self.codec.decode_archive(data, self.spec, self.options)
-        return archive, len(data), hashed
+        return archive, len(data)
 
     def _holding(self, index: int) -> Optional[Archive]:
         """The tree this handle holds for chunk ``index``, if it is the
@@ -455,11 +427,11 @@ class ChunkedArchiver(StorageBackend):
             if tree is None:
                 if self._cache_key(index) is not None:
                     return self._cached(index, lambda: self._decode_chunk(index))
-                tree, size, _ = self._decode_chunk(index)
+                tree, size = self._decode_chunk(index)
                 if size is not None:
                     self._held[index] = (self._cache_token(index), tree)
             return tree
-        data = self._read_for_write(index)
+        data = self.read_part_payload(index)
         if data is None:
             return self._empty_chunk()
         # Checked out, not peeked at: the writer merges into the tree
@@ -611,9 +583,9 @@ class ChunkedArchiver(StorageBackend):
 
     def part_stored(self, index: int) -> bool:
         """:meth:`part_exists` for a read: an absent chunk that fsck
-        quarantined raises :class:`~repro.storage.integrity.IntegrityError`
-        (under any verify policy but ``"never"``), so no answer quietly
-        leaves its records out; a lazy one is not stored."""
+        quarantined raises :class:`~repro.storage.integrity.IntegrityError`,
+        so no answer quietly leaves its records out; a lazy one is not
+        stored."""
         if self.part_exists(index):
             return True
         self._check_absent(self._chunk_path(index))
@@ -690,7 +662,7 @@ class ChunkedArchiver(StorageBackend):
         stored is the checksum table's word (:meth:`part_exists`): a
         covered chunk whose file has gone raises
         :class:`~repro.storage.integrity.ManifestInconsistent` before
-        anything is staged, under every verify policy.
+        anything is staged.
 
         Afterwards the handle holds the trees it staged, in chunk order,
         while they fit the decoded-chunk cache budget (with a budget of
@@ -902,7 +874,7 @@ class ChunkedArchiver(StorageBackend):
 
         def decoded() -> Iterator[tuple[int, Archive]]:
             for index in range(self.chunk_count):
-                payload = self._read_for_write(index)
+                payload = self.read_part_payload(index)
                 if payload is None:
                     continue
                 archive = old.decode_archive(payload, self.spec, self.options)
@@ -947,21 +919,11 @@ class FileBackend(ChunkedArchiver):
         spec: KeySpec,
         options: Optional[ArchiveOptions] = None,
         codec: CodecLike = None,
-        verify: str = "always",
         recover: bool = True,
-        cache_reads: bool = False,
         _manifest: Optional[Manifest] = None,
     ) -> None:
         super().__init__(
-            path,
-            spec,
-            1,
-            options,
-            codec,
-            verify,
-            recover=recover,
-            cache_reads=cache_reads,
-            _manifest=_manifest,
+            path, spec, 1, options, codec, recover=recover, _manifest=_manifest
         )
 
     # -- where the files live ----------------------------------------------------

@@ -15,10 +15,10 @@ derivable, quarantine — never delete — everything that is not**.
 * WAL state (pending or torn records, stray ``*.tmp``) → run the
   deterministic recovery of :class:`~repro.storage.wal.WriteAheadLog`;
 * the presence map, the manifest and the checksum table are all
-  derivable from healthy payloads → rebuilt (the map through an
-  :class:`~repro.storage.txn.ArchiveTxn`, which on a store from before
-  the map also retires its sidecars and ``versions.txt``); every
-  repair of the table rewrites the manifest that carries it; a sidecar
+  derivable from healthy payloads → rebuilt; every repair of the map
+  or the table rewrites the manifest that carries it (on a store from
+  before the map, rewriting it also retires the sidecars and
+  ``versions.txt``); a sidecar
   left beside a manifest that carries what it held is debris →
   deleted;
 * payload files (chunks, the whole-file archive, the event stream)
@@ -49,7 +49,6 @@ from .backend import (
     key_spec_fingerprint,
     keys_location,
     manifest_location,
-    read_manifest,
     recorded_checksums,
 )
 from .codec import GZIP, RAW, XBIN, XMILL, Codec, CodecError, get_codec
@@ -841,7 +840,7 @@ class _Scrubber:
                     )
                 )
         if stale and self.repair:
-            self._rewrite_presence(spec, presence, stale)
+            self._rewrite_presence(presence, stale)
 
     def _sidecar_presence(self, name: str) -> Optional[str]:
         """What a ``.presence`` sidecar records, in canonical text."""
@@ -889,24 +888,20 @@ class _Scrubber:
             finding.repaired = True
             finding.repair = "deleted"
 
-    def _rewrite_presence(self, spec, presence: dict, findings: list) -> None:
-        """Publish ``presence`` as the manifest's map, in one commit
-        that also retires the sidecars of a store from before the map
-        (the handle unlinks them once it has landed)."""
-        from .chunked import ChunkedArchiver
-        from .txn import ArchiveTxn
-
-        assert self.manifest is not None
-        backend = ChunkedArchiver(
-            self.path, spec, int(self.manifest.extra["chunk_count"]), verify="never"
-        )
-        with ArchiveTxn(backend, self.manifest.version_count) as txn:
-            txn.extra["presence"] = presence
-            for name in list(txn.checksums.entries):
-                if _is_sidecar(name):
-                    txn.checksums.forget(name)
-        self.manifest = read_manifest(self.path)
-        self.table = recorded_checksums(self.path, self.manifest)
+    def _rewrite_presence(self, presence: dict, findings: list) -> None:
+        """Publish ``presence`` as the manifest's map, in the manifest
+        write that also retires the sidecars of a store from before the
+        map; they, and a ``checksums.json`` the manifest's table
+        replaced, leave the directory once it has landed."""
+        assert self.manifest is not None and self.table is not None
+        self.manifest.extra["presence"] = presence
+        for name in list(self.table.entries):
+            if _is_sidecar(name):
+                self.table.forget(name)
+        self._record_table()
+        for name in os.listdir(self.path):
+            if _is_sidecar(name) or name == CHECKSUMS_NAME:
+                os.remove(os.path.join(self.path, name))
         for finding in findings:
             finding.repaired = True
             finding.repair = "presence map rewritten from the chunks' contents"

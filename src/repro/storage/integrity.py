@@ -11,15 +11,13 @@ plane closes that gap:
   manifest carries on every layout — so the table publishes by the
   same rename as the commit it describes, and checksums and bytes are
   never torn apart;
-* reads verify under a configurable policy (``verify="always"``:
-  every byte that is decoded is hashed first, the default; ``"open"``:
-  once per file per backend instance; ``"never"``: trust the disk).
-  A decoded-chunk cache hit reads no bytes, so it hashes none: it
-  hands back a tree decoded from bytes that were hashed against the
-  very checksum that keys it (:mod:`repro.storage.cache`).  Damage that
-  lands on disk after such a decode is reported by the next miss, or
-  by ``fsck``; until then the cache keeps answering with the verified
-  tree;
+* every read hashes a covered payload before anything decodes it, and
+  a covered payload that is missing raises.  A decoded-chunk cache hit
+  reads no bytes, so it hashes none: it hands back a tree decoded from
+  bytes that were hashed against the very checksum that keys it
+  (:mod:`repro.storage.cache`).  Damage that lands on disk after such a
+  decode is reported by the next miss, or by ``fsck``; until then the
+  cache keeps answering with the verified tree;
 * failures raise a *typed* :class:`IntegrityError` — readers can tell
   a short file (:class:`TruncatedPayload`) from flipped bits
   (:class:`ChecksumMismatch`) from metadata that contradicts the data
@@ -38,9 +36,6 @@ import json
 from typing import Optional
 
 from ..core.archive import ArchiveError
-
-#: Read-verification policies accepted by every backend.
-VERIFY_POLICIES = ("always", "open", "never")
 
 #: Where a directory archive written before the manifest carried the
 #: checksum table kept it.
@@ -64,15 +59,6 @@ class TruncatedPayload(IntegrityError):
 
 class ManifestInconsistent(IntegrityError):
     """Archive metadata contradicts itself or the files on disk."""
-
-
-def validate_policy(verify: str) -> str:
-    if verify not in VERIFY_POLICIES:
-        raise ArchiveError(
-            f"Unknown verify policy {verify!r} "
-            f"(choose from {', '.join(VERIFY_POLICIES)})"
-        )
-    return verify
 
 
 def sha256_hex(data: bytes) -> str:
@@ -247,27 +233,15 @@ class ChecksumSidecar:
 
     # -- verification ------------------------------------------------------
 
-    def verify(
-        self, name: str, data: bytes, policy: str, verified: set
-    ) -> bool:
-        """Verify payload bytes under a read policy; whether ``data``
-        was hashed against a recorded checksum by this call.
+    def verify(self, name: str, data: bytes) -> None:
+        """Check payload bytes read back against the table.
 
-        ``verified`` is the caller's per-instance memo for the
-        ``"open"`` policy (verify once per file, then trust the
-        instance's view).  Quarantined payloads always raise — fsck
-        moved the bytes aside because they were undecodable.
+        Quarantined payloads always raise — fsck moved the bytes aside
+        because they were undecodable.
         """
         if name in self.quarantined:
             raise IntegrityError(
                 f"Payload {name!r} was quarantined by fsck --repair; "
                 f"restore it from {QUARANTINE_DIR}/ or re-ingest"
             )
-        if policy == "never":
-            return False
-        if policy == "open" and name in verified:
-            return False
-        expected = self.entries.get(name)
-        verify_bytes(name, data, expected)
-        verified.add(name)
-        return expected is not None
+        verify_bytes(name, data, self.entries.get(name))

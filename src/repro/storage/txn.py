@@ -73,8 +73,6 @@ class ArchiveTxn:
         self._commit = WriteAheadLog(wal_location(backend.storage_root)).begin()
         #: Staging files handed out by :meth:`staging`.
         self._streamed: list[str] = []
-        #: Checksum-table names of the files this commit rewrites.
-        self._rewritten: set[str] = set()
         #: Manifest fields this commit sets, over the backend's
         #: ``_manifest_extra``.
         self.extra: dict = {}
@@ -88,7 +86,6 @@ class ArchiveTxn:
         data = payload.encode("utf-8") if isinstance(payload, str) else payload
         name = os.path.basename(path)
         self.checksums.record(name, data)
-        self._rewritten.add(name)
         return self.checksums.entry(name)
 
     def put_uncovered(self, path: str, text: str) -> None:
@@ -106,9 +103,9 @@ class ArchiveTxn:
     def adopt(self, path: str) -> None:
         """Take in the finished file at ``staging(path)``."""
         self._commit.adopt(path)
-        name = os.path.basename(path)
-        self.checksums.record_file(name, os.path.abspath(path) + ".tmp")
-        self._rewritten.add(name)
+        self.checksums.record_file(
+            os.path.basename(path), os.path.abspath(path) + ".tmp"
+        )
 
     def _seal(self) -> "Manifest":
         """Stage the manifest, which carries the checksum table."""
@@ -143,9 +140,8 @@ class ArchiveTxn:
         backend._checksums = self.checksums
         backend.codec = self.codec
         backend._adopt(manifest)
-        backend._verified -= self._rewritten
-        if backend.cache_reads:
+        if not backend._recover:
             # Entries under superseded checksums would only age out of
-            # the LRU; a read-caching handle that writes drops them so
-            # the budget is not spent on what no read can reach.
+            # the LRU; a snapshot handle that writes drops them so the
+            # budget is not spent on what no read can reach.
             chunk_cache().invalidate(backend.storage_root)

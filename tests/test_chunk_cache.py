@@ -121,7 +121,7 @@ class TestLruMechanics:
 class TestHitAfterRead:
     def test_chunked_repeat_read_hits_on_one_handle(self, tmp_path, versions):
         path = build(tmp_path, "chunked", "xbin", versions)
-        backend = open_archive(path, cache_reads=True)
+        backend = open_archive(path, recover=False)
         first = to_pretty_string(backend.retrieve(1))
         assert backend.cache_hits == 0 and backend.cache_misses > 0
         assert to_pretty_string(backend.retrieve(1)) == first
@@ -133,20 +133,20 @@ class TestHitAfterRead:
 
     def test_file_second_handle_hits(self, tmp_path, versions):
         path = build(tmp_path, "file", "gzip", versions)
-        first = open_archive(path, cache_reads=True)
+        first = open_archive(path, recover=False)
         texts = retrievals(first)
         first.close()
-        second = open_archive(path, cache_reads=True)
+        second = open_archive(path, recover=False)
         assert retrievals(second) == texts
         assert second.cache_hits >= 1 and second.cache_misses == 0
         second.close()
 
     def test_external_second_handle_hits(self, tmp_path, versions):
         path = build(tmp_path, "external", "xmill", versions)
-        first = open_archive(path, cache_reads=True)
+        first = open_archive(path, recover=False)
         text = first.to_archive().to_xml_string()
         first.close()
-        second = open_archive(path, cache_reads=True)
+        second = open_archive(path, recover=False)
         assert second.to_archive().to_xml_string() == text
         assert second.cache_hits >= 1
         second.close()
@@ -165,7 +165,7 @@ class TestHitAfterRead:
             return retrievals(backend)
 
         monkeypatch.chdir(tmp_path)
-        handle = open_archive(os.path.basename(path), cache_reads=True)
+        handle = open_archive(os.path.basename(path), recover=False)
         first = read(handle)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
@@ -175,7 +175,7 @@ class TestHitAfterRead:
         assert handle.cache_misses == misses  # nothing decoded twice
         assert handle.cache_hits > 0 or kind == "file"  # which keeps its tree
         handle.close()
-        other = open_archive(path, cache_reads=True)  # by its absolute path
+        other = open_archive(path, recover=False)  # by its absolute path
         assert read(other) == first
         assert other.cache_hits > 0 and other.cache_misses == 0
         other.close()
@@ -232,7 +232,7 @@ class TestWhatAnEntryCosts:
         path = omim
         at_rest, held = self.sums(path)
         assert held > 2 * at_rest  # the body is the larger part
-        reader = open_archive(path, cache_reads=True)
+        reader = open_archive(path, recover=False)
         retrievals(reader)
         assert chunk_cache().used_bytes == held
         reader.close()
@@ -241,19 +241,19 @@ class TestWhatAnEntryCosts:
         path = omim
         at_rest, held = self.sums(path)
         cache = reset_chunk_cache((at_rest + held) // 2)
-        reader = open_archive(path, cache_reads=True)
+        reader = open_archive(path, recover=False)
         expected = retrievals(reader)  # still right, whatever was evicted
         assert cache.evictions > 0 and cache.used_bytes <= cache.max_bytes
         reader.close()
         reset_chunk_cache(0)
-        bare = open_archive(path, cache_reads=True)
+        bare = open_archive(path, recover=False)
         assert retrievals(bare) == expected
         bare.close()
 
     @pytest.mark.parametrize("codec", ["raw", "gzip", "xmill"])
     def test_a_text_codec_entry_keeps_no_body(self, tmp_path, versions, codec):
         path = build(tmp_path, "file", codec, versions)
-        reader = open_archive(path, cache_reads=True)
+        reader = open_archive(path, recover=False)
         reader.retrieve(1)
         assert chunk_cache().used_bytes == os.path.getsize(path)
         reader.close()
@@ -266,7 +266,7 @@ class TestInvalidation:
         the republished payload carries a new checksum token, so a
         warmed reader's old entries can never answer for it."""
         path = build(tmp_path, kind, "xbin", versions, count=2)
-        warm = open_archive(path, cache_reads=True)
+        warm = open_archive(path, recover=False)
         retrievals(warm)
         if kind == "external":
             warm.to_archive()
@@ -274,18 +274,18 @@ class TestInvalidation:
         writer = open_archive(path)  # non-caching write handle
         writer.add_version(versions[2].copy())
         writer.close()
-        reader = open_archive(path, cache_reads=True)
+        reader = open_archive(path, recover=False)
         cached = retrievals(reader)
         assert reader.last_version == 3
         reader.close()
         reset_chunk_cache(0)  # ground truth: cache disabled
-        bare = open_archive(path, cache_reads=True)
+        bare = open_archive(path, recover=False)
         assert retrievals(bare) == cached
         bare.close()
 
     def test_write_through_caching_handle_invalidates(self, tmp_path, versions):
         path = build(tmp_path, "chunked", "gzip", versions, count=2)
-        backend = open_archive(path, cache_reads=True)
+        backend = open_archive(path, recover=False)
         retrievals(backend)
         assert chunk_cache().entry_count > 0
         backend.add_version(versions[2].copy())
@@ -293,19 +293,19 @@ class TestInvalidation:
         texts = retrievals(backend)
         backend.close()
         reset_chunk_cache(0)
-        bare = open_archive(path, cache_reads=True)
+        bare = open_archive(path, recover=False)
         assert retrievals(bare) == texts
         bare.close()
 
     def test_recode_invalidates(self, tmp_path, versions):
         path = build(tmp_path, "chunked", "raw", versions)
-        warm = open_archive(path, cache_reads=True)
+        warm = open_archive(path, recover=False)
         texts = retrievals(warm)
         warm.close()
         writer = open_archive(path)
         writer.recode("xbin")
         writer.close()
-        reader = open_archive(path, cache_reads=True)
+        reader = open_archive(path, recover=False)
         # The very first read re-decodes fresh under the new codec — no
         # stale raw-era entry can satisfy an xbin-era token.
         first = to_pretty_string(reader.retrieve(1))
@@ -320,14 +320,14 @@ class TestByteIdentity:
     def test_cache_on_equals_cache_off(self, tmp_path, versions, kind, codec):
         path = build(tmp_path, kind, codec, versions)
         reset_chunk_cache(0)
-        off = open_archive(path, cache_reads=True)
+        off = open_archive(path, recover=False)
         expected = retrievals(off)
         off.close()
         reset_chunk_cache()
-        cold = open_archive(path, cache_reads=True)
+        cold = open_archive(path, recover=False)
         assert retrievals(cold) == expected
         cold.close()
-        warm = open_archive(path, cache_reads=True)
+        warm = open_archive(path, recover=False)
         assert retrievals(warm) == expected
         if kind == "external":
             # External retrievals stream events; the decoded-archive
@@ -346,7 +346,7 @@ class TestCrashSafety:
         recover — a caching reader must agree byte-for-byte with a
         cache-free reader on the recovered state."""
         path = build(tmp_path, kind, "xbin", versions, count=2)
-        warm = open_archive(path, cache_reads=True)
+        warm = open_archive(path, recover=False)
         pre = retrievals(warm)
         warm.close()
         with inject(FaultInjector().crash_at_op(0)):
@@ -357,11 +357,11 @@ class TestCrashSafety:
         open_archive(path).close()  # constructor-time WAL recovery
         report = fsck_archive(path)
         assert report.clean, str(report)
-        cached = open_archive(path, cache_reads=True)
+        cached = open_archive(path, recover=False)
         answers = retrievals(cached)
         cached.close()
         reset_chunk_cache(0)
-        bare = open_archive(path, cache_reads=True)
+        bare = open_archive(path, recover=False)
         assert retrievals(bare) == answers
         bare.close()
         assert answers == pre  # op 0 dies before any publication
@@ -472,7 +472,7 @@ class TestAWarmReadTouchesNoFile:
         reader = open_archive(path, recover=False)
         assert cycle(reader, nums) == expected  # the warm-up
         looked = watch_exists(monkeypatch)
-        refuse(monkeypatch, ChunkedArchiver, "read_part_payload", "_read_part")
+        refuse(monkeypatch, ChunkedArchiver, "read_part_payload")
         misses = chunk_cache().misses
         for _ in range(2):
             assert cycle(reader, nums) == expected
@@ -493,11 +493,11 @@ class TestAWarmReadTouchesNoFile:
                 str(db.history("/db/dept[name=finance]")),
             )
 
-        first = open_archive(path, cache_reads=True)
+        first = open_archive(path, recover=False)
         expected = reads(first)
         first.close()
-        refuse(monkeypatch, FileBackend, "_read_part")
-        second = open_archive(path, cache_reads=True)
+        refuse(monkeypatch, FileBackend, "read_part_payload")
+        second = open_archive(path, recover=False)
         assert reads(second) == expected
         # One hit per read: each retrieval, the select and the history.
         hits = second.last_version + 2
@@ -508,12 +508,12 @@ class TestAWarmReadTouchesNoFile:
         self, tmp_path, versions, monkeypatch
     ):
         path = build(tmp_path, "external", "xbin", versions)
-        first = open_archive(path, cache_reads=True)
+        first = open_archive(path, recover=False)
         expected = first.to_archive().to_xml_string()
         first.close()
         looked = watch_exists(monkeypatch)
         refuse(monkeypatch, ExternalArchiver, "_verify_stream", "_stored_events")
-        second = open_archive(path, cache_reads=True)
+        second = open_archive(path, recover=False)
         assert second.to_archive().to_xml_string() == expected
         assert (second.cache_hits, second.cache_misses) == (1, 0)
         assert second.archive_path not in looked
@@ -559,7 +559,8 @@ class TestAWarmReadTouchesNoFile:
 
         def open_and_read(republished):
             generation = read_manifest(path).generation
-            reader = open_archive(path, recover=False, cache_reads=False)
+            reset_chunk_cache()  # every load a miss, as on a cold reader
+            reader = open_archive(path, recover=False)
             loads = {}
             for index, name in enumerate(stored):
                 try:
@@ -613,16 +614,6 @@ class TestAWarmReadTouchesNoFile:
                 reader.load_part(index)
         assert (cache.hits, cache.misses) == (len(stored), len(stored))
         reader.close()
-        # A handle that cannot share what it decodes still asks once
-        # per load, and decodes once per miss.
-        cache = reset_chunk_cache()
-        blind = open_archive(path, recover=False, verify="never")
-        for _ in range(2):
-            for index in stored:
-                blind.load_part(index)
-        assert (cache.hits, cache.misses) == (0, 2 * len(stored))
-        assert cache.entry_count == 0
-        blind.close()
 
     def test_query_stats_and_probes_cold_and_warm(self, omim_store):
         """The counters a query reports (wire format) move as before:
@@ -678,8 +669,8 @@ class TestAWarmReadTouchesNoFile:
 
 
 class TestOnlyVerifiedBytesAreShared:
-    """A miss installs its tree only if that read hashed the bytes
-    against the checksum the entry is filed under."""
+    """Every miss hashes the bytes against the checksum the entry is
+    filed under before it decodes them."""
 
     @pytest.fixture
     def raw_omim(self, tmp_path):
@@ -714,38 +705,31 @@ class TestOnlyVerifiedBytesAreShared:
     def read_everything(handle):
         return [to_pretty_string(handle.retrieve(v)) for v in (1, 2)]
 
-    def test_a_never_handle_shares_nothing(self, raw_omim):
-        self.tamper(raw_omim)
-        blind = open_archive(raw_omim, recover=False, verify="never")
-        assert any("PHENOTYPE" in text for text in self.read_everything(blind))
-        blind.close()
-        assert chunk_cache().entry_count == 0
-        strict = open_archive(raw_omim, recover=False)
-        with pytest.raises(ChecksumMismatch):
-            self.read_everything(strict)
-        strict.close()
-
-    def test_an_open_handle_rereading_after_eviction_shares_nothing(
-        self, raw_omim
-    ):
-        once = open_archive(raw_omim, recover=False, verify="open")
-        self.read_everything(once)  # verified: these trees are shared
+    def test_a_tampered_chunk_raises_on_every_read_that_misses(self, raw_omim):
+        """A tree shared before the damage answers until it is evicted;
+        then the handle that shared it, a fresh snapshot reader and a
+        writer each hash the chunk and raise."""
+        once = open_archive(raw_omim, recover=False)
+        expected = self.read_everything(once)  # these trees are shared
         assert chunk_cache().entry_count > 0
-        reset_chunk_cache()  # evicted
         self.tamper(raw_omim)
-        assert any("PHENOTYPE" in text for text in self.read_everything(once))
-        once.close()
-        assert chunk_cache().entry_count == 0
-        strict = open_archive(raw_omim, recover=False)
+        assert self.read_everything(once) == expected
+        reset_chunk_cache()  # evicted
+        for handle in (once, open_archive(raw_omim, recover=False)):
+            with pytest.raises(ChecksumMismatch):
+                self.read_everything(handle)
+            handle.close()
+        writer = open_archive(raw_omim)
         with pytest.raises(ChecksumMismatch):
-            self.read_everything(strict)
-        strict.close()
+            self.read_everything(writer)
+        writer.close()
 
 
 class TestAMissingChunk:
     """Liveness comes from the checksum table: a select raises on a
     covered chunk that is gone, as ``retrieve`` does, instead of
-    answering without it — unless the chunk's tree is cached."""
+    answering without it — on a snapshot reader and on a writer alike,
+    unless the chunk's tree is cached."""
 
     def test_cold_reads_raise_and_warm_ones_answer(self, omim_store):
         path, nums = omim_store
@@ -758,18 +742,18 @@ class TestAMissingChunk:
         warm.close()
 
         reset_chunk_cache()
-        cold = open_archive(path, recover=False)
-        db = repro.open(cold)
-        reads = [
-            lambda: db.at(1).select(DENSE).all(),
-            lambda: db.at(1).select(keyed(nums[0])).all(),
-            lambda: db.history(record_path(nums[0])),
-            lambda: cold.retrieve(1),
-        ]
-        for read in reads:
-            with pytest.raises(ManifestInconsistent):
-                read()
-        cold.close()
+        for cold in (open_archive(path, recover=False), open_archive(path)):
+            db = repro.open(cold)
+            reads = [
+                lambda: db.at(1).select(DENSE).all(),
+                lambda: db.at(1).select(keyed(nums[0])).all(),
+                lambda: db.history(record_path(nums[0])),
+                lambda: cold.retrieve(1),
+            ]
+            for read in reads:
+                with pytest.raises(ManifestInconsistent):
+                    read()
+            cold.close()
 
         skip = open_archive(path, recover=False, on_corrupt="skip")
         partial = skip.retrieve(1)

@@ -349,16 +349,14 @@ class TestAMissingCoveredChunk:
     """A write must neither skip nor recreate a chunk whose history it
     cannot read: the checksum table says the chunk is stored, so its
     file being gone is an inconsistency, raised before anything is
-    staged — also when the version brings no records for that chunk,
-    and also under ``verify="never"``."""
+    staged — also when the version brings no records for that chunk."""
 
-    @pytest.mark.parametrize("verify", ["always", "open", "never"])
     @pytest.mark.parametrize("operation", ["add_version", "ingest_batch", "recode"])
-    def test_a_write_refuses_it(self, tmp_path, operation, verify):
+    def test_a_write_refuses_it(self, tmp_path, operation):
         first, second = dense_versions(2, records=20)
         path = tmp_path / "store"
         _chunked_store(path, [first], codec="xbin").close()
-        backend = open_archive(str(path), verify=verify)
+        backend = open_archive(str(path))
         annotated = annotate_keys(second, backend.spec)
         owners = {
             id(record): backend.chunk_index_for_label(annotated.label(record))

@@ -393,7 +393,7 @@ class TestCopyOnWriteSharing:
         archive = Archive(company_key_spec())
         archive.add_version(company_versions()[0])
         shared = archive.retrieve(1)
-        copied = archive.retrieve(1, copy_content=True)
+        copied = archive.retrieve(1).copy()
         assert to_string(shared) == to_string(copied)
         stored = {
             id(content)
@@ -404,7 +404,7 @@ class TestCopyOnWriteSharing:
         shared_ids = {id(node) for node in _content_leaves(shared)}
         copied_ids = {id(node) for node in _content_leaves(copied)}
         assert shared_ids & stored  # shares the archive's stored nodes
-        assert not (copied_ids & stored)  # deep copy on request
+        assert not (copied_ids & stored)  # a copy shares nothing
 
     def test_shared_content_survives_reingestion(self):
         """A retrieved (shared) document can be merged into another

@@ -562,9 +562,10 @@ def stale_pin(tmp_path, answer):
     pinned snapshot and ``answer`` of a solo open of that generation."""
     name = seed_archive(str(tmp_path), "chunked")
     path = os.path.join(str(tmp_path), name)
-    solo = open_archive(path, recover=False, cache_reads=False)
+    solo = open_archive(path, recover=False)
     expected = answer(solo.db())
     solo.close()
+    reset_chunk_cache()  # the service's read is the one that warms it
     service = ArchiveService(str(tmp_path))
     stale, first = service.read(name, lambda pinned: answer(pinned.db))
     assert first == expected

@@ -417,7 +417,7 @@ class TestOpenArchive:
     def test_file_handle_shares_its_tree_only_through_the_cache(
         self, tmp_path, spec, versions, monkeypatch
     ):
-        # A read-caching handle whose read bypassed the cache (disabled
+        # A snapshot handle whose read bypassed the cache (disabled
         # here) owns the tree it decoded: its first write merges into
         # it instead of decoding the file a second time.
         from repro.storage.cache import chunk_cache
@@ -426,7 +426,7 @@ class TestOpenArchive:
         create_archive(path, COMPANY_KEY_TEXT).add_version(versions[0].copy())
         monkeypatch.setattr(chunk_cache(), "max_bytes", 0)
         assert not chunk_cache().enabled
-        handle = FileBackend(path, spec, cache_reads=True)
+        handle = FileBackend(path, spec, recover=False)
         decodes = count_decodes(monkeypatch, handle.codec)
         tree = handle.load_part(0)
         handle.add_version(versions[1].copy())
@@ -436,12 +436,12 @@ class TestOpenArchive:
     def test_a_write_leaves_a_shared_read_tree_alone(
         self, tmp_path, spec, versions
     ):
-        # A read-caching handle's read tree may be shared with other
+        # A snapshot handle's read tree may be shared with other
         # readers through the cache: its write merges into a tree of its
         # own, and the shared one stays as the read decoded it.
         path = str(tmp_path / "arch.xml")
         create_archive(path, COMPANY_KEY_TEXT).add_version(versions[0].copy())
-        handle = FileBackend(path, spec, cache_reads=True)
+        handle = FileBackend(path, spec, recover=False)
         tree = handle.load_part(0)
         assert handle.load_part(0) is tree  # a hit: the shared tree
         before = tree.to_xml_string()

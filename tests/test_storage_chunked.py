@@ -482,8 +482,8 @@ class TestAppendsOnOneHandle:
     def test_every_chunk_file_is_still_hashed_before_use(
         self, tmp_path, churn
     ):
-        """``verify="always"``: a held tree is no licence to skip the
-        read — damage under a writer's feet is still noticed."""
+        """A held tree is no licence to skip the read — damage under a
+        writer's feet is still noticed."""
         path = str(tmp_path / "s")
         handle = create_archive(
             path, OMIM_KEY_TEXT, kind="chunked", chunk_count=CHUNKS, codec="xbin"
@@ -636,7 +636,6 @@ class TestAppendsOnOneHandle:
             writer.add_version(_copy(churn[0]))
             writer.add_version(_copy(churn[1]))
             reader = open_archive(path, recover=False)
-            assert reader.cache_reads
             before = to_string(reader.retrieve(2))
             cache = chunk_cache()
             root = os.path.abspath(path)
