@@ -760,3 +760,81 @@ class TestAMissingChunk:
         assert skip.chunks_skipped_corrupt == 1
         assert 0 < len(partial.children) < len(expected[2])
         skip.close()
+
+
+HANDLES = [
+    pytest.param(recover, on_corrupt, id=f"{role}-{on_corrupt}")
+    for recover, role in ((False, "reader"), (True, "writer"))
+    for on_corrupt in ("raise", "skip")
+]
+
+
+@pytest.mark.parametrize("recover, on_corrupt", HANDLES)
+class TestNoHandleAnswersFromDamagedBytes:
+    """Every handle configuration left (``recover`` x ``on_corrupt``)
+    reads a covered chunk only through its checksum: a covered chunk
+    that is gone, or whose bytes changed after the handle first read
+    them, raises, or under ``on_corrupt="skip"`` is left out of the
+    answer and counted — never answered from, never left out silently."""
+
+    @pytest.fixture
+    def raw_omim(self, tmp_path):
+        """A four-chunk ``raw`` store, its two versions' records and
+        the name of a chunk that holds text to change."""
+        from repro.data import OmimGenerator
+        from repro.data.omim import OMIM_KEY_TEXT
+
+        path = str(tmp_path / "raw")
+        backend = create_archive(
+            path, OMIM_KEY_TEXT, kind="chunked", chunk_count=4, codec="raw"
+        )
+        backend.ingest_batch(
+            OmimGenerator(seed=1, initial_records=40).generate_versions(2)
+        )
+        records = self.records(backend)
+        backend.close()
+        for name in sorted(os.listdir(path)):
+            if name.startswith("chunk-"):
+                with open(os.path.join(path, name), "rb") as handle:
+                    if b"phenotype" in handle.read():
+                        return path, records, name
+        raise AssertionError("no chunk holds text to change")
+
+    @staticmethod
+    def records(handle):
+        return [
+            [to_string(record) for record in handle.retrieve(v).children]
+            for v in (1, 2)
+        ]
+
+    def check(self, handle, on_corrupt, expected, error):
+        if on_corrupt == "raise":
+            with pytest.raises(error):
+                self.records(handle)
+            return
+        answered = self.records(handle)
+        assert handle.chunks_skipped_corrupt == 2  # once per version
+        for partial, full in zip(answered, expected):
+            assert 0 < len(partial) < len(full)
+            assert set(partial) <= set(full)
+
+    def test_a_missing_chunk(self, raw_omim, recover, on_corrupt):
+        path, expected, victim = raw_omim
+        os.remove(os.path.join(path, victim))
+        handle = open_archive(path, recover=recover, on_corrupt=on_corrupt)
+        self.check(handle, on_corrupt, expected, ManifestInconsistent)
+        handle.close()
+
+    def test_a_chunk_changed_after_the_handle_read_it(
+        self, raw_omim, recover, on_corrupt
+    ):
+        path, expected, victim = raw_omim
+        reset_chunk_cache(0)  # every read goes back to the file
+        handle = open_archive(path, recover=recover, on_corrupt=on_corrupt)
+        assert self.records(handle) == expected
+        with open(os.path.join(path, victim), "rb") as stored:
+            data = stored.read()
+        with open(os.path.join(path, victim), "wb") as stored:
+            stored.write(data.replace(b"phenotype", b"PHENOTYPE", 1))
+        self.check(handle, on_corrupt, expected, ChecksumMismatch)
+        handle.close()

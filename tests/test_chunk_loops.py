@@ -349,14 +349,16 @@ class TestAMissingCoveredChunk:
     """A write must neither skip nor recreate a chunk whose history it
     cannot read: the checksum table says the chunk is stored, so its
     file being gone is an inconsistency, raised before anything is
-    staged — also when the version brings no records for that chunk."""
+    staged — also when the version brings no records for that chunk,
+    and also on a handle that skips corrupt chunks when it reads."""
 
+    @pytest.mark.parametrize("on_corrupt", ["raise", "skip"])
     @pytest.mark.parametrize("operation", ["add_version", "ingest_batch", "recode"])
-    def test_a_write_refuses_it(self, tmp_path, operation):
+    def test_a_write_refuses_it(self, tmp_path, operation, on_corrupt):
         first, second = dense_versions(2, records=20)
         path = tmp_path / "store"
         _chunked_store(path, [first], codec="xbin").close()
-        backend = open_archive(str(path))
+        backend = open_archive(str(path), on_corrupt=on_corrupt)
         annotated = annotate_keys(second, backend.spec)
         owners = {
             id(record): backend.chunk_index_for_label(annotated.label(record))
