@@ -22,7 +22,6 @@ from .canonicalize import documents_equivalent, normalize_document
 from .fingerprint import Fingerprinter
 from .merge import (
     AttributeChangeError,
-    MergeOptions,
     MergeStats,
     build_archive_subtree,
     nested_merge,
@@ -54,7 +53,6 @@ __all__ = [
     "AttributeChangeError",
     "ElementHistory",
     "Fingerprinter",
-    "MergeOptions",
     "MergeStats",
     "ROOT_TAG",
     "STORAGE_ALTERNATIVES",

@@ -78,8 +78,13 @@ from ..xmltree.parser import parse_document
 from ..xmltree.serializer import to_pretty_string, to_string
 from ..xmltree.xpath import XPathError, parse_steps
 from .compaction import lines_to_content, weave_content_at
-from .fingerprint import Fingerprinter
-from .merge import Kept, MergeOptions, MergeStats, annotate_version, nested_merge
+from .merge import (
+    ArchiveOptions,
+    Kept,
+    MergeStats,
+    annotate_version,
+    nested_merge,
+)
 from .nodes import Alternative, ArchiveNode, Weave, WeaveSegment
 from .tstree import (
     TREE_MIN_CHILDREN,
@@ -125,29 +130,6 @@ def missing_element_error(label, path: str) -> ArchiveError:
     return ArchiveError(
         f"No element {label} in the archive: {path!r} never existed"
     )
-
-
-@dataclass
-class ArchiveOptions:
-    """Behavioural switches of the archiver.
-
-    * ``fingerprinter`` — order/merge keyed siblings by fingerprints of
-      their key values (Sec. 4.3).
-    * ``compaction`` — store frontier content as an SCCS weave
-      (*further compaction*, Example 4.3) instead of full alternatives.
-      The two storage forms share the ``<T>`` surface syntax, so
-      serialized archives carry a ``storage="weave"`` marker and
-      :meth:`Archive.from_xml` restores the right form regardless of
-      the options passed at load time.
-    """
-
-    fingerprinter: Optional[Fingerprinter] = None
-    compaction: bool = False
-
-    def merge_options(self) -> MergeOptions:
-        return MergeOptions(
-            fingerprinter=self.fingerprinter, compaction=self.compaction
-        )
 
 
 @dataclass
@@ -328,7 +310,7 @@ class Archive:
                     child.timestamp = inherited.without(version)
             return MergeStats(versions=1)
         stats = nested_merge(
-            self.root, annotated, version, self.options.merge_options(),
+            self.root, annotated, version, self.options,
             kept=self.kept,
         )
         stats.versions = 1
@@ -580,7 +562,7 @@ class Archive:
         per mutation count (as the token lists are), not per lookup."""
         cached = self._label_order
         if cached is None or cached[0] != self._mutations:
-            token = self.options.merge_options().sort_token()
+            token = self.options.sort_token()
             cached = self._label_order = (self._mutations, token)
         return cached[1]
 

@@ -45,15 +45,18 @@ SortToken = Callable[[KeyLabel], tuple]
 
 
 @dataclass
-class MergeOptions:
-    """Tunable behaviour of Nested Merge.
+class ArchiveOptions:
+    """Behavioural switches of the archiver, and so of Nested Merge.
 
-    * ``fingerprinter`` — when set, keyed siblings are ordered by
-      fingerprints of their key values (Sec. 4.3) instead of the values
-      themselves; correctness is preserved under collisions.
-    * ``compaction`` — when ``True``, frontier content is stored as an
-      SCCS-style weave (*further compaction*) instead of per-timestamp
-      alternatives.
+    * ``fingerprinter`` — order/merge keyed siblings by fingerprints of
+      their key values (Sec. 4.3) instead of the values themselves;
+      correctness is preserved under collisions.
+    * ``compaction`` — store frontier content as an SCCS weave
+      (*further compaction*, Example 4.3) instead of full alternatives.
+      The two storage forms share the ``<T>`` surface syntax, so
+      serialized archives carry a ``storage="weave"`` marker and
+      :meth:`~repro.core.archive.Archive.from_xml` restores the right
+      form regardless of the options passed at load time.
     """
 
     fingerprinter: Optional[Fingerprinter] = None
@@ -311,7 +314,7 @@ def build_archive_subtree(
     document: AnnotatedDocument,
     timestamp: Optional[VersionSet],
     version: int,
-    options: MergeOptions,
+    options: ArchiveOptions,
 ) -> ArchiveNode:
     """Convert a version-``version`` subtree into archive form.
 
@@ -349,7 +352,7 @@ def nested_merge(
     archive_root: ArchiveNode,
     document: AnnotatedDocument,
     version: int,
-    options: Optional[MergeOptions] = None,
+    options: Optional[ArchiveOptions] = None,
     kept: Optional[Kept] = None,
 ) -> MergeStats:
     """Merge version ``version`` (the annotated document) into the archive.
@@ -370,7 +373,7 @@ def nested_merge(
     — fills its entry; and the entries of the records this version
     holds become ``kept.records``.
     """
-    options = options or MergeOptions()
+    options = options or ArchiveOptions()
     stats = MergeStats()
     root_label = document.label(document.root)
     assert root_label is not None
@@ -415,7 +418,7 @@ def _merge_node(
     document: AnnotatedDocument,
     version: int,
     inherited: VersionSet,
-    options: MergeOptions,
+    options: ArchiveOptions,
     stats: MergeStats,
     kept: Optional[Kept] = None,
 ) -> bool:
@@ -528,7 +531,7 @@ def _insert(
     y_child: Element,
     document: AnnotatedDocument,
     version: int,
-    options: MergeOptions,
+    options: ArchiveOptions,
     stats: MergeStats,
     entries: Optional[dict[int, RecordEntry]] = None,
 ) -> ArchiveNode:

@@ -62,7 +62,6 @@ from .extsort import merge_event_streams, sort_version, write_sorted_runs
 from .faults import CrashPoint, FaultInjector, inject
 from .fsck import FINDING_CODES, Finding, FsckReport, fsck_archive
 from .integrity import (
-    CHECKSUMS_NAME,
     QUARANTINE_DIR,
     ChecksumMismatch,
     ChecksumSidecar,
@@ -70,6 +69,7 @@ from .integrity import (
     ManifestInconsistent,
     TruncatedPayload,
 )
+from .legacy import CHECKSUMS_NAME
 from .txn import ArchiveTxn
 from .wal import Commit, WalError, WriteAheadLog, atomic_write_text
 

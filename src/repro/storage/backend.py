@@ -30,7 +30,6 @@ readable at a version-count boundary, never a torn mix of files.
 from __future__ import annotations
 
 import abc
-import contextlib
 import functools
 import hashlib
 import json
@@ -50,12 +49,8 @@ from ..keys.spec import KeySpec
 from ..xmltree.model import Element
 from .cache import chunk_cache
 from .codec import RAW, Codec, CodecLike, get_codec
-from .integrity import (
-    CHECKSUMS_NAME,
-    ChecksumSidecar,
-    ManifestInconsistent,
-    _self_digest,
-)
+from .integrity import ChecksumSidecar, ManifestInconsistent, _self_digest
+from .legacy import current_manifest, retire
 from .txn import ArchiveTxn
 from .wal import WriteAheadLog, wal_location
 
@@ -91,18 +86,15 @@ class Manifest:
     (:class:`~repro.storage.integrity.ChecksumSidecar`): the recorded
     ``{"sha256", "bytes"}`` of every payload file, and the names fsck
     moved aside.  The manifest is thus the one record of a commit, and
-    its self-checksum covers the table.  ``checksums`` is ``None`` on a
-    store written before the manifest carried it
-    (:func:`recorded_checksums` reads such a store's table where it was
-    kept, until its next commit moves it here).
+    its self-checksum covers the table.
 
     ``extra`` holds what only one layout needs, and whatever it holds
     is therefore as atomic and as checksummed as the manifest: the
     chunked layout's ``chunk_count`` and ``presence`` — chunk index to
     the versions at which the chunk has records, which with
     ``version_count`` is everything a chunked read needs before it
-    opens a chunk (a store written before the map keeps both in
-    sidecar files, and has no ``presence`` here until its next commit).
+    opens a chunk.  A store an earlier release wrote is read as today's
+    manifest through one door, :mod:`repro.storage.legacy`.
     """
 
     kind: str
@@ -114,6 +106,12 @@ class Manifest:
     extra: dict = field(default_factory=dict)
     checksums: Optional[dict] = None
     quarantined: list = field(default_factory=list)
+
+    def checksum_table(self) -> Optional[ChecksumSidecar]:
+        """The checksum table this manifest carries (``None``: none)."""
+        if self.checksums is None:
+            return None
+        return ChecksumSidecar(self.checksums, self.quarantined)
 
     def to_json(self) -> str:
         record = {
@@ -277,31 +275,6 @@ def read_manifest(path: str) -> Optional[Manifest]:
     return Manifest.from_json(text)
 
 
-def recorded_checksums(
-    path: str, manifest: Optional[Manifest]
-) -> Optional[ChecksumSidecar]:
-    """The checksum table of the archive at ``path``, whose manifest is
-    ``manifest``; ``None`` when none is recorded (a pre-integrity store).
-
-    The manifest carries it.  A store written before it did kept the
-    table in ``checksums.json`` beside a directory layout's manifest,
-    or the one payload's entry as a whole-file manifest's
-    ``extra["payload"]``; it is read there until the store's first
-    commit moves it into the manifest.
-    """
-    if manifest is not None and manifest.checksums is not None:
-        return ChecksumSidecar(manifest.checksums, manifest.quarantined)
-    if os.path.isdir(path):
-        table = ChecksumSidecar.load(os.path.join(path, CHECKSUMS_NAME))
-        if table is not None:
-            # The sidecar recorded the manifest too; a manifest that
-            # carries the table cannot record itself.
-            table.forget(MANIFEST_NAME)
-        return table
-    payload = manifest.extra.get("payload") if manifest is not None else None
-    return ChecksumSidecar({os.path.basename(path): payload}) if payload else None
-
-
 # -- the storage contract -----------------------------------------------------
 
 
@@ -376,6 +349,9 @@ class StorageBackend(abc.ABC):
     #: as the manifest carries them; replaced as a whole when a commit
     #: lands.
     _checksums: ChecksumSidecar
+    #: The files of an older layout the manifest read at open replaces,
+    #: which this handle's first commit removes (:mod:`.legacy`).
+    _retired: list[str]
     #: Whether the handle settles interrupted commits when it (re)loads.
     #: Snapshot handles (``False``) write nothing when they open, and
     #: they alone read through the process-wide decoded-chunk cache.
@@ -466,24 +442,20 @@ class StorageBackend(abc.ABC):
 
     def _adopt(self, manifest: Optional[Manifest]) -> None:
         """Take over the state a manifest is the record of: the one
-        read at open (``None`` where there is none yet), or the one a
-        commit of this handle has just published.  The checksum table
-        is in place by then."""
+        read at open, as today's (``None`` where there is none yet), or
+        the one a commit of this handle has just published.  The
+        checksum table is in place by then."""
         self.generation = manifest.generation if manifest is not None else 0
-        if self._recover and manifest is not None and manifest.checksums is not None:
-            # The commit that moved the table into the manifest — this
-            # handle's, or one it has just rolled forward — left the old
-            # sidecar behind; nothing reads it any more.  (A whole-file
-            # archive has no directory to keep one in.)
-            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
-                os.remove(os.path.join(self.storage_root, CHECKSUMS_NAME))
 
     def _load_state(
         self, codec: CodecLike = None, manifest: Optional[Manifest] = None
     ) -> None:
         """(Re)read every piece of in-memory state from what is durable:
         drop the decoded trees, settle an interrupted commit (on handles
-        that write), read the manifest, which carries the checksum table.
+        that write), read the manifest, which carries the checksum table
+        — an older layout's as today's (:mod:`.legacy`).  A handle that
+        writes removes the files of an older layout it finds beside a
+        manifest of today's.
 
         Constructors call it once, with their explicit codec if any (and
         the manifest :func:`open_archive` has read, unless settling moves
@@ -496,18 +468,20 @@ class StorageBackend(abc.ABC):
             manifest = None
         if manifest is None:
             manifest = read_manifest(self.storage_root)
-        self._checksums = self._load_checksums(manifest)
+        self._retired = []
+        if manifest is not None:
+            current, retired = current_manifest(self.storage_root, manifest)
+            if current != manifest:
+                self._retired = retired
+            elif self._recover:
+                retire(self.storage_root, retired)
+            manifest = current
+        self._checksums = (manifest and manifest.checksum_table()) or ChecksumSidecar()
         self._adopt(manifest)
         if codec is None and manifest is not None:
             codec = manifest.codec
         if codec is not None:
             self.codec = get_codec(codec)
-
-    def _load_checksums(self, manifest: Optional[Manifest]) -> ChecksumSidecar:
-        """The checksum table the manifest carries (or, on a store from
-        before it did, where that store kept it)."""
-        table = recorded_checksums(self.storage_root, manifest)
-        return table if table is not None else ChecksumSidecar()
 
     # -- the decoded-chunk cache ---------------------------------------------
 

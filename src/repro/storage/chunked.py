@@ -58,13 +58,13 @@ annotate and merge — as does any version in which every record changed
 Beside the chunk files the directory holds the manifest, which carries
 the version count, the checksum table and, per chunk, the versions at
 which the chunk has records (*presence*: retrieval prunes on it before
-opening a chunk).  Stores written before the manifest carried the map
-keep presence in ``chunk-NNNN.presence`` sidecars and the count in
-``versions.txt``, and older stores the table in ``checksums.json``;
-they are read as they are, and their first commit through this code
-moves all of it into the manifest and unlinks the files.  The
-whole-file layout records no presence map: its manifest is the one it
-has always written, and nothing of it is pruned.
+opening a chunk; a chunk the map does not name is opened).  This module
+knows that layout alone: a store an earlier release wrote is read
+through :func:`~repro.storage.legacy.current_manifest` as the manifest
+today's writer would publish for it, and its first commit publishes
+that manifest.  The whole-file layout records no presence map: its
+manifest is the one it has always written, and nothing of it is
+pruned.
 """
 
 from __future__ import annotations
@@ -284,25 +284,27 @@ class ChunkedArchiver(StorageBackend):
 
     def _adopt(self, manifest: Optional[Manifest]) -> None:
         super()._adopt(manifest)
-        recorded = manifest.extra.get("presence") if manifest is not None else None
+        recorded = manifest.extra.get("presence", {}) if manifest is not None else {}
         #: Chunk index -> the versions at which the chunk has records,
-        #: as the manifest carries it; ``None`` on a store from before
-        #: it did, whose sidecars and ``versions.txt`` are read instead.
-        self._presence: Optional[dict[int, VersionSet]] = None
-        if recorded is None:
-            self._version_count = self._unmapped_version_count(manifest)
-            return
-        self._presence = {
+        #: as the manifest carries it.
+        self._presence: dict[int, VersionSet] = {
             int(index): VersionSet.parse(text) for index, text in recorded.items()
         }
-        self._version_count = manifest.version_count
-        if self._recover:
-            # The commit that moved the map — this handle's, or one it
-            # has just rolled forward — left these behind; nothing reads
-            # them any more.
-            for path in self._sidecar_paths():
-                if os.path.exists(path):
-                    os.remove(path)
+        if manifest is not None:
+            self._version_count = manifest.version_count
+            return
+        # No manifest yet: every stored chunk shares the global
+        # numbering, so the versions they hold are the count (none in a
+        # directory about to be created; a whole file that lost its
+        # manifest still holds every version).
+        self._version_count = max(
+            (
+                self._load_chunk(index).last_version
+                for index in range(self.chunk_count)
+                if self.part_exists(index)
+            ),
+            default=0,
+        )
 
     def drop_caches(self) -> None:
         #: Writer-held trees: chunk index -> (the sha256 this handle's
@@ -317,24 +319,8 @@ class ChunkedArchiver(StorageBackend):
     def _chunk_path(self, index: int) -> str:
         return os.path.join(self.directory, self._part_name(index))
 
-    def _presence_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"chunk-{index:04d}.presence")
-
-    def _meta_path(self) -> str:
-        return os.path.join(self.directory, "versions.txt")
-
-    def _sidecar_paths(self) -> list[str]:
-        """The files a store from before the presence map keeps it, and
-        the version count, in."""
-        paths = [self._presence_path(index) for index in range(self.chunk_count)]
-        return paths + [self._meta_path()]
-
-    def _verify_payload(self, path: str, data: bytes) -> None:
-        """Check one read against the checksum table."""
-        self._checksums.verify(os.path.basename(path), data)
-
     def _check_absent(self, path: str) -> None:
-        """A file is missing: fine for legacy/lazy files, a typed error
+        """A chunk file is missing: fine for a lazy chunk, a typed error
         when the checksum table says it should exist (or fsck moved it
         to quarantine)."""
         name = os.path.basename(path)
@@ -348,18 +334,6 @@ class ChunkedArchiver(StorageBackend):
                 f"Payload {name!r} is recorded in the checksum table "
                 f"but missing on disk"
             )
-
-    def _unmapped_version_count(self, manifest: Optional[Manifest]) -> int:
-        """The version count of a store whose manifest carries no
-        presence map: ``versions.txt``, where such a store kept it."""
-        try:
-            with open(self._meta_path(), "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            self._check_absent(self._meta_path())
-            return 0
-        self._verify_payload(self._meta_path(), data)
-        return int(data.decode("utf-8").strip() or "0")
 
     def read_part_payload(self, index: int) -> Optional[bytes]:
         """Verified at-rest bytes of a stored chunk (``None`` when absent).
@@ -379,7 +353,7 @@ class ChunkedArchiver(StorageBackend):
         except FileNotFoundError:
             self._check_absent(path)
             return None
-        self._verify_payload(path, data)
+        self._checksums.verify(os.path.basename(path), data)
         return data
 
     def _read_chunk_text(self, index: int) -> Optional[str]:
@@ -443,64 +417,14 @@ class ChunkedArchiver(StorageBackend):
         return self.codec.decode_archive(data, self.spec, self.options)
 
     def _manifest_extra(self) -> dict:
-        extra: dict = {"chunk_count": self.chunk_count}
-        if self._presence is not None:  # every commit carries the map on
-            extra["presence"] = {
+        return {
+            "chunk_count": self.chunk_count,
+            "presence": {
                 str(index): presence.to_text()
                 for index, presence in self._presence.items()
-            }
-        return extra
+            },
+        }
 
-    def _bootstrap(self, txn: ArchiveTxn) -> None:
-        txn.extra["presence"] = {}
-
-    def _carry_presence(self, txn: ArchiveTxn) -> dict[str, str]:
-        """The presence map of ``txn``'s manifest, for the write to
-        overwrite the entries of the chunks it merges.
-
-        On a store from before the map this is the commit that moves it:
-        the map is read off the sidecars, and they and ``versions.txt``
-        leave the checksum table (and, once it has landed, the
-        directory: :meth:`_adopt`).
-        """
-        carried = self._manifest_extra().get("presence")
-        if carried is None:
-            carried = {}
-            for index in range(self.chunk_count):
-                presence = self.chunk_presence(index)
-                if presence is not None:
-                    carried[str(index)] = presence.to_text()
-            for path in self._sidecar_paths():
-                txn.checksums.forget(os.path.basename(path))
-        txn.extra["presence"] = carried
-        return carried
-
-    def chunk_presence(self, index: int) -> Optional[VersionSet]:
-        """Versions at which the chunk actually stores records.
-
-        Read off the manifest this handle loaded, so retrieval can prune
-        whole chunks whose timestamps exclude the target version
-        *before* opening them.  Every chunk shares the global version
-        numbering via locally-empty versions, so the chunk archive's own
-        root timestamp never excludes anything — the presence set is the
-        union of the top-level record roots' effective timestamps
-        instead.  ``None`` when unknown (a chunk the map does not name).
-        """
-        if self._presence is not None:
-            return self._presence.get(index)
-        # A store from before the map: the chunk's ``.presence`` sidecar.
-        path = self._presence_path(index)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            # A missing presence sidecar is always safe to degrade on —
-            # ``None`` makes readers parse the chunk instead of pruning
-            # — so it is an fsck finding, not a read error.  Corrupt
-            # *contents* still raise: they could prune wrongly.
-            return None
-        self._verify_payload(path, data)
-        return VersionSet.parse(data.decode("utf-8"))
 
     # -- partitioning --------------------------------------------------------------
 
@@ -575,8 +499,8 @@ class ChunkedArchiver(StorageBackend):
         """Whether the chunk is stored: any chunk the checksum table
         covers is, without a look at the disk (a covered chunk that has
         gone missing raises on its first uncached load); only an
-        uncovered one — a legacy store's, or one never written — is
-        looked for."""
+        uncovered one — a pre-integrity store's, or one never written —
+        is looked for."""
         return self._checksums.covers(self._part_name(index)) or os.path.exists(
             self._chunk_path(index)
         )
@@ -595,7 +519,17 @@ class ChunkedArchiver(StorageBackend):
         return self._load_chunk(index)
 
     def part_presence(self, index: int) -> Optional[VersionSet]:
-        return self.chunk_presence(index)
+        """Versions at which the chunk actually stores records.
+
+        Read off the manifest this handle loaded, so retrieval can prune
+        whole chunks whose timestamps exclude the target version
+        *before* opening them.  Every chunk shares the global version
+        numbering via locally-empty versions, so the chunk archive's own
+        root timestamp never excludes anything — the presence set is the
+        union of the top-level record roots' effective timestamps
+        instead.  ``None`` when unknown (a chunk the map does not name).
+        """
+        return self._presence.get(index)
 
     def _stage_chunks(
         self,
@@ -716,7 +650,10 @@ class ChunkedArchiver(StorageBackend):
             number += 1
             merges.append(MergeStats())
         with ArchiveTxn(self, number) as txn:
-            presence = self._carry_presence(txn)
+            # The presence map of the commit's manifest (a whole-file
+            # one has none), to overwrite the entries of merged chunks.
+            txn.extra.update(self._manifest_extra())
+            presence = txn.extra.get("presence", {})
 
             def merged() -> Iterator[tuple[int, Archive]]:
                 for index in range(self.chunk_count):
@@ -775,7 +712,7 @@ class ChunkedArchiver(StorageBackend):
                     # load instead, unless cached.
                     if not self.part_stored(index):
                         continue
-                    presence = self.chunk_presence(index)
+                    presence = self.part_presence(index)
                     if presence is not None and version not in presence:
                         self.chunks_pruned += 1
                         continue
@@ -885,7 +822,6 @@ class ChunkedArchiver(StorageBackend):
             verify_recoded_document(texts.pop(index), encoded, target)
 
         with ArchiveTxn(self, self._version_count, codec=target) as txn:
-            self._carry_presence(txn)  # an old store's recode moves it too
             staged = self._stage_chunks(txn, decoded(), check)
         return RecodeReport(
             path=self.storage_root,
@@ -942,19 +878,5 @@ class FileBackend(ChunkedArchiver):
 
     # -- the manifest it has always written --------------------------------------
 
-    def _unmapped_version_count(self, manifest: Optional[Manifest]) -> int:
-        if manifest is not None:
-            return manifest.version_count
-        if not os.path.exists(self.path):
-            return 0
-        # A file without its manifest counts the versions it holds.
-        return self.load_part(0).last_version
-
     def _manifest_extra(self) -> dict:
         return {}
-
-    def _carry_presence(self, txn: ArchiveTxn) -> dict[str, str]:
-        return {}  # recorded nowhere
-
-    def chunk_presence(self, index: int) -> Optional[VersionSet]:
-        return None

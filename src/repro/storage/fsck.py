@@ -5,9 +5,11 @@ The scrub works at the *file* level — it never goes through
 silently run WAL recovery and hide exactly the states fsck exists to
 report.  It walks manifest ↔ the checksum table the manifest carries ↔
 payload files ↔ WAL state ↔ key-spec fingerprint and cross-checks the
-manifest's chunk → presence map (on a store from before the map: the
-``.presence`` sidecars) against actual chunk contents, emitting one
-structured :class:`Finding` per problem.
+manifest's chunk → presence map against actual chunk contents,
+emitting one structured :class:`Finding` per problem.  It knows one
+layout: a store an earlier release wrote is scrubbed as the manifest
+:func:`~repro.storage.legacy.current_manifest` reads it as, and a file
+of the older layout that fails its check as it is read is a finding.
 
 Repair (``--repair``) follows one rule: **rebuild everything
 derivable, quarantine — never delete — everything that is not**.
@@ -16,11 +18,12 @@ derivable, quarantine — never delete — everything that is not**.
   deterministic recovery of :class:`~repro.storage.wal.WriteAheadLog`;
 * the presence map, the manifest and the checksum table are all
   derivable from healthy payloads → rebuilt; every repair of the map
-  or the table rewrites the manifest that carries it (on a store from
-  before the map, rewriting it also retires the sidecars and
-  ``versions.txt``); a sidecar
-  left beside a manifest that carries what it held is debris →
-  deleted;
+  or the table rewrites the manifest that carries it, and every
+  manifest a repair writes is today's, so on a store an earlier
+  release wrote it also retires the files of that layout
+  (:func:`~repro.storage.legacy.retire`) — a damaged one is repaired
+  so; a file of an older layout beside a manifest of today's is debris
+  → deleted;
 * payload files (chunks, the whole-file archive, the event stream)
   are *not* derivable → a payload that fails its checksum but still
   decodes is re-recorded (stale checksum), one that does not decode is
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.archive import ArchiveError
 from .backend import (
@@ -49,16 +52,17 @@ from .backend import (
     key_spec_fingerprint,
     keys_location,
     manifest_location,
-    recorded_checksums,
 )
 from .codec import GZIP, RAW, XBIN, XMILL, Codec, CodecError, get_codec
 from .integrity import (
-    CHECKSUMS_NAME,
     QUARANTINE_DIR,
+    ChecksumMismatch,
     ChecksumSidecar,
     IntegrityError,
+    TruncatedPayload,
     hash_file,
 )
+from .legacy import CHECKSUMS_NAME, current_manifest, retire
 from .wal import WalError, atomic_write_text
 
 #: Every finding code fsck can emit, with a one-line meaning.
@@ -203,7 +207,6 @@ def _sniff_kind(path: str) -> str:
         return "external"
     if (
         os.path.exists(keys_location(path))
-        or os.path.exists(os.path.join(path, "versions.txt"))
         # A pending commit log means a chunked archive crashed
         # mid-publish before its manifest landed.
         or os.path.exists(os.path.join(path, "wal.json"))
@@ -211,12 +214,6 @@ def _sniff_kind(path: str) -> str:
     ):
         return "chunked"
     raise ArchiveError(f"{path!r} is not an archive directory")
-
-
-def _is_sidecar(name: str) -> bool:
-    """A file of the chunked layout from before the manifest carried
-    the presence map and the version count alone."""
-    return name.endswith(".presence") or name == "versions.txt"
 
 
 def _chunk_files(path: str) -> dict[int, str]:
@@ -303,6 +300,14 @@ def _derive_chunk_count(path: str, codec: Codec, spec) -> Optional[int]:
     return fits[0] if stored and len(fits) == 1 else None
 
 
+#: The finding code of an older layout's file that failed its check as
+#: it was read, by the error it raised (any other: ``undecodable``).
+_DAMAGE_CODES = {
+    TruncatedPayload: "truncated-payload",
+    ChecksumMismatch: "checksum-mismatch",
+}
+
+
 class _Scrubber:
     """One scrub pass's working state."""
 
@@ -321,7 +326,15 @@ class _Scrubber:
         self.keys_file = os.fspath(keys_file) if keys_file is not None else None
         self.directory = path if os.path.isdir(path) else os.path.dirname(path)
         self.is_dir = os.path.isdir(path)
+        #: The manifest as today's layout reads it
+        #: (:func:`~repro.storage.legacy.current_manifest`).
         self.manifest: Optional[Manifest] = None
+        #: Whether the manifest on disk is of an older layout.
+        self.upgraded = False
+        #: The files of an older layout that the manifest replaces.
+        self.retired: list[str] = []
+        #: Findings on those files, repaired by the next manifest write.
+        self.stale: list[Finding] = []
         #: The checksum table (``None`` while none is recorded anywhere).
         self.table: Optional[ChecksumSidecar] = None
         self.codec = None
@@ -340,12 +353,6 @@ class _Scrubber:
             self._resolved_codec = (self.codec, get_codec(self.codec))
         return self._resolved_codec[1]
 
-    @property
-    def _mapped(self) -> bool:
-        """Whether the manifest carries the chunk -> presence map — and
-        with it the version count alone: no file beside it does then."""
-        return self.manifest is not None and "presence" in self.manifest.extra
-
     def _rel(self, full: str) -> str:
         return os.path.relpath(full, self.directory) if self.is_dir else (
             os.path.basename(full)
@@ -362,8 +369,7 @@ class _Scrubber:
             if not os.path.isfile(full):
                 continue
             if self.kind == "chunked" and (
-                (name.startswith("chunk-") and name.endswith(".xml"))
-                or (_is_sidecar(name) and not self._mapped)
+                name.startswith("chunk-") and name.endswith(".xml")
             ):
                 payloads.append(full)
             elif self.kind == "external" and name == "archive.jsonl":
@@ -394,15 +400,7 @@ class _Scrubber:
         """Whether a payload decodes (and parses) under the codec."""
         name = os.path.basename(full)
         try:
-            if name.endswith(".presence"):
-                from ..core.versionset import VersionSet
-
-                with open(full, "r", encoding="utf-8") as handle:
-                    VersionSet.parse(handle.read())
-            elif name == "versions.txt":
-                with open(full, "r", encoding="utf-8") as handle:
-                    int(handle.read().strip() or "0")
-            elif name == "archive.jsonl":
+            if name == "archive.jsonl":
                 from .events import IOStats, read_events
 
                 for _ in read_events(full, IOStats(), self.codec):
@@ -433,10 +431,9 @@ class _Scrubber:
             # No (usable) manifest: fall back to payload magic bytes so
             # decode checks don't misclassify healthy encoded payloads.
             self.codec = self._sniff_codec()
-        self._load_table()
         self._scrub_key_spec()
         self._scrub_payloads()
-        self._scrub_leftovers()
+        self._scrub_retired()
         if self.kind == "chunked":
             self._scrub_chunked()
         if self.kind == "external":
@@ -504,7 +501,7 @@ class _Scrubber:
                 self._rebuild_manifest(finding)
             return
         try:
-            self.manifest = Manifest.from_json(raw.decode("utf-8"))
+            on_disk = Manifest.from_json(raw.decode("utf-8"))
         except (ArchiveError, UnicodeDecodeError) as error:
             finding = self.report.add(
                 "manifest-corrupt",
@@ -515,14 +512,51 @@ class _Scrubber:
             if self.repair:
                 self._rebuild_manifest(finding)
             return
-        self.codec = self.manifest.codec
-        if self.manifest.kind != self.kind:
+        self.codec = on_disk.codec
+        if on_disk.kind != self.kind:
             self.report.add(
                 "manifest-inconsistent",
                 self._rel(location),
-                f"manifest says kind {self.manifest.kind!r}, layout is "
+                f"manifest says kind {on_disk.kind!r}, layout is "
                 f"{self.kind!r}",
             )
+        self._read_as_today(on_disk)
+
+    def _read_as_today(self, on_disk: Manifest) -> None:
+        """Take the manifest as today's layout reads it, and its table.
+
+        A damaged file of an older layout is a finding as it is read:
+        the old checksum table is rebuilt from the payloads, any other
+        is left out and retired by the next manifest write.  A store
+        with payloads and no table anywhere is reported too."""
+        damaged: dict[str, IntegrityError] = {}
+        self.manifest, self.retired = current_manifest(
+            self.path, on_disk, damaged.__setitem__
+        )
+        self.upgraded = self.manifest != on_disk
+        self.table = self.manifest.checksum_table()
+        for name, error in damaged.items():
+            if name == CHECKSUMS_NAME:
+                code, repair = "checksums-corrupt", "rebuild from the payloads on disk"
+            else:
+                code = _DAMAGE_CODES.get(type(error), "undecodable")
+                repair = "retire it with today's manifest"
+            finding = self.report.add(code, name, str(error), repair=repair)
+            self.stale.append(finding)
+            if self.repair and name == CHECKSUMS_NAME:
+                self._rebuild_table(finding)
+        missing = self.table is None and CHECKSUMS_NAME not in damaged
+        if missing and self._payload_files():
+            finding = self.report.add(
+                "checksums-missing",
+                self._rel(manifest_location(self.path)),
+                "payloads exist with no checksum table (pre-integrity "
+                "archive)",
+                repair="record the table in the manifest, from the payloads "
+                "on disk",
+            )
+            if self.repair:
+                self._rebuild_table(finding)
 
     def _rebuild_manifest(self, finding: Finding) -> None:
         """Best-effort manifest reconstruction from derivable state."""
@@ -555,21 +589,19 @@ class _Scrubber:
                 str(index): _chunk_presence_of(archive).to_text()
                 for index, archive in self._chunk_archives(spec)
             }
-        self.manifest = Manifest(
+        rebuilt = Manifest(
             kind=self.kind,
             key_spec_hash=spec_hash,
             version_count=version_count,
             codec=codec,
             extra=extra,
         )
-        # The table went with the manifest, unless the store is from
-        # before the manifest carried it.
-        try:
-            self.table = recorded_checksums(self.path, None)
-        except IntegrityError:
-            self.table = None
-        if self.table is None:
-            self.table = self._table_of_payloads()
+        # The table went with the manifest, unless an older layout kept
+        # it beside; what is damaged there is not trusted.
+        self.manifest, self.retired = current_manifest(
+            self.path, rebuilt, lambda name, error: None
+        )
+        self.table = self.manifest.checksum_table() or self._table_of_payloads()
         self._record_table()
         finding.repaired = True
         finding.repair = f"rebuilt ({self.kind}, {version_count} version(s))"
@@ -583,10 +615,6 @@ class _Scrubber:
     def _derive_version_count(self, codec: str) -> Optional[int]:
         try:
             if self.kind == "chunked":
-                meta = os.path.join(self.path, "versions.txt")
-                if os.path.exists(meta):  # a store from before the map
-                    with open(meta, "r", encoding="utf-8") as handle:
-                        return int(handle.read().strip() or "0")
                 # Every chunk shares the global numbering.
                 spec = self._load_spec()
                 if spec is None:
@@ -619,33 +647,6 @@ class _Scrubber:
         except (OSError, ValueError, EOFError, StopIteration):
             return None
 
-    def _load_table(self) -> None:
-        """The checksum table the manifest carries — or, on a store
-        from before it did, the one that store kept."""
-        try:
-            self.table = recorded_checksums(self.path, self.manifest)
-        except IntegrityError as error:
-            finding = self.report.add(
-                "checksums-corrupt",
-                CHECKSUMS_NAME,
-                str(error),
-                repair="rebuild from the payloads on disk",
-            )
-            if self.repair:
-                self._rebuild_table(finding)
-            return
-        if self.table is None and self.manifest is not None and self._payload_files():
-            finding = self.report.add(
-                "checksums-missing",
-                self._rel(manifest_location(self.path)),
-                "payloads exist with no checksum table (pre-integrity "
-                "archive)",
-                repair="record the table in the manifest, from the payloads "
-                "on disk",
-            )
-            if self.repair:
-                self._rebuild_table(finding)
-
     def _table_of_payloads(self) -> ChecksumSidecar:
         """A table covering every payload on disk that decodes."""
         table = ChecksumSidecar()
@@ -664,16 +665,20 @@ class _Scrubber:
         """Write the table into the manifest, as every repair of it
         does, under the next generation: a reader pinned to the one
         before must not be handed the repaired store under the same
-        key.  Whether there was a manifest to carry it.  (On a store
-        from before the manifest carried it, the old ``checksums.json``
-        is left to :meth:`_scrub_leftovers`.)"""
+        key.  The manifest written is today's, so the files of an older
+        layout it replaces are retired with it, and every finding on
+        them is repaired.  Whether there was a manifest to carry it."""
         if self.manifest is None or self.table is None:
             return False
         self.manifest.checksums = dict(self.table.entries)
         self.manifest.quarantined = sorted(self.table.quarantined)
-        self.manifest.extra.pop("payload", None)
         self.manifest.generation += 1
         atomic_write_text(manifest_location(self.path), self.manifest.to_json())
+        retire(self.path, self.retired)
+        for finding in self.stale:
+            if not finding.repaired:
+                finding.repaired = True
+                finding.repair = "retired with today's manifest"
         return True
 
     def _rerecord(self, name: str, full: str) -> bool:
@@ -713,11 +718,7 @@ class _Scrubber:
         on_disk = {os.path.basename(full): full for full in self._payload_files()}
         entries: dict[str, dict] = {}
         if self.table is not None:
-            entries = {
-                name: entry
-                for name, entry in self.table.entries.items()
-                if not (self._mapped and _is_sidecar(name))
-            }
+            entries = self.table.entries
             for name in sorted(self.table.quarantined):
                 self.report.add(
                     "quarantined",
@@ -788,8 +789,6 @@ class _Scrubber:
             )
             if not self.repair:
                 continue
-            if name.endswith(".presence"):
-                continue  # derivable: rebuilt by the chunked cross-check
             if not self._decodes(full):
                 self._quarantine(full, finding)
             elif self._rerecord(name, full):
@@ -812,28 +811,24 @@ class _Scrubber:
                 continue
 
     def _scrub_chunked(self) -> None:
-        """Cross-check recorded chunk presence against chunk contents:
-        the manifest's map, or the sidecars of a store from before it."""
+        """Cross-check the manifest's presence map against chunk
+        contents."""
         from .chunked import _chunk_presence_of
 
         spec = self._load_spec()
         if spec is None or self.manifest is None:
             return
-        mapped = self.manifest.extra.get("presence")
-        presence = dict(mapped or {})  # what a repair records
+        mapped = self.manifest.extra.get("presence", {})
+        presence = dict(mapped)  # what a repair records
         stale = []
         for index, archive in self._chunk_archives(spec):
             derived = presence[str(index)] = _chunk_presence_of(archive).to_text()
-            if mapped is not None:
-                where, recorded = MANIFEST_NAME, mapped.get(str(index))
-            else:
-                where = f"chunk-{index:04d}.presence"
-                recorded = self._sidecar_presence(where)
+            recorded = mapped.get(str(index))
             if recorded != derived:
                 stale.append(
                     self.report.add(
                         "presence-mismatch",
-                        where,
+                        MANIFEST_NAME,
                         f"chunk {index} is recorded present at {recorded!r}, "
                         f"its contents say {derived!r}",
                         repair="rewrite the presence map from the chunks' contents",
@@ -842,74 +837,35 @@ class _Scrubber:
         if stale and self.repair:
             self._rewrite_presence(presence, stale)
 
-    def _sidecar_presence(self, name: str) -> Optional[str]:
-        """What a ``.presence`` sidecar records, in canonical text."""
-        from ..core.versionset import VersionSet
-
-        try:
-            with open(os.path.join(self.path, name), "r", encoding="utf-8") as handle:
-                return VersionSet.parse(handle.read()).to_text()
-        except FileNotFoundError:
-            return None
-        except ValueError:
-            return "unparsable"
-
-    def _scrub_leftovers(self) -> None:
-        """Files of an older layout beside a manifest that carries what
-        they held — the presence map and the version count, or the
-        checksum table: the commit that moved it retired them, so
-        nothing reads them."""
-        if self.manifest is None or not self.is_dir:
+    def _scrub_retired(self) -> None:
+        """Files of an older layout beside a manifest of today's are
+        debris: nothing reads them.  ``--repair`` deletes them, as the
+        next write-capable open would, and retires a damaged one beside
+        an older manifest, by writing today's."""
+        if self.manifest is None:
             return
-        names = set()
-        if self._mapped:
-            names.update(name for name in os.listdir(self.path) if _is_sidecar(name))
-            if self.table is not None:
-                names.update(name for name in self.table.entries if _is_sidecar(name))
-        if self.manifest.checksums is not None and os.path.exists(
-            os.path.join(self.path, CHECKSUMS_NAME)
-        ):
-            names.add(CHECKSUMS_NAME)
-        for name in sorted(names):
-            finding = self.report.add(
-                "leftover-sidecar",
-                name,
-                "the manifest carries what this file held; nothing reads it",
-                repair="delete it",
-            )
-            if not self.repair:
-                continue
-            full = os.path.join(self.path, name)
-            if os.path.exists(full):
-                os.remove(full)
-            if self.table is not None and self.table.covers(name):
-                self.table.forget(name)
-                self._record_table()
-            finding.repaired = True
-            finding.repair = "deleted"
+        debris = () if self.upgraded else self.retired
+        for name in debris:
+            if os.path.exists(os.path.join(self.directory, name)):
+                self.stale.append(
+                    self.report.add(
+                        "leftover-sidecar",
+                        name,
+                        "the manifest carries what this file held; nothing reads it",
+                        repair="delete it",
+                    )
+                )
+        if self.repair and not all(finding.repaired for finding in self.stale):
+            self._record_table()
 
     def _rewrite_presence(self, presence: dict, findings: list) -> None:
-        """Publish ``presence`` as the manifest's map, in the manifest
-        write that also retires the sidecars of a store from before the
-        map; they, and a ``checksums.json`` the manifest's table
-        replaced, leave the directory once it has landed."""
+        """Publish ``presence`` as the manifest's map."""
         assert self.manifest is not None and self.table is not None
         self.manifest.extra["presence"] = presence
-        for name in list(self.table.entries):
-            if _is_sidecar(name):
-                self.table.forget(name)
         self._record_table()
-        for name in os.listdir(self.path):
-            if _is_sidecar(name) or name == CHECKSUMS_NAME:
-                os.remove(os.path.join(self.path, name))
         for finding in findings:
             finding.repaired = True
             finding.repair = "presence map rewritten from the chunks' contents"
-        # The hash pass left damaged sidecars to this one; they are gone.
-        for earlier in self.report.findings:
-            if earlier.path.endswith(".presence") and not earlier.repaired:
-                earlier.repaired = True
-                earlier.repair = "retired with the presence map's rewrite"
 
     def _load_spec(self):
         from ..keys.keyparser import parse_key_spec
@@ -938,6 +894,3 @@ class _Scrubber:
                 "undecodable", self._rel(stream), str(error),
                 repair="quarantine the stream",
             )
-
-#: Callable other modules may monkeypatch in tests.
-FsckRunner = Callable[..., FsckReport]

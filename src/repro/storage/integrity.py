@@ -37,10 +37,6 @@ from typing import Optional
 
 from ..core.archive import ArchiveError
 
-#: Where a directory archive written before the manifest carried the
-#: checksum table kept it.
-CHECKSUMS_NAME = "checksums.json"
-
 #: Subdirectory fsck's ``--repair`` moves undecodable payloads into.
 QUARANTINE_DIR = "quarantine"
 
@@ -156,52 +152,16 @@ class ChecksumSidecar:
     ``.quarantined``), so its self-checksum covers it and one rename
     publishes it with the rest of the commit.
 
-    A store written before that kept the table in a ``checksums.json``
-    sidecar beside a directory layout's manifest (:meth:`load`), or the
-    one payload's entry in the whole-file manifest's ``extra``; its
-    first commit moves the table into the manifest.  A store with no
-    table anywhere is a pre-integrity archive: verification is skipped
-    for every file and ``fsck`` reports it (repairable).
+    Where a store written before that kept its table,
+    :mod:`repro.storage.legacy` alone knows, and reads it as the
+    manifest's.  A store with no table anywhere is a pre-integrity
+    archive: verification is skipped for every file and ``fsck``
+    reports it (repairable).
     """
 
     def __init__(self, entries: Optional[dict] = None, quarantined=()) -> None:
         self.entries: dict[str, dict] = dict(entries or {})
         self.quarantined: set[str] = set(quarantined)
-
-    @classmethod
-    def load(cls, path: str) -> Optional["ChecksumSidecar"]:
-        """Read and self-verify a ``checksums.json`` sidecar (``None``
-        when there is none)."""
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return None
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ManifestInconsistent(
-                f"Checksum sidecar {path!r} is unreadable: {error}"
-            )
-        if not isinstance(record, dict) or "entries" not in record:
-            raise ManifestInconsistent(
-                f"Checksum sidecar {path!r} is malformed (no entries)"
-            )
-        recorded = record.pop("sha256", None)
-        if recorded is None:
-            # Every sidecar ever written carries the field, so absence
-            # is damage — a flipped bit in the key name must not switch
-            # the check off.
-            raise ManifestInconsistent(
-                f"Checksum sidecar {path!r} carries no self-checksum "
-                f"(corrupt sidecar)"
-            )
-        if _self_digest(record) != recorded:
-            raise ChecksumMismatch(
-                f"Checksum sidecar {path!r} fails its own checksum "
-                f"(corrupt sidecar)"
-            )
-        return cls(record["entries"], record.get("quarantined", ()))
 
     def copy(self) -> "ChecksumSidecar":
         return ChecksumSidecar(self.entries, self.quarantined)

@@ -25,7 +25,10 @@ over.  Leaving it cleanly runs the commit:
    published (:meth:`StorageBackend._adopt
    <repro.storage.backend.StorageBackend._adopt>`), forgets what it had
    verified of the rewritten files, and drops its entries from the
-   decoded-chunk cache.
+   decoded-chunk cache;
+5. on a store an earlier release wrote, the files of its layout that
+   the new manifest replaced are removed
+   (:func:`~repro.storage.legacy.retire`).
 
 So a commit stages what changed and the one file that describes it.
 An append to an 8-chunk archive is 9 staged files (8 chunks and the
@@ -49,6 +52,7 @@ from typing import TYPE_CHECKING, Optional
 from .cache import chunk_cache
 from .codec import Codec
 from .integrity import ChecksumSidecar
+from .legacy import retire
 from .wal import WriteAheadLog, wal_location
 
 if TYPE_CHECKING:
@@ -140,6 +144,8 @@ class ArchiveTxn:
         backend._checksums = self.checksums
         backend.codec = self.codec
         backend._adopt(manifest)
+        retire(backend.storage_root, backend._retired)
+        backend._retired = []
         if not backend._recover:
             # Entries under superseded checksums would only age out of
             # the LRU; a snapshot handle that writes drops them so the

@@ -1014,7 +1014,7 @@ def decode_archive(
             fingerprinter=archive.options.fingerprinter,
             compaction=compaction,
         )
-    token = archive.options.merge_options().sort_token()
+    token = archive.options.sort_token()
     archive.root.timestamp, archive.root.children = _typed(
         _read_tree, body, version, token
     )

@@ -27,7 +27,7 @@ from repro.core.tstree import TREE_MIN_CHILDREN
 from repro.data import OmimChangeRates, OmimGenerator, omim_key_spec
 from repro.data.company import company_key_spec, company_versions
 from repro.indexes import KeyIndex, TimestampTreeIndex
-from repro.storage import ChunkedArchiver
+from repro.storage import ChunkedArchiver, manifest_location, read_manifest
 from repro.xmltree import Element, Text
 from repro.xmltree.serializer import to_string
 
@@ -468,7 +468,7 @@ class TestChunkPruning:
             1
             for index in range(chunked.chunk_count)
             if os.path.exists(chunked._chunk_path(index))
-            and 1 not in chunked.chunk_presence(index)
+            and 1 not in chunked.part_presence(index)
         )
         assert expected > 0  # records 2..5 land in other chunks than 1
         document = chunked.retrieve(1)
@@ -483,9 +483,14 @@ class TestChunkPruning:
         chunked = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
         for version in versions:
             chunked.add_version(version.copy())
+        assert any(chunked.part_presence(index) for index in range(4))
+        # A manifest whose map names no chunk, written as a writer would.
+        manifest = read_manifest(str(tmp_path))
+        manifest.extra["presence"] = {}
+        with open(manifest_location(str(tmp_path)), "w") as handle:
+            handle.write(manifest.to_json())
         reopened = ChunkedArchiver(str(tmp_path), spec, chunk_count=4)
-        assert reopened._presence == chunked._presence != {}
-        reopened._presence = {}  # a map that names no chunk
+        assert all(reopened.part_presence(index) is None for index in range(4))
         monolithic = Archive(spec)
         for version in versions:
             monolithic.add_version(version.copy())

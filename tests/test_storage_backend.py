@@ -170,7 +170,7 @@ class TestConformance:
         assert rendered(backend.retrieve(2)) == "<db/>\n"
         assert repro.open(backend).at(2).select("/db").all() != []
         if kind == "chunked":
-            assert 2 in backend.chunk_presence(0)
+            assert 2 in backend.part_presence(0)
         assert fsck_archive(backend.storage_root, deep=True).clean
 
     @pytest.mark.parametrize(

@@ -787,18 +787,38 @@ class TestStoreFromBeforeThePresenceMap:
         assert report.clean, str(report)
 
     def test_it_is_read_as_it_is(self, old, documents):
+        """A write-capable open that writes nothing leaves every byte as
+        it was, and a presence file missing before the open leaves its
+        chunk out of the map: the chunk is read, not pruned."""
         before = _files(old)
         self.assert_holds(old, documents[:4])
         with open_archive(old) as handle:  # write-capable: still touches nothing
-            assert handle._presence is None
             assert handle.part_presence(0).to_text() == "1-4"
-            os.remove(os.path.join(old, "chunk-0001.presence"))
-            assert handle.part_presence(1) is None  # unknown: the chunk is read
             assert len(handle.retrieve(4).children) >= 8
-        after = _files(old)
-        del before["chunk-0001.presence"]
-        assert after == before
+        assert _files(old) == before
         assert fsck_archive(V1_STORE, deep=True).clean
+        os.remove(os.path.join(old, "chunk-0001.presence"))
+        del before["chunk-0001.presence"]
+        with open_archive(old) as handle:
+            assert handle.part_presence(1) is None  # unknown: the chunk is read
+        self.assert_holds(old, documents[:4])
+        assert _files(old) == before
+        with open(os.path.join(old, "versions.txt"), "w") as handle:
+            handle.write("garbage")  # unread: the manifest carries the count
+        self.assert_holds(old, documents[:4])
+
+    def test_fsck_retires_an_overwritten_version_count(self, old, documents):
+        """Nothing reads ``versions.txt``: the manifest of the commit
+        that wrote it carries the same count.  Overwritten, it is the
+        one finding, and ``--repair`` retires it with the rest of the
+        layout by writing today's manifest."""
+        with open(os.path.join(old, "versions.txt"), "w") as handle:
+            handle.write("garbage")
+        repaired = fsck_archive(old, repair=True)
+        assert not repaired.unrepaired, str(repaired)
+        self.assert_holds(old, documents[:4])
+        self.assert_moved(old)
+        assert [finding.path for finding in repaired.findings] == ["versions.txt"]
 
     @pytest.mark.parametrize("first_commit", ["add_version", "ingest_batch", "recode"])
     def test_its_first_commit_moves_the_map(self, old, documents, first_commit):
@@ -863,9 +883,40 @@ class TestStoreFromBeforeThePresenceMap:
             self.assert_moved(path)
             self.assert_holds(path, documents[:5])
 
+    def test_one_module_names_the_files_of_an_older_layout(self):
+        """Old stores come in through one door: apart from
+        ``storage/legacy.py`` (and the texts of fsck's finding codes),
+        nothing in ``repro.storage`` names a file or a manifest field
+        that only an older layout kept."""
+        import ast
+        import re
+
+        import repro.storage
+
+        names = re.compile(
+            r"versions\.txt|\.presence\b|checksums\.json|[\"']payload[\"']"
+        )
+        package = os.path.dirname(repro.storage.__file__)
+        for module in sorted(os.listdir(package)):
+            if not module.endswith(".py") or module == "legacy.py":
+                continue
+            with open(os.path.join(package, module), encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            for node in ast.walk(ast.parse("\n".join(lines))):
+                if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "FINDING_CODES"
+                    for target in node.targets
+                ):
+                    lines[node.lineno - 1 : node.end_lineno] = []
+                    break
+            named = [line for line in lines if names.search(line)]
+            assert not named, (module, named)
+
     def test_fsck_repairs_a_wrong_sidecar_by_moving_the_map(self, old, documents):
         with open(os.path.join(old, "chunk-0000.presence"), "w") as handle:
             handle.write("1")
+        with pytest.raises(IntegrityError):  # at open, not at a read
+            open_archive(old, recover=False)
         report = fsck_archive(old)
         assert "presence-mismatch" in {finding.code for finding in report.findings}
         repaired = fsck_archive(old, repair=True)

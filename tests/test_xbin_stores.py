@@ -32,12 +32,9 @@ from repro.server.http import make_server, run_in_thread
 from repro.storage import create_archive, fsck_archive, open_archive, xbin
 from repro.storage.cache import reset_chunk_cache
 from repro.storage.codec import CodecError
-from repro.storage.backend import (
-    manifest_location,
-    read_manifest,
-    recorded_checksums,
-)
-from repro.storage.integrity import ChecksumMismatch
+from repro.storage.backend import manifest_location, read_manifest
+from repro.storage.integrity import ChecksumMismatch, checksum_entry
+from repro.storage.legacy import current_manifest, retire
 from repro.xmltree import Element, Text, to_pretty_string, to_string
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "xbin_v1")
@@ -189,19 +186,15 @@ class TestAReadDecodesWhatItTouches:
 def republish(store: str, name: str, payload: bytes) -> None:
     """Put ``payload`` at ``store/name`` with a matching checksum entry
     in the manifest: what a writer with a bug (or a forger) leaves —
-    every checksum holds, and the damage is inside.  A store from
-    before the manifest carried the table has it moved there, as by a
-    commit."""
+    every checksum holds, and the damage is inside.  A store an earlier
+    release wrote is rewritten as today's, as by a commit."""
     with open(os.path.join(store, name), "wb") as handle:
         handle.write(payload)
-    manifest = read_manifest(store)
-    table = recorded_checksums(store, manifest)
-    table.record(name, payload)
-    manifest.checksums = table.entries
+    manifest, retired = current_manifest(store, read_manifest(store))
+    manifest.checksums[name] = checksum_entry(payload)
     with open(manifest_location(store), "w", encoding="utf-8") as handle:
         handle.write(manifest.to_json())
-    if os.path.exists(os.path.join(store, "checksums.json")):
-        os.remove(os.path.join(store, "checksums.json"))
+    retire(store, retired)
 
 
 def break_one_record(store: str, index: int) -> str:
