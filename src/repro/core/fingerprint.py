@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..keys.annotate import KeyLabel, KeyValue
-from ..xmltree.canonical import canonical_form
 
 
 @dataclass(frozen=True)
@@ -59,35 +57,3 @@ class Fingerprinter:
             self.fingerprint_key(label.key),
             label.key,
         )
-
-    # -- subtree digests (batch-ingestion skip-merge) ----------------------
-
-    def frontier_digest(
-        self,
-        tag: str,
-        attributes: tuple[tuple[str, str], ...],
-        content: Iterable,
-    ) -> int:
-        """Digest of a frontier node: tag, attributes and full content.
-
-        ``content`` is the node's ordered E/T children; beyond the
-        frontier order is significant, so the canonical forms are
-        concatenated in document order.
-        """
-        rendered = "".join(canonical_form(child) for child in content)
-        return self.fingerprint(f"F\x1f{tag}\x1f{attributes!r}\x1f{rendered}")
-
-    def subtree_digest(
-        self,
-        tag: str,
-        attributes: tuple[tuple[str, str], ...],
-        child_digests: Iterable[int],
-    ) -> int:
-        """Merkle-style digest of an internal keyed node.
-
-        ``child_digests`` must come in the archive's sibling order (the
-        ``<=lab`` sort-token order) so the digest is invariant under the
-        keyed-sibling reordering the archive itself ignores.
-        """
-        children = ",".join(str(digest) for digest in child_digests)
-        return self.fingerprint(f"N\x1f{tag}\x1f{attributes!r}\x1f{children}")

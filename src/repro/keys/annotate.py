@@ -82,9 +82,6 @@ class AnnotatedDocument:
         """The node's key label, or ``None`` for unkeyed nodes."""
         return self.labels.get(id(node))
 
-    def is_keyed(self, node: Element) -> bool:
-        return id(node) in self.labels
-
     def is_frontier(self, node: Element) -> bool:
         return id(node) in self.frontier_ids
 

@@ -41,10 +41,9 @@ from ..keys.spec import KeySpec
 from ..storage.archiver import ExternalArchiver
 from ..storage.backend import StorageBackend, open_archive
 from ..storage.chunked import ChunkedArchiver
-from ..storage.events import NodeEvent, PeekableEvents, read_events
 from ..xmltree.model import Element
 from ..xmltree.xpath import evaluate_steps
-from .exec import MemoryCursor, StreamCursor, node_count, run_plan
+from .exec import MemoryCursor, node_count, run_plan
 from .plan import QueryPlan, compile_plan
 from .result import CHANGES, ELEMENTS, STRINGS, QueryResult, QueryStats
 
@@ -464,15 +463,7 @@ class ArchiveDB:
         stats: QueryStats,
     ) -> Iterator[Element]:
         def generate() -> Iterator[Element]:
-            events = PeekableEvents(
-                read_events(
-                    backend.archive_path, backend.io_stats, backend.codec
-                )
-            )
-            root = events.next()
-            if not isinstance(root, NodeEvent) or root.timestamp is None:
-                raise ArchiveError("Archive stream carries no root timestamp")
-            cursor = StreamCursor(root, events, root.timestamp, version, stats)
+            cursor = backend._cursor(version, stats)
             for _, element in run_plan(cursor, plan, stats):
                 yield element
 

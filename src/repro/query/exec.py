@@ -266,31 +266,33 @@ class ElementCursor(Cursor):
 
 
 class StreamCursor(Cursor):
-    """A cursor over the external backend's event stream (one pass).
+    """A node of the external backend's event stream alive at the scope
+    version (one forward pass).
 
     A ``NodeEvent`` cursor owns the events up to its matching
     ``ExitEvent``; consuming it (``children``/``materialize``/``skip``)
     advances the shared stream past that subtree.  ``FrontierEvent``
-    cursors are self-contained.
+    cursors are self-contained.  A child the version does not see is
+    drained where it is met, and no cursor is made for it; only what
+    the evaluation touches is built.
     """
+
+    __slots__ = ("event", "events", "effective", "version", "stats", "_consumed")
 
     def __init__(
         self,
         event: Union[NodeEvent, FrontierEvent],
         events: PeekableEvents,
-        inherited: VersionSet,
+        effective: VersionSet,
         version: int,
         stats: QueryStats,
     ) -> None:
         self.event = event
         self.events = events
-        self.is_frontier = isinstance(event, FrontierEvent)
-        self.effective = (
-            event.timestamp if event.timestamp is not None else inherited
-        )
+        self.effective = effective
         self.version = version
         self.stats = stats
-        self._consumed = self.is_frontier
+        self._consumed = isinstance(event, FrontierEvent)
 
     @property
     def tag(self) -> str:  # type: ignore[override]
@@ -312,67 +314,84 @@ class StreamCursor(Cursor):
         return self.event.label.sort_token()
 
     def children(self) -> Iterator[Cursor]:
-        if self.is_frontier:
-            for content in self._frontier_content():
+        event, events, version, stats = (
+            self.event, self.events, self.version, self.stats
+        )
+        if isinstance(event, FrontierEvent):
+            for content in _content_at(event, version):
                 if isinstance(content, Element):
-                    yield ElementCursor(content, self.stats)
+                    yield ElementCursor(content, stats)
             return
-        while True:
-            head = self.events.peek()
-            if head is None:
-                self._consumed = True
-                return
-            if isinstance(head, ExitEvent):
-                self.events.next()
-                self._consumed = True
-                return
-            event = self.events.next()
-            assert isinstance(event, (NodeEvent, FrontierEvent))
-            self.stats.archive_nodes_visited += 1
-            child = StreamCursor(
-                event, self.events, self.effective, self.version, self.stats
-            )
-            if self.version not in child.effective:
-                child.skip()
-                continue
-            yield child
-            child.skip()  # drain whatever the consumer left behind
-
-    def _frontier_content(self):
-        assert isinstance(self.event, FrontierEvent)
-        for alternative in self.event.alternatives:
-            if alternative.timestamp is None or self.version in alternative.timestamp:
-                return alternative.content
-        return []
-
-    def skip(self) -> None:
-        if self._consumed:
-            return
-        depth = 1
-        while depth:
-            event = self.events.next()
-            if isinstance(event, NodeEvent):
-                depth += 1
-            elif isinstance(event, ExitEvent):
-                depth -= 1
-            self.stats.events_skipped += 1
+        inherited = self.effective
+        while (live := _next_live(events, inherited, version, stats)) is not None:
+            cursor = StreamCursor(live[0], events, live[1], version, stats)
+            yield cursor
+            cursor.skip()  # drain whatever the consumer left behind
         self._consumed = True
 
-    def materialize(self) -> Optional[Element]:
-        element = Element(self.tag)
-        for name, value in self.event.attributes:
-            element.set_attribute(name, value)
-        self.stats.nodes_materialized += 1
-        if self.is_frontier:
-            for content in self._frontier_content():
-                element.append(content.copy())
-            self.stats.nodes_materialized += node_count(element) - 1
-            return element
-        for child in self.children():
-            sub = child.materialize()
-            if sub is not None:
-                element.append(sub)
+    def skip(self) -> None:
+        if not self._consumed:
+            self.stats.events_skipped += _drained(self.events, self.event)
+            self._consumed = True
+
+    def materialize(self) -> Element:
+        self._consumed = True
+        return _build(self.events, self.event, self.effective, self.version, self.stats)
+
+
+StreamNode = Union[NodeEvent, FrontierEvent]
+
+
+def _drained(events: PeekableEvents, first: StreamNode) -> int:
+    """Drain the subtree ``first`` opens: the events read past it."""
+    return sum(1 for _ in events.skip_subtree(first)) - 1
+
+
+def _next_live(
+    events: PeekableEvents, inherited: VersionSet, version: int, stats: QueryStats
+) -> Optional[tuple[StreamNode, VersionSet]]:
+    """The next child alive at ``version`` of the stream node being
+    read, with its effective timestamp, or ``None`` once the node's exit
+    is read; children the version does not see are drained on the way."""
+    while True:
+        event = events.next()
+        if isinstance(event, ExitEvent):
+            return None
+        stats.archive_nodes_visited += 1
+        effective = inherited if event.timestamp is None else event.timestamp
+        if version in effective:
+            return event, effective
+        stats.events_skipped += _drained(events, event)
+
+
+def _content_at(event: FrontierEvent, version: int) -> list:
+    """A stream frontier node's content at ``version``."""
+    for alternative in event.alternatives:
+        if alternative.timestamp is None or version in alternative.timestamp:
+            return alternative.content
+    return []
+
+
+def _build(
+    events: PeekableEvents,
+    event: StreamNode,
+    effective: VersionSet,
+    version: int,
+    stats: QueryStats,
+) -> Element:
+    """The element of a stream node alive at ``version``, its subtree
+    read off the stream as it is built."""
+    tag, pairs = event.label.tag, event.attributes
+    if isinstance(event, FrontierEvent):
+        content = [item.copy() for item in _content_at(event, version)]
+        element = Element.assemble(tag, pairs, content)
+        stats.nodes_materialized += node_count(element)
         return element
+    stats.nodes_materialized += 1
+    children: list = []
+    while (live := _next_live(events, effective, version, stats)) is not None:
+        children.append(_build(events, live[0], live[1], version, stats))
+    return Element.assemble(tag, pairs, children)
 
 
 # -- predicate checking -------------------------------------------------------

@@ -15,9 +15,9 @@ The concurrency model ``xarchd`` promises:
   committed since, or ``fsck --repair`` rewrote it), the
   handle is closed and the archive opened afresh.
   A write that fails closes its handle, so the next ingest opens with
-  recovery.  At most ``pin_cache_size`` handles are held, the least
-  recently written closing first (``0`` holds none); evicting an
-  archive's pins closes its handle too.
+  recovery.  At most :data:`PIN_CACHE_SIZE` handles are held, the
+  least recently written closing first; evicting an archive's pins
+  closes its handle too.
 
 * **Snapshot-isolated readers.**  A read request *pins* the archive by
   opening a private, recovery-free backend (``open_archive(...,
@@ -104,6 +104,10 @@ _SIDECAR_SUFFIXES = (".manifest.json", ".keys", ".wal", ".tmp")
 #: How many times a read re-pins before an IntegrityError is believed.
 _RECONCILE_ATTEMPTS = 4
 
+#: Idle snapshot backends the pin cache keeps open, and idle write
+#: handles it holds beside them.
+PIN_CACHE_SIZE = 8
+
 
 def _stamp(location: str) -> tuple[int, int, int]:
     """What tells one published manifest file from the next."""
@@ -181,18 +185,19 @@ class _PinCache:
 
     A new generation gets a new key, so stale entries stop being
     acquired the moment a publish lands; they are closed once their
-    in-flight readers release them and the LRU trims past ``capacity``.
-    Eviction calls the backend's ``drop_caches()`` before ``close()``
-    so reader memory stays bounded by ``capacity`` live generations
-    plus whatever the byte-budgeted decoded-chunk cache holds.
+    in-flight readers release them and the LRU trims past
+    :data:`PIN_CACHE_SIZE`.  Eviction calls the backend's
+    ``drop_caches()`` before ``close()`` so reader memory stays bounded
+    by that many live generations plus whatever the byte-budgeted
+    decoded-chunk cache holds.
 
     Beside the pins it holds each archive's idle write handle, at most
-    ``capacity`` of them, least recently written first out.  A writer
-    is taken out while it writes, so only idle ones are ever closed.
+    :data:`PIN_CACHE_SIZE` of them, least recently written first out.
+    A writer is taken out while it writes, so only idle ones are ever
+    closed.
     """
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(0, int(capacity))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         #: ``(name, generation) -> [backend, db, refs]``
         self._entries: "OrderedDict[tuple[str, int], list]" = OrderedDict()
@@ -210,10 +215,10 @@ class _PinCache:
         entry[0].close()
 
     def _trim(self) -> None:
-        # Close least-recently-used idle entries beyond capacity; busy
+        # Close least-recently-used idle entries beyond the size; busy
         # entries (refs > 0) cannot close and are skipped — the map may
-        # briefly exceed capacity while every entry is in flight.
-        while len(self._entries) > self.capacity:
+        # briefly exceed it while every entry is in flight.
+        while len(self._entries) > PIN_CACHE_SIZE:
             victim = None
             for key, entry in self._entries.items():
                 if entry[2] == 0:
@@ -277,7 +282,7 @@ class _PinCache:
         """Hold an idle write handle for the archive's next write."""
         with self._lock:
             self._writers[name] = (backend, manifest)
-            while len(self._writers) > self.capacity:
+            while len(self._writers) > PIN_CACHE_SIZE:
                 _, (victim, _) = self._writers.popitem(last=False)
                 victim.close()
 
@@ -317,12 +322,7 @@ class ArchiveService:
     before it touches the filesystem.
     """
 
-    def __init__(
-        self,
-        root: "str | os.PathLike",
-        *,
-        pin_cache_size: int = 8,
-    ) -> None:
+    def __init__(self, root: "str | os.PathLike") -> None:
         root = os.path.abspath(os.fspath(root))
         if not os.path.isdir(root):
             raise ApiError(
@@ -332,9 +332,8 @@ class ArchiveService:
         self._locks_guard = threading.Lock()
         self._writer_locks: dict[str, threading.Lock] = {}
         #: Open snapshot backends shared across reader requests at one
-        #: ``(archive, generation)``; ``pin_cache_size=0`` restores the
-        #: open-per-request behaviour.
-        self.pins = _PinCache(pin_cache_size)
+        #: ``(archive, generation)``, and the idle write handles.
+        self.pins = _PinCache()
         #: What each served archive last published: ``name -> (path,
         #: manifest location, (st_ino, st_mtime_ns, st_size), Manifest)``.
         self._published: dict[str, tuple] = {}
@@ -431,10 +430,7 @@ class ArchiveService:
         whose generation cannot be pinned by key — open privately, the
         opened backend joining the cache on the miss path.
         """
-        if self.pins.capacity == 0:
-            path, manifest = self._resolve(name), None
-        else:
-            path, manifest = self._manifest(name)
+        path, manifest = self._manifest(name)
         if manifest is not None:
             key = (name, manifest.generation)
             entry = self.pins.acquire(key)

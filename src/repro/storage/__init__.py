@@ -15,7 +15,7 @@ with I/O accounting, bounded-memory sorted runs with k-way merging and
 the one-pass stream merge.
 """
 
-from .archiver import ExternalArchiver, archive_to_stream
+from .archiver import ExternalArchiver
 from .backend import (
     BACKEND_KINDS,
     Manifest,
@@ -113,7 +113,6 @@ __all__ = [
     "StreamMergeError",
     "WalError",
     "WriteAheadLog",
-    "archive_to_stream",
     "atomic_write_text",
     "create_archive",
     "decode_event",

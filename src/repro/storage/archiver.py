@@ -7,14 +7,22 @@ stream on disk.  ``add_version`` runs the paper's three phases:
 2. **Sort** it into a stream via bounded-memory sorted runs and k-way
    merging (Sec. 6.2);
 3. **Merge** the sorted version stream with the archive stream in one
-   pass (Sec. 6.3).
+   pass (Sec. 6.3).  An empty version is a merge against no version
+   events at all.
 
-The archive itself is never materialized in memory; ``retrieve`` streams
-the archive and keeps only the requested version, and ``history`` and
-``stats`` are likewise single-pass stream walks, so the whole
+The archive itself is never materialized in memory.  Every read checks
+the stream against the checksum the manifest records, then walks it
+once through one reader, :class:`~repro.storage.events.PeekableEvents`,
+whose :meth:`~repro.storage.events.PeekableEvents.skip_subtree` is the
+one way a subtree is passed over: ``retrieve`` and ``select`` are one
+:class:`~repro.query.exec.StreamCursor` pass that builds only the live
+subtrees they reach, ``history`` follows one key path, and ``stats``
+counts in one pass, so the whole
 :class:`~repro.storage.backend.StorageBackend` surface runs in bounded
-memory.  I/O is accounted in pages (``io_stats``) so the analysis of
-Sec. 6 can be checked experimentally.
+memory.  ``last_version`` is the manifest's ``version_count``, read
+with the manifest at open; the stream's root is read for it only where
+no manifest exists yet.  I/O is accounted in pages (``io_stats``) so
+the analysis of Sec. 6 can be checked experimentally.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import os
 import re
 from itertools import zip_longest
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..core.archive import (
     Archive,
@@ -58,7 +66,6 @@ from .events import (
     IOStats,
     NodeEvent,
     PeekableEvents,
-    archive_node_to_events,
     events_to_archive_node,
     read_events,
 )
@@ -154,6 +161,14 @@ class ExternalArchiver(StorageBackend):
     def _part_name(self, part=STREAM_NAME) -> str:
         return STREAM_NAME
 
+    def _adopt(self, manifest: Optional[Manifest]) -> None:
+        super()._adopt(manifest)
+        #: The manifest's version count; ``None`` until the stream's
+        #: root is read for it where there is no manifest.
+        self._version_count = (
+            manifest.version_count if manifest is not None else None
+        )
+
     def _verify_stream(self) -> None:
         """Check the event stream against its recorded checksum before
         any parse touches it."""
@@ -169,22 +184,26 @@ class ExternalArchiver(StorageBackend):
         """The stream's events, verified before any parse touches it;
         the empty archive's while no stream is stored."""
         self._verify_stream()
-        return self._stored_events(stats)
-
-    def _stored_events(self, stats: IOStats) -> Iterator[Event]:
         if not os.path.exists(self.archive_path):
             return iter(_empty_stream())
         return read_events(self.archive_path, stats, self.codec)
 
-    def _root_timestamp(self) -> VersionSet:
-        root = next(self._events(IOStats()))  # peek without accounting
-        assert isinstance(root, NodeEvent) and root.timestamp is not None
-        return root.timestamp
+    def _read_root(self, stats: IOStats) -> tuple[NodeEvent, PeekableEvents]:
+        """The stream's root event and the reader past it: where every
+        walk of the stream starts."""
+        events = PeekableEvents(self._events(stats))
+        root = events.next()
+        if not isinstance(root, NodeEvent) or root.timestamp is None:
+            raise ArchiveError("Archive stream carries no root timestamp")
+        return root, events
 
     @property
     def last_version(self) -> int:
-        timestamp = self._root_timestamp()
-        return timestamp.max_version() if timestamp else 0
+        if self._version_count is None:
+            root, _ = self._read_root(IOStats())  # a peek, unaccounted
+            timestamp = root.timestamp
+            self._version_count = timestamp.max_version() if timestamp else 0
+        return self._version_count
 
     # -- the three phases ---------------------------------------------------------
 
@@ -199,11 +218,9 @@ class ExternalArchiver(StorageBackend):
         """
         number = self.last_version + 1
         with ArchiveTxn(self, number) as txn:
-            out_path = txn.staging(self.archive_path)
-            if document is None:
-                self._stage_empty_version(number, out_path)
-                merge_stats = MergeStats()
-            else:
+            version_path = None
+            version: Iterable[Event] = ()
+            if document is not None:
                 annotated = annotate_keys(document, self.spec)  # Sec. 6.1
                 version_path = sort_version(  # Sec. 6.2
                     annotated,
@@ -214,108 +231,51 @@ class ExternalArchiver(StorageBackend):
                     prefix=f"v{number}",
                     codec=self.codec,
                 )
-                merge_stats = merge_archive_stream(  # Sec. 6.3
-                    self._events(self.io_stats),
-                    version_path,
-                    out_path,
-                    number,
-                    self.io_stats,
-                    self.codec,
-                )
+                version = read_events(version_path, self.io_stats, self.codec)
+            merge_stats = merge_archive_stream(  # Sec. 6.3
+                self._events(self.io_stats),
+                version,
+                txn.staging(self.archive_path),
+                number,
+                self.io_stats,
+                self.codec,
+            )
+            if version_path is not None:
                 os.remove(version_path)
             txn.adopt(self.archive_path)
-        return merge_stats
-
-    def _stage_empty_version(self, number: int, out_path: str) -> None:
-        events = self._events(self.io_stats)
-        with EventWriter(out_path, self.io_stats, self.codec) as writer:
-            root = next(events)
-            assert isinstance(root, NodeEvent) and root.timestamp is not None
-            timestamp = root.timestamp.copy()
-            timestamp.add(number)
-            from dataclasses import replace
-
-            writer.write(replace(root, timestamp=timestamp))
-            depth = 1
-            for event in events:
-                if isinstance(event, (NodeEvent, FrontierEvent)):
-                    if depth == 1 and event.timestamp is None:
-                        event = replace(event, timestamp=timestamp.without(number))
-                    if isinstance(event, NodeEvent):
-                        depth += 1
-                elif isinstance(event, ExitEvent):
-                    depth -= 1
-                writer.write(event)
+        # An empty version's merge terminates the document roots, which
+        # its stats do not count.
+        return merge_stats if document is not None else MergeStats()
 
     # -- queries -------------------------------------------------------------------
 
-    def retrieve(
-        self, version: int, *, probes: Optional[ProbeCount] = None
-    ) -> Optional[Element]:
-        """Stream the archive, keeping only the requested version.
+    def _cursor(self, version: int, stats=None):
+        """The stream's root as a :class:`~repro.query.exec.StreamCursor`
+        at ``version``: the one pass ``retrieve`` and ``select`` read
+        through, counting into ``stats`` (a fresh
+        :class:`~repro.query.result.QueryStats` by default)."""
+        from ..query.exec import StreamCursor  # local: query builds on storage
+        from ..query.result import QueryStats
 
-        ``probes`` is accepted for protocol uniformity but stays zero:
-        the stream walk has no timestamp trees to probe.
-        """
-        events = PeekableEvents(self._events(self.io_stats))
-        root = events.next()
-        assert isinstance(root, NodeEvent) and root.timestamp is not None
+        root, events = self._read_root(self.io_stats)
         if version not in root.timestamp:
             raise ArchiveError(
                 f"Version {version} not archived "
                 f"(have {root.timestamp.to_text() or 'none'})"
             )
-        result = self._reconstruct_children(events, version, root.timestamp)
-        return result[0] if result else None
+        stats = QueryStats() if stats is None else stats
+        return StreamCursor(root, events, root.timestamp, version, stats)
 
-    def _reconstruct_children(
-        self, events: PeekableEvents, version: int, inherited: VersionSet
-    ) -> list[Element]:
-        children: list[Element] = []
-        while True:
-            head = events.peek()
-            if head is None or isinstance(head, ExitEvent):
-                if head is not None:
-                    events.next()
-                return children
-            event = events.next()
-            assert isinstance(event, (NodeEvent, FrontierEvent))
-            timestamp = (
-                event.timestamp if event.timestamp is not None else inherited
-            )
-            relevant = version in timestamp
-            if isinstance(event, FrontierEvent):
-                if relevant:
-                    element = Element(event.label.tag)
-                    for name, value in event.attributes:
-                        element.set_attribute(name, value)
-                    for alternative in event.alternatives:
-                        if (
-                            alternative.timestamp is None
-                            or version in alternative.timestamp
-                        ):
-                            for content in alternative.content:
-                                element.append(content.copy())
-                            break
-                    children.append(element)
-                continue
-            if relevant:
-                element = Element(event.label.tag)
-                for name, value in event.attributes:
-                    element.set_attribute(name, value)
-                for child in self._reconstruct_children(events, version, timestamp):
-                    element.append(child)
-                children.append(element)
-            else:
-                # Irrelevant subtree: drain it without building anything.
-                depth = 1
-                while depth:
-                    skipped = events.next()
-                    if isinstance(skipped, NodeEvent):
-                        depth += 1
-                    elif isinstance(skipped, ExitEvent):
-                        depth -= 1
-        return children
+    def retrieve(
+        self, version: int, *, probes: Optional[ProbeCount] = None
+    ) -> Optional[Element]:
+        """Stream the archive, building only the requested version.
+
+        ``probes`` is accepted for protocol uniformity but stays zero:
+        the stream walk has no timestamp trees to probe.
+        """
+        documents = self._cursor(version).materialize().children
+        return documents[0] if documents else None
 
     def history(self, path: str) -> ElementHistory:
         """Temporal history of a keyed element, in one stream pass.
@@ -327,36 +287,21 @@ class ExternalArchiver(StorageBackend):
         labels = key_path_labels(path, self.spec)
         if not labels:
             raise ArchiveError(f"Empty history path {path!r}")
-        events = PeekableEvents(self._events(self.io_stats))
-        root = events.next()
-        if not isinstance(root, NodeEvent) or root.timestamp is None:
-            raise ArchiveError("Archive stream carries no root timestamp")
+        root, events = self._read_root(self.io_stats)
         inherited = root.timestamp
         found = None
         for position, label in enumerate(labels):
             target = label.sort_token()
             found = None
-            while True:
-                head = events.peek()
-                if head is None or isinstance(head, ExitEvent):
-                    break
+            while not isinstance(events.peek(), ExitEvent):
                 event = events.next()
-                assert isinstance(event, (NodeEvent, FrontierEvent))
-                timestamp = (
-                    event.timestamp if event.timestamp is not None else inherited
-                )
                 if event.label.sort_token() == target:
                     found = event
-                    inherited = timestamp
+                    if event.timestamp is not None:
+                        inherited = event.timestamp
                     break
-                if isinstance(event, NodeEvent):
-                    depth = 1  # drain the unmatched subtree
-                    while depth:
-                        skipped = events.next()
-                        if isinstance(skipped, NodeEvent):
-                            depth += 1
-                        elif isinstance(skipped, ExitEvent):
-                            depth -= 1
+                for _ in events.skip_subtree(event):
+                    pass
             if found is None:
                 raise missing_element_error(label, path)
             if position < len(labels) - 1 and not isinstance(found, NodeEvent):
@@ -379,17 +324,10 @@ class ExternalArchiver(StorageBackend):
         """
         nodes = 0
         stored_timestamps = 0
-        versions = 0
-        first = True
         pass_stats = IOStats()  # logical bytes of this single pass
         for event in self._events(pass_stats):
             if isinstance(event, ExitEvent):
                 continue
-            if first:
-                assert isinstance(event, NodeEvent)
-                if event.timestamp is not None:
-                    versions = len(event.timestamp)
-                first = False
             nodes += 1
             if event.timestamp is not None:
                 stored_timestamps += 1
@@ -405,7 +343,7 @@ class ExternalArchiver(StorageBackend):
         self.io_stats.merge(pass_stats)
         return self._handle_counters(
             ArchiveStats(
-                versions=versions,
+                versions=self.last_version,
                 nodes=nodes,
                 stored_timestamps=stored_timestamps,
                 serialized_bytes=pass_stats.bytes_read,
@@ -425,25 +363,17 @@ class ExternalArchiver(StorageBackend):
         materialize fresh: the options shape the product).
         """
         if options is not None:
-            return self._materialize(self._events(self.io_stats), options)
+            return self._materialize(options)
         return self._cached(STREAM_NAME, self._load)
 
     def _load(self) -> Loaded:
         """One cold materialization: verify, then read the stream once."""
-        self._verify_stream()
-        size = self.archive_bytes()
-        return self._materialize(self._stored_events(self.io_stats)), size
+        return self._materialize(), self.archive_bytes()
 
-    def _materialize(
-        self, stream: Iterator[Event], options: Optional[ArchiveOptions] = None
-    ) -> Archive:
+    def _materialize(self, options: Optional[ArchiveOptions] = None) -> Archive:
         archive = Archive(self.spec, options)
-        events = PeekableEvents(stream)
-        root = events.next()
-        assert isinstance(root, NodeEvent) and root.timestamp is not None
-        archive.root = ArchiveNode(
-            label=root.label, timestamp=root.timestamp.copy()
-        )
+        root, events = self._read_root(self.io_stats)
+        archive.root = ArchiveNode(label=root.label, timestamp=root.timestamp.copy())
         while not isinstance(events.peek(), ExitEvent):
             archive.root.children.append(events_to_archive_node(events))
         return archive
@@ -466,8 +396,8 @@ class ExternalArchiver(StorageBackend):
         target = get_codec(codec)
         old = self.codec
         before = self.archive_bytes()
-        version_count = self.last_version  # read (and verify) old stream
-        with ArchiveTxn(self, version_count, codec=target) as txn:
+        self._verify_stream()
+        with ArchiveTxn(self, self.last_version, codec=target) as txn:
             if os.path.exists(self.archive_path):
                 staged = txn.staging(self.archive_path)
                 with old.open_text_read(self.archive_path) as source, \
@@ -498,20 +428,3 @@ class ExternalArchiver(StorageBackend):
             disk_bytes_after=self.archive_bytes(),
         )
 
-
-def archive_to_stream(
-    archive: Archive, path: str, stats: IOStats, codec: CodecLike = None
-) -> None:
-    """Write an in-memory archive as a sorted event stream."""
-    assert archive.root.timestamp is not None
-    with EventWriter(path, stats, codec) as writer:
-        writer.write(
-            NodeEvent(
-                label=archive.root.label,
-                attributes=archive.root.attributes,
-                timestamp=archive.root.timestamp,
-            )
-        )
-        for child in archive.root.children:
-            archive_node_to_events(child, writer)
-        writer.write(ExitEvent())

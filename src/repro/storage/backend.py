@@ -6,10 +6,14 @@ version into per-chunk trees in one loop; the whole-file archive the CLI
 speaks (Fig. 5 XML on disk, :class:`~repro.storage.chunked.FileBackend`)
 is its layout with one chunk.  The event-stream
 :class:`~repro.storage.archiver.ExternalArchiver` (Sec. 6) merges a
-stream instead.  :class:`StorageBackend` is the protocol they implement,
-so ingestion, retrieval, temporal queries and the CLI are written once
-against the contract and every future backend (sharded, cached,
-service-fronted) plugs into the same seam.
+stream instead, and reads it through one reader
+(:class:`~repro.storage.events.PeekableEvents`, under the query
+layer's :class:`~repro.query.exec.StreamCursor`), verified against its
+recorded checksum before every pass.  Both take ``last_version`` from
+the manifest's ``version_count``.  :class:`StorageBackend` is the
+protocol they implement, so ingestion, retrieval, temporal queries and
+the CLI are written once against the contract and every future backend
+(sharded, cached, service-fronted) plugs into the same seam.
 
 Each archive is self-describing: a ``manifest.json`` (a sidecar
 ``<archive>.manifest.json`` for single-file archives) records the

@@ -138,10 +138,6 @@ class DecodedChunkCache:
             self._entries.clear()
             self._bytes = 0
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.evictions = 0
-
     @property
     def entry_count(self) -> int:
         return len(self._entries)

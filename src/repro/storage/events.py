@@ -4,7 +4,11 @@ The external-memory archiver never holds an archive in memory; it works
 on *event streams* — a document-order traversal with children sorted by
 key label at every level, so two streams can be merged with memory
 proportional to tree height only (the paper's assumption: a root-to-leaf
-path fits in a page).
+path fits in a page).  :func:`version_events` makes a version's stream;
+:func:`read_events` reads a stored one, and every walk of it goes
+through :class:`PeekableEvents`, which passes over a subtree one way
+(:meth:`PeekableEvents.skip_subtree`).  No stream is read for a version
+count: the archive's is its manifest's.
 
 Stream format: one JSON array per line.
 
@@ -34,7 +38,7 @@ import gzip
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..core.nodes import Alternative, ArchiveNode, ContentNode
 from ..core.versionset import VersionSet
@@ -241,30 +245,40 @@ def read_events(path: str, stats: IOStats, codec=None) -> Iterator[Event]:
         )
 
 
-class PeekableEvents:
-    """A one-event lookahead wrapper used by the stream mergers."""
+#: :class:`PeekableEvents`' head before it is read.
+_UNREAD = object()
 
-    def __init__(self, events: Iterator[Event]) -> None:
-        self._events = events
-        self._buffer: list[Event] = []
+
+class PeekableEvents:
+    """A one-event lookahead over a stream, the one reader every walk
+    of a stream goes through: the merges, the sort, the archive's
+    materialization and :class:`~repro.query.exec.StreamCursor`.  A
+    subtree is drained one way, :meth:`skip_subtree`; a stream that
+    ends where an event is owed raises
+    :class:`~repro.storage.integrity.TruncatedPayload`."""
+
+    __slots__ = ("_events", "_head")
+
+    def __init__(self, events: Iterable[Event]) -> None:
+        self._events = iter(events)
+        self._head: object = _UNREAD
 
     def peek(self) -> Optional[Event]:
-        if not self._buffer:
-            try:
-                self._buffer.append(next(self._events))
-            except StopIteration:
-                return None
-        return self._buffer[0]
+        head = self._head
+        if head is _UNREAD:
+            head = self._head = next(self._events, None)
+        return head
 
     def next(self) -> Event:
         event = self.peek()
         if event is None:
-            raise StopIteration("event stream exhausted")
-        self._buffer.pop(0)
+            raise TruncatedPayload("Event stream ends mid-structure")
+        self._head = _UNREAD
         return event
 
     def skip_subtree(self, first: Event) -> Iterator[Event]:
-        """Yield ``first`` plus the rest of its subtree's events."""
+        """Yield ``first``, just taken from this stream, and the rest of
+        its subtree's events."""
         yield first
         if isinstance(first, NodeEvent):
             depth = 1
@@ -278,33 +292,6 @@ class PeekableEvents:
 
 
 # -- conversions to/from the in-memory archive ------------------------------------
-
-
-def archive_node_to_events(node: ArchiveNode, writer: EventWriter) -> None:
-    """Emit one archive subtree (children assumed label-sorted)."""
-    if node.weave is not None:
-        raise ValueError(
-            "Event streams store frontier alternatives; weave-compacted "
-            "archives are an in-memory representation (convert first)"
-        )
-    if node.alternatives is not None:
-        writer.write(
-            FrontierEvent(
-                label=node.label,
-                attributes=node.attributes,
-                timestamp=node.timestamp,
-                alternatives=node.alternatives,
-            )
-        )
-        return
-    writer.write(
-        NodeEvent(
-            label=node.label, attributes=node.attributes, timestamp=node.timestamp
-        )
-    )
-    for child in node.children:
-        archive_node_to_events(child, writer)
-    writer.write(ExitEvent())
 
 
 def events_to_archive_node(events: PeekableEvents) -> ArchiveNode:
@@ -327,33 +314,30 @@ def events_to_archive_node(events: PeekableEvents) -> ArchiveNode:
     return node
 
 
-def version_subtree_to_events(
-    node: Element,
-    document: AnnotatedDocument,
-    writer: EventWriter,
-) -> None:
-    """Emit a key-annotated version subtree, children sorted by label."""
+def version_events(
+    document: AnnotatedDocument, node: Optional[Element] = None
+) -> Iterator[Event]:
+    """The events of a key-annotated version (from ``node``, its root by
+    default), children sorted by label at every level: what Sec. 6.2
+    cuts into sorted runs."""
+    if node is None:
+        node = document.root
     label = document.label(node)
     assert label is not None
     attributes = tuple(sorted((a.name, a.value) for a in node.attributes))
     if document.is_frontier(node):
-        writer.write(
-            FrontierEvent(
-                label=label,
-                attributes=attributes,
-                timestamp=None,
-                alternatives=[
-                    Alternative(
-                        timestamp=None, content=[c.copy() for c in node.children]
-                    )
-                ],
-            )
+        content = [child.copy() for child in node.children]
+        yield FrontierEvent(
+            label=label,
+            attributes=attributes,
+            timestamp=None,
+            alternatives=[Alternative(timestamp=None, content=content)],
         )
         return
-    writer.write(NodeEvent(label=label, attributes=attributes, timestamp=None))
+    yield NodeEvent(label=label, attributes=attributes, timestamp=None)
     ordered = sorted(
         node.element_children(), key=lambda child: document.label(child).sort_token()
     )
     for child in ordered:
-        version_subtree_to_events(child, document, writer)
-    writer.write(ExitEvent())
+        yield from version_events(document, child)
+    yield ExitEvent()

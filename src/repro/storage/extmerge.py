@@ -16,7 +16,7 @@ augmenting the timestamp and recursing.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator
+from typing import Iterable
 
 from ..core.merge import MergeStats, merge_alternatives
 from ..core.nodes import Alternative
@@ -29,7 +29,6 @@ from .events import (
     IOStats,
     NodeEvent,
     PeekableEvents,
-    read_events,
 )
 
 
@@ -38,8 +37,8 @@ class StreamMergeError(ValueError):
 
 
 def merge_archive_stream(
-    archive_events: Iterator[Event],
-    version_path: str,
+    archive_events: Iterable[Event],
+    version_events: Iterable[Event],
     out_path: str,
     version_number: int,
     stats: IOStats,
@@ -47,41 +46,29 @@ def merge_archive_stream(
 ) -> MergeStats:
     """Merge a sorted version stream into a sorted archive stream.
 
-    The archive side arrives as the events its owner read (and
-    verified) — the stored stream's, or the empty archive's; ``codec``
-    decodes the version file and encodes the output; the one-pass
-    bounded-memory shape is unchanged (framed gzip streams decode
-    incrementally).
+    Both sides arrive as the events their owner read: the archive's
+    (verified; the empty archive's while none is stored), and the
+    version's sorted stream (none at all for an empty version, whose
+    merge terminates the document roots).  ``codec`` encodes the
+    output; the one-pass bounded-memory shape is unchanged (framed gzip
+    streams decode incrementally).
     """
-    from .integrity import TruncatedPayload
-
     merge_stats = MergeStats()
     archive = PeekableEvents(archive_events)
-    version = PeekableEvents(read_events(version_path, stats, codec))
-    try:
-        with EventWriter(out_path, stats, codec) as writer:
-            root = archive.next()
-            if not isinstance(root, NodeEvent) or root.timestamp is None:
-                raise StreamMergeError(
-                    "Archive stream must open with a timestamped root"
-                )
-            timestamp = root.timestamp.copy()
-            timestamp.add(version_number)
-            writer.write(replace(root, timestamp=timestamp))
-            _merge_children(
-                archive, version, timestamp, version_number, writer, merge_stats
-            )
-            exit_event = archive.next()
-            if not isinstance(exit_event, ExitEvent):
-                raise StreamMergeError("Archive root not closed")
-            writer.write(ExitEvent())
-    except StopIteration:
-        # A stream that ends mid-structure (events missing their exits)
-        # is a truncated payload, not a programming error.
-        raise TruncatedPayload(
-            f"Event stream ends mid-structure merging the archive "
-            f"with {version_path!r}"
-        ) from None
+    version = PeekableEvents(version_events)
+    with EventWriter(out_path, stats, codec) as writer:
+        root = archive.next()
+        if not isinstance(root, NodeEvent) or root.timestamp is None:
+            raise StreamMergeError("Archive stream must open with a timestamped root")
+        timestamp = root.timestamp.copy()
+        timestamp.add(version_number)
+        writer.write(replace(root, timestamp=timestamp))
+        _merge_children(
+            archive, version, timestamp, version_number, writer, merge_stats
+        )
+        if not isinstance(archive.next(), ExitEvent):
+            raise StreamMergeError("Archive root not closed")
+        writer.write(ExitEvent())
     return merge_stats
 
 
@@ -121,20 +108,11 @@ def _copy_terminated(
 ) -> None:
     """Archive-only subtree: terminate its timestamp, copy verbatim."""
     first = archive.next()
-    assert isinstance(first, (NodeEvent, FrontierEvent))
     if first.timestamp is None:
         stats.nodes_terminated += 1
         first = replace(first, timestamp=inherited.without(number))
-    writer.write(first)
-    if isinstance(first, NodeEvent):
-        depth = 1
-        while depth:
-            event = archive.next()
-            if isinstance(event, NodeEvent):
-                depth += 1
-            elif isinstance(event, ExitEvent):
-                depth -= 1
-            writer.write(event)
+    for event in archive.skip_subtree(first):
+        writer.write(event)
 
 
 def _copy_inserted(
@@ -145,18 +123,9 @@ def _copy_inserted(
 ) -> None:
     """Version-only subtree: stamp the root with {number}, copy."""
     stats.nodes_inserted += 1
-    first = version.next()
-    assert isinstance(first, (NodeEvent, FrontierEvent))
-    writer.write(replace(first, timestamp=VersionSet([number])))
-    if isinstance(first, NodeEvent):
-        depth = 1
-        while depth:
-            event = version.next()
-            if isinstance(event, NodeEvent):
-                depth += 1
-            elif isinstance(event, ExitEvent):
-                depth -= 1
-            writer.write(event)
+    first = replace(version.next(), timestamp=VersionSet([number]))
+    for event in version.skip_subtree(first):
+        writer.write(event)
 
 
 def _merge_node(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 
 from ..keys.annotate import AnnotatedDocument
-from ..xmltree.model import Element
 from .events import (
     Event,
     EventWriter,
@@ -22,6 +21,7 @@ from .events import (
     NodeEvent,
     PeekableEvents,
     read_events,
+    version_events,
 )
 
 
@@ -98,39 +98,14 @@ def write_sorted_runs(
     if budget < 2:
         raise ValueError("Run budget must allow at least a stem and one node")
     runs = _RunWriter(directory, prefix, stats, codec)
-
-    def walk(node: Element) -> None:
-        label = document.label(node)
-        assert label is not None
-        attributes = tuple(sorted((a.name, a.value) for a in node.attributes))
-        if document.is_frontier(node):
-            from ..core.nodes import Alternative
-
-            runs.frontier(
-                FrontierEvent(
-                    label=label,
-                    attributes=attributes,
-                    timestamp=None,
-                    alternatives=[
-                        Alternative(
-                            timestamp=None,
-                            content=[c.copy() for c in node.children],
-                        )
-                    ],
-                )
-            )
+    for event in version_events(document):
+        if isinstance(event, NodeEvent):
+            runs.enter(event)
+        elif isinstance(event, ExitEvent):
+            runs.exit()
+        else:
+            runs.frontier(event)
             runs.maybe_roll(budget)
-            return
-        runs.enter(NodeEvent(label=label, attributes=attributes, timestamp=None))
-        ordered = sorted(
-            node.element_children(),
-            key=lambda child: document.label(child).sort_token(),
-        )
-        for child in ordered:
-            walk(child)
-        runs.exit()
-
-    walk(document.root)
     runs.close()
     return runs.paths
 
@@ -219,23 +194,11 @@ def sort_version(
             out_path = os.path.join(
                 directory, f"{prefix}-merge{phase}-{start // fan_in}.jsonl"
             )
-            try:
-                with EventWriter(out_path, stats, codec) as writer:
-                    merge_event_streams(
-                        [
-                            PeekableEvents(read_events(path, stats, codec))
-                            for path in batch
-                        ],
-                        writer,
-                    )
-            except StopIteration:
-                from .integrity import TruncatedPayload
-
-                # A run that ends mid-structure was cut short on disk;
-                # classify it instead of leaking a bare StopIteration.
-                raise TruncatedPayload(
-                    f"Sorted run ends mid-structure merging {batch!r}"
-                ) from None
+            with EventWriter(out_path, stats, codec) as writer:
+                merge_event_streams(
+                    [PeekableEvents(read_events(path, stats, codec)) for path in batch],
+                    writer,
+                )
             merged_paths.append(out_path)
             for path in batch:
                 os.remove(path)

@@ -512,7 +512,7 @@ class TestAWarmReadTouchesNoFile:
         expected = first.to_archive().to_xml_string()
         first.close()
         looked = watch_exists(monkeypatch)
-        refuse(monkeypatch, ExternalArchiver, "_verify_stream", "_stored_events")
+        refuse(monkeypatch, ExternalArchiver, "_verify_stream", "_events")
         second = open_archive(path, recover=False)
         assert second.to_archive().to_xml_string() == expected
         assert (second.cache_hits, second.cache_misses) == (1, 0)

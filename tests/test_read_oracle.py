@@ -5,10 +5,11 @@ answers what a naive evaluator gives over the documents themselves.
 The model is nothing but the list of ingested documents (``None`` for
 an empty version) and the naive evaluator below: ``xmltree.xpath`` over
 one document, which knows nothing of archives, plans, chunks, framed
-blocks or caches.  The store is a whole-file archive or a chunked one
-of one to three chunks.  The machine appends and ingests batches
-(versions without records among them) through a handle that holds its
-trees between writes and through fresh ones, reopens, reads one
+blocks or caches.  The store is a whole-file archive, a chunked one
+of one to three chunks, or the Sec. 6 external event stream.  The
+machine appends and ingests batches (versions without records among
+them) through a handle that holds its trees between writes and through
+fresh ones, reopens, reads one
 version once, twice and three times through one handle (the streamed
 read, the settling one and the walk), selects keyed and dense, cold
 and warm, and asks for histories and change reports; after every step
@@ -167,7 +168,7 @@ class ReadOracle(RuleBasedStateMachine):
 
     @initialize(
         seed=st.integers(0, 2**16),
-        kind=st.sampled_from(["file", "chunked"]),
+        kind=st.sampled_from(["file", "chunked", "external"]),
         chunks=st.integers(1, 3),
     )
     def create(self, seed: int, kind: str, chunks: int) -> None:

@@ -31,7 +31,7 @@ from repro.query.db import open_db
 from repro.query.result import QueryStats
 from repro.server.errors import ERROR_CODES, classify_exception
 from repro.server.http import MAX_INGEST_BYTES, make_server, run_in_thread
-from repro.server.service import ArchiveService
+from repro.server.service import PIN_CACHE_SIZE, ArchiveService
 from repro.storage import create_archive, open_archive
 from repro.storage.backend import manifest_location, read_manifest
 from repro.storage.cache import reset_chunk_cache
@@ -533,20 +533,6 @@ def test_a_garbage_manifest_answers_500_and_recovers_when_restored(served):
         assert db.at(2).select("//val/text()").all() == [
             f"v2-{i}" for i in range(3)
         ]
-
-
-def test_pin_cache_size_zero_still_opens_per_request(tmp_path):
-    name = seed_archive(str(tmp_path), "chunked")
-    service = ArchiveService(str(tmp_path), pin_cache_size=0)
-    backends = []
-    for _ in range(2):
-        snapshot, last = service.read(
-            name, lambda pinned: backends.append(pinned.backend) or pinned.last_version
-        )
-        assert last == 2 and not snapshot.cached
-    assert backends[0] is not backends[1]
-    assert (service.pins.hits, service.pins.misses) == (0, 0)
-    assert not service._published
 
 
 def latest_values(db):
@@ -1243,24 +1229,20 @@ def test_a_crash_in_another_handle_between_two_posts(tmp_path, kind):
     crash_drill(tmp_path, kind, other)
 
 
-def test_pin_cache_size_zero_holds_no_writer(tmp_path):
-    name = seed_archive(str(tmp_path), "chunked")
-    service = ArchiveService(str(tmp_path), pin_cache_size=0)
-    for stamp in (3, 4):
-        assert service.ingest(name, [version_doc(stamp)])["last_version"] == stamp
-        assert held_writer(service, name) is None
-
-
 def test_held_writers_are_bounded_by_the_pin_cache(tmp_path):
-    names = [seed_archive(str(tmp_path), kind) for kind in KINDS]
-    service = ArchiveService(str(tmp_path), pin_cache_size=2)
+    names = []
+    for index in range(PIN_CACHE_SIZE + 1):  # one archive more than it holds
+        kind = KINDS[index % len(KINDS)]
+        names.append(f"demo-{index}.xml" if kind == "file" else f"demo-{index}")
+        create_archive(os.path.join(tmp_path, names[-1]), KEYS, kind=kind).close()
+    service = ArchiveService(str(tmp_path))
     for name in names:
-        service.ingest(name, [version_doc(3)])
+        service.ingest(name, [version_doc(1)])
     assert list(service.pins._writers) == names[1:]  # least recently written out
-    service.ingest(names[1], [version_doc(4)])
-    assert list(service.pins._writers) == [names[2], names[1]]
+    service.ingest(names[1], [version_doc(2)])
+    assert list(service.pins._writers) == [*names[2:], names[1]]
     service.pins.evict(names[1])
-    assert list(service.pins._writers) == [names[2]]
+    assert list(service.pins._writers) == names[2:]
 
 
 # -- the concurrency drill ---------------------------------------------------

@@ -6,23 +6,28 @@ import pytest
 
 from repro.core import Archive, VersionSet, documents_equivalent
 from repro.data import OmimGenerator, omim_key_spec
-from repro.data.company import company_key_spec, company_versions
+from repro.data.company import COMPANY_KEY_TEXT, company_key_spec, company_versions
 from repro.keys import annotate_keys
 from repro.storage import (
+    ChecksumMismatch,
     EventWriter,
     ExternalArchiver,
     IOStats,
+    create_archive,
     decode_event,
     encode_event,
+    open_archive,
     read_events,
     sort_version,
     write_sorted_runs,
 )
+from repro.storage import integrity
+from repro.storage.archiver import STREAM_NAME
 from repro.storage.events import (
     ExitEvent,
     FrontierEvent,
     NodeEvent,
-    version_subtree_to_events,
+    version_events,
 )
 from repro.keys.annotate import KeyLabel
 from repro.core.nodes import Alternative
@@ -82,7 +87,8 @@ class TestSortedRuns:
         direct_path = os.path.join(str(tmp_path), "direct.jsonl")
         stats = IOStats()
         with EventWriter(direct_path, stats) as writer:
-            version_subtree_to_events(annotated.root, annotated, writer)
+            for event in version_events(annotated):
+                writer.write(event)
         direct = [encode_event(e) for e in read_events(direct_path, stats)]
 
         merged = [
@@ -179,3 +185,61 @@ class TestExternalArchiver:
         before = external.archive_bytes()
         external.add_version(company_versions()[3])
         assert external.archive_bytes() > before
+
+
+class TestOneReadOfTheStream:
+    """``last_version`` is the manifest's version count; every read
+    verifies the stream it walks, and an append hashes it once."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        path = str(tmp_path / "store")
+        backend = create_archive(path, COMPANY_KEY_TEXT, kind="external")
+        backend.ingest_batch(version.copy() for version in company_versions()[:3])
+        backend.close()
+        return path
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """The paths :func:`hash_file` is asked for, in order."""
+        paths = []
+        hash_file = integrity.hash_file
+
+        def counting(path, *args, **kwargs):
+            paths.append(os.path.basename(path))
+            return hash_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(integrity, "hash_file", counting)
+        return paths
+
+    def test_last_version_hashes_and_reads_nothing(self, store, hashed):
+        handle = open_archive(store)
+        os.rename(handle.archive_path, handle.archive_path + ".away")
+        assert handle.last_version == 3
+        assert open_archive(store, recover=False).last_version == 3
+        assert hashed == []
+
+    def test_an_append_hashes_the_stream_once(self, store, hashed):
+        handle = open_archive(store)
+        handle.add_version(company_versions()[3].copy())
+        assert hashed.count(STREAM_NAME) == 1
+        handle.add_version(None)  # an empty version merges the stream too
+        assert hashed.count(STREAM_NAME) == 2
+        assert handle.last_version == 5
+
+    READS = {
+        "select": lambda handle: handle.db().at(1).select("/db/dept/name").all(),
+        "retrieve": lambda handle: handle.retrieve(1),
+        "history": lambda handle: handle.db().history("/db/dept[name=finance]"),
+        "stats": lambda handle: handle.stats(),
+        "recode": lambda handle: handle.recode("gzip"),
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_a_stream_changed_after_the_open_raises(self, store, read):
+        handle = open_archive(store)
+        other = open_archive(store)
+        other.add_version(company_versions()[3].copy())
+        other.close()
+        with pytest.raises(ChecksumMismatch):
+            self.READS[read](handle)
