@@ -436,79 +436,46 @@ class Archive:
         read that way is scanned whole and counted as such in
         ``probes``.  Any call after the first walks the node tree.
         """
+        if guided:
+            return self.retrieve_ranked(version, probes, None)
         root_timestamp = self._root_timestamp()
+        self._check_retrievable(version, root_timestamp)
+        self._retrieved = True
+        scanned = (
+            self._scan(child, version, root_timestamp, probes)
+            for child in self.root.children
+        )
+        return next((found for found in scanned if found is not None), None)
+
+    def retrieve_ranked(
+        self,
+        version: int,
+        probes: Optional[ProbeCount],
+        ranks: Optional[list[tuple]],
+    ) -> Optional[Element]:
+        """The guided :meth:`retrieve`; when ``ranks`` is a list, the
+        plain sort token (:meth:`KeyLabel.sort_token`) of each child of
+        the answer's document element is appended to it, in the order of
+        those children — read off their stored labels, in memory or in a
+        block still encoded, so nothing is settled to get them.  A
+        partitioned reader merges its parts' records by these."""
+        root_timestamp = self._root_timestamp()
+        self._check_retrievable(version, root_timestamp)
+        stream = not self._retrieved
+        self._retrieved = True
+        alive = self.relevant_children(self.root, version, root_timestamp, probes)
+        if not alive:
+            return None
+        child = self.root.children[alive[0]]
+        walk = Walk(self, version, probes, stream)
+        return walk.build(child, child.effective_timestamp(root_timestamp), ranks)
+
+    def _check_retrievable(self, version: int, root_timestamp: VersionSet) -> None:
         if version not in root_timestamp:
             raise ArchiveError(
                 f"Version {version} is not in the archive "
                 f"(have {root_timestamp.to_text() or 'none'})"
             )
-        stream = guided and not self._retrieved
-        self._retrieved = True
-        if not guided:
-            scanned = (
-                self._scan(child, version, root_timestamp, probes)
-                for child in self.root.children
-            )
-            return next((found for found in scanned if found is not None), None)
-        alive = self.relevant_children(self.root, version, root_timestamp, probes)
-        if not alive:
-            return None
-        child = self.root.children[alive[0]]
-        build = self._walk(version, probes, stream)
-        return build(child, child.effective_timestamp(root_timestamp))
-
-    def _walk(
-        self,
-        version: int,
-        probes: Optional[ProbeCount],
-        stream: bool,
-    ) -> Callable[[ArchiveNode, VersionSet], Element]:
-        """The guided walk at ``version``: ``build(node, effective)``
-        makes the element of a ``node`` its caller has proved alive,
-        given its effective timestamp (module docstring).  A closure: a
-        call per node carries two arguments, not the whole request."""
-        assemble = Element.assemble
-        timestamp_tree = self.timestamp_tree
-
-        def build(node: ArchiveNode, effective: VersionSet) -> Element:
-            tag = node.label.tag
-            if node.weave is not None:
-                built = weave_content_at(node.weave, version)
-            elif node.alternatives is not None:
-                content = ()
-                for alternative in node.alternatives:
-                    stamp = alternative.timestamp
-                    if stamp is None or version in stamp:
-                        content = alternative.content
-                        break
-                # Copy-on-write share: merges append alternatives, never
-                # edit them, so stored content is referenced, not copied.
-                built = list(content)
-            else:
-                built = node.children_at(version, probes) if stream else None
-            if built is None:
-                children = node.children
-                if len(children) < TREE_MIN_CHILDREN:
-                    if probes is not None:
-                        probes.short_scans += len(children)
-                    alive = [
-                        child
-                        for child in children
-                        if child.timestamp is None or version in child.timestamp
-                    ]
-                else:
-                    tree = timestamp_tree(node, effective)
-                    found = search_timestamp_tree(tree, version, len(children), probes)
-                    alive = [children[index] for index in found]
-                built = [
-                    build(
-                        child, effective if child.timestamp is None else child.timestamp
-                    )
-                    for child in alive
-                ]
-            return assemble(tag, node.attributes, built)
-
-        return build
 
     def _scan(
         self,
@@ -818,6 +785,113 @@ class Archive:
             raw_bytes=serialized,
             disk_bytes=serialized,
         )
+
+
+
+def node_count(element: Element) -> int:
+    """E+T nodes of a materialized subtree (the cost accounting unit)."""
+    count, found = 1, [element]
+    for node in found:  # the list grows as it is walked
+        count += len(node.children)
+        for child in node.children:
+            if isinstance(child, Element):
+                found.append(child)
+    return count
+
+
+def _content_nodes(content: list) -> int:
+    """E+T nodes of a frontier node's content items."""
+    count = 0
+    for item in content:
+        count += 1 if item.__class__ is Text else node_count(item)
+    return count
+
+
+class Walk:
+    """The guided walk at one version (module docstring): :meth:`build`
+    makes the element of a node its caller has proved alive, given its
+    effective timestamp.
+
+    An object, not a closure: a closure that calls itself holds itself
+    through a cell, a reference cycle that every read would leave for
+    the collector; the walk refers to nothing that refers back to it.
+
+    A walk made with ``counting`` keeps in ``nodes`` the E and T nodes
+    it has built (shared frontier content counted whole), what a query
+    reports as materialized; any other walk skips the count.  A first
+    ``retrieve``'s blocks read straight into elements are not among
+    them: a counting walk never streams.
+    """
+
+    __slots__ = ("version", "probes", "stream", "timestamp_tree", "counting", "nodes")
+
+    def __init__(
+        self,
+        archive: Archive,
+        version: int,
+        probes: Optional[ProbeCount],
+        stream: bool,
+        counting: bool = False,
+    ) -> None:
+        self.version = version
+        self.probes = probes
+        self.stream = stream
+        self.timestamp_tree = archive.timestamp_tree
+        self.counting = counting
+        self.nodes = 0
+
+    def build(
+        self,
+        node: ArchiveNode,
+        effective: VersionSet,
+        ranks: Optional[list[tuple]] = None,
+    ) -> Element:
+        """The element of ``node`` at the walk's version; with
+        ``ranks``, the plain sort tokens of its children too
+        (:meth:`Archive.retrieve_ranked`)."""
+        if node.weave is not None or node.alternatives is not None:
+            return self.frontier(node)
+        version, probes = self.version, self.probes
+        built = node.children_at(version, probes, ranks) if self.stream else None
+        if built is None:
+            children = node.children
+            if len(children) < TREE_MIN_CHILDREN:
+                if probes is not None:
+                    probes.short_scans += len(children)
+                alive = [
+                    child
+                    for child in children
+                    if child.timestamp is None or version in child.timestamp
+                ]
+            else:
+                tree = self.timestamp_tree(node, effective)
+                found = search_timestamp_tree(tree, version, len(children), probes)
+                alive = [children[index] for index in found]
+            if ranks is not None:
+                ranks.extend([child.label.sort_token() for child in alive])
+            built = []
+            for child in alive:
+                if child.alternatives is not None or child.weave is not None:
+                    built.append(self.frontier(child))
+                else:
+                    stamp = child.timestamp
+                    built.append(self.build(child, effective if stamp is None else stamp))
+        if self.counting:
+            self.nodes += 1
+        return Element.assemble(node.label.tag, node.attributes, built)
+
+    def frontier(self, node: ArchiveNode) -> Element:
+        """The element of a frontier ``node``: its content at the
+        walk's version.  Copy-on-write share: merges append alternatives,
+        never edit them, so stored content is referenced, not copied."""
+        if node.weave is not None:
+            built = weave_content_at(node.weave, self.version)
+        else:
+            alternative = node.alternative_at(self.version)
+            built = list(alternative.content) if alternative is not None else []
+        if self.counting:
+            self.nodes += 1 + _content_nodes(built)
+        return Element.assemble(node.label.tag, node.attributes, built)
 
 
 def archive_xml(

@@ -102,12 +102,15 @@ class ArchiveNode:
             return not self.weave.segments
         return False
 
-    def children_at(self, version: int, probes=None) -> Optional[list[Element]]:
+    def children_at(
+        self, version: int, probes=None, ranks=None
+    ) -> Optional[list[Element]]:
         """The reconstructed children alive at ``version``, from a node
         that can produce them without having child nodes built — a
-        decoder's node whose children are still encoded.  ``None`` here
-        and wherever ``children`` is the thing to walk; see
-        :meth:`repro.core.archive.Archive.retrieve`."""
+        decoder's node whose children are still encoded — with, when
+        ``ranks`` is a list, their plain label sort tokens appended to
+        it.  ``None`` here and wherever ``children`` is the thing to
+        walk; see :meth:`repro.core.archive.Archive.retrieve_ranked`."""
         return None
 
     def effective_timestamp(self, inherited: VersionSet) -> VersionSet:

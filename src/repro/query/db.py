@@ -50,7 +50,7 @@ from .result import CHANGES, ELEMENTS, STRINGS, QueryResult, QueryStats
 Source = Union[str, "os.PathLike[str]", Archive, StorageBackend]
 
 
-_ELEMENT = itemgetter(3)  # of a chunk stream's (anchor, seq, part, element)
+_ANCHOR, _ELEMENT = itemgetter(0), itemgetter(1)  # of ``run_plan``'s pairs
 
 
 def open_db(
@@ -386,46 +386,45 @@ class ArchiveDB:
     def _part_items(
         self, plan: QueryPlan, version: int, stats: QueryStats
     ) -> Iterator[Element]:
-        """Run a plan over the parts (:meth:`_parts`); on ``chunked``,
-        fan it out to the owning chunks and re-interleave.
+        """Run a plan over the parts (:meth:`_parts`), one
+        :func:`~repro.query.exec.run_plan` each; on ``chunked``, over the
+        owning chunk alone when the plan's record step is a key lookup,
+        else over every chunk, re-interleaved.
 
         Chunks whose presence timestamps exclude the version are pruned
-        before their XML is parsed.  Per-chunk result streams arrive in
-        chunk-internal order as ``(anchor, seq, part, element)``; they
-        are merged on those tuples — the top-level record's sort token
-        first, never an element — so the global order matches a
-        snapshot's (:func:`~repro.storage.chunked.restore_key_order`).
-        Merging is a lazy k-way heap merge (none for a single part),
-        except under a fingerprinter — chunk order is then fingerprint
-        order, not key order, so results are collected and sorted once.
+        before they are loaded.  Each part yields ``(anchor, element)``
+        in its own document order, ``anchor`` being the sort token of the
+        top-level record the element lives under; several parts merge on
+        the anchors alone — a record lives in one chunk, so no two parts
+        share one — lazily, a k-way heap merge that pulls one answer per
+        part before it hands out the first, so the global order matches
+        a snapshot's (:func:`~repro.storage.chunked.restore_key_order`).
+        Under a fingerprinter a chunk's records are in fingerprint order,
+        not key order, so the answers are collected and sorted once.
         """
         chunked = self._partitioned()
 
-        def part_stream(
-            position: int, archive: Archive
-        ) -> Iterator[tuple[tuple, int, int, Element]]:
+        def part_stream(archive: Archive) -> Iterator[tuple[tuple, Element]]:
             root_timestamp = archive.root.timestamp
             if root_timestamp is None:
-                return
+                return iter(())
             cursor = MemoryCursor(archive, archive.root, root_timestamp, version, stats)
-            # (anchor, seq, position) is unique: a merge never compares elements.
-            for seq, (anchor, element) in enumerate(run_plan(cursor, plan, stats)):
-                yield (anchor, seq, position, element)
+            return run_plan(cursor, plan, stats)
 
         def run_over(indices: Optional[Iterable[int]]) -> Iterator[Element]:
             streams = [
-                part_stream(position, archive)
-                for position, archive in enumerate(
-                    self._parts(stats, indices, (version,))
-                )
+                part_stream(archive)
+                for archive in self._parts(stats, indices, (version,))
             ]
-            merged: Iterable[tuple[tuple, int, int, Element]]
+            merged: Iterable[tuple[tuple, Element]]
             if chunked is not None and chunked.options.fingerprinter is not None:
-                merged = sorted(item for stream in streams for item in stream)
+                merged = sorted(
+                    (item for stream in streams for item in stream), key=_ANCHOR
+                )
             elif len(streams) == 1:  # every routed keyed select: nothing to merge
                 merged = streams[0]
             else:
-                merged = heapq.merge(*streams)
+                merged = heapq.merge(*streams, key=_ANCHOR)
             return map(_ELEMENT, merged)
 
         def generate() -> Iterator[Element]:

@@ -31,20 +31,37 @@ be re-interleaved into global key order).
 *run*; every cursor reached from it is three slots — node, effective
 timestamp, run — and stands on a node proved alive, which nothing
 re-proves.  The run holds what one evaluation over one tree shares: the
-version, the stats, one :meth:`~repro.core.archive.Archive._walk`
-closure that materializes every hit, one ``ProbeCount`` it and the
-child scans report to (folded into the stats by delta, so a result
-pulled half way is accounted half way).  The evaluator recurses through
-plain calls on a step index; only a sibling scan is a generator, so a
-stream stays lazy per sibling (``first()`` builds one answer) without a
-generator frame per step per result.
+version, the stats, one ``ProbeCount`` the child scans and the walk
+report to (folded into the stats by delta, so a result pulled half way
+is accounted half way), and the archive's guided walk
+(:class:`~repro.core.archive.Walk`), made by the first
+:meth:`~MemoryCursor.materialize` — a run that builds nothing makes
+none.  The walk counts the E and T nodes it builds as it builds them;
+``materialize`` adds that count to ``nodes_materialized``, so nothing
+walks a built subtree a second time to count it.  The evaluator
+recurses through plain calls on a step index; only a sibling scan is a
+generator, so a stream stays lazy per sibling (``first()`` builds one
+answer) without a generator frame per step per result.
+
+**Projections off the label.**  A key projection is read off the
+parent's stored key label (:func:`label_text`, one rule:
+:func:`stored_text`).  Where the plan scans a step without predicates
+whose next, last step projects a key of it
+(:attr:`~repro.query.plan.QueryPlan.projected_scan`:
+``/ROOT/Record/Num/text()``) and the scanned node is a stored
+non-frontier node, :func:`_project` answers from each child's label as
+the scan meets it (:meth:`MemoryCursor.projections`): no cursor, no
+frame per child, the same counters.  Any other cursor scans.  A child
+whose label cannot stand for the text (not a plain value, or an
+attribute of that name) is taken the long way, as any other step would
+take it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Union
 
-from ..core.archive import Archive
+from ..core.archive import Archive, Walk, node_count
 from ..core.compaction import weave_content_at
 from ..core.nodes import ArchiveNode
 from ..core.tstree import ProbeCount
@@ -75,17 +92,6 @@ NEEDS_ELEMENT = "needs-element"
 
 #: The anchor of results not under any top-level record.
 NO_ANCHOR: tuple = ()
-
-
-def node_count(element: Element) -> int:
-    """E+T nodes of a materialized subtree (the cost accounting unit)."""
-    count, found = 1, [element]
-    for node in found:  # the list grows as it is walked
-        count += len(node.children)
-        for child in node.children:
-            if isinstance(child, Element):
-                found.append(child)
-    return count
 
 
 # -- cursors ------------------------------------------------------------------
@@ -125,6 +131,18 @@ class Cursor:
         ``supports_lookup``)."""
         return None
 
+    def projections(
+        self, name: str, key_path: str, anchored: bool
+    ) -> Optional[Iterator[tuple[tuple, Optional[str], Optional["Cursor"]]]]:
+        """Per child named ``name`` (``*``: any), as :meth:`children`
+        meets them: its :meth:`order_token` (when ``anchored``, else
+        :data:`NO_ANCHOR`), then its :func:`label_text` at ``key_path``
+        and ``None`` — or, when the label cannot be trusted for that
+        text, ``None`` and the child's cursor, for the evaluator to
+        finish the long way.  ``None`` where the cursor reads no labels
+        this way: the evaluator scans instead."""
+        return None
+
     def materialize(self) -> Optional[Element]:
         """The subtree at the scope version (consumes stream cursors)."""
         raise NotImplementedError
@@ -136,7 +154,7 @@ class Cursor:
 class _Run:
     """What the cursors of one evaluation over one tree share."""
 
-    __slots__ = ("archive", "version", "stats", "probes", "seen", "build")
+    __slots__ = ("archive", "version", "stats", "probes", "seen", "walk")
 
     def __init__(self, archive: Archive, version: int, stats: QueryStats) -> None:
         self.archive = archive
@@ -144,7 +162,7 @@ class _Run:
         self.stats = stats
         self.probes = ProbeCount()
         self.seen = 0  # of ``probes``, already in ``stats``
-        self.build = archive._walk(version, self.probes, False)
+        self.walk: Optional[Walk] = None  # made by the first materialize
 
     def fold_probes(self) -> None:
         total = self.probes.total()
@@ -187,16 +205,10 @@ class MemoryCursor(Cursor):
         return self.run.stats
 
     def attribute(self, name: str) -> Optional[str]:
-        for attr_name, value in self.node.attributes:
-            if attr_name == name:
-                return value
-        return None
+        return value_of(self.node.attributes, name)
 
     def key_component(self, path_text: str) -> Optional[str]:
-        for component_path, value in self.node.label.key:
-            if component_path == path_text:
-                return value
-        return None
+        return value_of(self.node.label.key, path_text)
 
     def order_token(self) -> tuple:
         return self.node.label.sort_token()
@@ -223,6 +235,38 @@ class MemoryCursor(Cursor):
         alternative = node.alternative_at(self.run.version)
         return alternative.content if alternative is not None else []
 
+    def projections(
+        self, name: str, key_path: str, anchored: bool
+    ) -> Optional[Iterator[tuple[tuple, Optional[str], Optional[Cursor]]]]:
+        if self.node.is_frontier:  # its children are elements: no labels
+            return None
+        return self._projections(name, key_path, anchored)
+
+    def _projections(
+        self, name: str, key_path: str, anchored: bool
+    ) -> Iterator[tuple[tuple, Optional[str], Optional[Cursor]]]:
+        node, run = self.node, self.run
+        stats = run.stats
+        indexes = run.archive.relevant_children(
+            node, run.version, self.effective, run.probes
+        )
+        run.fold_probes()
+        children = node.children
+        for index in indexes:
+            stats.archive_nodes_visited += 1
+            child = children[index]
+            label = child.label
+            if name != "*" and label.tag != name:
+                continue
+            token = label.sort_token() if anchored else NO_ANCHOR
+            text = stored_text(
+                value_of(label.key, key_path), value_of(child.attributes, key_path)
+            )
+            if text is None:
+                yield token, None, self._at(child)
+            else:
+                yield token, text, None
+
     def lookup(self, label: KeyLabel) -> Optional[Cursor]:
         run = self.run
         run.stats.index_lookups += 1
@@ -236,10 +280,14 @@ class MemoryCursor(Cursor):
 
     def materialize(self) -> Optional[Element]:
         run = self.run
-        element = run.build(self.node, self.effective)
+        walk = run.walk
+        if walk is None:
+            walk = run.walk = Walk(run.archive, run.version, run.probes, False, True)
+        element = walk.build(self.node, self.effective)
         if not self.node.is_frontier:  # nothing is probed under a frontier node
             run.fold_probes()
-        run.stats.nodes_materialized += node_count(element)
+        run.stats.nodes_materialized += walk.nodes
+        walk.nodes = 0
         return element
 
 
@@ -299,16 +347,10 @@ class StreamCursor(Cursor):
         return self.event.label.tag
 
     def attribute(self, name: str) -> Optional[str]:
-        for attr_name, value in self.event.attributes:
-            if attr_name == name:
-                return value
-        return None
+        return value_of(self.event.attributes, name)
 
     def key_component(self, path_text: str) -> Optional[str]:
-        for component_path, value in self.event.label.key:
-            if component_path == path_text:
-                return value
-        return None
+        return value_of(self.event.label.key, path_text)
 
     def order_token(self) -> tuple:
         return self.event.label.sort_token()
@@ -397,19 +439,30 @@ def _build(
 # -- predicate checking -------------------------------------------------------
 
 
-def label_text(cursor: Cursor, key_path: str) -> Optional[str]:
-    """The cursor's stored key component at ``key_path`` when it stands
-    for the text that path selects, else ``None``: it must be stored, a
-    :func:`~repro.keys.steplabel.plain_value` (its canonical form is its
-    ``text_content``), and
-    the node must have no attribute of that name (``navigate`` keys on
-    one where no such child exists; an XPath child step never sees it)."""
-    stored = cursor.key_component(key_path)
-    if stored is None or not plain_value(stored):
-        return None
-    if cursor.attribute(key_path) is not None:
+def value_of(pairs: Iterable[tuple[str, str]], name: str) -> Optional[str]:
+    """The value paired with ``name`` (a key label's components, a
+    node's attributes), else ``None``."""
+    for pair_name, value in pairs:
+        if pair_name == name:
+            return value
+    return None
+
+
+def stored_text(stored: Optional[str], attribute: Optional[str]) -> Optional[str]:
+    """A node's stored key component ``stored`` at some path when it
+    stands for the text that path selects, else ``None``: it must be
+    stored, a :func:`~repro.keys.steplabel.plain_value` (its canonical
+    form is its ``text_content``), and the node must have no
+    ``attribute`` of that name (``navigate`` keys on one where no such
+    child exists; an XPath child step never sees it)."""
+    if stored is None or attribute is not None or not plain_value(stored):
         return None
     return stored
+
+
+def label_text(cursor: Cursor, key_path: str) -> Optional[str]:
+    """:func:`stored_text` of the cursor at ``key_path``."""
+    return stored_text(cursor.key_component(key_path), cursor.attribute(key_path))
 
 
 def check_predicates(
@@ -520,7 +573,40 @@ def _eval(
             return _candidate(hit, plan, at, None, depth + 1, anchor)
         # A miss is only trustworthy for plain stored key values; fall
         # through to the sibling scan, which handles every encoding.
+    if at == plan.projected_scan:
+        projections = cursor.projections(steps[at].name, steps[at + 1].name, depth == 0)
+        if projections is not None:
+            return _project(projections, cursor.stats, plan, at, depth, anchor)
     return _scan(cursor, plan, at, depth, anchor)
+
+
+def _project(
+    projections: Iterator[tuple[tuple, Optional[str], Optional[Cursor]]],
+    stats: QueryStats,
+    plan: QueryPlan,
+    at: int,
+    depth: int,
+    anchor: tuple,
+) -> Iterator[tuple[tuple, Element]]:
+    """Step ``at``, a scan without predicates whose next and last step
+    is a key projection, over a cursor's :meth:`~Cursor.projections`:
+    each child's answer read off its stored label — no cursor, no frame
+    per child — and a child whose label cannot answer taken the long way
+    from step ``at + 1``, as :func:`_candidate` takes a child that
+    passed."""
+    name = plan.steps[at + 1].name
+    anchored = depth == 0
+    for token, text, child in projections:
+        if anchored:
+            anchor = token
+        if child is not None:
+            yield from _eval(child, plan, at + 1, depth + 1, anchor)
+        elif text:
+            stats.nodes_materialized += 2
+            yield anchor, Element.assemble(name, (), [Text.assemble(text)])
+        else:
+            stats.nodes_materialized += 1
+            yield anchor, Element.assemble(name, (), [])
 
 
 def _scan(

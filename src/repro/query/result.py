@@ -152,9 +152,11 @@ class QueryResult:
     # -- convenience -------------------------------------------------------
 
     def all(self) -> list[Any]:
-        """Exhaust the stream and return every item."""
-        while self._pull() is not _DONE:
-            pass
+        """Exhaust the stream and return every item: what is left is
+        drained in one go, not pulled an item at a time."""
+        if self._source is not None:
+            self._cache.extend(self._source)  # kept so far if the source raises
+            self._source = None
         return list(self._cache)
 
     def first(self) -> Optional[Any]:

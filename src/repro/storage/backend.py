@@ -481,11 +481,11 @@ class StorageBackend(abc.ABC):
                 retire(self.storage_root, retired)
             manifest = current
         self._checksums = (manifest and manifest.checksum_table()) or ChecksumSidecar()
-        self._adopt(manifest)
         if codec is None and manifest is not None:
             codec = manifest.codec
-        if codec is not None:
+        if codec is not None:  # before ``_adopt``, which may decode payloads
             self.codec = get_codec(codec)
+        self._adopt(manifest)
 
     # -- the decoded-chunk cache ---------------------------------------------
 

@@ -119,7 +119,9 @@ def concatenate_parts(parts) -> Optional[Element]:
     ``parts`` yields each chunk's reconstruction (``None`` for chunks
     without content at the version); the first non-``None`` part
     donates the root tag and attributes — the paper's "concatenating
-    the results".  Shared by every chunk-partitioned reader.
+    the results".  With :func:`restore_key_order` it rebuilds, from the
+    parts' elements alone, what :meth:`ChunkedArchiver.retrieve`
+    returns.
     """
     result: Optional[Element] = None
     for part in parts:
@@ -146,7 +148,9 @@ def restore_key_order(document: Optional[Element], spec: KeySpec) -> Optional[El
     not fully keyed are returned untouched.
 
     Cost: one key-value evaluation per top-level record — the labels
-    being sorted and nothing beneath them.
+    being sorted and nothing beneath them.  A reader that holds the
+    chunk trees needs none: it reads the same tokens off the stored
+    labels (:meth:`ChunkedArchiver.retrieve`).
     """
     if document is None or not document.children:
         return document
@@ -694,40 +698,57 @@ class ChunkedArchiver(StorageBackend):
 
         Chunks whose presence timestamps exclude ``version`` are pruned
         before their XML is parsed (counted in ``chunks_pruned``); the
-        chunks that do load reconstruct tree-guided via
-        :meth:`Archive.retrieve`, accumulating into ``probes`` when
-        given.  The concatenation of several chunks is re-sorted into
-        key order so the result is byte-identical to the other
-        backends'; one chunk's reconstruction is the answer as it is.
+        chunks that do load reconstruct tree-guided
+        (:meth:`Archive.retrieve_ranked`, accumulating into ``probes``
+        when given), each handing back beside its records their plain
+        label sort tokens, read off the stored labels.  Several chunks'
+        records are merged by those tokens — one sort, which also
+        orders a fingerprinter's chunks, stored in fingerprint order —
+        so the result is byte-identical to the other backends'; one
+        chunk's reconstruction is the answer as it is.  No key value is
+        recomputed from an element: :func:`restore_key_order` does that
+        for callers that hold only elements.
         """
         if not 1 <= version <= self._version_count:
             raise ChunkedArchiverError(
                 f"Version {version} not archived (have 1..{self._version_count})"
             )
-
-        def parts():
-            for index in range(self.chunk_count):
-                try:
-                    # A covered chunk that went missing raises in its
-                    # load instead, unless cached.
-                    if not self.part_stored(index):
-                        continue
-                    presence = self.part_presence(index)
-                    if presence is not None and version not in presence:
-                        self.chunks_pruned += 1
-                        continue
-                    part = self._load_chunk(index).retrieve(version, probes=probes)
-                except (IntegrityError, CodecError):
-                    if self.on_corrupt == "skip":
-                        # Degrade gracefully: serve the healthy chunks.
-                        self.chunks_skipped_corrupt += 1
-                        continue
-                    raise
-                yield part
-
-        if self.chunk_count == 1:
-            return next(parts(), None)
-        return restore_key_order(concatenate_parts(parts()), self.spec)
+        ranked = self.chunk_count > 1
+        documents: list[Element] = []
+        ranks: list[tuple] = []
+        for index in range(self.chunk_count):
+            mine: Optional[list[tuple]] = [] if ranked else None
+            try:
+                # A covered chunk that went missing raises in its
+                # load instead, unless cached.
+                if not self.part_stored(index):
+                    continue
+                presence = self.part_presence(index)
+                if presence is not None and version not in presence:
+                    self.chunks_pruned += 1
+                    continue
+                part = self._load_chunk(index).retrieve_ranked(version, probes, mine)
+            except (IntegrityError, CodecError):
+                if self.on_corrupt == "skip":
+                    # Degrade gracefully: serve the healthy chunks.
+                    self.chunks_skipped_corrupt += 1
+                    continue
+                raise
+            if part is None:
+                continue
+            if not ranked:
+                return part
+            documents.append(part)
+            ranks += mine
+        if not documents:
+            return None
+        # The first part's element is this call's own: it becomes the
+        # shell, as :func:`concatenate_parts` takes the first part's.
+        document = documents[0]
+        records = [record for part in documents for record in part.children]
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        document.children = [records[position] for position in order]
+        return document
 
     def scan_probe_count(self, version: int) -> int:
         """Summed full-scan baseline across the stored chunks."""

@@ -461,18 +461,22 @@ class _DecodedNode(ArchiveNode):
         self.weave = weave
 
     def children_at(
-        self, version: int, probes: Optional[ProbeCount] = None
+        self,
+        version: int,
+        probes: Optional[ProbeCount] = None,
+        ranks: Optional[list] = None,
     ) -> Optional[list[Element]]:
         """A pending node's children block read straight into the
         elements alive at ``version`` — under the chunk's lock, like a
-        first touch, but building no node: the node stays pending."""
+        first touch, but building no node: the node stays pending.
+        ``ranks`` takes the plain sort tokens of their labels."""
         block = self._block
         if block is None:
             return None
         lock, _read, read_at, start, end = block
         with lock:
             try:
-                return read_at(start, end, version, probes)
+                return read_at(start, end, version, probes, ranks)
             except _MALFORMED as error:
                 raise _typed_error(error)
 
@@ -764,10 +768,12 @@ def _read_tree(
                     skip_content()
         skip_children(flags)
 
-    def alive(at: int, probes) -> list[Element]:
+    def alive(at: int, probes, ranks=None) -> list[Element]:
         """A children block as the elements of the children alive at
-        version ``at`` — what ``Archive._walk`` makes of the
-        nodes :func:`children` would build, in the same order.
+        version ``at`` — what ``Archive``'s walk makes of the
+        nodes :func:`children` would build, in the same order — and, into
+        ``ranks`` when it is a list, the plain sort token of each
+        returned element's label, in that order.
 
         The caller's node is alive, so a child that stores no timestamp
         is too; everything under a dead child is stepped over.
@@ -802,6 +808,8 @@ def _read_tree(
             if ordered:
                 rank = (tag, len(key), key) if native else token(KeyLabel(tag, key))
                 tokens.append(rank)
+            if ranks is not None:
+                ranks.append((tag, len(key), key))
             found: list = []
             if flags & _NODE_HAS_WEAVE:
                 lines: list[str] = []
@@ -843,10 +851,13 @@ def _read_tree(
         if ordered and len(elements) > 1:
             order = sorted(range(len(tokens)), key=tokens.__getitem__)
             elements = [elements[index] for index in order]
+            if ranks is not None:
+                mine = ranks[-len(order) :]
+                ranks[-len(order) :] = [mine[index] for index in order]
         return elements
 
-    def block_at(start: int, end: int, at: int, probes) -> list[Element]:
-        return framed(start, end, alive, at, probes)
+    def block_at(start: int, end: int, at: int, probes, ranks=None) -> list[Element]:
+        return framed(start, end, alive, at, probes, ranks)
 
     names = [string() for _ in range(varint())]
     name_count = len(names)

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, asdict
 
@@ -11,13 +12,15 @@ import repro
 from repro.core import Archive, ArchiveError, ArchiveOptions, Fingerprinter
 from repro.core.tempquery import Change
 from repro.core.tstree import ProbeCount
+from repro.data import OmimGenerator
+from repro.data.omim import OMIM_KEY_TEXT
 from repro.keys import parse_key_spec
 from repro.query import ArchiveDB, compile_plan
 from repro.query import db as query_db
 from repro.query import plan as query_plan
 from repro.query.plan import stored_plans
 from repro.query.exec import NO_ANCHOR, ElementCursor, label_text, node_count
-from repro.query.result import QueryStats
+from repro.query.result import QueryResult, QueryStats
 from repro.storage import create_archive, open_archive
 from repro.storage.cache import reset_chunk_cache
 from repro.xmltree import parse_document, to_string
@@ -153,6 +156,132 @@ class TestQueryResult:
         assert result.stats.nodes_visited() > 0
         assert result.stats.index_lookups >= 1
         assert not result.stats.fallback
+
+
+def _omim_store(tmp_path, chunks=3):
+    """A chunked ``xbin`` store of five OMIM versions and a sixth that
+    keeps one record, so the other chunks are pruned at it."""
+    documents = list(OmimGenerator(seed=5, initial_records=16).generate_versions(5))
+    lone = documents[4].copy()
+    del lone.children[1:]
+    documents.append(lone)
+    path = str(tmp_path / "omim")
+    store = create_archive(path, OMIM_KEY_TEXT, kind="chunked", chunk_count=chunks, codec="xbin")
+    store.ingest_batch(document.copy() for document in documents)
+    store.close()
+    nums = [record.find("Num").text_content() for record in documents[2].children[:3]]
+    return path, nums + ["no-such-record"]
+
+
+class TestChunkedLaziness:
+    """``first()`` and ``bool()`` on a select over several chunks pull at
+    most one answer from each chunk's run."""
+
+    @pytest.mark.parametrize(
+        "expression", ["/ROOT/Record", "/ROOT/Record/Num/text()", "/ROOT/Record/Title"]
+    )
+    @pytest.mark.parametrize("ask", [QueryResult.first, bool], ids=["first", "bool"])
+    def test_one_answer_per_chunk(self, tmp_path, monkeypatch, expression, ask):
+        path, _ = _omim_store(tmp_path)
+        reader = open_archive(path, recover=False)
+        pulled: list[int] = []
+        run_plan = query_db.run_plan
+
+        def counted(cursor, plan, stats):
+            pulled.append(0)
+            mine = len(pulled) - 1
+            for item in run_plan(cursor, plan, stats):
+                pulled[mine] += 1
+                yield item
+
+        monkeypatch.setattr(query_db, "run_plan", counted)
+        whole = reader.db().at(3).select(expression)
+        assert len(whole.all()) > 3 and sum(pulled) == len(whole.all())
+        pulled.clear()
+        assert ask(reader.db().at(3).select(expression))
+        assert len(pulled) == 3 and max(pulled) == 1
+        reader.close()
+
+
+#: The work counters of every read kind on :func:`_omim_store`, through a
+#: fresh handle per read (cold) and through one warmed handle, summed
+#: over the reads of :meth:`TestCounterPins.reads`.  They are the figures
+#: the reads reported before any change to how answers are built; a
+#: faster read must do the same work.
+PINNED_COUNTS = {
+    "cold-dense": {"archive_nodes_visited": 107, "cache_misses": 16, "chunks_pruned": 2, "nodes_materialized": 182, "tree_probes": 165},
+    "cold-history": {"cache_misses": 4},
+    "cold-keyed": {"archive_nodes_visited": 60, "cache_misses": 16, "chunks_pruned": 6, "chunks_routed_past": 14, "index_lookups": 16, "nodes_materialized": 279, "tree_probes": 275},
+    "cold-retrieve": {"cache_misses": 16, "handle_pruned": 2, "probes": 2002},
+    "warm-dense": {"archive_nodes_visited": 107, "cache_hits": 16, "chunks_pruned": 2, "nodes_materialized": 182, "tree_probes": 165},
+    "warm-history": {"cache_hits": 4},
+    "warm-keyed": {"archive_nodes_visited": 60, "cache_hits": 16, "chunks_pruned": 6, "chunks_routed_past": 14, "index_lookups": 16, "nodes_materialized": 279, "tree_probes": 275},
+    "warm-retrieve": {"cache_hits": 16, "handle_pruned": 2, "probes": 2161},
+}
+_PINNED_FIELDS = (
+    "archive_nodes_visited", "nodes_materialized", "tree_probes",
+    "index_lookups", "chunks_routed_past", "chunks_pruned",
+)
+
+
+class TestCounterPins:
+    @staticmethod
+    def reads(nums):
+        return {
+            "retrieve": list(range(1, 7)),
+            "keyed": [(v, f"/ROOT/Record[Num='{n}']") for v in (1, 3, 6) for n in nums],
+            "dense": [(v, "/ROOT/Record/Num/text()") for v in range(1, 7)],
+            "history": nums,
+        }
+
+    @staticmethod
+    def read(handle, kind, argument, total):
+        before = handle.cache_hits, handle.cache_misses, handle.chunks_pruned
+        if kind == "retrieve":
+            probes = ProbeCount()
+            handle.retrieve(argument, probes=probes)
+            total["probes"] += probes.total()
+        elif kind == "history":
+            try:
+                repro.open(handle).history(f"/ROOT/Record[Num={argument}]")
+            except ArchiveError:
+                pass
+        else:
+            version, expression = argument
+            result = repro.open(handle).at(version).select(expression)
+            result.all()
+            for name in _PINNED_FIELDS:
+                total[name] += getattr(result.stats, name)
+        after = handle.cache_hits, handle.cache_misses, handle.chunks_pruned
+        for name, old, new in zip(("cache_hits", "cache_misses", "handle_pruned"), before, after):
+            total[name] += new - old
+
+    @pytest.mark.parametrize("temperature", ["cold", "warm"])
+    def test_every_read_does_the_pinned_work(self, tmp_path, temperature):
+        path, nums = _omim_store(tmp_path)
+        reset_chunk_cache()
+        held = open_archive(path, recover=False)
+        reads = self.reads(nums)
+        if temperature == "warm":
+            for kind, arguments in reads.items():
+                for argument in arguments:
+                    self.read(held, kind, argument, Counter())
+        try:
+            for kind, arguments in reads.items():
+                total: Counter = Counter()
+                for argument in arguments:
+                    if temperature == "warm":
+                        self.read(held, kind, argument, total)
+                        continue
+                    reset_chunk_cache()
+                    handle = open_archive(path, recover=False)
+                    self.read(handle, kind, argument, total)
+                    handle.close()
+                counts = {name: value for name, value in total.items() if value}
+                assert counts == PINNED_COUNTS[f"{temperature}-{kind}"], kind
+        finally:
+            held.close()
+            reset_chunk_cache()
 
 
 class TestTemporalScopes:

@@ -494,6 +494,27 @@ class TestOpenArchive:
                 memory.retrieve(number)
             ), number
 
+    @pytest.mark.parametrize("codec", CODECS + ["xbin"])
+    @pytest.mark.parametrize("kind", ["file", "chunked"])
+    def test_a_store_without_its_manifest_reads_under_the_given_codec(
+        self, kind, codec, tmp_path, spec, versions, reference
+    ):
+        # The constructor's codec is the handle's before anything is
+        # decoded: without a manifest the versions are counted by
+        # decoding the stored chunks, under that codec, not ``raw``.
+        store = make_backend(kind, str(tmp_path), spec, codec=codec)
+        store.ingest_batch([v.copy() for v in versions])
+        store.close()
+        os.remove(manifest_location(store.storage_root))
+        handle = make_backend(kind, str(tmp_path), spec, codec=codec)
+        assert handle.codec.name == codec
+        assert handle.last_version == len(versions)
+        for number in range(1, len(versions) + 1):
+            assert rendered(handle.retrieve(number)) == rendered(
+                reference.retrieve(number)
+            ), number
+        handle.close()
+
 
 def count_decodes(monkeypatch, codec):
     """Count ``decode_archive`` calls on the (shared) codec instance."""

@@ -167,6 +167,51 @@ class TestEveryVersionOfAStore:
         assert not any(count["ROOT"] for count in map(pending, trees))
         handle.close()
 
+    @pytest.mark.parametrize("codec", ["raw", "gzip", "xmill", "xbin"])
+    @pytest.mark.parametrize(
+        "options",
+        [None, ArchiveOptions(fingerprinter=Fingerprinter(bits=64))],
+        ids=["key-order", "fingerprint-order"],
+    )
+    def test_every_retrieve_is_its_chunks_concatenated_in_key_order(
+        self, tmp_path, kind, codec, options
+    ):
+        """A handle merges its chunks' records by the sort tokens of
+        their stored labels, streamed or walked; the answer is what the
+        chunks' own retrievals give, concatenated and re-sorted by key
+        values recomputed from the elements (one chunk: as stored)."""
+        documents = lifecycle()
+        path = str(tmp_path / ("archive.xml" if kind == "file" else "store"))
+        store = create_archive(
+            path, OMIM_KEY_TEXT, kind=kind, chunk_count=3, codec=codec, options=options
+        )
+        store.ingest_batch(
+            document.copy() if document is not None else None for document in documents
+        )
+        store.close()
+        reset_chunk_cache()
+        handle = open_archive(path, recover=False, options=options)
+        spec = handle.spec
+
+        def part(index, version):
+            payload = handle.read_part_payload(index)
+            return handle.codec.decode_archive(payload, spec, options).retrieve(version)
+
+        try:
+            for _ in range(2):  # each tree's first, streamed reading, then walks
+                for version in range(1, len(documents) + 1):
+                    expected = concatenate_parts(
+                        part(index, version)
+                        for index in range(handle.part_count)
+                        if handle.part_exists(index)
+                    )
+                    if handle.part_count > 1:
+                        expected = restore_key_order(expected, spec)
+                    assert text(handle.retrieve(version)) == text(expected), version
+        finally:
+            handle.close()
+            reset_chunk_cache()
+
     def test_version_1_stores_have_nothing_to_stream(self, tmp_path, kind):
         layout = "file/archive.xml" if kind == "file" else "chunked"
         shutil.copytree(

@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.core import Archive
 from repro.keys import parse_key_spec
+from repro.storage import create_archive, open_archive
 from repro.xmltree import Attribute, Element, Text, element, parse_document
 
 #: What a tree is made of: a walk of references from a root follows these.
@@ -39,10 +40,11 @@ def assert_acyclic(root) -> None:
 
 
 @contextmanager
-def cyclic_garbage():
+def cyclic_garbage(everything: bool = False):
     """Collect what the block leaves for the cycle collector: the
-    ``Element`` and ``Text`` objects no reference count freed, which only
-    a collection (automatic or the one at the end) found unreachable."""
+    ``Element`` and ``Text`` objects (with ``everything``, the objects of
+    any type) no reference count freed, which only a collection
+    (automatic or the one at the end) found unreachable."""
     gc.collect()
     flags, start = gc.get_debug(), len(gc.garbage)
     found: list = []
@@ -50,7 +52,11 @@ def cyclic_garbage():
     try:
         yield found
         gc.collect()
-        found.extend(o for o in gc.garbage[start:] if isinstance(o, (Element, Text)))
+        found.extend(
+            o
+            for o in gc.garbage[start:]
+            if everything or isinstance(o, (Element, Text))
+        )
     finally:
         gc.set_debug(flags)
         del gc.garbage[start:]
@@ -241,20 +247,62 @@ CENSUS = {
     "warm-retrieve": lambda tree, archive: warm_retrieve(archive),
     "select": lambda tree, archive: select_answer(archive),
 }
+#: Reads that leave nothing at all for the collector, not only no tree.
+NOTHING_LEFT = {"warm-retrieve", "select"}
+
+#: Reads through a held reader of a chunked ``xbin`` store, its chunks
+#: decoded and cached by a first pass.
+CHUNKED_CENSUS = {
+    "keyed": lambda db: db.at(2).select("/db/dept[name='finance']/emp").all(),
+    "dense": lambda db: db.at(2).select("/db/dept/name/text()").all(),
+    "history": lambda db: db.history("/db/dept[name=finance]/emp[fn=Jane, ln=Smith]"),
+    "retrieve": lambda db: db.at(2).snapshot(),
+}
+
+
+@pytest.fixture(scope="module")
+def census_reader(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("census") / "store")
+    store = create_archive(path, CENSUS_KEYS, kind="chunked", chunk_count=2, codec="xbin")
+    store.ingest_batch(parse_document(source) for source in CENSUS_VERSIONS)
+    store.close()
+    reader = open_archive(path, recover=False)
+    yield reader
+    reader.close()
 
 
 class TestNoTreeNeedsTheCycleCollector:
     """Nothing the library builds is a reference cycle: a tree dropped by
     its caller is freed by reference counting, and no collection ever
-    finds an ``Element`` or ``Text`` to free."""
+    finds an ``Element`` or ``Text`` to free — nor, after a warm read,
+    anything else: the walks that build what a read returns hold no
+    reference to themselves."""
 
     @pytest.mark.parametrize("operation", sorted(CENSUS))
     def test_census(self, operation):
         tree, archive = parse_document(CENSUS_VERSIONS[1]), census_archive()
         warm_retrieve(archive)  # the timestamp trees, built and kept
-        with cyclic_garbage() as found:
+        with cyclic_garbage() as found:  # the first call cold: plans compiled
             for _ in range(3):
                 CENSUS[operation](tree, archive)
+        assert found == []
+        if operation in NOTHING_LEFT:  # and, warm, nothing at all
+            with cyclic_garbage(everything=True) as found:
+                for _ in range(3):
+                    CENSUS[operation](tree, archive)
+            assert found == []
+
+    @pytest.mark.parametrize("operation", sorted(CHUNKED_CENSUS))
+    def test_warm_chunked_census(self, operation, census_reader):
+        db = repro.open(census_reader)
+        # Chunks decoded and cached, plans kept; a decoded tree's first
+        # retrieve streams, and its second settles the tree, letting go
+        # of the decoder's readers (which still refer to each other).
+        for _ in range(2):
+            CHUNKED_CENSUS[operation](db)
+        with cyclic_garbage(everything=True) as found:
+            for _ in range(3):
+                CHUNKED_CENSUS[operation](db)
         assert found == []
 
     def test_the_census_sees_a_cycle(self):
