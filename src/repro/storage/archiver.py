@@ -20,9 +20,10 @@ subtrees they reach, ``history`` follows one key path, and ``stats``
 counts in one pass, so the whole
 :class:`~repro.storage.backend.StorageBackend` surface runs in bounded
 memory.  ``last_version`` is the manifest's ``version_count``, read
-with the manifest at open; the stream's root is read for it only where
-no manifest exists yet.  I/O is accounted in pages (``io_stats``) so
-the analysis of Sec. 6 can be checked experimentally.
+with the manifest at open: a directory that holds a stream and no
+manifest is refused, never counted.  I/O is accounted in pages
+(``io_stats``) so the analysis of Sec. 6 can be checked
+experimentally.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class ExternalArchiver(StorageBackend):
         recovery and the scratch sweep — for read-only snapshot opens
         running next to a live writer, whose in-flight staged commit and
         scratch files must not be touched.  A directory that holds no
-        stream yet is the empty archive; the first commit writes one."""
+        stream yet is the empty archive; the first commit writes one.  A
+        stream without its manifest is refused (``fsck --repair``)."""
         directory = os.path.abspath(os.fspath(directory))
         self.directory = directory
         self.storage_root = directory
@@ -161,13 +163,8 @@ class ExternalArchiver(StorageBackend):
     def _part_name(self, part=STREAM_NAME) -> str:
         return STREAM_NAME
 
-    def _adopt(self, manifest: Optional[Manifest]) -> None:
-        super()._adopt(manifest)
-        #: The manifest's version count; ``None`` until the stream's
-        #: root is read for it where there is no manifest.
-        self._version_count = (
-            manifest.version_count if manifest is not None else None
-        )
+    def _holds_payload(self) -> bool:
+        return os.path.exists(self.archive_path)
 
     def _verify_stream(self) -> None:
         """Check the event stream against its recorded checksum before
@@ -196,14 +193,6 @@ class ExternalArchiver(StorageBackend):
         if not isinstance(root, NodeEvent) or root.timestamp is None:
             raise ArchiveError("Archive stream carries no root timestamp")
         return root, events
-
-    @property
-    def last_version(self) -> int:
-        if self._version_count is None:
-            root, _ = self._read_root(IOStats())  # a peek, unaccounted
-            timestamp = root.timestamp
-            self._version_count = timestamp.max_version() if timestamp else 0
-        return self._version_count
 
     # -- the three phases ---------------------------------------------------------
 

@@ -19,8 +19,10 @@ Each archive is self-describing: a ``manifest.json`` (a sidecar
 ``<archive>.manifest.json`` for single-file archives) records the
 backend kind, the at-rest codec, a fingerprint of the key specification
 and the version count, so :func:`open_archive` routes a path to the
-right backend without being told — and refuses a path that has lost its
-manifest rather than guess (``xarch fsck --repair`` rebuilds one).
+right backend without being told.  A path whose payloads have lost
+their manifest is refused rather than guessed at, by that function and
+by every backend's constructor alike (``xarch fsck --repair`` rebuilds
+the manifest).
 
 Every write of every backend, archive creation included, is one
 :class:`~repro.storage.txn.ArchiveTxn`: the payloads and the manifest,
@@ -345,6 +347,8 @@ class StorageBackend(abc.ABC):
     #: encoded): the constructor's explicit codec, else the
     #: manifest's, else raw.
     codec: Codec = RAW
+    #: The manifest's version count (0: the empty archive).
+    _version_count: int
     #: Publication counter: +1 per commit.  Loaded from the manifest at
     #: open, written back inside every commit — the snapshot pin
     #: concurrent readers anchor to.
@@ -366,9 +370,10 @@ class StorageBackend(abc.ABC):
     cache_misses: int = 0
 
     @property
-    @abc.abstractmethod
     def last_version(self) -> int:
-        """The highest archived version number (0 when empty)."""
+        """The highest archived version number (0 when empty): the
+        manifest's ``version_count``."""
+        return self._version_count
 
     @abc.abstractmethod
     def add_version(self, document: Optional[Element]) -> MergeStats:
@@ -446,10 +451,19 @@ class StorageBackend(abc.ABC):
 
     def _adopt(self, manifest: Optional[Manifest]) -> None:
         """Take over the state a manifest is the record of: the one
-        read at open, as today's (``None`` where there is none yet), or
-        the one a commit of this handle has just published.  The
-        checksum table is in place by then."""
-        self.generation = manifest.generation if manifest is not None else 0
+        read at open, as today's (``None`` at a path that holds no
+        payload yet: the empty archive), or the one a commit of this
+        handle has just published.  The checksum table is in place by
+        then."""
+        if manifest is None:
+            self.generation = self._version_count = 0
+        else:
+            self.generation = manifest.generation
+            self._version_count = manifest.version_count
+
+    @abc.abstractmethod
+    def _holds_payload(self) -> bool:
+        """Whether a payload file of this layout lies at the path."""
 
     def _load_state(
         self, codec: CodecLike = None, manifest: Optional[Manifest] = None
@@ -459,7 +473,10 @@ class StorageBackend(abc.ABC):
         that write), read the manifest, which carries the checksum table
         — an older layout's as today's (:mod:`.legacy`).  A handle that
         writes removes the files of an older layout it finds beside a
-        manifest of today's.
+        manifest of today's.  A path that holds payloads and no manifest
+        is refused, as :func:`open_archive` refuses it: nothing is
+        counted off the payloads (``xarch fsck --repair`` derives the
+        manifest); one that holds neither is the empty archive.
 
         Constructors call it once, with their explicit codec if any (and
         the manifest :func:`open_archive` has read, unless settling moves
@@ -472,6 +489,8 @@ class StorageBackend(abc.ABC):
             manifest = None
         if manifest is None:
             manifest = read_manifest(self.storage_root)
+        if manifest is None and self._holds_payload():
+            raise _no_manifest(self.storage_root)
         self._retired = []
         if manifest is not None:
             current, retired = current_manifest(self.storage_root, manifest)
@@ -483,7 +502,7 @@ class StorageBackend(abc.ABC):
         self._checksums = (manifest and manifest.checksum_table()) or ChecksumSidecar()
         if codec is None and manifest is not None:
             codec = manifest.codec
-        if codec is not None:  # before ``_adopt``, which may decode payloads
+        if codec is not None:
             self.codec = get_codec(codec)
         self._adopt(manifest)
 

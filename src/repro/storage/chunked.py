@@ -192,6 +192,18 @@ def chunk_index_for_label(label, chunk_count: int) -> int:
     return int.from_bytes(digest[:4], "big") % chunk_count
 
 
+def chunk_files(directory: str) -> dict[int, str]:
+    """Chunk index -> file name, of the chunk files in ``directory``."""
+    found = {}
+    for name in os.listdir(directory):
+        if name.startswith("chunk-") and name.endswith(".xml"):
+            try:
+                found[int(name[len("chunk-") : -len(".xml")])] = name
+            except ValueError:
+                continue
+    return found
+
+
 class ChunkedArchiver(StorageBackend):
     """Archive per key-hash chunk; concatenate for the full picture.
 
@@ -294,21 +306,9 @@ class ChunkedArchiver(StorageBackend):
         self._presence: dict[int, VersionSet] = {
             int(index): VersionSet.parse(text) for index, text in recorded.items()
         }
-        if manifest is not None:
-            self._version_count = manifest.version_count
-            return
-        # No manifest yet: every stored chunk shares the global
-        # numbering, so the versions they hold are the count (none in a
-        # directory about to be created; a whole file that lost its
-        # manifest still holds every version).
-        self._version_count = max(
-            (
-                self._load_chunk(index).last_version
-                for index in range(self.chunk_count)
-                if self.part_exists(index)
-            ),
-            default=0,
-        )
+
+    def _holds_payload(self) -> bool:
+        return bool(chunk_files(self.directory))
 
     def drop_caches(self) -> None:
         #: Writer-held trees: chunk index -> (the sha256 this handle's
@@ -489,10 +489,6 @@ class ChunkedArchiver(StorageBackend):
         return parts
 
     # -- public API -----------------------------------------------------------------
-
-    @property
-    def last_version(self) -> int:
-        return self._version_count
 
     @property
     def part_count(self) -> int:
@@ -893,6 +889,9 @@ class FileBackend(ChunkedArchiver):
 
     def _part_name(self, part) -> str:
         return os.path.basename(self.path)
+
+    def _holds_payload(self) -> bool:
+        return os.path.exists(self.path)
 
     def _bootstrap(self, txn: ArchiveTxn) -> None:
         txn.put(self.path, self.codec.encode_archive(self._empty_chunk()))

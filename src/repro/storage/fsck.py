@@ -43,7 +43,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.archive import ArchiveError
+from ..core.archive import Archive, ArchiveError
+from ..keys.spec import KeySpec
+from .archiver import STREAM_NAME
 from .backend import (
     MANIFEST_NAME,
     Manifest,
@@ -53,7 +55,9 @@ from .backend import (
     keys_location,
     manifest_location,
 )
+from .chunked import _chunk_presence_of, chunk_files, chunk_index_for_label
 from .codec import GZIP, RAW, XBIN, XMILL, Codec, CodecError, get_codec
+from .events import IOStats, NodeEvent, read_events
 from .integrity import (
     QUARANTINE_DIR,
     ChecksumMismatch,
@@ -189,43 +193,23 @@ def fsck_archive(
     return report
 
 
-# -- what the files themselves still say --------------------------------------
-#
-# Opening an archive never guesses: the manifest names kind, codec and
-# chunk count, and a path without one is refused.  Rebuilding a lost or
-# corrupt manifest is the one place these are read back off the layout
-# and the payloads' magic bytes.
-
-
 def _sniff_kind(path: str) -> str:
     """Layout-only kind detection (never trusts the manifest): an
     ``archive.jsonl`` stream is external, chunk files are chunked, a
     plain file is a whole-file archive."""
     if os.path.isfile(path):
         return "file"
-    if os.path.exists(os.path.join(path, "archive.jsonl")):
+    if os.path.exists(os.path.join(path, STREAM_NAME)):
         return "external"
     if (
         os.path.exists(keys_location(path))
         # A pending commit log means a chunked archive crashed
         # mid-publish before its manifest landed.
         or os.path.exists(os.path.join(path, "wal.json"))
-        or _chunk_files(path)
+        or chunk_files(path)
     ):
         return "chunked"
     raise ArchiveError(f"{path!r} is not an archive directory")
-
-
-def _chunk_files(path: str) -> dict[int, str]:
-    """Chunk index -> file name, of the chunk files in a directory."""
-    found = {}
-    for name in os.listdir(path):
-        if name.startswith("chunk-") and name.endswith(".xml"):
-            try:
-                found[int(name[len("chunk-") : -len(".xml")])] = name
-            except ValueError:
-                continue
-    return found
 
 
 def detect_codec(prefix: bytes) -> Codec:
@@ -242,62 +226,73 @@ def detect_codec(prefix: bytes) -> Codec:
     return RAW
 
 
-def sniff_codec(path: str) -> Codec:
-    """Detect the codec of an existing payload file by its leading bytes."""
-    try:
-        with open(os.fspath(path), "rb") as handle:
-            return detect_codec(handle.read(8))
-    except (FileNotFoundError, IsADirectoryError):
-        return RAW
-
-
-def _sniff_backend_codec(path: str, kind: str) -> Codec:
-    """Codec of a manifest-less archive, from its payload magic bytes."""
-    if kind == "file":
-        return sniff_codec(path)
-    if kind == "external":
-        return sniff_codec(os.path.join(path, "archive.jsonl"))
-    names = sorted(_chunk_files(path).values())
-    return sniff_codec(os.path.join(path, names[0])) if names else RAW
-
-
 #: Largest chunk count ``--repair`` will consider when the manifest that
 #: recorded it is gone.
 _CHUNK_COUNT_SEARCH = 256
 
 
-def _derive_chunk_count(path: str, codec: Codec, spec) -> Optional[int]:
-    """The chunk count a manifest-less chunked directory was written
-    with, or ``None`` when the stored records do not settle it.
+def _derive_manifest(
+    path: str, kind: str, spec: Optional[KeySpec]
+) -> Optional[Manifest]:
+    """The manifest ``--repair`` writes for a store that lost its own,
+    or ``None`` when the stored bytes do not settle it.
 
-    The highest chunk file only bounds it from below — records hash to
-    chunks, so the last chunks of a small archive are often empty.  A
-    candidate count fits when every stored top-level record routes,
-    under it, to the chunk file that holds it; the answer is the one
-    candidate that fits, and anything else (no records to test, several
-    fits, no key specification) is not guessed at.
+    Opening an archive never guesses: the manifest names kind, codec
+    and chunk count, and every door refuses a store without one.  This
+    is the one place they are read back off the payloads, in one decode
+    pass: the codec from the first payload's magic bytes, the version
+    count from the stored roots and, of a chunked store, the presence
+    map and the chunk count.  The highest chunk file only bounds that
+    count from below — records hash to chunks, so the last chunks of a
+    small archive are often empty.  A candidate count fits when every
+    stored top-level record routes, under it, to the chunk file that
+    holds it; the answer is the one candidate that fits, and anything
+    else (no records to test, several fits, a chunk that does not
+    decode, no key specification) is not guessed at.
     """
-    from ..core.archive import Archive
-    from .chunked import chunk_index_for_label
-
-    chunks = _chunk_files(path)
-    if spec is None or not chunks:
-        return None
-    stored: list[tuple[int, object]] = []
+    fingerprint = key_spec_fingerprint(spec) if spec is not None else ""
     try:
-        for index, name in chunks.items():
-            with open(os.path.join(path, name), "rb") as handle:
-                text = codec.decode_document(handle.read())
-            for shell in Archive.from_xml_string(text, spec).root.children:
-                stored.extend((index, record.label) for record in shell.children)
-    except (CodecError, ValueError, OSError, EOFError):
+        if kind == "external":
+            stream = os.path.join(path, STREAM_NAME)
+            with open(stream, "rb") as handle:
+                codec = detect_codec(handle.read(8))
+            root = next(read_events(stream, IOStats(), codec))
+            if not isinstance(root, NodeEvent) or root.timestamp is None:
+                return None
+            return Manifest(kind, fingerprint, root.timestamp.max_version(), codec.name)
+        if spec is None:
+            return None
+        files = {0: path}  # a whole file: its presence and labels go unused
+        if kind == "chunked":
+            files = {
+                index: os.path.join(path, name)
+                for index, name in chunk_files(path).items()
+            }
+        codec, version_count = None, 0
+        presence: dict[str, str] = {}
+        routed: list[tuple[int, object]] = []  # (chunk, label) of every record
+        for index, full in sorted(files.items()):
+            with open(full, "rb") as handle:
+                data = handle.read()
+            codec = codec or detect_codec(data)
+            tree = Archive.from_xml_string(codec.decode_document(data), spec)
+            version_count = max(version_count, tree.last_version)
+            presence[str(index)] = _chunk_presence_of(tree).to_text()
+            for shell in tree.root.children:
+                routed.extend((index, record.label) for record in shell.children)
+    except (CodecError, ValueError, OSError, EOFError, StopIteration):
         return None
+    if kind == "file":
+        return Manifest(kind, fingerprint, version_count, codec.name)
     fits = [
         count
-        for count in range(max(chunks) + 1, _CHUNK_COUNT_SEARCH + 1)
-        if all(chunk_index_for_label(label, count) == index for index, label in stored)
+        for count in range(max(files, default=-1) + 1, _CHUNK_COUNT_SEARCH + 1)
+        if all(chunk_index_for_label(label, count) == index for index, label in routed)
     ]
-    return fits[0] if stored and len(fits) == 1 else None
+    if not routed or len(fits) != 1:
+        return None
+    extra = {"chunk_count": fits[0], "presence": presence}
+    return Manifest(kind, fingerprint, version_count, codec.name, extra=extra)
 
 
 #: The finding code of an older layout's file that failed its check as
@@ -323,7 +318,6 @@ class _Scrubber:
         self.report = report
         self.repair = report.repair
         self.deep = report.deep
-        self.keys_file = os.fspath(keys_file) if keys_file is not None else None
         self.directory = path if os.path.isdir(path) else os.path.dirname(path)
         self.is_dir = os.path.isdir(path)
         #: The manifest as today's layout reads it
@@ -337,21 +331,29 @@ class _Scrubber:
         self.stale: list[Finding] = []
         #: The checksum table (``None`` while none is recorded anywhere).
         self.table: Optional[ChecksumSidecar] = None
-        self.codec = None
-        #: ``(name, Codec)`` cache behind :meth:`_payload_codec` — the
-        #: registry is consulted once per codec name, not once per
-        #: payload decoded.
-        self._resolved_codec = None
+        #: The payloads' codec, by name (``None`` while no manifest names it).
+        self.codec: Optional[str] = None
+        self.keys_path = (
+            os.fspath(keys_file) if keys_file is not None else keys_location(path)
+        )
+        #: The key specification the keys file holds (``None`` when it is
+        #: missing or does not parse), and why it did not parse.
+        self.spec: Optional[KeySpec] = None
+        self.spec_error: Optional[str] = None
 
     # -- helpers -----------------------------------------------------------
 
-    def _payload_codec(self):
-        """The resolved :class:`~repro.storage.codec.Codec` for
-        ``self.codec``, cached until the name changes (a manifest
-        rebuild or sniff mid-run invalidates it)."""
-        if self._resolved_codec is None or self._resolved_codec[0] != self.codec:
-            self._resolved_codec = (self.codec, get_codec(self.codec))
-        return self._resolved_codec[1]
+    def _load_keys(self) -> None:
+        """Read and parse the keys file, the one time the scrub does."""
+        from ..keys.keyparser import parse_key_spec
+
+        try:
+            with open(self.keys_path, "r", encoding="utf-8") as handle:
+                self.spec = parse_key_spec(handle.read())
+        except OSError:
+            pass  # no keys file: nothing to check it against or derive with
+        except ValueError as error:
+            self.spec_error = str(error)
 
     def _rel(self, full: str) -> str:
         return os.path.relpath(full, self.directory) if self.is_dir else (
@@ -361,20 +363,15 @@ class _Scrubber:
     def _payload_files(self) -> list[str]:
         """The archive's payload files (absolute paths)."""
         if self.kind == "file":
-            return [self.path] if os.path.isfile(self.path) else []
-        names = sorted(os.listdir(self.path))
-        payloads = []
-        for name in names:
-            full = os.path.join(self.path, name)
-            if not os.path.isfile(full):
-                continue
-            if self.kind == "chunked" and (
-                name.startswith("chunk-") and name.endswith(".xml")
-            ):
-                payloads.append(full)
-            elif self.kind == "external" and name == "archive.jsonl":
-                payloads.append(full)
-        return payloads
+            names = [self.path]
+        elif self.kind == "external":
+            names = [os.path.join(self.path, STREAM_NAME)]
+        else:
+            names = [
+                os.path.join(self.path, name)
+                for name in sorted(chunk_files(self.path).values())
+            ]
+        return [full for full in names if os.path.isfile(full)]
 
     def _quarantine(self, full: str, finding: Finding) -> None:
         """Move an unrepairable payload aside — never delete it."""
@@ -400,9 +397,7 @@ class _Scrubber:
         """Whether a payload decodes (and parses) under the codec."""
         name = os.path.basename(full)
         try:
-            if name == "archive.jsonl":
-                from .events import IOStats, read_events
-
+            if name == STREAM_NAME:
                 for _ in read_events(full, IOStats(), self.codec):
                     pass
             else:  # chunk files and the whole-file archive: XML payloads
@@ -410,7 +405,7 @@ class _Scrubber:
 
                 with open(full, "rb") as handle:
                     data = handle.read()
-                parse_document(self._payload_codec().decode_document(data))
+                parse_document(get_codec(self.codec).decode_document(data))
         except (
             IntegrityError,
             CodecError,
@@ -426,11 +421,8 @@ class _Scrubber:
 
     def run(self) -> None:
         self._scrub_wal()
+        self._load_keys()  # after recovery, which may publish the keys file
         self._load_manifest()
-        if self.codec is None:
-            # No (usable) manifest: fall back to payload magic bytes so
-            # decode checks don't misclassify healthy encoded payloads.
-            self.codec = self._sniff_codec()
         self._scrub_key_spec()
         self._scrub_payloads()
         self._scrub_retired()
@@ -489,38 +481,28 @@ class _Scrubber:
         location = manifest_location(self.path)
         try:
             with open(location, "rb") as handle:
-                raw = handle.read()
+                on_disk = Manifest.from_json(handle.read().decode("utf-8"))
         except FileNotFoundError:
-            finding = self.report.add(
-                "manifest-missing",
-                self._rel(location),
-                "archive carries no manifest (legacy layout or deleted)",
-                repair="rebuild from the archive's files",
-            )
-            if self.repair:
-                self._rebuild_manifest(finding)
-            return
-        try:
-            on_disk = Manifest.from_json(raw.decode("utf-8"))
+            code = "manifest-missing"
+            detail = "archive carries no manifest (legacy layout or deleted)"
         except (ArchiveError, UnicodeDecodeError) as error:
-            finding = self.report.add(
-                "manifest-corrupt",
-                self._rel(location),
-                str(error),
-                repair="rebuild from the archive's files",
-            )
-            if self.repair:
-                self._rebuild_manifest(finding)
+            code, detail = "manifest-corrupt", str(error)
+        else:
+            self.codec = on_disk.codec
+            if on_disk.kind != self.kind:
+                self.report.add(
+                    "manifest-inconsistent",
+                    self._rel(location),
+                    f"manifest says kind {on_disk.kind!r}, layout is "
+                    f"{self.kind!r}",
+                )
+            self._read_as_today(on_disk)
             return
-        self.codec = on_disk.codec
-        if on_disk.kind != self.kind:
-            self.report.add(
-                "manifest-inconsistent",
-                self._rel(location),
-                f"manifest says kind {on_disk.kind!r}, layout is "
-                f"{self.kind!r}",
-            )
-        self._read_as_today(on_disk)
+        finding = self.report.add(
+            code, self._rel(location), detail, repair="rebuild from the archive's files"
+        )
+        if self.repair:
+            self._rebuild_manifest(finding)
 
     def _read_as_today(self, on_disk: Manifest) -> None:
         """Take the manifest as today's layout reads it, and its table.
@@ -559,43 +541,14 @@ class _Scrubber:
                 self._rebuild_table(finding)
 
     def _rebuild_manifest(self, finding: Finding) -> None:
-        """Best-effort manifest reconstruction from derivable state."""
-        codec = self.codec = self._sniff_codec()
-        version_count = self._derive_version_count(codec)
-        if version_count is None:
-            finding.repair = "unrepairable: version count not derivable"
+        """Write the manifest the payloads still prove
+        (:func:`_derive_manifest`), with their checksum table."""
+        rebuilt = _derive_manifest(self.path, self.kind, self.spec)
+        if rebuilt is None:
+            counts = "version or chunk" if self.kind == "chunked" else "version"
+            finding.repair = f"unrepairable: {counts} count not derivable"
             return
-        spec_hash = ""
-        keys_path = self.keys_file or keys_location(self.path)
-        if os.path.exists(keys_path):
-            from ..keys.keyparser import parse_key_spec
-
-            try:
-                with open(keys_path, "r", encoding="utf-8") as handle:
-                    spec_hash = key_spec_fingerprint(parse_key_spec(handle.read()))
-            except ValueError:
-                spec_hash = ""
-        extra: dict = {}
-        if self.kind == "chunked":
-            from .chunked import _chunk_presence_of
-
-            spec = self._load_spec()
-            chunk_count = _derive_chunk_count(self.path, get_codec(codec), spec)
-            if chunk_count is None:
-                finding.repair = "unrepairable: chunk count not derivable"
-                return
-            extra["chunk_count"] = chunk_count
-            extra["presence"] = {
-                str(index): _chunk_presence_of(archive).to_text()
-                for index, archive in self._chunk_archives(spec)
-            }
-        rebuilt = Manifest(
-            kind=self.kind,
-            key_spec_hash=spec_hash,
-            version_count=version_count,
-            codec=codec,
-            extra=extra,
-        )
+        self.codec = rebuilt.codec
         # The table went with the manifest, unless an older layout kept
         # it beside; what is damaged there is not trusted.
         self.manifest, self.retired = current_manifest(
@@ -604,48 +557,7 @@ class _Scrubber:
         self.table = self.manifest.checksum_table() or self._table_of_payloads()
         self._record_table()
         finding.repaired = True
-        finding.repair = f"rebuilt ({self.kind}, {version_count} version(s))"
-
-    def _sniff_codec(self) -> str:
-        try:
-            return _sniff_backend_codec(self.path, self.kind).name
-        except (OSError, ValueError):
-            return "raw"
-
-    def _derive_version_count(self, codec: str) -> Optional[int]:
-        try:
-            if self.kind == "chunked":
-                # Every chunk shares the global numbering.
-                spec = self._load_spec()
-                if spec is None:
-                    return None
-                counts = [
-                    archive.last_version
-                    for _, archive in self._chunk_archives(spec)
-                ]
-                if counts:
-                    return max(counts)
-                return None if _chunk_files(self.path) else 0
-            if self.kind == "external":
-                from .events import IOStats, NodeEvent, read_events
-
-                stream = os.path.join(self.path, "archive.jsonl")
-                root = next(iter(read_events(stream, IOStats(), codec)))
-                if isinstance(root, NodeEvent) and root.timestamp is not None:
-                    return root.timestamp.max_version()
-                return None
-            # file: parse the archive root's timestamp attribute
-            from ..core.archive import Archive
-            from ..keys.keyparser import parse_key_spec
-
-            keys_path = self.keys_file or keys_location(self.path)
-            with open(keys_path, "r", encoding="utf-8") as handle:
-                spec = parse_key_spec(handle.read())
-            with open(self.path, "rb") as handle:
-                text = get_codec(codec).decode_document(handle.read())
-            return Archive.from_xml_string(text, spec).last_version
-        except (OSError, ValueError, EOFError, StopIteration):
-            return None
+        finding.repair = f"rebuilt ({self.kind}, {rebuilt.version_count} version(s))"
 
     def _table_of_payloads(self) -> ChecksumSidecar:
         """A table covering every payload on disk that decodes."""
@@ -690,28 +602,18 @@ class _Scrubber:
     def _scrub_key_spec(self) -> None:
         if self.manifest is None or not self.manifest.key_spec_hash:
             return
-        keys_path = self.keys_file or keys_location(self.path)
-        if not os.path.exists(keys_path):
+        if self.spec_error is not None:
+            detail = f"keys file does not parse: {self.spec_error}"
+        elif self.spec is None:
             return
-        from ..keys.keyparser import parse_key_spec
-
-        try:
-            with open(keys_path, "r", encoding="utf-8") as handle:
-                fingerprint = key_spec_fingerprint(parse_key_spec(handle.read()))
-        except ValueError as error:
-            self.report.add(
-                "key-spec-mismatch",
-                self._rel(keys_path),
-                f"keys file does not parse: {error}",
-            )
-            return
-        if fingerprint != self.manifest.key_spec_hash:
-            self.report.add(
-                "key-spec-mismatch",
-                self._rel(keys_path),
+        elif key_spec_fingerprint(self.spec) != self.manifest.key_spec_hash:
+            detail = (
                 "keys file fingerprint differs from the manifest's "
-                "(wrong or edited keys file)",
+                "(wrong or edited keys file)"
             )
+        else:
+            return
+        self.report.add("key-spec-mismatch", self._rel(self.keys_path), detail)
 
     def _scrub_payloads(self) -> None:
         """Hash every payload against its recorded checksum."""
@@ -797,31 +699,27 @@ class _Scrubber:
 
     # -- backend-specific cross-checks -------------------------------------
 
-    def _chunk_archives(self, spec):
+    def _chunk_archives(self):
         """``(index, decoded tree)`` of every chunk file that decodes;
         the others are the hash pass's to report."""
-        from ..core.archive import Archive
-
-        for index, name in sorted(_chunk_files(self.path).items()):
+        codec = get_codec(self.codec)
+        for index, name in sorted(chunk_files(self.path).items()):
             try:
                 with open(os.path.join(self.path, name), "rb") as handle:
-                    text = self._payload_codec().decode_document(handle.read())
-                yield index, Archive.from_xml_string(text, spec)
+                    text = codec.decode_document(handle.read())
+                yield index, Archive.from_xml_string(text, self.spec)
             except (CodecError, ValueError, OSError, EOFError):
                 continue
 
     def _scrub_chunked(self) -> None:
         """Cross-check the manifest's presence map against chunk
         contents."""
-        from .chunked import _chunk_presence_of
-
-        spec = self._load_spec()
-        if spec is None or self.manifest is None:
+        if self.spec is None or self.manifest is None:
             return
         mapped = self.manifest.extra.get("presence", {})
         presence = dict(mapped)  # what a repair records
         stale = []
-        for index, archive in self._chunk_archives(spec):
+        for index, archive in self._chunk_archives():
             derived = presence[str(index)] = _chunk_presence_of(archive).to_text()
             recorded = mapped.get(str(index))
             if recorded != derived:
@@ -867,27 +765,19 @@ class _Scrubber:
             finding.repaired = True
             finding.repair = "presence map rewritten from the chunks' contents"
 
-    def _load_spec(self):
-        from ..keys.keyparser import parse_key_spec
-
-        keys_path = self.keys_file or keys_location(self.path)
-        try:
-            with open(keys_path, "r", encoding="utf-8") as handle:
-                return parse_key_spec(handle.read())
-        except (OSError, ValueError):
-            return None
-
     def _scrub_external(self) -> None:
         """Deep-walk the event stream so structural damage is caught."""
         if not self.deep:
             return
-        stream = os.path.join(self.path, "archive.jsonl")
+        stream = os.path.join(self.path, STREAM_NAME)
         if not os.path.exists(stream):
             return
-        from .events import IOStats, read_events
-
+        codec = self.codec
+        if codec is None:  # no usable manifest: the stream's magic names it
+            with open(stream, "rb") as handle:
+                codec = detect_codec(handle.read(8)).name
         try:
-            for _ in read_events(stream, IOStats(), self.codec):
+            for _ in read_events(stream, IOStats(), codec):
                 pass
         except IntegrityError as error:
             self.report.add(

@@ -29,6 +29,7 @@ from repro.storage import (
     open_archive,
     read_manifest,
 )
+from repro.storage.codec import get_codec
 from repro.storage.integrity import _self_digest, checksum_entry
 from repro.xmltree.serializer import to_pretty_string
 
@@ -324,12 +325,11 @@ class TestLostChunkCount:
         with pytest.raises(IntegrityError, match="fsck --repair"):
             open_archive(store)
 
-    def test_repair_rebuilds_the_true_count_or_refuses(self, store):
+    def test_repair_rebuilds_the_true_count(self, store):
         report = fsck_archive(store, repair=True)
         missing = next(f for f in report.findings if f.code == "manifest-missing")
-        if not missing.repaired:
-            assert "chunk count not derivable" in missing.repair
-            return
+        assert missing.repaired, missing.repair
+        assert missing.repair == "rebuilt (chunked, 1 version(s))"
         with open_archive(store) as backend:
             assert backend.chunk_count == 16
             for name in self.NAMES:
@@ -346,6 +346,60 @@ class TestLostChunkCount:
         assert not missing.repaired
         assert "chunk count not derivable" in missing.repair
         assert not os.path.exists(os.path.join(path, "manifest.json"))
+
+
+def test_a_lost_manifest_is_derived_in_one_decode_pass(tmp_path, monkeypatch):
+    # The derivation decodes each chunk once, for the codec, the
+    # version count, the presence map and the routing labels alike; the
+    # checksum table and the presence cross-check take one decode each.
+    from repro.data import OmimGenerator
+    from repro.data.omim import OMIM_KEY_TEXT
+
+    path = str(tmp_path / "store")
+    backend = create_archive(
+        path, OMIM_KEY_TEXT, kind="chunked", chunk_count=4, codec="xbin"
+    )
+    backend.ingest_batch(OmimGenerator(seed=1, initial_records=12).generate_versions(4))
+    backend.close()
+    chunks = [name for name in os.listdir(path) if name.startswith("chunk-")]
+    assert len(chunks) == 4
+    expected = renderings(path)
+    os.remove(manifest_location(path))
+    codec = get_codec("xbin")
+    calls = []
+    original = codec.decode_document
+
+    def counting(data):
+        calls.append(len(data))
+        return original(data)
+
+    monkeypatch.setattr(codec, "decode_document", counting)
+    report = fsck_archive(path, repair=True)
+    assert not report.unrepaired, str(report)
+    assert len(calls) <= 3 * len(chunks), (len(calls), len(chunks))
+    monkeypatch.undo()
+    assert renderings(path) == expected
+
+
+@pytest.mark.parametrize(
+    "keys, detail",
+    [
+        ("(/, (db", "does not parse"),
+        ("(/, (db, {}))\n(/db, (dept, {}))", "fingerprint differs"),
+    ],
+)
+def test_a_keys_file_the_manifest_does_not_name_is_reported(
+    tmp_path, versions, keys, detail
+):
+    path = build(str(tmp_path), "chunked", versions)
+    with open(os.path.join(path, "archive.keys"), "w", encoding="utf-8") as handle:
+        handle.write(keys)
+    mismatch = [
+        finding
+        for finding in fsck_archive(path).findings
+        if finding.code == "key-spec-mismatch"
+    ]
+    assert len(mismatch) == 1 and detail in mismatch[0].detail
 
 
 class TestQuarantine:

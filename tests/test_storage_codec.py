@@ -23,7 +23,7 @@ from repro.storage import (
     manifest_location,
     open_archive,
 )
-from repro.storage.fsck import detect_codec, sniff_codec
+from repro.storage.fsck import detect_codec
 from repro.storage.codec import CODECS, GZIP, RAW, STREAM_FLUSH_BYTES, XBIN, XMILL
 from repro.storage.xbin import XBIN_MAGIC
 from repro.xmltree import parse_document, to_pretty_string, value_equal
@@ -54,9 +54,6 @@ class TestCodecRegistry:
         assert detect_codec(XBIN_MAGIC + b"rest") is XBIN
         assert XBIN_MAGIC == b"XB\x02\x00"
         assert detect_codec(b"XB\x01\x00rest") is XBIN  # version 1 stores
-
-    def test_sniff_codec_missing_file_is_raw(self, tmp_path):
-        assert sniff_codec(str(tmp_path / "nowhere")) is RAW
 
 
 class TestDocumentRoundTrips:
